@@ -362,14 +362,12 @@ def leaky_relu(a: Tensor, negative_slope: float = 0.2) -> Tensor:
 
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
     neg = a.data <= 0
-    out = a.data.copy()
     with _fpe_guard("elu"):
-        out[neg] = alpha * np.expm1(a.data[neg])
+        # expm1 sees only the non-positive part, so large inputs cannot overflow
+        out = np.where(neg, alpha * np.expm1(np.minimum(a.data, 0)), a.data)
 
     def vjp(g):
-        ga = g.copy()
-        ga[neg] = g[neg] * (out[neg] + alpha)
-        return (ga,)
+        return (np.where(neg, g * (out + alpha), g),)
 
     return _result(out, (a,), vjp)
 
@@ -557,7 +555,8 @@ def value_and_grad(output: Tensor, wrt: Iterable[Tensor]):
         g = grad_map.get(id(p))
         if g is None:
             g = p.grad if p.grad is not None else np.zeros(p.shape, dtype=p.dtype)
-        g = np.asarray(g, dtype=p.dtype).reshape(p.shape)
+        # C order: a transposed vjp would otherwise hand the optimizer a strided array
+        g = np.ascontiguousarray(g, dtype=p.dtype).reshape(p.shape)
         if g.size and not np.all(np.isfinite(g)):
             raise NonFiniteError("value_and_grad: non-finite gradient")
         grads.append(g)
