@@ -6,15 +6,26 @@ per neighborhood.  Layer one applies an exponential-linear nonlinearity and
 concatenates heads; the output layer is linear (identity) and averages heads
 so embeddings live in an unconstrained metric space.
 
-The per-graph edge structure (neighborhoods sorted by center node, plus the
-reverse permutation used by the backward scatter) is computed once and cached
-on the graph.
+The per-graph edge structure (neighborhoods sorted by center node) is
+computed once and cached on the graph.
+
+Exact receptive-field encoding: ``encode(..., rows=r)`` returns only the
+embeddings of graph rows ``r``.  The output layer reads layer-0 outputs only
+on the neighborhoods of ``r`` (R1), and layer 0 reads projected inputs only
+on the neighborhoods of R1 (R0).  So layer 0 projects the R0 input rows and
+scores, normalizes and aggregates only the edges into R1, and the output
+layer does the same for the edges into ``r``.  Nothing is sampled or cut:
+the rows equal those of the full-graph encode up to float32 rounding (BLAS
+may order a row's sum differently when it is handed fewer rows).  A training
+episode reads a few dozen rows, so forward and backward skip most of the
+graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
+from scipy import sparse
 
 from . import diffmath as dm
 from .diffmath import Tensor
@@ -24,37 +35,6 @@ LEAKY_SLOPE = 0.2
 
 __all__ = ["HeadParams", "BackboneParams", "init_backbone", "attention_coefficients",
            "gat_layer", "encode", "backbone_to_arrays", "arrays_to_backbone"]
-
-try:
-    from numba import njit, prange
-
-    @njit(parallel=True, cache=True)
-    def _sddmm_kernel(gmat, zmat, dst, src):
-        n_edges = dst.shape[0]
-        out = np.empty(n_edges, dtype=gmat.dtype)
-        for e in prange(n_edges):
-            gr = gmat[dst[e]]
-            zr = zmat[src[e]]
-            acc = gr[0] * zr[0]
-            for d in range(1, gr.shape[0]):
-                acc += gr[d] * zr[d]
-            out[e] = acc
-        return out
-
-    _HAVE_NUMBA = True
-except ImportError:      # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
-def _sddmm(gmat, zmat, dst, src):
-    """Per-edge row dot product gmat[dst[e]] . zmat[src[e]] without materializing gathers."""
-    if _HAVE_NUMBA:
-        import warnings
-        with warnings.catch_warnings():
-            # first call compiles; numba's threading-layer probe may warn
-            warnings.filterwarnings("ignore", message=".*TBB threading layer.*")
-            return _sddmm_kernel(gmat, zmat, dst, src)
-    return np.einsum("ed,ed->e", gmat[dst], zmat[src])
 
 
 @dataclass
@@ -112,22 +92,40 @@ def init_backbone(feature_dim: int, hidden: int, out_dim: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# cached self-inclusive neighborhood structure
+# self-inclusive neighborhood structure
 
 @dataclass
 class _EdgeStructure:
-    src: np.ndarray          # incident source per entry, grouped by center
-    dst: np.ndarray
-    starts: np.ndarray       # segment starts per center node
+    """Neighborhoods of ``n_out`` center rows over ``n_in`` input rows.
+
+    Entries are grouped by center, sources ascending within a center;
+    ``src`` and ``center`` are positions among the input rows.
+    """
+    src: np.ndarray          # input position of each entry's source
+    dst: np.ndarray          # output row of each entry
+    center: np.ndarray       # input position of each entry's center
+    starts: np.ndarray       # segment starts per output row
     lens: np.ndarray
-    src_order: np.ndarray    # stable sort of src, for the backward scatter
-    src_i32: np.ndarray      # int32 CSR (indices, indptr) of the attention matrix
+    src_i32: np.ndarray      # int32 CSR (indices, indptr) of the [n_out x n_in] attention matrix
     indptr_i32: np.ndarray
-    dst_t_i32: np.ndarray    # int32 CSR of its transpose
-    indptr_t_i32: np.ndarray
+    n_in: int
+
+    @property
+    def n_out(self) -> int:
+        return len(self.lens)
+
+
+def _structure(src, lens, centers, n_in: int) -> _EdgeStructure:
+    """From grouped sources, segment lengths and each center's input position."""
+    indptr = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    dst = np.repeat(np.arange(len(lens)), lens)
+    return _EdgeStructure(src, dst, centers[dst], indptr[:-1], lens,
+                          src.astype(np.int32), indptr.astype(np.int32), n_in)
 
 
 def _edge_structure(g: Graph) -> _EdgeStructure:
+    """Every node's neighborhood over the whole graph, cached on the graph."""
     cached = getattr(g, "_op_cache", None)
     if cached is not None and "gat_edges" in cached:
         return cached["gat_edges"]
@@ -137,20 +135,28 @@ def _edge_structure(g: Graph) -> _EdgeStructure:
     src = np.concatenate([e[:, 0], e[:, 1], loop])
     dst = np.concatenate([e[:, 1], e[:, 0], loop])
     order = np.lexsort((src, dst))
-    src, dst = src[order], dst[order]
-    lens = np.bincount(dst, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
-    starts = indptr[:-1]
-    src_order = np.argsort(src, kind="stable")
-    src_lens = np.bincount(src, minlength=n)
-    src_indptr = np.concatenate([[0], np.cumsum(src_lens)]).astype(np.int64)
-    struct = _EdgeStructure(
-        src, dst, starts, lens, src_order,
-        src.astype(np.int32), indptr.astype(np.int32),
-        dst[src_order].astype(np.int32), src_indptr.astype(np.int32))
+    struct = _structure(src[order], np.bincount(dst, minlength=n), loop, n)
     if cached is not None:
         cached["gat_edges"] = struct
     return struct
+
+
+def _receptive_field(g: Graph, out_rows: np.ndarray):
+    """Neighborhoods of graph rows ``out_rows`` over their union, and the union.
+
+    The union (ascending graph rows) holds every row the centers attend to,
+    so a layer run on it gives ``out_rows`` the outputs of the whole graph.
+    """
+    full = _edge_structure(g)
+    lens = full.lens[out_rows]
+    offsets = np.cumsum(lens) - lens
+    entries = np.arange(lens.sum()) + np.repeat(full.starts[out_rows] - offsets, lens)
+    sources = full.src[entries]
+    member = np.zeros(g.node_count, dtype=bool)
+    member[sources] = True
+    position = np.cumsum(member) - 1
+    in_rows = np.flatnonzero(member)
+    return _structure(position[sources], lens, position[out_rows], len(in_rows)), in_rows
 
 
 def _segment_softmax(scores: Tensor, struct: _EdgeStructure) -> Tensor:
@@ -170,26 +176,19 @@ def _segment_softmax(scores: Tensor, struct: _EdgeStructure) -> Tensor:
 
 
 def _attend_aggregate(z: Tensor, alpha: Tensor, struct: _EdgeStructure) -> Tensor:
-    """out[i] = sum over incident entries (alpha * z[src]).
+    """out[i] = sum over the entries of output row i of alpha * z[src]; [n_out x d].
 
     The aggregation is a sparse matrix product with the per-edge attention
-    weights as values, which keeps both directions in C kernels; the
-    transposed structure for the backward scatter is precomputed per graph.
+    weights as values, which keeps both directions in C kernels.
     """
-    from scipy import sparse
-
     zd, ad = z.data, alpha.data
-    n = zd.shape[0]
     att = sparse.csr_matrix((ad, struct.src_i32, struct.indptr_i32),
-                            shape=(n, n), copy=False)
+                            shape=(struct.n_out, struct.n_in), copy=False)
     out = att @ zd
 
     def vjp(g):
-        att_t = sparse.csr_matrix(
-            (ad[struct.src_order], struct.dst_t_i32, struct.indptr_t_i32),
-            shape=(n, n), copy=False)
-        g_z = (att_t @ g).astype(zd.dtype, copy=False)
-        g_alpha = _sddmm(np.ascontiguousarray(g), zd, struct.dst, struct.src)
+        g_z = (att.T @ g).astype(zd.dtype, copy=False)
+        g_alpha = np.einsum("ed,ed->e", g[struct.dst], zd[struct.src])
         return g_z, g_alpha
 
     needs = z.requires_grad or alpha.requires_grad
@@ -213,22 +212,20 @@ def _sparse_matmul(sp, w_t: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # layers
 
-def _head_attention(hp: HeadParams, g: Graph, states: Tensor, use_sparse_input=False):
-    """Per-edge attention weights and transformed states for one head."""
-    struct = _edge_structure(g)
+def _head_attention(hp: HeadParams, struct: _EdgeStructure, states):
+    """Transformed input states and per-edge attention weights for one head."""
     out_h = hp.weight.shape[0]
-    sp = g.features_sparse() if use_sparse_input else None
-    if sp is not None:
-        z = _sparse_matmul(sp, dm.transpose(hp.weight))
-    else:
+    if isinstance(states, Tensor):
         z = dm.matmul(states, dm.transpose(hp.weight))
+    else:
+        z = _sparse_matmul(states, dm.transpose(hp.weight))
     a_center = dm.take_rows(hp.attn, np.arange(out_h))
     a_neigh = dm.take_rows(hp.attn, np.arange(out_h, 2 * out_h))
     s_center = dm.matmul(z, a_center)
     s_neigh = dm.matmul(z, a_neigh)
-    scores = dm.add(dm.take_rows(s_center, struct.dst), dm.take_rows(s_neigh, struct.src))
+    scores = dm.add(dm.take_rows(s_center, struct.center), dm.take_rows(s_neigh, struct.src))
     alpha = _segment_softmax(dm.leaky_relu(scores, LEAKY_SLOPE), struct)
-    return z, alpha, struct
+    return z, alpha
 
 
 def _as_states(g: Graph, node_states, dtype) -> Tensor:
@@ -243,8 +240,8 @@ def attention_coefficients(params: BackboneParams, g: Graph, node_states, layer:
     states = _as_states(g, node_states, params.dtype)
     if states.shape[0] != g.node_count:
         raise dm.ShapeError(f"states rows {states.shape[0]} != node count {g.node_count}")
-    hp = params.layers[layer][head]
-    _, alpha, struct = _head_attention(hp, g, states)
+    struct = _edge_structure(g)
+    _, alpha = _head_attention(params.layers[layer][head], struct, states)
     a = alpha.data
     result = {}
     for row in range(g.node_count):
@@ -257,12 +254,22 @@ def attention_coefficients(params: BackboneParams, g: Graph, node_states, layer:
 
 
 def gat_layer(params: BackboneParams, g: Graph, node_states, layer: int,
-              use_sparse_input: bool = False) -> Tensor:
-    """One attention layer over the self-inclusive neighborhoods."""
-    states = _as_states(g, node_states, params.dtype)
+              struct: _EdgeStructure | None = None) -> Tensor:
+    """One attention layer over the self-inclusive neighborhoods.
+
+    ``node_states`` has one row per input row of ``struct`` (default: every
+    node of ``g``) and may be a constant scipy sparse matrix; the result has
+    one row per output row of ``struct``.
+    """
+    struct = _edge_structure(g) if struct is None else struct
+    states = node_states
+    if not sparse.issparse(states):
+        states = _as_states(g, states, params.dtype)
+    if states.shape[0] != struct.n_in:
+        raise dm.ShapeError(f"states rows {states.shape[0]} != input rows {struct.n_in}")
     head_outs = []
     for hp in params.layers[layer]:
-        z, alpha, struct = _head_attention(hp, g, states, use_sparse_input)
+        z, alpha = _head_attention(hp, struct, states)
         head_outs.append(_attend_aggregate(z, alpha, struct))
     if len(head_outs) == 1:
         combined = head_outs[0]
@@ -276,27 +283,53 @@ def gat_layer(params: BackboneParams, g: Graph, node_states, layer: int,
     return dm.elu(combined) if layer == 0 else combined
 
 
+def _dropout(h: Tensor, rate: float, rng, n: int, rows) -> Tensor:
+    """Inverted dropout of ``h``, which holds graph rows ``rows`` (None: all ``n``).
+
+    The mask is drawn for all ``n`` rows and then sliced, so the random
+    stream and the kept entries match those of the full-graph encode.
+    """
+    if rows is None or rate <= 0.0:
+        return dm.dropout(h, rate, rng)
+    keep = dm.dropout_mask((n, *h.shape[1:]), rate, rng, h.dtype)
+    return dm.mul(h, dm.Tensor(keep[rows]))
+
+
 def encode(params: BackboneParams, g: Graph, dropout_rate: float = 0.0,
-           rng: np.random.Generator | None = None) -> Tensor:
-    """Node embeddings [node_count x out_dim]; differentiable end-to-end."""
+           rng: np.random.Generator | None = None, *, rows=None) -> Tensor:
+    """Node embeddings [node_count x out_dim]; differentiable end-to-end.
+
+    With ``rows`` (graph row indices) only those rows come back, in that
+    order, computed from their exact receptive field (see the module
+    docstring).
+    """
     if g.feature_dim != params.feature_dim:
         raise dm.ShapeError(
             f"graph feature dim {g.feature_dim} != backbone input {params.feature_dim}")
     dtype = params.dtype
     if g.node_count == 0:
         return dm.tensor(np.zeros((0, params.out_dim), dtype=dtype), dtype=dtype)
-    cache_key = f"features_{np.dtype(dtype).name}"
-    h = g._op_cache.get(cache_key)
-    if h is None:
-        h = dm.tensor(g.features.astype(dtype, copy=False), dtype=dtype)
-        g._op_cache[cache_key] = h
-    use_sparse = dtype == np.float32 and dropout_rate == 0.0
-    if dropout_rate > 0.0:
-        h = dm.dropout(h, dropout_rate, rng)
-    h = gat_layer(params, g, h, 0, use_sparse_input=use_sparse)
-    if dropout_rate > 0.0:
-        h = dm.dropout(h, dropout_rate, rng)
-    return gat_layer(params, g, h, 1)
+    if rows is None:
+        struct0 = struct1 = _edge_structure(g)
+        rows0 = rows1 = None
+    else:
+        struct1, rows1 = _receptive_field(g, np.asarray(rows, dtype=np.int64))
+        struct0, rows0 = _receptive_field(g, rows1)
+    sp = g.features_sparse() if dtype == np.float32 and dropout_rate == 0.0 else None
+    if sp is not None:
+        h = sp if rows0 is None else sp[rows0]
+    else:
+        cache_key = f"features_{np.dtype(dtype).name}"
+        h = g._op_cache.get(cache_key)
+        if h is None:
+            h = dm.tensor(g.features.astype(dtype, copy=False), dtype=dtype)
+            g._op_cache[cache_key] = h
+        if rows0 is not None:
+            h = dm.take_rows(h, rows0)
+        h = _dropout(h, dropout_rate, rng, g.node_count, rows0)
+    h = gat_layer(params, g, h, 0, struct0)
+    h = _dropout(h, dropout_rate, rng, g.node_count, rows1)
+    return gat_layer(params, g, h, 1, struct1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ __all__ = [
     "softmax", "log_softmax",
     "sum", "mean", "amax", "amin",
     "squared_euclidean", "cosine_sim", "pairwise_sq_euclidean",
-    "dropout",
+    "dropout", "dropout_mask",
     "backward", "value_and_grad", "op_vocabulary",
 ]
 
@@ -476,14 +476,19 @@ def pairwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
     return clip(d, 0.0, None)
 
 
+def dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Inverted-dropout factors: 0 where dropped, 1 / (1 - rate) where kept."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    dtype = np.dtype(dtype)
+    return (rng.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate)
+
+
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate == 0."""
     if rate <= 0.0:
         return a
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = (rng.random(a.shape) >= rate).astype(a.dtype) / a.dtype.type(1.0 - rate)
-    return mul(a, Tensor(keep))
+    return mul(a, Tensor(dropout_mask(a.shape, rate, rng, a.dtype)))
 
 
 # ---------------------------------------------------------------------------

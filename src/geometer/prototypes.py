@@ -173,12 +173,14 @@ def mean_prototype(support_embeddings: Tensor) -> Tensor:
 
 def compute_prototypes(embeddings: Tensor, supports: Mapping[int, Sequence[int]],
                        g: Graph, params: ClassAttentionParams,
-                       mode: str = "attention") -> PrototypeSet:
+                       mode: str = "attention", rows=None) -> PrototypeSet:
     """One refined prototype per class from its support nodes.
 
     Degrees come from the current snapshot, so node influence follows the
     evolving structure.  ``mode="mean"`` bypasses both the degree weighting
-    and the attention refinement.
+    and the attention refinement.  ``embeddings`` has one row per graph row,
+    or, given ``rows`` (ascending graph rows, as passed to ``encode``), one
+    row per entry of ``rows``.
     """
     if mode not in ("attention", "mean"):
         raise ValueError(f"unknown prototype mode {mode!r}")
@@ -191,12 +193,13 @@ def compute_prototypes(embeddings: Tensor, supports: Mapping[int, Sequence[int]]
         rows_per_class.append(g.rows_of(ids))
     degrees = g.degrees()
     vectors = []
-    for cls, rows in zip(class_ids, rows_per_class):
-        support_emb = dm.take_rows(embeddings, rows)
+    for cls, graph_rows in zip(class_ids, rows_per_class):
+        emb_rows = graph_rows if rows is None else np.searchsorted(rows, graph_rows)
+        support_emb = dm.take_rows(embeddings, emb_rows)
         if mode == "mean":
             vectors.append(mean_prototype(support_emb))
         else:
-            init = initial_prototype(support_emb, degrees[rows])
+            init = initial_prototype(support_emb, degrees[graph_rows])
             vectors.append(refine_prototype(params, init, support_emb))
     return PrototypeSet(tuple(class_ids), dm.stack(vectors),
                         tuple(ORIGIN_COMPUTED for _ in class_ids))

@@ -4,10 +4,14 @@ Pretraining runs episodic gradient steps on the base graph, then fixes base
 prototypes from each class's full labeled pool.  Every streaming session
 deep-copies the previous model as a frozen teacher, finetunes a student with
 the combined geometric + distillation objective, and extends the prototype
-set with the session's novel classes.  Old prototype vectors are carried from
-the teacher by default (distillation keeps them valid in the drifting metric
-space); recomputation through the current encoder is available as a config
-switch.
+set with the session's novel classes.  By default every prototype is then
+recomputed through the finetuned encoder; with the ``carried_prototypes``
+switch old prototype vectors are carried from the teacher instead
+(distillation keeps them valid in the drifting metric space).
+
+A training episode encodes only the exact receptive field of its support
+and query nodes (``encode(..., rows=...)``); teacher, final-prototype and
+evaluation encodes run over the whole snapshot.
 
 Prediction is nearest prototype by squared Euclidean distance, ties resolved
 toward the lowest class id.
@@ -133,10 +137,15 @@ def _alpha_for(mode: str, query_classes) -> dict | None:
     return inverse_frequency_alpha(query_classes) if mode == "inverse_frequency" else None
 
 
-def _geometric_terms(emb, g: Graph, episode: Episode, protos: PrototypeSet,
-                     weights: LossWeights, alpha_mode: str):
-    q_rows = g.rows_of(episode.query_nodes())
-    q_emb = dm.take_rows(emb, q_rows)
+def _episode_rows(g: Graph, episode: Episode) -> np.ndarray:
+    """Ascending graph rows of the episode's support and query nodes, the
+    only embeddings its losses read."""
+    return np.unique(g.rows_of([*episode.support_nodes(), *episode.query_nodes()]))
+
+
+def _geometric_terms(emb, rows: np.ndarray, g: Graph, episode: Episode,
+                     protos: PrototypeSet, weights: LossWeights, alpha_mode: str):
+    q_emb = dm.take_rows(emb, np.searchsorted(rows, g.rows_of(episode.query_nodes())))
     labels = episode.query_classes()
     l_p = proximity_loss(q_emb, labels, protos, _alpha_for(alpha_mode, labels))
     l_u = uniformity_loss(protos) if weights.lambda_u > 0 and len(protos) >= 2 else None
@@ -145,10 +154,12 @@ def _geometric_terms(emb, g: Graph, episode: Episode, protos: PrototypeSet,
 
 def _pretrain_episode_loss(state: ModelState, g: Graph, episode: Episode,
                            cfg: ExperimentConfig, weights: LossWeights, rng):
-    emb = encode(state.backbone, g, cfg.dropout, rng)
+    rows = _episode_rows(g, episode)
+    emb = encode(state.backbone, g, cfg.dropout, rng, rows=rows)
     protos = compute_prototypes(emb, episode.supports, g, state.class_attention,
-                                mode=cfg.prototype_mode)
-    _, _, l_p, l_u = _geometric_terms(emb, g, episode, protos, weights, cfg.alpha_pretrain)
+                                mode=cfg.prototype_mode, rows=rows)
+    _, _, l_p, l_u = _geometric_terms(emb, rows, g, episode, protos, weights,
+                                      cfg.alpha_pretrain)
     effective = replace(weights, lambda_u=0.0 if l_u is None else weights.lambda_u)
     return pretrain_loss(l_p, l_u, effective)
 
@@ -176,18 +187,19 @@ def _finetune_episode_loss(student: ModelState, teacher_emb: np.ndarray,
                            cfg: ExperimentConfig, weights: LossWeights, rng):
     novel_classes = stream.novel_at(session)
     old_classes = stream.classes_at(session - 1)
-    emb = encode(student.backbone, g, cfg.dropout, rng)
+    rows = _episode_rows(g, episode)
+    emb = encode(student.backbone, g, cfg.dropout, rng, rows=rows)
 
     if cfg.carried_prototypes:
         novel_supports = {c: episode.supports[c] for c in novel_classes}
         novel_protos = compute_prototypes(emb, novel_supports, g, student.class_attention,
-                                          mode=cfg.prototype_mode)
+                                          mode=cfg.prototype_mode, rows=rows)
         protos = _combined_prototypes(novel_protos, teacher_protos)
     else:
         protos = compute_prototypes(emb, episode.supports, g, student.class_attention,
-                                    mode=cfg.prototype_mode)
+                                    mode=cfg.prototype_mode, rows=rows)
 
-    q_emb, labels, l_p, l_u = _geometric_terms(emb, g, episode, protos, weights,
+    q_emb, labels, l_p, l_u = _geometric_terms(emb, rows, g, episode, protos, weights,
                                                cfg.alpha_finetune)
     l_s = None
     if weights.lambda_s > 0:

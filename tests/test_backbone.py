@@ -225,3 +225,88 @@ def test_checkpoint_round_trip(tmp_path):
     assert q.heads == p.heads and q.hidden_dim == p.hidden_dim
     for a, b in zip(p.tensors(), q.tensors()):
         assert a.data.tobytes() == b.data.tobytes()
+
+
+# --- exact receptive-field encoding -------------------------------------------
+
+def receptive_graph(sparse_features, seed=14):
+    """40 nodes on a ring with chords plus one isolated node (row 40)."""
+    rng = np.random.default_rng(seed)
+    n, dim = 41, 3000 if sparse_features else 6
+    feats = np.zeros((n, dim), dtype=np.float32)
+    for i in range(n):
+        nz = rng.choice(dim, size=min(dim, 20), replace=False)
+        feats[i, nz] = rng.normal(size=len(nz)).astype(np.float32)
+    pairs = [(i, (i + 1) % 40) for i in range(40)] + [(i, (i + 7) % 40) for i in range(0, 40, 5)]
+    g = graph_from(pairs, feats)
+    assert (g.features_sparse() is not None) == sparse_features
+    return g, bb.init_backbone(dim, 8, 4, seed=15, heads=(2, 2))
+
+
+ROW_CASES = {"unsorted": [17, 3, 30, 4], "duplicates": [9, 2, 9, 40], "isolated": [40],
+             "single": [12], "with_isolated": [40, 0, 21], "all": list(range(41))}
+
+
+def _loss_and_grads(p, emb):
+    weights = np.random.default_rng(16).normal(size=emb.shape).astype(np.float32)
+    loss = dm.sum(dm.mul(emb, dm.constant(weights)))
+    return dm.value_and_grad(loss, p.tensors())
+
+
+@pytest.mark.parametrize("sparse_features", [True, False], ids=["sparse", "dense"])
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_restricted_encode_matches_full_graph_rows(sparse_features, case):
+    g, p = receptive_graph(sparse_features)
+    rows = np.array(ROW_CASES[case])
+    full = bb.encode(p, g)
+    restricted = bb.encode(p, g, rows=rows)
+    assert restricted.shape == (len(rows), 4)
+    # BLAS may order a row's sums differently when handed fewer rows
+    np.testing.assert_allclose(restricted.data, full.data[rows], rtol=1e-6, atol=1e-7)
+    _, g_full = _loss_and_grads(p, dm.take_rows(full, rows))
+    _, g_rows = _loss_and_grads(p, restricted)
+    for a, b in zip(g_rows, g_full):
+        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max())
+
+
+def test_restricted_encode_float64_matches_to_rounding():
+    g, _ = receptive_graph(False)
+    p = bb.init_backbone(6, 8, 4, seed=17, heads=(2, 1), dtype=F64)
+    rows = np.array([5, 40, 22])
+    np.testing.assert_allclose(bb.encode(p, g, rows=rows).data, bb.encode(p, g).data[rows],
+                               rtol=1e-13, atol=1e-15)
+
+
+def test_receptive_field_is_the_one_and_two_hop_closure():
+    from oracles import adjacency_matrix
+    g, _ = receptive_graph(False)
+    hood = adjacency_matrix(g.node_count, g.edges) + np.eye(g.node_count, dtype=np.int64)
+    for rows in ROW_CASES.values():
+        rows = np.array(rows)
+        one_hop = np.flatnonzero(hood[rows].sum(axis=0))
+        two_hop = np.flatnonzero(hood[one_hop].sum(axis=0))
+        struct1, r1 = bb._receptive_field(g, rows)
+        struct0, r0 = bb._receptive_field(g, r1)
+        np.testing.assert_array_equal(r1, one_hop)
+        np.testing.assert_array_equal(r0, two_hop)
+        assert (struct1.n_out, struct1.n_in) == (len(rows), len(one_hop))
+        assert (struct0.n_out, struct0.n_in) == (len(one_hop), len(two_hop))
+        assert len(struct1.src) == hood[rows].sum()
+
+
+def test_restricted_encode_under_dropout_matches_full_graph():
+    # masks are drawn for the whole graph and sliced, so equal seeds give
+    # equal rows and leave the generator in the same state
+    g, p = receptive_graph(False)
+    rows = np.array([3, 17, 40])
+    rng_full, rng_rows = np.random.default_rng(18), np.random.default_rng(18)
+    full = bb.encode(p, g, 0.5, rng_full)
+    restricted = bb.encode(p, g, 0.5, rng_rows, rows=rows)
+    np.testing.assert_allclose(restricted.data, full.data[rows], rtol=1e-6, atol=1e-7)
+    assert rng_full.random() == rng_rows.random()
+    _, g_full = _loss_and_grads(p, dm.take_rows(full, rows))
+    _, g_rows = _loss_and_grads(p, restricted)
+    for a, b in zip(g_rows, g_full):
+        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max())
+    dropped = bb.encode(p, g, 0.5, np.random.default_rng(19), rows=rows).data
+    assert not np.allclose(dropped, restricted.data)

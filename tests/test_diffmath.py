@@ -181,3 +181,22 @@ def test_op_vocabulary_is_complete():
                  "elu", "exp", "log", "sum", "mean", "max",
                  "squared_euclidean", "cosine_sim"]:
         assert callable(vocab[name])
+
+
+def test_elu_passes_large_positive_inputs_through():
+    # expm1 would overflow float32 here; only the non-positive part reaches it
+    x = dm.tensor(np.array([200.0, 1.5, 0.0, -3.0], dtype=np.float32), requires_grad=True)
+    out = dm.elu(x)
+    np.testing.assert_allclose(out.data, [200.0, 1.5, 0.0, np.expm1(-3.0)], rtol=1e-6)
+    _, (grad,) = dm.value_and_grad(dm.sum(out), [x])
+    np.testing.assert_allclose(grad, [1.0, 1.0, 1.0, np.exp(-3.0)], rtol=1e-6)
+
+
+def test_value_and_grad_returns_c_contiguous_gradients():
+    # the transpose vjp yields a Fortran-order array; optimizers get C order
+    rng = np.random.default_rng(30)
+    w = dm.tensor(rng.normal(size=(3, 5)).astype(np.float32), requires_grad=True)
+    x = dm.constant(rng.normal(size=(4, 5)))
+    _, (grad,) = dm.value_and_grad(dm.sum(dm.matmul(x, dm.transpose(w))), [w])
+    assert grad.flags.c_contiguous and grad.dtype == np.float32
+    np.testing.assert_allclose(grad, np.tile(x.data.sum(axis=0), (3, 1)), rtol=1e-6)

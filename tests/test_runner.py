@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,7 @@ def test_full_episode_losses_match_finite_differences():
     stream = gs.build_session_stream(g, [0, 1], [[2]], k_shot=3, seed=1)
     cfg = tiny_config(hidden_dim=6, embedding_dim=4, class_attention_heads=2,
                       k_max=3, k_qry=3, k_shot=3)
+    carried_cfg = replace(cfg, carried_prototypes=True)
     weights = cfg.loss_weights()
 
     def make_state(arrays):
@@ -322,6 +325,9 @@ def test_full_episode_losses_match_finite_differences():
         "finetune": lambda state: rn._finetune_episode_loss(
             state, teacher_emb, teacher.prototypes, stream.snapshots[1], fine_ep,
             stream, 1, cfg, weights, episode_rng(0, 9, 1)),
+        "finetune_carried": lambda state: rn._finetune_episode_loss(
+            state, teacher_emb, teacher.prototypes, stream.snapshots[1], fine_ep,
+            stream, 1, carried_cfg, weights, episode_rng(0, 9, 1)),
     }
     for name, build in cases.items():
         state = make_state(arrays)
@@ -331,6 +337,50 @@ def test_full_episode_losses_match_finite_differences():
             lambda arrs: build(make_state(arrs)).item(), arrays)
         err = grad_relative_error(analytic, numeric)
         assert err < 1e-4, f"{name}: rel err {err}"
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("stage", ["pretrain", "finetune", "finetune_carried"])
+def test_episode_losses_match_full_graph_encode(stage, dropout, monkeypatch):
+    # a training episode encodes only its rows' receptive field; its loss and
+    # gradients must equal those computed from the full-graph embeddings
+    # (float64, so float32 rounding in the class-attention gradients stays out)
+    import geometer.backbone as bb
+    from geometer.episodes import sample_finetune_episode
+
+    stream = tiny_stream(seed=22)
+    cfg = tiny_config(dropout=dropout, carried_prototypes=stage == "finetune_carried")
+    weights = cfg.loss_weights()
+    teacher = rn.clone_state(rn.pretrain(stream, tiny_config(episodes_pretrain=3), seed=5))
+    for t in teacher.trainable():
+        t.data = t.data.astype(np.float64)
+    teacher.prototypes = pt.PrototypeSet(
+        teacher.prototypes.class_ids, dm.tensor(teacher.prototypes.vectors.data, dtype=np.float64),
+        teacher.prototypes.origins)
+    g1 = stream.snapshots[1]
+    teacher_emb = bb.encode(teacher.backbone, g1).data
+    pools = {c: stream.eval_pools[0][c] for c in (0, 1)}
+    pre_ep = sample_pretrain_episode(pools, cfg.sampler(), episode_rng(5, 0, 0))
+    fine_ep = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(5, 1, 0))
+    student = rn.clone_state(teacher)
+
+    def loss_and_grads():
+        rng = episode_rng(5, 9, 0)
+        if stage == "pretrain":
+            loss = rn._pretrain_episode_loss(student, stream.snapshots[0], pre_ep, cfg,
+                                             weights, rng)
+        else:
+            loss = rn._finetune_episode_loss(student, teacher_emb, teacher.prototypes, g1,
+                                             fine_ep, stream, 1, cfg, weights, rng)
+        return dm.value_and_grad(loss, student.trainable())
+
+    value, grads = loss_and_grads()
+    monkeypatch.setattr(rn, "encode", lambda params, g, rate=0.0, rng=None, *, rows:
+                        dm.take_rows(bb.encode(params, g, rate, rng), rows))
+    full_value, full_grads = loss_and_grads()
+    assert value == pytest.approx(full_value, rel=1e-12)
+    for a, b in zip(grads, full_grads):
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9 * np.abs(b).max())
 
 
 def test_model_checkpoint_round_trip(tmp_path):
