@@ -159,22 +159,6 @@ def _receptive_field(g: Graph, out_rows: np.ndarray):
     return _structure(position[sources], lens, position[out_rows], len(in_rows)), in_rows
 
 
-def _segment_softmax(scores: Tensor, struct: _EdgeStructure) -> Tensor:
-    """Stable softmax over each center node's incident-edge segment."""
-    s = scores.data
-    m = np.maximum.reduceat(s, struct.starts)
-    e = np.exp(s - np.repeat(m, struct.lens))
-    z = np.add.reduceat(e, struct.starts)
-    alpha = e / np.repeat(z, struct.lens)
-
-    def vjp(g):
-        inner = np.add.reduceat(g * alpha, struct.starts)
-        return (alpha * (g - np.repeat(inner, struct.lens)),)
-
-    return dm.Tensor(alpha.astype(s.dtype, copy=False), requires_grad=scores.requires_grad,
-                     _parents=(scores,), _vjp=vjp)
-
-
 def _attend_aggregate(z: Tensor, alpha: Tensor, struct: _EdgeStructure) -> Tensor:
     """out[i] = sum over the entries of output row i of alpha * z[src]; [n_out x d].
 
@@ -224,7 +208,7 @@ def _head_attention(hp: HeadParams, struct: _EdgeStructure, states):
     s_center = dm.matmul(z, a_center)
     s_neigh = dm.matmul(z, a_neigh)
     scores = dm.add(dm.take_rows(s_center, struct.center), dm.take_rows(s_neigh, struct.src))
-    alpha = _segment_softmax(dm.leaky_relu(scores, LEAKY_SLOPE), struct)
+    alpha = dm.segment_softmax(dm.leaky_relu(scores, LEAKY_SLOPE), struct.starts, struct.lens)
     return z, alpha
 
 

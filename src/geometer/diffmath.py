@@ -30,7 +30,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "scale",
     "matmul", "concat", "stack", "reshape", "transpose", "take_rows",
     "exp", "log", "sqrt", "clip", "leaky_relu", "elu",
-    "softmax", "log_softmax",
+    "softmax", "log_softmax", "segment_softmax",
     "sum", "mean", "amax", "amin",
     "squared_euclidean", "cosine_sim", "pairwise_sq_euclidean",
     "dropout", "dropout_mask",
@@ -383,6 +383,26 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (out * (g - inner),)
 
     return _result(out, (a,), vjp)
+
+
+def segment_softmax(scores: Tensor, starts, lens) -> Tensor:
+    """Stable softmax over contiguous row segments of [E] or [E x H] scores.
+
+    Segment i holds rows ``starts[i]`` to ``starts[i] + lens[i]``; every
+    segment is non-empty and together they cover all rows in order.  Each
+    column of a 2-D input is normalized on its own.
+    """
+    s = scores.data
+    m = np.maximum.reduceat(s, starts)
+    e = np.exp(s - np.repeat(m, lens, axis=0))
+    z = np.add.reduceat(e, starts)
+    out = e / np.repeat(z, lens, axis=0)
+
+    def vjp(g):
+        inner = np.add.reduceat(g * out, starts)
+        return (out * (g - np.repeat(inner, lens, axis=0)),)
+
+    return _result(out.astype(s.dtype, copy=False), (scores,), vjp)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -46,7 +46,6 @@ class LossWeights:
     lambda_s: float = 1.0
     lambda_kd: float = 1.0
     tau: float = 2.0
-    alpha: dict | None = None    # optional per-class weighting factors in [0, 1]
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -54,10 +53,6 @@ class LossWeights:
         for name in ("lambda_p", "lambda_u", "lambda_s", "lambda_kd"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.alpha is not None:
-            for cls, a in self.alpha.items():
-                if not 0.0 <= a <= 1.0:
-                    raise ValueError(f"alpha[{cls}]={a} outside [0, 1]")
 
 
 def inverse_frequency_alpha(query_classes) -> dict:

@@ -6,6 +6,17 @@ dot-product attention: the initial prototype queries the sequence formed by
 itself plus the supports, and the attended value is added back through a
 residual connection.  A plain-mean mode is kept for the degenerate
 prototype-network baseline.
+
+All classes of a ``compute_prototypes`` call are built at once, in a fixed
+number of array operations whatever the class and head counts.  One gather
+stacks every class's supports; one constant [C x sum(k)] matrix holds the
+per-class weights, so a matmul gives all initial prototypes.  The attention
+runs over one sequence holding the segments [initial_c; supports_c] back to
+back: Q, K and V are one matmul each, a constant [d x H] head-indicator
+matrix sums each head's query-key products into [N x H] scores, one segment
+softmax normalizes every (class, head) pair, and a constant [C x N] matrix
+pools the weighted values back to one row per class.  Segments stay ragged,
+with no padding and no mask, and each class sees only its own supports.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ ORIGIN_CARRIED = "carried"
 
 __all__ = ["ClassAttentionParams", "PrototypeSet", "EmptySupportError",
            "init_class_attention", "initial_prototype", "refine_prototype",
-           "mean_prototype", "compute_prototypes",
+           "compute_prototypes",
            "prototypes_to_arrays", "arrays_to_prototypes"]
 
 
@@ -107,6 +118,33 @@ class PrototypeSet:
                             tuple(self.origins[i] for i in idx))
 
 
+def _support_weights(degrees, lens, mode: str = "attention") -> np.ndarray:
+    """[C x sum(lens)] weights: row c weights class c's segment of the stacked supports.
+
+    Each row sums to one.  ``mode="attention"`` weights supports by degree,
+    ``"mean"`` by 1/k.  A class whose degrees are all zero (every support
+    isolated) falls back to uniform weights, since the weighting is undefined
+    there.
+    """
+    degrees = np.asarray(degrees, dtype=np.float64)
+    lens = np.asarray(lens, dtype=np.int64)
+    if degrees.min() < 0:
+        raise ValueError("degrees must be non-negative")
+    starts = np.cumsum(lens) - lens
+    owner = np.repeat(np.arange(len(lens)), lens)
+    if mode == "mean":
+        weights = 1.0 / lens[owner]
+    else:
+        totals = np.add.reduceat(degrees, starts)[owner]
+        isolated = totals == 0
+        if isolated.any():
+            log.warning("all-zero support degrees; falling back to uniform prototype weights")
+        weights = np.where(isolated, 1.0 / lens[owner], degrees / np.where(isolated, 1.0, totals))
+    matrix = np.zeros((len(lens), len(degrees)))
+    matrix[owner, np.arange(len(degrees))] = weights
+    return matrix
+
+
 def initial_prototype(support_embeddings: Tensor, support_degrees) -> Tensor:
     """Degree-weighted sum of support embeddings; weights sum to one.
 
@@ -115,60 +153,66 @@ def initial_prototype(support_embeddings: Tensor, support_degrees) -> Tensor:
     """
     if support_embeddings.ndim != 2 or support_embeddings.shape[0] == 0:
         raise EmptySupportError("need a non-empty [k x dim] support embedding matrix")
-    degrees = np.asarray(support_degrees, dtype=np.float64)
-    if degrees.shape != (support_embeddings.shape[0],):
+    k = support_embeddings.shape[0]
+    if np.shape(support_degrees) != (k,):
         raise dm.ShapeError("one degree per support embedding required")
-    if degrees.min() < 0:
-        raise ValueError("degrees must be non-negative")
-    total = degrees.sum()
-    if total == 0:
-        log.warning("all-zero support degrees; falling back to uniform prototype weights")
-        weights = np.full(len(degrees), 1.0 / len(degrees))
-    else:
-        weights = degrees / total
-    w = dm.constant(weights.astype(support_embeddings.dtype), dtype=support_embeddings.dtype)
-    return dm.matmul(w, support_embeddings)
+    weights = _support_weights(support_degrees, [k])[0]
+    dtype = support_embeddings.dtype
+    return dm.matmul(dm.constant(weights.astype(dtype), dtype=dtype), support_embeddings)
 
 
-def refine_prototype(params: ClassAttentionParams, initial: Tensor,
-                     support_embeddings: Tensor, with_weights: bool = False):
-    """Multi-head attention over [initial; supports], added residually.
+def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Tensor,
+                     lens=None, with_weights: bool = False):
+    """Multi-head attention of each initial prototype over [initial; its supports],
+    added residually.
 
-    The query is the projected initial prototype (one row per head); keys and
-    values are projections of the stacked sequence.  Returns the refined
-    prototype, plus the per-head attention weights if requested.
+    ``initial`` is [C x d] (or [d] for one class) and ``supports`` stacks every
+    class's support rows, ``lens[c]`` of them for class c (default: all rows
+    belong to the one class).  Returns the refined prototypes, shaped like
+    ``initial``, plus the attention weights [heads x (C + sum(lens))] over the
+    class-by-class segments [initial_c; supports_c] if requested.
     """
     d = params.out_dim
-    if initial.shape != (d,) or support_embeddings.shape[1] != d:
+    if initial.ndim not in (1, 2) or initial.shape[-1] != d or supports.ndim != 2 \
+            or supports.shape[1] != d:
         raise dm.ShapeError(
             f"dimension mismatch: prototype {initial.shape}, supports "
-            f"{support_embeddings.shape}, params expect dim {d}")
-    seq = dm.concat([dm.reshape(initial, (1, d)), support_embeddings], axis=0)
+            f"{supports.shape}, params expect dim {d}")
+    init = dm.reshape(initial, (1, d)) if initial.ndim == 1 else initial
+    c = init.shape[0]
+    lens = np.array([supports.shape[0]]) if lens is None else np.asarray(lens, dtype=np.int64)
+    if lens.shape != (c,) or lens.min() < 1 or lens.sum() != supports.shape[0]:
+        raise dm.ShapeError(f"support counts {lens.tolist()} do not split "
+                            f"{supports.shape[0]} supports over {c} classes")
+    # sequence row layout: class by class, each initial prototype before its supports
+    seg_lens = lens + 1
+    starts = np.cumsum(seg_lens) - seg_lens
+    n = int(seg_lens.sum())
+    owner = np.repeat(np.arange(c), seg_lens)
+    order = c + np.arange(n) - owner - 1      # positions in concat([init, supports])
+    order[starts] = np.arange(c)
+    seq = dm.take_rows(dm.concat([init, supports], axis=0), order)             # [N x d]
+
+    dtype = params.dtype
     d_k = params.d_k
-    inv_sqrt_dk = 1.0 / np.sqrt(d_k)
-    head_outs, head_weights = [], []
-    for h in range(params.heads):
-        rows = np.arange(h * d_k, (h + 1) * d_k)
-        wq_h = dm.take_rows(params.wq, rows)
-        wk_h = dm.take_rows(params.wk, rows)
-        wv_h = dm.take_rows(params.wv, rows)
-        q = dm.matmul(wq_h, initial)                      # [d_k]
-        keys = dm.matmul(seq, dm.transpose(wk_h))         # [k+1, d_k]
-        scores = dm.scale(dm.matmul(keys, q), inv_sqrt_dk)
-        attn = dm.softmax(scores)
-        values = dm.matmul(seq, dm.transpose(wv_h))
-        head_outs.append(dm.matmul(attn, values))         # [d_k]
-        head_weights.append(attn)
-    refined = dm.add(initial, dm.concat(head_outs, axis=0))
+    head_of = np.zeros((d, params.heads), dtype=dtype)                          # [d x H]
+    head_of[np.arange(d), np.arange(d) // d_k] = 1
+    pool = np.zeros((c, n), dtype=dtype)                                        # [C x N]
+    pool[owner, np.arange(n)] = 1
+
+    queries = dm.matmul(init, dm.transpose(params.wq))                         # [C x d]
+    keys = dm.matmul(seq, dm.transpose(params.wk))                             # [N x d]
+    values = dm.matmul(seq, dm.transpose(params.wv))                           # [N x d]
+    products = dm.mul(dm.take_rows(queries, owner), keys)
+    scores = dm.scale(dm.matmul(products, dm.constant(head_of, dtype)), 1.0 / np.sqrt(d_k))
+    attn = dm.segment_softmax(scores, starts, seg_lens)                         # [N x H]
+    weighted = dm.mul(dm.matmul(attn, dm.constant(head_of.T, dtype)), values)  # [N x d]
+    refined = dm.add(init, dm.matmul(dm.constant(pool, dtype), weighted))
+    if initial.ndim == 1:
+        refined = dm.reshape(refined, (d,))
     if with_weights:
-        return refined, dm.stack(head_weights)
+        return refined, dm.transpose(attn)
     return refined
-
-
-def mean_prototype(support_embeddings: Tensor) -> Tensor:
-    if support_embeddings.ndim != 2 or support_embeddings.shape[0] == 0:
-        raise EmptySupportError("need a non-empty [k x dim] support embedding matrix")
-    return dm.mean(support_embeddings, axis=0)
 
 
 def compute_prototypes(embeddings: Tensor, supports: Mapping[int, Sequence[int]],
@@ -177,31 +221,29 @@ def compute_prototypes(embeddings: Tensor, supports: Mapping[int, Sequence[int]]
     """One refined prototype per class from its support nodes.
 
     Degrees come from the current snapshot, so node influence follows the
-    evolving structure.  ``mode="mean"`` bypasses both the degree weighting
-    and the attention refinement.  ``embeddings`` has one row per graph row,
-    or, given ``rows`` (ascending graph rows, as passed to ``encode``), one
-    row per entry of ``rows``.
+    evolving structure.  ``mode="mean"`` replaces the degree weighting by
+    the plain mean and skips the attention refinement.  ``embeddings`` has
+    one row per graph row, or, given ``rows`` (ascending graph rows, as
+    passed to ``encode``), one row per entry of ``rows``.
     """
     if mode not in ("attention", "mean"):
         raise ValueError(f"unknown prototype mode {mode!r}")
-    class_ids, rows_per_class = [], []
-    for cls in sorted(int(c) for c in supports):
-        ids = list(supports[cls])
-        if not ids:
-            raise EmptySupportError(f"class {cls} has an empty support set")
-        class_ids.append(cls)
-        rows_per_class.append(g.rows_of(ids))
-    degrees = g.degrees()
-    vectors = []
-    for cls, graph_rows in zip(class_ids, rows_per_class):
-        emb_rows = graph_rows if rows is None else np.searchsorted(rows, graph_rows)
-        support_emb = dm.take_rows(embeddings, emb_rows)
-        if mode == "mean":
-            vectors.append(mean_prototype(support_emb))
-        else:
-            init = initial_prototype(support_emb, degrees[graph_rows])
-            vectors.append(refine_prototype(params, init, support_emb))
-    return PrototypeSet(tuple(class_ids), dm.stack(vectors),
+    class_ids = sorted(int(c) for c in supports)
+    if not class_ids:
+        raise EmptySupportError("no classes to build prototypes for")
+    members = [list(supports[cls]) for cls in class_ids]
+    lens = np.array([len(ids) for ids in members])
+    if not lens.all():
+        raise EmptySupportError(f"class {class_ids[lens.argmin()]} has an empty support set")
+    graph_rows = g.rows_of([v for ids in members for v in ids])
+    emb_rows = graph_rows if rows is None else np.searchsorted(rows, graph_rows)
+    support_emb = dm.take_rows(embeddings, emb_rows)
+    dtype = embeddings.dtype
+    weights = _support_weights(g.degrees()[graph_rows], lens, mode).astype(dtype)
+    vectors = dm.matmul(dm.constant(weights, dtype), support_emb)
+    if mode == "attention":
+        vectors = refine_prototype(params, vectors, support_emb, lens)
+    return PrototypeSet(tuple(class_ids), vectors,
                         tuple(ORIGIN_COMPUTED for _ in class_ids))
 
 

@@ -165,20 +165,18 @@ def _pretrain_episode_loss(state: ModelState, g: Graph, episode: Episode,
 
 
 def _combined_prototypes(student_protos: PrototypeSet | None, carried: PrototypeSet | None):
+    """The computed prototypes plus the carried classes they lack, in class order."""
     if carried is None:
         return student_protos
-    merged_ids = sorted(set(student_protos.class_ids) | set(carried.class_ids))
-    rows = []
-    origins = []
-    for cls in merged_ids:
-        if cls in student_protos.class_ids:
-            rows.append(dm.take_rows(student_protos.vectors, [student_protos.index_of(cls)]))
-            origins.append(ORIGIN_COMPUTED)
-        else:
-            rows.append(dm.constant(carried.vectors.data[[carried.index_of(cls)]],
-                                    dtype=student_protos.vectors.dtype))
-            origins.append(ORIGIN_CARRIED)
-    return PrototypeSet(tuple(merged_ids), dm.concat(rows, axis=0), tuple(origins))
+    computed = student_protos.class_ids
+    kept = [c for c in carried.class_ids if c not in computed]
+    block = dm.constant(carried.vectors.data[[carried.index_of(c) for c in kept]],
+                        dtype=student_protos.vectors.dtype)
+    stacked_ids = np.array([*computed, *kept])
+    order = np.argsort(stacked_ids)
+    vectors = dm.take_rows(dm.concat([student_protos.vectors, block], axis=0), order)
+    origins = tuple(ORIGIN_COMPUTED if i < len(computed) else ORIGIN_CARRIED for i in order)
+    return PrototypeSet(tuple(int(c) for c in stacked_ids[order]), vectors, origins)
 
 
 def _finetune_episode_loss(student: ModelState, teacher_emb: np.ndarray,

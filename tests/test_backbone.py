@@ -310,3 +310,41 @@ def test_restricted_encode_under_dropout_matches_full_graph():
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max())
     dropped = bb.encode(p, g, 0.5, np.random.default_rng(19), rows=rows).data
     assert not np.allclose(dropped, restricted.data)
+
+
+# --- shared segment softmax ---------------------------------------------------
+
+def _benchmark_graph(shape, monkeypatch):
+    """The Cora-ML-shaped benchmark graph, or the README demo graph."""
+    if shape == "demo":
+        from geometer.synth import make_clustered_graph
+        return make_clustered_graph(classes=6, per_class=40, feature_dim=24, p_in=0.2,
+                                    p_out=0.02, center_scale=1.6, noise=1.1, seed=0), 32, 16
+    from pathlib import Path
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import graphgen
+    return gs.make_graph(*graphgen.make_cora_like(graphgen.CORA_ML, seed=0)), 64, 16
+
+
+@pytest.mark.parametrize("shape", ["coraml", "demo"])
+def test_encode_is_bit_identical_to_the_encoder_segment_softmax(shape, monkeypatch):
+    # dm.segment_softmax must reduce exactly as the written-out 1-D form does,
+    # so encoder outputs and gradients agree with it byte for byte
+    from oracles import seed_segment_softmax
+    g, hidden, out = _benchmark_graph(shape, monkeypatch)
+    p = bb.init_backbone(g.feature_dim, hidden, out, seed=26, heads=(2, 1))
+    rows = np.sort(np.random.default_rng(27).choice(g.node_count, size=40, replace=False))
+
+    def run():
+        results = []
+        for emb in (bb.encode(p, g), bb.encode(p, g, rows=rows)):
+            value, grads = _loss_and_grads(p, emb)
+            results.append([emb.data, np.float64(value), *grads])
+        return results
+
+    shared = run()
+    monkeypatch.setattr(dm, "segment_softmax", seed_segment_softmax)
+    reference = run()
+    for a_list, b_list in zip(shared, reference):
+        for a, b in zip(a_list, b_list):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -256,8 +256,6 @@ def test_loss_weights_validation():
         ls.LossWeights(tau=0.0)
     with pytest.raises(ValueError):
         ls.LossWeights(lambda_p=-1.0)
-    with pytest.raises(ValueError):
-        ls.LossWeights(alpha={0: 1.5})
 
 
 def test_inverse_frequency_alpha():

@@ -6,7 +6,7 @@ import pytest
 import geometer.diffmath as dm
 import geometer.graph_store as gs
 import geometer.prototypes as pt
-from oracles import central_differences, grad_relative_error
+from oracles import central_differences, grad_relative_error, loop_prototypes
 
 F64 = np.float64
 
@@ -134,6 +134,29 @@ def test_refine_dimension_mismatch():
     with pytest.raises(dm.ShapeError):
         pt.refine_prototype(params, t64(np.zeros(3), grad=False),
                             t64(np.zeros((2, 3)), grad=False))
+    with pytest.raises(dm.ShapeError):
+        pt.refine_prototype(params, t64(np.zeros((2, 4)), grad=False),
+                            t64(np.zeros((3, 4)), grad=False), lens=[1, 1])
+
+
+def test_refine_batched_weights_sum_to_one_per_class_segment():
+    rng = np.random.default_rng(10)
+    d, heads, lens = 8, 4, [3, 1, 5]
+    params = manual_attention(*(rng.normal(size=(d, d)) for _ in range(3)), heads=heads)
+    initial = t64(rng.normal(size=(3, d)), grad=False)
+    supports = t64(rng.normal(size=(sum(lens), d)), grad=False)
+    refined, weights = pt.refine_prototype(params, initial, supports, lens, with_weights=True)
+    assert refined.shape == (3, d) and weights.shape == (heads, 3 + sum(lens))
+    starts = np.cumsum(np.add(lens, 1)) - np.add(lens, 1)
+    np.testing.assert_allclose(np.add.reduceat(weights.data, starts, axis=1),
+                               np.ones((heads, 3)), atol=1e-12)
+    # each class attends only over its own segment
+    offset = 0
+    for c, k in enumerate(lens):
+        alone = pt.refine_prototype(params, t64(initial.data[c], grad=False),
+                                    t64(supports.data[offset:offset + k], grad=False))
+        np.testing.assert_allclose(refined.data[c], alone.data, rtol=1e-13, atol=1e-13)
+        offset += k
 
 
 # --- compute_prototypes ------------------------------------------------------
@@ -205,6 +228,102 @@ def test_compute_rejects_empty_support():
     params = manual_attention(*(rng.normal(size=(4, 4)) for _ in range(3)), heads=2)
     with pytest.raises(pt.EmptySupportError):
         pt.compute_prototypes(emb, {0: []}, g, params)
+
+
+# --- batched prototypes against the class-by-class oracle ---------------------
+
+ORACLE_N, ORACLE_ISOLATED, ORACLE_DIM, ORACLE_HEADS, K_MAX = 800, 20, 64, 4, 10
+
+
+def oracle_graph():
+    """800 nodes with random edges; the last 20 are isolated (degree 0)."""
+    rng = np.random.default_rng(20)
+    linked = ORACLE_N - ORACLE_ISOLATED
+    pairs = {tuple(sorted(p)) for p in rng.integers(0, linked, size=(3000, 2)) if p[0] != p[1]}
+    return gs.make_graph(np.zeros((ORACLE_N, 2), dtype=np.float32), sorted(pairs),
+                         [0] * ORACLE_N)
+
+
+def oracle_supports(case):
+    rng = np.random.default_rng(21)
+    linked = rng.permutation(ORACLE_N - ORACLE_ISOLATED)
+    if case == "single":
+        return {3: linked[:7].tolist()}
+    classes = 70 if case == "seventy" else 12
+    sizes = rng.integers(1, K_MAX + 1, size=classes)
+    sizes[:2] = (1, K_MAX)
+    offsets = np.cumsum(sizes) - sizes
+    supports = {2 * c + 1: linked[o:o + k].tolist()
+                for c, (o, k) in enumerate(zip(offsets, sizes))}
+    if case == "zero_degree":
+        supports[8] = list(range(ORACLE_N - ORACLE_ISOLATED, ORACLE_N - ORACLE_ISOLATED + 4))
+    return supports
+
+
+ORACLE_CASES = ["ragged", "single", "seventy", "zero_degree", "compact_rows", "mean"]
+# float64 agrees to rounding; float32 to a few ulps of the largest entry
+ORACLE_TOL = {np.float64: dict(rtol=1e-12, scale=1e-12), np.float32: dict(rtol=1e-5, scale=1e-5)}
+
+
+def _prototypes_and_grads(fn, emb_data, supports, g, params, dtype, **kwargs):
+    emb = dm.tensor(emb_data, requires_grad=True, dtype=dtype)
+    out = fn(emb, supports, g, params, **kwargs)
+    vectors = getattr(out, "vectors", out)
+    probe = np.random.default_rng(22).normal(size=vectors.shape).astype(dtype)
+    loss = dm.sum(dm.mul(vectors, dm.constant(probe, dtype=dtype)))
+    _, grads = dm.value_and_grad(loss, [emb, *params.tensors()])
+    return vectors.data, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_batched_prototypes_match_loop_oracle(case, dtype, caplog):
+    g = oracle_graph()
+    supports = oracle_supports(case)
+    params = pt.init_class_attention(ORACLE_DIM, ORACLE_HEADS, seed=23, dtype=dtype)
+    emb_data = np.random.default_rng(24).normal(size=(ORACLE_N, ORACLE_DIM)).astype(dtype)
+    kwargs = {"mode": "mean"} if case == "mean" else {}
+    if case == "compact_rows":
+        used = g.rows_of([v for ids in supports.values() for v in ids])
+        rows = np.union1d(used, np.arange(0, ORACLE_N, 7))
+        emb_data = emb_data[rows]
+        kwargs["rows"] = rows
+    with caplog.at_level(logging.WARNING, logger="geometer.prototypes"):
+        got, got_grads = _prototypes_and_grads(pt.compute_prototypes, emb_data, supports,
+                                               g, params, dtype, **kwargs)
+    assert any("uniform" in r.message for r in caplog.records) == (case == "zero_degree")
+    want, want_grads = _prototypes_and_grads(loop_prototypes, emb_data, supports,
+                                             g, params, dtype, **kwargs)
+    tol = ORACLE_TOL[dtype]
+    assert got.shape == (len(supports), ORACLE_DIM)
+    np.testing.assert_allclose(got, want, rtol=tol["rtol"], atol=tol["scale"] * np.abs(want).max())
+    for name, a, b in zip(["embeddings", "wq", "wk", "wv"], got_grads, want_grads):
+        if case == "mean" and name != "embeddings":
+            assert not a.any() and not b.any()
+            continue
+        np.testing.assert_allclose(a, b, rtol=tol["rtol"], atol=tol["scale"] * np.abs(b).max(),
+                                   err_msg=name)
+
+
+def test_multiclass_prototype_gradients_match_finite_differences():
+    g = oracle_graph()
+    supports = {0: [5, 9, 14], 1: [2], 2: [ORACLE_N - 1, ORACLE_N - 2], 4: [30, 31, 32, 33]}
+    rows = np.unique(g.rows_of([v for ids in supports.values() for v in ids]))
+    rng = np.random.default_rng(25)
+    d = 4
+    arrays = [rng.normal(size=(len(rows), d)), *(rng.normal(size=(d, d)) * 0.5 for _ in range(3))]
+    probe = rng.normal(size=(len(supports), d))
+
+    def loss(arrs, grad):
+        emb = t64(arrs[0], grad=grad)
+        params = manual_attention(*arrs[1:], heads=2)
+        protos = pt.compute_prototypes(emb, supports, g, params, rows=rows)
+        return dm.sum(dm.mul(protos.vectors, dm.constant(probe, dtype=F64))), [emb, *params.tensors()]
+
+    out, wrt = loss(arrays, True)
+    _, analytic = dm.value_and_grad(out, wrt)
+    numeric = central_differences(lambda arrs: loss(arrs, False)[0].item(), arrays)
+    assert grad_relative_error(analytic, numeric) < 1e-7
 
 
 def test_prototype_set_subset_and_serialization():

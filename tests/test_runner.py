@@ -175,6 +175,26 @@ def test_default_session_prototypes_are_recomputed():
 
 # --- prediction ----------------------------------------------------------------
 
+def test_combined_prototypes_merge_in_class_order():
+    student = pt.PrototypeSet((2, 5), dm.tensor(np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                                requires_grad=True),
+                              (pt.ORIGIN_COMPUTED,) * 2)
+    carried = pt.PrototypeSet((0, 2, 3), dm.tensor(np.array([[5.0, 6.0], [7.0, 8.0], [9.0, 0.5]])),
+                              (pt.ORIGIN_COMPUTED,) * 3)
+    merged = rn._combined_prototypes(student, carried)
+    assert merged.class_ids == (0, 2, 3, 5)
+    assert merged.origins == (pt.ORIGIN_CARRIED, pt.ORIGIN_COMPUTED,
+                              pt.ORIGIN_CARRIED, pt.ORIGIN_COMPUTED)
+    np.testing.assert_array_equal(merged.vectors.data,
+                                  [[5.0, 6.0], [1.0, 2.0], [9.0, 0.5], [3.0, 4.0]])
+    weights = np.arange(8.0).reshape(4, 2)
+    _, (grad,) = dm.value_and_grad(dm.sum(dm.mul(merged.vectors, dm.constant(weights,
+                                                                            dtype=np.float64))),
+                                   [student.vectors])
+    np.testing.assert_array_equal(grad, weights[[1, 3]])
+    assert rn._combined_prototypes(student, None) is student
+
+
 def test_predict_node_matching_prototype_and_tie_rule():
     g = make_clustered_graph(classes=2, per_class=6, feature_dim=5, seed=9)
     cfg = tiny_config()
