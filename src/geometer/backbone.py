@@ -32,6 +32,9 @@ from .diffmath import Tensor
 from .graph_store import Graph
 
 LEAKY_SLOPE = 0.2
+# Edges per block in the attention-weight gradient: each block gathers two
+# [block x width] row copies, instead of two [edges x width] copies at once.
+_EDGE_BLOCK = 512
 
 __all__ = ["HeadParams", "BackboneParams", "init_backbone", "attention_coefficients",
            "gat_layer", "encode", "backbone_to_arrays", "arrays_to_backbone"]
@@ -172,7 +175,10 @@ def _attend_aggregate(z: Tensor, alpha: Tensor, struct: _EdgeStructure) -> Tenso
 
     def vjp(g):
         g_z = (att.T @ g).astype(zd.dtype, copy=False)
-        g_alpha = np.einsum("ed,ed->e", g[struct.dst], zd[struct.src])
+        g_alpha = np.empty(len(struct.src), dtype=np.result_type(g, zd))
+        for lo in range(0, len(g_alpha), _EDGE_BLOCK):
+            block = slice(lo, lo + _EDGE_BLOCK)
+            g_alpha[block] = np.einsum("ed,ed->e", g[struct.dst[block]], zd[struct.src[block]])
         return g_z, g_alpha
 
     needs = z.requires_grad or alpha.requires_grad

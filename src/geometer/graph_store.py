@@ -11,6 +11,13 @@ Dataset directory layout:
 
 Split manifest: JSON with keys base_classes, sessions[].novel_classes,
 sessions[].supports, k_shot, seed.
+
+Snapshots share storage.  A subgraph is a sorted row subset of the graph it
+was first cut from: it keeps its own node ids, labels and edges, but reads
+feature rows from that base graph's one read-only matrix.  The base also
+holds, built on first use, the per-row nonzero counts and the CSR form of
+its features, so a sparse snapshot's ``features_sparse()`` is a row gather
+of the base CSR.  ``Graph.features`` on a snapshot returns a gathered copy.
 """
 
 from __future__ import annotations
@@ -77,23 +84,53 @@ class ManifestError(GraphStoreError):
     pass
 
 
+class _FeatureStore:
+    """One base graph's dense feature rows, shared by every subgraph cut from it.
+
+    The per-row nonzero counts and the CSR form are built on first use, once
+    for all the graphs that share the rows.
+    """
+
+    __slots__ = ("dense", "_row_nnz", "_csr")
+
+    def __init__(self, dense: np.ndarray):
+        dense.setflags(write=False)
+        self.dense = dense
+        self._row_nnz = None
+        self._csr = None
+
+    def row_nnz(self) -> np.ndarray:
+        if self._row_nnz is None:
+            self._row_nnz = np.count_nonzero(self.dense, axis=1)
+        return self._row_nnz
+
+    def csr(self):
+        if self._csr is None:
+            from scipy import sparse
+            self._csr = sparse.csr_matrix(self.dense)
+        return self._csr
+
+
 class Graph:
     """Immutable attributed graph snapshot.
 
     Node rows are 0..node_count-1; ``node_ids`` maps each row to a stable
     external identifier that survives subgraph extraction.  Edges are stored
-    once per unordered pair over row indices, with no self-loops.
+    once per unordered pair over row indices, with no self-loops.  Feature
+    rows live in a store shared with the base graph: ``rows`` (ascending)
+    picks this graph's rows out of it, None meaning all of them in order.
     """
 
-    __slots__ = ("node_ids", "features", "labels", "edges",
+    __slots__ = ("node_ids", "labels", "edges", "_store", "_rows",
                  "_indptr", "_indices", "_degrees", "_id_to_row", "_feat_csr", "_op_cache")
 
-    def __init__(self, node_ids, features, labels, edges):
+    def __init__(self, node_ids, labels, edges, store: _FeatureStore, rows=None):
         self.node_ids = node_ids
-        self.features = features
         self.labels = labels
         self.edges = edges
-        n = features.shape[0]
+        self._store = store
+        self._rows = rows
+        n = len(labels)
         if len(edges):
             src = np.concatenate([edges[:, 0], edges[:, 1]])
             dst = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -108,16 +145,30 @@ class Graph:
         self._id_to_row = {int(v): i for i, v in enumerate(node_ids)}
         self._feat_csr = None
         self._op_cache = {}    # lazy derived structures (e.g. attention neighborhoods)
-        for arr in (self.node_ids, self.features, self.labels, self.edges):
+        for arr in (self.node_ids, self.labels, self.edges):
             arr.setflags(write=False)
 
     @property
+    def features(self) -> np.ndarray:
+        """Dense [node_count x feature_dim] float32 feature rows, read-only.
+
+        On a subgraph this gathers a fresh copy from the shared base rows at
+        every call, so code that runs often should use ``features_sparse()``
+        or keep the result.
+        """
+        if self._rows is None:
+            return self._store.dense
+        gathered = self._store.dense[self._rows]
+        gathered.setflags(write=False)
+        return gathered
+
+    @property
     def node_count(self) -> int:
-        return self.features.shape[0]
+        return len(self.labels)
 
     @property
     def feature_dim(self) -> int:
-        return self.features.shape[1]
+        return self._store.dense.shape[1]
 
     @property
     def edge_count(self) -> int:
@@ -148,12 +199,18 @@ class Graph:
         return np.unique(self.labels[self.labels != UNLABELED])
 
     def features_sparse(self):
-        """CSR view of the feature matrix, built once; None if too dense to pay off."""
+        """CSR view of the feature matrix, built once; None if too dense to pay off.
+
+        The density rule reads this graph's own rows.  A subgraph gathers its
+        rows from the base graph's CSR, which equals converting its dense rows.
+        """
         if self._feat_csr is None:
-            from scipy import sparse
-            density = np.count_nonzero(self.features) / max(1, self.features.size)
-            if density < 0.25 and self.features.size > 65536:
-                self._feat_csr = sparse.csr_matrix(self.features)
+            counts = self._store.row_nnz()
+            nnz = counts.sum() if self._rows is None else counts[self._rows].sum()
+            size = self.node_count * self.feature_dim
+            if nnz / max(1, size) < 0.25 and size > 65536:
+                csr = self._store.csr()
+                self._feat_csr = csr if self._rows is None else csr[self._rows]
             else:
                 self._feat_csr = False
         return self._feat_csr if self._feat_csr is not False else None
@@ -196,7 +253,7 @@ def make_graph(features, edge_pairs, labels, node_ids=None) -> Graph:
         canon = np.unique(np.stack([lo, hi], axis=1), axis=0)
     else:
         canon = np.empty((0, 2), dtype=np.int64)
-    return Graph(node_ids, features, labels, canon)
+    return Graph(node_ids, labels, canon, _FeatureStore(features))
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +356,25 @@ def neighbors_of(g: Graph, node_id: int) -> set:
 
 
 def induced_subgraph(g: Graph, keep) -> Graph:
-    """Subgraph on the given node ids; rows remap, external ids are preserved."""
-    keep_ids = sorted({int(v) for v in keep})
-    rows = np.array([g.row_of(v) for v in keep_ids], dtype=np.int64)
-    order = np.argsort(rows)                  # preserve original row order
-    rows = rows[order]
+    """Subgraph on the given node ids; rows remap, external ids are preserved.
+
+    The subgraph shares ``g``'s feature storage (see the module docstring).
+    """
+    rows = np.array([g.row_of(v) for v in sorted({int(v) for v in keep})], dtype=np.int64)
+    return _row_subset(g, np.sort(rows))    # preserve original row order
+
+
+def _row_subset(g: Graph, rows: np.ndarray) -> Graph:
+    """Subgraph on ascending, distinct graph rows ``rows``.
+
+    The parts need no validation again: the row remap is increasing, so the
+    kept edges stay canonical (low end first) and in sorted order.
+    """
     remap = np.full(g.node_count, -1, dtype=np.int64)
     remap[rows] = np.arange(len(rows))
-    if len(g.edges):
-        mask = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
-        sub_edges = remap[g.edges[mask]]
-    else:
-        sub_edges = np.empty((0, 2), dtype=np.int64)
-    return make_graph(g.features[rows], sub_edges, g.labels[rows], g.node_ids[rows])
+    mask = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
+    store_rows = rows if g._rows is None else g._rows[rows]
+    return Graph(g.node_ids[rows], g.labels[rows], remap[g.edges[mask]], g._store, store_rows)
 
 
 def graphs_equal(a: Graph, b: Graph) -> bool:
@@ -375,7 +438,7 @@ def _assemble_stream(g: Graph, partition: ClassPartition, k_shot: int, seed: int
             for cls, sup in spec.supports.items():
                 support_ids[cls] = set(sup)
         keep_mask = np.isin(g.labels, cumulative) | (g.labels == UNLABELED)
-        snapshot = induced_subgraph(g, g.node_ids[keep_mask])
+        snapshot = _row_subset(g, np.flatnonzero(keep_mask))
         pools = {}
         for cls in sorted(cumulative):
             labeled = g.labeled_ids(cls)

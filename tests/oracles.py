@@ -9,6 +9,7 @@ compared too.
 import numpy as np
 
 import geometer.diffmath as dm
+import geometer.graph_store as gs
 
 
 def central_differences(f, arrays, step=1e-5):
@@ -108,3 +109,21 @@ def seed_segment_softmax(scores, starts, lens):
 
     return dm.Tensor(alpha.astype(s.dtype, copy=False), requires_grad=scores.requires_grad,
                      _parents=(scores,), _vjp=vjp)
+
+
+def copying_induced_subgraph(g, keep):
+    """Subgraph as a stand-alone graph: its feature rows are copied out and
+    every part goes through ``make_graph`` again, which also builds its own
+    CSR from the copy."""
+    keep_ids = sorted({int(v) for v in keep})
+    rows = np.array([g.row_of(v) for v in keep_ids], dtype=np.int64)
+    order = np.argsort(rows)                  # preserve original row order
+    rows = rows[order]
+    remap = np.full(g.node_count, -1, dtype=np.int64)
+    remap[rows] = np.arange(len(rows))
+    if len(g.edges):
+        mask = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
+        sub_edges = remap[g.edges[mask]]
+    else:
+        sub_edges = np.empty((0, 2), dtype=np.int64)
+    return gs.make_graph(g.features[rows], sub_edges, g.labels[rows], g.node_ids[rows])

@@ -348,3 +348,19 @@ def test_encode_is_bit_identical_to_the_encoder_segment_softmax(shape, monkeypat
     for a_list, b_list in zip(shared, reference):
         for a, b in zip(a_list, b_list):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_edge_gradient_blocks_match_one_shot_einsum(monkeypatch):
+    # 137 neighborhood entries in blocks of 7: 19 full blocks and a ragged one
+    monkeypatch.setattr(bb, "_EDGE_BLOCK", 7)
+    g, _ = receptive_graph(True)
+    struct = bb._edge_structure(g)
+    assert len(struct.src) > 3 * 7 and len(struct.src) % 7
+    rng = np.random.default_rng(28)
+    z = dm.tensor(rng.normal(size=(struct.n_in, 5)).astype(np.float32), requires_grad=True)
+    alpha = dm.tensor(rng.random(len(struct.src)).astype(np.float32), requires_grad=True)
+    weights = rng.normal(size=(struct.n_out, 5)).astype(np.float32)
+    out = bb._attend_aggregate(z, alpha, struct)
+    _, (g_alpha,) = dm.value_and_grad(dm.sum(dm.mul(out, dm.constant(weights))), [alpha])
+    expected = np.einsum("ed,ed->e", weights[struct.dst], z.data[struct.src])
+    assert g_alpha.dtype == expected.dtype and g_alpha.tobytes() == expected.tobytes()
