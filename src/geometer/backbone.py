@@ -9,6 +9,12 @@ so embeddings live in an unconstrained metric space.
 The per-graph edge structure (neighborhoods sorted by center node) is
 computed once and cached on the graph.
 
+Each head holds its weight as a C-order [in x out] matrix, so a layer
+projects with ``states @ W`` and the weight gradient of either product
+(dense, or the constant sparse layer-0 features) comes back in C order with
+no transposed copy.  Checkpoints store the transpose, [out x in], as they
+always have.
+
 Exact receptive-field encoding: ``encode(..., rows=r)`` returns only the
 embeddings of graph rows ``r``.  The output layer reads layer-0 outputs only
 on the neighborhoods of ``r`` (R1), and layer 0 reads projected inputs only
@@ -42,7 +48,7 @@ __all__ = ["HeadParams", "BackboneParams", "init_backbone", "attention_coefficie
 
 @dataclass
 class HeadParams:
-    weight: Tensor   # [out_h x in]
+    weight: Tensor   # [in x out_h], C order; checkpoints hold its transpose
     attn: Tensor     # [2 * out_h]
 
 
@@ -69,7 +75,12 @@ def _glorot(rng, shape, dtype):
     fan_in = shape[-1] if len(shape) > 1 else shape[0]
     fan_out = shape[0] if len(shape) > 1 else 1
     s = np.sqrt(6.0 / (fan_in + fan_out))
-    return dm.tensor(rng.uniform(-s, s, size=shape).astype(dtype), requires_grad=True, dtype=dtype)
+    return rng.uniform(-s, s, size=shape).astype(dtype)
+
+
+def _weight_tensor(out_in: np.ndarray) -> Tensor:
+    """The held [in x out] C-order parameter for an [out x in] weight."""
+    return dm.tensor(np.ascontiguousarray(out_in.T), requires_grad=True)
 
 
 def init_backbone(feature_dim: int, hidden: int, out_dim: int, seed: int,
@@ -87,8 +98,8 @@ def init_backbone(feature_dim: int, hidden: int, out_dim: int, seed: int,
         for hi in range(n_heads):
             rng = np.random.default_rng([seed, li, hi])
             heads_p.append(HeadParams(
-                weight=_glorot(rng, (out_h, in_dim), dtype),
-                attn=_glorot(rng, (2 * out_h,), dtype),
+                weight=_weight_tensor(_glorot(rng, (out_h, in_dim), dtype)),
+                attn=dm.tensor(_glorot(rng, (2 * out_h,), dtype), requires_grad=True),
             ))
         layers.append(tuple(heads_p))
     return BackboneParams(tuple(layers), feature_dim, hidden, out_dim)
@@ -186,17 +197,21 @@ def _attend_aggregate(z: Tensor, alpha: Tensor, struct: _EdgeStructure) -> Tenso
                      _parents=(z, alpha), _vjp=vjp)
 
 
-def _sparse_matmul(sp, w_t: Tensor) -> Tensor:
-    """Constant CSR matrix times a parameter matrix, with gradient to the dense side."""
-    out = sp @ w_t.data
+def _sparse_matmul(sp, w: Tensor) -> Tensor:
+    """Constant CSR matrix times a parameter matrix, with gradient to the dense side.
+
+    For a C-order ``w`` both products run on it in place and ``sp.T @ g``
+    returns a C-order gradient.
+    """
+    out = sp @ w.data
     if out.size and not np.all(np.isfinite(out)):
         raise dm.NonFiniteError("sparse_matmul: non-finite result")
 
     def vjp(g):
-        return ((sp.T @ g).astype(w_t.dtype, copy=False),)
+        return ((sp.T @ g).astype(w.dtype, copy=False),)
 
-    return dm.Tensor(out.astype(w_t.dtype, copy=False), requires_grad=w_t.requires_grad,
-                     _parents=(w_t,), _vjp=vjp)
+    return dm.Tensor(out.astype(w.dtype, copy=False), requires_grad=w.requires_grad,
+                     _parents=(w,), _vjp=vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +219,11 @@ def _sparse_matmul(sp, w_t: Tensor) -> Tensor:
 
 def _head_attention(hp: HeadParams, struct: _EdgeStructure, states):
     """Transformed input states and per-edge attention weights for one head."""
-    out_h = hp.weight.shape[0]
+    out_h = hp.weight.shape[1]
     if isinstance(states, Tensor):
-        z = dm.matmul(states, dm.transpose(hp.weight))
+        z = dm.matmul(states, hp.weight)
     else:
-        z = _sparse_matmul(states, dm.transpose(hp.weight))
+        z = _sparse_matmul(states, hp.weight)
     a_center = dm.take_rows(hp.attn, np.arange(out_h))
     a_neigh = dm.take_rows(hp.attn, np.arange(out_h, 2 * out_h))
     s_center = dm.matmul(z, a_center)
@@ -326,6 +341,7 @@ def encode(params: BackboneParams, g: Graph, dropout_rate: float = 0.0,
 # checkpoint plumbing
 
 def backbone_to_arrays(params: BackboneParams) -> dict:
+    """Checkpoint arrays; head weights in their [out x in] stored layout."""
     arrays = {
         "backbone/meta": np.array(
             [params.feature_dim, params.hidden_dim, params.out_dim, *params.heads],
@@ -333,7 +349,7 @@ def backbone_to_arrays(params: BackboneParams) -> dict:
     }
     for li, layer in enumerate(params.layers):
         for hi, hp in enumerate(layer):
-            arrays[f"backbone/l{li}/h{hi}/weight"] = hp.weight.data
+            arrays[f"backbone/l{li}/h{hi}/weight"] = hp.weight.data.T
             arrays[f"backbone/l{li}/h{hi}/attn"] = hp.attn.data
     return arrays
 
@@ -346,7 +362,7 @@ def arrays_to_backbone(arrays: dict) -> BackboneParams:
         heads_p = []
         for hi in range(n_heads):
             heads_p.append(HeadParams(
-                weight=dm.tensor(arrays[f"backbone/l{li}/h{hi}/weight"], requires_grad=True),
+                weight=_weight_tensor(arrays[f"backbone/l{li}/h{hi}/weight"]),
                 attn=dm.tensor(arrays[f"backbone/l{li}/h{hi}/attn"], requires_grad=True),
             ))
         layers.append(tuple(heads_p))

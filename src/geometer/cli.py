@@ -140,7 +140,7 @@ def cmd_pretrain(cfg: ExperimentConfig, seed_override: int | None = None) -> lis
         model = pretrain(stream, cfg, seed)
         train_seconds = time.perf_counter() - started
         paths.append(_save_model(cfg, model, seed))
-        metrics = evaluate_session(model, stream, 0)
+        metrics = evaluate_session(model, stream, 0, embeddings=model.embeddings)
         record = metrics.to_record()
         record["seconds"] = train_seconds + metrics.wall_time
         record["seed"] = seed
@@ -177,7 +177,7 @@ def cmd_stream(cfg: ExperimentConfig, seed_override: int | None = None,
             model = run_stream_session(model, stream, session, cfg, seed)
             train_seconds = time.perf_counter() - started
             paths.append(_save_model(cfg, model, seed))
-            metrics = evaluate_session(model, stream, session)
+            metrics = evaluate_session(model, stream, session, embeddings=model.embeddings)
             record = metrics.to_record()
             record["seconds"] = train_seconds + metrics.wall_time
             record["seed"] = seed

@@ -9,8 +9,9 @@ Conventions:
   * float32 is the working precision for parameters and activations,
     float64 is available for oracle/verification work; mixed-dtype
     arithmetic is rejected rather than silently promoted.
-  * Tensors are immutable once created.  Optimizers may swap the ``data``
-    array of parameter leaves *between* steps, never during a forward pass.
+  * Tensors are immutable once created.  Optimizers update the ``data``
+    array of parameter leaves in place *between* steps, never during a
+    forward pass.
   * Non-finite values are trapped at op boundaries: numpy floating-point
     faults (overflow, invalid, divide-by-zero) raise ``NonFiniteError``,
     and matrix products are checked explicitly since BLAS bypasses the
@@ -360,14 +361,20 @@ def leaky_relu(a: Tensor, negative_slope: float = 0.2) -> Tensor:
     return _result(out, (a,), vjp)
 
 
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
-    neg = a.data <= 0
+def elu(a: Tensor) -> Tensor:
+    """max(a, 0) + expm1(min(a, 0)), with no branch per element.
+
+    Each entry takes its value from one term and 0 from the other, so the
+    result equals the two-branch form bit for bit (a -0.0 input may give
+    +0.0).  expm1 sees only the non-positive part, so large inputs cannot
+    overflow.  The derivative is out + 1 = exp(a) below 0 and 1 above, which
+    is min(out, 0) + 1 either way.
+    """
     with _fpe_guard("elu"):
-        # expm1 sees only the non-positive part, so large inputs cannot overflow
-        out = np.where(neg, alpha * np.expm1(np.minimum(a.data, 0)), a.data)
+        out = np.maximum(a.data, 0) + np.expm1(np.minimum(a.data, 0))
 
     def vjp(g):
-        return (np.where(neg, g * (out + alpha), g),)
+        return (g * (np.minimum(out, 0) + 1),)
 
     return _result(out, (a,), vjp)
 

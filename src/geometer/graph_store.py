@@ -32,6 +32,9 @@ import numpy as np
 
 UNLABELED = -1
 _FEATURES_MAGIC = b"GFSC"
+# rows per block of the finiteness check: it holds one block's bool mask at a
+# time, not a mask of the whole matrix
+_FINITE_CHECK_ROWS = 1024
 
 __all__ = [
     "UNLABELED", "Graph", "ClassPartition", "SessionSpec", "SessionStream",
@@ -226,8 +229,9 @@ def make_graph(features, edge_pairs, labels, node_ids=None) -> Graph:
     if features.ndim != 2:
         raise DatasetFormatError(f"features must be 2-D, got shape {features.shape}")
     n = features.shape[0]
-    if features.size and not np.all(np.isfinite(features)):
-        raise DatasetFormatError("features contain NaN or Inf")
+    for lo in range(0, n, _FINITE_CHECK_ROWS):
+        if not np.isfinite(features[lo:lo + _FINITE_CHECK_ROWS]).all():
+            raise DatasetFormatError("features contain NaN or Inf")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise DatasetFormatError(f"labels length {labels.shape} does not match {n} nodes")

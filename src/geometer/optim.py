@@ -1,4 +1,11 @@
-"""Gradient-descent steps over parameter tensors."""
+"""Gradient-descent steps over parameter tensors.
+
+``Adam.step`` updates each parameter's ``data`` and its two moment arrays in
+place, over fixed blocks of ``_BLOCK`` elements.  Each block's temporaries
+live in two block-sized scratch buffers, so a step allocates no
+parameter-sized array, and the elementwise operations run in the same order
+as the textbook form, so the update is bit-identical to it.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +14,10 @@ import math
 import numpy as np
 
 __all__ = ["Adam", "Sgd", "make_optimizer"]
+
+# elements per block of the Adam update (256 KiB of float32): the size of its
+# two scratch buffers, whatever the size of the parameter
+_BLOCK = 65536
 
 
 class Adam:
@@ -26,10 +37,32 @@ class Adam:
         # plain-float scalars: numpy 2 treats np.float64 scalars as strong types
         # and would silently widen float32 parameters
         correction = math.sqrt(1.0 - b2 ** self.t) / (1.0 - b1 ** self.t)
+        step_size = self.lr * correction
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m += (1.0 - b1) * (g - m)
-            v += (1.0 - b2) * (g * g - v)
-            p.data = p.data - (self.lr * correction) * m / (np.sqrt(v) + self.eps)
+            if not p.data.flags.c_contiguous:
+                p.data = np.ascontiguousarray(p.data)   # so the flat view below writes through
+            flat_p, flat_g, flat_m, flat_v = (a.reshape(-1) for a in (p.data, g, m, v))
+            num = np.empty(min(flat_p.size, _BLOCK), dtype=p.dtype)
+            den = np.empty_like(num)
+            for lo in range(0, flat_p.size, _BLOCK):
+                block = slice(lo, lo + _BLOCK)
+                pb, gb, mb, vb = flat_p[block], flat_g[block], flat_m[block], flat_v[block]
+                t, d = num[:pb.size], den[:pb.size]
+                # m += (1 - b1) * (g - m)
+                np.subtract(gb, mb, out=t)
+                t *= 1.0 - b1
+                mb += t
+                # v += (1 - b2) * (g * g - v)
+                np.multiply(gb, gb, out=t)
+                t -= vb
+                t *= 1.0 - b2
+                vb += t
+                # p -= (step_size * m) / (sqrt(v) + eps)
+                np.multiply(mb, step_size, out=t)
+                np.sqrt(vb, out=d)
+                d += self.eps
+                t /= d
+                pb -= t
 
 
 class Sgd:

@@ -10,8 +10,10 @@ switch old prototype vectors are carried from the teacher instead
 (distillation keeps them valid in the drifting metric space).
 
 A training episode encodes only the exact receptive field of its support
-and query nodes (``encode(..., rows=...)``); teacher, final-prototype and
-evaluation encodes run over the whole snapshot.
+and query nodes (``encode(..., rows=...)``); teacher and final-prototype
+encodes run over the whole snapshot.  A stage keeps its final-prototype
+encode on the state it returns (``ModelState.embeddings``), so evaluating
+that state right after the stage needs no encode of its own.
 
 Prediction is nearest prototype by squared Euclidean distance, ties resolved
 toward the lowest class id.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,6 +70,9 @@ class ModelState:
     class_attention: ClassAttentionParams
     prototypes: PrototypeSet | None
     session_index: int = 0
+    # snapshot ``session_index`` as the finished parameters encode it, left by
+    # the stage that trained them for its evaluation; never saved or cloned
+    embeddings: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def trainable(self, freeze_backbone: bool = False):
         tensors = list(self.class_attention.tensors())
@@ -248,9 +253,10 @@ def pretrain(stream: SessionStream, cfg: ExperimentConfig, seed: int) -> ModelSt
         opt.step(grads)
         if i % 100 == 0:
             log.debug("pretrain episode %d: loss %.5f", i, value)
+    emb = encode(state.backbone, g)
     state.prototypes = _detached_prototypes(
-        compute_prototypes(encode(state.backbone, g), pools, g, state.class_attention,
-                           mode=cfg.prototype_mode))
+        compute_prototypes(emb, pools, g, state.class_attention, mode=cfg.prototype_mode))
+    state.embeddings = emb.data
     return state
 
 
@@ -285,8 +291,11 @@ def run_stream_session(teacher: ModelState, stream: SessionStream, session: int,
         if i % 50 == 0:
             log.debug("session %d episode %d: loss %.5f", session, i, value)
 
-    student.prototypes = _final_session_prototypes(student, teacher, stream, session, cfg, g)
+    emb = encode(student.backbone, g)
+    student.prototypes = _final_session_prototypes(student, teacher, stream, session, cfg,
+                                                   g, emb)
     student.session_index = session
+    student.embeddings = emb.data
     return student
 
 
@@ -296,7 +305,7 @@ def _detached_prototypes(protos: PrototypeSet) -> PrototypeSet:
 
 def _final_session_prototypes(student: ModelState, teacher: ModelState,
                               stream: SessionStream, session: int,
-                              cfg: ExperimentConfig, g: Graph) -> PrototypeSet:
+                              cfg: ExperimentConfig, g: Graph, emb) -> PrototypeSet:
     """Extend the class coverage to this session.
 
     Default: recompute every prototype through the finetuned encoder on the
@@ -304,9 +313,9 @@ def _final_session_prototypes(student: ModelState, teacher: ModelState,
     novel class (this session's and earlier ones) from its fixed K-shot
     supports, so all prototypes share one metric space.  With
     ``carried_prototypes`` the old vectors are frozen at the teacher's values
-    and only the novel classes are computed.
+    and only the novel classes are computed.  ``emb`` is ``g`` encoded by the
+    finetuned backbone.
     """
-    emb = encode(student.backbone, g)
     if cfg.carried_prototypes:
         novel = compute_prototypes(emb, stream.supports_at(session), g,
                                    student.class_attention, mode=cfg.prototype_mode)
@@ -335,22 +344,30 @@ def nearest_prototype(embeddings: np.ndarray, prototypes: PrototypeSet) -> list:
     return [int(prototypes.class_ids[k]) for k in picks]
 
 
-def predict_nodes(model: ModelState, g: Graph, nodes) -> list:
-    """Nearest-prototype class per node; ties go to the lowest class id."""
+def predict_nodes(model: ModelState, g: Graph, nodes, embeddings=None) -> list:
+    """Nearest-prototype class per node; ties go to the lowest class id.
+
+    ``embeddings`` is ``g`` as ``model``'s backbone encodes it, when the
+    caller already holds it; by default it is encoded here.
+    """
     if model.prototypes is None or len(model.prototypes) == 0:
         raise EmptyPrototypeSetError("model has no prototypes to predict with")
-    emb = encode(model.backbone, g).data
+    emb = encode(model.backbone, g).data if embeddings is None else embeddings
+    if emb.shape[0] != g.node_count:
+        raise ValueError(f"embeddings have {emb.shape[0]} rows, graph has {g.node_count}")
     rows = g.rows_of(list(nodes))
     return nearest_prototype(emb[rows], model.prototypes)
 
 
 def evaluate_session(model: ModelState, stream: SessionStream, session: int,
-                     seeds=None) -> SessionMetrics:
+                     seeds=None, *, embeddings=None) -> SessionMetrics:
     """Accuracy over the eval pools of every class encountered by ``session``.
 
     Prediction is deterministic, so per-seed entries are identical; seed
     spread across independently trained runs is aggregated by the reporting
-    command instead.
+    command instead.  ``embeddings`` (the session snapshot encoded by the
+    model, such as ``model.embeddings`` straight after its stage) saves the
+    full-graph encode.
     """
     if model.session_index != session:
         raise ValueError(f"model is at session {model.session_index}, asked for {session}")
@@ -364,7 +381,7 @@ def evaluate_session(model: ModelState, stream: SessionStream, session: int,
             raise ValueError(f"class {cls} has an empty eval pool")
         nodes.extend(int(v) for v in pool)
         labels.extend(cls for _ in pool)
-    predictions = predict_nodes(model, stream.snapshots[session], nodes)
+    predictions = predict_nodes(model, stream.snapshots[session], nodes, embeddings)
     labels = np.array(labels)
     predictions = np.array(predictions)
     per_class = {}

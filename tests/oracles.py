@@ -127,3 +127,38 @@ def copying_induced_subgraph(g, keep):
     else:
         sub_edges = np.empty((0, 2), dtype=np.int64)
     return gs.make_graph(g.features[rows], sub_edges, g.labels[rows], g.node_ids[rows])
+
+
+class TextbookAdam:
+    """Adam in its textbook array form: each step builds new temporaries and a
+    new parameter array.  The in-place, blocked optimizer must match it byte
+    for byte."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros(p.shape, dtype=p.dtype) for p in self.params]
+        self.v = [np.zeros(p.shape, dtype=p.dtype) for p in self.params]
+
+    def step(self, grads):
+        import math
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        correction = math.sqrt(1.0 - b2 ** self.t) / (1.0 - b1 ** self.t)
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m += (1.0 - b1) * (g - m)
+            v += (1.0 - b2) * (g * g - v)
+            p.data = p.data - (self.lr * correction) * m / (np.sqrt(v) + self.eps)
+
+
+def where_elu(a):
+    """ELU as two branches picked by np.where: (output, vjp)."""
+    neg = a <= 0
+    out = np.where(neg, np.expm1(np.minimum(a, 0)), a)
+
+    def vjp(g):
+        return np.where(neg, g * (out + 1.0), g)
+
+    return out, vjp

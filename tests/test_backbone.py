@@ -17,11 +17,13 @@ def graph_from(edges, features, labels=None):
 
 
 def manual_params(weights_attns, dims, dtype=F64):
-    """BackboneParams from explicit (per-layer lists of (W, a)) arrays."""
+    """BackboneParams from explicit (per-layer lists of (W, a)) arrays, W given
+    [out x in] and held transposed, as the encoder holds it."""
     layers = []
     for layer in weights_attns:
         layers.append(tuple(
-            bb.HeadParams(dm.tensor(np.asarray(w, dtype=dtype), requires_grad=True, dtype=dtype),
+            bb.HeadParams(dm.tensor(np.ascontiguousarray(np.asarray(w, dtype=dtype).T),
+                                    requires_grad=True, dtype=dtype),
                           dm.tensor(np.asarray(a, dtype=dtype), requires_grad=True, dtype=dtype))
             for w, a in layer))
     return bb.BackboneParams(tuple(layers), *dims)
@@ -56,8 +58,8 @@ def elu(x):
 def test_init_deterministic_and_shapes():
     p1 = bb.init_backbone(20, 512, 16, seed=4)
     p2 = bb.init_backbone(20, 512, 16, seed=4)
-    assert p1.layers[0][0].weight.shape == (512, 20)
-    assert p1.layers[1][0].weight.shape == (16, 512)
+    assert p1.layers[0][0].weight.shape == (20, 512)
+    assert p1.layers[1][0].weight.shape == (512, 16)
     assert p1.layers[0][0].attn.shape == (1024,)
     for a, b in zip(p1.tensors(), p2.tensors()):
         assert a.data.tobytes() == b.data.tobytes()
@@ -187,6 +189,7 @@ def test_encode_gradient_matches_finite_differences():
     params = build(arrays)
     out = dm.mean(bb.encode(params, g))
     _, analytic = dm.value_and_grad(out, params.tensors())
+    analytic = [a.T for a in analytic]      # held weights are [in x out]; 1-D attn is unchanged
     numeric = central_differences(lambda arrs: f(arrs).item(), arrays)
     assert grad_relative_error(analytic, numeric) < 1e-4
 
@@ -195,7 +198,7 @@ def test_multi_head_shapes_and_combination():
     rng = np.random.default_rng(12)
     g = graph_from([(0, 1), (1, 2)], rng.normal(size=(3, 5)))
     p = bb.init_backbone(5, 8, 4, seed=8, heads=(2, 2))
-    assert p.layers[0][0].weight.shape == (4, 5)  # hidden split across heads
+    assert p.layers[0][0].weight.shape == (5, 4)  # hidden split across heads
     emb = bb.encode(p, g)
     assert emb.shape == (3, 4)
 
@@ -364,3 +367,47 @@ def test_edge_gradient_blocks_match_one_shot_einsum(monkeypatch):
     _, (g_alpha,) = dm.value_and_grad(dm.sum(dm.mul(out, dm.constant(weights))), [alpha])
     expected = np.einsum("ed,ed->e", weights[struct.dst], z.data[struct.src])
     assert g_alpha.dtype == expected.dtype and g_alpha.tobytes() == expected.tobytes()
+
+
+# --- weight layout ------------------------------------------------------------
+
+def test_checkpoint_arrays_keep_the_out_by_in_layout():
+    p = bb.init_backbone(7, 6, 4, seed=10, heads=(2, 1))
+    arrays = bb.backbone_to_arrays(p)
+    shapes = {"backbone/l0/h0/weight": (3, 7), "backbone/l0/h1/weight": (3, 7),
+              "backbone/l1/h0/weight": (4, 6)}
+    for name, shape in shapes.items():
+        assert arrays[name].shape == shape
+    # the stored array is the Glorot draw itself, so checkpoints keep their bytes
+    rng = np.random.default_rng([10, 0, 1])
+    s = np.sqrt(6.0 / (7 + 3))
+    drawn = rng.uniform(-s, s, size=(3, 7)).astype(np.float32)
+    assert np.ascontiguousarray(arrays["backbone/l0/h1/weight"]).tobytes() == drawn.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_backbone_arrays_round_trip_byte_exactly(dtype, tmp_path):
+    p = bb.init_backbone(7, 6, 4, seed=11, heads=(2, 2), dtype=dtype)
+    backs = [bb.arrays_to_backbone(bb.backbone_to_arrays(p))]
+    if dtype == np.float32:     # checkpoints store float32
+        save_tensors(tmp_path / "p.gfsp", bb.backbone_to_arrays(p))
+        backs.append(bb.arrays_to_backbone(load_tensors(tmp_path / "p.gfsp")))
+    for q in backs:
+        assert (q.feature_dim, q.hidden_dim, q.out_dim, q.heads) == (7, 6, 4, (2, 2))
+        for a, b in zip(p.tensors(), q.tensors()):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert b.data.flags.c_contiguous and a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, [17, 3, 30]], ids=["full", "rows"])
+@pytest.mark.parametrize("sparse_features", [True, False], ids=["sparse", "dense"])
+def test_backbone_gradients_arrive_in_c_order(sparse_features, rows):
+    # value_and_grad's C-order copy is then a no-op on every backbone tensor
+    g, p = receptive_graph(sparse_features)
+    emb = bb.encode(p, g, rows=rows)
+    weights = np.random.default_rng(29).normal(size=emb.shape).astype(np.float32)
+    grads = dm.backward(dm.sum(dm.mul(emb, dm.constant(weights))))
+    for t in p.tensors():
+        grad = grads[id(t)]
+        assert grad.shape == t.shape and grad.dtype == t.dtype
+        assert grad.flags.c_contiguous

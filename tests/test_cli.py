@@ -151,6 +151,27 @@ def test_stream_resume_reproduces_metrics(workspace):
     assert abs(base_s2["mean"] - res_s2["mean"]) < 1e-6
 
 
+def test_commands_evaluate_on_the_stage_encode(workspace, monkeypatch):
+    # pretrain encodes its snapshot once; each session encodes it twice, for
+    # the frozen teacher and the finished student; evaluation adds none
+    import geometer.runner as rn
+    _, cfg, _ = workspace
+    cli.cmd_prepare(cfg)
+    one_seed = cfg.with_overrides(seeds=(0,))
+    full = []
+    encode = rn.encode
+
+    def counting(params, g, *args, rows=None, **kwargs):
+        full.append(rows is None)
+        return encode(params, g, *args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(rn, "encode", counting)
+    cli.cmd_pretrain(one_seed)
+    assert sum(full) == 1
+    cli.cmd_stream(one_seed)
+    assert sum(full) == 1 + 2 * cfg.num_sessions
+
+
 def test_stream_session_count_guard(workspace):
     tmp_path, cfg, cfg_path = workspace
     cli.cmd_prepare(cfg)

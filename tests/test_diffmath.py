@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import geometer.diffmath as dm
-from oracles import central_differences, grad_relative_error, loop_cosine, loop_squared_euclidean
+from oracles import (central_differences, grad_relative_error, loop_cosine,
+                     loop_squared_euclidean, where_elu)
 
 F64 = np.float64
 
@@ -190,6 +191,35 @@ def test_elu_passes_large_positive_inputs_through():
     np.testing.assert_allclose(out.data, [200.0, 1.5, 0.0, np.expm1(-3.0)], rtol=1e-6)
     _, (grad,) = dm.value_and_grad(dm.sum(out), [x])
     np.testing.assert_allclose(grad, [1.0, 1.0, 1.0, np.exp(-3.0)], rtol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_elu_is_byte_equal_to_the_two_branch_form(dtype):
+    rng = np.random.default_rng(31)
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = [0.0, tiny, -tiny, 100 * tiny, -100 * tiny, 1e30, -1e30, 88.0, -88.0,
+               1.0, -1.0, 1e-3, -1e-3]
+    a = np.concatenate([special, rng.normal(size=500) * 10.0 ** rng.integers(-6, 3, 500)])
+    a = a.astype(dtype)
+    x = dm.tensor(a, requires_grad=True)
+    g = rng.normal(size=a.shape).astype(dtype)
+    out = dm.elu(x)
+    (grad,) = out._vjp(g)
+    want, want_vjp = where_elu(a)
+    assert out.dtype == grad.dtype == dtype
+    assert out.data.tobytes() == want.tobytes()
+    assert grad.tobytes() == want_vjp(g).tobytes()
+
+
+def test_elu_of_negative_zero_equals_the_two_branch_value():
+    # the branch-free sum may turn -0.0 into +0.0; the values are equal
+    for dtype in (np.float32, np.float64):
+        a = np.array([-0.0, -0.0], dtype=dtype)
+        g = np.array([1.5, -2.0], dtype=dtype)
+        out = dm.elu(dm.tensor(a, requires_grad=True))
+        want, want_vjp = where_elu(a)
+        np.testing.assert_array_equal(out.data, want)
+        np.testing.assert_array_equal(out._vjp(g)[0], want_vjp(g))
 
 
 def test_value_and_grad_returns_c_contiguous_gradients():

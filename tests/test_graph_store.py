@@ -33,6 +33,31 @@ def write_dataset_by_hand(directory, features, edge_lines, label_lines):
     (directory / "labels.tsv").write_text(label_lines)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [1, 8, 9], ids=["first_block", "last_block", "last_row"])
+def test_non_finite_feature_is_found_in_any_row_block(bad, row, monkeypatch):
+    # 10 rows in blocks of 4: two full blocks and a ragged one of rows 8-9
+    monkeypatch.setattr(gs, "_FINITE_CHECK_ROWS", 4)
+    feats = np.ones((10, 3), dtype=np.float32)
+    gs.make_graph(feats.copy(), [], [0] * 10)
+    feats[row, 2] = bad
+    with pytest.raises(gs.DatasetFormatError, match="NaN or Inf"):
+        gs.make_graph(feats, [], [0] * 10)
+
+
+def test_finiteness_check_holds_one_row_block_at_a_time():
+    import tracemalloc
+    feats = np.ones((4 * gs._FINITE_CHECK_ROWS, 1000), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        gs.make_graph(feats, [], [0] * len(feats))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole-matrix bool mask alone would be a quarter of the feature bytes
+    assert peak < feats.nbytes // 8
+
+
 def test_load_minimal_single_node(tmp_path):
     write_dataset_by_hand(tmp_path, np.array([[1.5]], dtype=np.float32), "", "0\t0\n")
     g = gs.load_graph(tmp_path)

@@ -297,6 +297,65 @@ def test_evaluate_session_index_guard():
         rn.evaluate_session(model, stream, 1)
 
 
+def _count_full_encodes(monkeypatch):
+    """Record (backbone, graph) of every full-graph ``runner.encode`` call."""
+    calls = []
+    encode = rn.encode
+
+    def counting(params, g, *args, rows=None, **kwargs):
+        if rows is None:
+            calls.append((params, g))
+        return encode(params, g, *args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(rn, "encode", counting)
+    return calls
+
+
+def _same_metrics(a, b):
+    return (a.session_index, a.accuracy_mean, a.accuracy_std, a.per_class) == \
+        (b.session_index, b.accuracy_mean, b.accuracy_std, b.per_class)
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["recomputed", "carried"])
+def test_stage_and_its_evaluation_encode_the_snapshot_once(carried, monkeypatch):
+    stream = tiny_stream(seed=23)
+    cfg = tiny_config(episodes_pretrain=4, episodes_finetune=3, carried_prototypes=carried)
+    calls = _count_full_encodes(monkeypatch)
+
+    model = rn.pretrain(stream, cfg, seed=2)
+    metrics = rn.evaluate_session(model, stream, 0, embeddings=model.embeddings)
+    assert len(calls) == 1
+    assert calls[0][0] is model.backbone and calls[0][1] is stream.snapshots[0]
+    assert _same_metrics(metrics, rn.evaluate_session(model, stream, 0))
+    assert len(calls) == 2      # without the embeddings, the evaluation encodes
+
+    for session in (1, 2):
+        calls.clear()
+        model = rn.run_stream_session(model, stream, session, cfg, seed=2)
+        metrics = rn.evaluate_session(model, stream, session, embeddings=model.embeddings)
+        # the frozen teacher's encode, then the finished student's, and no more
+        assert len(calls) == 2
+        assert calls[1][0] is model.backbone and calls[1][1] is stream.snapshots[session]
+        assert _same_metrics(metrics, rn.evaluate_session(model, stream, session))
+
+
+def test_stage_embeddings_are_neither_saved_nor_cloned():
+    stream = tiny_stream(seed=24)
+    model = rn.pretrain(stream, tiny_config(episodes_pretrain=2), seed=1)
+    fresh = rn.encode(model.backbone, stream.snapshots[0]).data
+    assert model.embeddings.tobytes() == fresh.tobytes()
+    assert rn.clone_state(model).embeddings is None
+    assert rn.arrays_to_model(rn.model_to_arrays(model)).embeddings is None
+    assert not any("embedding" in name for name in rn.model_to_arrays(model))
+
+
+def test_evaluate_session_rejects_embeddings_of_another_graph():
+    stream = tiny_stream(seed=25)
+    model = rn.pretrain(stream, tiny_config(episodes_pretrain=2), seed=1)
+    with pytest.raises(ValueError, match="rows"):
+        rn.evaluate_session(model, stream, 0, embeddings=model.embeddings[:-1])
+
+
 def test_full_episode_losses_match_finite_differences():
     # the strongest wiring check: gradients through encoder, prototype
     # attention, and every loss term at once, against central differences
@@ -318,7 +377,7 @@ def test_full_episode_losses_match_finite_differences():
         for shapes in (((6, 5), (12,)), ((4, 6), (8,))):
             w, a = next(it), next(it)
             layers.append((bb.HeadParams(
-                dm.tensor(w, requires_grad=True, dtype=np.float64),
+                dm.tensor(np.ascontiguousarray(w.T), requires_grad=True, dtype=np.float64),
                 dm.tensor(a, requires_grad=True, dtype=np.float64)),))
         backbone = bb.BackboneParams(tuple(layers), 5, 6, 4)
         ca = pt.ClassAttentionParams(
@@ -353,6 +412,8 @@ def test_full_episode_losses_match_finite_differences():
         state = make_state(arrays)
         params = state.trainable()
         _, analytic = dm.value_and_grad(build(state), params)
+        # the backbone holds weights [in x out], the transposes of arrays[0] and arrays[2]
+        analytic[0], analytic[2] = analytic[0].T, analytic[2].T
         numeric = central_differences(
             lambda arrs: build(make_state(arrs)).item(), arrays)
         err = grad_relative_error(analytic, numeric)
