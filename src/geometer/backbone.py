@@ -29,7 +29,8 @@ graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
 import numpy as np
 from scipy import sparse
 
@@ -69,6 +70,13 @@ class BackboneParams:
     @property
     def dtype(self):
         return self.layers[0][0].weight.dtype
+
+    def detached(self) -> "BackboneParams":
+        """The same weight arrays, uncopied, in tensors that track no gradient:
+        an encode through them records no autodiff tape."""
+        layers = tuple(tuple(HeadParams(hp.weight.detach(), hp.attn.detach()) for hp in layer)
+                       for layer in self.layers)
+        return replace(self, layers=layers)
 
 
 def _glorot(rng, shape, dtype):
@@ -192,9 +200,7 @@ def _attend_aggregate(z: Tensor, alpha: Tensor, struct: _EdgeStructure) -> Tenso
             g_alpha[block] = np.einsum("ed,ed->e", g[struct.dst[block]], zd[struct.src[block]])
         return g_z, g_alpha
 
-    needs = z.requires_grad or alpha.requires_grad
-    return dm.Tensor(out.astype(zd.dtype, copy=False), requires_grad=needs,
-                     _parents=(z, alpha), _vjp=vjp)
+    return dm._result(out.astype(zd.dtype, copy=False), (z, alpha), vjp)
 
 
 def _sparse_matmul(sp, w: Tensor) -> Tensor:
@@ -210,8 +216,7 @@ def _sparse_matmul(sp, w: Tensor) -> Tensor:
     def vjp(g):
         return ((sp.T @ g).astype(w.dtype, copy=False),)
 
-    return dm.Tensor(out.astype(w.dtype, copy=False), requires_grad=w.requires_grad,
-                     _parents=(w,), _vjp=vjp)
+    return dm._result(out.astype(w.dtype, copy=False), (w,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import replacing
+
 _MAGIC = b"GFSP"
 
 __all__ = ["CheckpointError", "save_tensors", "load_tensors"]
@@ -23,17 +25,17 @@ class CheckpointError(Exception):
 
 
 def save_tensors(path, tensors: dict) -> None:
-    """Write a {name: array} mapping; arrays are stored as float32."""
-    chunks = [_MAGIC, struct.pack("<I", len(tensors))]
-    for name, arr in tensors.items():
-        arr = np.asarray(arr, dtype="<f4")   # keeps 0-d shapes; tobytes() C-orders
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        chunks.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    """Write a {name: array} mapping; arrays are stored as float32.
+
+    The file is replaced whole: a failed write leaves the previous one."""
+    with replacing(path, "wb") as fh:
+        fh.write(_MAGIC + struct.pack("<I", len(tensors)))
+        for name, arr in tensors.items():
+            arr = np.asarray(arr, dtype="<f4")   # keeps 0-d shapes; tobytes() C-orders
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)) + encoded)
+            fh.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(arr.tobytes())
 
 
 def load_tensors(path) -> dict:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .checkpoint import load_tensors, save_tensors
 from .config import ExperimentConfig, parse_config
+from .fileio import replacing
 from .graph_store import (Graph, build_session_stream, load_graph,
                           load_session_stream, save_manifest)
 from .runner import (ModelState, arrays_to_model, evaluate_session,
@@ -266,10 +267,10 @@ def export_embeddings(cfg: ExperimentConfig, checkpoint: str, session: int | Non
         raise CliError(f"checkpoint is for session {model.session_index}, asked for {session}")
     g = stream.snapshots[session]
     from .backbone import encode
-    emb = encode(model.backbone, g).data
+    emb = encode(model.backbone.detached(), g).data
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
+    with replacing(out) as fh:
         for cls in stream.classes_at(session):
             for node in stream.eval_pools[session][cls]:
                 vec = "\t".join(f"{v:.9g}" for v in emb[g.row_of(int(node))])

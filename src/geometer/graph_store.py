@@ -12,29 +12,43 @@ Dataset directory layout:
 Split manifest: JSON with keys base_classes, sessions[].novel_classes,
 sessions[].supports, k_shot, seed.
 
+Feature storage follows one density rule (``_sparse_by_rule``: under a
+quarter nonzero, and more than 65,536 entries).  A base graph whose whole
+matrix is sparse by the rule holds its features only as CSR; ``load_graph``
+builds that CSR from the file in fixed blocks and never holds the dense
+matrix.  Any other base holds one dense read-only array.
+
 Snapshots share storage.  A subgraph is a sorted row subset of the graph it
 was first cut from: it keeps its own node ids, labels and edges, but reads
-feature rows from that base graph's one read-only matrix.  The base also
-holds, built on first use, the per-row nonzero counts and the CSR form of
-its features, so a sparse snapshot's ``features_sparse()`` is a row gather
-of the base CSR.  ``Graph.features`` on a snapshot returns a gathered copy.
+feature rows from that base graph's store.  A snapshot that is sparse by the
+rule on its own rows gets ``features_sparse()`` as a row gather of the base
+CSR (built on first use over a dense base).  ``Graph.features`` is the dense
+form: it gathers a fresh copy on every call except on a dense base graph.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
+
+from .fileio import replacing
 
 UNLABELED = -1
 _FEATURES_MAGIC = b"GFSC"
-# rows per block of the finiteness check: it holds one block's bool mask at a
-# time, not a mask of the whole matrix
+_HEADER_BYTES = 12
+# rows per block of make_graph's finiteness check: it holds one block's bool
+# mask at a time, not a mask of the whole matrix
 _FINITE_CHECK_ROWS = 1024
+# float32 values per block that load_graph reads from features.bin (1 MiB):
+# the reader holds one block and its nonzero mask, never the whole matrix
+_READ_BLOCK = 1 << 18
 
 __all__ = [
     "UNLABELED", "Graph", "ClassPartition", "SessionSpec", "SessionStream",
@@ -87,31 +101,48 @@ class ManifestError(GraphStoreError):
     pass
 
 
-class _FeatureStore:
-    """One base graph's dense feature rows, shared by every subgraph cut from it.
+def _sparse_by_rule(nnz: int, size: int) -> bool:
+    """Whether features with ``nnz`` nonzeros among ``size`` entries take the
+    CSR path: under a quarter nonzero, and large enough to pay off."""
+    return nnz / max(1, size) < 0.25 and size > 65536
 
-    The per-row nonzero counts and the CSR form are built on first use, once
-    for all the graphs that share the rows.
+
+class _FeatureStore:
+    """One base graph's feature rows, shared by every subgraph cut from it.
+
+    It holds exactly one form: the CSR matrix when the whole base is sparse
+    by the rule, otherwise a dense read-only array.  A dense store builds its
+    per-row nonzero counts and its CSR form on first use, once for all the
+    snapshots that are sparse by the rule on their own rows.
     """
 
-    __slots__ = ("dense", "_row_nnz", "_csr")
+    __slots__ = ("shape", "_dense", "_csr", "_row_nnz")
 
-    def __init__(self, dense: np.ndarray):
-        dense.setflags(write=False)
-        self.dense = dense
-        self._row_nnz = None
-        self._csr = None
+    def __init__(self, features):
+        self.shape = features.shape
+        if sparse.issparse(features):
+            self._dense, self._csr = None, features
+            self._row_nnz = np.diff(features.indptr)
+        else:
+            features.setflags(write=False)
+            self._dense, self._csr, self._row_nnz = features, None, None
 
     def row_nnz(self) -> np.ndarray:
         if self._row_nnz is None:
-            self._row_nnz = np.count_nonzero(self.dense, axis=1)
+            self._row_nnz = np.count_nonzero(self._dense, axis=1)
         return self._row_nnz
 
     def csr(self):
         if self._csr is None:
-            from scipy import sparse
-            self._csr = sparse.csr_matrix(self.dense)
+            self._csr = sparse.csr_matrix(self._dense)
         return self._csr
+
+    def dense_rows(self, rows) -> np.ndarray:
+        """Dense float32 rows ``rows`` (None: all); the stored array itself
+        only for all rows of a dense store, otherwise a fresh copy."""
+        if self._dense is None:
+            return (self._csr if rows is None else self._csr[rows]).toarray()
+        return self._dense if rows is None else self._dense[rows]
 
 
 class Graph:
@@ -155,15 +186,14 @@ class Graph:
     def features(self) -> np.ndarray:
         """Dense [node_count x feature_dim] float32 feature rows, read-only.
 
-        On a subgraph this gathers a fresh copy from the shared base rows at
-        every call, so code that runs often should use ``features_sparse()``
-        or keep the result.
+        Only a base graph over a dense store returns its stored array.  A
+        subgraph, or any graph over a CSR store, densifies a fresh copy of
+        its rows at every call, so code that runs often should use
+        ``features_sparse()`` or keep the result.
         """
-        if self._rows is None:
-            return self._store.dense
-        gathered = self._store.dense[self._rows]
-        gathered.setflags(write=False)
-        return gathered
+        dense = self._store.dense_rows(self._rows)
+        dense.setflags(write=False)
+        return dense
 
     @property
     def node_count(self) -> int:
@@ -171,7 +201,7 @@ class Graph:
 
     @property
     def feature_dim(self) -> int:
-        return self._store.dense.shape[1]
+        return self._store.shape[1]
 
     @property
     def edge_count(self) -> int:
@@ -210,8 +240,7 @@ class Graph:
         if self._feat_csr is None:
             counts = self._store.row_nnz()
             nnz = counts.sum() if self._rows is None else counts[self._rows].sum()
-            size = self.node_count * self.feature_dim
-            if nnz / max(1, size) < 0.25 and size > 65536:
+            if _sparse_by_rule(nnz, self.node_count * self.feature_dim):
                 csr = self._store.csr()
                 self._feat_csr = csr if self._rows is None else csr[self._rows]
             else:
@@ -222,16 +251,28 @@ class Graph:
 def make_graph(features, edge_pairs, labels, node_ids=None) -> Graph:
     """Validate and canonicalize raw parts into a Graph.
 
-    ``edge_pairs`` holds row-index pairs; orientation and unordered duplicates
-    are normalized away.  Self-loops and out-of-range endpoints are rejected.
+    ``features`` is a dense [N x d] array; the graph stores it as CSR when it
+    is sparse by the rule (see the module docstring).  ``edge_pairs`` holds
+    row-index pairs; orientation and unordered duplicates are normalized
+    away.  Self-loops and out-of-range endpoints are rejected.
     """
     features = np.ascontiguousarray(features, dtype=np.float32)
     if features.ndim != 2:
         raise DatasetFormatError(f"features must be 2-D, got shape {features.shape}")
-    n = features.shape[0]
-    for lo in range(0, n, _FINITE_CHECK_ROWS):
-        if not np.isfinite(features[lo:lo + _FINITE_CHECK_ROWS]).all():
+    nnz = 0
+    for lo in range(0, features.shape[0], _FINITE_CHECK_ROWS):
+        block = features[lo:lo + _FINITE_CHECK_ROWS]
+        if not np.isfinite(block).all():
             raise DatasetFormatError("features contain NaN or Inf")
+        nnz += np.count_nonzero(block)
+    if _sparse_by_rule(nnz, features.size):
+        features = sparse.csr_matrix(features)
+    return _assemble_graph(_FeatureStore(features), edge_pairs, labels, node_ids)
+
+
+def _assemble_graph(store: _FeatureStore, edge_pairs, labels, node_ids=None) -> Graph:
+    """``make_graph`` over features already validated into ``store``."""
+    n = store.shape[0]
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise DatasetFormatError(f"labels length {labels.shape} does not match {n} nodes")
@@ -257,7 +298,7 @@ def make_graph(features, edge_pairs, labels, node_ids=None) -> Graph:
         canon = np.unique(np.stack([lo, hi], axis=1), axis=0)
     else:
         canon = np.empty((0, 2), dtype=np.int64)
-    return Graph(node_ids, labels, canon, _FeatureStore(features))
+    return Graph(node_ids, labels, canon, store)
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +314,8 @@ def load_graph(directory_path) -> Graph:
         if not p.is_file():
             raise DatasetFileMissingError(f"missing dataset file: {p}")
 
-    raw = feat_path.read_bytes()
-    if len(raw) < 12 or raw[:4] != _FEATURES_MAGIC:
-        raise DatasetFormatError(f"{feat_path}: bad magic, expected {_FEATURES_MAGIC!r}")
-    n, d = struct.unpack_from("<II", raw, 4)
-    if d == 0:
-        raise DatasetFormatError(f"{feat_path}: feature dim must be positive")
-    expected = 12 + 4 * n * d
-    if len(raw) != expected:
-        raise DatasetFormatError(
-            f"{feat_path}: payload length {len(raw)} does not match header "
-            f"({n} x {d} floats -> {expected} bytes)")
-    features = np.frombuffer(raw, dtype="<f4", offset=12).reshape(n, d)
+    store = _read_features(feat_path)
+    n = store.shape[0]
 
     pairs = []
     seen = set()
@@ -327,7 +358,70 @@ def load_graph(directory_path) -> Graph:
         missing = int(np.nonzero(~filled)[0][0])
         raise DatasetFormatError(f"{label_path}: node {missing} has no label line")
 
-    return make_graph(features, pairs, labels)
+    return _assemble_graph(store, pairs, labels)
+
+
+def _read_into(fh, buffer: np.ndarray, path: Path) -> None:
+    if fh.readinto(buffer) != buffer.nbytes:
+        raise DatasetFormatError(f"{path}: payload ended early")
+
+
+def _read_features(path: Path) -> _FeatureStore:
+    """The feature store of ``features.bin``: CSR when the file is sparse by
+    the rule, built block by block, otherwise the dense matrix."""
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER_BYTES)
+        if len(header) < _HEADER_BYTES or header[:4] != _FEATURES_MAGIC:
+            raise DatasetFormatError(f"{path}: bad magic, expected {_FEATURES_MAGIC!r}")
+        n, d = struct.unpack_from("<II", header, 4)
+        if d == 0:
+            raise DatasetFormatError(f"{path}: feature dim must be positive")
+        expected = _HEADER_BYTES + 4 * n * d
+        length = os.fstat(fh.fileno()).st_size
+        if length != expected:
+            raise DatasetFormatError(
+                f"{path}: payload length {length} does not match header "
+                f"({n} x {d} floats -> {expected} bytes)")
+        rows_per_block = max(1, _READ_BLOCK // d)
+        if _sparse_by_rule(0, n * d):       # large enough to be sparse by the rule
+            csr = _read_sparse_features(fh, n, d, rows_per_block, path)
+            if csr is not None:
+                return _FeatureStore(csr)
+            fh.seek(_HEADER_BYTES)
+        dense = np.empty((n, d), dtype="<f4")
+        for lo in range(0, n, rows_per_block):
+            block = dense[lo:lo + rows_per_block]
+            _read_into(fh, block, path)
+            if not np.isfinite(block).all():
+                raise DatasetFormatError(f"{path}: features contain NaN or Inf")
+    return _FeatureStore(dense.astype(np.float32, copy=False))
+
+
+def _read_sparse_features(fh, n: int, d: int, rows_per_block: int, path: Path):
+    """CSR of the payload read through one reusable block, equal to
+    ``csr_matrix`` of the dense matrix (-0.0 counts as zero); None, after a
+    partial read, as soon as the nonzeros make the matrix dense by the rule."""
+    buffer = np.empty(rows_per_block * d, dtype="<f4")
+    row_ends = np.arange(1, rows_per_block + 1) * d    # flat end of each row of a block
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices, data = [], []
+    nnz = 0
+    for lo in range(0, n, rows_per_block):
+        rows = min(rows_per_block, n - lo)
+        block = buffer[:rows * d]
+        _read_into(fh, block, path)
+        flat = np.flatnonzero(block != 0)
+        if not _sparse_by_rule(nnz + len(flat), n * d):
+            return None
+        values = block[flat]
+        if not np.isfinite(values).all():       # NaN and Inf are nonzero, so all are here
+            raise DatasetFormatError(f"{path}: features contain NaN or Inf")
+        indptr[lo + 1:lo + rows + 1] = nnz + np.searchsorted(flat, row_ends[:rows])
+        nnz += len(flat)
+        indices.append((flat % d).astype(np.int32))
+        data.append(values.astype(np.float32))
+    return sparse.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                             shape=(n, d), copy=False)
 
 
 def save_dataset(g: Graph, directory_path) -> None:
@@ -508,7 +602,9 @@ def save_manifest(stream: SessionStream, path) -> None:
         "k_shot": stream.k_shot,
         "seed": stream.seed,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with replacing(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_session_stream(g: Graph, path) -> SessionStream:

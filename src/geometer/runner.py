@@ -15,6 +15,12 @@ encodes run over the whole snapshot.  A stage keeps its final-prototype
 encode on the state it returns (``ModelState.embeddings``), so evaluating
 that state right after the stage needs no encode of its own.
 
+The full-graph encodes are inference only: the teacher's, a stage's final
+one and prediction's run through ``BackboneParams.detached()``, the same
+arrays in tensors that track no gradient, so they build no autodiff tape.
+A stage's episode loop returns, releasing its optimizer state and last
+tape, before the stage's final encode.
+
 Prediction is nearest prototype by squared Euclidean distance, ties resolved
 toward the lowest class id.
 """
@@ -96,12 +102,12 @@ class SessionMetrics:
                 "seconds": self.wall_time}
 
 
-def clone_state(state: ModelState, requires_grad: bool = True) -> ModelState:
+def clone_state(state: ModelState) -> ModelState:
     """Deep copy preserving dtype; the original's arrays are never aliased."""
     from .backbone import HeadParams
 
     def dup(t):
-        return dm.Tensor(t.data.copy(), requires_grad=requires_grad)
+        return dm.Tensor(t.data.copy(), requires_grad=True)
 
     layers = tuple(tuple(HeadParams(dup(hp.weight), dup(hp.attn)) for hp in layer)
                    for layer in state.backbone.layers)
@@ -240,20 +246,11 @@ def pretrain(stream: SessionStream, cfg: ExperimentConfig, seed: int) -> ModelSt
     pools = {c: stream.eval_pools[0][c] for c in base_classes}
     weights = cfg.loss_weights()
     sampler = cfg.sampler()
-    params = state.trainable()
-    opt = make_optimizer(cfg.optimizer, params, cfg.lr_pretrain)
-    for i in range(cfg.episodes_pretrain):
-        rng = episode_rng(seed, 0, i)
-        episode = sample_pretrain_episode(pools, sampler, rng)
-        try:
-            loss = _pretrain_episode_loss(state, g, episode, cfg, weights, rng)
-            value, grads = dm.value_and_grad(loss, params)
-        except dm.NonFiniteError as exc:
-            raise TrainingDivergedError("pretrain", i, exc) from exc
-        opt.step(grads)
-        if i % 100 == 0:
-            log.debug("pretrain episode %d: loss %.5f", i, value)
-    emb = encode(state.backbone, g)
+    _train_episodes(
+        state.trainable(), cfg, cfg.lr_pretrain, cfg.episodes_pretrain, seed, 0,
+        lambda rng: sample_pretrain_episode(pools, sampler, rng),
+        lambda episode, rng: _pretrain_episode_loss(state, g, episode, cfg, weights, rng))
+    emb = encode(state.backbone.detached(), g)
     state.prototypes = _detached_prototypes(
         compute_prototypes(emb, pools, g, state.class_attention, mode=cfg.prototype_mode))
     state.embeddings = emb.data
@@ -269,34 +266,45 @@ def run_stream_session(teacher: ModelState, stream: SessionStream, session: int,
     if teacher.prototypes is None:
         raise MissingTeacherError("teacher carries no prototypes")
     g = stream.snapshots[session]
+    teacher_emb = encode(teacher.backbone.detached(), g).data
     student = clone_state(teacher)
-    frozen = clone_state(teacher, requires_grad=False)
-    teacher_emb = encode(frozen.backbone, g).data
-    teacher_protos = frozen.prototypes
 
     weights = cfg.loss_weights()
     sampler = cfg.sampler()
-    params = student.trainable(cfg.freeze_backbone)
-    opt = make_optimizer(cfg.optimizer, params, cfg.lr_finetune)
-    for i in range(cfg.episodes_finetune):
-        rng = episode_rng(seed, session, i)
-        episode = sample_finetune_episode(session, stream, sampler, rng)
-        try:
-            loss = _finetune_episode_loss(student, teacher_emb, teacher_protos, g,
-                                          episode, stream, session, cfg, weights, rng)
-            value, grads = dm.value_and_grad(loss, params)
-        except dm.NonFiniteError as exc:
-            raise TrainingDivergedError(f"session {session}", i, exc) from exc
-        opt.step(grads)
-        if i % 50 == 0:
-            log.debug("session %d episode %d: loss %.5f", session, i, value)
-
-    emb = encode(student.backbone, g)
+    _train_episodes(
+        student.trainable(cfg.freeze_backbone), cfg, cfg.lr_finetune, cfg.episodes_finetune,
+        seed, session,
+        lambda rng: sample_finetune_episode(session, stream, sampler, rng),
+        lambda episode, rng: _finetune_episode_loss(student, teacher_emb, teacher.prototypes,
+                                                    g, episode, stream, session, cfg,
+                                                    weights, rng))
+    emb = encode(student.backbone.detached(), g)
     student.prototypes = _final_session_prototypes(student, teacher, stream, session, cfg,
                                                    g, emb)
     student.session_index = session
     student.embeddings = emb.data
     return student
+
+
+def _train_episodes(params, cfg: ExperimentConfig, lr: float, episodes: int, seed: int,
+                    stage: int, sample, episode_loss) -> None:
+    """One optimizer step on ``params`` per episode of stage ``stage`` (0 is
+    pretraining): ``sample(rng)`` draws the episode and ``episode_loss(episode,
+    rng)`` builds its loss.  The optimizer and the last episode's tape are
+    freed when this returns."""
+    label = "pretrain" if stage == 0 else f"session {stage}"
+    opt = make_optimizer(cfg.optimizer, params, lr)
+    for i in range(episodes):
+        rng = episode_rng(seed, stage, i)
+        episode = sample(rng)
+        try:
+            loss = episode_loss(episode, rng)
+            value, grads = dm.value_and_grad(loss, params)
+        except dm.NonFiniteError as exc:
+            raise TrainingDivergedError(label, i, exc) from exc
+        opt.step(grads)
+        if i % 50 == 0:
+            log.debug("%s episode %d: loss %.5f", label, i, value)
 
 
 def _detached_prototypes(protos: PrototypeSet) -> PrototypeSet:
@@ -352,7 +360,7 @@ def predict_nodes(model: ModelState, g: Graph, nodes, embeddings=None) -> list:
     """
     if model.prototypes is None or len(model.prototypes) == 0:
         raise EmptyPrototypeSetError("model has no prototypes to predict with")
-    emb = encode(model.backbone, g).data if embeddings is None else embeddings
+    emb = encode(model.backbone.detached(), g).data if embeddings is None else embeddings
     if emb.shape[0] != g.node_count:
         raise ValueError(f"embeddings have {emb.shape[0]} rows, graph has {g.node_count}")
     rows = g.rows_of(list(nodes))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -48,3 +50,25 @@ def test_trailing_garbage(tmp_path):
     p.write_bytes(p.read_bytes() + b"junk")
     with pytest.raises(CheckpointError):
         load_tensors(p)
+
+
+def test_file_bytes_follow_the_documented_layout(tmp_path):
+    p = tmp_path / "t.gfsp"
+    save_tensors(p, {"s": np.float32(1.5), "m": np.arange(6, dtype=np.float64).reshape(2, 3)})
+    expected = (b"GFSP" + struct.pack("<I", 2)
+                + struct.pack("<I", 1) + b"s" + struct.pack("<I", 0)
+                + np.float32(1.5).tobytes()
+                + struct.pack("<I", 1) + b"m" + struct.pack("<III", 2, 2, 3)
+                + np.arange(6, dtype="<f4").tobytes())
+    assert p.read_bytes() == expected
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path):
+    p = tmp_path / "t.gfsp"
+    save_tensors(p, {"a": np.ones(3, dtype=np.float32)})
+    before = p.read_bytes()
+    # the second tensor cannot be stored: the write fails after the first is out
+    with pytest.raises(ValueError):
+        save_tensors(p, {"a": np.zeros(3, dtype=np.float32), "b": np.array(["text"])})
+    assert p.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["t.gfsp"]

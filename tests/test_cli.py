@@ -256,6 +256,37 @@ def test_export_row_counts_and_round_trip(workspace):
         np.testing.assert_array_equal(parsed, emb[stream.snapshots[0].row_of(node)])
 
 
+def test_export_encodes_without_a_tape_and_replaces_the_file_whole(workspace, monkeypatch):
+    import geometer.backbone as bb
+    import geometer.prototypes as pt
+    tmp_path, cfg, _ = workspace
+    cli.cmd_prepare(cfg)
+    cli.cmd_pretrain(cfg.with_overrides(seeds=(0,)))
+    ckpt = str(tmp_path / "runs" / "seed0_session0.gfsp")
+    out = tmp_path / "emb.tsv"
+    encoded = []
+    encode = bb.encode
+
+    def recording(params, g, *args, **kwargs):
+        encoded.append(encode(params, g, *args, **kwargs))
+        return encoded[-1]
+
+    monkeypatch.setattr(bb, "encode", recording)
+    cli.export_embeddings(cfg, ckpt, None, out)
+    assert len(encoded) == 1 and not encoded[0].requires_grad and encoded[0]._parents == ()
+    before = out.read_bytes()
+
+    def failing(self, cls):
+        raise RuntimeError("write interrupted")
+
+    # the node rows are written before the prototype rows look up their class
+    monkeypatch.setattr(pt.PrototypeSet, "index_of", failing)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli.export_embeddings(cfg, ckpt, None, out)
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
+
+
 def test_export_unknown_session(workspace):
     tmp_path, cfg, cfg_path = workspace
     cli.cmd_prepare(cfg)

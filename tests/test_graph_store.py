@@ -58,6 +58,75 @@ def test_finiteness_check_holds_one_row_block_at_a_time():
     assert peak < feats.nbytes // 8
 
 
+# 10 rows of 7,000 columns: 70,000 entries, over the rule's 65,536, so a file
+# with one nonzero per row is sparse by the rule and one of all ones is dense
+_LOADER_SHAPE = (10, 7000)
+
+
+def _loader_features(density):
+    feats = np.zeros(_LOADER_SHAPE, dtype=np.float32)
+    if density == "dense":
+        feats[:] = 1.0
+    else:
+        feats[np.arange(10), np.arange(10) * 700 + 3] = 2.5
+    return feats
+
+
+@pytest.mark.parametrize("density", ["sparse", "dense"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [1, 8, 9], ids=["first_block", "last_block", "last_row"])
+def test_loader_finds_a_non_finite_feature_in_any_block(tmp_path, monkeypatch, density,
+                                                         bad, row):
+    # blocks of 4 rows: rows 0-3, 4-7 and the ragged 8-9
+    monkeypatch.setattr(gs, "_READ_BLOCK", 4 * _LOADER_SHAPE[1])
+    feats = _loader_features(density)
+    labels = "".join(f"{i}\t0\n" for i in range(10))
+    write_dataset_by_hand(tmp_path, feats, "", labels)
+    assert gs.load_graph(tmp_path).node_count == 10
+    feats[row, 5] = bad
+    write_dataset_by_hand(tmp_path, feats, "", labels)
+    with pytest.raises(gs.DatasetFormatError, match="NaN or Inf"):
+        gs.load_graph(tmp_path)
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 1024])
+def test_file_dense_by_the_rule_loads_as_the_dense_file(tmp_path, monkeypatch, block_rows):
+    # rows 0-5 hold one nonzero each and rows 6-9 are full, so a small block
+    # finds the file dense only after several sparse-looking blocks
+    monkeypatch.setattr(gs, "_READ_BLOCK", block_rows * _LOADER_SHAPE[1])
+    feats = _loader_features("sparse")
+    feats[6:] = np.random.default_rng(5).normal(size=(4, _LOADER_SHAPE[1]))
+    write_dataset_by_hand(tmp_path, feats, "", "".join(f"{i}\t0\n" for i in range(10)))
+    g = gs.load_graph(tmp_path)
+    assert g.features is g.features        # the stored array, no gather
+    assert g.features.tobytes() == (tmp_path / "features.bin").read_bytes()[12:]
+
+
+def test_loader_reads_negative_zero_as_zero(tmp_path, monkeypatch):
+    from scipy import sparse
+    monkeypatch.setattr(gs, "_READ_BLOCK", 4 * _LOADER_SHAPE[1])
+    feats = _loader_features("sparse")
+    feats[[0, 5, 9], [1, 2, 3]] = -0.0
+    write_dataset_by_hand(tmp_path, feats, "", "".join(f"{i}\t0\n" for i in range(10)))
+    g = gs.load_graph(tmp_path)
+    csr = g.features_sparse()
+    expected = sparse.csr_matrix(feats)
+    assert csr.nnz == expected.nnz == 10
+    for name in ("indptr", "indices", "data"):
+        assert getattr(csr, name).tobytes() == getattr(expected, name).tobytes()
+    assert not np.signbit(g.features).any()
+
+
+def test_make_graph_stores_sparse_features_as_csr_only():
+    feats = _loader_features("sparse")
+    g = gs.make_graph(feats, [], [0] * 10)
+    assert g._store._dense is None
+    assert g.feature_dim == _LOADER_SHAPE[1] and g.features_sparse().nnz == 10
+    assert np.array_equal(g.features, feats) and not g.features.flags.writeable
+    dense = gs.make_graph(_loader_features("dense"), [], [0] * 10)
+    assert dense.features is dense.features
+
+
 def test_load_minimal_single_node(tmp_path):
     write_dataset_by_hand(tmp_path, np.array([[1.5]], dtype=np.float32), "", "0\t0\n")
     g = gs.load_graph(tmp_path)
@@ -255,6 +324,20 @@ def test_stream_determinism_and_manifest_round_trip(tmp_path):
     assert m1.read_bytes() == m2.read_bytes()
     reloaded = gs.load_session_stream(g, m1)
     assert gs.streams_equal(s1, reloaded)
+
+
+def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path):
+    from dataclasses import replace
+    g = labeled_blob_graph(np.random.default_rng(6))
+    stream = gs.build_session_stream(g, [0, 1], [[2], [3]], k_shot=4, seed=5)
+    path = tmp_path / "manifest.json"
+    gs.save_manifest(stream, path)
+    before = path.read_bytes()
+    # "seed" sorts after "base_classes" and "k_shot", which are already written
+    with pytest.raises(TypeError):
+        gs.save_manifest(replace(stream, seed=object()), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 def test_stream_errors():

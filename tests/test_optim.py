@@ -77,6 +77,22 @@ def test_adam_step_allocates_no_parameter_sized_array():
     assert peak < p.data.nbytes // 4      # the two scratch blocks are 512 KiB in all
 
 
+def test_adam_steps_after_the_first_allocate_no_block(monkeypatch):
+    monkeypatch.setattr(optim, "_BLOCK", 1 << 14)
+    params = [dm.tensor(np.zeros(s, dtype=dt), requires_grad=True)
+              for s, dt in (((300, 301), np.float32), ((5,), np.float64), ((1 << 16,), np.float32))]
+    grads = [np.ones(p.shape, dtype=p.dtype) for p in params]
+    opt = optim.Adam(params, lr=0.01)
+    opt.step(grads)
+    tracemalloc.start()
+    try:
+        opt.step(grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < optim._BLOCK * 4      # one float32 block
+
+
 def test_student_steps_leave_the_cloned_teacher_unchanged():
     teacher = rn.ModelState(init_backbone(9, 8, 4, seed=2, heads=(2, 1)),
                             init_class_attention(4, 2, seed=2), None, 0)

@@ -311,6 +311,13 @@ def _count_full_encodes(monkeypatch):
     return calls
 
 
+def _encodes_finished_backbone(params, model):
+    """``params`` holds ``model``'s own backbone arrays, tracking no gradient."""
+    passed, own = params.tensors(), model.backbone.tensors()
+    return (len(passed) == len(own)
+            and all(p.data is o.data and not p.requires_grad for p, o in zip(passed, own)))
+
+
 def _same_metrics(a, b):
     return (a.session_index, a.accuracy_mean, a.accuracy_std, a.per_class) == \
         (b.session_index, b.accuracy_mean, b.accuracy_std, b.per_class)
@@ -325,7 +332,7 @@ def test_stage_and_its_evaluation_encode_the_snapshot_once(carried, monkeypatch)
     model = rn.pretrain(stream, cfg, seed=2)
     metrics = rn.evaluate_session(model, stream, 0, embeddings=model.embeddings)
     assert len(calls) == 1
-    assert calls[0][0] is model.backbone and calls[0][1] is stream.snapshots[0]
+    assert _encodes_finished_backbone(calls[0][0], model) and calls[0][1] is stream.snapshots[0]
     assert _same_metrics(metrics, rn.evaluate_session(model, stream, 0))
     assert len(calls) == 2      # without the embeddings, the evaluation encodes
 
@@ -335,8 +342,48 @@ def test_stage_and_its_evaluation_encode_the_snapshot_once(carried, monkeypatch)
         metrics = rn.evaluate_session(model, stream, session, embeddings=model.embeddings)
         # the frozen teacher's encode, then the finished student's, and no more
         assert len(calls) == 2
-        assert calls[1][0] is model.backbone and calls[1][1] is stream.snapshots[session]
+        assert (_encodes_finished_backbone(calls[1][0], model)
+                and calls[1][1] is stream.snapshots[session])
         assert _same_metrics(metrics, rn.evaluate_session(model, stream, session))
+
+
+def test_inference_encodes_build_no_tape(monkeypatch):
+    # every full-graph encode of both stages and of prediction: no gradient,
+    # no parents, and the bytes of the same encode through grad-tracking params
+    import geometer.backbone as bb
+    stream = tiny_stream(seed=26)
+    cfg = tiny_config(episodes_pretrain=3, episodes_finetune=2)
+    checked = []
+    encode = rn.encode
+
+    def checking(params, g, *args, rows=None, **kwargs):
+        out = encode(params, g, *args, rows=rows, **kwargs)
+        if rows is None:
+            tracking = bb.arrays_to_backbone(bb.backbone_to_arrays(params))
+            assert all(t.requires_grad for t in tracking.tensors())
+            assert not out.requires_grad and out._parents == () and out._vjp is None
+            assert out.data.tobytes() == encode(tracking, g).data.tobytes()
+            checked.append(g)
+        return out
+
+    monkeypatch.setattr(rn, "encode", checking)
+    model = rn.pretrain(stream, cfg, seed=4)
+    model = rn.run_stream_session(model, stream, 1, cfg, seed=4)
+    rn.evaluate_session(model, stream, 1)
+    assert checked == [stream.snapshots[0], stream.snapshots[1], stream.snapshots[1],
+                       stream.snapshots[1]]
+
+
+def test_session_encodes_the_teacher_without_copying_it(monkeypatch):
+    stream = tiny_stream(seed=27)
+    cfg = tiny_config(episodes_pretrain=2, episodes_finetune=2)
+    teacher = rn.pretrain(stream, cfg, seed=1)
+    clones, calls = [], _count_full_encodes(monkeypatch)
+    clone_state = rn.clone_state
+    monkeypatch.setattr(rn, "clone_state", lambda state: clones.append(state) or clone_state(state))
+    rn.run_stream_session(teacher, stream, 1, cfg, seed=1)
+    assert clones == [teacher]              # the student only
+    assert _encodes_finished_backbone(calls[0][0], teacher)
 
 
 def test_stage_embeddings_are_neither_saved_nor_cloned():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import geometer.backbone as bb
 import geometer.diffmath as dm
@@ -117,6 +118,74 @@ def test_manifest_stream_equals_the_built_stream(tmp_path, streams):
     g, stream = streams("coraml")
     gs.save_manifest(stream, tmp_path / "manifest.json")
     assert gs.streams_equal(gs.load_session_stream(g, tmp_path / "manifest.json"), stream)
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """name -> (dense features, graph loaded from their dataset directory)
+    for the sparse benchmark shapes."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            feats, pairs, labels = _GRAPHS[name][0](_graphgen())
+            directory = tmp_path_factory.mktemp(name)
+            gs.save_dataset(gs.make_graph(feats, pairs, labels), directory)
+            built[name] = feats, directory, gs.load_graph(directory)
+        return built[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", ["coraml", "manyclass"])
+def test_loaded_csr_equals_converting_the_dense_file(name, loaded):
+    feats, _, g = loaded(name)
+    assert g._store._dense is None          # CSR only, from the file read onwards
+    expected = sparse.csr_matrix(feats)
+    got = g.features_sparse()
+    assert got.shape == expected.shape
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(got, part), getattr(expected, part)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    base, per_session = _GRAPHS[name][1:3]
+    classes = [int(c) for c in g.present_classes()]
+    novel = classes[base:]
+    sessions = [novel[i:i + per_session] for i in range(0, len(novel), per_session)]
+    stream = gs.build_session_stream(g, classes[:base], sessions, 5, seed=0)
+    for snap in stream.snapshots:
+        _assert_csr_equal(snap, copying_induced_subgraph(g, snap.node_ids))
+
+
+def test_loading_sparse_features_allocates_a_fraction_of_the_dense_matrix(loaded):
+    feats, directory, _ = loaded("coraml")
+    tracemalloc.start()
+    try:
+        gs.load_graph(directory)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < feats.nbytes // 4
+
+
+def test_training_on_sparse_features_allocates_no_dense_matrix(loaded):
+    # pretraining and one session, dropout 0: every layer-0 product reads the
+    # CSR, so nothing near the dense [N x d] matrix is ever allocated
+    import geometer.runner as rn
+    from geometer.config import ExperimentConfig
+    feats, directory, _ = loaded("coraml")
+    g = gs.load_graph(directory)
+    classes = [int(c) for c in g.present_classes()]
+    stream = gs.build_session_stream(g, classes[:2], [[c] for c in classes[2:4]], 5, seed=0)
+    cfg = ExperimentConfig(hidden_dim=16, embedding_dim=8, class_attention_heads=2, k_max=4,
+                           k_qry=4, episodes_pretrain=2, episodes_finetune=1, k_shot=5)
+    tracemalloc.start()
+    try:
+        model = rn.pretrain(stream, cfg, seed=0)
+        rn.run_stream_session(model, stream, 1, cfg, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < feats.nbytes // 4
 
 
 def _banded_graph():
