@@ -194,16 +194,31 @@ class ReportError(Exception):
 
 
 def load_run_records(cfg: ExperimentConfig) -> list:
+    """Every metrics record under the run directory.
+
+    A log is ambiguous, and rejected at the line that makes it so, when two
+    records share a (seed, session) or the records mix modes: a resumed run
+    belongs in a fresh run directory.
+    """
     run_dir = _require(cfg.run_dir, "run directory")
-    records = []
+    records, seen = [], set()
     for path in sorted(run_dir.glob("metrics_seed*.jsonl")):
         for ln, line in enumerate(path.read_text().splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ReportError(f"{path}:{ln}: bad metrics record ({exc})") from None
+            key = (rec["seed"], rec["session"])
+            if key in seen:
+                raise ReportError(f"{path}:{ln}: second record for seed {key[0]} "
+                                  f"session {key[1]}")
+            if records and rec.get("mode") != records[0].get("mode"):
+                raise ReportError(f"{path}:{ln}: mode {rec.get('mode')!r} differs from "
+                                  f"mode {records[0].get('mode')!r} of the first record")
+            seen.add(key)
+            records.append(rec)
     if not records:
         raise ReportError(f"no metrics records under {run_dir}")
     return records
@@ -244,7 +259,9 @@ def cmd_report(cfg: ExperimentConfig, out: str | None = None) -> dict:
     print(format_report(summary))
     out_path = Path(out) if out else Path(cfg.run_dir) / "report.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    with replacing(out_path) as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     log.info("report written to %s", out_path)
     return summary
 
@@ -272,8 +289,9 @@ def export_embeddings(cfg: ExperimentConfig, checkpoint: str, session: int | Non
     out.parent.mkdir(parents=True, exist_ok=True)
     with replacing(out) as fh:
         for cls in stream.classes_at(session):
-            for node in stream.eval_pools[session][cls]:
-                vec = "\t".join(f"{v:.9g}" for v in emb[g.row_of(int(node))])
+            pool = stream.eval_pools[session][cls]
+            for node, row in zip(pool, emb[g.rows_of(pool)]):
+                vec = "\t".join(f"{v:.9g}" for v in row)
                 fh.write(f"node\t{int(node)}\t{int(cls)}\t{vec}\n")
         for cls in model.prototypes.class_ids:
             row = model.prototypes.vectors.data[model.prototypes.index_of(cls)]

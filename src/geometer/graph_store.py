@@ -24,6 +24,19 @@ feature rows from that base graph's store.  A snapshot that is sparse by the
 rule on its own rows gets ``features_sparse()`` as a row gather of the base
 CSR (built on first use over a dense base).  ``Graph.features`` is the dense
 form: it gathers a fresh copy on every call except on a dense base graph.
+
+A graph holds its node ids, labels and canonical edge array from the start;
+its id index (``rows_of``, ``row_of``), degrees and neighbour lists are built
+on first use, so the snapshots of a session stream that nobody queries cost
+only their row subsets.
+
+``load_graph`` parses each TSV file with numpy in one pass and checks the
+columns, duplicate edges, label ranges and coverage on the arrays.  Only a
+file that the array parse or a check rejects, or one holding a byte outside
+ASCII digits, signs, spaces, tabs and newlines, is read again line by line
+with ``int()``: that scan raises the error naming the offending line, or
+reads the rare valid lines numpy refuses (whitespace-only lines, digit
+underscores).
 """
 
 from __future__ import annotations
@@ -47,8 +60,14 @@ _HEADER_BYTES = 12
 # mask at a time, not a mask of the whole matrix
 _FINITE_CHECK_ROWS = 1024
 # float32 values per block that load_graph reads from features.bin (1 MiB):
-# the reader holds one block and its nonzero mask, never the whole matrix
+# the reader holds one block and its nonzero mask, never the whole matrix;
+# save_dataset writes in blocks of the same size
 _READ_BLOCK = 1 << 18
+# the bytes a TSV file may hold for the array parse.  Over them numpy's
+# integer parser and Python's int() read every line alike; any other byte
+# (a non-ASCII digit, a control character) sends the file to the line scan
+_TSV_BYTES = np.zeros(256, dtype=bool)
+_TSV_BYTES[np.frombuffer(b"0123456789+- \t\r\n", dtype=np.uint8)] = True
 
 __all__ = [
     "UNLABELED", "Graph", "ClassPartition", "SessionSpec", "SessionStream",
@@ -138,11 +157,20 @@ class _FeatureStore:
         return self._csr
 
     def dense_rows(self, rows) -> np.ndarray:
-        """Dense float32 rows ``rows`` (None: all); the stored array itself
-        only for all rows of a dense store, otherwise a fresh copy."""
+        """Dense float32 rows ``rows`` (an index array or a slice; None: all);
+        the stored array or a view of it for all rows or a slice of a dense
+        store, otherwise a fresh copy."""
         if self._dense is None:
             return (self._csr if rows is None else self._csr[rows]).toarray()
         return self._dense if rows is None else self._dense[rows]
+
+
+def _find_sorted(ascending: np.ndarray, values: np.ndarray):
+    """Each value's insertion position in ``ascending``, and whether it is there."""
+    pos = np.searchsorted(ascending, values)
+    if not len(ascending):
+        return pos, np.zeros(len(values), dtype=bool)
+    return pos, ascending.take(pos, mode="clip") == values
 
 
 class Graph:
@@ -156,7 +184,7 @@ class Graph:
     """
 
     __slots__ = ("node_ids", "labels", "edges", "_store", "_rows",
-                 "_indptr", "_indices", "_degrees", "_id_to_row", "_feat_csr", "_op_cache")
+                 "_indptr", "_indices", "_degrees", "_id_index", "_feat_csr", "_op_cache")
 
     def __init__(self, node_ids, labels, edges, store: _FeatureStore, rows=None):
         self.node_ids = node_ids
@@ -164,19 +192,8 @@ class Graph:
         self.edges = edges
         self._store = store
         self._rows = rows
-        n = len(labels)
-        if len(edges):
-            src = np.concatenate([edges[:, 0], edges[:, 1]])
-            dst = np.concatenate([edges[:, 1], edges[:, 0]])
-            order = np.lexsort((dst, src))
-            self._indices = dst[order]
-            counts = np.bincount(src, minlength=n)
-        else:
-            self._indices = np.empty(0, dtype=np.int64)
-            counts = np.zeros(n, dtype=np.int64)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._degrees = counts.astype(np.int64)
-        self._id_to_row = {int(v): i for i, v in enumerate(node_ids)}
+        # built on first use: a snapshot that is never queried never pays for them
+        self._indptr = self._indices = self._degrees = self._id_index = None
         self._feat_csr = None
         self._op_cache = {}    # lazy derived structures (e.g. attention neighborhoods)
         for arr in (self.node_ids, self.labels, self.edges):
@@ -208,25 +225,34 @@ class Graph:
         return len(self.edges)
 
     def row_of(self, node_id: int) -> int:
-        try:
-            return self._id_to_row[int(node_id)]
-        except KeyError:
-            raise NodeIdError(f"unknown node id {node_id}") from None
+        return int(self.rows_of([node_id])[0])
 
     def rows_of(self, node_ids) -> np.ndarray:
-        return np.fromiter((self.row_of(v) for v in node_ids), dtype=np.int64,
-                           count=len(node_ids))
+        """Rows of the given node ids, in their order; ``NodeIdError`` names
+        the first id that is not in the graph."""
+        ids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
+        if self._id_index is None:
+            order = np.argsort(self.node_ids, kind="stable")
+            self._id_index = (self.node_ids[order], order)
+        sorted_ids, order = self._id_index
+        pos, found = _find_sorted(sorted_ids, ids)
+        if not found.all():
+            raise NodeIdError(f"unknown node id {ids[np.argmin(found)]}")
+        return order[pos]
 
     def neighbor_rows(self, row: int) -> np.ndarray:
+        if self._indptr is None:
+            src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+            dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+            self._indices = dst[np.lexsort((dst, src))]
+            self._indptr = np.concatenate([[0], np.cumsum(self.degrees())])
         return self._indices[self._indptr[row]:self._indptr[row + 1]]
 
     def degrees(self) -> np.ndarray:
+        if self._degrees is None:
+            self._degrees = np.bincount(self.edges.reshape(-1), minlength=self.node_count)
+            self._degrees.setflags(write=False)
         return self._degrees
-
-    def labeled_ids(self, class_id: int) -> np.ndarray:
-        """Node ids carrying the given label, ascending."""
-        rows = np.nonzero(self.labels == class_id)[0]
-        return np.sort(self.node_ids[rows])
 
     def present_classes(self) -> np.ndarray:
         return np.unique(self.labels[self.labels != UNLABELED])
@@ -285,7 +311,7 @@ def _assemble_graph(store: _FeatureStore, edge_pairs, labels, node_ids=None) -> 
         if node_ids.shape != (n,) or len(np.unique(node_ids)) != n:
             raise NodeIdError("node_ids must be unique and one per node")
 
-    pairs = np.asarray(list(edge_pairs), dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
     if len(pairs):
         if pairs.min() < 0 or pairs.max() >= n:
             bad = pairs[(pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)][0]
@@ -293,9 +319,12 @@ def _assemble_graph(store: _FeatureStore, edge_pairs, labels, node_ids=None) -> 
         if np.any(pairs[:, 0] == pairs[:, 1]):
             bad = pairs[pairs[:, 0] == pairs[:, 1]][0]
             raise SelfLoopError(f"self-loop on node {bad[0]}")
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        canon = np.unique(np.stack([lo, hi], axis=1), axis=0)
+        # one int64 key per unordered pair; its sorted order is (lo, hi) order.
+        # np.sort and a neighbour mask: numpy's hashing np.unique is 10x slower
+        keys = np.sort(np.minimum(pairs[:, 0], pairs[:, 1]) * n
+                       + np.maximum(pairs[:, 0], pairs[:, 1]))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        canon = np.stack(np.divmod(keys, n), axis=1)
     else:
         canon = np.empty((0, 2), dtype=np.int64)
     return Graph(node_ids, labels, canon, store)
@@ -316,49 +345,104 @@ def load_graph(directory_path) -> Graph:
 
     store = _read_features(feat_path)
     n = store.shape[0]
+    pairs = _parse_columns(edge_path)
+    if pairs is None or not _distinct_in_range(pairs, n):
+        pairs = _scan_edges(edge_path)
+    columns = _parse_columns(label_path)
+    labels = None if columns is None else _labels_of(columns, n)
+    if labels is None:
+        labels = _scan_labels(label_path, n)
+    return _assemble_graph(store, pairs, labels)
 
+
+def _parse_columns(path: Path):
+    """The [lines x 2] int64 array of a two-column TSV file, blank lines
+    skipped; None when the array parse rejects the file."""
+    raw = path.read_bytes()
+    if not raw.strip():
+        return np.empty((0, 2), dtype=np.int64)
+    if not _TSV_BYTES[np.frombuffer(raw, dtype=np.uint8)].all():
+        return None
+    try:
+        columns = np.loadtxt(raw.decode("ascii").splitlines(), dtype=np.int64,
+                             delimiter="\t", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return columns if columns.shape[1] == 2 else None
+
+
+def _distinct_in_range(pairs: np.ndarray, n: int) -> bool:
+    """Whether every endpoint is a row below ``n`` and no pair repeats."""
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+        return False
+    keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+    return not (keys[1:] == keys[:-1]).any()
+
+
+def _labels_of(columns: np.ndarray, n: int):
+    """The label array when ``columns`` labels every node once with a valid
+    class id; None otherwise."""
+    index, classes = columns[:, 0], columns[:, 1]
+    if len(index) != n or (n and (index.min() < 0 or index.max() >= n)):
+        return None
+    filled = np.zeros(n, dtype=bool)
+    filled[index] = True
+    if not filled.all() or (classes < UNLABELED).any():
+        return None
+    labels = np.empty(n, dtype=np.int64)
+    labels[index] = classes
+    return labels
+
+
+def _scan_edges(path: Path) -> list:
+    """The pairs of ``edges.tsv`` read line by line; raises at the first
+    malformed line or repeated pair."""
     pairs = []
     seen = set()
-    for ln, line in enumerate(edge_path.read_text().splitlines(), start=1):
+    for ln, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         cols = line.split("\t")
         if len(cols) != 2:
-            raise DatasetFormatError(f"{edge_path}:{ln}: expected two columns, got {len(cols)}")
+            raise DatasetFormatError(f"{path}:{ln}: expected two columns, got {len(cols)}")
         try:
             a, b = int(cols[0]), int(cols[1])
         except ValueError:
-            raise DatasetFormatError(f"{edge_path}:{ln}: non-integer node index") from None
+            raise DatasetFormatError(f"{path}:{ln}: non-integer node index") from None
         if (a, b) in seen:
-            raise DuplicateEdgeError(f"{edge_path}:{ln}: duplicate edge ({a}, {b})")
+            raise DuplicateEdgeError(f"{path}:{ln}: duplicate edge ({a}, {b})")
         seen.add((a, b))
         pairs.append((a, b))
+    return pairs
 
+
+def _scan_labels(path: Path, n: int) -> np.ndarray:
+    """The labels of ``labels.tsv`` read line by line; raises at the first
+    malformed line, or for the first node without a label line."""
     labels = np.full(n, UNLABELED, dtype=np.int64)
     filled = np.zeros(n, dtype=bool)
-    for ln, line in enumerate(label_path.read_text().splitlines(), start=1):
+    for ln, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         cols = line.split("\t")
         if len(cols) != 2:
-            raise DatasetFormatError(f"{label_path}:{ln}: expected two columns, got {len(cols)}")
+            raise DatasetFormatError(f"{path}:{ln}: expected two columns, got {len(cols)}")
         try:
             idx, cls = int(cols[0]), int(cols[1])
         except ValueError:
-            raise DatasetFormatError(f"{label_path}:{ln}: non-integer field") from None
+            raise DatasetFormatError(f"{path}:{ln}: non-integer field") from None
         if not 0 <= idx < n:
-            raise NodeIdError(f"{label_path}:{ln}: node index {idx} out of range")
+            raise NodeIdError(f"{path}:{ln}: node index {idx} out of range")
         if filled[idx]:
-            raise DatasetFormatError(f"{label_path}:{ln}: node {idx} labeled twice")
+            raise DatasetFormatError(f"{path}:{ln}: node {idx} labeled twice")
         if cls < UNLABELED:
-            raise DatasetFormatError(f"{label_path}:{ln}: bad class id {cls}")
+            raise DatasetFormatError(f"{path}:{ln}: bad class id {cls}")
         filled[idx] = True
         labels[idx] = cls
     if not filled.all():
         missing = int(np.nonzero(~filled)[0][0])
-        raise DatasetFormatError(f"{label_path}: node {missing} has no label line")
-
-    return _assemble_graph(store, pairs, labels)
+        raise DatasetFormatError(f"{path}: node {missing} has no label line")
+    return labels
 
 
 def _read_into(fh, buffer: np.ndarray, path: Path) -> None:
@@ -425,16 +509,25 @@ def _read_sparse_features(fh, n: int, d: int, rows_per_block: int, path: Path):
 
 
 def save_dataset(g: Graph, directory_path) -> None:
-    """Reference writer for the canonical format (one line per undirected edge)."""
+    """Reference writer for the canonical format (one line per undirected edge).
+
+    Feature rows go out in blocks of the reader's size, so the writer never
+    holds the dense matrix; each file replaces its old version only once whole.
+    """
     directory = Path(directory_path)
     directory.mkdir(parents=True, exist_ok=True)
-    header = _FEATURES_MAGIC + struct.pack("<II", g.node_count, g.feature_dim)
-    payload = np.ascontiguousarray(g.features, dtype="<f4").tobytes()
-    (directory / "features.bin").write_bytes(header + payload)
-    with open(directory / "edges.tsv", "w") as fh:
+    n, d = g.node_count, g.feature_dim
+    rows_per_block = max(1, _READ_BLOCK // d)
+    with replacing(directory / "features.bin", "wb") as fh:
+        fh.write(_FEATURES_MAGIC + struct.pack("<II", n, d))
+        for lo in range(0, n, rows_per_block):
+            block = slice(lo, lo + rows_per_block)
+            rows = block if g._rows is None else g._rows[block]
+            fh.write(np.ascontiguousarray(g._store.dense_rows(rows), dtype="<f4"))
+    with replacing(directory / "edges.tsv") as fh:
         for a, b in g.edges:
             fh.write(f"{a}\t{b}\n")
-    with open(directory / "labels.tsv", "w") as fh:
+    with replacing(directory / "labels.tsv") as fh:
         for i, cls in enumerate(g.labels):
             fh.write(f"{i}\t{cls}\n")
 
@@ -444,7 +537,7 @@ def save_dataset(g: Graph, directory_path) -> None:
 
 def degree_of(g: Graph, node_id: int) -> int:
     """Number of distinct neighbors, undirected, self excluded."""
-    return int(g._degrees[g.row_of(node_id)])
+    return int(g.degrees()[g.row_of(node_id)])
 
 
 def neighbors_of(g: Graph, node_id: int) -> set:
@@ -458,7 +551,7 @@ def induced_subgraph(g: Graph, keep) -> Graph:
 
     The subgraph shares ``g``'s feature storage (see the module docstring).
     """
-    rows = np.array([g.row_of(v) for v in sorted({int(v) for v in keep})], dtype=np.int64)
+    rows = g.rows_of(np.unique(np.asarray(list(keep), dtype=np.int64)))
     return _row_subset(g, np.sort(rows))    # preserve original row order
 
 
@@ -525,27 +618,48 @@ class SessionStream:
         return dict(self.partition.sessions[session - 1].supports)
 
 
-def _assemble_stream(g: Graph, partition: ClassPartition, k_shot: int, seed: int) -> SessionStream:
-    base = list(partition.base_classes)
+def _class_members(g: Graph) -> dict:
+    """Every labeled class's node ids, ascending and read-only."""
+    order = np.argsort(g.labels, kind="stable")
+    classes, starts = np.unique(g.labels[order], return_index=True)
+    members = {}
+    for cls, ids in zip(classes.tolist(), np.split(g.node_ids[order], starts[1:])):
+        if cls != UNLABELED:
+            ids.sort()
+            ids.setflags(write=False)
+            members[cls] = ids
+    return members
+
+
+def _assemble_stream(g: Graph, partition: ClassPartition, k_shot: int, seed: int,
+                     members: dict) -> SessionStream:
+    """Snapshots and eval pools of a validated partition.
+
+    A class's pool is its labeled ids minus its held-out supports at every
+    stage it is part of, so all stages share one read-only array per class.
+    """
+    stage_of = dict.fromkeys(partition.base_classes, 0)
+    pool_of = {cls: members[cls] for cls in partition.base_classes}
+    for stage, spec in enumerate(partition.sessions, start=1):
+        for cls in spec.novel_classes:
+            stage_of[cls] = stage
+            labeled = members[cls]
+            pool = np.delete(labeled, np.searchsorted(labeled, spec.supports[cls]))
+            pool.setflags(write=False)
+            pool_of[cls] = pool
+    # the first stage each row is part of: unlabeled rows from the base on,
+    # rows of classes outside the partition never
+    stages = len(partition.sessions) + 1
+    row_stage = np.full(g.node_count, stages)
+    classes = sorted(stage_of)
+    pos, hit = _find_sorted(np.array(classes, dtype=np.int64), g.labels)
+    row_stage[hit] = np.array([stage_of[c] for c in classes], dtype=np.int64)[pos[hit]]
+    row_stage[g.labels == UNLABELED] = 0
     snapshots, eval_pools = [], []
-    cumulative = list(base)
-    support_ids = {}
-    for spec in (None, *partition.sessions):
-        if spec is not None:
-            cumulative.extend(spec.novel_classes)
-            for cls, sup in spec.supports.items():
-                support_ids[cls] = set(sup)
-        keep_mask = np.isin(g.labels, cumulative) | (g.labels == UNLABELED)
-        snapshot = _row_subset(g, np.flatnonzero(keep_mask))
-        pools = {}
-        for cls in sorted(cumulative):
-            labeled = g.labeled_ids(cls)
-            held_out = support_ids.get(cls)
-            if held_out:
-                labeled = labeled[~np.isin(labeled, sorted(held_out))]
-            pools[cls] = labeled
-        snapshots.append(snapshot)
-        eval_pools.append(pools)
+    for stage in range(stages):
+        snapshots.append(_row_subset(g, np.flatnonzero(row_stage <= stage)))
+        eval_pools.append({cls: pool_of[cls]
+                           for cls in sorted(c for c in stage_of if stage_of[c] <= stage)})
     return SessionStream(partition, tuple(snapshots), tuple(eval_pools), k_shot, seed)
 
 
@@ -573,12 +687,13 @@ def build_session_stream(g: Graph, base_classes: Sequence[int],
     if k_shot < 1:
         raise ValueError(f"k_shot must be positive, got {k_shot}")
     _validate_partition_classes(g, base_classes, session_novel_classes)
+    members = _class_members(g)
     rng = np.random.default_rng(seed)
     sessions = []
     for novel in session_novel_classes:
         supports = {}
         for cls in novel:
-            labeled = g.labeled_ids(int(cls))
+            labeled = members[int(cls)]
             if len(labeled) < k_shot + 1:
                 raise InsufficientLabelsError(
                     f"class {cls} has {len(labeled)} labeled nodes, needs >= {k_shot + 1}")
@@ -586,7 +701,7 @@ def build_session_stream(g: Graph, base_classes: Sequence[int],
             supports[int(cls)] = tuple(int(v) for v in np.sort(chosen))
         sessions.append(SessionSpec(tuple(int(c) for c in novel), supports))
     partition = ClassPartition(tuple(int(c) for c in base_classes), tuple(sessions))
-    return _assemble_stream(g, partition, k_shot, seed)
+    return _assemble_stream(g, partition, k_shot, seed, members)
 
 
 def save_manifest(stream: SessionStream, path) -> None:
@@ -630,6 +745,7 @@ def load_session_stream(g: Graph, path) -> SessionStream:
         raise ManifestError(f"{p}: malformed manifest ({exc})") from None
 
     _validate_partition_classes(g, base, [novel for novel, _ in sessions])
+    members = _class_members(g)
     specs = []
     for novel, supports in sessions:
         if sorted(supports) != sorted(novel):
@@ -637,13 +753,14 @@ def load_session_stream(g: Graph, path) -> SessionStream:
         for cls, sup in supports.items():
             if len(sup) != k_shot:
                 raise ManifestError(f"{p}: class {cls} has {len(sup)} supports, expected {k_shot}")
-            for v in sup:
-                row = g.row_of(v)
-                if int(g.labels[row]) != cls:
-                    raise ManifestError(f"{p}: support node {v} is not labeled {cls}")
+            _, labeled = _find_sorted(members[cls], np.asarray(sup))
+            if not labeled.all():                  # outside the graph, or labeled otherwise
+                v = sup[int(np.argmin(labeled))]
+                g.row_of(v)                            # raises NodeIdError outside the graph
+                raise ManifestError(f"{p}: support node {v} is not labeled {cls}")
         specs.append(SessionSpec(tuple(novel), supports))
     partition = ClassPartition(tuple(base), tuple(specs))
-    return _assemble_stream(g, partition, k_shot, seed)
+    return _assemble_stream(g, partition, k_shot, seed, members)
 
 
 def streams_equal(a: SessionStream, b: SessionStream) -> bool:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,53 @@ def test_report_inconsistent_sessions_rejected(workspace):
                         "seconds": 0, "seed": 1})
     with pytest.raises(cli.ReportError):
         cli.summarize_records(cli.load_run_records(cfg))
+
+
+def _record(seed, session, mode="geometer"):
+    return {"session": session, "mean": 0.5, "std": 0, "per_class": {},
+            "seconds": 0, "seed": seed, "mode": mode}
+
+
+def test_report_rejects_a_second_record_for_a_session(workspace):
+    tmp_path, cfg, _ = workspace
+    log = tmp_path / "runs" / "metrics_seed0.jsonl"
+    for session in (0, 1, 2, 1):
+        cli._append_record(log, _record(0, session))
+    with pytest.raises(cli.ReportError,
+                       match=f"^{re.escape(str(log))}:4: second record for seed 0 session 1$"):
+        cli.load_run_records(cfg)
+
+
+def test_report_rejects_mixed_modes(workspace):
+    tmp_path, cfg, _ = workspace
+    run_dir = tmp_path / "runs"
+    cli._append_record(run_dir / "metrics_seed0.jsonl", _record(0, 0))
+    cli._append_record(run_dir / "metrics_seed1.jsonl", _record(1, 0))
+    cli._append_record(run_dir / "metrics_seed1.jsonl", _record(1, 1, mode="pn_star"))
+    log = re.escape(str(run_dir / "metrics_seed1.jsonl"))
+    with pytest.raises(cli.ReportError, match=f"^{log}:2: mode 'pn_star' differs from "
+                                              f"mode 'geometer' of the first record$"):
+        cli.load_run_records(cfg)
+
+
+def test_failed_report_write_keeps_the_previous_report(workspace, monkeypatch):
+    tmp_path, cfg, _ = workspace
+    run_dir = tmp_path / "runs"
+    cli._append_record(run_dir / "metrics_seed0.jsonl", _record(0, 0))
+    cli.cmd_report(cfg)
+    report = run_dir / "report.json"
+    before = report.read_bytes()
+    cli._append_record(run_dir / "metrics_seed0.jsonl", _record(0, 1))
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{\n  "seeds": [')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="no space left"):
+        cli.cmd_report(cfg)
+    assert report.read_bytes() == before
+    assert sorted(p.name for p in run_dir.iterdir()) == ["metrics_seed0.jsonl", "report.json"]
 
 
 # --- export --------------------------------------------------------------------

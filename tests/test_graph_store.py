@@ -147,6 +147,53 @@ def test_load_three_node_path_round_trip(tmp_path):
     assert gs.graphs_equal(g, gs.load_graph(out))
 
 
+def write_dataset_whole(g, directory):
+    """The writer as it was before it streamed: one dense copy of the matrix."""
+    directory.mkdir()
+    header = gs._FEATURES_MAGIC + struct.pack("<II", g.node_count, g.feature_dim)
+    payload = np.ascontiguousarray(g.features, dtype="<f4").tobytes()
+    (directory / "features.bin").write_bytes(header + payload)
+    (directory / "edges.tsv").write_text("".join(f"{a}\t{b}\n" for a, b in g.edges))
+    (directory / "labels.tsv").write_text("".join(f"{i}\t{c}\n" for i, c in enumerate(g.labels)))
+
+
+@pytest.mark.parametrize("density", ["sparse", "dense"])
+@pytest.mark.parametrize("part", ["base", "snapshot"])
+def test_save_dataset_writes_the_whole_matrix_writer_bytes(tmp_path, monkeypatch, density,
+                                                           part):
+    # blocks of 3 rows over 10 rows: three full blocks and a ragged one
+    monkeypatch.setattr(gs, "_READ_BLOCK", 3 * _LOADER_SHAPE[1])
+    feats = _loader_features(density)
+    feats[4:] *= np.arange(1, 7, dtype=np.float32)[:, None]
+    g = gs.make_graph(feats, [(0, 1), (1, 5), (4, 9)], [0, 1, -1, 1, 0, 2, 2, 0, 1, 1])
+    assert (g._store._dense is None) == (density == "sparse")
+    if part == "snapshot":
+        g = gs.induced_subgraph(g, [1, 2, 4, 5, 6, 7, 8, 9])
+    gs.save_dataset(g, tmp_path / "streamed")
+    write_dataset_whole(g, tmp_path / "whole")
+    for name in ("features.bin", "edges.tsv", "labels.tsv"):
+        assert (tmp_path / "streamed" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "streamed").iterdir()) == [
+        "edges.tsv", "features.bin", "labels.tsv"]
+
+
+def test_save_dataset_never_holds_the_dense_matrix(tmp_path):
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    feats = np.zeros((2048, 1024), dtype=np.float32)      # 2M entries, 8 MiB dense
+    feats[rng.integers(0, 2048, 20000), rng.integers(0, 1024, 20000)] = 1.0
+    g = gs.make_graph(feats, [], [0] * 2048)
+    assert g._store._dense is None
+    del feats
+    tracemalloc.start()
+    try:
+        gs.save_dataset(g, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * 1024 * 4 // 4
+
+
 def test_load_merges_directed_duplicates(tmp_path):
     feats = np.zeros((2, 1), dtype=np.float32)
     write_dataset_by_hand(tmp_path, feats, "0\t1\n1\t0\n", "0\t0\n1\t0\n")
@@ -203,6 +250,116 @@ def test_load_error_incomplete_labels(tmp_path):
         gs.load_graph(tmp_path)
 
 
+_LABELS3 = "0\t0\n1\t1\n2\t-1\n"
+
+# (edges.tsv, labels.tsv, exception, message); {e} and {l} stand for the
+# two file paths.  Line numbers count blank lines.
+_MALFORMED = {
+    "edge_three_columns": ("0\t1\t2\n", _LABELS3, gs.DatasetFormatError,
+                           "{e}:1: expected two columns, got 3"),
+    "edge_one_column": ("0\t1\n\n2\n", _LABELS3, gs.DatasetFormatError,
+                        "{e}:3: expected two columns, got 1"),
+    "edge_space_separated": ("0 1\n", _LABELS3, gs.DatasetFormatError,
+                             "{e}:1: expected two columns, got 1"),
+    "edge_word": ("0\tx\n", _LABELS3, gs.DatasetFormatError,
+                  "{e}:1: non-integer node index"),
+    "edge_float": ("1\t2\n0\t1.0\n", _LABELS3, gs.DatasetFormatError,
+                   "{e}:2: non-integer node index"),
+    "edge_empty_field": ("0\t\n", _LABELS3, gs.DatasetFormatError,
+                         "{e}:1: non-integer node index"),
+    # an index past int64 parses as an int; the array conversion then fails
+    "edge_overflow": ("0\t99999999999999999999\n", _LABELS3, OverflowError,
+                      "Python int too large to convert to C long"),
+    "edge_non_ascii_letter": ("0\t1Ǿ\n", _LABELS3, gs.DatasetFormatError,
+                              "{e}:1: non-integer node index"),
+    "edge_control_char": ("0\t1\x1f\n", _LABELS3, gs.DatasetFormatError,
+                          "{e}:1: non-integer node index"),
+    "edge_duplicate": ("0\t1\n1\t2\n0\t1\n", _LABELS3, gs.DuplicateEdgeError,
+                       "{e}:3: duplicate edge (0, 1)"),
+    "edge_duplicate_after_blank": ("0\t1\n \n1\t0\n0\t01\n", _LABELS3, gs.DuplicateEdgeError,
+                                   "{e}:4: duplicate edge (0, 1)"),
+    "edge_duplicate_out_of_range": ("0\t9\n0\t9\n", _LABELS3, gs.DuplicateEdgeError,
+                                    "{e}:2: duplicate edge (0, 9)"),
+    "edge_error_before_label_error": ("0\tx\n", "0\t0\n", gs.DatasetFormatError,
+                                      "{e}:1: non-integer node index"),
+    "label_three_columns": ("", "0\t0\n1\t0\t1\n2\t0\n", gs.DatasetFormatError,
+                            "{l}:2: expected two columns, got 3"),
+    "label_word": ("", "0\t0\n1\ta\n", gs.DatasetFormatError,
+                   "{l}:2: non-integer field"),
+    "label_index_too_large": ("", "0\t0\n3\t0\n", gs.NodeIdError,
+                              "{l}:2: node index 3 out of range"),
+    "label_index_negative": ("", "-1\t0\n", gs.NodeIdError,
+                             "{l}:1: node index -1 out of range"),
+    "label_twice": ("", "0\t0\n\n0\t1\n", gs.DatasetFormatError,
+                    "{l}:3: node 0 labeled twice"),
+    "label_twice_before_bad_class": ("", "0\t0\n0\t-2\n", gs.DatasetFormatError,
+                                     "{l}:2: node 0 labeled twice"),
+    "label_bad_class": ("", "0\t0\n1\t-2\n2\t0\n", gs.DatasetFormatError,
+                        "{l}:2: bad class id -2"),
+    "label_missing_line": ("", "0\t0\n2\t0\n", gs.DatasetFormatError,
+                           "{l}: node 1 has no label line"),
+    "label_error_before_edge_range": ("0\t9\n", "0\t0\n", gs.DatasetFormatError,
+                                      "{l}: node 1 has no label line"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_loader_error_kind_and_message(tmp_path, case):
+    edges, labels, kind, message = _MALFORMED[case]
+    write_dataset_by_hand(tmp_path, np.zeros((3, 1), dtype=np.float32), edges, labels)
+    expected = message.format(e=tmp_path / "edges.tsv", l=tmp_path / "labels.tsv")
+    with pytest.raises(kind) as info:
+        gs.load_graph(tmp_path)
+    assert type(info.value) is kind and str(info.value) == expected
+
+
+@pytest.mark.parametrize("edges, labels, kind, prefix", [
+    ("0\t5\n", _LABELS3, gs.NodeIdError, "edge endpoint out of range: "),
+    ("1\t0\n2\t2\n", _LABELS3, gs.SelfLoopError, "self-loop on node 2"),
+], ids=["endpoint_out_of_range", "self_loop"])
+def test_loader_graph_errors(tmp_path, edges, labels, kind, prefix):
+    write_dataset_by_hand(tmp_path, np.zeros((3, 1), dtype=np.float32), edges, labels)
+    with pytest.raises(kind, match=f"^{prefix}"):
+        gs.load_graph(tmp_path)
+
+
+def test_array_parse_reads_what_the_line_scan_reads(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    n = 40
+    feats = np.zeros((n, 1), dtype=np.float32)
+    for trial in range(10):
+        pairs = {(int(a), int(b)) for a, b in rng.integers(0, n, size=(60, 2)) if a != b}
+        edge_lines = [f"{a}\t{b}" for a, b in pairs] + [""] * 5
+        label_lines = [f"{i}\t{rng.integers(-1, 4)}" for i in rng.permutation(n)] + [""] * 5
+        rng.shuffle(edge_lines)
+        rng.shuffle(label_lines)
+        newline = "\r\n" if trial % 2 else "\n"
+        write_dataset_by_hand(tmp_path, feats, newline.join(edge_lines), newline.join(label_lines))
+        expected = gs.make_graph(feats, gs._scan_edges(tmp_path / "edges.tsv"),
+                                 gs._scan_labels(tmp_path / "labels.tsv", n))
+        with monkeypatch.context() as m:
+            # a well-formed file never needs the scan
+            m.setattr(gs, "_scan_edges", None)
+            m.setattr(gs, "_scan_labels", None)
+            assert gs.graphs_equal(gs.load_graph(tmp_path), expected)
+
+
+@pytest.mark.parametrize("edges, labels", [
+    ("\n0\t1\n   \n\t\n1\t2\n\n", " \n0\t0\n\n1\t1\n2\t-1\n \t \n"),
+    ("0\t1\r\n1\t2\r\n", "0\t0\r\n1\t1\r\n2\t-1\r\n"),
+    ("0\t +1\n2 \t1\n", "0\t0\n1\t 1\n2\t-1\n"),
+    ("00\t0_1\n1\t2\n", "0\t0\n1\t1\n2\t-1"),
+    ("", "\n2\t-1\n0\t0\n1\t1\n"),
+], ids=["blank_and_whitespace_lines", "crlf", "padded_and_signed", "int_literals",
+        "empty_edges_unordered_labels"])
+def test_loader_reads_what_int_reads(tmp_path, edges, labels):
+    write_dataset_by_hand(tmp_path, np.zeros((3, 1), dtype=np.float32), edges, labels)
+    g = gs.load_graph(tmp_path)
+    assert g.labels.tolist() == [0, 1, -1]
+    assert g.edges.tolist() == ([[0, 1], [1, 2]] if edges else [])
+    assert g.edges.dtype == np.int64 and g.edges.shape == (g.edge_count, 2)
+
+
 # --- degree / neighbors -----------------------------------------------------
 
 def test_degree_and_neighbors_trivial():
@@ -227,6 +384,50 @@ def test_unknown_node_raises():
     g = path_graph(3)
     with pytest.raises(gs.NodeIdError):
         gs.degree_of(g, 99)
+
+
+def permuted_graph():
+    feats = np.arange(8, dtype=np.float32).reshape(4, 2)
+    return gs.make_graph(feats, [(0, 1), (2, 3)], [0, 1, 0, 1], node_ids=[30, 10, 40, 20])
+
+
+def test_rows_of_permuted_node_ids():
+    g = permuted_graph()
+    rows = g.rows_of([10, 20, 30, 40])
+    assert rows.dtype == np.int64 and rows.tolist() == [1, 3, 0, 2]
+    assert g.row_of(30) == 0 and type(g.row_of(30)) is int
+    assert gs.degree_of(g, 20) == 1 and gs.neighbors_of(g, 20) == {40}
+
+
+def test_rows_of_names_the_first_unknown_id():
+    g = permuted_graph()
+    with pytest.raises(gs.NodeIdError, match="^unknown node id 99$"):
+        g.rows_of([10, 99, 98])
+    with pytest.raises(gs.NodeIdError, match="^unknown node id 0$"):
+        g.row_of(0)
+    with pytest.raises(gs.NodeIdError, match="^unknown node id 50$"):
+        g.rows_of([50])
+
+
+def test_rows_of_empty_and_array_inputs():
+    g = permuted_graph()
+    empty = g.rows_of([])
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    assert g.rows_of(np.array([20, 10])).tolist() == [3, 1]
+    assert g.rows_of((40,)).tolist() == [2]
+    none = gs.make_graph(np.zeros((0, 1), dtype=np.float32), [], [])
+    assert none.rows_of([]).shape == (0,)
+    with pytest.raises(gs.NodeIdError, match="^unknown node id 0$"):
+        none.rows_of([0])
+
+
+def test_rows_of_a_snapshot():
+    g = permuted_graph()
+    sub = gs.induced_subgraph(g, [40, 10, 30])
+    assert sub.node_ids.tolist() == [30, 10, 40]
+    assert sub.rows_of([10, 40, 30]).tolist() == [1, 2, 0]
+    with pytest.raises(gs.NodeIdError, match="^unknown node id 20$"):
+        sub.rows_of([30, 20])
 
 
 # --- induced subgraph -------------------------------------------------------
