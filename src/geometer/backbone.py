@@ -7,7 +7,21 @@ concatenates heads; the output layer is linear (identity) and averages heads
 so embeddings live in an unconstrained metric space.
 
 The per-graph edge structure (neighborhoods sorted by center node) is
-computed once and cached on the graph.
+computed once and cached on the graph, until ``Graph.drop_caches``.
+
+Each layer is one autodiff op, ``gat_layer``, with a hand-derived vjp: per
+head it projects z = x W, scores every edge (SDDMM), normalizes the scores
+per neighborhood (``dm.segment_softmax``) and aggregates with the sparse
+attention matrix (SpMM), the fusion of DGL and FeatGraph.  For its backward
+the op keeps, per head, z, the per-edge scores and weights and the attention
+matrix over them, and the layer output; layer 0's ELU runs in place on the
+aggregate, so beside z it holds one [rows x hidden] array, its output.  The
+input gradient of z sums ``att.T @ g`` and the two score terms in one buffer,
+adding the score terms in row blocks through one small scratch array.
+An op whose parameters track no gradient (an inference encode) keeps
+nothing: it frees each head's z once aggregated, so a full-graph encode
+peaks near two [nodes x hidden] arrays, and it checks finiteness through
+min and max instead of an elementwise mask.
 
 Each head holds its weight as a C-order [in x out] matrix, so a layer
 projects with ``states @ W`` and the weight gradient of either product
@@ -42,6 +56,9 @@ LEAKY_SLOPE = 0.2
 # Edges per block in the attention-weight gradient: each block gathers two
 # [block x width] row copies, instead of two [edges x width] copies at once.
 _EDGE_BLOCK = 512
+# rows per block of the score terms added into z's gradient: one
+# [block x width] scratch instead of two [rows x width] outer products
+_ROW_BLOCK = 256
 
 __all__ = ["HeadParams", "BackboneParams", "init_backbone", "attention_coefficients",
            "gat_layer", "encode", "backbone_to_arrays", "arrays_to_backbone"]
@@ -181,61 +198,64 @@ def _receptive_field(g: Graph, out_rows: np.ndarray):
     return _structure(position[sources], lens, position[out_rows], len(in_rows)), in_rows
 
 
-def _attend_aggregate(z: Tensor, alpha: Tensor, struct: _EdgeStructure) -> Tensor:
-    """out[i] = sum over the entries of output row i of alpha * z[src]; [n_out x d].
-
-    The aggregation is a sparse matrix product with the per-edge attention
-    weights as values, which keeps both directions in C kernels.
-    """
-    zd, ad = z.data, alpha.data
-    att = sparse.csr_matrix((ad, struct.src_i32, struct.indptr_i32),
-                            shape=(struct.n_out, struct.n_in), copy=False)
-    out = att @ zd
-
-    def vjp(g):
-        g_z = (att.T @ g).astype(zd.dtype, copy=False)
-        g_alpha = np.empty(len(struct.src), dtype=np.result_type(g, zd))
-        for lo in range(0, len(g_alpha), _EDGE_BLOCK):
-            block = slice(lo, lo + _EDGE_BLOCK)
-            g_alpha[block] = np.einsum("ed,ed->e", g[struct.dst[block]], zd[struct.src[block]])
-        return g_z, g_alpha
-
-    return dm._result(out.astype(zd.dtype, copy=False), (z, alpha), vjp)
-
-
-def _sparse_matmul(sp, w: Tensor) -> Tensor:
-    """Constant CSR matrix times a parameter matrix, with gradient to the dense side.
-
-    For a C-order ``w`` both products run on it in place and ``sp.T @ g``
-    returns a C-order gradient.
-    """
-    out = sp @ w.data
-    if out.size and not np.all(np.isfinite(out)):
-        raise dm.NonFiniteError("sparse_matmul: non-finite result")
-
-    def vjp(g):
-        return ((sp.T @ g).astype(w.dtype, copy=False),)
-
-    return dm._result(out.astype(w.dtype, copy=False), (w,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # layers
 
-def _head_attention(hp: HeadParams, struct: _EdgeStructure, states):
-    """Transformed input states and per-edge attention weights for one head."""
-    out_h = hp.weight.shape[1]
-    if isinstance(states, Tensor):
-        z = dm.matmul(states, hp.weight)
-    else:
-        z = _sparse_matmul(states, hp.weight)
-    a_center = dm.take_rows(hp.attn, np.arange(out_h))
-    a_neigh = dm.take_rows(hp.attn, np.arange(out_h, 2 * out_h))
-    s_center = dm.matmul(z, a_center)
-    s_neigh = dm.matmul(z, a_neigh)
-    scores = dm.add(dm.take_rows(s_center, struct.center), dm.take_rows(s_neigh, struct.src))
-    alpha = dm.segment_softmax(dm.leaky_relu(scores, LEAKY_SLOPE), struct.starts, struct.lens)
-    return z, alpha
+def _project(x, weight: np.ndarray) -> np.ndarray:
+    """z = x @ W for dense or constant CSR ``x``; C order for a C-order W."""
+    z = (x @ weight).astype(weight.dtype, copy=False)
+    if not dm._all_finite(z):
+        raise dm.NonFiniteError("gat_layer: non-finite projection")
+    return z
+
+
+def _attention(z: np.ndarray, attn: np.ndarray, struct: _EdgeStructure, track: bool):
+    """One head's per-edge attention over projected states ``z``.
+
+    Returns the [n_out x n_in] attention matrix (CSR, its values the weights)
+    and the leaky-rectified scores and weights as ``dm`` tensors, whose vjps
+    the layer's backward reuses when ``track`` is set.
+    """
+    out_h = z.shape[1]
+    s_center = z @ attn[:out_h]
+    s_neigh = z @ attn[out_h:]
+    if not (dm._all_finite(s_center) and dm._all_finite(s_neigh)):
+        raise dm.NonFiniteError("gat_layer: non-finite attention score")
+    with dm._fpe_guard("gat_layer"):
+        scores = s_center[struct.center] + s_neigh[struct.src]
+    leaky = dm.leaky_relu(Tensor(scores, requires_grad=track), LEAKY_SLOPE)
+    alpha = dm.segment_softmax(leaky, struct.starts, struct.lens)
+    att = sparse.csr_matrix((alpha.data, struct.src_i32, struct.indptr_i32),
+                            shape=(struct.n_out, struct.n_in), copy=False)
+    return att, leaky, alpha
+
+
+def _head_vjp(g: np.ndarray, z: np.ndarray, attn: np.ndarray, att, leaky: Tensor,
+              alpha: Tensor, struct: _EdgeStructure):
+    """Gradients of one head's aggregate ``att @ z`` w.r.t. z and the
+    attention vector, given the aggregate's gradient ``g``.
+
+    z's gradient is one buffer: the aggregation term ``att.T @ g``, then the
+    center-score and neighbor-score terms added in that order.
+    """
+    g_z = (att.T @ g).astype(z.dtype, copy=False)
+    g_alpha = np.empty(len(struct.src), dtype=np.result_type(g, z))
+    for lo in range(0, len(g_alpha), _EDGE_BLOCK):
+        block = slice(lo, lo + _EDGE_BLOCK)
+        g_alpha[block] = np.einsum("ed,ed->e", g[struct.dst[block]], z[struct.src[block]])
+    (g_scores,) = leaky._vjp(*alpha._vjp(g_alpha))
+    out_h = z.shape[1]
+    g_attn = np.zeros_like(attn)
+    scratch = np.empty((min(len(z), _ROW_BLOCK), out_h), dtype=g_z.dtype)
+    for part, idx in ((slice(0, out_h), struct.center), (slice(out_h, None), struct.src)):
+        # summed per node in float64, as dm.take_rows' vjp sums a gather
+        g_s = np.bincount(idx, weights=g_scores, minlength=struct.n_in).astype(z.dtype)
+        g_attn[part] += z.T @ g_s
+        for lo in range(0, len(z), _ROW_BLOCK):      # g_z += outer(g_s, attn[part])
+            rows = slice(lo, lo + _ROW_BLOCK)
+            outer = np.multiply(g_s[rows, None], attn[None, part], out=scratch[:len(g_s[rows])])
+            g_z[rows] += outer
+    return g_z, g_attn
 
 
 def _as_states(g: Graph, node_states, dtype) -> Tensor:
@@ -251,7 +271,9 @@ def attention_coefficients(params: BackboneParams, g: Graph, node_states, layer:
     if states.shape[0] != g.node_count:
         raise dm.ShapeError(f"states rows {states.shape[0]} != node count {g.node_count}")
     struct = _edge_structure(g)
-    _, alpha = _head_attention(params.layers[layer][head], struct, states)
+    hp = params.layers[layer][head]
+    z = _project(states.data, hp.weight.data)
+    _, _, alpha = _attention(z, hp.attn.data, struct, track=False)
     a = alpha.data
     result = {}
     for row in range(g.node_count):
@@ -265,7 +287,8 @@ def attention_coefficients(params: BackboneParams, g: Graph, node_states, layer:
 
 def gat_layer(params: BackboneParams, g: Graph, node_states, layer: int,
               struct: _EdgeStructure | None = None) -> Tensor:
-    """One attention layer over the self-inclusive neighborhoods.
+    """One attention layer over the self-inclusive neighborhoods, as one
+    autodiff op (see the module docstring).
 
     ``node_states`` has one row per input row of ``struct`` (default: every
     node of ``g``) and may be a constant scipy sparse matrix; the result has
@@ -275,22 +298,67 @@ def gat_layer(params: BackboneParams, g: Graph, node_states, layer: int,
     states = node_states
     if not sparse.issparse(states):
         states = _as_states(g, states, params.dtype)
+    heads = params.layers[layer]
     if states.shape[0] != struct.n_in:
         raise dm.ShapeError(f"states rows {states.shape[0]} != input rows {struct.n_in}")
-    head_outs = []
-    for hp in params.layers[layer]:
-        z, alpha = _head_attention(hp, struct, states)
-        head_outs.append(_attend_aggregate(z, alpha, struct))
-    if len(head_outs) == 1:
-        combined = head_outs[0]
-    elif layer == 0:
-        combined = dm.concat(head_outs, axis=1)
-    else:
-        acc = head_outs[0]
-        for h in head_outs[1:]:
-            acc = dm.add(acc, h)
-        combined = dm.scale(acc, 1.0 / len(head_outs))
-    return dm.elu(combined) if layer == 0 else combined
+    if states.shape[1] != heads[0].weight.shape[0]:
+        raise dm.ShapeError(f"states width {states.shape[1]} != layer {layer} input "
+                            f"{heads[0].weight.shape[0]}")
+    if isinstance(states, Tensor) and states.dtype != params.dtype:
+        raise dm.ShapeError(f"mixed dtypes {states.dtype} vs {params.dtype}")
+    x = states if sparse.issparse(states) else states.data
+    parents = tuple(t for hp in heads for t in (hp.weight, hp.attn))
+    grad_states = isinstance(states, Tensor) and states.requires_grad
+    if grad_states:
+        parents = (states, *parents)
+    track = any(p.requires_grad for p in parents)
+    concat = layer == 0 and len(heads) > 1
+    out = np.empty((struct.n_out, params.hidden_dim), dtype=params.dtype) if concat else None
+    saved, col = [], 0
+    for hp in heads:
+        z = _project(x, hp.weight.data)
+        att, leaky, alpha = _attention(z, hp.attn.data, struct, track)
+        agg = (att @ z).astype(z.dtype, copy=False)
+        if track:
+            saved.append((z, att, leaky, alpha))
+        del z
+        if concat:
+            out[:, col:col + agg.shape[1]] = agg
+            col += agg.shape[1]
+        elif out is None:
+            out = agg
+        else:
+            with dm._fpe_guard("gat_layer"):
+                out += agg
+        del agg
+    mean_scale = float(1.0 / len(heads))
+    with dm._fpe_guard("gat_layer"):
+        if layer == 0:
+            dm.elu_inplace(out)
+        elif len(heads) > 1:
+            out *= out.dtype.type(mean_scale)
+    if not track:
+        return Tensor(out)
+
+    def vjp(g_out):
+        if layer == 0:
+            g_out = dm.elu_grad(out, g_out)
+        elif len(heads) > 1:
+            g_out = g_out * mean_scale
+        g_states, grads, col = None, [], 0
+        for hp, (z, att, leaky, alpha) in zip(heads, saved):
+            g_h = g_out
+            if concat:
+                g_h = g_out[:, col:col + z.shape[1]]
+                col += z.shape[1]
+            g_z, g_attn = _head_vjp(g_h, z, hp.attn.data, att, leaky, alpha, struct)
+            grads += [(x.T @ g_z).astype(z.dtype, copy=False), g_attn]
+            if grad_states:
+                part = g_z @ hp.weight.data.T
+                g_states = part if g_states is None else g_states + part
+        return (g_states, *grads) if grad_states else tuple(grads)
+
+    return dm._result(out, parents, vjp)
 
 
 def _dropout(h: Tensor, rate: float, rng, n: int, rows) -> Tensor:

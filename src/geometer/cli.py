@@ -155,20 +155,19 @@ def cmd_pretrain(cfg: ExperimentConfig, seed_override: int | None = None) -> lis
 def cmd_stream(cfg: ExperimentConfig, seed_override: int | None = None,
                checkpoint: str | None = None) -> list:
     _, stream = _load_stream(cfg)
-    starts = []
     if checkpoint is not None:
-        model, stored_seed = _load_model(checkpoint)
-        seed = seed_override if seed_override is not None else stored_seed
-        if seed is None:
-            raise CliError("checkpoint lacks a seed; pass --seed")
-        starts.append((model, seed))
+        starts = [(checkpoint, seed_override)]
     else:
-        for seed in ([seed_override] if seed_override is not None else cfg.seeds):
-            model, _ = _load_model(_checkpoint_path(cfg, seed, 0))
-            starts.append((model, seed))
+        starts = [(_require(_checkpoint_path(cfg, seed, 0), "checkpoint"), seed)
+                  for seed in ([seed_override] if seed_override is not None else cfg.seeds)]
 
     paths = []
-    for model, seed in starts:
+    for path, seed in starts:
+        # loaded only when its seed runs: no start model outlives its first session
+        model, stored_seed = _load_model(path)
+        seed = seed if seed is not None else stored_seed
+        if seed is None:
+            raise CliError("checkpoint lacks a seed; pass --seed")
         if model.session_index >= stream.num_sessions:
             raise CliError(
                 f"checkpoint is at session {model.session_index}, but the manifest "

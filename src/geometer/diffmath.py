@@ -26,19 +26,21 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Tensor", "ShapeError", "NonFiniteError", "ZeroNormError",
+    "Tensor", "ShapeError", "NonFiniteError",
     "tensor", "constant",
     "add", "sub", "mul", "div", "neg", "scale",
     "matmul", "concat", "stack", "reshape", "transpose", "take_rows",
     "exp", "log", "sqrt", "clip", "leaky_relu", "elu",
+    "elu_inplace", "elu_grad",
     "softmax", "log_softmax", "segment_softmax",
-    "sum", "mean", "amax", "amin",
-    "squared_euclidean", "cosine_sim", "pairwise_sq_euclidean",
+    "sum", "mean", "amax", "amin", "pairwise_sq_euclidean",
     "dropout", "dropout_mask",
-    "backward", "value_and_grad", "op_vocabulary",
+    "backward", "value_and_grad",
 ]
 
-COSINE_NORM_EPS = 1e-12
+
+# entries per block of ``elu_inplace`` (256 KiB of float32): its only scratch
+_ELU_BLOCK = 65536
 
 
 class ShapeError(ValueError):
@@ -47,10 +49,6 @@ class ShapeError(ValueError):
 
 class NonFiniteError(ArithmeticError):
     """An operation produced NaN or Inf."""
-
-
-class ZeroNormError(ValueError):
-    """Cosine similarity requested for a vector with norm below 1e-12."""
 
 
 @contextlib.contextmanager
@@ -62,15 +60,20 @@ def _fpe_guard(op: str):
             raise NonFiniteError(f"{op}: non-finite result ({exc})") from None
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds no NaN or Inf.  Its min and max are finite exactly
+    when every entry is (both propagate NaN), so no elementwise mask is built."""
+    return not arr.size or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 class Tensor:
     """An immutable n-d array plus the bookkeeping for reverse-mode autodiff."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
         self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self._parents = _parents
         self._vjp = _vjp
 
@@ -129,7 +132,7 @@ def tensor(data, requires_grad=False, dtype=None) -> Tensor:
     arr = np.asarray(data, dtype=dtype if dtype is not None else None)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float32 if dtype is None else dtype)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise NonFiniteError("tensor: input contains NaN or Inf")
     return Tensor(arr, requires_grad=requires_grad)
 
@@ -234,7 +237,7 @@ def matmul(a: Tensor, b) -> Tensor:
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
-    if out.size and not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise NonFiniteError("matmul: non-finite result")
 
     def vjp(g):
@@ -371,12 +374,35 @@ def elu(a: Tensor) -> Tensor:
     is min(out, 0) + 1 either way.
     """
     with _fpe_guard("elu"):
-        out = np.maximum(a.data, 0) + np.expm1(np.minimum(a.data, 0))
+        out = elu_inplace(a.data.copy())
+    return _result(out, (a,), lambda g: (elu_grad(out, g),))
 
-    def vjp(g):
-        return (g * (np.minimum(out, 0) + 1),)
 
-    return _result(out, (a,), vjp)
+def elu_inplace(x: np.ndarray) -> np.ndarray:
+    """``elu``'s forward arithmetic written into C-contiguous ``x``, a block
+    of ``_ELU_BLOCK`` entries at a time through one small scratch buffer;
+    returns ``x``."""
+    if not x.flags.c_contiguous:
+        raise ValueError("elu_inplace needs a C-contiguous array")
+    flat = x.reshape(-1)
+    neg = np.empty(min(flat.size, _ELU_BLOCK), dtype=x.dtype)
+    for lo in range(0, flat.size, _ELU_BLOCK):
+        xb = flat[lo:lo + _ELU_BLOCK]
+        nb = neg[:xb.size]
+        np.minimum(xb, 0, out=nb)
+        np.expm1(nb, out=nb)
+        np.maximum(xb, 0, out=xb)
+        xb += nb
+    return x
+
+
+def elu_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``elu``'s input gradient g * (min(out, 0) + 1), from its output ``out``,
+    in one new array."""
+    d = np.minimum(out, 0)
+    d += 1
+    d *= g
+    return d
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -472,26 +498,6 @@ def amin(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # metric-space helpers
 
-def squared_euclidean(a: Tensor, b: Tensor) -> Tensor:
-    """sum_i (a_i - b_i)^2 for equal-length vectors."""
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"squared_euclidean expects equal-length vectors, got {a.shape} vs {b.shape}")
-    d = sub(a, b)
-    return sum(mul(d, d))
-
-
-def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
-    """a·b / (|a||b|), clamped into [-1, 1] against round-off."""
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"cosine_sim expects equal-length vectors, got {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    if na <= COSINE_NORM_EPS or nb <= COSINE_NORM_EPS:
-        raise ZeroNormError(f"cosine_sim: vector norm below {COSINE_NORM_EPS}")
-    raw = div(sum(mul(a, b)), mul(sqrt(sum(mul(a, a))), sqrt(sum(mul(b, b)))))
-    return clip(raw, -1.0, 1.0)
-
-
 def pairwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
     """Squared Euclidean distances between all row pairs: [n x d], [m x d] -> [n x m]."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -539,10 +545,9 @@ def _topo_order(root: Tensor) -> list:
 
 
 def backward(output: Tensor, seed_grad=None) -> dict:
-    """Reverse-mode sweep from ``output``; returns {id(tensor): grad array}.
-
-    Leaf tensors (no parents) additionally get their ``.grad`` attribute set.
-    """
+    """Reverse-mode sweep from ``output``; returns {id(tensor): grad array}
+    for the leaves (tensors without parents) it reaches.  No tensor keeps a
+    reference to its gradient."""
     if not output.requires_grad:
         return {}
     if seed_grad is None:
@@ -550,21 +555,19 @@ def backward(output: Tensor, seed_grad=None) -> dict:
     grads: dict = {id(output): np.asarray(seed_grad, dtype=output.dtype)}
     with _fpe_guard("backward"):
         for node in reversed(_topo_order(output)):
-            g = grads.pop(id(node)) if node._parents else grads.get(id(node))
+            if not node._parents:
+                continue
+            g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._parents:
-                parent_grads = node._vjp(g)
-                for parent, pg in zip(node._parents, parent_grads):
-                    if pg is None or not parent.requires_grad:
-                        continue
-                    key = id(parent)
-                    if key in grads:
-                        grads[key] = grads[key] + pg
-                    else:
-                        grads[key] = pg
-            else:
-                node.grad = g if node.grad is None else node.grad + g
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
+                else:
+                    grads[key] = pg
     return grads
 
 
@@ -579,38 +582,15 @@ def value_and_grad(output: Tensor, wrt: Iterable[Tensor]):
     value = float(output.data)
     if not np.isfinite(value):
         raise NonFiniteError("value_and_grad: non-finite value")
-    for p in wrt:
-        p.grad = None
     grad_map = backward(output) if output.requires_grad else {}
     grads = []
     for p in wrt:
         g = grad_map.get(id(p))
         if g is None:
-            g = p.grad if p.grad is not None else np.zeros(p.shape, dtype=p.dtype)
+            g = np.zeros(p.shape, dtype=p.dtype)
         # C order: a transposed vjp would otherwise hand the optimizer a strided array
         g = np.ascontiguousarray(g, dtype=p.dtype).reshape(p.shape)
-        if g.size and not np.all(np.isfinite(g)):
+        if not _all_finite(g):
             raise NonFiniteError("value_and_grad: non-finite gradient")
         grads.append(g)
     return value, grads
-
-
-def op_vocabulary() -> dict:
-    """The differentiable operation contract: name -> callable."""
-    return {
-        "matmul": matmul,
-        "add": add,
-        "mul": mul,
-        "scale": scale,
-        "concat": concat,
-        "softmax": softmax,
-        "leaky_relu": leaky_relu,
-        "elu": elu,
-        "exp": exp,
-        "log": log,
-        "sum": sum,
-        "mean": mean,
-        "max": amax,
-        "squared_euclidean": squared_euclidean,
-        "cosine_sim": cosine_sim,
-    }

@@ -104,21 +104,12 @@ def sample_finetune_episode(session: int, stream: SessionStream, cfg: SamplerCon
 
     n_old = ceil(cfg.old_query_bias * cfg.k_qry)
     n_novel = cfg.k_qry - n_old
-    taken = {v for sup in supports.values() for v in sup}
-
-    def candidates(class_list):
-        nodes, labels = [], []
-        for cls in class_list:
-            for v in pools[cls]:
-                if int(v) not in taken:
-                    nodes.append(int(v))
-                    labels.append(cls)
-        return np.array(nodes, dtype=np.int64), np.array(labels, dtype=np.int64)
+    taken = np.array([v for sup in supports.values() for v in sup], dtype=np.int64)
 
     queries = []
     for class_list, want, kind in ((old_classes, n_old, "old"),
                                    (novel_classes, n_novel, "novel")):
-        nodes, labels = candidates(class_list)
+        nodes, labels = _query_candidates(pools, class_list, taken)
         if len(nodes) < want:
             raise PoolTooSmallError(
                 f"{kind} query pool has {len(nodes)} nodes, needs {want}")
@@ -126,3 +117,15 @@ def sample_finetune_episode(session: int, stream: SessionStream, cfg: SamplerCon
             idx = rng.choice(len(nodes), size=want, replace=False)
             queries.extend((int(nodes[i]), int(labels[i])) for i in idx)
     return Episode(supports, tuple(queries), "finetune")
+
+
+def _query_candidates(pools: Mapping[int, np.ndarray], class_list, taken: np.ndarray):
+    """The pool nodes of ``class_list`` that are not in ``taken``, and their
+    classes: class by class in list order, each pool in its own order."""
+    if not class_list:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    nodes = np.concatenate([np.asarray(pools[c], dtype=np.int64) for c in class_list])
+    labels = np.repeat(np.asarray(class_list, dtype=np.int64),
+                       [len(pools[c]) for c in class_list])
+    keep = ~np.isin(nodes, taken)
+    return nodes[keep], labels[keep]

@@ -254,6 +254,13 @@ class Graph:
             self._degrees.setflags(write=False)
         return self._degrees
 
+    def drop_caches(self) -> None:
+        """Forget the feature CSR gather and the op cache (attention
+        neighborhoods, dense feature copies); the next read rebuilds them.
+        The small id index and degrees stay."""
+        self._feat_csr = None
+        self._op_cache = {}
+
     def present_classes(self) -> np.ndarray:
         return np.unique(self.labels[self.labels != UNLABELED])
 
@@ -315,10 +322,10 @@ def _assemble_graph(store: _FeatureStore, edge_pairs, labels, node_ids=None) -> 
     if len(pairs):
         if pairs.min() < 0 or pairs.max() >= n:
             bad = pairs[(pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)][0]
-            raise NodeIdError(f"edge endpoint out of range: {tuple(bad)}")
+            raise NodeIdError(f"edge endpoint out of range: ({int(bad[0])}, {int(bad[1])})")
         if np.any(pairs[:, 0] == pairs[:, 1]):
             bad = pairs[pairs[:, 0] == pairs[:, 1]][0]
-            raise SelfLoopError(f"self-loop on node {bad[0]}")
+            raise SelfLoopError(f"self-loop on node {int(bad[0])}")
         # one int64 key per unordered pair; its sorted order is (lo, hi) order.
         # np.sort and a neighbour mask: numpy's hashing np.unique is 10x slower
         keys = np.sort(np.minimum(pairs[:, 0], pairs[:, 1]) * n
@@ -346,12 +353,15 @@ def load_graph(directory_path) -> Graph:
     store = _read_features(feat_path)
     n = store.shape[0]
     pairs = _parse_columns(edge_path)
-    if pairs is None or not _distinct_in_range(pairs, n):
+    scanned = pairs is None or not _distinct_in_range(pairs, n)
+    if scanned:
         pairs = _scan_edges(edge_path)
     columns = _parse_columns(label_path)
     labels = None if columns is None else _labels_of(columns, n)
     if labels is None:
         labels = _scan_labels(label_path, n)
+    if scanned:
+        _check_endpoints(edge_path, pairs, n)
     return _assemble_graph(store, pairs, labels)
 
 
@@ -395,8 +405,8 @@ def _labels_of(columns: np.ndarray, n: int):
 
 
 def _scan_edges(path: Path) -> list:
-    """The pairs of ``edges.tsv`` read line by line; raises at the first
-    malformed line or repeated pair."""
+    """The pairs of ``edges.tsv`` read line by line, as Python ints; raises at
+    the first malformed line or repeated pair."""
     pairs = []
     seen = set()
     for ln, line in enumerate(path.read_text().splitlines(), start=1):
@@ -414,6 +424,16 @@ def _scan_edges(path: Path) -> list:
         seen.add((a, b))
         pairs.append((a, b))
     return pairs
+
+
+def _check_endpoints(path: Path, pairs: list, n: int) -> None:
+    """Raise ``NodeIdError`` at the line of the first scanned pair with an
+    endpoint outside rows 0..n-1, an index past int64 included."""
+    for k, (a, b) in enumerate(pairs):
+        if not (0 <= a < n and 0 <= b < n):
+            lines = [ln for ln, line in enumerate(path.read_text().splitlines(), start=1)
+                     if line.strip()]
+            raise NodeIdError(f"{path}:{lines[k]}: edge endpoint out of range: ({a}, {b})")
 
 
 def _scan_labels(path: Path, n: int) -> np.ndarray:

@@ -19,7 +19,11 @@ The full-graph encodes are inference only: the teacher's, a stage's final
 one and prediction's run through ``BackboneParams.detached()``, the same
 arrays in tensors that track no gradient, so they build no autodiff tape.
 A stage's episode loop returns, releasing its optimizer state and last
-tape, before the stage's final encode.
+tape, before the stage's final encode.  Each step's gradients are dropped
+once the optimizer has applied them.  A finished stage drops its snapshot's
+caches (``Graph.drop_caches``: the feature CSR gather and the attention
+neighborhoods), since no later stage encodes that snapshot, so memory held
+across a stream stays flat as sessions go by.
 
 Prediction is nearest prototype by squared Euclidean distance, ties resolved
 toward the lowest class id.
@@ -254,6 +258,7 @@ def pretrain(stream: SessionStream, cfg: ExperimentConfig, seed: int) -> ModelSt
     state.prototypes = _detached_prototypes(
         compute_prototypes(emb, pools, g, state.class_attention, mode=cfg.prototype_mode))
     state.embeddings = emb.data
+    g.drop_caches()
     return state
 
 
@@ -283,6 +288,7 @@ def run_stream_session(teacher: ModelState, stream: SessionStream, session: int,
                                                    g, emb)
     student.session_index = session
     student.embeddings = emb.data
+    g.drop_caches()
     return student
 
 
@@ -303,6 +309,7 @@ def _train_episodes(params, cfg: ExperimentConfig, lr: float, episodes: int, see
         except dm.NonFiniteError as exc:
             raise TrainingDivergedError(label, i, exc) from exc
         opt.step(grads)
+        del grads
         if i % 50 == 0:
             log.debug("%s episode %d: loss %.5f", label, i, value)
 

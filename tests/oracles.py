@@ -44,11 +44,17 @@ def loop_squared_euclidean(a, b):
     return total
 
 
-def loop_cosine(a, b):
-    dot = sum(float(x) * float(y) for x, y in zip(a, b))
-    na = sum(float(x) ** 2 for x in a) ** 0.5
-    nb = sum(float(y) ** 2 for y in b) ** 0.5
-    return dot / (na * nb)
+def loop_query_candidates(pools, class_list, taken):
+    """Finetune query candidates node by node: each class's pool nodes that
+    are not taken, class by class in list order."""
+    taken = {int(v) for v in taken}
+    nodes, labels = [], []
+    for cls in class_list:
+        for v in pools[cls]:
+            if int(v) not in taken:
+                nodes.append(int(v))
+                labels.append(cls)
+    return np.array(nodes, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 
 def adjacency_matrix(n, edge_pairs):

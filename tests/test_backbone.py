@@ -230,6 +230,55 @@ def test_checkpoint_round_trip(tmp_path):
         assert a.data.tobytes() == b.data.tobytes()
 
 
+# --- the fused layer op ---------------------------------------------------------
+
+@pytest.mark.parametrize("rows", [None, [7, 2, 7]], ids=["full", "rows"])
+@pytest.mark.parametrize("heads", [(1, 1), (2, 3)], ids=["one_head", "multi_head"])
+@pytest.mark.parametrize("sparse_input", [False, True], ids=["dense", "csr"])
+def test_fused_layers_match_finite_differences(sparse_input, heads, rows):
+    from scipy import sparse
+    rng = np.random.default_rng(41)
+    n, d, width, out = 12, 5, 3, 2
+    feats = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.6)
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(0, 6), (3, 9), (4, 10)]
+    g = graph_from(pairs, feats)
+    hidden = heads[0] * width
+    if rows is None:
+        struct0 = struct1 = None
+        r0 = np.arange(n)
+    else:
+        struct1, r1 = bb._receptive_field(g, np.array(rows))
+        struct0, r0 = bb._receptive_field(g, r1)
+    x = sparse.csr_matrix(feats[r0]) if sparse_input else dm.tensor(feats[r0], dtype=F64)
+    shapes = [((width, d), (2 * width,))] * heads[0] + [((out, hidden), (2 * out,))] * heads[1]
+    arrays = [rng.normal(size=s) * 0.7 for pair in shapes for s in pair]
+    probe = rng.normal(size=(n if rows is None else len(rows), out))
+
+    def loss(arrs):
+        pairs_ = list(zip(arrs[::2], arrs[1::2]))
+        params = manual_params([pairs_[:heads[0]], pairs_[heads[0]:]], (d, hidden, out))
+        h = bb.gat_layer(params, g, x, 0, struct0)
+        emb = bb.gat_layer(params, g, h, 1, struct1)
+        return params, dm.sum(dm.mul(emb, dm.constant(probe, dtype=F64)))
+
+    params, value = loss(arrays)
+    _, analytic = dm.value_and_grad(value, params.tensors())
+    analytic = [a.T for a in analytic]      # held weights are [in x out]; 1-D attn is unchanged
+    numeric = central_differences(lambda arrs: loss(arrs)[1].item(), arrays)
+    assert grad_relative_error(analytic, numeric) < 1e-4
+
+
+def test_fused_layer_is_one_tape_node_per_layer():
+    # heads (2, 2): layer 1's node reads layer 0's output and its own four
+    # parameters; layer 0's node reads only its four, its CSR input is constant
+    g, p = receptive_graph(True)
+    emb = bb.encode(p, g, rows=[3, 17])
+    tensors = p.tensors()
+    layer0, *own1 = emb._parents
+    assert [id(t) for t in own1] == [id(t) for t in tensors[4:]]
+    assert [id(t) for t in layer0._parents] == [id(t) for t in tensors[:4]]
+
+
 # --- exact receptive-field encoding -------------------------------------------
 
 def receptive_graph(sparse_features, seed=14):
@@ -354,19 +403,20 @@ def test_encode_is_bit_identical_to_the_encoder_segment_softmax(shape, monkeypat
 
 
 def test_edge_gradient_blocks_match_one_shot_einsum(monkeypatch):
-    # 137 neighborhood entries in blocks of 7: 19 full blocks and a ragged one
-    monkeypatch.setattr(bb, "_EDGE_BLOCK", 7)
-    g, _ = receptive_graph(True)
-    struct = bb._edge_structure(g)
-    assert len(struct.src) > 3 * 7 and len(struct.src) % 7
-    rng = np.random.default_rng(28)
-    z = dm.tensor(rng.normal(size=(struct.n_in, 5)).astype(np.float32), requires_grad=True)
-    alpha = dm.tensor(rng.random(len(struct.src)).astype(np.float32), requires_grad=True)
-    weights = rng.normal(size=(struct.n_out, 5)).astype(np.float32)
-    out = bb._attend_aggregate(z, alpha, struct)
-    _, (g_alpha,) = dm.value_and_grad(dm.sum(dm.mul(out, dm.constant(weights))), [alpha])
-    expected = np.einsum("ed,ed->e", weights[struct.dst], z.data[struct.src])
-    assert g_alpha.dtype == expected.dtype and g_alpha.tobytes() == expected.tobytes()
+    # 137 neighborhood entries in blocks of 7 (19 full blocks and a ragged
+    # one), and 41 rows of score terms in blocks of 5, give the gradients of
+    # one block over everything, byte for byte
+    g, p = receptive_graph(True)
+    entries = len(bb._edge_structure(g).src)
+    assert entries > 3 * 7 and entries % 7 and g.node_count % 5
+
+    def grads(edge_block, row_block):
+        monkeypatch.setattr(bb, "_EDGE_BLOCK", edge_block)
+        monkeypatch.setattr(bb, "_ROW_BLOCK", row_block)
+        return _loss_and_grads(p, bb.encode(p, g))[1]
+
+    for a, b in zip(grads(7, 5), grads(entries, g.node_count)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # --- weight layout ------------------------------------------------------------

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import geometer.diffmath as dm
-from oracles import (central_differences, grad_relative_error, loop_cosine,
-                     loop_squared_euclidean, where_elu)
+from oracles import (central_differences, grad_relative_error, loop_squared_euclidean,
+                     where_elu)
 
 F64 = np.float64
 
@@ -26,35 +26,22 @@ def test_softmax_rows_are_distributions():
 
 
 def test_squared_euclidean_values():
-    assert dm.squared_euclidean(t64([1.0, 2.0]), t64([1.0, 2.0])).item() == 0.0
-    assert dm.squared_euclidean(t64([1.0, 0.0]), t64([0.0, 1.0])).item() == pytest.approx(2.0)
+    def dist(a, b):
+        return float(dm.pairwise_sq_euclidean(t64([a]), t64([b])).data[0, 0])
+
+    assert dist([1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert dist([1.0, 0.0], [0.0, 1.0]) == pytest.approx(2.0)
     rng = np.random.default_rng(11)
     a, b = rng.normal(size=6), rng.normal(size=6)
-    got = dm.squared_euclidean(t64(a), t64(b)).item()
-    assert got == pytest.approx(loop_squared_euclidean(a, b), rel=1e-12)
+    assert dist(a, b) == pytest.approx(loop_squared_euclidean(a, b), rel=1e-12)
 
 
 def test_squared_euclidean_gradient_analytic():
     # x - p = (1, 2) -> d loss / d x = 2 (x - p) = (2, 4)
-    x = t64([3.0, 5.0])
-    p = t64([2.0, 3.0], grad=False)
-    _, (gx,) = dm.value_and_grad(dm.squared_euclidean(x, p), [x])
-    np.testing.assert_allclose(gx, [2.0, 4.0], atol=1e-12)
-
-
-def test_cosine_sim_values():
-    v = t64([0.3, -1.2, 0.5], grad=False)
-    assert dm.cosine_sim(v, v).item() == pytest.approx(1.0, abs=1e-12)
-    assert dm.cosine_sim(t64([1.0, 0.0]), t64([0.0, 1.0])).item() == pytest.approx(0.0, abs=1e-12)
-    rng = np.random.default_rng(5)
-    a, b = rng.normal(size=8), rng.normal(size=8)
-    got = dm.cosine_sim(t64(a), t64(b)).item()
-    assert got == pytest.approx(loop_cosine(a, b), abs=1e-12)
-
-
-def test_cosine_sim_rejects_near_zero_norm():
-    with pytest.raises(dm.ZeroNormError):
-        dm.cosine_sim(t64([0.0, 0.0]), t64([1.0, 0.0]))
+    x = t64([[3.0, 5.0]])
+    p = t64([[2.0, 3.0]], grad=False)
+    _, (gx,) = dm.value_and_grad(dm.sum(dm.pairwise_sq_euclidean(x, p)), [x])
+    np.testing.assert_allclose(gx, [[2.0, 4.0]], atol=1e-12)
 
 
 def test_value_and_grad_simple_analytic():
@@ -90,7 +77,7 @@ def test_shape_mismatch_raises():
     with pytest.raises(dm.ShapeError):
         dm.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
     with pytest.raises(dm.ShapeError):
-        dm.squared_euclidean(t64([1.0]), t64([1.0, 2.0]))
+        dm.pairwise_sq_euclidean(t64([[1.0]]), t64([[1.0, 2.0]]))
 
 
 def test_determinism_bit_identical():
@@ -152,8 +139,6 @@ def _op_cases(rng):
         "mean": (lambda ts: dm.mean(ts[0], axis=0), [rng.normal(size=(n, m))], (m,)),
         "max": (lambda ts: dm.amax(ts[0], axis=1), [rng.normal(size=(n, m))], (n,)),
         "take_rows": (lambda ts: dm.take_rows(ts[0], [2, 0, 2]), [rng.normal(size=(n, m))], (3, m)),
-        "squared_euclidean": (lambda ts: dm.squared_euclidean(ts[0], ts[1]), [rng.normal(size=m), rng.normal(size=m)], ()),
-        "cosine_sim": (lambda ts: dm.cosine_sim(ts[0], ts[1]), [rng.normal(size=m) + 2.0, rng.normal(size=m) - 2.0], ()),
         "pairwise_sq_euclidean": (lambda ts: dm.pairwise_sq_euclidean(ts[0], ts[1]), [rng.normal(size=(n, m)), rng.normal(size=(k, m))], (n, k)),
     }
 
@@ -177,11 +162,12 @@ def test_gradient_check_per_op_100_seeds(op_name):
 
 
 def test_op_vocabulary_is_complete():
-    vocab = dm.op_vocabulary()
+    # the module's exported names are its differentiable-operation contract
     for name in ["matmul", "add", "mul", "scale", "concat", "softmax", "leaky_relu",
-                 "elu", "exp", "log", "sum", "mean", "max",
-                 "squared_euclidean", "cosine_sim"]:
-        assert callable(vocab[name])
+                 "elu", "exp", "log", "sum", "mean", "amax", "pairwise_sq_euclidean"]:
+        assert name in dm.__all__
+    for name in dm.__all__:
+        assert callable(getattr(dm, name))
 
 
 def test_elu_passes_large_positive_inputs_through():
@@ -209,6 +195,16 @@ def test_elu_is_byte_equal_to_the_two_branch_form(dtype):
     assert out.dtype == grad.dtype == dtype
     assert out.data.tobytes() == want.tobytes()
     assert grad.tobytes() == want_vjp(g).tobytes()
+
+
+def test_elu_blocks_equal_the_two_branch_form(monkeypatch):
+    # 33 entries in blocks of 7: four full blocks and a ragged one
+    monkeypatch.setattr(dm, "_ELU_BLOCK", 7)
+    a = np.random.default_rng(32).normal(size=(3, 11)).astype(np.float32) * 3
+    want, _ = where_elu(a)
+    assert dm.elu(dm.tensor(a)).data.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        dm.elu_inplace(a[:, ::2])
 
 
 def test_elu_of_negative_zero_equals_the_two_branch_value():

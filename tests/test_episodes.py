@@ -124,3 +124,24 @@ def test_finetune_determinism_and_session_guard():
     assert a == b
     with pytest.raises(ValueError):
         ep.sample_finetune_episode(0, stream, cfg, ep.episode_rng(0, 0, 0))
+
+
+def test_finetune_episodes_match_the_node_loop_candidates(monkeypatch):
+    # the array candidates keep the loop's order, so every draw picks the same queries
+    from oracles import loop_query_candidates
+    stream = small_stream(seed=4, classes=7, per_class=25)
+    configs = [ep.SamplerConfig(k_max=5, k_qry=6), ep.SamplerConfig(k_max=19, k_qry=11),
+               ep.SamplerConfig(k_max=1, k_qry=3, old_query_bias=0.2)]
+
+    def episodes():
+        out = []
+        for i in range(200):
+            session = 1 + i % stream.num_sessions
+            rng = ep.episode_rng(9, session, i)
+            out.append((ep.sample_finetune_episode(session, stream, configs[i % 3], rng),
+                        rng.random()))
+        return out
+
+    fast = episodes()
+    monkeypatch.setattr(ep, "_query_candidates", loop_query_candidates)
+    assert fast == episodes()

@@ -267,9 +267,9 @@ _MALFORMED = {
                    "{e}:2: non-integer node index"),
     "edge_empty_field": ("0\t\n", _LABELS3, gs.DatasetFormatError,
                          "{e}:1: non-integer node index"),
-    # an index past int64 parses as an int; the array conversion then fails
-    "edge_overflow": ("0\t99999999999999999999\n", _LABELS3, OverflowError,
-                      "Python int too large to convert to C long"),
+    # an index past int64 parses as an int and is out of range like any other
+    "edge_overflow": ("0\t99999999999999999999\n", _LABELS3, gs.NodeIdError,
+                      "{e}:1: edge endpoint out of range: (0, 99999999999999999999)"),
     "edge_non_ascii_letter": ("0\t1Ǿ\n", _LABELS3, gs.DatasetFormatError,
                               "{e}:1: non-integer node index"),
     "edge_control_char": ("0\t1\x1f\n", _LABELS3, gs.DatasetFormatError,
@@ -313,14 +313,15 @@ def test_loader_error_kind_and_message(tmp_path, case):
     assert type(info.value) is kind and str(info.value) == expected
 
 
-@pytest.mark.parametrize("edges, labels, kind, prefix", [
-    ("0\t5\n", _LABELS3, gs.NodeIdError, "edge endpoint out of range: "),
+@pytest.mark.parametrize("edges, labels, kind, message", [
+    ("1\t2\n\n0\t5\n", _LABELS3, gs.NodeIdError, "{e}:3: edge endpoint out of range: (0, 5)"),
     ("1\t0\n2\t2\n", _LABELS3, gs.SelfLoopError, "self-loop on node 2"),
 ], ids=["endpoint_out_of_range", "self_loop"])
-def test_loader_graph_errors(tmp_path, edges, labels, kind, prefix):
+def test_loader_graph_errors(tmp_path, edges, labels, kind, message):
     write_dataset_by_hand(tmp_path, np.zeros((3, 1), dtype=np.float32), edges, labels)
-    with pytest.raises(kind, match=f"^{prefix}"):
+    with pytest.raises(kind) as info:
         gs.load_graph(tmp_path)
+    assert str(info.value) == message.format(e=tmp_path / "edges.tsv")
 
 
 def test_array_parse_reads_what_the_line_scan_reads(tmp_path, monkeypatch):
@@ -559,3 +560,12 @@ def test_unlabeled_nodes_ride_along_in_snapshots():
     base = stream.snapshots[0]
     assert set(int(v) for v in base.node_ids) == {0, 1}
     assert gs.UNLABELED in base.labels
+
+
+def test_make_graph_errors_show_plain_ints():
+    with pytest.raises(gs.NodeIdError) as info:
+        gs.make_graph(np.zeros((3, 1)), [(0, 5)], [0, 0, 0])
+    assert str(info.value) == "edge endpoint out of range: (0, 5)"
+    with pytest.raises(gs.SelfLoopError) as info:
+        gs.make_graph(np.zeros((3, 1)), np.array([(2, 2)]), [0, 0, 0])
+    assert str(info.value) == "self-loop on node 2"
