@@ -16,6 +16,17 @@ Conventions:
     faults (overflow, invalid, divide-by-zero) raise ``NonFiniteError``,
     and matrix products are checked explicitly since BLAS bypasses the
     FPU-flag machinery.
+
+Fused ops.  Each tape node costs far more Python than its arithmetic on the
+small arrays of an episode, so the hot compositions are single ops with a
+hand-derived vjp, written with the numpy expressions of the op chains they
+replaced (kept in the tests as oracles): ``pairwise_sq_euclidean`` here,
+``backbone.gat_layer``, ``prototypes.refine_prototype`` and
+``losses.uniformity_loss``.  ``pairwise_sq_euclidean`` keeps its operands
+and the mask of distances above 0.  An input that the chain read in several
+places is a parent once per place, and the vjp returns one gradient term per
+place: the tape adds the terms in the chain's order, also when the input
+collects gradient from outside the op, so gradients stay byte-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ __all__ = [
     "Tensor", "ShapeError", "NonFiniteError",
     "tensor", "constant",
     "add", "sub", "mul", "div", "neg", "scale",
-    "matmul", "concat", "stack", "reshape", "transpose", "take_rows",
+    "matmul", "concat", "reshape", "transpose", "take_rows",
     "exp", "log", "sqrt", "clip", "leaky_relu", "elu",
     "elu_inplace", "elu_grad",
     "softmax", "log_softmax", "segment_softmax",
@@ -64,6 +75,14 @@ def _all_finite(arr: np.ndarray) -> bool:
     """Whether ``arr`` holds no NaN or Inf.  Its min and max are finite exactly
     when every entry is (both propagate NaN), so no elementwise mask is built."""
     return not arr.size or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
+def _finite_matmul(x: np.ndarray, y: np.ndarray, op: str) -> np.ndarray:
+    """x @ y, checked for NaN and Inf (BLAS raises no floating-point flags)."""
+    out = np.matmul(x, y)
+    if not _all_finite(out):
+        raise NonFiniteError(f"{op}: non-finite result")
+    return out
 
 
 class Tensor:
@@ -236,9 +255,7 @@ def matmul(a: Tensor, b) -> Tensor:
         raise ShapeError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
-    if not _all_finite(out):
-        raise NonFiniteError("matmul: non-finite result")
+    out = _finite_matmul(a.data, b.data, "matmul")
 
     def vjp(g):
         ad, bd = a.data, b.data
@@ -268,19 +285,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _result(out, parts, vjp)
-
-
-def stack(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length 1-D tensors into a matrix, one row each."""
-    vectors = tuple(vectors)
-    if not vectors:
-        raise ShapeError("stack: empty input")
-    out = np.stack([v.data for v in vectors], axis=0)
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(vectors)))
-
-    return _result(out, vectors, vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -499,14 +503,36 @@ def amin(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # metric-space helpers
 
 def pairwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
-    """Squared Euclidean distances between all row pairs: [n x d], [m x d] -> [n x m]."""
+    """Squared Euclidean distances between all row pairs: [n x d], [m x d] -> [n x m].
+
+    One op: |a_i|^2 + |b_j|^2 - 2 a_i . b_j, clipped at 0, with the
+    arithmetic of the op chain it replaced.  It keeps the operands and the
+    mask of entries above 0; a distance clipped to 0 gets no gradient.  Each
+    operand is a parent once per place the chain read it (two squared-norm
+    factors and the cross product), so the tape adds its three gradient terms
+    in the chain's order and gradients stay byte-identical to it.
+    """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"pairwise_sq_euclidean: incompatible shapes {a.shape}, {b.shape}")
-    a2 = sum(mul(a, a), axis=1, keepdims=True)            # [n,1]
-    b2 = reshape(sum(mul(b, b), axis=1), (1, b.shape[0]))  # [1,m]
-    cross = matmul(a, transpose(b))                        # [n,m]
-    d = add(add(a2, b2), scale(cross, -2.0))
-    return clip(d, 0.0, None)
+    b = _as_tensor(b, a)
+    ad, bd = a.data, b.data
+    with _fpe_guard("pairwise_sq_euclidean"):
+        a2 = (ad * ad).sum(axis=1, keepdims=True)                    # [n,1]
+        b2 = (bd * bd).sum(axis=1).reshape(1, bd.shape[0])           # [1,m]
+        d = a2 + b2
+        d += _finite_matmul(ad, bd.T, "pairwise_sq_euclidean") * ad.dtype.type(-2.0)
+    inside = d > 0
+    out = np.clip(d, 0.0, None)
+
+    def vjp(g):
+        g = np.where(inside, g, 0)
+        g_cross = g * -2.0
+        ta = _unbroadcast(g, a2.shape) * ad if a.requires_grad else None
+        tb = _unbroadcast(g, b2.shape).reshape(bd.shape[0], 1) * bd if b.requires_grad else None
+        return (ta, ta, None if ta is None else g_cross @ bd,
+                tb, tb, None if tb is None else (ad.T @ g_cross).T)
+
+    return _result(out, (a, a, a, b, b, b), vjp)
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:

@@ -7,6 +7,10 @@ aligned neighbor pair; inter-class separability pushes novel prototypes away
 from their nearest old prototype.  Distillation matches the student's
 temperature-softened old-class distribution to a frozen teacher's.
 
+Proximity, separability and the softened logits measure distances with the
+fused ``dm.pairwise_sq_euclidean``; uniformity is one fused op of its own
+(see ``uniformity_loss``).
+
 Sign note: logits are *negative* scaled distances, so the nearest prototype
 gets the largest probability, consistent with nearest-prototype prediction.
 The sign is exposed for ablation.
@@ -109,31 +113,57 @@ def uniformity_loss(prototypes: PrototypeSet) -> Tensor:
     A prototype coincident with the center has no direction; its row is
     replaced by a seeded random unit vector (and the event logged), which
     carries no gradient.
+
+    One op with the arithmetic of the op chain it replaced.  For its backward
+    it keeps the centered rows, their norms and directions, and each row's
+    nearest neighbor, the first maximal entry (where ``dm.amax`` routes the
+    subgradient).  The prototypes are a parent twice, as the centered rows and
+    through the center, so the tape adds those two gradient terms in the
+    chain's order.
     """
     c = len(prototypes)
     if c < 2:
         raise ValueError("uniformity_loss needs at least two prototypes")
     vecs = prototypes.vectors
-    center = dm.reshape(prototype_center(prototypes), (1, prototypes.dim))
-    diffs = dm.sub(vecs, center)
-    raw_norms = np.sqrt((diffs.data.astype(np.float64) ** 2).sum(axis=1))
+    v = vecs.data
+    dtype = v.dtype
+    inv_c = 1.0 / c
+    with dm._fpe_guard("uniformity_loss"):
+        diffs = v - (v.sum(axis=0) * dtype.type(inv_c)).reshape(1, prototypes.dim)
+    raw_norms = np.sqrt((diffs.astype(np.float64) ** 2).sum(axis=1))
     degenerate = raw_norms < CENTER_COLLAPSE_EPS
+    keep = None
     if degenerate.any():
         log.warning("%d prototype(s) coincide with the center; substituting random directions",
                     int(degenerate.sum()))
-        keep = np.where(degenerate, 0.0, 1.0).astype(vecs.dtype)
-        subst = np.zeros(vecs.shape, dtype=vecs.dtype)
+        keep = np.where(degenerate, 0.0, 1.0).astype(dtype)[:, None]
+        subst = np.zeros(v.shape, dtype=dtype)
         for i in np.nonzero(degenerate)[0]:
-            v = np.random.default_rng([9041, int(i)]).normal(size=prototypes.dim)
-            subst[i] = (v / np.linalg.norm(v)).astype(vecs.dtype)
-        diffs = dm.add(dm.mul(diffs, dm.constant(keep[:, None], dtype=vecs.dtype)),
-                       dm.constant(subst, dtype=vecs.dtype))
-    norms = dm.sqrt(dm.sum(dm.mul(diffs, diffs), axis=1, keepdims=True))
-    dirs = dm.div(diffs, norms)
-    cos = dm.matmul(dirs, dm.transpose(dirs))
-    mask = dm.constant(np.diag(np.full(c, -3.0)).astype(vecs.dtype), dtype=vecs.dtype)
-    nearest = dm.amax(dm.add(cos, mask), axis=1)
-    return dm.add(dm.mean(nearest), 1.0)
+            r = np.random.default_rng([9041, int(i)]).normal(size=prototypes.dim)
+            subst[i] = (r / np.linalg.norm(r)).astype(dtype)
+    with dm._fpe_guard("uniformity_loss"):
+        if keep is not None:
+            diffs = diffs * keep + subst
+        norms = np.sqrt((diffs * diffs).sum(axis=1, keepdims=True))
+        dirs = diffs / norms
+        cos = dm._finite_matmul(dirs, dirs.T, "uniformity_loss")
+        cos += np.diag(np.full(c, -3.0)).astype(dtype)
+        nearest = cos.argmax(axis=1)
+        out = cos.max(axis=1).sum() * dtype.type(inv_c) + np.asarray(1.0, dtype=dtype)
+
+    def vjp(g):
+        g_cos = np.zeros((c, c), dtype=dtype)
+        g_cos[np.arange(c), nearest] = np.asarray(g * inv_c, dtype=dtype)
+        g_dirs = g_cos @ dirs + (dirs.T @ g_cos).T
+        g_norms = (-g_dirs * diffs / (norms * norms)).sum(axis=1, keepdims=True)
+        t = g_norms * 0.5 / norms * diffs
+        g_diffs = g_dirs / norms + t + t
+        if keep is not None:
+            g_diffs = g_diffs * keep
+        g_center = (-g_diffs).sum(axis=0) * inv_c
+        return g_diffs, np.broadcast_to(g_center, v.shape)
+
+    return dm._result(out, (vecs, vecs), vjp)
 
 
 def separability_loss(novel_vectors: Tensor, old_vectors: Tensor) -> Tensor:

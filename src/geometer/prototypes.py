@@ -17,6 +17,13 @@ matrix sums each head's query-key products into [N x H] scores, one segment
 softmax normalizes every (class, head) pair, and a constant [C x N] matrix
 pools the weighted values back to one row per class.  Segments stay ragged,
 with no padding and no mask, and each class sees only its own supports.
+
+The refinement is one autodiff op with a hand-derived vjp, in the arithmetic
+of the op chain it replaced.  For its backward it keeps the sequence, the
+per-row queries, the keys, the values, the attention weights spread over the
+dimensions, and the segment softmax, whose vjp it reuses.  The initial
+prototypes are a parent three times (residual, query, sequence), so the tape
+adds their gradient terms in the chain's order.
 """
 
 from __future__ import annotations
@@ -170,7 +177,10 @@ def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Te
     class's support rows, ``lens[c]`` of them for class c (default: all rows
     belong to the one class).  Returns the refined prototypes, shaped like
     ``initial``, plus the attention weights [heads x (C + sum(lens))] over the
-    class-by-class segments [initial_c; supports_c] if requested.
+    class-by-class segments [initial_c; supports_c] if requested (values only:
+    they carry no gradient).
+
+    All classes and heads are one autodiff op (see the module docstring).
     """
     d = params.out_dim
     if initial.ndim not in (1, 2) or initial.shape[-1] != d or supports.ndim != 2 \
@@ -178,6 +188,9 @@ def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Te
         raise dm.ShapeError(
             f"dimension mismatch: prototype {initial.shape}, supports "
             f"{supports.shape}, params expect dim {d}")
+    dtype = params.dtype
+    if initial.dtype != dtype or supports.dtype != dtype:
+        raise dm.ShapeError(f"mixed dtypes {initial.dtype}, {supports.dtype} vs {dtype}")
     init = dm.reshape(initial, (1, d)) if initial.ndim == 1 else initial
     c = init.shape[0]
     lens = np.array([supports.shape[0]]) if lens is None else np.asarray(lens, dtype=np.int64)
@@ -191,28 +204,47 @@ def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Te
     owner = np.repeat(np.arange(c), seg_lens)
     order = c + np.arange(n) - owner - 1      # positions in concat([init, supports])
     order[starts] = np.arange(c)
-    seq = dm.take_rows(dm.concat([init, supports], axis=0), order)             # [N x d]
-
-    dtype = params.dtype
     d_k = params.d_k
+    scale = float(1.0 / np.sqrt(d_k))
     head_of = np.zeros((d, params.heads), dtype=dtype)                          # [d x H]
     head_of[np.arange(d), np.arange(d) // d_k] = 1
     pool = np.zeros((c, n), dtype=dtype)                                        # [C x N]
     pool[owner, np.arange(n)] = 1
 
-    queries = dm.matmul(init, dm.transpose(params.wq))                         # [C x d]
-    keys = dm.matmul(seq, dm.transpose(params.wk))                             # [N x d]
-    values = dm.matmul(seq, dm.transpose(params.wv))                           # [N x d]
-    products = dm.mul(dm.take_rows(queries, owner), keys)
-    scores = dm.scale(dm.matmul(products, dm.constant(head_of, dtype)), 1.0 / np.sqrt(d_k))
-    attn = dm.segment_softmax(scores, starts, seg_lens)                         # [N x H]
-    weighted = dm.mul(dm.matmul(attn, dm.constant(head_of.T, dtype)), values)  # [N x d]
-    refined = dm.add(init, dm.matmul(dm.constant(pool, dtype), weighted))
+    x0, wq, wk, wv = init.data, params.wq.data, params.wk.data, params.wv.data
+    # in the order the chain's tape reached them, the initial prototypes once per use
+    parents = (params.wq, params.wk, init, init, init, supports, params.wv)
+    track = any(p.requires_grad for p in parents)
+    seq = np.concatenate([x0, supports.data], axis=0)[order]                   # [N x d]
+    op = "refine_prototype"
+    with dm._fpe_guard(op):
+        q_rows = dm._finite_matmul(x0, wq.T, op)[owner]                         # [N x d]
+        keys = dm._finite_matmul(seq, wk.T, op)                                 # [N x d]
+        values = dm._finite_matmul(seq, wv.T, op)                               # [N x d]
+        scores = dm._finite_matmul(q_rows * keys, head_of, op) * dtype.type(scale)
+        attn = dm.segment_softmax(Tensor(scores, requires_grad=track), starts, seg_lens)
+        spread = dm._finite_matmul(attn.data, head_of.T, op)                    # [N x d]
+        refined = x0 + dm._finite_matmul(pool, spread * values, op)             # [C x d]
+
+    def vjp(g):
+        g_weighted = pool.T @ g
+        (g_scores,) = attn._vjp((g_weighted * values) @ head_of)
+        g_products = (g_scores * scale) @ head_of.T
+        g_queries = np.zeros((c, d), dtype=dtype)
+        np.add.at(g_queries, owner, g_products * keys)
+        g_keys = g_products * q_rows
+        g_values = g_weighted * spread
+        g_cat = np.zeros((c + supports.shape[0], d), dtype=dtype)
+        np.add.at(g_cat, order, g_keys @ wk + g_values @ wv)
+        return ((x0.T @ g_queries).T, (seq.T @ g_keys).T,
+                g, g_queries @ wq, g_cat[:c], g_cat[c:], (seq.T @ g_values).T)
+
+    out = dm._result(refined, parents, vjp)
     if initial.ndim == 1:
-        refined = dm.reshape(refined, (d,))
+        out = dm.reshape(out, (d,))
     if with_weights:
-        return refined, dm.transpose(attn)
-    return refined
+        return out, Tensor(attn.data.T)
+    return out
 
 
 def compute_prototypes(embeddings: Tensor, supports: Mapping[int, Sequence[int]],

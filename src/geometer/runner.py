@@ -95,13 +95,11 @@ class ModelState:
 class SessionMetrics:
     session_index: int
     accuracy_mean: float
-    accuracy_std: float
     per_class: dict
     wall_time: float
 
     def to_record(self) -> dict:
         return {"session": self.session_index, "mean": self.accuracy_mean,
-                "std": self.accuracy_std,
                 "per_class": {str(k): v for k, v in sorted(self.per_class.items())},
                 "seconds": self.wall_time}
 
@@ -375,12 +373,11 @@ def predict_nodes(model: ModelState, g: Graph, nodes, embeddings=None) -> list:
 
 
 def evaluate_session(model: ModelState, stream: SessionStream, session: int,
-                     seeds=None, *, embeddings=None) -> SessionMetrics:
+                     *, embeddings=None) -> SessionMetrics:
     """Accuracy over the eval pools of every class encountered by ``session``.
 
-    Prediction is deterministic, so per-seed entries are identical; seed
-    spread across independently trained runs is aggregated by the reporting
-    command instead.  ``embeddings`` (the session snapshot encoded by the
+    The spread across independently trained seeds is the reporting
+    command's to compute.  ``embeddings`` (the session snapshot encoded by the
     model, such as ``model.embeddings`` straight after its stage) saves the
     full-graph encode.
     """
@@ -403,12 +400,8 @@ def evaluate_session(model: ModelState, stream: SessionStream, session: int,
     for cls in classes:
         mask = labels == cls
         per_class[int(cls)] = float((predictions[mask] == cls).mean())
-    accuracy = float((predictions == labels).mean())
-    repeats = max(1, len(seeds) if seeds is not None else 1)
-    samples = np.full(repeats, accuracy)
     return SessionMetrics(
         session_index=session,
-        accuracy_mean=float(samples.mean()),
-        accuracy_std=float(samples.std()),
+        accuracy_mean=float((predictions == labels).mean()),
         per_class=per_class,
         wall_time=time.perf_counter() - started)

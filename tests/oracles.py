@@ -3,13 +3,16 @@
 Everything here is deliberately dumb and slow: explicit loops and central
 finite differences, kept apart from the library code they check.  The
 prototype oracle builds on the autodiff ops so that its gradients can be
-compared too.
+compared too, and the ``chain_*`` functions are the op chains that the fused
+distance, refinement and uniformity ops replaced: the fused ops must match
+them byte for byte.
 """
 
 import numpy as np
 
 import geometer.diffmath as dm
 import geometer.graph_store as gs
+import geometer.losses as ls
 
 
 def central_differences(f, arrays, step=1e-5):
@@ -42,6 +45,94 @@ def loop_squared_euclidean(a, b):
     for x, y in zip(a, b):
         total += (x - y) ** 2
     return total
+
+
+def stack(vectors):
+    """Stack equal-length 1-D tensors into a matrix, one row each."""
+    vectors = tuple(vectors)
+    if not vectors:
+        raise dm.ShapeError("stack: empty input")
+    out = np.stack([v.data for v in vectors], axis=0)
+
+    def vjp(g):
+        return tuple(g[i] for i in range(len(vectors)))
+
+    return dm._result(out, vectors, vjp)
+
+
+def chain_pairwise_sq_euclidean(a, b):
+    """Squared Euclidean distances between all row pairs, one op per step."""
+    a2 = dm.sum(dm.mul(a, a), axis=1, keepdims=True)                  # [n,1]
+    b2 = dm.reshape(dm.sum(dm.mul(b, b), axis=1), (1, b.shape[0]))    # [1,m]
+    cross = dm.matmul(a, dm.transpose(b))                             # [n,m]
+    d = dm.add(dm.add(a2, b2), dm.scale(cross, -2.0))
+    return dm.clip(d, 0.0, None)
+
+
+def chain_uniformity_loss(prototypes):
+    """Mean over classes of 1 + max cosine to any other centered direction,
+    one op per step, with the same degenerate-center substitution."""
+    c = len(prototypes)
+    vecs = prototypes.vectors
+    center = dm.reshape(dm.mean(vecs, axis=0), (1, prototypes.dim))
+    diffs = dm.sub(vecs, center)
+    raw_norms = np.sqrt((diffs.data.astype(np.float64) ** 2).sum(axis=1))
+    degenerate = raw_norms < ls.CENTER_COLLAPSE_EPS
+    if degenerate.any():
+        ls.log.warning(
+            "%d prototype(s) coincide with the center; substituting random directions",
+            int(degenerate.sum()))
+        keep = np.where(degenerate, 0.0, 1.0).astype(vecs.dtype)
+        subst = np.zeros(vecs.shape, dtype=vecs.dtype)
+        for i in np.nonzero(degenerate)[0]:
+            v = np.random.default_rng([9041, int(i)]).normal(size=prototypes.dim)
+            subst[i] = (v / np.linalg.norm(v)).astype(vecs.dtype)
+        diffs = dm.add(dm.mul(diffs, dm.constant(keep[:, None], dtype=vecs.dtype)),
+                       dm.constant(subst, dtype=vecs.dtype))
+    norms = dm.sqrt(dm.sum(dm.mul(diffs, diffs), axis=1, keepdims=True))
+    dirs = dm.div(diffs, norms)
+    cos = dm.matmul(dirs, dm.transpose(dirs))
+    mask = dm.constant(np.diag(np.full(c, -3.0)).astype(vecs.dtype), dtype=vecs.dtype)
+    nearest = dm.amax(dm.add(cos, mask), axis=1)
+    return dm.add(dm.mean(nearest), 1.0)
+
+
+def chain_refine_prototype(params, initial, supports, lens=None, with_weights=False):
+    """Batched prototype refinement over the ragged class segments, one op
+    per step: Q/K/V matmuls, a head-indicator matmul for the per-head scores,
+    one segment softmax and a pooling matmul."""
+    d = params.out_dim
+    init = dm.reshape(initial, (1, d)) if initial.ndim == 1 else initial
+    c = init.shape[0]
+    lens = np.array([supports.shape[0]]) if lens is None else np.asarray(lens, dtype=np.int64)
+    seg_lens = lens + 1
+    starts = np.cumsum(seg_lens) - seg_lens
+    n = int(seg_lens.sum())
+    owner = np.repeat(np.arange(c), seg_lens)
+    order = c + np.arange(n) - owner - 1      # positions in concat([init, supports])
+    order[starts] = np.arange(c)
+    seq = dm.take_rows(dm.concat([init, supports], axis=0), order)             # [N x d]
+
+    dtype = params.dtype
+    d_k = params.d_k
+    head_of = np.zeros((d, params.heads), dtype=dtype)                          # [d x H]
+    head_of[np.arange(d), np.arange(d) // d_k] = 1
+    pool = np.zeros((c, n), dtype=dtype)                                        # [C x N]
+    pool[owner, np.arange(n)] = 1
+
+    queries = dm.matmul(init, dm.transpose(params.wq))                         # [C x d]
+    keys = dm.matmul(seq, dm.transpose(params.wk))                             # [N x d]
+    values = dm.matmul(seq, dm.transpose(params.wv))                           # [N x d]
+    products = dm.mul(dm.take_rows(queries, owner), keys)
+    scores = dm.scale(dm.matmul(products, dm.constant(head_of, dtype)), 1.0 / np.sqrt(d_k))
+    attn = dm.segment_softmax(scores, starts, seg_lens)                         # [N x H]
+    weighted = dm.mul(dm.matmul(attn, dm.constant(head_of.T, dtype)), values)  # [N x d]
+    refined = dm.add(init, dm.matmul(dm.constant(pool, dtype), weighted))
+    if initial.ndim == 1:
+        refined = dm.reshape(refined, (d,))
+    if with_weights:
+        return refined, dm.transpose(attn)
+    return refined
 
 
 def loop_query_candidates(pools, class_list, taken):
@@ -97,7 +188,7 @@ def loop_prototypes(embeddings, supports, g, params, mode="attention", rows=None
             values = dm.matmul(seq, dm.transpose(dm.take_rows(params.wv, cut)))
             head_outs.append(dm.matmul(attn, values))
         vectors.append(dm.add(init, dm.concat(head_outs, axis=0)))
-    return dm.stack(vectors)
+    return stack(vectors)
 
 
 def seed_segment_softmax(scores, starts, lens):

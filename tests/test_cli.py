@@ -103,7 +103,8 @@ def test_full_cli_pipeline(workspace):
         assert int(arrays["meta/seed"][0]) == seed
         lines = (tmp_path / "runs" / f"metrics_seed{seed}.jsonl").read_text().splitlines()
         rec = json.loads(lines[0])
-        assert rec["session"] == 0 and {"mean", "std", "per_class", "seconds"} <= set(rec)
+        assert rec["session"] == 0 and {"mean", "per_class", "seconds"} <= set(rec)
+        assert "std" not in rec        # the spread across seeds is the report's
     assert cli.main(["stream", "--config", str(cfg_path)]) == 0
     for seed in (0, 1):
         lines = (tmp_path / "runs" / f"metrics_seed{seed}.jsonl").read_text().splitlines()
@@ -190,7 +191,7 @@ def test_report_single_seed_zero_std(workspace):
     run_dir.mkdir()
     for session, acc in ((0, 0.9), (1, 0.8)):
         cli._append_record(run_dir / "metrics_seed0.jsonl",
-                           {"session": session, "mean": acc, "std": 0.0,
+                           {"session": session, "mean": acc,
                             "per_class": {}, "seconds": 0.1, "seed": 0})
     summary = cli.summarize_records(cli.load_run_records(cfg))
     assert all(row["std"] == 0.0 for row in summary["sessions"])
@@ -204,7 +205,7 @@ def test_report_statistics_match_population_std(workspace):
     accs = {seed: float(rng.random()) for seed in range(5)}
     for seed, acc in accs.items():
         cli._append_record(run_dir / f"metrics_seed{seed}.jsonl",
-                           {"session": 0, "mean": acc, "std": 0.0,
+                           {"session": 0, "mean": acc,
                             "per_class": {}, "seconds": 0.1, "seed": seed})
     summary = cli.summarize_records(cli.load_run_records(cfg))
     values = np.array([accs[s] for s in sorted(accs)])
@@ -217,17 +218,17 @@ def test_report_inconsistent_sessions_rejected(workspace):
     run_dir = tmp_path / "runs"
     run_dir.mkdir()
     cli._append_record(run_dir / "metrics_seed0.jsonl",
-                       {"session": 0, "mean": 0.5, "std": 0, "per_class": {},
+                       {"session": 0, "mean": 0.5, "per_class": {},
                         "seconds": 0, "seed": 0})
     cli._append_record(run_dir / "metrics_seed1.jsonl",
-                       {"session": 1, "mean": 0.5, "std": 0, "per_class": {},
+                       {"session": 1, "mean": 0.5, "per_class": {},
                         "seconds": 0, "seed": 1})
     with pytest.raises(cli.ReportError):
         cli.summarize_records(cli.load_run_records(cfg))
 
 
 def _record(seed, session, mode="geometer"):
-    return {"session": session, "mean": 0.5, "std": 0, "per_class": {},
+    return {"session": session, "mean": 0.5, "per_class": {},
             "seconds": 0, "seed": seed, "mode": mode}
 
 

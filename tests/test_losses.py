@@ -1,10 +1,12 @@
+import zlib
+
 import numpy as np
 import pytest
 
 import geometer.diffmath as dm
 import geometer.losses as ls
 import geometer.prototypes as pt
-from oracles import central_differences, grad_relative_error
+from oracles import central_differences, chain_uniformity_loss, grad_relative_error
 
 F64 = np.float64
 
@@ -144,6 +146,52 @@ def test_uniformity_center_collapse_substitutes_random_direction(caplog):
     assert any("random direction" in r.message for r in caplog.records)
 
 
+def _uniformity_and_grad(fn, vectors, dtype):
+    t = dm.tensor(np.asarray(vectors, dtype=dtype), requires_grad=True, dtype=dtype)
+    out = fn(pt.PrototypeSet(tuple(range(len(vectors))), t, ("computed",) * len(vectors)))
+    _, (grad,) = dm.value_and_grad(dm.scale(out, 0.7), [t])
+    return out.data, grad
+
+
+UNIFORMITY_CASES = {
+    "random": np.random.default_rng(35).normal(size=(4, 5)),
+    "two": np.random.default_rng(36).normal(size=(2, 3)),
+    "many": np.random.default_rng(37).normal(size=(40, 16)) * 2,
+    # each row's two nearest directions tie exactly at cosine 0
+    "tie": np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]) + [3.0, -2.0],
+    # the middle prototype sits on the center and gets a random direction
+    "degenerate": np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", sorted(UNIFORMITY_CASES))
+def test_uniformity_is_byte_equal_to_the_op_chain(case, dtype, caplog):
+    import logging
+    vectors = UNIFORMITY_CASES[case]
+    with caplog.at_level(logging.WARNING, logger="geometer.losses"):
+        value, grad = _uniformity_and_grad(ls.uniformity_loss, vectors, dtype)
+    warned = [r.message for r in caplog.records]
+    assert any("random direction" in m for m in warned) == (case == "degenerate")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="geometer.losses"):
+        want, want_grad = _uniformity_and_grad(chain_uniformity_loss, vectors, dtype)
+    assert warned == [r.message for r in caplog.records]
+    assert value.dtype == grad.dtype == dtype
+    assert value.tobytes() == want.tobytes() and grad.tobytes() == want_grad.tobytes()
+
+
+def test_uniformity_tie_routes_to_the_first_nearest_direction():
+    # centered unit directions u0..u3 = +x, +y, -x, -y; each row's two nearest
+    # tie at cosine 0, and the first wins: pairs (0,1), (1,0), (2,1), (3,0).
+    # At cosine 0, d cos(ui, uj) / d ui = uj, so the direction gradients are
+    # u0: 2 u1 + u3, u1: 2 u0 + u2, u2: u1, u3: u0, each times 0.7 / 4, and
+    # the centering subtracts their mean
+    _, grad = _uniformity_and_grad(ls.uniformity_loss, UNIFORMITY_CASES["tie"], F64)
+    g_dirs = 0.7 / 4 * np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_allclose(grad, g_dirs - g_dirs.mean(axis=0), atol=1e-12)
+
+
 # --- separability ------------------------------------------------------------
 
 def test_separability_identical_prototype_is_one():
@@ -266,7 +314,50 @@ def test_inverse_frequency_alpha():
 # --- finite-difference gradient checks, 100 seeds per loss --------------------
 #
 # Each case builder returns (f, arrays) where f accepts ndarrays (for the
-# finite-difference oracle) or Tensors (for the analytic gradient).
+# finite-difference oracle) or Tensors (for the analytic gradient).  Seeds are
+# salted with a CRC of the loss name, the same in every process.
+#
+# A central difference across a kink is no derivative, so a draw that puts a
+# kink within reach of the step (1e-5) is replaced by the next draw of the
+# same seeded stream:
+#   * uniformity takes each prototype's largest cosine to another centered
+#     direction: redraw the prototypes while a row's two largest cosines lie
+#     within KINK_GAP of each other;
+#   * separability takes each novel prototype's smallest squared distance to
+#     an old one: redraw the prototypes while a row's two smallest distances
+#     lie within KINK_GAP.
+# At the unit-normal scales drawn here one step moves a cosine or a distance
+# by far less than KINK_GAP.
+
+KINK_GAP = 1e-3
+
+
+def _top_gaps(matrix):
+    """Per row, the gap between its two largest entries (inf with one entry)."""
+    top = np.sort(matrix, axis=1)[:, -2:]
+    return top[:, 1] - top[:, 0] if matrix.shape[1] > 1 else np.full(len(matrix), np.inf)
+
+
+def _uniformity_clear(vectors):
+    dirs = vectors - vectors.mean(axis=0)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    cos = dirs @ dirs.T
+    np.fill_diagonal(cos, -np.inf)
+    return _top_gaps(cos).min() >= KINK_GAP
+
+
+def _separability_clear(novel, old):
+    dist = ((novel[:, None, :] - old[None, :, :]) ** 2).sum(axis=2)
+    return _top_gaps(-dist).min() >= KINK_GAP
+
+
+def _draw_until(rng, draw, clear):
+    """``draw(rng)``, drawn again from the same stream until ``clear`` holds."""
+    arrays = draw(rng)
+    while not clear(*arrays):
+        arrays = draw(rng)
+    return arrays
+
 
 def _fd_case_proximity(rng):
     protos_v = rng.normal(size=(3, 4))
@@ -281,7 +372,7 @@ def _fd_case_proximity(rng):
 
 
 def _fd_case_uniformity(rng):
-    protos_v = rng.normal(size=(4, 5))
+    (protos_v,) = _draw_until(rng, lambda r: (r.normal(size=(4, 5)),), _uniformity_clear)
 
     def f(arrs):
         return ls.uniformity_loss(proto_set(as_t(arrs[0])))
@@ -290,8 +381,8 @@ def _fd_case_uniformity(rng):
 
 
 def _fd_case_separability(rng):
-    novel = rng.normal(size=(2, 4))
-    old = rng.normal(size=(3, 4))
+    novel, old = _draw_until(rng, lambda r: (r.normal(size=(2, 4)), r.normal(size=(3, 4))),
+                             _separability_clear)
 
     def f(arrs):
         return ls.separability_loss(as_t(arrs[0]), as_t(arrs[1]))
@@ -314,7 +405,7 @@ def _fd_case_distillation(rng):
 
 
 def _fd_case_pretrain(rng):
-    protos_v = rng.normal(size=(3, 4))
+    (protos_v,) = _draw_until(rng, lambda r: (r.normal(size=(3, 4)),), _uniformity_clear)
     queries = rng.normal(size=(4, 4))
     labels = rng.integers(0, 3, size=4)
 
@@ -329,8 +420,9 @@ def _fd_case_pretrain(rng):
 
 
 def _fd_case_finetune(rng):
-    old_v = rng.normal(size=(2, 4))
-    novel_v = rng.normal(size=(2, 4))
+    old_v, novel_v = _draw_until(
+        rng, lambda r: (r.normal(size=(2, 4)), r.normal(size=(2, 4))),
+        lambda o, n: _uniformity_clear(np.concatenate([o, n])) and _separability_clear(n, o))
     queries = rng.normal(size=(4, 4))
     labels = rng.integers(0, 4, size=4)
     teacher = rng.random(size=(4, 2))
@@ -363,7 +455,7 @@ _FD_CASES = {
 @pytest.mark.parametrize("loss_name", sorted(_FD_CASES))
 def test_loss_gradients_match_finite_differences_100_seeds(loss_name):
     for seed in range(100):
-        rng = np.random.default_rng([seed, abs(hash(loss_name)) % (2**32)])
+        rng = np.random.default_rng([seed, zlib.crc32(loss_name.encode())])
         f, arrays = _FD_CASES[loss_name](rng)
         tensors = [t64(a) for a in arrays]
         _, analytic = dm.value_and_grad(f(tensors), tensors)

@@ -6,7 +6,8 @@ import pytest
 import geometer.diffmath as dm
 import geometer.graph_store as gs
 import geometer.prototypes as pt
-from oracles import central_differences, grad_relative_error, loop_prototypes
+from oracles import (central_differences, chain_refine_prototype, grad_relative_error,
+                     loop_prototypes)
 
 F64 = np.float64
 
@@ -109,24 +110,26 @@ def test_refine_attention_weights_sum_to_one_per_head():
 
 
 def test_refine_gradients_match_finite_differences():
-    rng = np.random.default_rng(3)
-    d, k = 4, 3
-    mats = [rng.normal(size=(d, d)) * 0.5 for _ in range(3)]
-    p_hat = rng.normal(size=d)
-    sup = rng.normal(size=(k, d))
-    probe = rng.normal(size=d)
+    # the projections, the initial prototypes and the supports, all at once:
+    # one class given as a [d] vector, then three classes
+    for lens, init_shape in ((None, (4,)), ([2, 1, 3], (3, 4))):
+        for seed in range(10):
+            rng = np.random.default_rng([3, seed])
+            k = 3 if lens is None else sum(lens)
+            arrays = [*(rng.normal(size=(4, 4)) * 0.5 for _ in range(3)),
+                      rng.normal(size=init_shape), rng.normal(size=(k, 4))]
+            probe = rng.normal(size=init_shape)
 
-    def f(arrs):
-        params = manual_attention(arrs[0], arrs[1], arrs[2], heads=2)
-        refined = pt.refine_prototype(params, t64(p_hat, grad=False), t64(sup, grad=False))
-        return dm.sum(dm.mul(refined, dm.constant(probe, dtype=F64)))
+            def loss(arrs):
+                ts = [t64(a) for a in arrs]
+                refined = pt.refine_prototype(pt.ClassAttentionParams(*ts[:3], heads=2),
+                                              ts[3], ts[4], lens)
+                return dm.sum(dm.mul(refined, dm.constant(probe, dtype=F64))), ts
 
-    params = manual_attention(*mats, heads=2)
-    refined = pt.refine_prototype(params, t64(p_hat, grad=False), t64(sup, grad=False))
-    out = dm.sum(dm.mul(refined, dm.constant(probe, dtype=F64)))
-    _, analytic = dm.value_and_grad(out, params.tensors())
-    numeric = central_differences(lambda arrs: f(arrs).item(), mats)
-    assert grad_relative_error(analytic, numeric) < 1e-4
+            _, analytic = dm.value_and_grad(*loss(arrays))
+            numeric = central_differences(lambda arrs: loss(arrs)[0].item(), arrays)
+            err = grad_relative_error(analytic, numeric)
+            assert err < 1e-4, f"lens {lens}, seed {seed}: rel err {err}"
 
 
 def test_refine_dimension_mismatch():
@@ -157,6 +160,44 @@ def test_refine_batched_weights_sum_to_one_per_class_segment():
                                     t64(supports.data[offset:offset + k], grad=False))
         np.testing.assert_allclose(refined.data[c], alone.data, rtol=1e-13, atol=1e-13)
         offset += k
+
+
+def _refinement_and_grads(fn, arrays, heads, lens, dtype):
+    """Refined prototypes, the gradients of a fixed functional of them in
+    every input, and the attention weights."""
+    wq, wk, wv, initial, supports = (
+        dm.tensor(np.asarray(a, dtype=dtype), requires_grad=True, dtype=dtype) for a in arrays)
+    params = pt.ClassAttentionParams(wq, wk, wv, heads)
+    refined, weights = fn(params, initial, supports, lens, with_weights=True)
+    probe = np.random.default_rng(38).normal(size=refined.shape).astype(dtype)
+    loss = dm.sum(dm.mul(refined, dm.constant(probe, dtype=dtype)))
+    _, grads = dm.value_and_grad(loss, [wq, wk, wv, initial, supports])
+    return refined.data, grads, weights.data
+
+
+REFINE_CASES = {            # (heads, dim, support counts; None: one class given as [d])
+    "one_class_vector": (2, 4, None),
+    "one_class": (1, 3, [4]),
+    "ragged": (4, 8, [3, 1, 5, 2]),
+    "seventy": (4, 16, list(np.random.default_rng(39).integers(1, 11, size=70))),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", sorted(REFINE_CASES))
+def test_refine_is_byte_equal_to_the_op_chain(case, dtype):
+    heads, d, lens = REFINE_CASES[case]
+    rng = np.random.default_rng(40)
+    classes = 1 if lens is None else len(lens)
+    k = 3 if lens is None else int(np.sum(lens))
+    arrays = [*(rng.normal(size=(d, d)) for _ in range(3)),
+              rng.normal(size=d if lens is None else (classes, d)), rng.normal(size=(k, d))]
+    got = _refinement_and_grads(pt.refine_prototype, arrays, heads, lens, dtype)
+    want = _refinement_and_grads(chain_refine_prototype, arrays, heads, lens, dtype)
+    assert got[0].dtype == dtype and got[0].tobytes() == want[0].tobytes()
+    for name, a, b in zip(["wq", "wk", "wv", "initial", "supports"], got[1], want[1]):
+        assert a.tobytes() == b.tobytes(), name
+    assert got[2].shape == (heads, classes + k) and got[2].tobytes() == want[2].tobytes()
 
 
 # --- compute_prototypes ------------------------------------------------------

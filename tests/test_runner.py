@@ -261,15 +261,14 @@ def separable_no_edge_stream():
     return gs.build_session_stream(g, [0, 1], [], k_shot=3, seed=0)
 
 
-def test_evaluate_perfect_accuracy_and_zero_std():
+def test_evaluate_perfect_accuracy():
     # constant per-class features and mean prototypes: every query sits exactly
     # on its own prototype
     stream = separable_no_edge_stream()
     cfg = tiny_config(episodes_pretrain=0, mode="pn_star")
     model = rn.pretrain(stream, cfg, seed=0)
-    metrics = rn.evaluate_session(model, stream, 0, seeds=[0])
+    metrics = rn.evaluate_session(model, stream, 0)
     assert metrics.accuracy_mean == 1.0
-    assert metrics.accuracy_std == 0.0
     assert metrics.per_class == {0: 1.0, 1: 1.0}
     assert metrics.wall_time >= 0.0
 
@@ -278,8 +277,7 @@ def test_evaluate_accuracy_matches_counting_oracle():
     stream = tiny_stream(seed=17)
     cfg = tiny_config(episodes_pretrain=5)
     model = rn.pretrain(stream, cfg, seed=3)
-    metrics = rn.evaluate_session(model, stream, 0, seeds=[1, 2, 3])
-    assert metrics.accuracy_std == 0.0
+    metrics = rn.evaluate_session(model, stream, 0)
     pools = stream.eval_pools[0]
     correct = total = 0
     for cls in stream.classes_at(0):
@@ -319,8 +317,8 @@ def _encodes_finished_backbone(params, model):
 
 
 def _same_metrics(a, b):
-    return (a.session_index, a.accuracy_mean, a.accuracy_std, a.per_class) == \
-        (b.session_index, b.accuracy_mean, b.accuracy_std, b.per_class)
+    return (a.session_index, a.accuracy_mean, a.per_class) == \
+        (b.session_index, b.accuracy_mean, b.per_class)
 
 
 @pytest.mark.parametrize("carried", [False, True], ids=["recomputed", "carried"])
@@ -509,6 +507,129 @@ def test_episode_losses_match_full_graph_encode(stage, dropout, monkeypatch):
     assert value == pytest.approx(full_value, rel=1e-12)
     for a, b in zip(grads, full_grads):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "finetune", "finetune_carried"])
+def test_episode_gradients_match_the_op_chains_byte_for_byte(stage, monkeypatch):
+    # the fused distance, refinement and uniformity ops against the op chains
+    # they replaced, in whole episodes: the prototypes and query embeddings
+    # also collect gradient from the other loss terms
+    from geometer.backbone import encode
+    from geometer.episodes import sample_finetune_episode
+    from oracles import (chain_pairwise_sq_euclidean, chain_refine_prototype,
+                         chain_uniformity_loss)
+
+    stream = tiny_stream(seed=29)
+    cfg = tiny_config(carried_prototypes=stage == "finetune_carried")
+    teacher = rn.pretrain(stream, replace(cfg, episodes_pretrain=6), seed=1)
+    g = stream.snapshots[0 if stage == "pretrain" else 1]
+    teacher_emb = encode(teacher.backbone.detached(), g).data
+    pools = {c: stream.eval_pools[0][c] for c in (0, 1)}
+
+    def episode_grads(i):
+        student = rn.clone_state(teacher)
+        rng = episode_rng(1, 9, i)
+        if stage == "pretrain":
+            episode = sample_pretrain_episode(pools, cfg.sampler(), episode_rng(1, 0, i))
+            loss = rn._pretrain_episode_loss(student, g, episode, cfg, cfg.loss_weights(), rng)
+        else:
+            episode = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(1, 1, i))
+            loss = rn._finetune_episode_loss(student, teacher_emb, teacher.prototypes, g,
+                                             episode, stream, 1, cfg, cfg.loss_weights(), rng)
+        value, grads = dm.value_and_grad(loss, student.trainable())
+        return [np.float64(value).tobytes()] + [a.tobytes() for a in grads]
+
+    fused = [episode_grads(i) for i in range(10)]
+    monkeypatch.setattr(dm, "pairwise_sq_euclidean", chain_pairwise_sq_euclidean)
+    monkeypatch.setattr(rn, "uniformity_loss", chain_uniformity_loss)
+    monkeypatch.setattr(pt, "refine_prototype", chain_refine_prototype)
+    assert fused == [episode_grads(i) for i in range(10)]
+
+
+def _episode_setup(base=(0, 1), seed=31):
+    g = make_clustered_graph(classes=len(base) + 1, per_class=24, feature_dim=12,
+                             p_in=0.25, p_out=0.02, seed=seed)
+    stream = gs.build_session_stream(g, list(base), [[len(base)]], k_shot=3, seed=seed)
+    teacher = rn.pretrain(stream, tiny_config(episodes_pretrain=3), seed=5)
+    return stream, teacher
+
+
+def _softmax(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _sq_dists(x, protos):
+    return ((x[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
+
+
+@pytest.mark.parametrize("logit_sign", ["negative", "positive"])
+def test_logit_sign_sets_the_sign_of_both_softened_logits(logit_sign):
+    # distillation alone, by hand: the student's and the teacher's softened
+    # logits are softmax(sign * distance / tau) over the old classes (three of
+    # them: over two, flipping both signs only swaps the classes, and the
+    # divergence stays the same)
+    from geometer.backbone import encode
+    from geometer.episodes import sample_finetune_episode
+
+    stream, teacher = _episode_setup(base=(0, 1, 2))
+    cfg = tiny_config(logit_sign=logit_sign, lambda_p=0.0, lambda_u=0.0, lambda_s=0.0,
+                      tau=2.0)
+    g = stream.snapshots[1]
+    teacher_emb = encode(teacher.backbone.detached(), g).data
+    student = rn.pretrain(stream, tiny_config(episodes_pretrain=3), seed=6)
+    episode = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(5, 1, 0))
+    loss = rn._finetune_episode_loss(student, teacher_emb, teacher.prototypes, g, episode,
+                                     stream, 1, cfg, cfg.loss_weights(), episode_rng(5, 9, 0))
+
+    emb = encode(student.backbone.detached(), g)
+    old = stream.classes_at(0)
+    student_protos = pt.compute_prototypes(emb, episode.supports, g,
+                                           student.class_attention).subset(old)
+    q_rows = g.rows_of(episode.query_nodes())
+    d_s = _sq_dists(emb.data[q_rows].astype(np.float64),
+                    student_protos.vectors.data.astype(np.float64))
+    d_t = _sq_dists(teacher_emb[q_rows].astype(np.float64),
+                    teacher.prototypes.vectors.data.astype(np.float64))
+
+    def distillation(sign):
+        p_s, p_t = _softmax(sign * d_s / 2.0), _softmax(sign * d_t / 2.0)
+        return (p_s * (np.log(p_s) - np.log(p_t))).sum(axis=1).mean() / len(old)
+
+    sign = 1.0 if logit_sign == "positive" else -1.0
+    assert loss.item() == pytest.approx(distillation(sign), rel=1e-4)
+    assert loss.item() != pytest.approx(distillation(-sign), rel=1e-2)
+
+
+@pytest.mark.parametrize("alpha_mode", ["uniform", "inverse_frequency"])
+def test_alpha_pretrain_weights_the_proximity_classes(alpha_mode):
+    # proximity alone, by hand, on an episode with 3 queries of class 0 and 1
+    # of class 1: inverse_frequency weighs class 0 by 1/3 and class 1 by 1
+    from geometer.backbone import encode
+    from geometer.episodes import Episode
+
+    stream, state = _episode_setup()
+    cfg = tiny_config(alpha_pretrain=alpha_mode, lambda_u=0.0)
+    g = stream.snapshots[0]
+    pools = stream.eval_pools[0]
+    episode = Episode(supports={0: tuple(int(v) for v in pools[0][:3]),
+                                1: tuple(int(v) for v in pools[1][:2])},
+                      queries=tuple((int(v), 0) for v in pools[0][3:6])
+                      + ((int(pools[1][2]), 1),),
+                      stage="pretrain")
+    loss = rn._pretrain_episode_loss(state, g, episode, cfg, cfg.loss_weights(),
+                                     episode_rng(5, 0, 0))
+
+    emb = encode(state.backbone.detached(), g)
+    protos = pt.compute_prototypes(emb, episode.supports, g, state.class_attention)
+    q = emb.data[g.rows_of(episode.query_nodes())].astype(np.float64)
+    labels = episode.query_classes()
+    log_p = np.log(_softmax(-_sq_dists(q, protos.vectors.data.astype(np.float64))))
+    nll = -log_p[np.arange(len(labels)), labels]
+    alpha = {0: 1.0 / 3.0, 1: 1.0} if alpha_mode == "inverse_frequency" else {0: 1.0, 1: 1.0}
+    assert ls.inverse_frequency_alpha(labels) == pytest.approx({0: 1.0 / 3.0, 1: 1.0})
+    want = sum(alpha[c] * nll[labels == c].mean() for c in (0, 1))
+    assert loss.item() == pytest.approx(want, rel=1e-4)
 
 
 def test_model_checkpoint_round_trip(tmp_path):
