@@ -18,6 +18,10 @@ matrix over them, and the layer output; layer 0's ELU runs in place on the
 aggregate, so beside z it holds one [rows x hidden] array, its output.  The
 input gradient of z sums ``att.T @ g`` and the two score terms in one buffer,
 adding the score terms in row blocks through one small scratch array.
+The backward sets subnormal gradient entries to 0 where they enter a layer
+and in z's gradient: a few of them (from a log-softmax whose
+log-probabilities fall below the float32 exponent range, say) make the
+sparse layer-0 product ``x.T @ g_z`` several times slower.
 An op whose parameters track no gradient (an inference encode) keeps
 nothing: it frees each head's z once aggregated, so a full-graph encode
 peaks near two [nodes x hidden] arrays, and it checks finiteness through
@@ -56,6 +60,9 @@ LEAKY_SLOPE = 0.2
 # Edges per block in the attention-weight gradient: each block gathers two
 # [block x width] row copies, instead of two [edges x width] copies at once.
 _EDGE_BLOCK = 512
+# entries per block of the scan for subnormal gradient entries: each block's
+# magnitudes (256 KiB of float32) stay in cache for their minimum
+_FLUSH_BLOCK = 65536
 # rows per block of the score terms added into z's gradient: one
 # [block x width] scratch instead of two [rows x width] outer products
 _ROW_BLOCK = 256
@@ -230,13 +237,33 @@ def _attention(z: np.ndarray, attn: np.ndarray, struct: _EdgeStructure, track: b
     return att, leaky, alpha
 
 
+def _flush_subnormals(a: np.ndarray, inplace: bool = False) -> np.ndarray:
+    """``a`` with its subnormal entries set to 0 (signed zeros keep their
+    sign): in place, or else in a copy made only when there is one, since
+    the tape may share ``a``."""
+    tiny = np.finfo(a.dtype).tiny
+    flat = a.reshape(-1)
+    if all(np.abs(flat[lo:lo + _FLUSH_BLOCK]).min() >= tiny
+           for lo in range(0, flat.size, _FLUSH_BLOCK)):
+        return a                                    # no entry is subnormal, nor 0
+    found = np.abs(a) < tiny
+    found &= a != 0
+    if not found.any():
+        return a
+    if not inplace:
+        a = a.copy()
+    a[found] = 0
+    return a
+
+
 def _head_vjp(g: np.ndarray, z: np.ndarray, attn: np.ndarray, att, leaky: Tensor,
               alpha: Tensor, struct: _EdgeStructure):
     """Gradients of one head's aggregate ``att @ z`` w.r.t. z and the
     attention vector, given the aggregate's gradient ``g``.
 
     z's gradient is one buffer: the aggregation term ``att.T @ g``, then the
-    center-score and neighbor-score terms added in that order.
+    center-score and neighbor-score terms added in that order, with its
+    subnormal entries then set to 0.
     """
     g_z = (att.T @ g).astype(z.dtype, copy=False)
     g_alpha = np.empty(len(struct.src), dtype=np.result_type(g, z))
@@ -255,7 +282,7 @@ def _head_vjp(g: np.ndarray, z: np.ndarray, attn: np.ndarray, att, leaky: Tensor
             rows = slice(lo, lo + _ROW_BLOCK)
             outer = np.multiply(g_s[rows, None], attn[None, part], out=scratch[:len(g_s[rows])])
             g_z[rows] += outer
-    return g_z, g_attn
+    return _flush_subnormals(g_z, inplace=True), g_attn
 
 
 def _as_states(g: Graph, node_states, dtype) -> Tensor:
@@ -341,6 +368,7 @@ def gat_layer(params: BackboneParams, g: Graph, node_states, layer: int,
         return Tensor(out)
 
     def vjp(g_out):
+        g_out = _flush_subnormals(g_out)
         if layer == 0:
             g_out = dm.elu_grad(out, g_out)
         elif len(heads) > 1:

@@ -20,18 +20,20 @@ Conventions:
 Fused ops.  Each tape node costs far more Python than its arithmetic on the
 small arrays of an episode, so the hot compositions are single ops with a
 hand-derived vjp, written with the numpy expressions of the op chains they
-replaced (kept in the tests as oracles): ``pairwise_sq_euclidean`` here,
-``backbone.gat_layer``, ``prototypes.refine_prototype`` and
-``losses.uniformity_loss``.  ``pairwise_sq_euclidean`` keeps its operands
-and the mask of distances above 0.  An input that the chain read in several
-places is a parent once per place, and the vjp returns one gradient term per
-place: the tape adds the terms in the chain's order, also when the input
-collects gradient from outside the op, so gradients stay byte-identical.
+replaced, in the same order (the chains are kept in the tests as oracles):
+``pairwise_sq_euclidean`` here, ``backbone.gat_layer``,
+``prototypes.refine_prototype``, and in ``losses`` each loss term after its
+distance op and the weighted objective.  ``pairwise_sq_euclidean`` keeps
+its operands and the mask of distances above 0.  An input that the chain
+read in several places is a parent once per place, and the vjp returns one
+gradient term per place: the tape adds the terms in the chain's order, also
+when the input collects gradient from outside the op, so gradients stay
+byte-identical.  The elementary ops those chains were built from, and that
+no fused op needs, live with the chains in the tests.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,12 +41,9 @@ import numpy as np
 __all__ = [
     "Tensor", "ShapeError", "NonFiniteError",
     "tensor", "constant",
-    "add", "sub", "mul", "div", "neg", "scale",
-    "matmul", "concat", "reshape", "transpose", "take_rows",
-    "exp", "log", "sqrt", "clip", "leaky_relu", "elu",
-    "elu_inplace", "elu_grad",
-    "softmax", "log_softmax", "segment_softmax",
-    "sum", "mean", "amax", "amin", "pairwise_sq_euclidean",
+    "mul", "scale", "matmul", "concat", "reshape", "take_rows",
+    "leaky_relu", "elu_inplace", "elu_grad", "segment_softmax",
+    "sum", "mean", "pairwise_sq_euclidean",
     "dropout", "dropout_mask",
     "backward", "value_and_grad",
 ]
@@ -52,6 +51,9 @@ __all__ = [
 
 # entries per block of ``elu_inplace`` (256 KiB of float32): its only scratch
 _ELU_BLOCK = 65536
+# largest array ``_all_finite`` checks through a mask: below about this size
+# (measured with numpy 2.4 on float32) the mask is faster than a min and a max
+_FINITE_MASK_MAX = 32768
 
 
 class ShapeError(ValueError):
@@ -62,19 +64,36 @@ class NonFiniteError(ArithmeticError):
     """An operation produced NaN or Inf."""
 
 
-@contextlib.contextmanager
-def _fpe_guard(op: str):
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        try:
-            yield
-        except FloatingPointError as exc:
-            raise NonFiniteError(f"{op}: non-finite result ({exc})") from None
+class _fpe_guard:
+    """``with _fpe_guard(op):`` raises ``NonFiniteError`` naming ``op`` where
+    numpy would overflow, divide by zero or produce an invalid value.  Almost
+    every op enters one, so it is a slotted class: entering it costs about
+    two thirds of a generator-based context manager."""
+
+    __slots__ = ("op", "_state")
+
+    def __init__(self, op: str):
+        self.op = op
+
+    def __enter__(self):
+        self._state = np.errstate(over="raise", invalid="raise", divide="raise")
+        self._state.__enter__()
+
+    def __exit__(self, kind, exc, tb):
+        self._state.__exit__(kind, exc, tb)
+        if kind is not None and issubclass(kind, FloatingPointError):
+            raise NonFiniteError(f"{self.op}: non-finite result ({exc})") from None
+        return False
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    """Whether ``arr`` holds no NaN or Inf.  Its min and max are finite exactly
-    when every entry is (both propagate NaN), so no elementwise mask is built."""
-    return not arr.size or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+    """Whether ``arr`` holds no NaN or Inf.  Up to ``_FINITE_MASK_MAX``
+    entries through an elementwise mask; above, through its min and max,
+    which are finite exactly when every entry is (both propagate NaN), so no
+    mask the size of a large array is built."""
+    if arr.size <= _FINITE_MASK_MAX:
+        return bool(np.isfinite(arr).all())
+    return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
 def _finite_matmul(x: np.ndarray, y: np.ndarray, op: str) -> np.ndarray:
@@ -116,34 +135,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all routes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def tensor(data, requires_grad=False, dtype=None) -> Tensor:
@@ -188,30 +179,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # arithmetic
 
-def add(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=b.dtype))
-    b = _as_tensor(b, a)
-    with _fpe_guard("add"):
-        out = a.data + b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _result(out, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=b.dtype))
-    b = _as_tensor(b, a)
-    with _fpe_guard("sub"):
-        out = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _result(out, (a, b), vjp)
-
-
 def mul(a, b) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=b.dtype))
     b = _as_tensor(b, a)
@@ -223,23 +190,6 @@ def mul(a, b) -> Tensor:
                 _unbroadcast(g * a.data, b.shape))
 
     return _result(out, (a, b), vjp)
-
-
-def div(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=b.dtype))
-    b = _as_tensor(b, a)
-    with _fpe_guard("div"):
-        out = a.data / b.data
-
-    def vjp(g):
-        return (_unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _result(out, (a, b), vjp)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -292,12 +242,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    return _result(a.data.T, (a,), lambda g: (g.T,))
-
-
 def take_rows(a: Tensor, idx) -> Tensor:
     """Gather rows by index; duplicate indices accumulate in the backward pass."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -316,48 +260,6 @@ def take_rows(a: Tensor, idx) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities and transcendentals
 
-def exp(a: Tensor) -> Tensor:
-    with _fpe_guard("exp"):
-        out = np.exp(a.data)
-    return _result(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    with _fpe_guard("log"):
-        out = np.log(a.data)
-
-    def vjp(g):
-        with _fpe_guard("log/backward"):
-            return (g / a.data,)
-
-    return _result(out, (a,), vjp)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    with _fpe_guard("sqrt"):
-        out = np.sqrt(a.data)
-
-    def vjp(g):
-        with _fpe_guard("sqrt/backward"):
-            return (g * 0.5 / out,)
-
-    return _result(out, (a,), vjp)
-
-
-def clip(a: Tensor, lo=None, hi=None) -> Tensor:
-    out = np.clip(a.data, lo, hi)
-    inside = np.ones(a.shape, dtype=bool)
-    if lo is not None:
-        inside &= a.data > lo
-    if hi is not None:
-        inside &= a.data < hi
-
-    def vjp(g):
-        return (np.where(inside, g, 0),)
-
-    return _result(out, (a,), vjp)
-
-
 def leaky_relu(a: Tensor, negative_slope: float = 0.2) -> Tensor:
     pos = a.data >= 0
     out = np.where(pos, a.data, a.data * a.dtype.type(negative_slope))
@@ -368,24 +270,16 @@ def leaky_relu(a: Tensor, negative_slope: float = 0.2) -> Tensor:
     return _result(out, (a,), vjp)
 
 
-def elu(a: Tensor) -> Tensor:
-    """max(a, 0) + expm1(min(a, 0)), with no branch per element.
-
-    Each entry takes its value from one term and 0 from the other, so the
-    result equals the two-branch form bit for bit (a -0.0 input may give
-    +0.0).  expm1 sees only the non-positive part, so large inputs cannot
-    overflow.  The derivative is out + 1 = exp(a) below 0 and 1 above, which
-    is min(out, 0) + 1 either way.
-    """
-    with _fpe_guard("elu"):
-        out = elu_inplace(a.data.copy())
-    return _result(out, (a,), lambda g: (elu_grad(out, g),))
-
-
 def elu_inplace(x: np.ndarray) -> np.ndarray:
-    """``elu``'s forward arithmetic written into C-contiguous ``x``, a block
-    of ``_ELU_BLOCK`` entries at a time through one small scratch buffer;
-    returns ``x``."""
+    """ELU, max(x, 0) + expm1(min(x, 0)), written into C-contiguous ``x``, a
+    block of ``_ELU_BLOCK`` entries at a time through one small scratch
+    buffer; returns ``x``.
+
+    No branch per element: each entry takes its value from one term and 0
+    from the other, so the result equals the two-branch form bit for bit (a
+    -0.0 input may give +0.0).  expm1 sees only the non-positive part, so
+    large inputs cannot overflow.
+    """
     if not x.flags.c_contiguous:
         raise ValueError("elu_inplace needs a C-contiguous array")
     flat = x.reshape(-1)
@@ -401,25 +295,13 @@ def elu_inplace(x: np.ndarray) -> np.ndarray:
 
 
 def elu_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``elu``'s input gradient g * (min(out, 0) + 1), from its output ``out``,
-    in one new array."""
+    """ELU's input gradient g * (min(out, 0) + 1), from its output ``out``,
+    in one new array: the derivative is out + 1 = exp(x) below 0 and 1
+    above, which is min(out, 0) + 1 either way."""
     d = np.minimum(out, 0)
     d += 1
     d *= g
     return d
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    with _fpe_guard("softmax"):
-        shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _result(out, (a,), vjp)
 
 
 def segment_softmax(scores: Tensor, starts, lens) -> Tensor:
@@ -442,17 +324,6 @@ def segment_softmax(scores: Tensor, starts, lens) -> Tensor:
     return _result(out.astype(s.dtype, copy=False), (scores,), vjp)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    with _fpe_guard("log_softmax"):
-        shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-        out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    def vjp(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
-
-    return _result(out, (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -471,32 +342,6 @@ def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = a.data.size if axis is None else a.shape[axis]
     return scale(sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def amax(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Max reduction; the subgradient routes to the first maximal entry."""
-    out = a.data.max(axis=axis, keepdims=keepdims)
-    if axis is None:
-        flat_idx = int(a.data.argmax())
-    else:
-        arg = a.data.argmax(axis=axis)
-
-    def vjp(g):
-        ga = np.zeros(a.shape, dtype=a.dtype)
-        if axis is None:
-            ga.flat[flat_idx] = g
-        else:
-            g_arr = np.asarray(g)
-            if keepdims:
-                g_arr = np.squeeze(g_arr, axis=axis)
-            np.put_along_axis(ga, np.expand_dims(arg, axis), np.expand_dims(g_arr, axis), axis)
-        return (ga,)
-
-    return _result(out, (a,), vjp)
-
-
-def amin(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return neg(amax(neg(a), axis=axis, keepdims=keepdims))
 
 
 # ---------------------------------------------------------------------------

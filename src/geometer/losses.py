@@ -7,9 +7,24 @@ aligned neighbor pair; inter-class separability pushes novel prototypes away
 from their nearest old prototype.  Distillation matches the student's
 temperature-softened old-class distribution to a frozen teacher's.
 
-Proximity, separability and the softened logits measure distances with the
-fused ``dm.pairwise_sq_euclidean``; uniformity is one fused op of its own
-(see ``uniformity_loss``).
+Each term, and the weighted objective, is one autodiff op with a
+hand-derived vjp, written with the numpy expressions of the op chain it
+replaced, in the same order (the chains are the oracles in the tests), so
+values and gradients are byte-identical to the chains.  Proximity,
+separability and the softened logits first measure distances with the fused
+``dm.pairwise_sq_euclidean``; then, for the backward:
+  * ``proximity_loss`` keeps the log-probabilities, the one-hot label mask
+    and the per-query weights;
+  * ``uniformity_loss`` keeps the centered rows, their norms and directions,
+    and each row's nearest neighbor;
+  * ``separability_loss`` keeps each novel prototype's exp(-distance) to its
+    nearest old prototype and that prototype's index, the first minimal
+    entry;
+  * ``softened_logits`` keeps its probabilities;
+  * ``distillation_loss`` keeps the student probabilities, their clipped
+    values and the log-ratio to the teacher; its student is a parent twice,
+    as the factor of the product and through the clip and log;
+  * ``pretrain_loss`` and ``finetune_loss`` keep only the weights.
 
 Sign note: logits are *negative* scaled distances, so the nearest prototype
 gets the largest probability, consistent with nearest-prototype prediction.
@@ -78,26 +93,33 @@ def proximity_loss(query_embeddings: Tensor, query_classes, prototypes: Prototyp
         raise dm.ShapeError("one label per query embedding required")
     if len(labels) == 0:
         raise ValueError("proximity_loss needs at least one query")
-    col = np.empty(len(labels), dtype=np.int64)
-    for i, cls in enumerate(labels):
-        try:
-            col[i] = prototypes.index_of(int(cls))
-        except KeyError:
-            raise MissingPrototypeError(f"query class {cls} has no prototype") from None
+    ids = np.asarray(prototypes.class_ids, dtype=np.int64)      # ascending
+    absent = ~np.isin(labels, ids)
+    if absent.any():
+        raise MissingPrototypeError(f"query class {labels[absent][0]} has no prototype")
+    col = np.searchsorted(ids, labels)
 
-    logits = dm.scale(dm.pairwise_sq_euclidean(query_embeddings, prototypes.vectors), -1.0)
-    log_probs = dm.log_softmax(logits, axis=1)
-    onehot = np.zeros((len(labels), len(prototypes)), dtype=query_embeddings.dtype)
+    dist = dm.pairwise_sq_euclidean(query_embeddings, prototypes.vectors)
+    dtype = dist.dtype
+    onehot = np.zeros((len(labels), len(prototypes)), dtype=dtype)
     onehot[np.arange(len(labels)), col] = 1.0
-    own = dm.sum(dm.mul(log_probs, dm.constant(onehot, dtype=query_embeddings.dtype)), axis=1)
-
     counts = np.bincount(col, minlength=len(prototypes)).astype(np.float64)
-    weights = np.zeros(len(labels))
-    for i, cls in enumerate(labels):
-        a = 1.0 if alpha is None else float(alpha.get(int(cls), 1.0))
-        weights[i] = a / counts[col[i]]
-    w = dm.constant(weights.astype(query_embeddings.dtype), dtype=query_embeddings.dtype)
-    return dm.scale(dm.matmul(w, own), -1.0)
+    class_alpha = np.array([1.0 if alpha is None else float(alpha.get(int(c), 1.0))
+                            for c in prototypes.class_ids])
+    weights = class_alpha[col] / counts[col]
+    w = weights.astype(dtype)
+    with dm._fpe_guard("proximity_loss"):
+        logits = dist.data * dtype.type(-1.0)
+        shifted = logits - np.max(logits, axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        own = (log_probs * onehot).sum(axis=1)
+        out = np.asarray(dm._finite_matmul(w, own, "proximity_loss")) * dtype.type(-1.0)
+
+    def vjp(g):
+        g_lp = (g * -1.0 * w)[:, None] * onehot
+        return ((g_lp - np.exp(log_probs) * g_lp.sum(axis=1, keepdims=True)) * -1.0,)
+
+    return dm._result(out, (dist,), vjp)
 
 
 def prototype_center(prototypes: PrototypeSet) -> Tensor:
@@ -116,10 +138,10 @@ def uniformity_loss(prototypes: PrototypeSet) -> Tensor:
 
     One op with the arithmetic of the op chain it replaced.  For its backward
     it keeps the centered rows, their norms and directions, and each row's
-    nearest neighbor, the first maximal entry (where ``dm.amax`` routes the
-    subgradient).  The prototypes are a parent twice, as the centered rows and
-    through the center, so the tape adds those two gradient terms in the
-    chain's order.
+    nearest neighbor, the first maximal entry (where the chain's max routed
+    the subgradient).  The prototypes are a parent twice, as the centered
+    rows and through the center, so the tape adds those two gradient terms in
+    the chain's order.
     """
     c = len(prototypes)
     if c < 2:
@@ -171,8 +193,20 @@ def separability_loss(novel_vectors: Tensor, old_vectors: Tensor) -> Tensor:
     if novel_vectors.shape[0] == 0 or old_vectors.shape[0] == 0:
         raise ValueError("separability_loss needs non-empty novel and old prototype lists")
     dist = dm.pairwise_sq_euclidean(novel_vectors, old_vectors)
-    nearest = dm.amin(dist, axis=1)
-    return dm.mean(dm.exp(dm.neg(nearest)))
+    d = dist.data
+    dtype = d.dtype
+    n = d.shape[0]
+    nearest = d.argmin(axis=1)
+    with dm._fpe_guard("separability_loss"):
+        e = np.exp(-d.min(axis=1))
+        out = e.sum() * dtype.type(1.0 / n)
+
+    def vjp(g):
+        g_dist = np.zeros(d.shape, dtype=dtype)
+        g_dist[np.arange(n), nearest] = np.asarray(g * (1.0 / n), dtype=dtype) * e
+        return (np.negative(g_dist, out=g_dist),)
+
+    return dm._result(out, (dist,), vjp)
 
 
 def softened_logits(embeddings: Tensor, prototypes: PrototypeSet, tau: float,
@@ -186,7 +220,17 @@ def softened_logits(embeddings: Tensor, prototypes: PrototypeSet, tau: float,
     if squeeze:
         embeddings = dm.reshape(embeddings, (1, embeddings.shape[0]))
     dist = dm.pairwise_sq_euclidean(embeddings, prototypes.vectors)
-    probs = dm.softmax(dm.scale(dist, sign / tau), axis=1)
+    s = float(sign / tau)
+    with dm._fpe_guard("softened_logits"):
+        logits = dist.data * dist.dtype.type(s)
+        e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+        out = e / e.sum(axis=1, keepdims=True)
+
+    def vjp(g):
+        inner = (g * out).sum(axis=1, keepdims=True)
+        return (out * (g - inner) * s,)
+
+    probs = dm._result(out, (dist,), vjp)
     return dm.reshape(probs, (len(prototypes),)) if squeeze else probs
 
 
@@ -197,25 +241,49 @@ def distillation_loss(student_logits: Tensor, teacher_logits) -> Tensor:
     if student_logits.shape != teacher.shape or student_logits.ndim != 2:
         raise dm.ShapeError(
             f"student/teacher shape mismatch: {student_logits.shape} vs {teacher.shape}")
-    n_classes = student_logits.shape[1]
-    log_s = dm.log(dm.clip(student_logits, LOG_CLAMP, None))
-    log_t = np.log(np.clip(teacher.astype(student_logits.dtype), LOG_CLAMP, None))
-    per_query = dm.sum(dm.mul(student_logits, dm.sub(log_s, dm.constant(log_t, dtype=student_logits.dtype))), axis=1)
-    return dm.scale(dm.mean(per_query), 1.0 / n_classes)
+    student = student_logits.data
+    dtype = student.dtype
+    n, c = student.shape
+    log_t = np.log(np.clip(teacher.astype(dtype), LOG_CLAMP, None))
+    if not dm._all_finite(log_t):
+        raise dm.NonFiniteError("distillation_loss: teacher contains NaN or Inf")
+    inside = student > LOG_CLAMP
+    with dm._fpe_guard("distillation_loss"):
+        clipped = np.clip(student, LOG_CLAMP, None)
+        diff = np.log(clipped) - log_t
+        out = (student * diff).sum(axis=1).sum() * dtype.type(1.0 / n) * dtype.type(1.0 / c)
+
+    def vjp(g):
+        g_prod = np.asarray(g * (1.0 / c) * (1.0 / n), dtype=dtype)
+        with dm._fpe_guard("distillation_loss/backward"):
+            g_log = g_prod * student / clipped
+        # below LOG_CLAMP the clip passes no gradient to the log path
+        return g_prod * diff, np.where(inside, g_log, 0)
+
+    return dm._result(out, (student_logits, student_logits), vjp)
 
 
 def _weighted_terms(pairs, dtype):
-    total = None
+    """sum of lambda * term over the terms with non-zero weight, as one op."""
+    kept = []
     for lam, term in pairs:
         if lam == 0.0:
             continue
         if term is None:
             raise ValueError("loss component with non-zero weight is missing")
-        piece = dm.scale(term, lam)
-        total = piece if total is None else dm.add(total, piece)
-    if total is None:
-        total = dm.constant(0.0, dtype=dtype)
-    return total
+        if term.dtype != dtype:
+            raise dm.ShapeError(f"mixed dtypes {term.dtype} vs {dtype}")
+        kept.append((float(lam), term))
+    if not kept:
+        return dm.constant(0.0, dtype=dtype)
+    total = None
+    with dm._fpe_guard("weighted_loss"):
+        for lam, term in kept:
+            piece = term.data * dtype.type(lam)
+            total = piece if total is None else total + piece
+    lams = [lam for lam, _ in kept]
+    return dm._result(total, tuple(term for _, term in kept),
+                      lambda g: tuple(g * lam for lam in lams))
 
 
 def pretrain_loss(proximity: Tensor, uniformity: Tensor | None, weights: LossWeights) -> Tensor:

@@ -4,8 +4,10 @@ Everything here is deliberately dumb and slow: explicit loops and central
 finite differences, kept apart from the library code they check.  The
 prototype oracle builds on the autodiff ops so that its gradients can be
 compared too, and the ``chain_*`` functions are the op chains that the fused
-distance, refinement and uniformity ops replaced: the fused ops must match
-them byte for byte.
+distance, refinement and loss ops replaced: the fused ops must match them
+byte for byte.  The elementary autodiff ops that only those chains use
+(``add`` to ``elu`` below) live here, with the arithmetic they had in
+``geometer.diffmath``.
 """
 
 import numpy as np
@@ -13,6 +15,156 @@ import numpy as np
 import geometer.diffmath as dm
 import geometer.graph_store as gs
 import geometer.losses as ls
+
+
+# ---------------------------------------------------------------------------
+# elementary autodiff ops of the op chains
+
+def add(a, b):
+    a = a if isinstance(a, dm.Tensor) else dm.Tensor(np.asarray(a, dtype=b.dtype))
+    b = dm._as_tensor(b, a)
+    with dm._fpe_guard("add"):
+        out = a.data + b.data
+
+    def vjp(g):
+        return dm._unbroadcast(g, a.shape), dm._unbroadcast(g, b.shape)
+
+    return dm._result(out, (a, b), vjp)
+
+
+def sub(a, b):
+    a = a if isinstance(a, dm.Tensor) else dm.Tensor(np.asarray(a, dtype=b.dtype))
+    b = dm._as_tensor(b, a)
+    with dm._fpe_guard("sub"):
+        out = a.data - b.data
+
+    def vjp(g):
+        return dm._unbroadcast(g, a.shape), dm._unbroadcast(-g, b.shape)
+
+    return dm._result(out, (a, b), vjp)
+
+
+def div(a, b):
+    a = a if isinstance(a, dm.Tensor) else dm.Tensor(np.asarray(a, dtype=b.dtype))
+    b = dm._as_tensor(b, a)
+    with dm._fpe_guard("div"):
+        out = a.data / b.data
+
+    def vjp(g):
+        return (dm._unbroadcast(g / b.data, a.shape),
+                dm._unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+
+    return dm._result(out, (a, b), vjp)
+
+
+def neg(a):
+    return dm._result(-a.data, (a,), lambda g: (-g,))
+
+
+def transpose(a):
+    if a.ndim != 2:
+        raise dm.ShapeError(f"transpose expects a matrix, got shape {a.shape}")
+    return dm._result(a.data.T, (a,), lambda g: (g.T,))
+
+
+def exp(a):
+    with dm._fpe_guard("exp"):
+        out = np.exp(a.data)
+    return dm._result(out, (a,), lambda g: (g * out,))
+
+
+def log(a):
+    with dm._fpe_guard("log"):
+        out = np.log(a.data)
+
+    def vjp(g):
+        with dm._fpe_guard("log/backward"):
+            return (g / a.data,)
+
+    return dm._result(out, (a,), vjp)
+
+
+def sqrt(a):
+    with dm._fpe_guard("sqrt"):
+        out = np.sqrt(a.data)
+
+    def vjp(g):
+        with dm._fpe_guard("sqrt/backward"):
+            return (g * 0.5 / out,)
+
+    return dm._result(out, (a,), vjp)
+
+
+def clip(a, lo=None, hi=None):
+    out = np.clip(a.data, lo, hi)
+    inside = np.ones(a.shape, dtype=bool)
+    if lo is not None:
+        inside &= a.data > lo
+    if hi is not None:
+        inside &= a.data < hi
+
+    def vjp(g):
+        return (np.where(inside, g, 0),)
+
+    return dm._result(out, (a,), vjp)
+
+
+def elu(a):
+    """max(a, 0) + expm1(min(a, 0)) as one op over ``dm.elu_inplace`` and
+    ``dm.elu_grad``, the arithmetic the encoder's first layer uses."""
+    with dm._fpe_guard("elu"):
+        out = dm.elu_inplace(a.data.copy())
+    return dm._result(out, (a,), lambda g: (dm.elu_grad(out, g),))
+
+
+def softmax(a, axis=-1):
+    with dm._fpe_guard("softmax"):
+        shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+        e = np.exp(shifted)
+        out = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return (out * (g - inner),)
+
+    return dm._result(out, (a,), vjp)
+
+
+def log_softmax(a, axis=-1):
+    with dm._fpe_guard("log_softmax"):
+        shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+        out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+    def vjp(g):
+        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+
+    return dm._result(out, (a,), vjp)
+
+
+def amax(a, axis=None, keepdims=False):
+    """Max reduction; the subgradient routes to the first maximal entry."""
+    out = a.data.max(axis=axis, keepdims=keepdims)
+    if axis is None:
+        flat_idx = int(a.data.argmax())
+    else:
+        arg = a.data.argmax(axis=axis)
+
+    def vjp(g):
+        ga = np.zeros(a.shape, dtype=a.dtype)
+        if axis is None:
+            ga.flat[flat_idx] = g
+        else:
+            g_arr = np.asarray(g)
+            if keepdims:
+                g_arr = np.squeeze(g_arr, axis=axis)
+            np.put_along_axis(ga, np.expand_dims(arg, axis), np.expand_dims(g_arr, axis), axis)
+        return (ga,)
+
+    return dm._result(out, (a,), vjp)
+
+
+def amin(a, axis=None, keepdims=False):
+    return neg(amax(neg(a), axis=axis, keepdims=keepdims))
 
 
 def central_differences(f, arrays, step=1e-5):
@@ -64,9 +216,9 @@ def chain_pairwise_sq_euclidean(a, b):
     """Squared Euclidean distances between all row pairs, one op per step."""
     a2 = dm.sum(dm.mul(a, a), axis=1, keepdims=True)                  # [n,1]
     b2 = dm.reshape(dm.sum(dm.mul(b, b), axis=1), (1, b.shape[0]))    # [1,m]
-    cross = dm.matmul(a, dm.transpose(b))                             # [n,m]
-    d = dm.add(dm.add(a2, b2), dm.scale(cross, -2.0))
-    return dm.clip(d, 0.0, None)
+    cross = dm.matmul(a, transpose(b))                             # [n,m]
+    d = add(add(a2, b2), dm.scale(cross, -2.0))
+    return clip(d, 0.0, None)
 
 
 def chain_uniformity_loss(prototypes):
@@ -75,7 +227,7 @@ def chain_uniformity_loss(prototypes):
     c = len(prototypes)
     vecs = prototypes.vectors
     center = dm.reshape(dm.mean(vecs, axis=0), (1, prototypes.dim))
-    diffs = dm.sub(vecs, center)
+    diffs = sub(vecs, center)
     raw_norms = np.sqrt((diffs.data.astype(np.float64) ** 2).sum(axis=1))
     degenerate = raw_norms < ls.CENTER_COLLAPSE_EPS
     if degenerate.any():
@@ -87,14 +239,82 @@ def chain_uniformity_loss(prototypes):
         for i in np.nonzero(degenerate)[0]:
             v = np.random.default_rng([9041, int(i)]).normal(size=prototypes.dim)
             subst[i] = (v / np.linalg.norm(v)).astype(vecs.dtype)
-        diffs = dm.add(dm.mul(diffs, dm.constant(keep[:, None], dtype=vecs.dtype)),
+        diffs = add(dm.mul(diffs, dm.constant(keep[:, None], dtype=vecs.dtype)),
                        dm.constant(subst, dtype=vecs.dtype))
-    norms = dm.sqrt(dm.sum(dm.mul(diffs, diffs), axis=1, keepdims=True))
-    dirs = dm.div(diffs, norms)
-    cos = dm.matmul(dirs, dm.transpose(dirs))
+    norms = sqrt(dm.sum(dm.mul(diffs, diffs), axis=1, keepdims=True))
+    dirs = div(diffs, norms)
+    cos = dm.matmul(dirs, transpose(dirs))
     mask = dm.constant(np.diag(np.full(c, -3.0)).astype(vecs.dtype), dtype=vecs.dtype)
-    nearest = dm.amax(dm.add(cos, mask), axis=1)
-    return dm.add(dm.mean(nearest), 1.0)
+    nearest = amax(add(cos, mask), axis=1)
+    return add(dm.mean(nearest), 1.0)
+
+
+def chain_proximity_loss(query_embeddings, query_classes, prototypes, alpha=None):
+    """Class-averaged negative log-probability of each query's own class, one
+    op per step after the distance op."""
+    labels = np.asarray(query_classes, dtype=np.int64)
+    col = np.array([prototypes.index_of(int(cls)) for cls in labels], dtype=np.int64)
+    logits = dm.scale(dm.pairwise_sq_euclidean(query_embeddings, prototypes.vectors), -1.0)
+    log_probs = log_softmax(logits, axis=1)
+    onehot = np.zeros((len(labels), len(prototypes)), dtype=query_embeddings.dtype)
+    onehot[np.arange(len(labels)), col] = 1.0
+    own = dm.sum(dm.mul(log_probs, dm.constant(onehot, dtype=query_embeddings.dtype)), axis=1)
+
+    counts = np.bincount(col, minlength=len(prototypes)).astype(np.float64)
+    weights = np.zeros(len(labels))
+    for i, cls in enumerate(labels):
+        a = 1.0 if alpha is None else float(alpha.get(int(cls), 1.0))
+        weights[i] = a / counts[col[i]]
+    w = dm.constant(weights.astype(query_embeddings.dtype), dtype=query_embeddings.dtype)
+    return dm.scale(dm.matmul(w, own), -1.0)
+
+
+def chain_separability_loss(novel_vectors, old_vectors):
+    """Mean over novel prototypes of exp(-squared distance to nearest old),
+    one op per step after the distance op."""
+    dist = dm.pairwise_sq_euclidean(novel_vectors, old_vectors)
+    nearest = amin(dist, axis=1)
+    return dm.mean(exp(neg(nearest)))
+
+
+def chain_softened_logits(embeddings, prototypes, tau, sign=-1.0):
+    """Temperature-softened class distribution, one op per step after the
+    distance op."""
+    squeeze = embeddings.ndim == 1
+    if squeeze:
+        embeddings = dm.reshape(embeddings, (1, embeddings.shape[0]))
+    dist = dm.pairwise_sq_euclidean(embeddings, prototypes.vectors)
+    probs = softmax(dm.scale(dist, sign / tau), axis=1)
+    return dm.reshape(probs, (len(prototypes),)) if squeeze else probs
+
+
+def chain_distillation_loss(student_logits, teacher_logits):
+    """Old-class KL divergence of student from teacher rows, one op per step."""
+    teacher = (teacher_logits.data if isinstance(teacher_logits, dm.Tensor)
+               else np.asarray(teacher_logits))
+    n_classes = student_logits.shape[1]
+    log_s = log(clip(student_logits, ls.LOG_CLAMP, None))
+    log_t = np.log(np.clip(teacher.astype(student_logits.dtype), ls.LOG_CLAMP, None))
+    per_query = dm.sum(dm.mul(student_logits,
+                              sub(log_s, dm.constant(log_t, dtype=student_logits.dtype))),
+                       axis=1)
+    return dm.scale(dm.mean(per_query), 1.0 / n_classes)
+
+
+def chain_weighted_terms(pairs, dtype):
+    """sum of lambda * term over the terms with non-zero weight, one scale and
+    one add per term."""
+    total = None
+    for lam, term in pairs:
+        if lam == 0.0:
+            continue
+        if term is None:
+            raise ValueError("loss component with non-zero weight is missing")
+        piece = dm.scale(term, lam)
+        total = piece if total is None else add(total, piece)
+    if total is None:
+        total = dm.constant(0.0, dtype=dtype)
+    return total
 
 
 def chain_refine_prototype(params, initial, supports, lens=None, with_weights=False):
@@ -120,18 +340,18 @@ def chain_refine_prototype(params, initial, supports, lens=None, with_weights=Fa
     pool = np.zeros((c, n), dtype=dtype)                                        # [C x N]
     pool[owner, np.arange(n)] = 1
 
-    queries = dm.matmul(init, dm.transpose(params.wq))                         # [C x d]
-    keys = dm.matmul(seq, dm.transpose(params.wk))                             # [N x d]
-    values = dm.matmul(seq, dm.transpose(params.wv))                           # [N x d]
+    queries = dm.matmul(init, transpose(params.wq))                         # [C x d]
+    keys = dm.matmul(seq, transpose(params.wk))                             # [N x d]
+    values = dm.matmul(seq, transpose(params.wv))                           # [N x d]
     products = dm.mul(dm.take_rows(queries, owner), keys)
     scores = dm.scale(dm.matmul(products, dm.constant(head_of, dtype)), 1.0 / np.sqrt(d_k))
     attn = dm.segment_softmax(scores, starts, seg_lens)                         # [N x H]
     weighted = dm.mul(dm.matmul(attn, dm.constant(head_of.T, dtype)), values)  # [N x d]
-    refined = dm.add(init, dm.matmul(dm.constant(pool, dtype), weighted))
+    refined = add(init, dm.matmul(dm.constant(pool, dtype), weighted))
     if initial.ndim == 1:
         refined = dm.reshape(refined, (d,))
     if with_weights:
-        return refined, dm.transpose(attn)
+        return refined, transpose(attn)
     return refined
 
 
@@ -183,11 +403,11 @@ def loop_prototypes(embeddings, supports, g, params, mode="attention", rows=None
         for h in range(params.heads):
             cut = np.arange(h * d_k, (h + 1) * d_k)
             q = dm.matmul(dm.take_rows(params.wq, cut), init)
-            keys = dm.matmul(seq, dm.transpose(dm.take_rows(params.wk, cut)))
-            attn = dm.softmax(dm.scale(dm.matmul(keys, q), 1.0 / np.sqrt(d_k)))
-            values = dm.matmul(seq, dm.transpose(dm.take_rows(params.wv, cut)))
+            keys = dm.matmul(seq, transpose(dm.take_rows(params.wk, cut)))
+            attn = softmax(dm.scale(dm.matmul(keys, q), 1.0 / np.sqrt(d_k)))
+            values = dm.matmul(seq, transpose(dm.take_rows(params.wv, cut)))
             head_outs.append(dm.matmul(attn, values))
-        vectors.append(dm.add(init, dm.concat(head_outs, axis=0)))
+        vectors.append(add(init, dm.concat(head_outs, axis=0)))
     return stack(vectors)
 
 

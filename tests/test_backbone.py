@@ -461,3 +461,57 @@ def test_backbone_gradients_arrive_in_c_order(sparse_features, rows):
         grad = grads[id(t)]
         assert grad.shape == t.shape and grad.dtype == t.dtype
         assert grad.flags.c_contiguous
+
+
+# --- subnormal gradients ----------------------------------------------------------
+
+def _subnormal_count(a):
+    a = np.asarray(a)
+    return int(np.count_nonzero((np.abs(a) < np.finfo(a.dtype).tiny) & (a != 0)))
+
+
+def test_flush_subnormals_copies_only_when_it_finds_one():
+    tiny = np.finfo(np.float32).tiny
+    clean = np.array([0.0, -0.0, tiny, -1.5], dtype=np.float32)
+    assert bb._flush_subnormals(clean) is clean
+    dirty = np.array([tiny / 4, -tiny / 8, -0.0, tiny, 2.0], dtype=np.float32)
+    kept = dirty.copy()
+    flushed = bb._flush_subnormals(dirty)
+    assert dirty.tobytes() == kept.tobytes()          # the tape may share it
+    want = np.array([0.0, 0.0, -0.0, tiny, 2.0], dtype=np.float32)
+    assert flushed.tobytes() == want.tobytes()
+    assert bb._flush_subnormals(dirty, inplace=True) is dirty
+    assert dirty.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, [17, 3, 30]], ids=["full", "rows"])
+def test_subnormal_gradients_never_reach_the_layer_products(rows, monkeypatch):
+    # a subnormal entry in z's gradient makes the sparse product x.T @ g_z
+    # several times slower; the layers flush them, where a gradient enters
+    # and in g_z itself, which the gradient's scale here would fill with them
+    g, p = receptive_graph(True)
+    emb = bb.encode(p, g, rows=rows)
+    tiny = np.finfo(np.float32).tiny
+    rng = np.random.default_rng(41)
+    probe = (10.0 ** rng.uniform(-3.0, 3.0, size=emb.shape) * tiny).astype(np.float32)
+    assert _subnormal_count(probe) > 0
+    flushed = bb._flush_subnormals(probe)
+
+    reached = []
+    head_vjp = bb._head_vjp
+
+    def spy(grad, *args):
+        g_z, g_attn = head_vjp(grad, *args)
+        reached.append(g_z.copy())
+        return g_z, g_attn
+
+    monkeypatch.setattr(bb, "_head_vjp", spy)
+
+    def grads(weights):
+        loss = dm.sum(dm.mul(bb.encode(p, g, rows=rows), dm.constant(weights)))
+        return [a.tobytes() for a in dm.value_and_grad(loss, p.tensors())[1]]
+
+    injected = grads(probe)
+    assert len(reached) == 4 and all(_subnormal_count(g_z) == 0 for g_z in reached)
+    assert any(np.count_nonzero(g_z) for g_z in reached)
+    assert injected == grads(flushed)

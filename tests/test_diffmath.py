@@ -1,9 +1,12 @@
+import re
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import geometer.diffmath as dm
+import oracles
 from oracles import (central_differences, chain_pairwise_sq_euclidean, grad_relative_error,
                      loop_squared_euclidean, where_elu)
 
@@ -15,14 +18,14 @@ def t64(arr, grad=True):
 
 
 def test_softmax_symmetry():
-    out = dm.softmax(t64([0.0, 0.0, 0.0], grad=False))
+    out = oracles.softmax(t64([0.0, 0.0, 0.0], grad=False))
     np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-12)
 
 
 def test_softmax_rows_are_distributions():
     rng = np.random.default_rng(3)
     x = dm.tensor(rng.normal(size=(40, 7)) * 10, dtype=F64)
-    s = dm.softmax(x, axis=1).data
+    s = oracles.softmax(x, axis=1).data
     assert np.all(s >= 0) and np.all(s <= 1)
     np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-6)
 
@@ -106,10 +109,41 @@ def test_unreachable_parameter_gets_zero_gradient():
 
 def test_non_finite_intermediate_raises():
     with pytest.raises(dm.NonFiniteError):
-        dm.log(t64([-1.0]))
+        oracles.log(t64([-1.0]))
     big = dm.tensor(np.array([400.0], dtype=np.float32), requires_grad=True)
     with pytest.raises(dm.NonFiniteError):
-        dm.exp(big)  # overflows float32
+        oracles.exp(big)  # overflows float32
+
+
+def test_fpe_guard_names_the_op_and_restores_the_error_state():
+    before = np.geterr()
+    with pytest.raises(dm.NonFiniteError,
+                       match=r"^proximity_loss: non-finite result \(divide by zero "
+                             r"encountered in log\)$"):
+        with dm._fpe_guard("proximity_loss"):
+            np.log(np.zeros(2))
+    with dm._fpe_guard("outer"):
+        with dm._fpe_guard("inner"):
+            pass
+        with pytest.raises(dm.NonFiniteError, match="^outer: "):
+            with dm._fpe_guard("outer"):
+                np.float32(3e38) * np.float32(10)
+    with pytest.raises(KeyError):               # other errors pass through unchanged
+        with dm._fpe_guard("op"):
+            raise KeyError("x")
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("size", [1, 77, dm._FINITE_MASK_MAX, dm._FINITE_MASK_MAX + 1, 100000])
+def test_all_finite_on_both_sides_of_the_mask_size(size):
+    for dtype in (np.float32, np.float64):
+        a = np.random.default_rng(size).normal(size=size).astype(dtype)
+        assert dm._all_finite(a)
+        for bad in (np.nan, np.inf, -np.inf):
+            b = a.copy()
+            b[size // 2] = bad
+            assert not dm._all_finite(b)
+    assert dm._all_finite(np.zeros((0, 3), dtype=np.float32))
 
 
 def test_shape_mismatch_raises():
@@ -123,8 +157,8 @@ def test_determinism_bit_identical():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(30, 20)).astype(np.float32)
     b = rng.normal(size=(20, 10)).astype(np.float32)
-    r1 = dm.softmax(dm.matmul(dm.tensor(a), dm.tensor(b)), axis=1).data
-    r2 = dm.softmax(dm.matmul(dm.tensor(a), dm.tensor(b)), axis=1).data
+    r1 = oracles.softmax(dm.matmul(dm.tensor(a), dm.tensor(b)), axis=1).data
+    r2 = oracles.softmax(dm.matmul(dm.tensor(a), dm.tensor(b)), axis=1).data
     assert r1.tobytes() == r2.tobytes()
 
 
@@ -136,14 +170,14 @@ def test_random_composite_expression_matches_finite_differences():
 
     def f(arrays):
         tw, tx, tv = (t64(a) for a in arrays)
-        h = dm.elu(dm.matmul(tw, tx))
-        s = dm.softmax(h, axis=1)
+        h = oracles.elu(dm.matmul(tw, tx))
+        s = oracles.softmax(h, axis=1)
         z = dm.matmul(s, tv)
         return dm.mean(dm.mul(z, z))
 
     tw, tx, tv = t64(w), t64(x), t64(v)
-    h = dm.elu(dm.matmul(tw, tx))
-    s = dm.softmax(h, axis=1)
+    h = oracles.elu(dm.matmul(tw, tx))
+    s = oracles.softmax(h, axis=1)
     z = dm.matmul(s, tv)
     _, analytic = dm.value_and_grad(dm.mean(dm.mul(z, z)), [tw, tx, tv])
     numeric = central_differences(lambda arrs: f(arrs).item(), [w, x, v])
@@ -189,21 +223,21 @@ def _op_cases(rng):
     n, m, k = 3, 4, 2
     return {
         "matmul": (lambda ts: dm.matmul(ts[0], ts[1]), [rng.normal(size=(n, m)), rng.normal(size=(m, k))], (n, k)),
-        "add": (lambda ts: dm.add(ts[0], ts[1]), [rng.normal(size=(n, m)), rng.normal(size=(1, m))], (n, m)),
+        "add": (lambda ts: oracles.add(ts[0], ts[1]), [rng.normal(size=(n, m)), rng.normal(size=(1, m))], (n, m)),
         "mul": (lambda ts: dm.mul(ts[0], ts[1]), [rng.normal(size=(n, m)), rng.normal(size=(n, m))], (n, m)),
-        "div": (lambda ts: dm.div(ts[0], ts[1]), [rng.normal(size=(n, m)), rng.normal(size=(n, m)) + 3.0], (n, m)),
+        "div": (lambda ts: oracles.div(ts[0], ts[1]), [rng.normal(size=(n, m)), rng.normal(size=(n, m)) + 3.0], (n, m)),
         "scale": (lambda ts: dm.scale(ts[0], 1.7), [rng.normal(size=(n, m))], (n, m)),
         "concat": (lambda ts: dm.concat(ts, axis=0), [rng.normal(size=(n, m)), rng.normal(size=(2, m))], (n + 2, m)),
-        "softmax": (lambda ts: dm.softmax(ts[0], axis=1), [rng.normal(size=(n, m))], (n, m)),
-        "log_softmax": (lambda ts: dm.log_softmax(ts[0], axis=1), [rng.normal(size=(n, m))], (n, m)),
+        "softmax": (lambda ts: oracles.softmax(ts[0], axis=1), [rng.normal(size=(n, m))], (n, m)),
+        "log_softmax": (lambda ts: oracles.log_softmax(ts[0], axis=1), [rng.normal(size=(n, m))], (n, m)),
         "leaky_relu": (lambda ts: dm.leaky_relu(ts[0]), [_off_zero(rng, (n, m), 0.01)], (n, m)),
-        "elu": (lambda ts: dm.elu(ts[0]), [rng.normal(size=(n, m)) + 0.01], (n, m)),
-        "exp": (lambda ts: dm.exp(ts[0]), [rng.normal(size=(n, m))], (n, m)),
-        "log": (lambda ts: dm.log(ts[0]), [rng.random(size=(n, m)) + 0.5], (n, m)),
-        "sqrt": (lambda ts: dm.sqrt(ts[0]), [rng.random(size=(n, m)) + 0.5], (n, m)),
+        "elu": (lambda ts: oracles.elu(ts[0]), [rng.normal(size=(n, m)) + 0.01], (n, m)),
+        "exp": (lambda ts: oracles.exp(ts[0]), [rng.normal(size=(n, m))], (n, m)),
+        "log": (lambda ts: oracles.log(ts[0]), [rng.random(size=(n, m)) + 0.5], (n, m)),
+        "sqrt": (lambda ts: oracles.sqrt(ts[0]), [rng.random(size=(n, m)) + 0.5], (n, m)),
         "sum": (lambda ts: dm.sum(ts[0], axis=1), [rng.normal(size=(n, m))], (n,)),
         "mean": (lambda ts: dm.mean(ts[0], axis=0), [rng.normal(size=(n, m))], (m,)),
-        "max": (lambda ts: dm.amax(ts[0], axis=1), [_untied_rows(rng, (n, m))], (n,)),
+        "max": (lambda ts: oracles.amax(ts[0], axis=1), [_untied_rows(rng, (n, m))], (n,)),
         "take_rows": (lambda ts: dm.take_rows(ts[0], [2, 0, 2]), [rng.normal(size=(n, m))], (3, m)),
         "pairwise_sq_euclidean": (lambda ts: dm.pairwise_sq_euclidean(ts[0], ts[1]), [rng.normal(size=(n, m)), rng.normal(size=(k, m))], (n, k)),
     }
@@ -228,18 +262,29 @@ def test_gradient_check_per_op_100_seeds(op_name):
 
 
 def test_op_vocabulary_is_complete():
-    # the module's exported names are its differentiable-operation contract
-    for name in ["matmul", "add", "mul", "scale", "concat", "softmax", "leaky_relu",
-                 "elu", "exp", "log", "sum", "mean", "amax", "pairwise_sq_euclidean"]:
+    # the module's exported names are its differentiable-operation contract:
+    # the ops the library builds its tapes from, each one used by the library;
+    # the elementary ops that only the oracle chains use live in the tests
+    for name in ["matmul", "mul", "scale", "concat", "reshape", "take_rows", "leaky_relu",
+                 "segment_softmax", "sum", "mean", "pairwise_sq_euclidean", "dropout"]:
         assert name in dm.__all__
     for name in dm.__all__:
         assert callable(getattr(dm, name))
+    src = Path(dm.__file__).parent
+    library = "".join(p.read_text() for p in sorted(src.glob("*.py")) if p.name != "diffmath.py")
+    own = Path(dm.__file__).read_text()
+    for name in dm.__all__:
+        assert (re.search(rf"\bdm\.{name}\b", library)
+                or re.search(rf"(?<!def )\b{name}\(", own)), f"{name} is unused"
+    for name in ["add", "sub", "div", "neg", "exp", "log", "sqrt", "clip", "softmax",
+                 "log_softmax", "amax", "amin", "transpose", "elu"]:
+        assert not hasattr(dm, name) and callable(getattr(oracles, name))
 
 
 def test_elu_passes_large_positive_inputs_through():
     # expm1 would overflow float32 here; only the non-positive part reaches it
     x = dm.tensor(np.array([200.0, 1.5, 0.0, -3.0], dtype=np.float32), requires_grad=True)
-    out = dm.elu(x)
+    out = oracles.elu(x)
     np.testing.assert_allclose(out.data, [200.0, 1.5, 0.0, np.expm1(-3.0)], rtol=1e-6)
     _, (grad,) = dm.value_and_grad(dm.sum(out), [x])
     np.testing.assert_allclose(grad, [1.0, 1.0, 1.0, np.exp(-3.0)], rtol=1e-6)
@@ -255,7 +300,7 @@ def test_elu_is_byte_equal_to_the_two_branch_form(dtype):
     a = a.astype(dtype)
     x = dm.tensor(a, requires_grad=True)
     g = rng.normal(size=a.shape).astype(dtype)
-    out = dm.elu(x)
+    out = oracles.elu(x)
     (grad,) = out._vjp(g)
     want, want_vjp = where_elu(a)
     assert out.dtype == grad.dtype == dtype
@@ -268,7 +313,7 @@ def test_elu_blocks_equal_the_two_branch_form(monkeypatch):
     monkeypatch.setattr(dm, "_ELU_BLOCK", 7)
     a = np.random.default_rng(32).normal(size=(3, 11)).astype(np.float32) * 3
     want, _ = where_elu(a)
-    assert dm.elu(dm.tensor(a)).data.tobytes() == want.tobytes()
+    assert oracles.elu(dm.tensor(a)).data.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         dm.elu_inplace(a[:, ::2])
 
@@ -278,7 +323,7 @@ def test_elu_of_negative_zero_equals_the_two_branch_value():
     for dtype in (np.float32, np.float64):
         a = np.array([-0.0, -0.0], dtype=dtype)
         g = np.array([1.5, -2.0], dtype=dtype)
-        out = dm.elu(dm.tensor(a, requires_grad=True))
+        out = oracles.elu(dm.tensor(a, requires_grad=True))
         want, want_vjp = where_elu(a)
         np.testing.assert_array_equal(out.data, want)
         np.testing.assert_array_equal(out._vjp(g)[0], want_vjp(g))
@@ -289,6 +334,6 @@ def test_value_and_grad_returns_c_contiguous_gradients():
     rng = np.random.default_rng(30)
     w = dm.tensor(rng.normal(size=(3, 5)).astype(np.float32), requires_grad=True)
     x = dm.constant(rng.normal(size=(4, 5)))
-    _, (grad,) = dm.value_and_grad(dm.sum(dm.matmul(x, dm.transpose(w))), [w])
+    _, (grad,) = dm.value_and_grad(dm.sum(dm.matmul(x, oracles.transpose(w))), [w])
     assert grad.flags.c_contiguous and grad.dtype == np.float32
     np.testing.assert_allclose(grad, np.tile(x.data.sum(axis=0), (3, 1)), rtol=1e-6)

@@ -6,7 +6,9 @@ import pytest
 import geometer.diffmath as dm
 import geometer.losses as ls
 import geometer.prototypes as pt
-from oracles import central_differences, chain_uniformity_loss, grad_relative_error
+from oracles import (central_differences, chain_distillation_loss, chain_proximity_loss,
+                     chain_separability_loss, chain_softened_logits, chain_uniformity_loss,
+                     chain_weighted_terms, grad_relative_error)
 
 F64 = np.float64
 
@@ -309,6 +311,149 @@ def test_loss_weights_validation():
 def test_inverse_frequency_alpha():
     alpha = ls.inverse_frequency_alpha([0, 0, 0, 1, 2, 2])
     assert alpha == {0: pytest.approx(1 / 3), 1: 1.0, 2: 0.5}
+
+
+# --- fused loss ops against the op chains they replaced ------------------------
+
+def _value_and_grads(build, arrays, dtype):
+    """The output of ``build(tensors)`` and the gradients of a fixed random
+    functional of it with respect to every input."""
+    ts = [dm.tensor(np.asarray(a, dtype=dtype), requires_grad=True, dtype=dtype) for a in arrays]
+    out = build(ts)
+    probe = np.random.default_rng(38).normal(size=out.shape).astype(dtype)
+    loss = dm.sum(dm.mul(out, dm.constant(probe, dtype=dtype)))
+    _, grads = dm.value_and_grad(loss, ts)
+    return [out.data.tobytes()] + [g.tobytes() for g in grads], out.data.dtype
+
+
+def _assert_byte_equal_to_chain(fused, chain, arrays, dtype):
+    got, got_dtype = _value_and_grads(fused, arrays, dtype)
+    want, _ = _value_and_grads(chain, arrays, dtype)
+    assert got_dtype == dtype and got == want
+
+
+def _proximity_build(loss, labels, alpha):
+    return lambda ts: loss(ts[0], labels, proto_set(ts[1]), alpha)
+
+
+_RNG = np.random.default_rng(39)
+PROXIMITY_CASES = {
+    "one_class": (_RNG.normal(size=(3, 4)), _RNG.normal(size=(1, 4)), [0, 0, 0], None),
+    "few": (_RNG.normal(size=(5, 3)), _RNG.normal(size=(3, 3)), [2, 0, 2, 1, 2],
+            {0: 0.5, 1: 1.0, 2: 0.25}),
+    "many": (_RNG.normal(size=(60, 16)) * 2, _RNG.normal(size=(40, 16)),
+             _RNG.integers(0, 40, size=60), None),
+    # a query on its own prototype: a zero distance, clipped and given no gradient
+    "on_prototype": ([[1.0, 2.0], [0.0, 3.0]], [[1.0, 2.0], [4.0, -1.0]], [0, 1], None),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", sorted(PROXIMITY_CASES))
+def test_proximity_is_byte_equal_to_the_op_chain(case, dtype):
+    queries, protos, labels, alpha = PROXIMITY_CASES[case]
+    _assert_byte_equal_to_chain(_proximity_build(ls.proximity_loss, labels, alpha),
+                                _proximity_build(chain_proximity_loss, labels, alpha),
+                                [queries, protos], dtype)
+
+
+SEPARABILITY_CASES = {
+    "one_old": (_RNG.normal(size=(2, 3)), _RNG.normal(size=(1, 3))),
+    "few": (_RNG.normal(size=(3, 4)), _RNG.normal(size=(5, 4))),
+    "many": (_RNG.normal(size=(10, 16)), _RNG.normal(size=(60, 16))),
+    # exact ties: each novel prototype is equally near two old ones
+    "tie": ([[0.0, 0.0], [2.0, 2.0]], [[1.0, 0.0], [3.0, 3.0], [-1.0, 0.0], [1.0, 3.0]]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", sorted(SEPARABILITY_CASES))
+def test_separability_is_byte_equal_to_the_op_chain(case, dtype):
+    _assert_byte_equal_to_chain(lambda ts: ls.separability_loss(*ts),
+                                lambda ts: chain_separability_loss(*ts),
+                                list(SEPARABILITY_CASES[case]), dtype)
+
+
+def test_separability_tie_routes_to_the_first_nearest_old_prototype():
+    # the novel prototype at the origin is at squared distance 1 from old
+    # prototypes 0 and 2: only old 0 gets gradient, 2 (x - o) e^-1 / 1 for x
+    novel, old = t64([[0.0, 0.0]]), t64([[1.0, 0.0], [5.0, 5.0], [-1.0, 0.0]])
+    _, (g_novel, g_old) = dm.value_and_grad(ls.separability_loss(novel, old), [novel, old])
+    np.testing.assert_allclose(g_novel, [[2.0 * np.exp(-1.0), 0.0]], rtol=1e-12)
+    np.testing.assert_allclose(g_old, [[-2.0 * np.exp(-1.0), 0.0], [0.0, 0.0], [0.0, 0.0]],
+                               rtol=1e-12)
+
+
+SOFTENED_CASES = {
+    "one_class": (_RNG.normal(size=(4, 3)), _RNG.normal(size=(1, 3)), 2.0, -1.0),
+    "vector": (_RNG.normal(size=5), _RNG.normal(size=(3, 5)), 0.5, -1.0),
+    "many": (_RNG.normal(size=(30, 16)), _RNG.normal(size=(20, 16)), 2.0, -1.0),
+    "positive": (_RNG.normal(size=(6, 4)), _RNG.normal(size=(4, 4)), 3.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", sorted(SOFTENED_CASES))
+def test_softened_logits_is_byte_equal_to_the_op_chain(case, dtype):
+    emb, protos, tau, sign = SOFTENED_CASES[case]
+    _assert_byte_equal_to_chain(
+        lambda ts: ls.softened_logits(ts[0], proto_set(ts[1]), tau, sign),
+        lambda ts: chain_softened_logits(ts[0], proto_set(ts[1]), tau, sign),
+        [emb, protos], dtype)
+
+
+def _distributions(rng, shape):
+    raw = rng.random(size=shape)
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+DISTILLATION_CASES = {
+    "one_class": (np.ones((3, 1)), np.ones((3, 1))),
+    "few": (_distributions(_RNG, (4, 3)), _distributions(_RNG, (4, 3))),
+    "many": (_distributions(_RNG, (30, 20)), _distributions(_RNG, (30, 20))),
+    # student probabilities at and below the clamp, teacher ones below it
+    "clamped": ([[ls.LOG_CLAMP, 1e-20, 0.0, 1.0 - ls.LOG_CLAMP], [0.5, 0.25, 0.25, 0.0]],
+                [[0.25, 0.25, 0.5, 0.0], [1e-30, 0.5, 0.5, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", sorted(DISTILLATION_CASES))
+def test_distillation_is_byte_equal_to_the_op_chain(case, dtype):
+    student, teacher = DISTILLATION_CASES[case]
+    teacher = np.asarray(teacher, dtype=dtype)
+    _assert_byte_equal_to_chain(lambda ts: ls.distillation_loss(ts[0], teacher),
+                                lambda ts: chain_distillation_loss(ts[0], teacher),
+                                [student], dtype)
+
+
+def test_distillation_clip_blocks_the_log_gradient():
+    # at or below LOG_CLAMP only the product term reaches the student:
+    # d/ds of s (log clip(s) - log t) is log clip(s) - log t there, not + 1
+    student = t64([[ls.LOG_CLAMP, 0.5, 0.5 - ls.LOG_CLAMP], [0.0, 0.25, 0.75]])
+    teacher = np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3]])
+    _, (grad,) = dm.value_and_grad(ls.distillation_loss(student, teacher), [student])
+    log_ratio = np.log(np.clip(student.data, ls.LOG_CLAMP, None)) - np.log(teacher)
+    blocked = student.data <= ls.LOG_CLAMP
+    want = (log_ratio + np.where(blocked, 0.0, 1.0)) / 6.0
+    np.testing.assert_allclose(grad, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("lambdas", [(1.0,), (1.0, 0.5), (0.3, 0.0, 2.0, 0.7), (1.0, 1.0, 1.0, 1.0)])
+def test_weighted_terms_are_byte_equal_to_the_op_chain(lambdas, dtype):
+    values = np.random.default_rng(40).normal(size=len(lambdas))
+
+    def build(weighted):
+        return lambda ts: weighted(list(zip(lambdas, ts)), np.dtype(dtype))
+
+    _assert_byte_equal_to_chain(build(ls._weighted_terms), build(chain_weighted_terms),
+                                list(values), dtype)
+
+
+def test_weighted_terms_reject_mixed_dtypes():
+    with pytest.raises(dm.ShapeError):
+        ls.pretrain_loss(t64(0.3), dm.tensor(np.float32(0.5)), ls.LossWeights())
 
 
 # --- finite-difference gradient checks, 100 seeds per loss --------------------

@@ -511,13 +511,15 @@ def test_episode_losses_match_full_graph_encode(stage, dropout, monkeypatch):
 
 @pytest.mark.parametrize("stage", ["pretrain", "finetune", "finetune_carried"])
 def test_episode_gradients_match_the_op_chains_byte_for_byte(stage, monkeypatch):
-    # the fused distance, refinement and uniformity ops against the op chains
-    # they replaced, in whole episodes: the prototypes and query embeddings
-    # also collect gradient from the other loss terms
+    # the fused distance, refinement and loss ops against the op chains they
+    # replaced, in whole episodes: the prototypes and query embeddings also
+    # collect gradient from the other loss terms
     from geometer.backbone import encode
     from geometer.episodes import sample_finetune_episode
-    from oracles import (chain_pairwise_sq_euclidean, chain_refine_prototype,
-                         chain_uniformity_loss)
+    from oracles import (chain_distillation_loss, chain_pairwise_sq_euclidean,
+                         chain_proximity_loss, chain_refine_prototype,
+                         chain_separability_loss, chain_softened_logits,
+                         chain_uniformity_loss, chain_weighted_terms)
 
     stream = tiny_stream(seed=29)
     cfg = tiny_config(carried_prototypes=stage == "finetune_carried")
@@ -543,7 +545,47 @@ def test_episode_gradients_match_the_op_chains_byte_for_byte(stage, monkeypatch)
     monkeypatch.setattr(dm, "pairwise_sq_euclidean", chain_pairwise_sq_euclidean)
     monkeypatch.setattr(rn, "uniformity_loss", chain_uniformity_loss)
     monkeypatch.setattr(pt, "refine_prototype", chain_refine_prototype)
+    monkeypatch.setattr(rn, "proximity_loss", chain_proximity_loss)
+    monkeypatch.setattr(rn, "separability_loss", chain_separability_loss)
+    monkeypatch.setattr(rn, "softened_logits", chain_softened_logits)
+    monkeypatch.setattr(rn, "distillation_loss", chain_distillation_loss)
+    monkeypatch.setattr(ls, "_weighted_terms", chain_weighted_terms)
     assert fused == [episode_grads(i) for i in range(10)]
+
+
+def test_episode_tape_sizes_are_pinned(monkeypatch):
+    # tape nodes one episode builds (results that track a gradient), so that
+    # op chains cannot grow back into the losses unnoticed: per layer the
+    # fused GAT op and the [E]-sized score ops its backward reuses, then the
+    # gathers, the prototype ops, one distance op per distance and one op per
+    # loss term and for the weighted sum
+    from geometer.backbone import encode
+    from geometer.episodes import sample_finetune_episode
+
+    stream = tiny_stream(seed=29)
+    cfg = tiny_config()
+    teacher = rn.pretrain(stream, replace(cfg, episodes_pretrain=3), seed=1)
+    g1 = stream.snapshots[1]
+    teacher_emb = encode(teacher.backbone.detached(), g1).data
+    pools = {c: stream.eval_pools[0][c] for c in (0, 1)}
+    pre_ep = sample_pretrain_episode(pools, cfg.sampler(), episode_rng(1, 0, 0))
+    fine_ep = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(1, 1, 0))
+    nodes = []
+    result = dm._result
+
+    def counting(data, parents, vjp):
+        out = result(data, parents, vjp)
+        nodes.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(dm, "_result", counting)
+    rn._pretrain_episode_loss(rn.clone_state(teacher), stream.snapshots[0], pre_ep, cfg,
+                              cfg.loss_weights(), episode_rng(1, 9, 0))
+    assert sum(nodes) == 15
+    nodes.clear()
+    rn._finetune_episode_loss(rn.clone_state(teacher), teacher_emb, teacher.prototypes, g1,
+                              fine_ep, stream, 1, cfg, cfg.loss_weights(), episode_rng(1, 9, 1))
+    assert sum(nodes) == 23
 
 
 def _episode_setup(base=(0, 1), seed=31):
@@ -630,6 +672,92 @@ def test_alpha_pretrain_weights_the_proximity_classes(alpha_mode):
     assert ls.inverse_frequency_alpha(labels) == pytest.approx({0: 1.0 / 3.0, 1: 1.0})
     want = sum(alpha[c] * nll[labels == c].mean() for c in (0, 1))
     assert loss.item() == pytest.approx(want, rel=1e-4)
+
+
+# --- config knobs -----------------------------------------------------------------
+
+def test_sgd_optimizer_takes_plain_gradient_steps():
+    # optimizer = sgd: each episode moves every parameter by -lr * gradient,
+    # replayed here episode by episode from the same initial parameters
+    stream = tiny_stream(seed=23)
+    cfg = tiny_config(optimizer="sgd", episodes_pretrain=3, lr_pretrain=0.05)
+    trained = rn.pretrain(stream, cfg, seed=3)
+    state = rn.pretrain(stream, replace(cfg, episodes_pretrain=0), seed=3)
+    g = stream.snapshots[0]
+    pools = {c: stream.eval_pools[0][c] for c in (0, 1)}
+    for i in range(cfg.episodes_pretrain):
+        rng = episode_rng(3, 0, i)
+        episode = sample_pretrain_episode(pools, cfg.sampler(), rng)
+        loss = rn._pretrain_episode_loss(state, g, episode, cfg, cfg.loss_weights(), rng)
+        _, grads = dm.value_and_grad(loss, state.trainable())
+        for p, grad in zip(state.trainable(), grads):
+            p.data = p.data - cfg.lr_pretrain * grad
+    for a, b in zip(trained.trainable(), state.trainable()):
+        assert a.data.tobytes() == b.data.tobytes()
+    adam = rn.pretrain(stream, replace(cfg, optimizer="adam"), seed=3)
+    assert adam.backbone.tensors()[0].data.tobytes() != state.backbone.tensors()[0].data.tobytes()
+
+
+@pytest.mark.parametrize("n_way", [0, 2])
+def test_n_way_pretrain_from_a_config_file_sets_the_episode_classes(n_way, tmp_path,
+                                                                    monkeypatch):
+    from geometer.config import parse_config, write_config
+    g = make_clustered_graph(classes=4, per_class=24, feature_dim=12, p_in=0.25,
+                             p_out=0.02, seed=24)
+    stream = gs.build_session_stream(g, [0, 1, 2], [[3]], k_shot=3, seed=24)
+    write_config(tiny_config(n_way_pretrain=n_way, episodes_pretrain=12), tmp_path / "c.cfg")
+    cfg = parse_config(tmp_path / "c.cfg")
+    drawn = []
+    sample = rn.sample_pretrain_episode
+
+    def spy(pools, sampler, rng):
+        episode = sample(pools, sampler, rng)
+        drawn.append(tuple(sorted(episode.supports)))
+        return episode
+
+    monkeypatch.setattr(rn, "sample_pretrain_episode", spy)
+    rn.pretrain(stream, cfg, seed=4)
+    assert len(drawn) == 12
+    if n_way == 0:
+        assert set(drawn) == {(0, 1, 2)}
+    else:
+        assert all(len(classes) == 2 for classes in drawn) and len(set(drawn)) > 1
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_freeze_backbone_trains_only_the_class_attention(freeze):
+    stream = tiny_stream(seed=25)
+    teacher = rn.pretrain(stream, tiny_config(episodes_pretrain=3), seed=2)
+    cfg = tiny_config(freeze_backbone=freeze, episodes_finetune=4, lr_finetune=1e-2)
+    student = rn.run_stream_session(teacher, stream, 1, cfg, seed=2)
+    same = [a.data.tobytes() == b.data.tobytes()
+            for a, b in zip(student.backbone.tensors(), teacher.backbone.tensors())]
+    assert all(same) if freeze else not any(same)
+    assert not any(a.data.tobytes() == b.data.tobytes()
+                   for a, b in zip(student.class_attention.tensors(),
+                                   teacher.class_attention.tensors()))
+
+
+def test_two_head_backbone_trains_and_round_trips_through_a_checkpoint(tmp_path):
+    from geometer.backbone import encode, init_backbone
+    from geometer.checkpoint import load_tensors, save_tensors
+    stream = tiny_stream(seed=26)
+    cfg = tiny_config(backbone_heads=2, episodes_pretrain=4)
+    model = rn.pretrain(stream, cfg, seed=6)
+    g = stream.snapshots[0]
+    fresh = init_backbone(g.feature_dim, cfg.hidden_dim, cfg.embedding_dim, seed=6,
+                          heads=(2, 1))
+    assert model.backbone.heads == (2, 1)
+    assert model.backbone.layers[0][0].weight.shape == (g.feature_dim, cfg.hidden_dim // 2)
+    for a, b in zip(model.backbone.tensors(), fresh.tensors()):
+        assert a.data.tobytes() != b.data.tobytes()
+    save_tensors(tmp_path / "model.gfsp", rn.model_to_arrays(model))
+    back = rn.arrays_to_model(load_tensors(tmp_path / "model.gfsp"))
+    assert back.backbone.heads == (2, 1)
+    for a, b in zip(model.trainable(), back.trainable()):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert (encode(back.backbone, g).data.tobytes()
+            == encode(model.backbone.detached(), g).data.tobytes())
 
 
 def test_model_checkpoint_round_trip(tmp_path):
