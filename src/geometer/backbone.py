@@ -15,11 +15,20 @@ per neighborhood (``dm.segment_softmax``) and aggregates with the sparse
 attention matrix (SpMM), the fusion of DGL and FeatGraph.  For its backward
 the op keeps, per head, z, the per-edge scores and weights and the attention
 matrix over them, and the layer output; layer 0's ELU runs in place on the
-aggregate, so beside z it holds one [rows x hidden] array, its output.  The
-input gradient of z sums ``att.T @ g`` and the two score terms in one buffer,
-adding the score terms in row blocks through one small scratch array.
-The backward sets subnormal gradient entries to 0 where they enter a layer
-and in z's gradient: a few of them (from a log-softmax whose
+aggregate, so beside z it holds one [rows x hidden] array, its output.
+
+The backward releases what it saved as it goes, so it runs once: a second
+backward through the op raises ``dm.TapeReleasedError``.  Per head it first
+runs every step that reads z (the per-edge dot products, the softmax and
+leaky-ReLU vjps, the score terms of the attention vector), then drops the
+head's saved entry, freeing z.  Only then does it build z's gradient in one
+buffer, ``att.T @ g`` plus the two score terms added in row blocks through
+one small scratch array; and it drops the incoming gradient (for layer 0,
+the ELU gradient) before the weight product ``x.T @ g_z``.  Since
+``dm.backward`` keeps no reference to the gradient it hands a vjp, layer 0's
+backward holds at most two [rows x hidden] arrays beyond the tape at once.
+It sets subnormal gradient entries to 0 where they enter a layer and in each
+row block of z's gradient: a few of them (from a log-softmax whose
 log-probabilities fall below the float32 exponent range, say) make the
 sparse layer-0 product ``x.T @ g_z`` several times slower.
 An op whose parameters track no gradient (an inference encode) keeps
@@ -256,33 +265,41 @@ def _flush_subnormals(a: np.ndarray, inplace: bool = False) -> np.ndarray:
     return a
 
 
-def _head_vjp(g: np.ndarray, z: np.ndarray, attn: np.ndarray, att, leaky: Tensor,
-              alpha: Tensor, struct: _EdgeStructure):
+def _head_vjp(g: np.ndarray, saved: list, attn: np.ndarray, struct: _EdgeStructure):
     """Gradients of one head's aggregate ``att @ z`` w.r.t. z and the
-    attention vector, given the aggregate's gradient ``g``.
+    attention vector, given the aggregate's gradient ``g``; the head's
+    ``(z, att, leaky, alpha)`` entry is popped off the front of ``saved``.
 
-    z's gradient is one buffer: the aggregation term ``att.T @ g``, then the
-    center-score and neighbor-score terms added in that order, with its
-    subnormal entries then set to 0.
+    Every step that reads z runs first (the per-edge dot products, the
+    softmax and leaky-ReLU vjps, the score terms of the attention vector),
+    and z is freed after its last read.  z's gradient is then one buffer: the
+    aggregation term ``att.T @ g``, then in each row block the center-score
+    and neighbor-score terms added in that order, with the block's subnormal
+    entries set to 0 while it is in cache.
     """
-    g_z = (att.T @ g).astype(z.dtype, copy=False)
+    z, att, leaky, alpha = saved.pop(0)
+    out_h, dtype = z.shape[1], z.dtype
     g_alpha = np.empty(len(struct.src), dtype=np.result_type(g, z))
     for lo in range(0, len(g_alpha), _EDGE_BLOCK):
         block = slice(lo, lo + _EDGE_BLOCK)
         g_alpha[block] = np.einsum("ed,ed->e", g[struct.dst[block]], z[struct.src[block]])
     (g_scores,) = leaky._vjp(*alpha._vjp(g_alpha))
-    out_h = z.shape[1]
     g_attn = np.zeros_like(attn)
-    scratch = np.empty((min(len(z), _ROW_BLOCK), out_h), dtype=g_z.dtype)
+    g_s = []
     for part, idx in ((slice(0, out_h), struct.center), (slice(out_h, None), struct.src)):
         # summed per node in float64, as dm.take_rows' vjp sums a gather
-        g_s = np.bincount(idx, weights=g_scores, minlength=struct.n_in).astype(z.dtype)
-        g_attn[part] += z.T @ g_s
-        for lo in range(0, len(z), _ROW_BLOCK):      # g_z += outer(g_s, attn[part])
-            rows = slice(lo, lo + _ROW_BLOCK)
-            outer = np.multiply(g_s[rows, None], attn[None, part], out=scratch[:len(g_s[rows])])
-            g_z[rows] += outer
-    return _flush_subnormals(g_z, inplace=True), g_attn
+        g_s.append(np.bincount(idx, weights=g_scores, minlength=struct.n_in).astype(dtype))
+        g_attn[part] += z.T @ g_s[-1]
+    del z                                           # read for the last time
+    g_z = (att.T @ g).astype(dtype, copy=False)
+    scratch = np.empty((min(len(g_z), _ROW_BLOCK), out_h), dtype=dtype)
+    for lo in range(0, len(g_z), _ROW_BLOCK):
+        block = g_z[lo:lo + _ROW_BLOCK]
+        for g_part, a_part in zip(g_s, (attn[None, :out_h], attn[None, out_h:])):
+            block += np.multiply(g_part[lo:lo + _ROW_BLOCK, None], a_part,
+                                 out=scratch[:len(block)])
+        _flush_subnormals(block, inplace=True)
+    return g_z, g_attn
 
 
 def _as_states(g: Graph, node_states, dtype) -> Tensor:
@@ -368,22 +385,30 @@ def gat_layer(params: BackboneParams, g: Graph, node_states, layer: int,
         return Tensor(out)
 
     def vjp(g_out):
+        if len(saved) != len(heads):
+            raise dm.TapeReleasedError(f"gat_layer: layer {layer}'s backward already ran "
+                                       "and released its saved arrays")
         g_out = _flush_subnormals(g_out)
         if layer == 0:
             g_out = dm.elu_grad(out, g_out)
         elif len(heads) > 1:
             g_out = g_out * mean_scale
         g_states, grads, col = None, [], 0
-        for hp, (z, att, leaky, alpha) in zip(heads, saved):
+        for i, hp in enumerate(heads):
             g_h = g_out
             if concat:
-                g_h = g_out[:, col:col + z.shape[1]]
-                col += z.shape[1]
-            g_z, g_attn = _head_vjp(g_h, z, hp.attn.data, att, leaky, alpha, struct)
-            grads += [(x.T @ g_z).astype(z.dtype, copy=False), g_attn]
+                width = hp.weight.shape[1]
+                g_h = g_out[:, col:col + width]
+                col += width
+            if i == len(heads) - 1:
+                del g_out                           # g_h holds its last reference
+            g_z, g_attn = _head_vjp(g_h, saved, hp.attn.data, struct)
+            del g_h                                 # freed before the weight product
+            grads += [(x.T @ g_z).astype(g_z.dtype, copy=False), g_attn]
             if grad_states:
                 part = g_z @ hp.weight.data.T
-                g_states = part if g_states is None else g_states + part
+                g_states = part if g_states is None else np.add(g_states, part, out=g_states)
+            del g_z
         return (g_states, *grads) if grad_states else tuple(grads)
 
     return dm._result(out, parents, vjp)
@@ -446,7 +471,7 @@ def backbone_to_arrays(params: BackboneParams) -> dict:
     arrays = {
         "backbone/meta": np.array(
             [params.feature_dim, params.hidden_dim, params.out_dim, *params.heads],
-            dtype=np.float32),
+            dtype=np.int64),
     }
     for li, layer in enumerate(params.layers):
         for hi, hp in enumerate(layer):

@@ -1,9 +1,13 @@
-"""Binary container for named float32 tensors (model checkpoints, prototypes).
+"""Binary container for named tensors (model checkpoints, prototypes).
 
 Layout, all little-endian:
   magic b"GFSP"
   u32 tensor count
-  per tensor: u32 name length, utf-8 name, u32 ndim, u32 dims..., f32 payload
+  per tensor: u32 name length, utf-8 name, u32 kind << 16 | ndim, u32 dims...,
+  payload
+
+Kind 0 is a float32 payload and kind 1 an int64 one.  Files written before
+the int64 kind existed hold only kind 0, so they read as they always have.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import numpy as np
 from .fileio import replacing
 
 _MAGIC = b"GFSP"
+# kind code -> payload dtype
+_KINDS = {0: np.dtype("<f4"), 1: np.dtype("<i8")}
 
 __all__ = ["CheckpointError", "save_tensors", "load_tensors"]
 
@@ -25,16 +31,19 @@ class CheckpointError(Exception):
 
 
 def save_tensors(path, tensors: dict) -> None:
-    """Write a {name: array} mapping; arrays are stored as float32.
+    """Write a {name: array} mapping: integer arrays exactly, as int64, and
+    every other array as float32.
 
     The file is replaced whole: a failed write leaves the previous one."""
     with replacing(path, "wb") as fh:
         fh.write(_MAGIC + struct.pack("<I", len(tensors)))
         for name, arr in tensors.items():
-            arr = np.asarray(arr, dtype="<f4")   # keeps 0-d shapes; tobytes() C-orders
+            arr = np.asarray(arr)                # keeps 0-d shapes; tobytes() C-orders
+            kind = 1 if np.issubdtype(arr.dtype, np.integer) else 0
+            arr = arr.astype(_KINDS[kind], copy=False)
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)) + encoded)
-            fh.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(struct.pack(f"<I{arr.ndim}I", kind << 16 | arr.ndim, *arr.shape))
             fh.write(arr.tobytes())
 
 
@@ -54,15 +63,19 @@ def load_tensors(path) -> dict:
             offset += 4
             name = raw[offset:offset + name_len].decode("utf-8")
             offset += name_len
-            (ndim,) = struct.unpack_from("<I", raw, offset)
+            (word,) = struct.unpack_from("<I", raw, offset)
             offset += 4
+            kind, ndim = divmod(word, 1 << 16)
+            if kind not in _KINDS:
+                raise CheckpointError(f"{p}: unknown kind {kind} of tensor {name!r}")
+            dtype = _KINDS[kind]
             shape = struct.unpack_from(f"<{ndim}I", raw, offset) if ndim else ()
             offset += 4 * ndim
             size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            end = offset + 4 * size
+            end = offset + dtype.itemsize * size
             if end > len(raw):
                 raise CheckpointError(f"{p}: truncated payload for tensor {name!r}")
-            tensors[name] = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape).copy()
+            tensors[name] = np.frombuffer(raw[offset:end], dtype=dtype).reshape(shape).copy()
             offset = end
     except struct.error as exc:
         raise CheckpointError(f"{p}: truncated header ({exc})") from None

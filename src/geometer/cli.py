@@ -74,7 +74,7 @@ def _append_record(path: Path, record: dict) -> None:
 
 def _save_model(cfg: ExperimentConfig, model: ModelState, seed: int) -> Path:
     arrays = model_to_arrays(model)
-    arrays["meta/seed"] = np.array([seed], dtype=np.float32)
+    arrays["meta/seed"] = np.array([seed], dtype=np.int64)
     path = _checkpoint_path(cfg, seed, model.session_index)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_tensors(path, arrays)

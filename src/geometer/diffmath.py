@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Tensor", "ShapeError", "NonFiniteError",
+    "Tensor", "ShapeError", "NonFiniteError", "TapeReleasedError",
     "tensor", "constant",
     "mul", "scale", "matmul", "concat", "reshape", "take_rows",
     "leaky_relu", "elu_inplace", "elu_grad", "segment_softmax",
@@ -62,6 +62,11 @@ class ShapeError(ValueError):
 
 class NonFiniteError(ArithmeticError):
     """An operation produced NaN or Inf."""
+
+
+class TapeReleasedError(RuntimeError):
+    """A backward pass reached an op whose saved arrays an earlier backward
+    through it released."""
 
 
 class _fpe_guard:
@@ -418,7 +423,10 @@ def _topo_order(root: Tensor) -> list:
 def backward(output: Tensor, seed_grad=None) -> dict:
     """Reverse-mode sweep from ``output``; returns {id(tensor): grad array}
     for the leaves (tensors without parents) it reaches.  No tensor keeps a
-    reference to its gradient."""
+    reference to its gradient, and the sweep hands each vjp its output's
+    gradient without keeping a reference, so a vjp that drops the only
+    other one frees it.  An op may release its saved arrays in its vjp; a
+    second sweep through it then raises ``TapeReleasedError``."""
     if not output.requires_grad:
         return {}
     if seed_grad is None:
@@ -426,12 +434,9 @@ def backward(output: Tensor, seed_grad=None) -> dict:
     grads: dict = {id(output): np.asarray(seed_grad, dtype=output.dtype)}
     with _fpe_guard("backward"):
         for node in reversed(_topo_order(output)):
-            if not node._parents:
+            if not node._parents or id(node) not in grads:
                 continue
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
+            for parent, pg in zip(node._parents, node._vjp(grads.pop(id(node)))):
                 if pg is None or not parent.requires_grad:
                     continue
                 key = id(parent)

@@ -284,7 +284,7 @@ def compute_prototypes(embeddings: Tensor, supports: Mapping[int, Sequence[int]]
 
 def class_attention_to_arrays(params: ClassAttentionParams) -> dict:
     return {
-        "class_attention/meta": np.array([params.heads], dtype=np.float32),
+        "class_attention/meta": np.array([params.heads], dtype=np.int64),
         "class_attention/wq": params.wq.data,
         "class_attention/wk": params.wk.data,
         "class_attention/wv": params.wv.data,
@@ -302,7 +302,7 @@ def arrays_to_class_attention(arrays: dict) -> ClassAttentionParams:
 
 def prototypes_to_arrays(protos: PrototypeSet) -> dict:
     return {
-        "prototypes/classes": np.array(protos.class_ids, dtype=np.float32),
+        "prototypes/classes": np.array(protos.class_ids, dtype=np.int64),
         "prototypes/vectors": protos.vectors.data,
         "prototypes/carried": np.array(
             [1.0 if o == ORIGIN_CARRIED else 0.0 for o in protos.origins], dtype=np.float32),

@@ -126,7 +126,7 @@ def clone_state(state: ModelState) -> ModelState:
 
 
 def model_to_arrays(state: ModelState) -> dict:
-    arrays = {"meta/session_index": np.array([state.session_index], dtype=np.float32)}
+    arrays = {"meta/session_index": np.array([state.session_index], dtype=np.int64)}
     arrays.update(backbone_to_arrays(state.backbone))
     arrays.update(class_attention_to_arrays(state.class_attention))
     if state.prototypes is not None:

@@ -1,9 +1,20 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geometer.backbone as bb
+import geometer.cli as cli
+import geometer.diffmath as dm
+import geometer.prototypes as pt
+import geometer.runner as rn
 from geometer.checkpoint import CheckpointError, load_tensors, save_tensors
+from geometer.config import ExperimentConfig
+
+# a checkpoint written before the int64 kind: every tensor float32, the
+# integer metadata included (seed 7, session 2, classes 0, 2 and 5)
+FLOAT32_META = Path(__file__).parent / "fixtures" / "float32_meta_session2.gfsp"
 
 
 def test_round_trip_shapes_and_values(tmp_path):
@@ -72,3 +83,57 @@ def test_failed_write_keeps_the_previous_file(tmp_path):
         save_tensors(p, {"a": np.zeros(3, dtype=np.float32), "b": np.array(["text"])})
     assert p.read_bytes() == before
     assert [q.name for q in tmp_path.iterdir()] == ["t.gfsp"]
+
+
+def test_integer_arrays_are_stored_exactly_as_int64(tmp_path):
+    p = tmp_path / "t.gfsp"
+    big = 2 ** 24 + 1                  # float32 would read it back as 2 ** 24
+    save_tensors(p, {"i": np.array([big, -3], dtype=np.int32)})
+    expected = (b"GFSP" + struct.pack("<I", 1)
+                + struct.pack("<I", 1) + b"i" + struct.pack("<II", 1 << 16 | 1, 2)
+                + np.array([big, -3], dtype="<i8").tobytes())
+    assert p.read_bytes() == expected
+    back = load_tensors(p)["i"]
+    assert back.dtype == np.int64 and back.tolist() == [big, -3]
+
+
+def test_unknown_tensor_kind_is_rejected(tmp_path):
+    p = tmp_path / "t.gfsp"
+    p.write_bytes(b"GFSP" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"x"
+                  + struct.pack("<II", 2 << 16 | 1, 1) + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match="unknown kind 2 of tensor 'x'"):
+        load_tensors(p)
+
+
+def _model(class_ids, session_index):
+    protos = pt.PrototypeSet(tuple(class_ids),
+                             dm.tensor(np.ones((len(class_ids), 2), dtype=np.float32)),
+                             tuple(pt.ORIGIN_COMPUTED for _ in class_ids))
+    return rn.ModelState(bb.init_backbone(3, 4, 2, seed=1), pt.init_class_attention(2, heads=2),
+                         protos, session_index)
+
+
+def test_seed_and_class_ids_past_float32_round_trip(tmp_path):
+    big = 2 ** 24 + 1
+    cfg = ExperimentConfig(run_dir=str(tmp_path))
+    path = cli._save_model(cfg, _model((0, big), 3), big)
+    model, seed = cli._load_model(path)
+    assert seed == big
+    assert model.prototypes.class_ids == (0, big) and model.session_index == 3
+    assert model.class_attention.heads == 2 and model.backbone.heads == (1, 1)
+
+
+def test_checkpoint_with_float32_metadata_still_loads():
+    model, seed = cli._load_model(FLOAT32_META)
+    assert seed == 7 and model.session_index == 2
+    assert model.prototypes.class_ids == (0, 2, 5)
+    assert model.prototypes.origins == (pt.ORIGIN_CARRIED, pt.ORIGIN_COMPUTED,
+                                        pt.ORIGIN_COMPUTED)
+    assert model.prototypes.vectors.data.tolist() == [[0, 1], [2, 3], [4, 5]]
+    b = model.backbone
+    assert (b.feature_dim, b.hidden_dim, b.out_dim, b.heads) == (3, 4, 2, (2, 1))
+    assert model.class_attention.heads == 2
+    # it holds the same parameters as a fresh initialization under its seed
+    fresh = bb.init_backbone(3, 4, 2, seed=1, heads=(2, 1))
+    assert all(a.data.tobytes() == f.data.tobytes()
+               for a, f in zip(b.tensors(), fresh.tensors()))

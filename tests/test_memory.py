@@ -120,6 +120,42 @@ def test_inference_encode_transient_stays_under_two_and_a_half_hidden_arrays(hea
     assert peak < 2.5 * hidden_array, peak / hidden_array
 
 
+@pytest.mark.parametrize("rows", [None, np.arange(0, 2000, 10)], ids=["full", "rows"])
+@pytest.mark.parametrize("heads", [(1, 1), (2, 1)])
+def test_training_backward_transient_stays_at_two_hidden_arrays(heads, rows):
+    # layer 0's backward frees z after its last read and its upstream
+    # gradient before the weight product, so above the tape it holds at most
+    # the upstream gradient and the ELU gradient, or that and z's gradient
+    g = sparse_graph(2000, 1000, classes=4, labeled_per_class=30)
+    p = bb.init_backbone(1000, 512, 64, seed=0, heads=heads)
+    bb.encode(p.detached(), g)      # builds the cached neighborhoods and CSR first
+    layer0_rows = g.node_count
+    if rows is not None:
+        layer0_rows = len(bb._receptive_field(g, bb._receptive_field(g, rows)[1])[1])
+    weights = np.random.default_rng(5).normal(size=64).astype(np.float32)
+    tracemalloc.start()         # the tape is traced, so what it frees counts
+    try:
+        emb = bb.encode(p, g, rows=rows)
+        loss = dm.sum(dm.matmul(emb, dm.constant(weights)))
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dm.value_and_grad(loss, p.tensors())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    hidden_array = layer0_rows * 512 * 4
+    assert peak <= 2 * hidden_array, peak / hidden_array
+
+
+def test_a_second_backward_through_a_layer_raises():
+    g = sparse_graph(200, 400, classes=2, labeled_per_class=10)
+    p = bb.init_backbone(400, 16, 4, seed=1, heads=(2, 1))
+    loss = dm.sum(bb.encode(p, g, rows=[3, 7, 11]))
+    dm.value_and_grad(loss, p.tensors())
+    with pytest.raises(dm.TapeReleasedError, match="gat_layer: layer 1"):
+        dm.value_and_grad(loss, p.tensors())
+
+
 def test_value_and_grad_leaves_no_gradient_on_parameters():
     rng = np.random.default_rng(3)
     g = sparse_graph(200, 400, classes=2, labeled_per_class=10)
