@@ -7,18 +7,16 @@ metric losses plus teacher-student distillation under episodic biased
 sampling.
 """
 
-from .backbone import BackboneParams, attention_coefficients, encode, gat_layer, init_backbone
+from .backbone import BackboneParams, encode, gat_layer, init_backbone
 from .config import ConfigError, ExperimentConfig, parse_config, write_config
 from .episodes import (Episode, SamplerConfig, episode_rng,
                        sample_finetune_episode, sample_pretrain_episode)
-from .graph_store import (Graph, SessionStream, build_session_stream, degree_of,
-                          induced_subgraph, load_graph, load_session_stream,
-                          neighbors_of, save_dataset, save_manifest)
+from .graph_store import (Graph, SessionStream, build_session_stream, load_graph,
+                          load_session_stream, save_dataset, save_manifest)
 from .losses import (LossWeights, distillation_loss, finetune_loss, pretrain_loss,
-                     prototype_center, proximity_loss, separability_loss,
-                     softened_logits, uniformity_loss)
+                     proximity_loss, separability_loss, softened_logits, uniformity_loss)
 from .prototypes import (ClassAttentionParams, PrototypeSet, compute_prototypes,
-                         init_class_attention, initial_prototype, refine_prototype)
+                         init_class_attention, refine_prototype)
 from .runner import (ModelState, SessionMetrics, evaluate_session, predict_nodes,
                      pretrain, run_stream_session)
 

@@ -76,8 +76,8 @@ _FLUSH_BLOCK = 65536
 # [block x width] scratch instead of two [rows x width] outer products
 _ROW_BLOCK = 256
 
-__all__ = ["HeadParams", "BackboneParams", "init_backbone", "attention_coefficients",
-           "gat_layer", "encode", "backbone_to_arrays", "arrays_to_backbone"]
+__all__ = ["HeadParams", "BackboneParams", "init_backbone", "gat_layer", "encode",
+           "backbone_to_arrays", "arrays_to_backbone"]
 
 
 @dataclass
@@ -287,7 +287,7 @@ def _head_vjp(g: np.ndarray, saved: list, attn: np.ndarray, struct: _EdgeStructu
     g_attn = np.zeros_like(attn)
     g_s = []
     for part, idx in ((slice(0, out_h), struct.center), (slice(out_h, None), struct.src)):
-        # summed per node in float64, as dm.take_rows' vjp sums a gather
+        # summed per node in float64, as the op chain this layer replaced did
         g_s.append(np.bincount(idx, weights=g_scores, minlength=struct.n_in).astype(dtype))
         g_attn[part] += z.T @ g_s[-1]
     del z                                           # read for the last time
@@ -302,46 +302,19 @@ def _head_vjp(g: np.ndarray, saved: list, attn: np.ndarray, struct: _EdgeStructu
     return g_z, g_attn
 
 
-def _as_states(g: Graph, node_states, dtype) -> Tensor:
-    if isinstance(node_states, Tensor):
-        return node_states
-    return dm.tensor(np.asarray(node_states, dtype=dtype), dtype=dtype)
-
-
-def attention_coefficients(params: BackboneParams, g: Graph, node_states, layer: int,
-                           head: int = 0) -> dict:
-    """Attention weights as {node_id: {incident node_id: alpha}}, self included."""
-    states = _as_states(g, node_states, params.dtype)
-    if states.shape[0] != g.node_count:
-        raise dm.ShapeError(f"states rows {states.shape[0]} != node count {g.node_count}")
-    struct = _edge_structure(g)
-    hp = params.layers[layer][head]
-    z = _project(states.data, hp.weight.data)
-    _, _, alpha = _attention(z, hp.attn.data, struct, track=False)
-    a = alpha.data
-    result = {}
-    for row in range(g.node_count):
-        lo = struct.starts[row]
-        seg = slice(lo, lo + struct.lens[row])
-        center = int(g.node_ids[row])
-        result[center] = {int(g.node_ids[s]): float(v)
-                          for s, v in zip(struct.src[seg], a[seg])}
-    return result
-
-
-def gat_layer(params: BackboneParams, g: Graph, node_states, layer: int,
+def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
               struct: _EdgeStructure | None = None) -> Tensor:
     """One attention layer over the self-inclusive neighborhoods, as one
     autodiff op (see the module docstring).
 
-    ``node_states`` has one row per input row of ``struct`` (default: every
-    node of ``g``) and may be a constant scipy sparse matrix; the result has
-    one row per output row of ``struct``.
+    ``states``, a ``dm.Tensor`` or a constant scipy CSR matrix, has one row
+    per input row of ``struct`` (default: every node of ``g``); the result
+    has one row per output row of ``struct``.
     """
     struct = _edge_structure(g) if struct is None else struct
-    states = node_states
-    if not sparse.issparse(states):
-        states = _as_states(g, states, params.dtype)
+    if not (isinstance(states, Tensor) or sparse.issparse(states)):
+        raise TypeError(f"gat_layer: states must be a dm.Tensor or a sparse matrix, "
+                        f"got {type(states).__name__}")
     heads = params.layers[layer]
     if states.shape[0] != struct.n_in:
         raise dm.ShapeError(f"states rows {states.shape[0]} != input rows {struct.n_in}")

@@ -209,6 +209,11 @@ def load_run_records(cfg: ExperimentConfig) -> list:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ReportError(f"{path}:{ln}: bad metrics record ({exc})") from None
+            if not isinstance(rec, dict):
+                raise ReportError(f"{path}:{ln}: metrics record is not a JSON object")
+            missing = [k for k in ("seed", "session", "mean") if k not in rec]
+            if missing:
+                raise ReportError(f"{path}:{ln}: metrics record lacks {', '.join(missing)}")
             key = (rec["seed"], rec["session"])
             if key in seen:
                 raise ReportError(f"{path}:{ln}: second record for seed {key[0]} "

@@ -7,7 +7,7 @@ prototype network: mean prototypes, proximity loss only, no distillation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .episodes import SamplerConfig
@@ -95,6 +95,10 @@ class ExperimentConfig:
             raise ConfigError("logit_sign must be negative or positive")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if self.novel_per_session < 1:
+            raise ConfigError(f"novel_per_session must be >= 1, got {self.novel_per_session}")
+        if self.num_sessions < 0:
+            raise ConfigError(f"num_sessions must be >= 0, got {self.num_sessions}")
 
     @property
     def prototype_mode(self) -> str:
@@ -114,9 +118,6 @@ class ExperimentConfig:
                                lambda_kd=0.0, tau=self.tau)
         return LossWeights(lambda_p=self.lambda_p, lambda_u=self.lambda_u,
                            lambda_s=self.lambda_s, lambda_kd=self.lambda_kd, tau=self.tau)
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
 
 
 _PARSERS = {int: int, float: float, str: lambda s: s.strip(), bool: _bool, tuple: _int_tuple}

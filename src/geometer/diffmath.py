@@ -28,8 +28,14 @@ its operands and the mask of distances above 0.  An input that the chain
 read in several places is a parent once per place, and the vjp returns one
 gradient term per place: the tape adds the terms in the chain's order, also
 when the input collects gradient from outside the op, so gradients stay
-byte-identical.  The elementary ops those chains were built from, and that
-no fused op needs, live with the chains in the tests.
+byte-identical.
+
+The elementary ops here are the ones the library builds its tapes from.
+Those that only the op chains and the tests use (``add``, ``exp``, ``sum``,
+``mean``, ``scale``, ``reshape`` and the like) live with the chains in the
+tests.  ``matmul`` keeps its 1-D branches, which no library caller takes,
+because the chains call it on vectors, and a second copy of it in the tests
+would duplicate it.
 """
 
 from __future__ import annotations
@@ -41,9 +47,9 @@ import numpy as np
 __all__ = [
     "Tensor", "ShapeError", "NonFiniteError", "TapeReleasedError",
     "tensor", "constant",
-    "mul", "scale", "matmul", "concat", "reshape", "take_rows",
+    "mul", "matmul", "concat", "take_rows",
     "leaky_relu", "elu_inplace", "elu_grad", "segment_softmax",
-    "sum", "mean", "pairwise_sq_euclidean",
+    "pairwise_sq_euclidean",
     "dropout", "dropout_mask",
     "backward", "value_and_grad",
 ]
@@ -197,13 +203,6 @@ def mul(a, b) -> Tensor:
     return _result(out, (a, b), vjp)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    with _fpe_guard("scale"):
-        out = a.data * a.dtype.type(s)
-    return _result(out, (a,), lambda g: (g * s,))
-
-
 def matmul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     if a.ndim > 2 or b.ndim > 2 or a.ndim == 0 or b.ndim == 0:
@@ -242,19 +241,12 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _result(out, parts, vjp)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    out = a.data.reshape(shape)
-    return _result(out, (a,), lambda g: (g.reshape(a.shape),))
-
-
 def take_rows(a: Tensor, idx) -> Tensor:
     """Gather rows by index; duplicate indices accumulate in the backward pass."""
     idx = np.asarray(idx, dtype=np.int64)
     out = a.data[idx]
 
     def vjp(g):
-        if a.ndim == 1:
-            return (np.bincount(idx, weights=g, minlength=a.shape[0]).astype(a.dtype),)
         ga = np.zeros(a.shape, dtype=a.dtype)
         np.add.at(ga, idx, g)
         return (ga,)
@@ -327,26 +319,6 @@ def segment_softmax(scores: Tensor, starts, lens) -> Tensor:
         return (out * (g - np.repeat(inner, lens, axis=0)),)
 
     return _result(out.astype(s.dtype, copy=False), (scores,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
-
-    return _result(out, (a,), vjp)
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.shape[axis]
-    return scale(sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 # ---------------------------------------------------------------------------

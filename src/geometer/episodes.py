@@ -45,7 +45,6 @@ class SamplerConfig:
 class Episode:
     supports: dict       # class id -> tuple of node ids
     queries: tuple       # of (node id, class id)
-    stage: str           # "pretrain" or "finetune"
 
     def query_nodes(self) -> np.ndarray:
         return np.array([n for n, _ in self.queries], dtype=np.int64)
@@ -80,7 +79,7 @@ def sample_pretrain_episode(pools: Mapping[int, np.ndarray], cfg: SamplerConfig,
         picked = rng.choice(pool, size=size + cfg.k_qry, replace=False)
         supports[cls] = tuple(int(v) for v in np.sort(picked[:size]))
         queries.extend((int(v), cls) for v in picked[size:])
-    return Episode(supports, tuple(queries), "pretrain")
+    return Episode(supports, tuple(queries))
 
 
 def sample_finetune_episode(session: int, stream: SessionStream, cfg: SamplerConfig,
@@ -116,7 +115,7 @@ def sample_finetune_episode(session: int, stream: SessionStream, cfg: SamplerCon
         if want:
             idx = rng.choice(len(nodes), size=want, replace=False)
             queries.extend((int(nodes[i]), int(labels[i])) for i in idx)
-    return Episode(supports, tuple(queries), "finetune")
+    return Episode(supports, tuple(queries))
 
 
 def _query_candidates(pools: Mapping[int, np.ndarray], class_list, taken: np.ndarray):

@@ -26,9 +26,9 @@ CSR (built on first use over a dense base).  ``Graph.features`` is the dense
 form: it gathers a fresh copy on every call except on a dense base graph.
 
 A graph holds its node ids, labels and canonical edge array from the start;
-its id index (``rows_of``, ``row_of``), degrees and neighbour lists are built
-on first use, so the snapshots of a session stream that nobody queries cost
-only their row subsets.
+its id index (``rows_of``, ``row_of``) and degrees are built on first use,
+so the snapshots of a session stream that nobody queries cost only their row
+subsets.
 
 ``load_graph`` parses each TSV file with numpy in one pass and checks the
 columns, duplicate edges, label ranges and coverage on the arrays.  Only a
@@ -74,9 +74,8 @@ __all__ = [
     "GraphStoreError", "DatasetFileMissingError", "DatasetFormatError",
     "DuplicateEdgeError", "SelfLoopError", "NodeIdError",
     "ClassOverlapError", "UnknownClassError", "InsufficientLabelsError", "ManifestError",
-    "make_graph", "load_graph", "save_dataset", "induced_subgraph",
-    "degree_of", "neighbors_of", "build_session_stream",
-    "save_manifest", "load_session_stream", "graphs_equal", "streams_equal",
+    "make_graph", "load_graph", "save_dataset", "build_session_stream",
+    "save_manifest", "load_session_stream",
 ]
 
 
@@ -184,7 +183,7 @@ class Graph:
     """
 
     __slots__ = ("node_ids", "labels", "edges", "_store", "_rows",
-                 "_indptr", "_indices", "_degrees", "_id_index", "_feat_csr", "_op_cache")
+                 "_degrees", "_id_index", "_feat_csr", "_op_cache")
 
     def __init__(self, node_ids, labels, edges, store: _FeatureStore, rows=None):
         self.node_ids = node_ids
@@ -193,7 +192,7 @@ class Graph:
         self._store = store
         self._rows = rows
         # built on first use: a snapshot that is never queried never pays for them
-        self._indptr = self._indices = self._degrees = self._id_index = None
+        self._degrees = self._id_index = None
         self._feat_csr = None
         self._op_cache = {}    # lazy derived structures (e.g. attention neighborhoods)
         for arr in (self.node_ids, self.labels, self.edges):
@@ -239,14 +238,6 @@ class Graph:
         if not found.all():
             raise NodeIdError(f"unknown node id {ids[np.argmin(found)]}")
         return order[pos]
-
-    def neighbor_rows(self, row: int) -> np.ndarray:
-        if self._indptr is None:
-            src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-            dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-            self._indices = dst[np.lexsort((dst, src))]
-            self._indptr = np.concatenate([[0], np.cumsum(self.degrees())])
-        return self._indices[self._indptr[row]:self._indptr[row + 1]]
 
     def degrees(self) -> np.ndarray:
         if self._degrees is None:
@@ -553,30 +544,11 @@ def save_dataset(g: Graph, directory_path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# basic graph operations
-
-def degree_of(g: Graph, node_id: int) -> int:
-    """Number of distinct neighbors, undirected, self excluded."""
-    return int(g.degrees()[g.row_of(node_id)])
-
-
-def neighbors_of(g: Graph, node_id: int) -> set:
-    """Adjacent node ids; the node itself is not included."""
-    rows = g.neighbor_rows(g.row_of(node_id))
-    return {int(v) for v in g.node_ids[rows]}
-
-
-def induced_subgraph(g: Graph, keep) -> Graph:
-    """Subgraph on the given node ids; rows remap, external ids are preserved.
-
-    The subgraph shares ``g``'s feature storage (see the module docstring).
-    """
-    rows = g.rows_of(np.unique(np.asarray(list(keep), dtype=np.int64)))
-    return _row_subset(g, np.sort(rows))    # preserve original row order
-
+# session streams
 
 def _row_subset(g: Graph, rows: np.ndarray) -> Graph:
-    """Subgraph on ascending, distinct graph rows ``rows``.
+    """Subgraph on ascending, distinct graph rows ``rows``, sharing ``g``'s
+    feature storage (see the module docstring).
 
     The parts need no validation again: the row remap is increasing, so the
     kept edges stay canonical (low end first) and in sorted order.
@@ -587,16 +559,6 @@ def _row_subset(g: Graph, rows: np.ndarray) -> Graph:
     store_rows = rows if g._rows is None else g._rows[rows]
     return Graph(g.node_ids[rows], g.labels[rows], remap[g.edges[mask]], g._store, store_rows)
 
-
-def graphs_equal(a: Graph, b: Graph) -> bool:
-    return (np.array_equal(a.node_ids, b.node_ids)
-            and np.array_equal(a.features, b.features)
-            and np.array_equal(a.labels, b.labels)
-            and np.array_equal(a.edges, b.edges))
-
-
-# ---------------------------------------------------------------------------
-# session streams
 
 @dataclass(frozen=True)
 class SessionSpec:
@@ -781,17 +743,3 @@ def load_session_stream(g: Graph, path) -> SessionStream:
         specs.append(SessionSpec(tuple(novel), supports))
     partition = ClassPartition(tuple(base), tuple(specs))
     return _assemble_stream(g, partition, k_shot, seed, members)
-
-
-def streams_equal(a: SessionStream, b: SessionStream) -> bool:
-    if (a.partition != b.partition or a.k_shot != b.k_shot or a.seed != b.seed
-            or len(a.snapshots) != len(b.snapshots)):
-        return False
-    if not all(graphs_equal(x, y) for x, y in zip(a.snapshots, b.snapshots)):
-        return False
-    for pa, pb in zip(a.eval_pools, b.eval_pools):
-        if sorted(pa) != sorted(pb):
-            return False
-        if not all(np.array_equal(pa[c], pb[c]) for c in pa):
-            return False
-    return True

@@ -49,7 +49,7 @@ CENTER_COLLAPSE_EPS = 1e-8
 LOG_CLAMP = 1e-12
 
 __all__ = ["LossWeights", "MissingPrototypeError",
-           "proximity_loss", "prototype_center", "uniformity_loss",
+           "proximity_loss", "uniformity_loss",
            "separability_loss", "softened_logits", "distillation_loss",
            "pretrain_loss", "finetune_loss", "inverse_frequency_alpha"]
 
@@ -120,13 +120,6 @@ def proximity_loss(query_embeddings: Tensor, query_classes, prototypes: Prototyp
         return ((g_lp - np.exp(log_probs) * g_lp.sum(axis=1, keepdims=True)) * -1.0,)
 
     return dm._result(out, (dist,), vjp)
-
-
-def prototype_center(prototypes: PrototypeSet) -> Tensor:
-    """Arithmetic mean of all encountered prototypes."""
-    if len(prototypes) == 0:
-        raise ValueError("prototype_center needs at least one prototype")
-    return dm.mean(prototypes.vectors, axis=0)
 
 
 def uniformity_loss(prototypes: PrototypeSet) -> Tensor:
@@ -211,14 +204,12 @@ def separability_loss(novel_vectors: Tensor, old_vectors: Tensor) -> Tensor:
 
 def softened_logits(embeddings: Tensor, prototypes: PrototypeSet, tau: float,
                     sign: float = -1.0) -> Tensor:
-    """Temperature-softened class distribution from prototype distances."""
+    """Temperature-softened class distribution from prototype distances:
+    [n x d] embeddings give [n x classes] probabilities."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     if len(prototypes) == 0:
         raise ValueError("softened_logits needs at least one prototype")
-    squeeze = embeddings.ndim == 1
-    if squeeze:
-        embeddings = dm.reshape(embeddings, (1, embeddings.shape[0]))
     dist = dm.pairwise_sq_euclidean(embeddings, prototypes.vectors)
     s = float(sign / tau)
     with dm._fpe_guard("softened_logits"):
@@ -230,8 +221,7 @@ def softened_logits(embeddings: Tensor, prototypes: PrototypeSet, tau: float,
         inner = (g * out).sum(axis=1, keepdims=True)
         return (out * (g - inner) * s,)
 
-    probs = dm._result(out, (dist,), vjp)
-    return dm.reshape(probs, (len(prototypes),)) if squeeze else probs
+    return dm._result(out, (dist,), vjp)
 
 
 def distillation_loss(student_logits: Tensor, teacher_logits) -> Tensor:

@@ -44,8 +44,7 @@ ORIGIN_COMPUTED = "computed"
 ORIGIN_CARRIED = "carried"
 
 __all__ = ["ClassAttentionParams", "PrototypeSet", "EmptySupportError",
-           "init_class_attention", "initial_prototype", "refine_prototype",
-           "compute_prototypes",
+           "init_class_attention", "refine_prototype", "compute_prototypes",
            "prototypes_to_arrays", "arrays_to_prototypes"]
 
 
@@ -152,38 +151,22 @@ def _support_weights(degrees, lens, mode: str = "attention") -> np.ndarray:
     return matrix
 
 
-def initial_prototype(support_embeddings: Tensor, support_degrees) -> Tensor:
-    """Degree-weighted sum of support embeddings; weights sum to one.
-
-    An all-zero degree sum (every support isolated) falls back to uniform
-    weights, since the weighting is undefined there.
-    """
-    if support_embeddings.ndim != 2 or support_embeddings.shape[0] == 0:
-        raise EmptySupportError("need a non-empty [k x dim] support embedding matrix")
-    k = support_embeddings.shape[0]
-    if np.shape(support_degrees) != (k,):
-        raise dm.ShapeError("one degree per support embedding required")
-    weights = _support_weights(support_degrees, [k])[0]
-    dtype = support_embeddings.dtype
-    return dm.matmul(dm.constant(weights.astype(dtype), dtype=dtype), support_embeddings)
-
-
 def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Tensor,
                      lens=None, with_weights: bool = False):
     """Multi-head attention of each initial prototype over [initial; its supports],
     added residually.
 
-    ``initial`` is [C x d] (or [d] for one class) and ``supports`` stacks every
-    class's support rows, ``lens[c]`` of them for class c (default: all rows
-    belong to the one class).  Returns the refined prototypes, shaped like
-    ``initial``, plus the attention weights [heads x (C + sum(lens))] over the
-    class-by-class segments [initial_c; supports_c] if requested (values only:
-    they carry no gradient).
+    ``initial`` is [C x d] and ``supports`` stacks every class's support rows,
+    ``lens[c]`` of them for class c (default: all rows belong to the one
+    class).  Returns the refined prototypes [C x d], plus the attention
+    weights [heads x (C + sum(lens))] over the class-by-class segments
+    [initial_c; supports_c] if requested (values only: they carry no
+    gradient).
 
     All classes and heads are one autodiff op (see the module docstring).
     """
     d = params.out_dim
-    if initial.ndim not in (1, 2) or initial.shape[-1] != d or supports.ndim != 2 \
+    if initial.ndim != 2 or initial.shape[1] != d or supports.ndim != 2 \
             or supports.shape[1] != d:
         raise dm.ShapeError(
             f"dimension mismatch: prototype {initial.shape}, supports "
@@ -191,8 +174,7 @@ def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Te
     dtype = params.dtype
     if initial.dtype != dtype or supports.dtype != dtype:
         raise dm.ShapeError(f"mixed dtypes {initial.dtype}, {supports.dtype} vs {dtype}")
-    init = dm.reshape(initial, (1, d)) if initial.ndim == 1 else initial
-    c = init.shape[0]
+    c = initial.shape[0]
     lens = np.array([supports.shape[0]]) if lens is None else np.asarray(lens, dtype=np.int64)
     if lens.shape != (c,) or lens.min() < 1 or lens.sum() != supports.shape[0]:
         raise dm.ShapeError(f"support counts {lens.tolist()} do not split "
@@ -202,7 +184,7 @@ def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Te
     starts = np.cumsum(seg_lens) - seg_lens
     n = int(seg_lens.sum())
     owner = np.repeat(np.arange(c), seg_lens)
-    order = c + np.arange(n) - owner - 1      # positions in concat([init, supports])
+    order = c + np.arange(n) - owner - 1      # positions in concat([initial, supports])
     order[starts] = np.arange(c)
     d_k = params.d_k
     scale = float(1.0 / np.sqrt(d_k))
@@ -211,9 +193,9 @@ def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Te
     pool = np.zeros((c, n), dtype=dtype)                                        # [C x N]
     pool[owner, np.arange(n)] = 1
 
-    x0, wq, wk, wv = init.data, params.wq.data, params.wk.data, params.wv.data
+    x0, wq, wk, wv = initial.data, params.wq.data, params.wk.data, params.wv.data
     # in the order the chain's tape reached them, the initial prototypes once per use
-    parents = (params.wq, params.wk, init, init, init, supports, params.wv)
+    parents = (params.wq, params.wk, initial, initial, initial, supports, params.wv)
     track = any(p.requires_grad for p in parents)
     seq = np.concatenate([x0, supports.data], axis=0)[order]                   # [N x d]
     op = "refine_prototype"
@@ -240,8 +222,6 @@ def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Te
                 g, g_queries @ wq, g_cat[:c], g_cat[c:], (seq.T @ g_values).T)
 
     out = dm._result(refined, parents, vjp)
-    if initial.ndim == 1:
-        out = dm.reshape(out, (d,))
     if with_weights:
         return out, Tensor(attn.data.T)
     return out

@@ -5,13 +5,16 @@ finite differences, kept apart from the library code they check.  The
 prototype oracle builds on the autodiff ops so that its gradients can be
 compared too, and the ``chain_*`` functions are the op chains that the fused
 distance, refinement and loss ops replaced: the fused ops must match them
-byte for byte.  The elementary autodiff ops that only those chains use
-(``add`` to ``elu`` below) live here, with the arithmetic they had in
-``geometer.diffmath``.
+byte for byte.  The elementary autodiff ops that only those chains and the
+tests use (``add`` to ``mean`` below) live here, with the arithmetic they had
+in ``geometer.diffmath``.  So do the graph queries that only tests need
+(attention coefficients, subgraphs, graph and stream equality), built on the
+library's own private helpers.
 """
 
 import numpy as np
 
+import geometer.backbone as bb
 import geometer.diffmath as dm
 import geometer.graph_store as gs
 import geometer.losses as ls
@@ -167,6 +170,35 @@ def amin(a, axis=None, keepdims=False):
     return neg(amax(neg(a), axis=axis, keepdims=keepdims))
 
 
+def scale(a, s):
+    s = float(s)
+    with dm._fpe_guard("scale"):
+        out = a.data * a.dtype.type(s)
+    return dm._result(out, (a,), lambda g: (g * s,))
+
+
+def reshape(a, shape):
+    out = a.data.reshape(shape)
+    return dm._result(out, (a,), lambda g: (g.reshape(a.shape),))
+
+
+def sum(a, axis=None, keepdims=False):
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def vjp(g):
+        g = np.asarray(g)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
+
+    return dm._result(out, (a,), vjp)
+
+
+def mean(a, axis=None, keepdims=False):
+    n = a.data.size if axis is None else a.shape[axis]
+    return scale(sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+
+
 def central_differences(f, arrays, step=1e-5):
     """Gradient of scalar f(list_of_float64_arrays) by central differences."""
     grads = []
@@ -214,10 +246,10 @@ def stack(vectors):
 
 def chain_pairwise_sq_euclidean(a, b):
     """Squared Euclidean distances between all row pairs, one op per step."""
-    a2 = dm.sum(dm.mul(a, a), axis=1, keepdims=True)                  # [n,1]
-    b2 = dm.reshape(dm.sum(dm.mul(b, b), axis=1), (1, b.shape[0]))    # [1,m]
-    cross = dm.matmul(a, transpose(b))                             # [n,m]
-    d = add(add(a2, b2), dm.scale(cross, -2.0))
+    a2 = sum(dm.mul(a, a), axis=1, keepdims=True)                # [n,1]
+    b2 = reshape(sum(dm.mul(b, b), axis=1), (1, b.shape[0]))     # [1,m]
+    cross = dm.matmul(a, transpose(b))                           # [n,m]
+    d = add(add(a2, b2), scale(cross, -2.0))
     return clip(d, 0.0, None)
 
 
@@ -226,7 +258,7 @@ def chain_uniformity_loss(prototypes):
     one op per step, with the same degenerate-center substitution."""
     c = len(prototypes)
     vecs = prototypes.vectors
-    center = dm.reshape(dm.mean(vecs, axis=0), (1, prototypes.dim))
+    center = reshape(mean(vecs, axis=0), (1, prototypes.dim))
     diffs = sub(vecs, center)
     raw_norms = np.sqrt((diffs.data.astype(np.float64) ** 2).sum(axis=1))
     degenerate = raw_norms < ls.CENTER_COLLAPSE_EPS
@@ -241,12 +273,12 @@ def chain_uniformity_loss(prototypes):
             subst[i] = (v / np.linalg.norm(v)).astype(vecs.dtype)
         diffs = add(dm.mul(diffs, dm.constant(keep[:, None], dtype=vecs.dtype)),
                        dm.constant(subst, dtype=vecs.dtype))
-    norms = sqrt(dm.sum(dm.mul(diffs, diffs), axis=1, keepdims=True))
+    norms = sqrt(sum(dm.mul(diffs, diffs), axis=1, keepdims=True))
     dirs = div(diffs, norms)
     cos = dm.matmul(dirs, transpose(dirs))
     mask = dm.constant(np.diag(np.full(c, -3.0)).astype(vecs.dtype), dtype=vecs.dtype)
     nearest = amax(add(cos, mask), axis=1)
-    return add(dm.mean(nearest), 1.0)
+    return add(mean(nearest), 1.0)
 
 
 def chain_proximity_loss(query_embeddings, query_classes, prototypes, alpha=None):
@@ -254,11 +286,11 @@ def chain_proximity_loss(query_embeddings, query_classes, prototypes, alpha=None
     op per step after the distance op."""
     labels = np.asarray(query_classes, dtype=np.int64)
     col = np.array([prototypes.index_of(int(cls)) for cls in labels], dtype=np.int64)
-    logits = dm.scale(dm.pairwise_sq_euclidean(query_embeddings, prototypes.vectors), -1.0)
+    logits = scale(dm.pairwise_sq_euclidean(query_embeddings, prototypes.vectors), -1.0)
     log_probs = log_softmax(logits, axis=1)
     onehot = np.zeros((len(labels), len(prototypes)), dtype=query_embeddings.dtype)
     onehot[np.arange(len(labels)), col] = 1.0
-    own = dm.sum(dm.mul(log_probs, dm.constant(onehot, dtype=query_embeddings.dtype)), axis=1)
+    own = sum(dm.mul(log_probs, dm.constant(onehot, dtype=query_embeddings.dtype)), axis=1)
 
     counts = np.bincount(col, minlength=len(prototypes)).astype(np.float64)
     weights = np.zeros(len(labels))
@@ -266,7 +298,7 @@ def chain_proximity_loss(query_embeddings, query_classes, prototypes, alpha=None
         a = 1.0 if alpha is None else float(alpha.get(int(cls), 1.0))
         weights[i] = a / counts[col[i]]
     w = dm.constant(weights.astype(query_embeddings.dtype), dtype=query_embeddings.dtype)
-    return dm.scale(dm.matmul(w, own), -1.0)
+    return scale(dm.matmul(w, own), -1.0)
 
 
 def chain_separability_loss(novel_vectors, old_vectors):
@@ -274,18 +306,14 @@ def chain_separability_loss(novel_vectors, old_vectors):
     one op per step after the distance op."""
     dist = dm.pairwise_sq_euclidean(novel_vectors, old_vectors)
     nearest = amin(dist, axis=1)
-    return dm.mean(exp(neg(nearest)))
+    return mean(exp(neg(nearest)))
 
 
 def chain_softened_logits(embeddings, prototypes, tau, sign=-1.0):
     """Temperature-softened class distribution, one op per step after the
     distance op."""
-    squeeze = embeddings.ndim == 1
-    if squeeze:
-        embeddings = dm.reshape(embeddings, (1, embeddings.shape[0]))
     dist = dm.pairwise_sq_euclidean(embeddings, prototypes.vectors)
-    probs = softmax(dm.scale(dist, sign / tau), axis=1)
-    return dm.reshape(probs, (len(prototypes),)) if squeeze else probs
+    return softmax(scale(dist, sign / tau), axis=1)
 
 
 def chain_distillation_loss(student_logits, teacher_logits):
@@ -295,10 +323,10 @@ def chain_distillation_loss(student_logits, teacher_logits):
     n_classes = student_logits.shape[1]
     log_s = log(clip(student_logits, ls.LOG_CLAMP, None))
     log_t = np.log(np.clip(teacher.astype(student_logits.dtype), ls.LOG_CLAMP, None))
-    per_query = dm.sum(dm.mul(student_logits,
+    per_query = sum(dm.mul(student_logits,
                               sub(log_s, dm.constant(log_t, dtype=student_logits.dtype))),
                        axis=1)
-    return dm.scale(dm.mean(per_query), 1.0 / n_classes)
+    return scale(mean(per_query), 1.0 / n_classes)
 
 
 def chain_weighted_terms(pairs, dtype):
@@ -310,7 +338,7 @@ def chain_weighted_terms(pairs, dtype):
             continue
         if term is None:
             raise ValueError("loss component with non-zero weight is missing")
-        piece = dm.scale(term, lam)
+        piece = scale(term, lam)
         total = piece if total is None else add(total, piece)
     if total is None:
         total = dm.constant(0.0, dtype=dtype)
@@ -322,16 +350,15 @@ def chain_refine_prototype(params, initial, supports, lens=None, with_weights=Fa
     per step: Q/K/V matmuls, a head-indicator matmul for the per-head scores,
     one segment softmax and a pooling matmul."""
     d = params.out_dim
-    init = dm.reshape(initial, (1, d)) if initial.ndim == 1 else initial
-    c = init.shape[0]
+    c = initial.shape[0]
     lens = np.array([supports.shape[0]]) if lens is None else np.asarray(lens, dtype=np.int64)
     seg_lens = lens + 1
     starts = np.cumsum(seg_lens) - seg_lens
     n = int(seg_lens.sum())
     owner = np.repeat(np.arange(c), seg_lens)
-    order = c + np.arange(n) - owner - 1      # positions in concat([init, supports])
+    order = c + np.arange(n) - owner - 1      # positions in concat([initial, supports])
     order[starts] = np.arange(c)
-    seq = dm.take_rows(dm.concat([init, supports], axis=0), order)             # [N x d]
+    seq = dm.take_rows(dm.concat([initial, supports], axis=0), order)          # [N x d]
 
     dtype = params.dtype
     d_k = params.d_k
@@ -340,16 +367,14 @@ def chain_refine_prototype(params, initial, supports, lens=None, with_weights=Fa
     pool = np.zeros((c, n), dtype=dtype)                                        # [C x N]
     pool[owner, np.arange(n)] = 1
 
-    queries = dm.matmul(init, transpose(params.wq))                         # [C x d]
+    queries = dm.matmul(initial, transpose(params.wq))                      # [C x d]
     keys = dm.matmul(seq, transpose(params.wk))                             # [N x d]
     values = dm.matmul(seq, transpose(params.wv))                           # [N x d]
     products = dm.mul(dm.take_rows(queries, owner), keys)
-    scores = dm.scale(dm.matmul(products, dm.constant(head_of, dtype)), 1.0 / np.sqrt(d_k))
+    scores = scale(dm.matmul(products, dm.constant(head_of, dtype)), 1.0 / np.sqrt(d_k))
     attn = dm.segment_softmax(scores, starts, seg_lens)                         # [N x H]
     weighted = dm.mul(dm.matmul(attn, dm.constant(head_of.T, dtype)), values)  # [N x d]
-    refined = add(init, dm.matmul(dm.constant(pool, dtype), weighted))
-    if initial.ndim == 1:
-        refined = dm.reshape(refined, (d,))
+    refined = add(initial, dm.matmul(dm.constant(pool, dtype), weighted))
     if with_weights:
         return refined, transpose(attn)
     return refined
@@ -366,6 +391,49 @@ def loop_query_candidates(pools, class_list, taken):
                 nodes.append(int(v))
                 labels.append(cls)
     return np.array(nodes, dtype=np.int64), np.array(labels, dtype=np.int64)
+
+
+def attention_coefficients(params, g, states, layer, head=0):
+    """One head's attention weights as {node_id: {incident node_id: alpha}},
+    self included, from the encoder's own edge structure, projection and
+    attention arithmetic."""
+    x = states.data if isinstance(states, dm.Tensor) else np.asarray(states, dtype=params.dtype)
+    struct = bb._edge_structure(g)
+    hp = params.layers[layer][head]
+    _, _, alpha = bb._attention(bb._project(x, hp.weight.data), hp.attn.data, struct,
+                                track=False)
+    result = {}
+    for row in range(g.node_count):
+        seg = slice(struct.starts[row], struct.starts[row] + struct.lens[row])
+        result[int(g.node_ids[row])] = {int(g.node_ids[s]): float(v)
+                                        for s, v in zip(struct.src[seg], alpha.data[seg])}
+    return result
+
+
+def induced_subgraph(g, keep):
+    """Subgraph on the given node ids in ``g``'s row order, sharing its
+    feature storage, as session snapshots are cut."""
+    rows = g.rows_of(np.unique(np.asarray(list(keep), dtype=np.int64)))
+    return gs._row_subset(g, np.sort(rows))
+
+
+def graphs_equal(a, b):
+    return (np.array_equal(a.node_ids, b.node_ids)
+            and np.array_equal(a.features, b.features)
+            and np.array_equal(a.labels, b.labels)
+            and np.array_equal(a.edges, b.edges))
+
+
+def streams_equal(a, b):
+    if (a.partition != b.partition or a.k_shot != b.k_shot or a.seed != b.seed
+            or len(a.snapshots) != len(b.snapshots)):
+        return False
+    if not all(graphs_equal(x, y) for x, y in zip(a.snapshots, b.snapshots)):
+        return False
+    for pa, pb in zip(a.eval_pools, b.eval_pools):
+        if sorted(pa) != sorted(pb) or not all(np.array_equal(pa[c], pb[c]) for c in pa):
+            return False
+    return True
 
 
 def adjacency_matrix(n, edge_pairs):
@@ -391,20 +459,20 @@ def loop_prototypes(embeddings, supports, g, params, mode="attention", rows=None
         sup = dm.take_rows(embeddings, emb_rows)
         k = len(graph_rows)
         if mode == "mean":
-            vectors.append(dm.mean(sup, axis=0))
+            vectors.append(mean(sup, axis=0))
             continue
         deg = degrees[graph_rows].astype(np.float64)
         w = np.full(k, 1.0 / k) if deg.sum() == 0 else deg / deg.sum()
         init = dm.matmul(dm.constant(w.astype(sup.dtype), dtype=sup.dtype), sup)
         d = init.shape[0]
-        seq = dm.concat([dm.reshape(init, (1, d)), sup], axis=0)
+        seq = dm.concat([reshape(init, (1, d)), sup], axis=0)
         d_k = d // params.heads
         head_outs = []
         for h in range(params.heads):
             cut = np.arange(h * d_k, (h + 1) * d_k)
             q = dm.matmul(dm.take_rows(params.wq, cut), init)
             keys = dm.matmul(seq, transpose(dm.take_rows(params.wk, cut)))
-            attn = softmax(dm.scale(dm.matmul(keys, q), 1.0 / np.sqrt(d_k)))
+            attn = softmax(scale(dm.matmul(keys, q), 1.0 / np.sqrt(d_k)))
             values = dm.matmul(seq, transpose(dm.take_rows(params.wv, cut)))
             head_outs.append(dm.matmul(attn, values))
         vectors.append(add(init, dm.concat(head_outs, axis=0)))

@@ -24,11 +24,12 @@ import geometer.graph_store as gs
 import geometer.losses as ls
 import geometer.prototypes as pt
 import geometer.runner as rn
-from geometer.backbone import attention_coefficients, gat_layer, init_backbone
+from geometer.backbone import gat_layer, init_backbone
 from geometer.checkpoint import load_tensors, save_tensors
 from geometer.config import ExperimentConfig
 from geometer.synth import make_clustered_graph, write_synthetic_dataset
-from oracles import central_differences, grad_relative_error
+from oracles import (attention_coefficients, central_differences, grad_relative_error,
+                     graphs_equal, streams_equal)
 from test_losses import _FD_CASES, t64
 
 DATA_ROOT = Path(os.environ.get("GEOMETER_DATA", "data"))
@@ -153,7 +154,7 @@ def test_criterion_4_loader_round_trip_at_dataset_shapes(tmp_path, name, nodes,
     g = write_synthetic_dataset(tmp_path / name, classes=classes, per_class=per_class,
                                 feature_dim=feature_dim, p_in=0.3, p_out=0.02, seed=3)
     back = gs.load_graph(tmp_path / name)
-    assert gs.graphs_equal(g, back)
+    assert graphs_equal(g, back)
     assert back.feature_dim == feature_dim
     print(f"criterion-4 loader round-trip {name}: PASS")
 
@@ -186,9 +187,10 @@ def test_criterion_5_attention_rows():
     pairs = [(i, j) for i in range(30) for j in range(i + 1, 30) if rng.random() < 0.2]
     g = gs.make_graph(feats, pairs, [0] * 30)
     params = init_backbone(6, 8, 4, seed=1)
-    h1 = gat_layer(params, g, g.features, 0)
+    x = dm.tensor(g.features)
+    h1 = gat_layer(params, g, x, 0)
     worst = 0.0
-    for layer, states in ((0, dm.tensor(g.features)), (1, h1)):
+    for layer, states in ((0, x), (1, h1)):
         for node, alpha in attention_coefficients(params, g, states, layer).items():
             worst = max(worst, abs(sum(alpha.values()) - 1.0))
     _check(f"attention rows sum to 1 (worst dev {worst:.2e})", worst < 1e-6)
@@ -224,7 +226,7 @@ def test_criterion_5_loss_special_cases():
     params = pt.ClassAttentionParams(
         t64(rng.normal(size=(4, 4))), t64(rng.normal(size=(4, 4))),
         t64(np.zeros((4, 4))), heads=2)
-    initial = t64(rng.normal(size=4))
+    initial = t64(rng.normal(size=(1, 4)))
     refined = pt.refine_prototype(params, initial, t64(rng.normal(size=(3, 4))))
     _check("refine residual identity under zero value projection",
            np.array_equal(refined.data, initial.data))
@@ -263,7 +265,7 @@ def test_criterion_5_round_trips_and_determinism(tmp_path):
     stream = gs.build_session_stream(g, [0, 1], [[2], [3]], k_shot=3, seed=7)
     gs.save_manifest(stream, tmp_path / "m.json")
     _check("manifest round-trip",
-           gs.streams_equal(stream, gs.load_session_stream(g, tmp_path / "m.json")))
+           streams_equal(stream, gs.load_session_stream(g, tmp_path / "m.json")))
 
     cfg = ExperimentConfig(hidden_dim=12, embedding_dim=8, class_attention_heads=2,
                            k_max=4, k_qry=4, episodes_pretrain=10, episodes_finetune=6,

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,15 @@ def test_config_rejects_bad_value_with_line(tmp_path):
     assert ":2:" in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [("novel_per_session", 0), ("novel_per_session", -1),
+                                        ("num_sessions", -1)])
+def test_config_rejects_impossible_session_counts(tmp_path, key, value):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"^{key} must be >= "):
+        parse_config(p)
+
+
 def test_config_pn_star_degeneration():
     cfg = ExperimentConfig(mode="pn_star", lambda_u=0.9, lambda_kd=0.9)
     weights = cfg.loss_weights()
@@ -77,7 +87,7 @@ def test_prepare_idempotent_and_shape(workspace):
 
 def test_prepare_explicit_classes(workspace):
     _, cfg, _ = workspace
-    cfg2 = cfg.with_overrides(base_classes=(3, 2), novel_classes=(0, 1))
+    cfg2 = replace(cfg, base_classes=(3, 2), novel_classes=(0, 1))
     cli.cmd_prepare(cfg2)
     doc = json.loads(open(cfg2.manifest).read())
     assert doc["base_classes"] == [3, 2]
@@ -87,7 +97,7 @@ def test_prepare_explicit_classes(workspace):
 def test_prepare_errors_on_impossible_split(workspace):
     _, cfg, _ = workspace
     with pytest.raises(cli.CliError):
-        cli.cmd_prepare(cfg.with_overrides(base_class_count=3, num_sessions=3))
+        cli.cmd_prepare(replace(cfg, base_class_count=3, num_sessions=3))
 
 
 # --- pretrain / stream / report ------------------------------------------------
@@ -118,7 +128,7 @@ def test_full_cli_pipeline(workspace):
 
 def test_pretrain_pn_star_checkpoint_has_mean_prototypes(workspace):
     tmp_path, cfg, _ = workspace
-    pn_cfg = cfg.with_overrides(mode="pn_star", seeds=(0,), episodes_pretrain=0)
+    pn_cfg = replace(cfg, mode="pn_star", seeds=(0,), episodes_pretrain=0)
     cli.cmd_prepare(pn_cfg)
     cli.cmd_pretrain(pn_cfg)
     from geometer.backbone import encode
@@ -137,13 +147,13 @@ def test_pretrain_pn_star_checkpoint_has_mean_prototypes(workspace):
 def test_stream_resume_reproduces_metrics(workspace):
     tmp_path, cfg, cfg_path = workspace
     cli.cmd_prepare(cfg)
-    one_seed = cfg.with_overrides(seeds=(0,))
+    one_seed = replace(cfg, seeds=(0,))
     cli.cmd_pretrain(one_seed)
     cli.cmd_stream(one_seed)
     baseline = [json.loads(l) for l in
                 (tmp_path / "runs" / "metrics_seed0.jsonl").read_text().splitlines()]
     # resume from the session-1 checkpoint into a fresh run dir
-    resume_cfg = one_seed.with_overrides(run_dir=str(tmp_path / "resume"))
+    resume_cfg = replace(one_seed, run_dir=str(tmp_path / "resume"))
     ckpt = tmp_path / "runs" / "seed0_session1.gfsp"
     cli.cmd_stream(resume_cfg, checkpoint=str(ckpt))
     resumed = [json.loads(l) for l in
@@ -159,7 +169,7 @@ def test_commands_evaluate_on_the_stage_encode(workspace, monkeypatch):
     import geometer.runner as rn
     _, cfg, _ = workspace
     cli.cmd_prepare(cfg)
-    one_seed = cfg.with_overrides(seeds=(0,))
+    one_seed = replace(cfg, seeds=(0,))
     full = []
     encode = rn.encode
 
@@ -177,7 +187,7 @@ def test_commands_evaluate_on_the_stage_encode(workspace, monkeypatch):
 def test_stream_session_count_guard(workspace):
     tmp_path, cfg, cfg_path = workspace
     cli.cmd_prepare(cfg)
-    one_seed = cfg.with_overrides(seeds=(0,))
+    one_seed = replace(cfg, seeds=(0,))
     cli.cmd_pretrain(one_seed)
     cli.cmd_stream(one_seed)
     final = tmp_path / "runs" / "seed0_session2.gfsp"
@@ -254,6 +264,25 @@ def test_report_rejects_mixed_modes(workspace):
         cli.load_run_records(cfg)
 
 
+@pytest.mark.parametrize("line, problem", [
+    ('{"session": 1, "mean": 0.5}', "lacks seed"),
+    ('{"seed": 0, "mean": 0.5}', "lacks session"),
+    ('{"seed": 0, "session": 1}', "lacks mean"),
+    ('{"mean": 0.5}', "lacks seed, session"),
+    ("[1, 2]", "is not a JSON object"),
+    ("7", "is not a JSON object"),
+], ids=["no_seed", "no_session", "no_mean", "two_missing", "list", "number"])
+def test_report_names_a_malformed_record(workspace, capsys, line, problem):
+    tmp_path, _, cfg_path = workspace
+    log = tmp_path / "runs" / "metrics_seed0.jsonl"
+    cli._append_record(log, _record(0, 0))
+    with open(log, "a") as fh:
+        fh.write(line + "\n")
+    assert cli.main(["report", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f'error kind=ReportError message="{log}:2: metrics record {problem}"\n')
+
+
 def test_failed_report_write_keeps_the_previous_report(workspace, monkeypatch):
     tmp_path, cfg, _ = workspace
     run_dir = tmp_path / "runs"
@@ -279,7 +308,7 @@ def test_failed_report_write_keeps_the_previous_report(workspace, monkeypatch):
 def test_export_row_counts_and_round_trip(workspace):
     tmp_path, cfg, cfg_path = workspace
     cli.cmd_prepare(cfg)
-    one_seed = cfg.with_overrides(seeds=(0,))
+    one_seed = replace(cfg, seeds=(0,))
     cli.cmd_pretrain(one_seed)
     g, stream = cli._load_stream(cfg)
     ckpt = tmp_path / "runs" / "seed0_session0.gfsp"
@@ -310,7 +339,7 @@ def test_export_encodes_without_a_tape_and_replaces_the_file_whole(workspace, mo
     import geometer.prototypes as pt
     tmp_path, cfg, _ = workspace
     cli.cmd_prepare(cfg)
-    cli.cmd_pretrain(cfg.with_overrides(seeds=(0,)))
+    cli.cmd_pretrain(replace(cfg, seeds=(0,)))
     ckpt = str(tmp_path / "runs" / "seed0_session0.gfsp")
     out = tmp_path / "emb.tsv"
     encoded = []
@@ -339,7 +368,7 @@ def test_export_encodes_without_a_tape_and_replaces_the_file_whole(workspace, mo
 def test_export_unknown_session(workspace):
     tmp_path, cfg, cfg_path = workspace
     cli.cmd_prepare(cfg)
-    one_seed = cfg.with_overrides(seeds=(0,))
+    one_seed = replace(cfg, seeds=(0,))
     cli.cmd_pretrain(one_seed)
     ckpt = tmp_path / "runs" / "seed0_session0.gfsp"
     with pytest.raises(cli.CliError):

@@ -27,7 +27,6 @@ def test_sampler_config_validation():
 def test_pretrain_episode_shapes_and_disjointness():
     cfg = ep.SamplerConfig(k_max=5, k_qry=4)
     episode = ep.sample_pretrain_episode(base_pools(), cfg, ep.episode_rng(0, 0, 0))
-    assert episode.stage == "pretrain"
     assert sorted(episode.supports) == [0, 1, 2]
     for cls, sup in episode.supports.items():
         assert 1 <= len(sup) <= 5

@@ -153,11 +153,17 @@ def compute_all() -> dict:
                  str(Path(tmp) / name)],
                 env=env, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         digests = {}
-        for name, proc in procs.items():
-            out, err = proc.communicate(timeout=300)
-            if proc.returncode != 0:
-                raise RuntimeError(f"golden run {name} failed:\n{err}")
-            digests[name] = json.loads(out)
+        try:
+            for name, proc in procs.items():
+                out, err = proc.communicate(timeout=300)
+                if proc.returncode != 0:
+                    raise RuntimeError(f"golden run {name} failed:\n{err}")
+                digests[name] = json.loads(out)
+        finally:
+            for proc in procs.values():
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
     return digests
 
 

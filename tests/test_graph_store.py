@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import geometer.graph_store as gs
-from oracles import adjacency_matrix
+from oracles import adjacency_matrix, graphs_equal, induced_subgraph, streams_equal
 
 
 def path_graph(n=3, feature_dim=2, labels=None):
@@ -144,7 +144,7 @@ def test_load_three_node_path_round_trip(tmp_path):
     assert (out / "features.bin").read_bytes() == (tmp_path / "features.bin").read_bytes()
     assert (out / "edges.tsv").read_text() == (tmp_path / "edges.tsv").read_text()
     assert (out / "labels.tsv").read_text() == (tmp_path / "labels.tsv").read_text()
-    assert gs.graphs_equal(g, gs.load_graph(out))
+    assert graphs_equal(g, gs.load_graph(out))
 
 
 def write_dataset_whole(g, directory):
@@ -168,7 +168,7 @@ def test_save_dataset_writes_the_whole_matrix_writer_bytes(tmp_path, monkeypatch
     g = gs.make_graph(feats, [(0, 1), (1, 5), (4, 9)], [0, 1, -1, 1, 0, 2, 2, 0, 1, 1])
     assert (g._store._dense is None) == (density == "sparse")
     if part == "snapshot":
-        g = gs.induced_subgraph(g, [1, 2, 4, 5, 6, 7, 8, 9])
+        g = induced_subgraph(g, [1, 2, 4, 5, 6, 7, 8, 9])
     gs.save_dataset(g, tmp_path / "streamed")
     write_dataset_whole(g, tmp_path / "whole")
     for name in ("features.bin", "edges.tsv", "labels.tsv"):
@@ -342,7 +342,7 @@ def test_array_parse_reads_what_the_line_scan_reads(tmp_path, monkeypatch):
             # a well-formed file never needs the scan
             m.setattr(gs, "_scan_edges", None)
             m.setattr(gs, "_scan_labels", None)
-            assert gs.graphs_equal(gs.load_graph(tmp_path), expected)
+            assert graphs_equal(gs.load_graph(tmp_path), expected)
 
 
 @pytest.mark.parametrize("edges, labels", [
@@ -365,26 +365,24 @@ def test_loader_reads_what_int_reads(tmp_path, edges, labels):
 
 def test_degree_and_neighbors_trivial():
     g = path_graph(3)
-    assert gs.degree_of(g, 1) == 2
-    assert gs.neighbors_of(g, 1) == {0, 2}
+    assert g.degrees().tolist() == [1, 2, 1]
+    assert adjacency_matrix(3, g.edges)[1].tolist() == [1, 0, 1]
     isolated = gs.make_graph(np.zeros((1, 1), dtype=np.float32), [], [0])
-    assert gs.degree_of(isolated, 0) == 0
-    assert gs.neighbors_of(isolated, 0) == set()
+    assert isolated.degrees().tolist() == [0]
 
 
 def test_degree_matches_adjacency_oracle():
     rng = np.random.default_rng(7)
     g, pairs = random_graph(rng)
     adj = adjacency_matrix(g.node_count, pairs)
-    for v in range(g.node_count):
-        assert gs.degree_of(g, v) == adj[v].sum()
-        assert gs.neighbors_of(g, v) == {int(u) for u in np.nonzero(adj[v])[0]}
+    np.testing.assert_array_equal(g.degrees(), adj.sum(axis=1))
+    np.testing.assert_array_equal(adjacency_matrix(g.node_count, g.edges), adj)
 
 
 def test_unknown_node_raises():
     g = path_graph(3)
     with pytest.raises(gs.NodeIdError):
-        gs.degree_of(g, 99)
+        g.row_of(99)
 
 
 def permuted_graph():
@@ -397,7 +395,8 @@ def test_rows_of_permuted_node_ids():
     rows = g.rows_of([10, 20, 30, 40])
     assert rows.dtype == np.int64 and rows.tolist() == [1, 3, 0, 2]
     assert g.row_of(30) == 0 and type(g.row_of(30)) is int
-    assert gs.degree_of(g, 20) == 1 and gs.neighbors_of(g, 20) == {40}
+    assert g.degrees()[g.row_of(20)] == 1
+    assert g.node_ids[np.flatnonzero(adjacency_matrix(4, g.edges)[g.row_of(20)])].tolist() == [40]
 
 
 def test_rows_of_names_the_first_unknown_id():
@@ -424,7 +423,7 @@ def test_rows_of_empty_and_array_inputs():
 
 def test_rows_of_a_snapshot():
     g = permuted_graph()
-    sub = gs.induced_subgraph(g, [40, 10, 30])
+    sub = induced_subgraph(g, [40, 10, 30])
     assert sub.node_ids.tolist() == [30, 10, 40]
     assert sub.rows_of([10, 40, 30]).tolist() == [1, 2, 0]
     with pytest.raises(gs.NodeIdError, match="^unknown node id 20$"):
@@ -435,15 +434,15 @@ def test_rows_of_a_snapshot():
 
 def test_induced_identity_and_empty():
     g = path_graph(4, labels=[0, 1, 0, 1])
-    full = gs.induced_subgraph(g, list(g.node_ids))
-    assert gs.graphs_equal(g, full)
-    empty = gs.induced_subgraph(g, [])
+    full = induced_subgraph(g, list(g.node_ids))
+    assert graphs_equal(g, full)
+    empty = induced_subgraph(g, [])
     assert empty.node_count == 0 and empty.edge_count == 0
 
 
 def test_induced_path_endpoints_only():
     g = path_graph(3)
-    sub = gs.induced_subgraph(g, [0, 2])
+    sub = induced_subgraph(g, [0, 2])
     assert sub.node_count == 2 and sub.edge_count == 0
     assert list(sub.node_ids) == [0, 2]
 
@@ -452,15 +451,15 @@ def test_induced_preserves_degree_when_neighborhood_kept():
     rng = np.random.default_rng(3)
     g, _ = random_graph(rng, n=12)
     center = 4
-    keep = {center} | gs.neighbors_of(g, center)
-    sub = gs.induced_subgraph(g, keep)
-    assert gs.degree_of(sub, center) == gs.degree_of(g, center)
+    keep = {center} | set(np.flatnonzero(adjacency_matrix(g.node_count, g.edges)[center]).tolist())
+    sub = induced_subgraph(g, keep)
+    assert sub.degrees()[sub.row_of(center)] == g.degrees()[center]
 
 
 def test_induced_unknown_id():
     g = path_graph(3)
     with pytest.raises(gs.NodeIdError):
-        gs.induced_subgraph(g, [0, 42])
+        induced_subgraph(g, [0, 42])
 
 
 # --- session streams --------------------------------------------------------
@@ -525,7 +524,7 @@ def test_stream_determinism_and_manifest_round_trip(tmp_path):
     gs.save_manifest(s2, m2)
     assert m1.read_bytes() == m2.read_bytes()
     reloaded = gs.load_session_stream(g, m1)
-    assert gs.streams_equal(s1, reloaded)
+    assert streams_equal(s1, reloaded)
 
 
 def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 import geometer.diffmath as dm
 import geometer.losses as ls
 import geometer.prototypes as pt
+import oracles
 from oracles import (central_differences, chain_distillation_loss, chain_proximity_loss,
                      chain_separability_loss, chain_softened_logits, chain_uniformity_loss,
                      chain_weighted_terms, grad_relative_error)
@@ -84,18 +85,7 @@ def test_proximity_nonnegative_random():
         assert ls.proximity_loss(q, labels, protos).item() >= 0.0
 
 
-# --- center and uniformity ---------------------------------------------------
-
-def test_center_trivial_cases():
-    one = proto_set([[2.0, -1.0]])
-    np.testing.assert_allclose(ls.prototype_center(one).data, [2.0, -1.0])
-    pair = proto_set([[1.0, 2.0], [-1.0, -2.0]])
-    np.testing.assert_allclose(ls.prototype_center(pair).data, [0.0, 0.0], atol=1e-12)
-    rng = np.random.default_rng(2)
-    vs = rng.normal(size=(5, 4))
-    np.testing.assert_allclose(ls.prototype_center(proto_set(vs)).data,
-                               vs.mean(axis=0), atol=1e-12)
-
+# --- uniformity --------------------------------------------------------------
 
 def test_uniformity_antipodal_is_zero():
     protos = proto_set([[1.0, 0.0], [-3.0, 0.0]])
@@ -151,7 +141,7 @@ def test_uniformity_center_collapse_substitutes_random_direction(caplog):
 def _uniformity_and_grad(fn, vectors, dtype):
     t = dm.tensor(np.asarray(vectors, dtype=dtype), requires_grad=True, dtype=dtype)
     out = fn(pt.PrototypeSet(tuple(range(len(vectors))), t, ("computed",) * len(vectors)))
-    _, (grad,) = dm.value_and_grad(dm.scale(out, 0.7), [t])
+    _, (grad,) = dm.value_and_grad(oracles.scale(out, 0.7), [t])
     return out.data, grad
 
 
@@ -224,14 +214,20 @@ def test_separability_matches_min_over_pairs_oracle():
 def test_softened_logits_equidistant_is_half():
     protos = proto_set([[1.0, 0.0], [-1.0, 0.0]])
     for tau in (0.5, 2.0, 10.0):
-        probs = ls.softened_logits(t64([0.0, 5.0], grad=False), protos, tau)
-        np.testing.assert_allclose(probs.data, [0.5, 0.5], atol=1e-9)
+        probs = ls.softened_logits(t64([[0.0, 5.0]], grad=False), protos, tau)
+        np.testing.assert_allclose(probs.data, [[0.5, 0.5]], atol=1e-9)
+
+
+def test_softened_logits_takes_embedding_rows_only():
+    protos = proto_set([[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(dm.ShapeError):
+        ls.softened_logits(t64([0.0, 5.0], grad=False), protos, 2.0)
 
 
 def test_softened_logits_large_tau_approaches_uniform():
     rng = np.random.default_rng(6)
     protos = proto_set(rng.normal(size=(4, 3)))
-    probs = ls.softened_logits(t64(rng.normal(size=3), grad=False), protos, tau=1e6)
+    probs = ls.softened_logits(t64(rng.normal(size=(1, 3)), grad=False), protos, tau=1e6)
     assert np.max(np.abs(probs.data - 0.25)) < 1e-3
 
 
@@ -242,8 +238,8 @@ def test_softened_logits_tau2_matches_formula_oracle():
     dists = np.array([np.sum((e - p) ** 2) for p in protos_v])
     ex = np.exp(-dists / 2.0)
     want = ex / ex.sum()
-    got = ls.softened_logits(t64(e, grad=False), proto_set(protos_v), tau=2.0)
-    np.testing.assert_allclose(got.data, want, atol=1e-9)
+    got = ls.softened_logits(t64(e[None, :], grad=False), proto_set(protos_v), tau=2.0)
+    np.testing.assert_allclose(got.data, [want], atol=1e-9)
     assert got.data.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -321,7 +317,7 @@ def _value_and_grads(build, arrays, dtype):
     ts = [dm.tensor(np.asarray(a, dtype=dtype), requires_grad=True, dtype=dtype) for a in arrays]
     out = build(ts)
     probe = np.random.default_rng(38).normal(size=out.shape).astype(dtype)
-    loss = dm.sum(dm.mul(out, dm.constant(probe, dtype=dtype)))
+    loss = oracles.sum(dm.mul(out, dm.constant(probe, dtype=dtype)))
     _, grads = dm.value_and_grad(loss, ts)
     return [out.data.tobytes()] + [g.tobytes() for g in grads], out.data.dtype
 
@@ -386,7 +382,7 @@ def test_separability_tie_routes_to_the_first_nearest_old_prototype():
 
 SOFTENED_CASES = {
     "one_class": (_RNG.normal(size=(4, 3)), _RNG.normal(size=(1, 3)), 2.0, -1.0),
-    "vector": (_RNG.normal(size=5), _RNG.normal(size=(3, 5)), 0.5, -1.0),
+    "vector": (_RNG.normal(size=(1, 5)), _RNG.normal(size=(3, 5)), 0.5, -1.0),
     "many": (_RNG.normal(size=(30, 16)), _RNG.normal(size=(20, 16)), 2.0, -1.0),
     "positive": (_RNG.normal(size=(6, 4)), _RNG.normal(size=(4, 4)), 3.0, 1.0),
 }

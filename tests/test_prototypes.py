@@ -6,8 +6,9 @@ import pytest
 import geometer.diffmath as dm
 import geometer.graph_store as gs
 import geometer.prototypes as pt
-from oracles import (central_differences, chain_refine_prototype, grad_relative_error,
-                     loop_prototypes)
+import oracles
+from oracles import (adjacency_matrix, central_differences, chain_refine_prototype,
+                     grad_relative_error, loop_prototypes)
 
 F64 = np.float64
 
@@ -24,42 +25,48 @@ def manual_attention(wq, wk, wv, heads, dtype=F64):
 
 # --- initial prototype -------------------------------------------------------
 
+def initial_prototypes(emb, supports, edges):
+    """``compute_prototypes`` over a graph with the given edges and a zero
+    value projection, whose refinement adds exactly 0 to each initial
+    prototype."""
+    n, d = emb.shape
+    g = gs.make_graph(np.zeros((n, 1), dtype=np.float32), edges, [0] * n)
+    params = manual_attention(np.eye(d), np.eye(d), np.zeros((d, d)), heads=1)
+    return pt.compute_prototypes(emb, supports, g, params).vectors.data
+
+
 def test_initial_equal_degrees_is_mean():
     emb = t64([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], grad=False)
-    p = pt.initial_prototype(emb, [4, 4, 4])
-    np.testing.assert_allclose(p.data, [3.0, 4.0], atol=1e-12)
+    p = initial_prototypes(emb, {0: [0, 1, 2]}, [(0, 1), (1, 2), (0, 2)])
+    np.testing.assert_allclose(p, [[3.0, 4.0]], atol=1e-12)
 
 
 def test_initial_degree_weighting():
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    p = pt.initial_prototype(t64(np.stack([e1, e2]), grad=False), [1, 3])
-    np.testing.assert_allclose(p.data, 0.25 * e1 + 0.75 * e2, atol=1e-12)
+    emb = t64(np.stack([e1, e2, np.zeros(2), np.zeros(2), np.zeros(2)]), grad=False)
+    # node 0 has degree 1, node 1 degree 3
+    p = initial_prototypes(emb, {0: [0, 1]}, [(0, 2), (1, 2), (1, 3), (1, 4)])
+    np.testing.assert_allclose(p, [0.25 * e1 + 0.75 * e2], atol=1e-12)
 
 
 def test_initial_matches_loop_oracle_on_toy_graph():
     rng = np.random.default_rng(0)
-    g = gs.make_graph(rng.normal(size=(5, 3)).astype(np.float32),
-                      [(0, 1), (0, 2), (0, 3), (3, 4)], [0] * 5)
+    edges = [(0, 1), (0, 2), (0, 3), (3, 4)]
     emb = rng.normal(size=(5, 4))
-    degs = np.array([gs.degree_of(g, v) for v in range(5)], dtype=np.float64)
+    degs = adjacency_matrix(5, edges).sum(axis=1).astype(np.float64)
     expected = np.zeros(4)
     for j in range(5):
         expected += (degs[j] / degs.sum()) * emb[j]
-    got = pt.initial_prototype(t64(emb, grad=False), degs)
-    np.testing.assert_allclose(got.data, expected, atol=1e-12)
+    got = initial_prototypes(t64(emb, grad=False), {0: list(range(5))}, edges)
+    np.testing.assert_allclose(got, [expected], atol=1e-12)
 
 
 def test_initial_all_zero_degrees_falls_back_uniform(caplog):
     emb = t64([[2.0, 0.0], [0.0, 2.0]], grad=False)
     with caplog.at_level(logging.WARNING, logger="geometer.prototypes"):
-        p = pt.initial_prototype(emb, [0, 0])
-    np.testing.assert_allclose(p.data, [1.0, 1.0], atol=1e-12)
+        p = initial_prototypes(emb, {0: [0, 1]}, [])
+    np.testing.assert_allclose(p, [[1.0, 1.0]], atol=1e-12)
     assert any("uniform" in r.message for r in caplog.records)
-
-
-def test_initial_rejects_empty_support():
-    with pytest.raises(pt.EmptySupportError):
-        pt.initial_prototype(t64(np.zeros((0, 2)), grad=False), [])
 
 
 # --- attention refinement ----------------------------------------------------
@@ -69,7 +76,7 @@ def test_refine_zero_value_projection_is_identity():
     d = 4
     params = manual_attention(rng.normal(size=(d, d)), rng.normal(size=(d, d)),
                               np.zeros((d, d)), heads=2)
-    initial = t64(rng.normal(size=d), grad=False)
+    initial = t64(rng.normal(size=(1, d)), grad=False)
     supports = t64(rng.normal(size=(3, d)), grad=False)
     refined = pt.refine_prototype(params, initial, supports)
     np.testing.assert_array_equal(refined.data, initial.data)
@@ -93,8 +100,9 @@ def test_refine_single_support_matches_scalar_oracle():
     expected = p_hat + w @ values
 
     params = manual_attention(wq, wk, wv, heads=1)
-    got = pt.refine_prototype(params, t64(p_hat, grad=False), t64(e1[None, :], grad=False))
-    np.testing.assert_allclose(got.data, expected, atol=1e-12)
+    got = pt.refine_prototype(params, t64(p_hat[None, :], grad=False),
+                              t64(e1[None, :], grad=False))
+    np.testing.assert_allclose(got.data, [expected], atol=1e-12)
 
 
 def test_refine_attention_weights_sum_to_one_per_head():
@@ -102,7 +110,7 @@ def test_refine_attention_weights_sum_to_one_per_head():
     d, k, heads = 8, 5, 4
     params = manual_attention(rng.normal(size=(d, d)), rng.normal(size=(d, d)),
                               rng.normal(size=(d, d)), heads=heads)
-    _, weights = pt.refine_prototype(params, t64(rng.normal(size=d), grad=False),
+    _, weights = pt.refine_prototype(params, t64(rng.normal(size=(1, d)), grad=False),
                                      t64(rng.normal(size=(k, d)), grad=False),
                                      with_weights=True)
     assert weights.shape == (heads, k + 1)
@@ -111,8 +119,8 @@ def test_refine_attention_weights_sum_to_one_per_head():
 
 def test_refine_gradients_match_finite_differences():
     # the projections, the initial prototypes and the supports, all at once:
-    # one class given as a [d] vector, then three classes
-    for lens, init_shape in ((None, (4,)), ([2, 1, 3], (3, 4))):
+    # one class with the default support counts, then three classes
+    for lens, init_shape in ((None, (1, 4)), ([2, 1, 3], (3, 4))):
         for seed in range(10):
             rng = np.random.default_rng([3, seed])
             k = 3 if lens is None else sum(lens)
@@ -124,7 +132,7 @@ def test_refine_gradients_match_finite_differences():
                 ts = [t64(a) for a in arrs]
                 refined = pt.refine_prototype(pt.ClassAttentionParams(*ts[:3], heads=2),
                                               ts[3], ts[4], lens)
-                return dm.sum(dm.mul(refined, dm.constant(probe, dtype=F64))), ts
+                return oracles.sum(dm.mul(refined, dm.constant(probe, dtype=F64))), ts
 
             _, analytic = dm.value_and_grad(*loss(arrays))
             numeric = central_differences(lambda arrs: loss(arrs)[0].item(), arrays)
@@ -135,8 +143,11 @@ def test_refine_gradients_match_finite_differences():
 def test_refine_dimension_mismatch():
     params = manual_attention(np.eye(4), np.eye(4), np.eye(4), heads=2)
     with pytest.raises(dm.ShapeError):
-        pt.refine_prototype(params, t64(np.zeros(3), grad=False),
+        pt.refine_prototype(params, t64(np.zeros((1, 3)), grad=False),
                             t64(np.zeros((2, 3)), grad=False))
+    with pytest.raises(dm.ShapeError):       # a bare [d] vector
+        pt.refine_prototype(params, t64(np.zeros(4), grad=False),
+                            t64(np.zeros((2, 4)), grad=False))
     with pytest.raises(dm.ShapeError):
         pt.refine_prototype(params, t64(np.zeros((2, 4)), grad=False),
                             t64(np.zeros((3, 4)), grad=False), lens=[1, 1])
@@ -156,9 +167,9 @@ def test_refine_batched_weights_sum_to_one_per_class_segment():
     # each class attends only over its own segment
     offset = 0
     for c, k in enumerate(lens):
-        alone = pt.refine_prototype(params, t64(initial.data[c], grad=False),
+        alone = pt.refine_prototype(params, t64(initial.data[c:c + 1], grad=False),
                                     t64(supports.data[offset:offset + k], grad=False))
-        np.testing.assert_allclose(refined.data[c], alone.data, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(refined.data[c], alone.data[0], rtol=1e-13, atol=1e-13)
         offset += k
 
 
@@ -170,12 +181,12 @@ def _refinement_and_grads(fn, arrays, heads, lens, dtype):
     params = pt.ClassAttentionParams(wq, wk, wv, heads)
     refined, weights = fn(params, initial, supports, lens, with_weights=True)
     probe = np.random.default_rng(38).normal(size=refined.shape).astype(dtype)
-    loss = dm.sum(dm.mul(refined, dm.constant(probe, dtype=dtype)))
+    loss = oracles.sum(dm.mul(refined, dm.constant(probe, dtype=dtype)))
     _, grads = dm.value_and_grad(loss, [wq, wk, wv, initial, supports])
     return refined.data, grads, weights.data
 
 
-REFINE_CASES = {            # (heads, dim, support counts; None: one class given as [d])
+REFINE_CASES = {            # (heads, dim, support counts; None: one class, counts left out)
     "one_class_vector": (2, 4, None),
     "one_class": (1, 3, [4]),
     "ragged": (4, 8, [3, 1, 5, 2]),
@@ -191,7 +202,7 @@ def test_refine_is_byte_equal_to_the_op_chain(case, dtype):
     classes = 1 if lens is None else len(lens)
     k = 3 if lens is None else int(np.sum(lens))
     arrays = [*(rng.normal(size=(d, d)) for _ in range(3)),
-              rng.normal(size=d if lens is None else (classes, d)), rng.normal(size=(k, d))]
+              rng.normal(size=(classes, d)), rng.normal(size=(k, d))]
     got = _refinement_and_grads(pt.refine_prototype, arrays, heads, lens, dtype)
     want = _refinement_and_grads(chain_refine_prototype, arrays, heads, lens, dtype)
     assert got[0].dtype == dtype and got[0].tobytes() == want[0].tobytes()
@@ -216,10 +227,9 @@ def test_compute_single_support_initial_is_own_embedding():
     emb = t64(rng.normal(size=(3, 4)), grad=False)
     params = manual_attention(*(rng.normal(size=(4, 4)) for _ in range(3)), heads=2)
     protos = pt.compute_prototypes(emb, {0: [0]}, g, params)
-    init = emb.data[0]
-    expected = pt.refine_prototype(params, t64(init, grad=False),
-                                   t64(init[None, :], grad=False))
-    np.testing.assert_allclose(protos.vectors.data[0], expected.data, atol=1e-12)
+    init = emb.data[:1]
+    expected = pt.refine_prototype(params, t64(init, grad=False), t64(init, grad=False))
+    np.testing.assert_allclose(protos.vectors.data[0], expected.data[0], atol=1e-12)
 
 
 def test_compute_classes_are_independent_and_sorted():
@@ -241,9 +251,10 @@ def test_compute_composition_matches_by_hand():
     protos = pt.compute_prototypes(emb, {0: support}, g, params)
     rows = g.rows_of(support)
     sup_emb = dm.take_rows(emb, rows)
-    by_hand = pt.refine_prototype(
-        params, pt.initial_prototype(sup_emb, g.degrees()[rows]), sup_emb)
-    np.testing.assert_allclose(protos.vectors.data[0], by_hand.data, atol=1e-12)
+    degrees = adjacency_matrix(g.node_count, g.edges).sum(axis=1)[rows]
+    initial = t64(((degrees / degrees.sum()) @ sup_emb.data)[None, :], grad=False)
+    by_hand = pt.refine_prototype(params, initial, sup_emb)
+    np.testing.assert_allclose(protos.vectors.data, by_hand.data, atol=1e-12)
 
 
 def test_compute_support_order_invariance():
@@ -311,7 +322,7 @@ def _prototypes_and_grads(fn, emb_data, supports, g, params, dtype, **kwargs):
     out = fn(emb, supports, g, params, **kwargs)
     vectors = getattr(out, "vectors", out)
     probe = np.random.default_rng(22).normal(size=vectors.shape).astype(dtype)
-    loss = dm.sum(dm.mul(vectors, dm.constant(probe, dtype=dtype)))
+    loss = oracles.sum(dm.mul(vectors, dm.constant(probe, dtype=dtype)))
     _, grads = dm.value_and_grad(loss, [emb, *params.tensors()])
     return vectors.data, grads
 
@@ -359,7 +370,7 @@ def test_multiclass_prototype_gradients_match_finite_differences():
         emb = t64(arrs[0], grad=grad)
         params = manual_attention(*arrs[1:], heads=2)
         protos = pt.compute_prototypes(emb, supports, g, params, rows=rows)
-        return dm.sum(dm.mul(protos.vectors, dm.constant(probe, dtype=F64))), [emb, *params.tensors()]
+        return oracles.sum(dm.mul(protos.vectors, dm.constant(probe, dtype=F64))), [emb, *params.tensors()]
 
     out, wrt = loss(arrays, True)
     _, analytic = dm.value_and_grad(out, wrt)

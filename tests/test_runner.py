@@ -12,6 +12,8 @@ from geometer.config import ExperimentConfig
 from geometer.episodes import episode_rng, sample_pretrain_episode
 from geometer.synth import make_clustered_graph
 
+import oracles
+
 
 def tiny_config(**overrides):
     base = dict(hidden_dim=16, embedding_dim=8, class_attention_heads=2,
@@ -86,7 +88,7 @@ def test_pretrain_training_curve_improves_for_most_seeds():
     improved = 0
     for seed in range(10):
         held_out = sample_pretrain_episode(pools, cfg.sampler(), episode_rng(seed, 99, 0))
-        before = rn.pretrain(stream, cfg.with_overrides(episodes_pretrain=0), seed)
+        before = rn.pretrain(stream, replace(cfg, episodes_pretrain=0), seed)
         after = rn.pretrain(stream, cfg, seed)
         loss_before = rn._pretrain_episode_loss(before, g, held_out, cfg, weights,
                                                 episode_rng(seed, 98, 0)).item()
@@ -188,7 +190,7 @@ def test_combined_prototypes_merge_in_class_order():
     np.testing.assert_array_equal(merged.vectors.data,
                                   [[5.0, 6.0], [1.0, 2.0], [9.0, 0.5], [3.0, 4.0]])
     weights = np.arange(8.0).reshape(4, 2)
-    _, (grad,) = dm.value_and_grad(dm.sum(dm.mul(merged.vectors, dm.constant(weights,
+    _, (grad,) = dm.value_and_grad(oracles.sum(dm.mul(merged.vectors, dm.constant(weights,
                                                                             dtype=np.float64))),
                                    [student.vectors])
     np.testing.assert_array_equal(grad, weights[[1, 3]])
@@ -246,8 +248,8 @@ def test_softened_argmax_equals_nearest_prototype():
     for tau in (0.1, 2.0, 1000.0):
         for node, pred in zip(nodes, preds):
             probs = ls.softened_logits(
-                dm.tensor(emb[g.row_of(node)]), model.prototypes, tau).data
-            assert model.prototypes.class_ids[int(np.argmax(probs))] == pred
+                dm.tensor(emb[[g.row_of(node)]]), model.prototypes, tau).data
+            assert model.prototypes.class_ids[int(np.argmax(probs[0]))] == pred
 
 
 # --- evaluation ------------------------------------------------------------------
@@ -657,8 +659,7 @@ def test_alpha_pretrain_weights_the_proximity_classes(alpha_mode):
     episode = Episode(supports={0: tuple(int(v) for v in pools[0][:3]),
                                 1: tuple(int(v) for v in pools[1][:2])},
                       queries=tuple((int(v), 0) for v in pools[0][3:6])
-                      + ((int(pools[1][2]), 1),),
-                      stage="pretrain")
+                      + ((int(pools[1][2]), 1),))
     loss = rn._pretrain_episode_loss(state, g, episode, cfg, cfg.loss_weights(),
                                      episode_rng(5, 0, 0))
 

@@ -16,7 +16,8 @@ import geometer.backbone as bb
 import geometer.diffmath as dm
 import geometer.graph_store as gs
 from geometer.synth import make_clustered_graph
-from oracles import copying_induced_subgraph
+import oracles
+from oracles import copying_induced_subgraph, graphs_equal, induced_subgraph, streams_equal
 
 
 def _graphgen():
@@ -70,7 +71,7 @@ def _assert_csr_equal(shared, oracle):
 
 
 def _assert_same_graph(shared, oracle):
-    assert gs.graphs_equal(shared, oracle)
+    assert graphs_equal(shared, oracle)
     assert np.array_equal(shared.degrees(), oracle.degrees())
     _assert_csr_equal(shared, oracle)
 
@@ -86,7 +87,7 @@ def test_snapshots_match_the_copying_oracle(name, streams):
     # a subgraph of a snapshot: every other node of a middle stage
     mid = stream.snapshots[len(stream.snapshots) // 2]
     keep = mid.node_ids[::2]
-    _assert_same_graph(gs.induced_subgraph(mid, keep),
+    _assert_same_graph(induced_subgraph(mid, keep),
                        copying_induced_subgraph(copying_induced_subgraph(g, mid.node_ids), keep))
     assert paths == ({True} if name == "demo" else {False})
 
@@ -97,7 +98,7 @@ def test_snapshot_encode_is_bit_identical_to_the_copying_oracle(name, streams):
     _, _, _, hidden, out = _GRAPHS[name]
     p = bb.init_backbone(g.feature_dim, hidden, out, seed=31, heads=(2, 1))
     first, mid = stream.snapshots[0], stream.snapshots[len(stream.snapshots) // 2]
-    cases = [first, stream.snapshots[-1], gs.induced_subgraph(mid, mid.node_ids[1::3])]
+    cases = [first, stream.snapshots[-1], induced_subgraph(mid, mid.node_ids[1::3])]
     for shared in cases:
         oracle = copying_induced_subgraph(g, shared.node_ids)
         rows = np.sort(np.random.default_rng(32).choice(shared.node_count, size=40,
@@ -107,7 +108,7 @@ def test_snapshot_encode_is_bit_identical_to_the_copying_oracle(name, streams):
             for graph in (shared, oracle):
                 emb = bb.encode(p, graph, **kwargs)
                 weights = np.random.default_rng(33).normal(size=emb.shape).astype(np.float32)
-                value, grads = dm.value_and_grad(dm.sum(dm.mul(emb, dm.constant(weights))),
+                value, grads = dm.value_and_grad(oracles.sum(dm.mul(emb, dm.constant(weights))),
                                                  p.tensors())
                 results.append([emb.data, np.float64(value), *grads])
             for a, b in zip(*results):
@@ -117,7 +118,7 @@ def test_snapshot_encode_is_bit_identical_to_the_copying_oracle(name, streams):
 def test_manifest_stream_equals_the_built_stream(tmp_path, streams):
     g, stream = streams("coraml")
     gs.save_manifest(stream, tmp_path / "manifest.json")
-    assert gs.streams_equal(gs.load_session_stream(g, tmp_path / "manifest.json"), stream)
+    assert streams_equal(gs.load_session_stream(g, tmp_path / "manifest.json"), stream)
 
 
 @pytest.fixture(scope="module")
@@ -211,14 +212,14 @@ def _banded_graph():
 def test_each_snapshot_picks_its_own_feature_path(keep, sparse_path):
     g = _banded_graph()
     assert g.features_sparse() is not None
-    snap = gs.induced_subgraph(g, keep)
+    snap = induced_subgraph(g, keep)
     assert (snap.features_sparse() is not None) == sparse_path
     _assert_same_graph(snap, copying_induced_subgraph(g, keep))
 
 
 def test_snapshot_features_are_read_only():
     g = _banded_graph()
-    snap = gs.induced_subgraph(g, range(0, 200, 3))
+    snap = induced_subgraph(g, range(0, 200, 3))
     with pytest.raises(ValueError):
         snap.features[0, 0] = 7.0
     with pytest.raises(ValueError):
