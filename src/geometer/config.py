@@ -7,7 +7,7 @@ prototype network: mean prototypes, proximity loss only, no distillation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .episodes import SamplerConfig
@@ -64,21 +64,16 @@ class ExperimentConfig:
     old_query_bias: float = 0.7
     episodes_pretrain: int = 500
     episodes_finetune: int = 100
-    n_way_pretrain: int = 0
     # loss weights
     lambda_p: float = 1.0
     lambda_u: float = 1.0
     lambda_s: float = 1.0
     lambda_kd: float = 1.0
     tau: float = 2.0
-    alpha_pretrain: str = "uniform"     # uniform | inverse_frequency
-    alpha_finetune: str = "inverse_frequency"
-    logit_sign: str = "negative"        # negative | positive (ablation hook)
+    alpha_finetune: str = "inverse_frequency"    # uniform | inverse_frequency
     # optimization
     lr_pretrain: float = 1e-3
     lr_finetune: float = 1e-4
-    optimizer: str = "adam"             # adam | sgd
-    freeze_backbone: bool = False
     # carried_prototypes: keep old prototype vectors frozen (teacher's values)
     # both inside finetune episodes and in the per-session model, instead of
     # recomputing them through the current encoder
@@ -88,36 +83,37 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("geometer", "pn_star"):
             raise ConfigError(f"mode must be geometer or pn_star, got {self.mode!r}")
-        for key in ("alpha_pretrain", "alpha_finetune"):
-            if getattr(self, key) not in ("uniform", "inverse_frequency"):
-                raise ConfigError(f"{key} must be uniform or inverse_frequency")
-        if self.logit_sign not in ("negative", "positive"):
-            raise ConfigError("logit_sign must be negative or positive")
+        if self.alpha_finetune not in ("uniform", "inverse_frequency"):
+            raise ConfigError("alpha_finetune must be uniform or inverse_frequency")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         if self.novel_per_session < 1:
             raise ConfigError(f"novel_per_session must be >= 1, got {self.novel_per_session}")
         if self.num_sessions < 0:
             raise ConfigError(f"num_sessions must be >= 0, got {self.num_sessions}")
+        for key in ("episodes_pretrain", "episodes_finetune"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        try:
+            self.sampler()
+            self.loss_weights()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def prototype_mode(self) -> str:
         return "mean" if self.mode == "pn_star" else "attention"
 
-    @property
-    def sign(self) -> float:
-        return -1.0 if self.logit_sign == "negative" else 1.0
-
     def sampler(self) -> SamplerConfig:
         return SamplerConfig(k_max=self.k_max, k_qry=self.k_qry,
-                             old_query_bias=self.old_query_bias, n_way=self.n_way_pretrain)
+                             old_query_bias=self.old_query_bias)
 
     def loss_weights(self) -> LossWeights:
+        weights = LossWeights(lambda_p=self.lambda_p, lambda_u=self.lambda_u,
+                              lambda_s=self.lambda_s, lambda_kd=self.lambda_kd, tau=self.tau)
         if self.mode == "pn_star":
-            return LossWeights(lambda_p=self.lambda_p, lambda_u=0.0, lambda_s=0.0,
-                               lambda_kd=0.0, tau=self.tau)
-        return LossWeights(lambda_p=self.lambda_p, lambda_u=self.lambda_u,
-                           lambda_s=self.lambda_s, lambda_kd=self.lambda_kd, tau=self.tau)
+            return replace(weights, lambda_u=0.0, lambda_s=0.0, lambda_kd=0.0)
+        return weights
 
 
 _PARSERS = {int: int, float: float, str: lambda s: s.strip(), bool: _bool, tuple: _int_tuple}

@@ -16,6 +16,8 @@ Conventions:
     faults (overflow, invalid, divide-by-zero) raise ``NonFiniteError``,
     and matrix products are checked explicitly since BLAS bypasses the
     FPU-flag machinery.
+  * A vjp returns None for an operand that tracks no gradient instead of
+    computing a gradient the backward sweep would drop.
 
 Fused ops.  Each tape node costs far more Python than its arithmetic on the
 small arrays of an episode, so the hot compositions are single ops with a
@@ -197,8 +199,8 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _result(out, (a, b), vjp)
 
@@ -213,13 +215,18 @@ def matmul(a: Tensor, b) -> Tensor:
 
     def vjp(g):
         ad, bd = a.data, b.data
-        if a.ndim == 1 and b.ndim == 1:          # dot -> scalar
-            return g * bd, g * ad
-        if a.ndim == 1:                          # (k,) @ (k,n) -> (n,)
-            return g @ bd.T, np.outer(ad, g)
-        if b.ndim == 1:                          # (m,k) @ (k,) -> (m,)
-            return np.outer(g, bd), ad.T @ g
-        return g @ bd.T, ad.T @ g                # (m,k) @ (k,n)
+        ga = gb = None
+        if a.requires_grad:
+            if b.ndim == 1:                      # dot -> scalar, or (m,k) @ (k,) -> (m,)
+                ga = g * bd if a.ndim == 1 else np.outer(g, bd)
+            else:                                # (k,) or (m,k) @ (k,n)
+                ga = g @ bd.T
+        if b.requires_grad:
+            if a.ndim == 1:                      # dot -> scalar, or (k,) @ (k,n) -> (n,)
+                gb = g * ad if b.ndim == 1 else np.outer(ad, g)
+            else:                                # (m,k) @ (k,) or (k,n)
+                gb = ad.T @ g
+        return ga, gb
 
     return _result(out, (a, b), vjp)
 

@@ -30,15 +30,13 @@ class SamplerConfig:
     k_max: int = 10
     k_qry: int = 10
     old_query_bias: float = 0.7    # fraction of finetune query slots for old classes
-    n_way: int = 0                 # pretrain classes per episode; 0 = all base classes
 
     def __post_init__(self):
-        if self.k_max < 1 or self.k_qry < 1:
-            raise ValueError("k_max and k_qry must be >= 1")
+        for key in ("k_max", "k_qry"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 < self.old_query_bias < 1.0:
             raise ValueError(f"old_query_bias must lie in (0, 1), got {self.old_query_bias}")
-        if self.n_way < 0:
-            raise ValueError("n_way must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -63,14 +61,10 @@ def episode_rng(seed: int, stage: int, index: int) -> np.random.Generator:
 
 def sample_pretrain_episode(pools: Mapping[int, np.ndarray], cfg: SamplerConfig,
                             rng: np.random.Generator) -> Episode:
-    """Imbalanced supports (sizes uniform on {1..k_max}) plus k_qry queries per class."""
-    classes = sorted(int(c) for c in pools)
-    if cfg.n_way:
-        if cfg.n_way > len(classes):
-            raise PoolTooSmallError(f"n_way={cfg.n_way} exceeds {len(classes)} base classes")
-        classes = sorted(int(c) for c in rng.choice(classes, size=cfg.n_way, replace=False))
+    """Imbalanced supports (sizes uniform on {1..k_max}) plus k_qry queries per
+    class, over every base class."""
     supports, queries = {}, []
-    for cls in classes:
+    for cls in sorted(int(c) for c in pools):
         pool = np.asarray(pools[cls], dtype=np.int64)
         if len(pool) < cfg.k_max + cfg.k_qry:
             raise PoolTooSmallError(

@@ -28,7 +28,6 @@ separability and the softened logits first measure distances with the fused
 
 Sign note: logits are *negative* scaled distances, so the nearest prototype
 gets the largest probability, consistent with nearest-prototype prediction.
-The sign is exposed for ablation.
 """
 
 from __future__ import annotations
@@ -68,10 +67,10 @@ class LossWeights:
 
     def __post_init__(self):
         if self.tau <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
+            raise ValueError(f"tau must be positive, got {self.tau}")
         for name in ("lambda_p", "lambda_u", "lambda_s", "lambda_kd"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 def inverse_frequency_alpha(query_classes) -> dict:
@@ -202,8 +201,7 @@ def separability_loss(novel_vectors: Tensor, old_vectors: Tensor) -> Tensor:
     return dm._result(out, (dist,), vjp)
 
 
-def softened_logits(embeddings: Tensor, prototypes: PrototypeSet, tau: float,
-                    sign: float = -1.0) -> Tensor:
+def softened_logits(embeddings: Tensor, prototypes: PrototypeSet, tau: float) -> Tensor:
     """Temperature-softened class distribution from prototype distances:
     [n x d] embeddings give [n x classes] probabilities."""
     if tau <= 0:
@@ -211,7 +209,7 @@ def softened_logits(embeddings: Tensor, prototypes: PrototypeSet, tau: float,
     if len(prototypes) == 0:
         raise ValueError("softened_logits needs at least one prototype")
     dist = dm.pairwise_sq_euclidean(embeddings, prototypes.vectors)
-    s = float(sign / tau)
+    s = float(-1.0 / tau)
     with dm._fpe_guard("softened_logits"):
         logits = dist.data * dist.dtype.type(s)
         e = np.exp(logits - np.max(logits, axis=1, keepdims=True))

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Adam", "Sgd", "make_optimizer"]
+__all__ = ["Adam"]
 
 # elements per block of the Adam update (256 KiB of float32): the most a
 # scratch buffer holds, whatever the size of the parameter
@@ -69,21 +69,3 @@ class Adam:
                 d += self.eps
                 t /= d
                 pb -= t
-
-
-class Sgd:
-    def __init__(self, params, lr):
-        self.params = list(params)
-        self.lr = lr
-
-    def step(self, grads):
-        for p, g in zip(self.params, grads):
-            p.data = p.data - self.lr * g
-
-
-def make_optimizer(name: str, params, lr):
-    if name == "adam":
-        return Adam(params, lr)
-    if name == "sgd":
-        return Sgd(params, lr)
-    raise ValueError(f"unknown optimizer {name!r}")

@@ -152,16 +152,15 @@ def _support_weights(degrees, lens, mode: str = "attention") -> np.ndarray:
 
 
 def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Tensor,
-                     lens=None, with_weights: bool = False):
+                     lens, with_weights: bool = False):
     """Multi-head attention of each initial prototype over [initial; its supports],
     added residually.
 
     ``initial`` is [C x d] and ``supports`` stacks every class's support rows,
-    ``lens[c]`` of them for class c (default: all rows belong to the one
-    class).  Returns the refined prototypes [C x d], plus the attention
-    weights [heads x (C + sum(lens))] over the class-by-class segments
-    [initial_c; supports_c] if requested (values only: they carry no
-    gradient).
+    ``lens[c]`` of them for class c.  Returns the refined prototypes [C x d],
+    plus the attention weights [heads x (C + sum(lens))] over the
+    class-by-class segments [initial_c; supports_c] if requested (values
+    only: they carry no gradient).
 
     All classes and heads are one autodiff op (see the module docstring).
     """
@@ -175,7 +174,7 @@ def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Te
     if initial.dtype != dtype or supports.dtype != dtype:
         raise dm.ShapeError(f"mixed dtypes {initial.dtype}, {supports.dtype} vs {dtype}")
     c = initial.shape[0]
-    lens = np.array([supports.shape[0]]) if lens is None else np.asarray(lens, dtype=np.int64)
+    lens = np.asarray(lens, dtype=np.int64)
     if lens.shape != (c,) or lens.min() < 1 or lens.sum() != supports.shape[0]:
         raise dm.ShapeError(f"support counts {lens.tolist()} do not split "
                             f"{supports.shape[0]} supports over {c} classes")

@@ -46,7 +46,7 @@ from .graph_store import Graph, SessionStream
 from .losses import (LossWeights, distillation_loss, finetune_loss,
                      inverse_frequency_alpha, pretrain_loss, proximity_loss,
                      separability_loss, softened_logits, uniformity_loss)
-from .optim import make_optimizer
+from .optim import Adam
 from .prototypes import (ORIGIN_CARRIED, ORIGIN_COMPUTED, ClassAttentionParams,
                          PrototypeSet, arrays_to_class_attention,
                          arrays_to_prototypes, class_attention_to_arrays,
@@ -84,11 +84,8 @@ class ModelState:
     # the stage that trained them for its evaluation; never saved or cloned
     embeddings: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def trainable(self, freeze_backbone: bool = False):
-        tensors = list(self.class_attention.tensors())
-        if not freeze_backbone:
-            tensors = self.backbone.tensors() + tensors
-        return tensors
+    def trainable(self):
+        return self.backbone.tensors() + list(self.class_attention.tensors())
 
 
 @dataclass
@@ -146,10 +143,6 @@ def arrays_to_model(arrays: dict) -> ModelState:
 # ---------------------------------------------------------------------------
 # episode losses
 
-def _alpha_for(mode: str, query_classes) -> dict | None:
-    return inverse_frequency_alpha(query_classes) if mode == "inverse_frequency" else None
-
-
 def _episode_rows(g: Graph, episode: Episode) -> np.ndarray:
     """Ascending graph rows of the episode's support and query nodes, the
     only embeddings its losses read."""
@@ -157,10 +150,13 @@ def _episode_rows(g: Graph, episode: Episode) -> np.ndarray:
 
 
 def _geometric_terms(emb, rows: np.ndarray, g: Graph, episode: Episode,
-                     protos: PrototypeSet, weights: LossWeights, alpha_mode: str):
+                     protos: PrototypeSet, weights: LossWeights, inverse_frequency: bool):
+    """Pretraining passes ``inverse_frequency=False``: its sampler draws k_qry
+    queries for every class, so the class weights would all be 1."""
     q_emb = dm.take_rows(emb, np.searchsorted(rows, g.rows_of(episode.query_nodes())))
     labels = episode.query_classes()
-    l_p = proximity_loss(q_emb, labels, protos, _alpha_for(alpha_mode, labels))
+    alpha = inverse_frequency_alpha(labels) if inverse_frequency else None
+    l_p = proximity_loss(q_emb, labels, protos, alpha)
     l_u = uniformity_loss(protos) if weights.lambda_u > 0 and len(protos) >= 2 else None
     return q_emb, labels, l_p, l_u
 
@@ -171,8 +167,7 @@ def _pretrain_episode_loss(state: ModelState, g: Graph, episode: Episode,
     emb = encode(state.backbone, g, cfg.dropout, rng, rows=rows)
     protos = compute_prototypes(emb, episode.supports, g, state.class_attention,
                                 mode=cfg.prototype_mode, rows=rows)
-    _, _, l_p, l_u = _geometric_terms(emb, rows, g, episode, protos, weights,
-                                      cfg.alpha_pretrain)
+    _, _, l_p, l_u = _geometric_terms(emb, rows, g, episode, protos, weights, False)
     effective = replace(weights, lambda_u=0.0 if l_u is None else weights.lambda_u)
     return pretrain_loss(l_p, l_u, effective)
 
@@ -211,7 +206,7 @@ def _finetune_episode_loss(student: ModelState, teacher_emb: np.ndarray,
                                     mode=cfg.prototype_mode, rows=rows)
 
     q_emb, labels, l_p, l_u = _geometric_terms(emb, rows, g, episode, protos, weights,
-                                               cfg.alpha_finetune)
+                                               cfg.alpha_finetune == "inverse_frequency")
     l_s = None
     if weights.lambda_s > 0:
         novel_vecs = dm.take_rows(protos.vectors, [protos.index_of(c) for c in novel_classes])
@@ -220,11 +215,10 @@ def _finetune_episode_loss(student: ModelState, teacher_emb: np.ndarray,
     l_kd = None
     if weights.lambda_kd > 0:
         q_rows = g.rows_of(episode.query_nodes())
-        student_logits = softened_logits(q_emb, protos.subset(old_classes),
-                                         weights.tau, cfg.sign)
+        student_logits = softened_logits(q_emb, protos.subset(old_classes), weights.tau)
         teacher_logits = softened_logits(
             dm.constant(teacher_emb[q_rows], dtype=teacher_emb.dtype),
-            teacher_protos, weights.tau, cfg.sign).data
+            teacher_protos, weights.tau).data
         l_kd = distillation_loss(student_logits, teacher_logits)
     effective = replace(weights, lambda_u=0.0 if l_u is None else weights.lambda_u)
     return finetune_loss(l_p, l_u, l_s, l_kd, effective)
@@ -249,7 +243,7 @@ def pretrain(stream: SessionStream, cfg: ExperimentConfig, seed: int) -> ModelSt
     weights = cfg.loss_weights()
     sampler = cfg.sampler()
     _train_episodes(
-        state.trainable(), cfg, cfg.lr_pretrain, cfg.episodes_pretrain, seed, 0,
+        state.trainable(), cfg.lr_pretrain, cfg.episodes_pretrain, seed, 0,
         lambda rng: sample_pretrain_episode(pools, sampler, rng),
         lambda episode, rng: _pretrain_episode_loss(state, g, episode, cfg, weights, rng))
     emb = encode(state.backbone.detached(), g)
@@ -275,8 +269,7 @@ def run_stream_session(teacher: ModelState, stream: SessionStream, session: int,
     weights = cfg.loss_weights()
     sampler = cfg.sampler()
     _train_episodes(
-        student.trainable(cfg.freeze_backbone), cfg, cfg.lr_finetune, cfg.episodes_finetune,
-        seed, session,
+        student.trainable(), cfg.lr_finetune, cfg.episodes_finetune, seed, session,
         lambda rng: sample_finetune_episode(session, stream, sampler, rng),
         lambda episode, rng: _finetune_episode_loss(student, teacher_emb, teacher.prototypes,
                                                     g, episode, stream, session, cfg,
@@ -290,14 +283,14 @@ def run_stream_session(teacher: ModelState, stream: SessionStream, session: int,
     return student
 
 
-def _train_episodes(params, cfg: ExperimentConfig, lr: float, episodes: int, seed: int,
-                    stage: int, sample, episode_loss) -> None:
+def _train_episodes(params, lr: float, episodes: int, seed: int, stage: int,
+                    sample, episode_loss) -> None:
     """One optimizer step on ``params`` per episode of stage ``stage`` (0 is
     pretraining): ``sample(rng)`` draws the episode and ``episode_loss(episode,
     rng)`` builds its loss.  The optimizer and the last episode's tape are
     freed when this returns."""
     label = "pretrain" if stage == 0 else f"session {stage}"
-    opt = make_optimizer(cfg.optimizer, params, lr)
+    opt = Adam(params, lr)
     for i in range(episodes):
         rng = episode_rng(seed, stage, i)
         episode = sample(rng)

@@ -309,11 +309,11 @@ def chain_separability_loss(novel_vectors, old_vectors):
     return mean(exp(neg(nearest)))
 
 
-def chain_softened_logits(embeddings, prototypes, tau, sign=-1.0):
+def chain_softened_logits(embeddings, prototypes, tau):
     """Temperature-softened class distribution, one op per step after the
     distance op."""
     dist = dm.pairwise_sq_euclidean(embeddings, prototypes.vectors)
-    return softmax(scale(dist, sign / tau), axis=1)
+    return softmax(scale(dist, -1.0 / tau), axis=1)
 
 
 def chain_distillation_loss(student_logits, teacher_logits):
@@ -345,13 +345,13 @@ def chain_weighted_terms(pairs, dtype):
     return total
 
 
-def chain_refine_prototype(params, initial, supports, lens=None, with_weights=False):
+def chain_refine_prototype(params, initial, supports, lens, with_weights=False):
     """Batched prototype refinement over the ragged class segments, one op
     per step: Q/K/V matmuls, a head-indicator matmul for the per-head scores,
     one segment softmax and a pooling matmul."""
     d = params.out_dim
     c = initial.shape[0]
-    lens = np.array([supports.shape[0]]) if lens is None else np.asarray(lens, dtype=np.int64)
+    lens = np.asarray(lens, dtype=np.int64)
     seg_lens = lens + 1
     starts = np.cumsum(seg_lens) - seg_lens
     n = int(seg_lens.sum())

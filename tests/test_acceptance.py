@@ -227,7 +227,7 @@ def test_criterion_5_loss_special_cases():
         t64(rng.normal(size=(4, 4))), t64(rng.normal(size=(4, 4))),
         t64(np.zeros((4, 4))), heads=2)
     initial = t64(rng.normal(size=(1, 4)))
-    refined = pt.refine_prototype(params, initial, t64(rng.normal(size=(3, 4))))
+    refined = pt.refine_prototype(params, initial, t64(rng.normal(size=(3, 4))), [3])
     _check("refine residual identity under zero value projection",
            np.array_equal(refined.data, initial.data))
 

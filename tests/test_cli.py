@@ -36,12 +36,15 @@ def test_config_round_trip(workspace):
     assert parse_config(cfg_path) == cfg
 
 
-def test_config_rejects_unknown_key(tmp_path):
+# the last five are keys of earlier configs: a config that still sets one fails
+@pytest.mark.parametrize("key", ["not_a_key", "optimizer", "logit_sign", "freeze_backbone",
+                                 "n_way_pretrain", "alpha_pretrain"])
+def test_config_rejects_unknown_key(tmp_path, key):
     p = tmp_path / "bad.cfg"
-    p.write_text("hidden_dim = 32\nnot_a_key = 5\n")
+    p.write_text(f"hidden_dim = 32\n{key} = 5\n")
     with pytest.raises(ConfigError) as err:
         parse_config(p)
-    assert ":2:" in str(err.value) and "not_a_key" in str(err.value)
+    assert ":2:" in str(err.value) and f"unknown key {key!r}" in str(err.value)
 
 
 def test_config_rejects_bad_value_with_line(tmp_path):
@@ -53,11 +56,15 @@ def test_config_rejects_bad_value_with_line(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("novel_per_session", 0), ("novel_per_session", -1),
-                                        ("num_sessions", -1)])
+                                        ("num_sessions", -1), ("episodes_pretrain", -3),
+                                        ("episodes_finetune", -1), ("k_max", 0), ("k_qry", 0),
+                                        ("old_query_bias", 1.5), ("old_query_bias", 0.0),
+                                        ("tau", 0.0), ("lambda_s", -1.0)])
 def test_config_rejects_impossible_session_counts(tmp_path, key, value):
+    # each out-of-range value fails when the config is parsed, naming its key
     p = tmp_path / "bad.cfg"
     p.write_text(f"{key} = {value}\n")
-    with pytest.raises(ConfigError, match=f"^{key} must be >= "):
+    with pytest.raises(ConfigError, match=f"^{key} must "):
         parse_config(p)
 
 

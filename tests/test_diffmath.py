@@ -107,6 +107,23 @@ def test_unreachable_parameter_gets_zero_gradient():
     np.testing.assert_allclose(grads[1], [0.0])
 
 
+@pytest.mark.parametrize("op, shapes", [
+    (dm.mul, [(3, 4), (3, 4)]), (dm.mul, [(3, 4), (1, 4)]),
+    (dm.matmul, [(3, 4), (4, 2)]), (dm.matmul, [(4,), (4, 2)]),
+    (dm.matmul, [(3, 4), (4,)]), (dm.matmul, [(4,), (4,)]),
+], ids=["mul", "mul_broadcast", "matmul", "matmul_vec_mat", "matmul_mat_vec", "matmul_dot"])
+def test_vjp_returns_none_for_a_constant_operand(op, shapes):
+    rng = np.random.default_rng(41)
+    arrays = [rng.normal(size=s) for s in shapes]
+    g = rng.normal(size=op(*(t64(a) for a in arrays)).shape)
+    both = op(*(t64(a) for a in arrays))._vjp(g)
+    for const in (0, 1):
+        out = op(*(t64(a, grad=i != const) for i, a in enumerate(arrays)))
+        grads = out._vjp(g)
+        assert grads[const] is None
+        assert grads[1 - const].tobytes() == both[1 - const].tobytes()
+
+
 def test_non_finite_intermediate_raises():
     with pytest.raises(dm.NonFiniteError):
         oracles.log(t64([-1.0]))

@@ -72,12 +72,6 @@ def test_pretrain_support_sizes_chi_square_uniform():
     assert result.pvalue > 0.01
 
 
-def test_pretrain_n_way_subsample():
-    cfg = ep.SamplerConfig(k_max=3, k_qry=2, n_way=2)
-    episode = ep.sample_pretrain_episode(base_pools(classes=4), cfg, ep.episode_rng(5, 0, 0))
-    assert len(episode.supports) == 2
-
-
 def test_finetune_query_split_and_fixed_supports():
     stream = small_stream()
     cfg = ep.SamplerConfig(k_max=10, k_qry=10, old_query_bias=0.7)

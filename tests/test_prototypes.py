@@ -78,7 +78,7 @@ def test_refine_zero_value_projection_is_identity():
                               np.zeros((d, d)), heads=2)
     initial = t64(rng.normal(size=(1, d)), grad=False)
     supports = t64(rng.normal(size=(3, d)), grad=False)
-    refined = pt.refine_prototype(params, initial, supports)
+    refined = pt.refine_prototype(params, initial, supports, [3])
     np.testing.assert_array_equal(refined.data, initial.data)
 
 
@@ -101,7 +101,7 @@ def test_refine_single_support_matches_scalar_oracle():
 
     params = manual_attention(wq, wk, wv, heads=1)
     got = pt.refine_prototype(params, t64(p_hat[None, :], grad=False),
-                              t64(e1[None, :], grad=False))
+                              t64(e1[None, :], grad=False), [1])
     np.testing.assert_allclose(got.data, [expected], atol=1e-12)
 
 
@@ -111,7 +111,7 @@ def test_refine_attention_weights_sum_to_one_per_head():
     params = manual_attention(rng.normal(size=(d, d)), rng.normal(size=(d, d)),
                               rng.normal(size=(d, d)), heads=heads)
     _, weights = pt.refine_prototype(params, t64(rng.normal(size=(1, d)), grad=False),
-                                     t64(rng.normal(size=(k, d)), grad=False),
+                                     t64(rng.normal(size=(k, d)), grad=False), [k],
                                      with_weights=True)
     assert weights.shape == (heads, k + 1)
     np.testing.assert_allclose(weights.data.sum(axis=1), np.ones(heads), atol=1e-12)
@@ -119,11 +119,11 @@ def test_refine_attention_weights_sum_to_one_per_head():
 
 def test_refine_gradients_match_finite_differences():
     # the projections, the initial prototypes and the supports, all at once:
-    # one class with the default support counts, then three classes
-    for lens, init_shape in ((None, (1, 4)), ([2, 1, 3], (3, 4))):
+    # one class, then three classes
+    for lens, init_shape in (([3], (1, 4)), ([2, 1, 3], (3, 4))):
         for seed in range(10):
             rng = np.random.default_rng([3, seed])
-            k = 3 if lens is None else sum(lens)
+            k = sum(lens)
             arrays = [*(rng.normal(size=(4, 4)) * 0.5 for _ in range(3)),
                       rng.normal(size=init_shape), rng.normal(size=(k, 4))]
             probe = rng.normal(size=init_shape)
@@ -144,13 +144,13 @@ def test_refine_dimension_mismatch():
     params = manual_attention(np.eye(4), np.eye(4), np.eye(4), heads=2)
     with pytest.raises(dm.ShapeError):
         pt.refine_prototype(params, t64(np.zeros((1, 3)), grad=False),
-                            t64(np.zeros((2, 3)), grad=False))
+                            t64(np.zeros((2, 3)), grad=False), [2])
     with pytest.raises(dm.ShapeError):       # a bare [d] vector
         pt.refine_prototype(params, t64(np.zeros(4), grad=False),
-                            t64(np.zeros((2, 4)), grad=False))
+                            t64(np.zeros((2, 4)), grad=False), [2])
     with pytest.raises(dm.ShapeError):
         pt.refine_prototype(params, t64(np.zeros((2, 4)), grad=False),
-                            t64(np.zeros((3, 4)), grad=False), lens=[1, 1])
+                            t64(np.zeros((3, 4)), grad=False), [1, 1])
 
 
 def test_refine_batched_weights_sum_to_one_per_class_segment():
@@ -168,7 +168,7 @@ def test_refine_batched_weights_sum_to_one_per_class_segment():
     offset = 0
     for c, k in enumerate(lens):
         alone = pt.refine_prototype(params, t64(initial.data[c:c + 1], grad=False),
-                                    t64(supports.data[offset:offset + k], grad=False))
+                                    t64(supports.data[offset:offset + k], grad=False), [k])
         np.testing.assert_allclose(refined.data[c], alone.data[0], rtol=1e-13, atol=1e-13)
         offset += k
 
@@ -186,8 +186,8 @@ def _refinement_and_grads(fn, arrays, heads, lens, dtype):
     return refined.data, grads, weights.data
 
 
-REFINE_CASES = {            # (heads, dim, support counts; None: one class, counts left out)
-    "one_class_vector": (2, 4, None),
+REFINE_CASES = {            # (heads, dim, support counts)
+    "one_class_vector": (2, 4, [3]),
     "one_class": (1, 3, [4]),
     "ragged": (4, 8, [3, 1, 5, 2]),
     "seventy": (4, 16, list(np.random.default_rng(39).integers(1, 11, size=70))),
@@ -199,8 +199,7 @@ REFINE_CASES = {            # (heads, dim, support counts; None: one class, coun
 def test_refine_is_byte_equal_to_the_op_chain(case, dtype):
     heads, d, lens = REFINE_CASES[case]
     rng = np.random.default_rng(40)
-    classes = 1 if lens is None else len(lens)
-    k = 3 if lens is None else int(np.sum(lens))
+    classes, k = len(lens), int(np.sum(lens))
     arrays = [*(rng.normal(size=(d, d)) for _ in range(3)),
               rng.normal(size=(classes, d)), rng.normal(size=(k, d))]
     got = _refinement_and_grads(pt.refine_prototype, arrays, heads, lens, dtype)
@@ -228,7 +227,7 @@ def test_compute_single_support_initial_is_own_embedding():
     params = manual_attention(*(rng.normal(size=(4, 4)) for _ in range(3)), heads=2)
     protos = pt.compute_prototypes(emb, {0: [0]}, g, params)
     init = emb.data[:1]
-    expected = pt.refine_prototype(params, t64(init, grad=False), t64(init, grad=False))
+    expected = pt.refine_prototype(params, t64(init, grad=False), t64(init, grad=False), [1])
     np.testing.assert_allclose(protos.vectors.data[0], expected.data[0], atol=1e-12)
 
 
@@ -253,7 +252,7 @@ def test_compute_composition_matches_by_hand():
     sup_emb = dm.take_rows(emb, rows)
     degrees = adjacency_matrix(g.node_count, g.edges).sum(axis=1)[rows]
     initial = t64(((degrees / degrees.sum()) @ sup_emb.data)[None, :], grad=False)
-    by_hand = pt.refine_prototype(params, initial, sup_emb)
+    by_hand = pt.refine_prototype(params, initial, sup_emb, [len(rows)])
     np.testing.assert_allclose(protos.vectors.data, by_hand.data, atol=1e-12)
 
 

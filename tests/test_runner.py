@@ -607,18 +607,16 @@ def _sq_dists(x, protos):
     return ((x[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
 
 
-@pytest.mark.parametrize("logit_sign", ["negative", "positive"])
-def test_logit_sign_sets_the_sign_of_both_softened_logits(logit_sign):
+def test_distillation_term_matches_the_divergence_by_hand():
     # distillation alone, by hand: the student's and the teacher's softened
-    # logits are softmax(sign * distance / tau) over the old classes (three of
-    # them: over two, flipping both signs only swaps the classes, and the
-    # divergence stays the same)
+    # logits are softmax(-distance / tau) over the old classes (three of them:
+    # over two, flipping the sign only swaps the classes, and the divergence
+    # stays the same)
     from geometer.backbone import encode
     from geometer.episodes import sample_finetune_episode
 
     stream, teacher = _episode_setup(base=(0, 1, 2))
-    cfg = tiny_config(logit_sign=logit_sign, lambda_p=0.0, lambda_u=0.0, lambda_s=0.0,
-                      tau=2.0)
+    cfg = tiny_config(lambda_p=0.0, lambda_u=0.0, lambda_s=0.0, tau=2.0)
     g = stream.snapshots[1]
     teacher_emb = encode(teacher.backbone.detached(), g).data
     student = rn.pretrain(stream, tiny_config(episodes_pretrain=3), seed=6)
@@ -640,103 +638,55 @@ def test_logit_sign_sets_the_sign_of_both_softened_logits(logit_sign):
         p_s, p_t = _softmax(sign * d_s / 2.0), _softmax(sign * d_t / 2.0)
         return (p_s * (np.log(p_s) - np.log(p_t))).sum(axis=1).mean() / len(old)
 
-    sign = 1.0 if logit_sign == "positive" else -1.0
-    assert loss.item() == pytest.approx(distillation(sign), rel=1e-4)
-    assert loss.item() != pytest.approx(distillation(-sign), rel=1e-2)
+    assert loss.item() == pytest.approx(distillation(-1.0), rel=1e-4)
+    assert loss.item() != pytest.approx(distillation(1.0), rel=1e-2)
 
 
 @pytest.mark.parametrize("alpha_mode", ["uniform", "inverse_frequency"])
-def test_alpha_pretrain_weights_the_proximity_classes(alpha_mode):
-    # proximity alone, by hand, on an episode with 3 queries of class 0 and 1
-    # of class 1: inverse_frequency weighs class 0 by 1/3 and class 1 by 1
+def test_alpha_finetune_weights_the_proximity_classes(alpha_mode):
+    # proximity alone, by hand, on a session-1 episode with 3 queries of old
+    # class 0, 1 of old class 1 and 2 of novel class 2: inverse_frequency
+    # weighs them by 1/3, 1 and 1/2
     from geometer.backbone import encode
     from geometer.episodes import Episode
 
-    stream, state = _episode_setup()
-    cfg = tiny_config(alpha_pretrain=alpha_mode, lambda_u=0.0)
-    g = stream.snapshots[0]
-    pools = stream.eval_pools[0]
+    stream, teacher = _episode_setup()
+    cfg = tiny_config(alpha_finetune=alpha_mode, lambda_u=0.0, lambda_s=0.0, lambda_kd=0.0)
+    g = stream.snapshots[1]
+    pools = stream.eval_pools[1]
+    novel = stream.supports_at(1)[2]
+    novel_queries = [int(v) for v in pools[2] if v not in novel][:2]
     episode = Episode(supports={0: tuple(int(v) for v in pools[0][:3]),
-                                1: tuple(int(v) for v in pools[1][:2])},
+                                1: tuple(int(v) for v in pools[1][:2]), 2: novel},
                       queries=tuple((int(v), 0) for v in pools[0][3:6])
-                      + ((int(pools[1][2]), 1),))
-    loss = rn._pretrain_episode_loss(state, g, episode, cfg, cfg.loss_weights(),
-                                     episode_rng(5, 0, 0))
+                      + ((int(pools[1][2]), 1),) + tuple((v, 2) for v in novel_queries))
+    teacher_emb = encode(teacher.backbone.detached(), g).data
+    student = rn.clone_state(teacher)
+    loss = rn._finetune_episode_loss(student, teacher_emb, teacher.prototypes, g, episode,
+                                     stream, 1, cfg, cfg.loss_weights(), episode_rng(5, 1, 0))
 
-    emb = encode(state.backbone.detached(), g)
-    protos = pt.compute_prototypes(emb, episode.supports, g, state.class_attention)
+    emb = encode(student.backbone.detached(), g)
+    protos = pt.compute_prototypes(emb, episode.supports, g, student.class_attention)
     q = emb.data[g.rows_of(episode.query_nodes())].astype(np.float64)
     labels = episode.query_classes()
     log_p = np.log(_softmax(-_sq_dists(q, protos.vectors.data.astype(np.float64))))
     nll = -log_p[np.arange(len(labels)), labels]
-    alpha = {0: 1.0 / 3.0, 1: 1.0} if alpha_mode == "inverse_frequency" else {0: 1.0, 1: 1.0}
-    assert ls.inverse_frequency_alpha(labels) == pytest.approx({0: 1.0 / 3.0, 1: 1.0})
-    want = sum(alpha[c] * nll[labels == c].mean() for c in (0, 1))
+    alpha = ({0: 1.0 / 3.0, 1: 1.0, 2: 0.5} if alpha_mode == "inverse_frequency"
+             else {0: 1.0, 1: 1.0, 2: 1.0})
+    assert ls.inverse_frequency_alpha(labels) == pytest.approx({0: 1.0 / 3.0, 1: 1.0, 2: 0.5})
+    want = sum(alpha[c] * nll[labels == c].mean() for c in (0, 1, 2))
     assert loss.item() == pytest.approx(want, rel=1e-4)
 
 
 # --- config knobs -----------------------------------------------------------------
 
-def test_sgd_optimizer_takes_plain_gradient_steps():
-    # optimizer = sgd: each episode moves every parameter by -lr * gradient,
-    # replayed here episode by episode from the same initial parameters
-    stream = tiny_stream(seed=23)
-    cfg = tiny_config(optimizer="sgd", episodes_pretrain=3, lr_pretrain=0.05)
-    trained = rn.pretrain(stream, cfg, seed=3)
-    state = rn.pretrain(stream, replace(cfg, episodes_pretrain=0), seed=3)
-    g = stream.snapshots[0]
-    pools = {c: stream.eval_pools[0][c] for c in (0, 1)}
-    for i in range(cfg.episodes_pretrain):
-        rng = episode_rng(3, 0, i)
-        episode = sample_pretrain_episode(pools, cfg.sampler(), rng)
-        loss = rn._pretrain_episode_loss(state, g, episode, cfg, cfg.loss_weights(), rng)
-        _, grads = dm.value_and_grad(loss, state.trainable())
-        for p, grad in zip(state.trainable(), grads):
-            p.data = p.data - cfg.lr_pretrain * grad
-    for a, b in zip(trained.trainable(), state.trainable()):
-        assert a.data.tobytes() == b.data.tobytes()
-    adam = rn.pretrain(stream, replace(cfg, optimizer="adam"), seed=3)
-    assert adam.backbone.tensors()[0].data.tobytes() != state.backbone.tensors()[0].data.tobytes()
-
-
-@pytest.mark.parametrize("n_way", [0, 2])
-def test_n_way_pretrain_from_a_config_file_sets_the_episode_classes(n_way, tmp_path,
-                                                                    monkeypatch):
-    from geometer.config import parse_config, write_config
-    g = make_clustered_graph(classes=4, per_class=24, feature_dim=12, p_in=0.25,
-                             p_out=0.02, seed=24)
-    stream = gs.build_session_stream(g, [0, 1, 2], [[3]], k_shot=3, seed=24)
-    write_config(tiny_config(n_way_pretrain=n_way, episodes_pretrain=12), tmp_path / "c.cfg")
-    cfg = parse_config(tmp_path / "c.cfg")
-    drawn = []
-    sample = rn.sample_pretrain_episode
-
-    def spy(pools, sampler, rng):
-        episode = sample(pools, sampler, rng)
-        drawn.append(tuple(sorted(episode.supports)))
-        return episode
-
-    monkeypatch.setattr(rn, "sample_pretrain_episode", spy)
-    rn.pretrain(stream, cfg, seed=4)
-    assert len(drawn) == 12
-    if n_way == 0:
-        assert set(drawn) == {(0, 1, 2)}
-    else:
-        assert all(len(classes) == 2 for classes in drawn) and len(set(drawn)) > 1
-
-
-@pytest.mark.parametrize("freeze", [True, False])
-def test_freeze_backbone_trains_only_the_class_attention(freeze):
+def test_session_trains_the_backbone_and_the_class_attention():
     stream = tiny_stream(seed=25)
     teacher = rn.pretrain(stream, tiny_config(episodes_pretrain=3), seed=2)
-    cfg = tiny_config(freeze_backbone=freeze, episodes_finetune=4, lr_finetune=1e-2)
+    cfg = tiny_config(episodes_finetune=4, lr_finetune=1e-2)
     student = rn.run_stream_session(teacher, stream, 1, cfg, seed=2)
-    same = [a.data.tobytes() == b.data.tobytes()
-            for a, b in zip(student.backbone.tensors(), teacher.backbone.tensors())]
-    assert all(same) if freeze else not any(same)
     assert not any(a.data.tobytes() == b.data.tobytes()
-                   for a, b in zip(student.class_attention.tensors(),
-                                   teacher.class_attention.tensors()))
+                   for a, b in zip(student.trainable(), teacher.trainable()))
 
 
 def test_two_head_backbone_trains_and_round_trips_through_a_checkpoint(tmp_path):
