@@ -12,6 +12,7 @@ the int64 kind existed hold only kind 0, so they read as they always have.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -38,47 +39,52 @@ def save_tensors(path, tensors: dict) -> None:
     with replacing(path, "wb") as fh:
         fh.write(_MAGIC + struct.pack("<I", len(tensors)))
         for name, arr in tensors.items():
-            arr = np.asarray(arr)                # keeps 0-d shapes; tobytes() C-orders
+            arr = np.asarray(arr)                # keeps 0-d shapes
             kind = 1 if np.issubdtype(arr.dtype, np.integer) else 0
             arr = arr.astype(_KINDS[kind], copy=False)
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)) + encoded)
             fh.write(struct.pack(f"<I{arr.ndim}I", kind << 16 | arr.ndim, *arr.shape))
-            fh.write(arr.tobytes())
+            # the array's own buffer; only a non-C-order one (a transposed
+            # layer weight) is copied into C order first
+            fh.write(np.ascontiguousarray(arr))
 
 
 def load_tensors(path) -> dict:
+    """The {name: array} mapping of a file.  Each payload is read straight
+    into its own new array; no copy of the whole file is held."""
     p = Path(path)
     if not p.is_file():
         raise CheckpointError(f"missing checkpoint: {p}")
-    raw = p.read_bytes()
-    if len(raw) < 8 or raw[:4] != _MAGIC:
-        raise CheckpointError(f"{p}: bad magic, expected {_MAGIC!r}")
-    (count,) = struct.unpack_from("<I", raw, 4)
-    offset = 8
-    tensors = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", raw, offset)
-            offset += 4
-            name = raw[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (word,) = struct.unpack_from("<I", raw, offset)
-            offset += 4
-            kind, ndim = divmod(word, 1 << 16)
-            if kind not in _KINDS:
-                raise CheckpointError(f"{p}: unknown kind {kind} of tensor {name!r}")
-            dtype = _KINDS[kind]
-            shape = struct.unpack_from(f"<{ndim}I", raw, offset) if ndim else ()
-            offset += 4 * ndim
-            size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            end = offset + dtype.itemsize * size
-            if end > len(raw):
-                raise CheckpointError(f"{p}: truncated payload for tensor {name!r}")
-            tensors[name] = np.frombuffer(raw[offset:end], dtype=dtype).reshape(shape).copy()
-            offset = end
-    except struct.error as exc:
-        raise CheckpointError(f"{p}: truncated header ({exc})") from None
-    if offset != len(raw):
-        raise CheckpointError(f"{p}: {len(raw) - offset} trailing bytes")
+    with open(p, "rb") as fh:
+        total = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != _MAGIC:
+            raise CheckpointError(f"{p}: bad magic, expected {_MAGIC!r}")
+        (count,) = struct.unpack_from("<I", head, 4)
+
+        def unpack(fmt):            # struct.error on a short read
+            return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+
+        tensors = {}
+        try:
+            for _ in range(count):
+                (name_len,) = unpack("<I")
+                name = fh.read(name_len).decode("utf-8")
+                (word,) = unpack("<I")
+                kind, ndim = divmod(word, 1 << 16)
+                if kind not in _KINDS:
+                    raise CheckpointError(f"{p}: unknown kind {kind} of tensor {name!r}")
+                dtype = _KINDS[kind]
+                shape = unpack(f"<{ndim}I")
+                size = int(np.prod(shape, dtype=np.int64))
+                if fh.tell() + dtype.itemsize * size > total:
+                    raise CheckpointError(f"{p}: truncated payload for tensor {name!r}")
+                arr = np.empty(shape, dtype)
+                fh.readinto(arr.reshape(-1).view(np.uint8))
+                tensors[name] = arr
+        except struct.error as exc:
+            raise CheckpointError(f"{p}: truncated header ({exc})") from None
+        if fh.tell() != total:
+            raise CheckpointError(f"{p}: {total - fh.tell()} trailing bytes")
     return tensors

@@ -67,9 +67,12 @@ def _metrics_path(cfg: ExperimentConfig, seed: int) -> Path:
 
 
 def _append_record(path: Path, record: dict) -> None:
+    """Add one record line to a metrics log.  The log is rewritten whole, so a
+    failed write leaves the previous log and no partial line."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    previous = path.read_text() if path.exists() else ""
+    with replacing(path) as fh:
+        fh.write(previous + json.dumps(record, sort_keys=True) + "\n")
 
 
 def _save_model(cfg: ExperimentConfig, model: ModelState, seed: int) -> Path:
@@ -174,7 +177,11 @@ def cmd_stream(cfg: ExperimentConfig, seed_override: int | None = None,
                 f"has only {stream.num_sessions} sessions")
         for session in range(model.session_index + 1, stream.num_sessions + 1):
             started = time.perf_counter()
-            model = run_stream_session(model, stream, session, cfg, seed)
+            # hand the model over with no reference left here, so the session
+            # frees the teacher's weights once it has cloned the student
+            held = [model]
+            del model
+            model = run_stream_session(held.pop(), stream, session, cfg, seed)
             train_seconds = time.perf_counter() - started
             paths.append(_save_model(cfg, model, seed))
             metrics = evaluate_session(model, stream, session, embeddings=model.embeddings)

@@ -94,6 +94,19 @@ class ExperimentConfig:
         for key in ("episodes_pretrain", "episodes_finetune"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        for key in ("hidden_dim", "embedding_dim", "backbone_heads", "class_attention_heads"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key, dim in (("backbone_heads", "hidden_dim"),
+                         ("class_attention_heads", "embedding_dim")):
+            if getattr(self, dim) % getattr(self, key):
+                raise ConfigError(f"{key} must divide {dim} ({getattr(self, dim)}), "
+                                  f"got {getattr(self, key)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        for key in ("lr_pretrain", "lr_finetune"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
         try:
             self.sampler()
             self.loss_weights()

@@ -2,12 +2,20 @@
 
 Pretraining runs episodic gradient steps on the base graph, then fixes base
 prototypes from each class's full labeled pool.  Every streaming session
-deep-copies the previous model as a frozen teacher, finetunes a student with
-the combined geometric + distillation objective, and extends the prototype
-set with the session's novel classes.  By default every prototype is then
-recomputed through the finetuned encoder; with the ``carried_prototypes``
-switch old prototype vectors are carried from the teacher instead
-(distillation keeps them valid in the drifting metric space).
+takes the previous model as a frozen teacher, deep-copies it into a student,
+finetunes the student with the combined geometric + distillation objective,
+and extends the prototype set with the session's novel classes.  By default
+every prototype is then recomputed through the finetuned encoder; with the
+``carried_prototypes`` switch old prototype vectors are carried from the
+teacher instead (distillation keeps them valid in the drifting metric space).
+
+Of the teacher, a session keeps only its prototypes and its embeddings of
+the session snapshot, taken before the student is cloned; after the clone
+the session holds no reference to the teacher.  A caller that hands the
+model over, keeping no reference of its own, thus frees the teacher's
+weights before training starts, and the session holds one copy of the
+model.  ``cli.cmd_stream`` does this; it takes effect on CPython 3.11 and
+later, where the called function owns its arguments.
 
 A training episode encodes only the exact receptive field of its support
 and query nodes (``encode(..., rows=...)``); teacher and final-prototype
@@ -264,19 +272,23 @@ def run_stream_session(teacher: ModelState, stream: SessionStream, session: int,
         raise MissingTeacherError("teacher carries no prototypes")
     g = stream.snapshots[session]
     teacher_emb = encode(teacher.backbone.detached(), g).data
+    teacher_protos = teacher.prototypes
     student = clone_state(teacher)
+    # the session reads only these two from the teacher, so its weights go
+    # here, before training, unless the caller still holds the model
+    del teacher
 
     weights = cfg.loss_weights()
     sampler = cfg.sampler()
     _train_episodes(
         student.trainable(), cfg.lr_finetune, cfg.episodes_finetune, seed, session,
         lambda rng: sample_finetune_episode(session, stream, sampler, rng),
-        lambda episode, rng: _finetune_episode_loss(student, teacher_emb, teacher.prototypes,
+        lambda episode, rng: _finetune_episode_loss(student, teacher_emb, teacher_protos,
                                                     g, episode, stream, session, cfg,
                                                     weights, rng))
     emb = encode(student.backbone.detached(), g)
-    student.prototypes = _final_session_prototypes(student, teacher, stream, session, cfg,
-                                                   g, emb)
+    student.prototypes = _final_session_prototypes(student, teacher_protos, stream, session,
+                                                   cfg, g, emb)
     student.session_index = session
     student.embeddings = emb.data
     g.drop_caches()
@@ -309,7 +321,7 @@ def _detached_prototypes(protos: PrototypeSet) -> PrototypeSet:
     return PrototypeSet(protos.class_ids, protos.vectors.detach(), protos.origins)
 
 
-def _final_session_prototypes(student: ModelState, teacher: ModelState,
+def _final_session_prototypes(student: ModelState, teacher_protos: PrototypeSet,
                               stream: SessionStream, session: int,
                               cfg: ExperimentConfig, g: Graph, emb) -> PrototypeSet:
     """Extend the class coverage to this session.
@@ -325,7 +337,7 @@ def _final_session_prototypes(student: ModelState, teacher: ModelState,
     if cfg.carried_prototypes:
         novel = compute_prototypes(emb, stream.supports_at(session), g,
                                    student.class_attention, mode=cfg.prototype_mode)
-        return _detached_prototypes(_combined_prototypes(novel, teacher.prototypes))
+        return _detached_prototypes(_combined_prototypes(novel, teacher_protos))
     supports = {c: stream.eval_pools[session][c] for c in stream.classes_at(0)}
     for s in range(1, session + 1):
         supports.update(stream.supports_at(s))

@@ -97,6 +97,17 @@ def test_integer_arrays_are_stored_exactly_as_int64(tmp_path):
     assert back.dtype == np.int64 and back.tolist() == [big, -3]
 
 
+def test_loaded_arrays_are_aligned_and_own_their_memory(tmp_path):
+    # views into the file's bytes would sit at odd offsets, and numpy computes
+    # some products of misaligned arrays in another order: the teacher's
+    # logits, and so the trained weights, would change
+    p = tmp_path / "t.gfsp"
+    save_tensors(p, {"odd": np.ones(3, dtype=np.float32), "i": np.arange(3),
+                     "w": np.ones((4, 5), dtype=np.float32).T, "s": np.float32(2.0)})
+    for name, arr in load_tensors(p).items():
+        assert arr.flags.aligned and arr.flags.owndata and arr.flags.writeable, name
+
+
 def test_unknown_tensor_kind_is_rejected(tmp_path):
     p = tmp_path / "t.gfsp"
     p.write_bytes(b"GFSP" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"x"

@@ -1,6 +1,8 @@
+import builtins
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +61,13 @@ def test_config_rejects_bad_value_with_line(tmp_path):
                                         ("num_sessions", -1), ("episodes_pretrain", -3),
                                         ("episodes_finetune", -1), ("k_max", 0), ("k_qry", 0),
                                         ("old_query_bias", 1.5), ("old_query_bias", 0.0),
-                                        ("tau", 0.0), ("lambda_s", -1.0)])
+                                        ("tau", 0.0), ("lambda_s", -1.0),
+                                        ("dropout", 1.5), ("dropout", 1.0), ("dropout", -0.1),
+                                        ("hidden_dim", 0), ("embedding_dim", 0),
+                                        ("backbone_heads", 0), ("backbone_heads", 3),
+                                        ("class_attention_heads", 3),
+                                        ("lr_pretrain", -1.0), ("lr_pretrain", 0.0),
+                                        ("lr_finetune", -1e-4)])
 def test_config_rejects_impossible_session_counts(tmp_path, key, value):
     # each out-of-range value fails when the config is parsed, naming its key
     p = tmp_path / "bad.cfg"
@@ -308,6 +316,47 @@ def test_failed_report_write_keeps_the_previous_report(workspace, monkeypatch):
         cli.cmd_report(cfg)
     assert report.read_bytes() == before
     assert sorted(p.name for p in run_dir.iterdir()) == ["metrics_seed0.jsonl", "report.json"]
+
+
+class _FullDisk:
+    """A file that takes half of the first write, then reports a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[:len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_metrics_write_keeps_the_previous_log(workspace, monkeypatch):
+    tmp_path, cfg, _ = workspace
+    cli.cmd_prepare(cfg)
+    cli.cmd_pretrain(cfg, 0)
+    log = tmp_path / "runs" / "metrics_seed0.jsonl"
+    before = log.read_bytes()
+    real_open = builtins.open
+
+    def opening(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if isinstance(file, (str, Path)) and "metrics_seed" in Path(file).name \
+                and mode[0] in "wa":
+            return _FullDisk(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", opening)
+    with pytest.raises(OSError, match="No space left"):
+        cli.cmd_stream(cfg, 0)
+    monkeypatch.undo()
+    assert log.read_bytes() == before
+    assert [rec["session"] for rec in cli.load_run_records(cfg)] == [0]
+    assert not [p.name for p in log.parent.iterdir() if p.name.endswith(".tmp")]
 
 
 # --- export --------------------------------------------------------------------

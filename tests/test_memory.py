@@ -5,6 +5,7 @@ tracemalloc), so the checks do not depend on the allocator or the machine.
 """
 
 import gc
+import sys
 import tracemalloc
 import weakref
 
@@ -103,6 +104,57 @@ def test_stream_command_releases_each_start_model(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_stream_session", recording)
     assert len(cli.cmd_stream(cfg)) == 6
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a caller's stack keeps each call argument "
+                           "alive until the call returns, so the handed-over model outlives "
+                           "its cloning")
+def test_stream_command_frees_each_teacher_before_its_session_trains(tmp_path, monkeypatch):
+    # a session reads only the teacher's snapshot embeddings and prototypes,
+    # so the model it starts from (loaded, or saved by the session before)
+    # must be gone by reference counting alone when its first episode is drawn
+    from geometer.synth import write_synthetic_dataset
+    write_synthetic_dataset(tmp_path / "data", classes=6, per_class=20, feature_dim=10,
+                            p_in=0.3, p_out=0.02, seed=1)
+    cfg = stream_config(dataset_dir=str(tmp_path / "data"),
+                        manifest=str(tmp_path / "manifest.json"), run_dir=str(tmp_path / "runs"),
+                        base_class_count=2, novel_per_session=1, num_sessions=4,
+                        seeds=(0, 1))
+    cli.cmd_prepare(cfg)
+    cli.cmd_pretrain(cfg)
+    weights, checks = [], []
+
+    def layer0_weight(model):
+        weights.append(weakref.ref(model.backbone.layers[0][0].weight.data))
+
+    load_model, save_model = cli._load_model, cli._save_model
+
+    def loading(path):
+        loaded = load_model(path)
+        layer0_weight(loaded[0])
+        return loaded
+
+    def saving(cfg, model, seed):
+        layer0_weight(model)
+        return save_model(cfg, model, seed)
+
+    sample = rn.sample_finetune_episode
+
+    def sampling(session, stream, sampler, rng):
+        # the session's own student is saved only after its episodes
+        alive = [i for i, ref in enumerate(weights) if ref() is not None]
+        assert not alive, f"session {session}: models {alive} still hold their weights"
+        checks.append(session)
+        return sample(session, stream, sampler, rng)
+
+    monkeypatch.setattr(cli, "_load_model", loading)
+    monkeypatch.setattr(cli, "_save_model", saving)
+    monkeypatch.setattr(rn, "sample_finetune_episode", sampling)
+    assert len(cli.cmd_stream(cfg)) == 8
+    # per seed: one model loaded, four saved, two episodes checked per session
+    assert len(weights) == 10
+    assert checks == [1, 1, 2, 2, 3, 3, 4, 4] * 2
 
 
 @pytest.mark.parametrize("heads", [(1, 1), (2, 1)])

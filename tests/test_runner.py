@@ -386,6 +386,49 @@ def test_session_encodes_the_teacher_without_copying_it(monkeypatch):
     assert _encodes_finished_backbone(calls[0][0], teacher)
 
 
+def test_each_episode_draws_its_rng_right_before_it_is_sampled(monkeypatch):
+    # the benchmark's episode clock times episodes by their ``episode_rng``
+    # calls, so each stage must call it once per episode, in index order,
+    # then sample that episode with it, then train on it, one episode at a time
+    stream = tiny_stream(seed=28)
+    cfg = tiny_config(episodes_pretrain=3, episodes_finetune=2)
+    events = []
+    make_rng, step = rn.episode_rng, rn.Adam.step
+
+    def drawing(seed, stage, index):
+        rng = make_rng(seed, stage, index)
+        events.append(("rng", stage, index, rng))
+        return rng
+
+    def sampler(sample, stage_of):
+        def sampling(*args):
+            events.append(("sample", stage_of(args), None, args[-1]))
+            return sample(*args)
+        return sampling
+
+    def stepping(opt, grads):
+        events.append(("step", None, None, None))
+        return step(opt, grads)
+
+    monkeypatch.setattr(rn, "episode_rng", drawing)
+    monkeypatch.setattr(rn, "sample_pretrain_episode",
+                        sampler(rn.sample_pretrain_episode, lambda args: 0))
+    monkeypatch.setattr(rn, "sample_finetune_episode",
+                        sampler(rn.sample_finetune_episode, lambda args: args[0]))
+    monkeypatch.setattr(rn.Adam, "step", stepping)
+    model = rn.pretrain(stream, cfg, seed=6)
+    for session in (1, 2):
+        model = rn.run_stream_session(model, stream, session, cfg, seed=6)
+
+    expected = []
+    for stage, count in ((0, 3), (1, 2), (2, 2)):
+        for index in range(count):
+            expected += [("rng", stage, index), ("sample", stage, None), ("step", None, None)]
+    assert [event[:3] for event in events] == expected
+    for drawn, sampled in zip(events[0::3], events[1::3]):
+        assert sampled[3] is drawn[3]           # the episode is sampled with its own rng
+
+
 def test_stage_embeddings_are_neither_saved_nor_cloned():
     stream = tiny_stream(seed=24)
     model = rn.pretrain(stream, tiny_config(episodes_pretrain=2), seed=1)
