@@ -27,8 +27,8 @@ import numpy as np
 from .checkpoint import load_tensors, save_tensors
 from .config import ExperimentConfig, parse_config
 from .fileio import replacing
-from .graph_store import (Graph, build_session_stream, load_graph,
-                          load_session_stream, save_manifest)
+from .graph_store import (build_session_stream, load_graph, load_session_stream,
+                          save_manifest)
 from .runner import (ModelState, arrays_to_model, evaluate_session,
                      model_to_arrays, pretrain, run_stream_session)
 
@@ -93,7 +93,7 @@ def _load_model(path) -> tuple:
 # ---------------------------------------------------------------------------
 # commands
 
-def _select_classes(g: Graph, cfg: ExperimentConfig):
+def _select_classes(labels: np.ndarray, cfg: ExperimentConfig):
     """Base classes are the most-labeled ones unless given explicitly; the
     novel classes are shuffled under the split seed and chunked per session."""
     needed = cfg.num_sessions * cfg.novel_per_session
@@ -107,8 +107,7 @@ def _select_classes(g: Graph, cfg: ExperimentConfig):
                 f"novel_classes lists {len(novel)} classes, expected "
                 f"{cfg.num_sessions} x {cfg.novel_per_session} = {needed}")
     else:
-        labels = g.labels[g.labels >= 0]
-        classes, counts = np.unique(labels, return_counts=True)
+        classes, counts = np.unique(labels[labels >= 0], return_counts=True)
         if len(classes) < cfg.base_class_count + needed:
             raise CliError(
                 f"dataset has {len(classes)} classes, config wants "
@@ -125,8 +124,10 @@ def _select_classes(g: Graph, cfg: ExperimentConfig):
 
 
 def cmd_prepare(cfg: ExperimentConfig) -> Path:
-    g = load_graph(_require(cfg.dataset_dir, "dataset directory"))
-    base, sessions = _select_classes(g, cfg)
+    # the manifest depends only on the labels: the features are checked but
+    # not kept, and the stream cuts no snapshot
+    g = load_graph(_require(cfg.dataset_dir, "dataset directory"), defer_features=True)
+    base, sessions = _select_classes(g.labels, cfg)
     stream = build_session_stream(g, base, sessions, cfg.k_shot, cfg.split_seed)
     out = Path(cfg.manifest)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -30,6 +30,15 @@ its id index (``rows_of``, ``row_of``) and degrees are built on first use,
 so the snapshots of a session stream that nobody queries cost only their row
 subsets.
 
+``load_graph(path, defer_features=True)``, the load ``prepare`` makes, runs
+every check of a full load in the same order and with the same errors: the
+``features.bin`` header, payload length and finiteness, then the edges, the
+labels, and the endpoint and self-loop checks.  It reads the payload through
+one reusable block and keeps none of it: the graph holds its ids, labels and
+edges over a deferred store, which reads the file again only if its features
+are used.  A ``SessionStream`` cuts its snapshots and eval pools on first
+use, so ``prepare``, which needs only the partition, cuts none.
+
 ``load_graph`` parses each TSV file with numpy in one pass and checks the
 columns, duplicate edges, label ranges and coverage on the arrays.  Only a
 file that the array parse or a check rejects, or one holding a byte outside
@@ -44,7 +53,8 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -131,13 +141,16 @@ class _FeatureStore:
     It holds exactly one form: the CSR matrix when the whole base is sparse
     by the rule, otherwise a dense read-only array.  A dense store builds its
     per-row nonzero counts and its CSR form on first use, once for all the
-    snapshots that are sparse by the rule on their own rows.
+    snapshots that are sparse by the rule on their own rows.  A deferred
+    store (``_deferred``) holds only the shape and path of a checked
+    ``features.bin``, and reads it into one of the two forms on first use.
     """
 
-    __slots__ = ("shape", "_dense", "_csr", "_row_nnz")
+    __slots__ = ("shape", "_dense", "_csr", "_row_nnz", "_path")
 
     def __init__(self, features):
         self.shape = features.shape
+        self._path = None
         if sparse.issparse(features):
             self._dense, self._csr = None, features
             self._row_nnz = np.diff(features.indptr)
@@ -145,12 +158,29 @@ class _FeatureStore:
             features.setflags(write=False)
             self._dense, self._csr, self._row_nnz = features, None, None
 
+    @classmethod
+    def _deferred(cls, path: Path, shape: tuple) -> "_FeatureStore":
+        store = cls.__new__(cls)
+        store.shape, store._path = shape, path
+        store._dense = store._csr = store._row_nnz = None
+        return store
+
+    def _load(self) -> None:
+        if self._path is not None:
+            read = _read_features(self._path)
+            if read.shape != self.shape:
+                raise DatasetFormatError(f"{self._path}: shape changed since it was checked")
+            self._dense, self._csr, self._row_nnz = read._dense, read._csr, read._row_nnz
+            self._path = None
+
     def row_nnz(self) -> np.ndarray:
+        self._load()
         if self._row_nnz is None:
             self._row_nnz = np.count_nonzero(self._dense, axis=1)
         return self._row_nnz
 
     def csr(self):
+        self._load()
         if self._csr is None:
             self._csr = sparse.csr_matrix(self._dense)
         return self._csr
@@ -159,6 +189,7 @@ class _FeatureStore:
         """Dense float32 rows ``rows`` (an index array or a slice; None: all);
         the stored array or a view of it for all rows or a slice of a dense
         store, otherwise a fresh copy."""
+        self._load()
         if self._dense is None:
             return (self._csr if rows is None else self._csr[rows]).toarray()
         return self._dense if rows is None else self._dense[rows]
@@ -331,8 +362,13 @@ def _assemble_graph(store: _FeatureStore, edge_pairs, labels, node_ids=None) -> 
 # ---------------------------------------------------------------------------
 # on-disk format
 
-def load_graph(directory_path) -> Graph:
-    """Read the canonical three-file dataset directory."""
+def load_graph(directory_path, defer_features: bool = False) -> Graph:
+    """Read the canonical three-file dataset directory.
+
+    With ``defer_features`` the feature file gets every check (the same
+    errors, in the same order) but none of its values are kept: the graph
+    reads the file again on the first use of its features.
+    """
     directory = Path(directory_path)
     feat_path = directory / "features.bin"
     edge_path = directory / "edges.tsv"
@@ -341,7 +377,7 @@ def load_graph(directory_path) -> Graph:
         if not p.is_file():
             raise DatasetFileMissingError(f"missing dataset file: {p}")
 
-    store = _read_features(feat_path)
+    store = _check_features(feat_path) if defer_features else _read_features(feat_path)
     n = store.shape[0]
     pairs = _parse_columns(edge_path)
     scanned = pairs is None or not _distinct_in_range(pairs, n)
@@ -461,22 +497,45 @@ def _read_into(fh, buffer: np.ndarray, path: Path) -> None:
         raise DatasetFormatError(f"{path}: payload ended early")
 
 
+def _read_header(fh, path: Path) -> tuple:
+    """The (rows, width) of an open ``features.bin``, after checking its
+    magic, a positive width and the payload length."""
+    header = fh.read(_HEADER_BYTES)
+    if len(header) < _HEADER_BYTES or header[:4] != _FEATURES_MAGIC:
+        raise DatasetFormatError(f"{path}: bad magic, expected {_FEATURES_MAGIC!r}")
+    n, d = struct.unpack_from("<II", header, 4)
+    if d == 0:
+        raise DatasetFormatError(f"{path}: feature dim must be positive")
+    expected = _HEADER_BYTES + 4 * n * d
+    length = os.fstat(fh.fileno()).st_size
+    if length != expected:
+        raise DatasetFormatError(
+            f"{path}: payload length {length} does not match header "
+            f"({n} x {d} floats -> {expected} bytes)")
+    return n, d
+
+
+def _check_features(path: Path) -> _FeatureStore:
+    """A deferred store of ``features.bin`` after the checks ``_read_features``
+    makes: the payload is read through one reusable block, and a block's
+    minimum and maximum are finite exactly when all its values are."""
+    with open(path, "rb") as fh:
+        n, d = _read_header(fh, path)
+        rows_per_block = max(1, _READ_BLOCK // d)
+        buffer = np.empty(rows_per_block * d, dtype="<f4")
+        for lo in range(0, n, rows_per_block):
+            block = buffer[:min(rows_per_block, n - lo) * d]
+            _read_into(fh, block, path)
+            if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                raise DatasetFormatError(f"{path}: features contain NaN or Inf")
+    return _FeatureStore._deferred(path, (n, d))
+
+
 def _read_features(path: Path) -> _FeatureStore:
     """The feature store of ``features.bin``: CSR when the file is sparse by
     the rule, built block by block, otherwise the dense matrix."""
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER_BYTES)
-        if len(header) < _HEADER_BYTES or header[:4] != _FEATURES_MAGIC:
-            raise DatasetFormatError(f"{path}: bad magic, expected {_FEATURES_MAGIC!r}")
-        n, d = struct.unpack_from("<II", header, 4)
-        if d == 0:
-            raise DatasetFormatError(f"{path}: feature dim must be positive")
-        expected = _HEADER_BYTES + 4 * n * d
-        length = os.fstat(fh.fileno()).st_size
-        if length != expected:
-            raise DatasetFormatError(
-                f"{path}: payload length {length} does not match header "
-                f"({n} x {d} floats -> {expected} bytes)")
+        n, d = _read_header(fh, path)
         rows_per_block = max(1, _READ_BLOCK // d)
         if _sparse_by_rule(0, n * d):       # large enough to be sparse by the rule
             csr = _read_sparse_features(fh, n, d, rows_per_block, path)
@@ -574,13 +633,30 @@ class ClassPartition:
 
 @dataclass(frozen=True)
 class SessionStream:
-    """Base stage plus streaming sessions over cumulative graph snapshots."""
+    """Base stage plus streaming sessions over cumulative graph snapshots.
+
+    The snapshots and eval pools are cut from the graph on first use, so a
+    stream read only for its partition (``prepare``) cuts none of them.
+    """
 
     partition: ClassPartition
-    snapshots: tuple       # index 0 = base graph, index t = session-t graph
-    eval_pools: tuple      # per stage: {class id -> node id array}
     k_shot: int
     seed: int
+    _graph: Graph = field(repr=False, compare=False)    # the graph every stage is cut from
+
+    @cached_property
+    def _stages(self) -> tuple:
+        return _cut_stages(self._graph, self.partition)
+
+    @property
+    def snapshots(self) -> tuple:
+        """Index 0 = base graph, index t = session-t graph."""
+        return self._stages[0]
+
+    @property
+    def eval_pools(self) -> tuple:
+        """Per stage: {class id -> node id array}."""
+        return self._stages[1]
 
     @property
     def num_sessions(self) -> int:
@@ -613,13 +689,13 @@ def _class_members(g: Graph) -> dict:
     return members
 
 
-def _assemble_stream(g: Graph, partition: ClassPartition, k_shot: int, seed: int,
-                     members: dict) -> SessionStream:
-    """Snapshots and eval pools of a validated partition.
+def _cut_stages(g: Graph, partition: ClassPartition) -> tuple:
+    """The snapshots and the eval pools of a validated partition.
 
     A class's pool is its labeled ids minus its held-out supports at every
     stage it is part of, so all stages share one read-only array per class.
     """
+    members = _class_members(g)
     stage_of = dict.fromkeys(partition.base_classes, 0)
     pool_of = {cls: members[cls] for cls in partition.base_classes}
     for stage, spec in enumerate(partition.sessions, start=1):
@@ -642,7 +718,7 @@ def _assemble_stream(g: Graph, partition: ClassPartition, k_shot: int, seed: int
         snapshots.append(_row_subset(g, np.flatnonzero(row_stage <= stage)))
         eval_pools.append({cls: pool_of[cls]
                            for cls in sorted(c for c in stage_of if stage_of[c] <= stage)})
-    return SessionStream(partition, tuple(snapshots), tuple(eval_pools), k_shot, seed)
+    return tuple(snapshots), tuple(eval_pools)
 
 
 def _validate_partition_classes(g: Graph, base_classes, session_novel_classes):
@@ -664,7 +740,7 @@ def build_session_stream(g: Graph, base_classes: Sequence[int],
 
     Supports are drawn uniformly without replacement per novel class,
     deterministically under ``seed``; everything else (snapshots, eval pools)
-    is derived from the partition.
+    is derived from the partition on first use.
     """
     if k_shot < 1:
         raise ValueError(f"k_shot must be positive, got {k_shot}")
@@ -683,7 +759,7 @@ def build_session_stream(g: Graph, base_classes: Sequence[int],
             supports[int(cls)] = tuple(int(v) for v in np.sort(chosen))
         sessions.append(SessionSpec(tuple(int(c) for c in novel), supports))
     partition = ClassPartition(tuple(int(c) for c in base_classes), tuple(sessions))
-    return _assemble_stream(g, partition, k_shot, seed, members)
+    return SessionStream(partition, k_shot, seed, g)
 
 
 def save_manifest(stream: SessionStream, path) -> None:
@@ -742,4 +818,4 @@ def load_session_stream(g: Graph, path) -> SessionStream:
                 raise ManifestError(f"{p}: support node {v} is not labeled {cls}")
         specs.append(SessionSpec(tuple(novel), supports))
     partition = ClassPartition(tuple(base), tuple(specs))
-    return _assemble_stream(g, partition, k_shot, seed, members)
+    return SessionStream(partition, k_shot, seed, g)

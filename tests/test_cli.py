@@ -100,6 +100,19 @@ def test_prepare_idempotent_and_shape(workspace):
             assert len(sup) == 3
 
 
+def test_prepare_reads_labels_only_and_writes_the_full_load_manifest(workspace, monkeypatch):
+    import geometer.graph_store as gs
+    tmp, cfg, _ = workspace
+    g = gs.load_graph(cfg.dataset_dir)
+    base, sessions = cli._select_classes(g.labels, cfg)
+    gs.save_manifest(gs.build_session_stream(g, base, sessions, cfg.k_shot, cfg.split_seed),
+                     tmp / "full.json")
+    # no feature store is filled and no snapshot is cut
+    monkeypatch.setattr(gs, "_read_features", None)
+    monkeypatch.setattr(gs, "_cut_stages", None)
+    assert cli.cmd_prepare(cfg).read_bytes() == (tmp / "full.json").read_bytes()
+
+
 def test_prepare_explicit_classes(workspace):
     _, cfg, _ = workspace
     cfg2 = replace(cfg, base_classes=(3, 2), novel_classes=(0, 1))
@@ -197,6 +210,23 @@ def test_commands_evaluate_on_the_stage_encode(workspace, monkeypatch):
     assert sum(full) == 1
     cli.cmd_stream(one_seed)
     assert sum(full) == 1 + 2 * cfg.num_sessions
+
+
+def test_pretrain_reports_a_diverged_episode(workspace, capsys):
+    # finite features near the float32 limit overflow the layer-0 projection
+    import geometer.graph_store as gs
+    tmp_path, _, cfg_path = workspace
+    data = tmp_path / "data"
+    g = gs.load_graph(data)
+    signs = np.where(np.arange(g.feature_dim) % 2, 1.0, -1.0).astype(np.float32)
+    huge = np.full(g.features.shape, 3e38, dtype=np.float32) * signs
+    gs.save_dataset(gs.make_graph(huge, g.edges, g.labels), data)
+    assert cli.main(["prepare", "--config", str(cfg_path)]) == 0
+    with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+        assert cli.main(["pretrain", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err == ('error kind=TrainingDivergedError message="non-finite loss in pretrain '
+                   'episode 0: gat_layer: non-finite projection"')
 
 
 def test_stream_session_count_guard(workspace):

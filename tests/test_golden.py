@@ -1,6 +1,6 @@
 """Golden digests: refactors must leave every trained value byte-identical.
 
-Three short pipelines (``prepare`` -> ``pretrain`` -> ``stream`` for one seed)
+Four short pipelines (``prepare`` -> ``pretrain`` -> ``stream`` for one seed)
 each run in a subprocess with one BLAS thread, since the layer-0 attention
 scores go through threaded BLAS products whose rounding follows the thread
 count.  Each run reports SHA-256 digests of its manifest, every checkpoint,
@@ -39,12 +39,22 @@ _DEMO_CONFIG = dict(base_class_count=2, novel_per_session=1, num_sessions=4, k_s
 _CORA_CONFIG = dict(base_class_count=2, novel_per_session=1, num_sessions=3, k_shot=5,
                     split_seed=0, hidden_dim=64, embedding_dim=16, class_attention_heads=4,
                     k_max=10, k_qry=10, episodes_pretrain=20, episodes_finetune=6)
+# the class structure of perfbench's manyclass_stream: 20 base classes and
+# five-way sessions, on a small graph with a narrow hidden layer.  Its
+# 64-wide class-attention matrices and prototypes take BLAS products that
+# the 16-wide runs above do not, so it fails when checkpoint loads hand out
+# unaligned arrays (numpy computes those products in another order)
+_MANYCLASS_CONFIG = dict(base_class_count=20, novel_per_session=5, num_sessions=2, k_shot=5,
+                         split_seed=0, hidden_dim=32, embedding_dim=64, class_attention_heads=4,
+                         k_max=10, k_qry=10, episodes_pretrain=8, episodes_finetune=4)
+_CONFIGS = {"demo": _DEMO_CONFIG, "cora": _CORA_CONFIG, "manyclass": _MANYCLASS_CONFIG}
 
 # name -> (dataset kind, seed, stage of the episode whose gradients are digested)
 RUNS = {
     "demo_seed0": ("demo", 0, 0),
     "demo_seed13": ("demo", 13, 1),
     "cora_seed0": ("cora", 0, 1),
+    "manyclass_seed0": ("manyclass", 0, 2),
 }
 
 
@@ -71,9 +81,14 @@ def _write_dataset(kind: str, directory: Path, seed: int) -> None:
         return
     sys.path.insert(0, str(ROOT / "perfbench"))
     from graphgen import GraphShape, make_cora_like, skewed_class_sizes
-    shape = GraphShape(nodes=700, edges=1400, features=600,
-                       class_sizes=skewed_class_sizes(700, 5, 60, 0.8), words_per_node=18,
-                       topic_words=40, topic_share=0.5, homophily=0.8)
+    if kind == "cora":
+        shape = GraphShape(nodes=700, edges=1400, features=600,
+                           class_sizes=skewed_class_sizes(700, 5, 60, 0.8), words_per_node=18,
+                           topic_words=40, topic_share=0.5, homophily=0.8)
+    else:
+        shape = GraphShape(nodes=900, edges=1800, features=300,
+                           class_sizes=skewed_class_sizes(900, 30, 20, 0.8), words_per_node=12,
+                           topic_words=20, topic_share=0.5, homophily=0.8)
     save_dataset(make_graph(*make_cora_like(shape, seed)), directory)
 
 
@@ -122,8 +137,7 @@ def run_digests(name: str, work: Path) -> dict:
     kind, seed, stage = RUNS[name]
     _write_dataset(kind, work / "data", seed)
     cfg = ExperimentConfig(dataset_dir=str(work / "data"), manifest=str(work / "manifest.json"),
-                           run_dir=str(work / "runs"), seeds=(seed,),
-                           **(_DEMO_CONFIG if kind == "demo" else _CORA_CONFIG))
+                           run_dir=str(work / "runs"), seeds=(seed,), **_CONFIGS[kind])
     cli.cmd_prepare(cfg)
     checkpoints = cli.cmd_pretrain(cfg, seed) + cli.cmd_stream(cfg, seed)
     records = []

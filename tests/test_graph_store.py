@@ -3,7 +3,9 @@ import struct
 import numpy as np
 import pytest
 
+import geometer.cli as cli
 import geometer.graph_store as gs
+from geometer.config import ExperimentConfig
 from oracles import adjacency_matrix, graphs_equal, induced_subgraph, streams_equal
 
 
@@ -23,6 +25,26 @@ def random_graph(rng, n=10, p=0.3, classes=2):
 
 
 # --- loading and the canonical format --------------------------------------
+
+def _raised(read, directory) -> gs.GraphStoreError:
+    with pytest.raises(gs.GraphStoreError) as info:
+        read(directory)
+    return info.value
+
+
+def _prepare(directory):
+    cli.cmd_prepare(ExperimentConfig(dataset_dir=str(directory),
+                                     manifest=str(directory / "manifest.json")))
+
+
+def load_error(directory) -> gs.GraphStoreError:
+    """The error ``load_graph`` raises on ``directory``, after checking that
+    ``prepare``, which checks the features without keeping them, raises one
+    of the same type with the same message."""
+    loaded, prepared = _raised(gs.load_graph, directory), _raised(_prepare, directory)
+    assert (type(prepared), str(prepared)) == (type(loaded), str(loaded))
+    return loaded
+
 
 def write_dataset_by_hand(directory, features, edge_lines, label_lines):
     n, d = features.shape
@@ -85,8 +107,9 @@ def test_loader_finds_a_non_finite_feature_in_any_block(tmp_path, monkeypatch, d
     assert gs.load_graph(tmp_path).node_count == 10
     feats[row, 5] = bad
     write_dataset_by_hand(tmp_path, feats, "", labels)
-    with pytest.raises(gs.DatasetFormatError, match="NaN or Inf"):
-        gs.load_graph(tmp_path)
+    error = load_error(tmp_path)
+    assert type(error) is gs.DatasetFormatError
+    assert str(error) == f"{tmp_path / 'features.bin'}: features contain NaN or Inf"
 
 
 @pytest.mark.parametrize("block_rows", [1, 4, 1024])
@@ -115,6 +138,29 @@ def test_loader_reads_negative_zero_as_zero(tmp_path, monkeypatch):
     for name in ("indptr", "indices", "data"):
         assert getattr(csr, name).tobytes() == getattr(expected, name).tobytes()
     assert not np.signbit(g.features).any()
+
+
+@pytest.mark.parametrize("density", ["sparse", "dense"])
+def test_deferred_features_are_read_on_first_use(tmp_path, density):
+    write_dataset_by_hand(tmp_path, _loader_features(density), "0\t1\n3\t2\n",
+                          "".join(f"{i}\t{i % 3}\n" for i in range(10)))
+    deferred = gs.load_graph(tmp_path, defer_features=True)
+    store = deferred._store
+    assert store.shape == _LOADER_SHAPE and deferred.feature_dim == _LOADER_SHAPE[1]
+    assert store._dense is None and store._csr is None and store._row_nnz is None
+    loaded = gs.load_graph(tmp_path)
+    assert graphs_equal(deferred, loaded)          # reads the file here
+    assert (store._dense is None) == (loaded._store._dense is None) == (density == "sparse")
+    snapshot = induced_subgraph(gs.load_graph(tmp_path, defer_features=True), [1, 2, 3])
+    assert np.array_equal(snapshot.features, loaded.features[1:4])
+
+
+def test_deferred_features_fail_if_the_file_changed(tmp_path):
+    write_dataset_by_hand(tmp_path, np.ones((2, 3), dtype=np.float32), "", "0\t0\n1\t0\n")
+    g = gs.load_graph(tmp_path, defer_features=True)
+    write_dataset_by_hand(tmp_path, np.ones((2, 4), dtype=np.float32), "", "0\t0\n1\t0\n")
+    with pytest.raises(gs.DatasetFormatError, match="shape changed since it was checked"):
+        g.features
 
 
 def test_make_graph_stores_sparse_features_as_csr_only():
@@ -202,8 +248,7 @@ def test_load_merges_directed_duplicates(tmp_path):
 
 
 def test_load_error_missing_file(tmp_path):
-    with pytest.raises(gs.DatasetFileMissingError):
-        gs.load_graph(tmp_path)
+    assert type(load_error(tmp_path)) is gs.DatasetFileMissingError
 
 
 def test_load_error_bad_magic(tmp_path):
@@ -211,43 +256,49 @@ def test_load_error_bad_magic(tmp_path):
     raw = bytearray((tmp_path / "features.bin").read_bytes())
     raw[:4] = b"XXXX"
     (tmp_path / "features.bin").write_bytes(bytes(raw))
-    with pytest.raises(gs.DatasetFormatError):
-        gs.load_graph(tmp_path)
+    error = load_error(tmp_path)
+    assert type(error) is gs.DatasetFormatError
+    assert str(error) == f"{tmp_path / 'features.bin'}: bad magic, expected b'GFSC'"
+
+
+def test_load_error_zero_width(tmp_path):
+    write_dataset_by_hand(tmp_path, np.zeros((2, 0), dtype=np.float32), "", "0\t0\n1\t0\n")
+    error = load_error(tmp_path)
+    assert type(error) is gs.DatasetFormatError
+    assert str(error) == f"{tmp_path / 'features.bin'}: feature dim must be positive"
 
 
 def test_load_error_length_mismatch(tmp_path):
     write_dataset_by_hand(tmp_path, np.zeros((2, 2), dtype=np.float32), "", "0\t0\n1\t0\n")
     raw = (tmp_path / "features.bin").read_bytes()
     (tmp_path / "features.bin").write_bytes(raw[:-4])
-    with pytest.raises(gs.DatasetFormatError):
-        gs.load_graph(tmp_path)
+    error = load_error(tmp_path)
+    assert type(error) is gs.DatasetFormatError
+    assert str(error) == (f"{tmp_path / 'features.bin'}: payload length 24 does not "
+                          f"match header (2 x 2 floats -> 28 bytes)")
 
 
 def test_load_error_duplicate_edge(tmp_path):
     write_dataset_by_hand(tmp_path, np.zeros((2, 1), dtype=np.float32),
                           "0\t1\n0\t1\n", "0\t0\n1\t0\n")
-    with pytest.raises(gs.DuplicateEdgeError):
-        gs.load_graph(tmp_path)
+    assert type(load_error(tmp_path)) is gs.DuplicateEdgeError
 
 
 def test_load_error_out_of_range_node(tmp_path):
     write_dataset_by_hand(tmp_path, np.zeros((2, 1), dtype=np.float32),
                           "0\t5\n", "0\t0\n1\t0\n")
-    with pytest.raises(gs.NodeIdError):
-        gs.load_graph(tmp_path)
+    assert type(load_error(tmp_path)) is gs.NodeIdError
 
 
 def test_load_error_self_loop(tmp_path):
     write_dataset_by_hand(tmp_path, np.zeros((2, 1), dtype=np.float32),
                           "1\t1\n", "0\t0\n1\t0\n")
-    with pytest.raises(gs.SelfLoopError):
-        gs.load_graph(tmp_path)
+    assert type(load_error(tmp_path)) is gs.SelfLoopError
 
 
 def test_load_error_incomplete_labels(tmp_path):
     write_dataset_by_hand(tmp_path, np.zeros((2, 1), dtype=np.float32), "", "0\t0\n")
-    with pytest.raises(gs.DatasetFormatError):
-        gs.load_graph(tmp_path)
+    assert type(load_error(tmp_path)) is gs.DatasetFormatError
 
 
 _LABELS3 = "0\t0\n1\t1\n2\t-1\n"
@@ -308,9 +359,8 @@ def test_loader_error_kind_and_message(tmp_path, case):
     edges, labels, kind, message = _MALFORMED[case]
     write_dataset_by_hand(tmp_path, np.zeros((3, 1), dtype=np.float32), edges, labels)
     expected = message.format(e=tmp_path / "edges.tsv", l=tmp_path / "labels.tsv")
-    with pytest.raises(kind) as info:
-        gs.load_graph(tmp_path)
-    assert type(info.value) is kind and str(info.value) == expected
+    error = load_error(tmp_path)
+    assert type(error) is kind and str(error) == expected
 
 
 @pytest.mark.parametrize("edges, labels, kind, message", [
@@ -319,9 +369,8 @@ def test_loader_error_kind_and_message(tmp_path, case):
 ], ids=["endpoint_out_of_range", "self_loop"])
 def test_loader_graph_errors(tmp_path, edges, labels, kind, message):
     write_dataset_by_hand(tmp_path, np.zeros((3, 1), dtype=np.float32), edges, labels)
-    with pytest.raises(kind) as info:
-        gs.load_graph(tmp_path)
-    assert str(info.value) == message.format(e=tmp_path / "edges.tsv")
+    error = load_error(tmp_path)
+    assert type(error) is kind and str(error) == message.format(e=tmp_path / "edges.tsv")
 
 
 def test_array_parse_reads_what_the_line_scan_reads(tmp_path, monkeypatch):
@@ -505,6 +554,18 @@ def test_stream_snapshots_monotone_and_exact():
         expected_classes = set(stream.classes_at(t))
         got = set(int(c) for c in np.unique(snap.labels[snap.labels >= 0]))
         assert got <= expected_classes
+
+
+def test_stream_cuts_its_stages_on_first_use(monkeypatch):
+    g = labeled_blob_graph(np.random.default_rng(4))
+    cut = gs._cut_stages
+    monkeypatch.setattr(gs, "_cut_stages", None)
+    stream = gs.build_session_stream(g, [0, 1], [[2], [3, 4]], k_shot=3, seed=0)
+    assert stream.partition.base_classes == (0, 1) and stream.num_sessions == 2
+    calls = []
+    monkeypatch.setattr(gs, "_cut_stages", lambda *a: calls.append(1) or cut(*a))
+    assert stream.snapshots is stream.snapshots and len(stream.snapshots) == 3
+    assert sorted(stream.eval_pools[2]) == [0, 1, 2, 3, 4] and calls == [1]
 
 
 def test_stream_zero_sessions():
