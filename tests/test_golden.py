@@ -3,9 +3,11 @@
 Four short pipelines (``prepare`` -> ``pretrain`` -> ``stream`` for one seed)
 each run in a subprocess with one BLAS thread, since the layer-0 attention
 scores go through threaded BLAS products whose rounding follows the thread
-count.  Each run reports SHA-256 digests of its manifest, every checkpoint,
-the metrics records with ``seconds`` stripped, and the value and gradients of
-one seeded training episode.  ``tests/fixtures/golden.json`` holds the
+count.  Each run reports SHA-256 digests of its manifest, every checkpoint
+file and each tensor in it, the metrics records with ``seconds`` stripped, and
+the value and gradients of one seeded training episode.  A failure names the
+run, and for each checkpoint file that changed, the tensors that moved: a
+change to the file format alone moves file digests and no weight.  ``tests/fixtures/golden.json`` holds the
 expected digests together with the numpy, scipy and BLAS versions that
 produced them; on other versions the test fails and names both.
 
@@ -129,6 +131,13 @@ def _episode_digest(cfg, seed: int, stage: int) -> str:
     return _sha(b"".join([np.float64(value).tobytes(), *(a.tobytes() for a in grads)]))
 
 
+def _tensor_digests(path) -> dict:
+    """Each tensor of a checkpoint file: its dtype, shape and bytes."""
+    from geometer.checkpoint import load_tensors
+    return {name: _sha(f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes())
+            for name, arr in load_tensors(path).items()}
+
+
 def run_digests(name: str, work: Path) -> dict:
     """The digests of run ``name``, computed in ``work``."""
     import geometer.cli as cli
@@ -148,6 +157,7 @@ def run_digests(name: str, work: Path) -> dict:
     return {
         "manifest": _sha(Path(cfg.manifest).read_bytes()),
         "checkpoints": {Path(p).name: _sha(Path(p).read_bytes()) for p in checkpoints},
+        "tensors": {Path(p).name: _tensor_digests(p) for p in checkpoints},
         "metrics": _sha("\n".join(records).encode()),
         "episode_gradients": _episode_digest(cfg, seed, stage),
     }
@@ -189,8 +199,29 @@ def test_golden_digests():
         f"{here}; regenerate them with `python tests/test_golden.py --write` after checking "
         f"the results on the old versions")
     got = compute_all()
-    for name in RUNS:
-        assert got[name] == expected["runs"][name], f"golden digests of run {name} changed"
+    changed = {name: differences(expected["runs"][name], got[name]) for name in RUNS}
+    assert not any(changed.values()), "golden digests changed:\n" + "\n".join(
+        f"{name}: {line}" for name, lines in changed.items() for line in lines)
+
+
+def differences(expected: dict, got: dict) -> list:
+    """One line per digest of a run that changed; a checkpoint's line names
+    the tensors that moved, the new and the missing ones."""
+    lines = [f"{key} changed" for key in ("manifest", "metrics", "episode_gradients")
+             if expected.get(key) != got.get(key)]
+    files, tensors = expected["checkpoints"], expected["tensors"]
+    for file in sorted(files.keys() | got["checkpoints"].keys()):
+        if file not in got["checkpoints"]:
+            lines.append(f"{file} missing")
+        elif file not in files:
+            lines.append(f"{file} new")
+        elif files[file] != got["checkpoints"][file] or \
+                tensors.get(file) != got["tensors"][file]:
+            want, have = tensors.get(file, {}), got["tensors"][file]
+            moved = [t + ("" if t in have else " (missing)") + ("" if t in want else " (new)")
+                     for t in sorted(want.keys() | have.keys()) if want.get(t) != have.get(t)]
+            lines.append(f"{file} changed; tensors moved: {', '.join(moved) or 'none'}")
+    return lines
 
 
 def main(argv) -> int:
