@@ -3,7 +3,7 @@
 Each node attends over its neighbors plus itself; attention scores are
 leaky-rectified linear forms of the transformed endpoint states, normalized
 per neighborhood.  Layer one applies an exponential-linear nonlinearity and
-concatenates heads; the output layer is linear (identity) and averages heads
+concatenates heads; the output layer has one head and is linear (identity),
 so embeddings live in an unconstrained metric space.
 
 The per-graph edge structure (neighborhoods sorted by center node) is
@@ -62,6 +62,7 @@ import numpy as np
 from scipy import sparse
 
 from . import diffmath as dm
+from .checkpoint import CheckpointError
 from .diffmath import Tensor
 from .graph_store import Graph
 
@@ -91,14 +92,15 @@ class HeadParams:
 
 @dataclass
 class BackboneParams:
-    layers: tuple            # two tuples of HeadParams
+    layers: tuple            # two tuples of HeadParams: layer 0's heads, then one
     feature_dim: int
     hidden_dim: int
     out_dim: int
 
     @property
-    def heads(self):
-        return tuple(len(layer) for layer in self.layers)
+    def heads(self) -> int:
+        """Layer 0's head count; the output layer has one head."""
+        return len(self.layers[0])
 
     def tensors(self):
         return [t for layer in self.layers for hp in layer for t in (hp.weight, hp.attn)]
@@ -128,14 +130,14 @@ def _weight_tensor(out_in: np.ndarray) -> Tensor:
 
 
 def init_backbone(feature_dim: int, hidden: int, out_dim: int, seed: int,
-                  heads=(1, 1), dtype=np.float32) -> BackboneParams:
-    """Glorot-uniform initialization, deterministic under ``seed``."""
+                  heads: int = 1, dtype=np.float32) -> BackboneParams:
+    """Glorot-uniform initialization, deterministic under ``seed``; ``heads``
+    is layer 0's head count."""
     if min(feature_dim, hidden, out_dim) <= 0:
         raise ValueError("all backbone dimensions must be positive")
-    h1, h2 = heads
-    if hidden % h1 != 0:
-        raise ValueError(f"hidden dim {hidden} not divisible by {h1} heads")
-    layer_specs = [(feature_dim, hidden // h1, h1), (hidden, out_dim, h2)]
+    if hidden % heads != 0:
+        raise ValueError(f"hidden dim {hidden} not divisible by {heads} heads")
+    layer_specs = [(feature_dim, hidden // heads, heads), (hidden, out_dim, 1)]
     layers = []
     for li, (in_dim, out_h, n_heads) in enumerate(layer_specs):
         heads_p = []
@@ -332,7 +334,7 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
     if grad_states:
         parents = (states, *parents)
     track = any(p.requires_grad for p in parents)
-    concat = layer == 0 and len(heads) > 1
+    concat = len(heads) > 1                         # only layer 0 has several heads
     out = np.empty((struct.n_out, params.hidden_dim), dtype=params.dtype) if concat else None
     saved, col = [], 0
     for hp in heads:
@@ -345,18 +347,12 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
         if concat:
             out[:, col:col + agg.shape[1]] = agg
             col += agg.shape[1]
-        elif out is None:
-            out = agg
         else:
-            with dm._fpe_guard("gat_layer"):
-                out += agg
+            out = agg
         del agg
-    mean_scale = float(1.0 / len(heads))
-    with dm._fpe_guard("gat_layer"):
-        if layer == 0:
+    if layer == 0:
+        with dm._fpe_guard("gat_layer"):
             dm.elu_inplace(out)
-        elif len(heads) > 1:
-            out *= out.dtype.type(mean_scale)
     if not track:
         return Tensor(out)
 
@@ -367,8 +363,6 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
         g_out = _flush_subnormals(g_out)
         if layer == 0:
             g_out = dm.elu_grad(out, g_out)
-        elif len(heads) > 1:
-            g_out = g_out * mean_scale
         g_states, grads, col = None, [], 0
         for i, hp in enumerate(heads):
             g_h = g_out
@@ -426,13 +420,8 @@ def encode(params: BackboneParams, g: Graph, dropout_rate: float = 0.0,
     if sp is not None:
         h = sp if rows0 is None else sp[rows0]
     else:
-        cache_key = f"features_{np.dtype(dtype).name}"
-        h = g._op_cache.get(cache_key)
-        if h is None:
-            h = dm.tensor(g.features.astype(dtype, copy=False), dtype=dtype)
-            g._op_cache[cache_key] = h
-        if rows0 is not None:
-            h = dm.take_rows(h, rows0)
+        # gathered from the feature store, checked finite when it was loaded
+        h = Tensor(g.feature_rows(rows0).astype(dtype, copy=False))
         h = _dropout(h, dropout_rate, rng, g.node_count, rows0)
     h = gat_layer(params, g, h, 0, struct0)
     h = _dropout(h, dropout_rate, rng, g.node_count, rows1)
@@ -443,10 +432,11 @@ def encode(params: BackboneParams, g: Graph, dropout_rate: float = 0.0,
 # checkpoint plumbing
 
 def backbone_to_arrays(params: BackboneParams) -> dict:
-    """Checkpoint arrays; head weights in their [out x in] stored layout."""
+    """Checkpoint arrays; head weights in their [out x in] stored layout.  The
+    meta row ends with each layer's head count, the output layer's always 1."""
     arrays = {
         "backbone/meta": np.array(
-            [params.feature_dim, params.hidden_dim, params.out_dim, *params.heads],
+            [params.feature_dim, params.hidden_dim, params.out_dim, params.heads, 1],
             dtype=np.int64),
     }
     for li, layer in enumerate(params.layers):
@@ -458,9 +448,12 @@ def backbone_to_arrays(params: BackboneParams) -> dict:
 
 def arrays_to_backbone(arrays: dict) -> BackboneParams:
     meta = arrays["backbone/meta"].astype(np.int64)
-    feature_dim, hidden, out_dim, h1, h2 = (int(v) for v in meta)
+    feature_dim, hidden, out_dim, heads, out_heads = (int(v) for v in meta)
+    if out_heads != 1:
+        raise CheckpointError(f"checkpoint output layer has {out_heads} heads; "
+                              f"only one is supported")
     layers = []
-    for li, n_heads in enumerate((h1, h2)):
+    for li, n_heads in enumerate((heads, 1)):
         heads_p = []
         for hi in range(n_heads):
             heads_p.append(HeadParams(

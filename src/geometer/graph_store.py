@@ -22,8 +22,8 @@ Snapshots share storage.  A subgraph is a sorted row subset of the graph it
 was first cut from: it keeps its own node ids, labels and edges, but reads
 feature rows from that base graph's store.  A snapshot that is sparse by the
 rule on its own rows gets ``features_sparse()`` as a row gather of the base
-CSR (built on first use over a dense base).  ``Graph.features`` is the dense
-form: it gathers a fresh copy on every call except on a dense base graph.
+CSR (built on first use over a dense base).  ``Graph.feature_rows`` gathers
+dense rows from the store on every call, and keeps no copy on the graph.
 
 A graph holds its node ids, labels and canonical edge array from the start;
 its id index (``rows_of``, ``row_of``) and degrees are built on first use,
@@ -231,16 +231,21 @@ class Graph:
 
     @property
     def features(self) -> np.ndarray:
-        """Dense [node_count x feature_dim] float32 feature rows, read-only.
-
-        Only a base graph over a dense store returns its stored array.  A
-        subgraph, or any graph over a CSR store, densifies a fresh copy of
-        its rows at every call, so code that runs often should use
-        ``features_sparse()`` or keep the result.
-        """
-        dense = self._store.dense_rows(self._rows)
+        """Dense [node_count x feature_dim] float32 feature rows, read-only:
+        ``feature_rows()``.  Only a base graph over a dense store returns its
+        stored array; any other graph densifies a fresh copy at every call."""
+        dense = self.feature_rows()
         dense.setflags(write=False)
         return dense
+
+    def feature_rows(self, rows=None) -> np.ndarray:
+        """Dense float32 feature rows ``rows`` of this graph (an index array or
+        a slice; None: all), gathered from the base graph's store.  Only a base
+        graph over a dense store hands out its stored array or a view of it,
+        for all rows or a slice; otherwise the rows are a fresh copy."""
+        if self._rows is not None:
+            rows = self._rows if rows is None else self._rows[rows]
+        return self._store.dense_rows(rows)
 
     @property
     def node_count(self) -> int:
@@ -277,9 +282,9 @@ class Graph:
         return self._degrees
 
     def drop_caches(self) -> None:
-        """Forget the feature CSR gather and the op cache (attention
-        neighborhoods, dense feature copies); the next read rebuilds them.
-        The small id index and degrees stay."""
+        """Forget the feature CSR gather and the op cache (the attention
+        neighborhoods); the next read rebuilds them.  The small id index and
+        degrees stay; the graph holds no dense feature rows to forget."""
         self._feat_csr = None
         self._op_cache = {}
 
@@ -591,9 +596,8 @@ def save_dataset(g: Graph, directory_path) -> None:
     with replacing(directory / "features.bin", "wb") as fh:
         fh.write(_FEATURES_MAGIC + struct.pack("<II", n, d))
         for lo in range(0, n, rows_per_block):
-            block = slice(lo, lo + rows_per_block)
-            rows = block if g._rows is None else g._rows[block]
-            fh.write(np.ascontiguousarray(g._store.dense_rows(rows), dtype="<f4"))
+            rows = slice(lo, lo + rows_per_block)
+            fh.write(np.ascontiguousarray(g.feature_rows(rows), dtype="<f4"))
     with replacing(directory / "edges.tsv") as fh:
         for a, b in g.edges:
             fh.write(f"{a}\t{b}\n")

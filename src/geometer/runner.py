@@ -69,9 +69,7 @@ __all__ = ["ModelState", "SessionMetrics", "TrainingDivergedError", "MissingTeac
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, stage, episode_index, cause):
-        super().__init__(f"non-finite loss in {stage} episode {episode_index}: {cause}")
-        self.episode_index = episode_index
+    pass
 
 
 class MissingTeacherError(ValueError):
@@ -180,10 +178,8 @@ def _pretrain_episode_loss(state: ModelState, g: Graph, episode: Episode,
     return pretrain_loss(l_p, l_u, effective)
 
 
-def _combined_prototypes(student_protos: PrototypeSet | None, carried: PrototypeSet | None):
+def _combined_prototypes(student_protos: PrototypeSet, carried: PrototypeSet):
     """The computed prototypes plus the carried classes they lack, in class order."""
-    if carried is None:
-        return student_protos
     computed = student_protos.class_ids
     kept = [c for c in carried.class_ids if c not in computed]
     block = dm.constant(carried.vectors.data[[carried.index_of(c) for c in kept]],
@@ -243,7 +239,7 @@ def pretrain(stream: SessionStream, cfg: ExperimentConfig, seed: int) -> ModelSt
         raise ValueError("pretraining requires at least two base classes")
     state = ModelState(
         backbone=init_backbone(g.feature_dim, cfg.hidden_dim, cfg.embedding_dim,
-                               seed=seed, heads=(cfg.backbone_heads, 1)),
+                               seed=seed, heads=cfg.backbone_heads),
         class_attention=init_class_attention(cfg.embedding_dim, cfg.class_attention_heads,
                                              seed=seed),
         prototypes=None, session_index=0)
@@ -310,7 +306,8 @@ def _train_episodes(params, lr: float, episodes: int, seed: int, stage: int,
             loss = episode_loss(episode, rng)
             value, grads = dm.value_and_grad(loss, params)
         except dm.NonFiniteError as exc:
-            raise TrainingDivergedError(label, i, exc) from exc
+            raise TrainingDivergedError(
+                f"non-finite loss in {label} episode {i}: {exc}") from exc
         opt.step(grads)
         del grads
         if i % 50 == 0:

@@ -4,7 +4,7 @@ import pytest
 import geometer.backbone as bb
 import geometer.diffmath as dm
 import geometer.graph_store as gs
-from geometer.checkpoint import load_tensors, save_tensors
+from geometer.checkpoint import CheckpointError, load_tensors, save_tensors
 import oracles
 from oracles import adjacency_matrix, central_differences, grad_relative_error
 
@@ -207,7 +207,7 @@ def test_encode_gradient_matches_finite_differences():
 def test_multi_head_shapes_and_combination():
     rng = np.random.default_rng(12)
     g = graph_from([(0, 1), (1, 2)], rng.normal(size=(3, 5)))
-    p = bb.init_backbone(5, 8, 4, seed=8, heads=(2, 2))
+    p = bb.init_backbone(5, 8, 4, seed=8, heads=2)
     assert p.layers[0][0].weight.shape == (5, 4)  # hidden split across heads
     emb = bb.encode(p, g)
     assert emb.shape == (3, 4)
@@ -231,7 +231,7 @@ def test_sparse_and_dense_paths_agree():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    p = bb.init_backbone(7, 6, 4, seed=10, heads=(2, 1))
+    p = bb.init_backbone(7, 6, 4, seed=10, heads=2)
     path = tmp_path / "params.gfsp"
     save_tensors(path, bb.backbone_to_arrays(p))
     q = bb.arrays_to_backbone(load_tensors(path))
@@ -243,7 +243,7 @@ def test_checkpoint_round_trip(tmp_path):
 # --- the fused layer op ---------------------------------------------------------
 
 @pytest.mark.parametrize("rows", [None, [7, 2, 7]], ids=["full", "rows"])
-@pytest.mark.parametrize("heads", [(1, 1), (2, 3)], ids=["one_head", "multi_head"])
+@pytest.mark.parametrize("heads", [1, 2], ids=["one_head", "multi_head"])
 @pytest.mark.parametrize("sparse_input", [False, True], ids=["dense", "csr"])
 def test_fused_layers_match_finite_differences(sparse_input, heads, rows):
     from scipy import sparse
@@ -252,7 +252,7 @@ def test_fused_layers_match_finite_differences(sparse_input, heads, rows):
     feats = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.6)
     pairs = [(i, (i + 1) % n) for i in range(n)] + [(0, 6), (3, 9), (4, 10)]
     g = graph_from(pairs, feats)
-    hidden = heads[0] * width
+    hidden = heads * width
     if rows is None:
         struct0 = struct1 = None
         r0 = np.arange(n)
@@ -260,13 +260,13 @@ def test_fused_layers_match_finite_differences(sparse_input, heads, rows):
         struct1, r1 = bb._receptive_field(g, np.array(rows))
         struct0, r0 = bb._receptive_field(g, r1)
     x = sparse.csr_matrix(feats[r0]) if sparse_input else dm.tensor(feats[r0], dtype=F64)
-    shapes = [((width, d), (2 * width,))] * heads[0] + [((out, hidden), (2 * out,))] * heads[1]
+    shapes = [((width, d), (2 * width,))] * heads + [((out, hidden), (2 * out,))]
     arrays = [rng.normal(size=s) * 0.7 for pair in shapes for s in pair]
     probe = rng.normal(size=(n if rows is None else len(rows), out))
 
     def loss(arrs):
         pairs_ = list(zip(arrs[::2], arrs[1::2]))
-        params = manual_params([pairs_[:heads[0]], pairs_[heads[0]:]], (d, hidden, out))
+        params = manual_params([pairs_[:heads], pairs_[heads:]], (d, hidden, out))
         h = bb.gat_layer(params, g, x, 0, struct0)
         emb = bb.gat_layer(params, g, h, 1, struct1)
         return params, oracles.sum(dm.mul(emb, dm.constant(probe, dtype=F64)))
@@ -279,7 +279,7 @@ def test_fused_layers_match_finite_differences(sparse_input, heads, rows):
 
 
 def test_fused_layer_is_one_tape_node_per_layer():
-    # heads (2, 2): layer 1's node reads layer 0's output and its own four
+    # two layer-0 heads: layer 1's node reads layer 0's output and its own two
     # parameters; layer 0's node reads only its four, its CSR input is constant
     g, p = receptive_graph(True)
     emb = bb.encode(p, g, rows=[3, 17])
@@ -302,7 +302,7 @@ def receptive_graph(sparse_features, seed=14):
     pairs = [(i, (i + 1) % 40) for i in range(40)] + [(i, (i + 7) % 40) for i in range(0, 40, 5)]
     g = graph_from(pairs, feats)
     assert (g.features_sparse() is not None) == sparse_features
-    return g, bb.init_backbone(dim, 8, 4, seed=15, heads=(2, 2))
+    return g, bb.init_backbone(dim, 8, 4, seed=15, heads=2)
 
 
 ROW_CASES = {"unsorted": [17, 3, 30, 4], "duplicates": [9, 2, 9, 40], "isolated": [40],
@@ -333,7 +333,7 @@ def test_restricted_encode_matches_full_graph_rows(sparse_features, case):
 
 def test_restricted_encode_float64_matches_to_rounding():
     g, _ = receptive_graph(False)
-    p = bb.init_backbone(6, 8, 4, seed=17, heads=(2, 1), dtype=F64)
+    p = bb.init_backbone(6, 8, 4, seed=17, heads=2, dtype=F64)
     rows = np.array([5, 40, 22])
     np.testing.assert_allclose(bb.encode(p, g, rows=rows).data, bb.encode(p, g).data[rows],
                                rtol=1e-13, atol=1e-15)
@@ -394,7 +394,7 @@ def test_encode_is_bit_identical_to_the_encoder_segment_softmax(shape, monkeypat
     # so encoder outputs and gradients agree with it byte for byte
     from oracles import seed_segment_softmax
     g, hidden, out = _benchmark_graph(shape, monkeypatch)
-    p = bb.init_backbone(g.feature_dim, hidden, out, seed=26, heads=(2, 1))
+    p = bb.init_backbone(g.feature_dim, hidden, out, seed=26, heads=2)
     rows = np.sort(np.random.default_rng(27).choice(g.node_count, size=40, replace=False))
 
     def run():
@@ -432,7 +432,7 @@ def test_edge_gradient_blocks_match_one_shot_einsum(monkeypatch):
 # --- weight layout ------------------------------------------------------------
 
 def test_checkpoint_arrays_keep_the_out_by_in_layout():
-    p = bb.init_backbone(7, 6, 4, seed=10, heads=(2, 1))
+    p = bb.init_backbone(7, 6, 4, seed=10, heads=2)
     arrays = bb.backbone_to_arrays(p)
     shapes = {"backbone/l0/h0/weight": (3, 7), "backbone/l0/h1/weight": (3, 7),
               "backbone/l1/h0/weight": (4, 6)}
@@ -447,16 +447,24 @@ def test_checkpoint_arrays_keep_the_out_by_in_layout():
 
 @pytest.mark.parametrize("dtype", [np.float32, F64])
 def test_backbone_arrays_round_trip_byte_exactly(dtype, tmp_path):
-    p = bb.init_backbone(7, 6, 4, seed=11, heads=(2, 2), dtype=dtype)
+    p = bb.init_backbone(7, 6, 4, seed=11, heads=2, dtype=dtype)
     backs = [bb.arrays_to_backbone(bb.backbone_to_arrays(p))]
     if dtype == np.float32:     # checkpoints store float32
         save_tensors(tmp_path / "p.gfsp", bb.backbone_to_arrays(p))
         backs.append(bb.arrays_to_backbone(load_tensors(tmp_path / "p.gfsp")))
     for q in backs:
-        assert (q.feature_dim, q.hidden_dim, q.out_dim, q.heads) == (7, 6, 4, (2, 2))
+        assert (q.feature_dim, q.hidden_dim, q.out_dim, q.heads) == (7, 6, 4, 2)
         for a, b in zip(p.tensors(), q.tensors()):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert b.data.flags.c_contiguous and a.data.tobytes() == b.data.tobytes()
+
+
+def test_checkpoint_with_several_output_heads_is_rejected():
+    arrays = bb.backbone_to_arrays(bb.init_backbone(7, 6, 4, seed=11, heads=2))
+    assert arrays["backbone/meta"].tolist() == [7, 6, 4, 2, 1]
+    arrays["backbone/meta"] = np.array([7, 6, 4, 2, 3])
+    with pytest.raises(CheckpointError, match="^checkpoint output layer has 3 heads; "):
+        bb.arrays_to_backbone(arrays)
 
 
 @pytest.mark.parametrize("rows", [None, [17, 3, 30]], ids=["full", "rows"])
@@ -522,6 +530,6 @@ def test_subnormal_gradients_never_reach_the_layer_products(rows, monkeypatch):
         return [a.tobytes() for a in dm.value_and_grad(loss, p.tensors())[1]]
 
     injected = grads(probe)
-    assert len(reached) == 4 and all(_subnormal_count(g_z) == 0 for g_z in reached)
+    assert len(reached) == 3 and all(_subnormal_count(g_z) == 0 for g_z in reached)
     assert any(np.count_nonzero(g_z) for g_z in reached)
     assert injected == grads(flushed)

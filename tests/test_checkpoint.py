@@ -131,7 +131,7 @@ def test_seed_and_class_ids_past_float32_round_trip(tmp_path):
     model, seed = cli._load_model(path)
     assert seed == big
     assert model.prototypes.class_ids == (0, big) and model.session_index == 3
-    assert model.class_attention.heads == 2 and model.backbone.heads == (1, 1)
+    assert model.class_attention.heads == 2 and model.backbone.heads == 1
 
 
 def test_checkpoint_with_float32_metadata_still_loads():
@@ -142,9 +142,9 @@ def test_checkpoint_with_float32_metadata_still_loads():
                                         pt.ORIGIN_COMPUTED)
     assert model.prototypes.vectors.data.tolist() == [[0, 1], [2, 3], [4, 5]]
     b = model.backbone
-    assert (b.feature_dim, b.hidden_dim, b.out_dim, b.heads) == (3, 4, 2, (2, 1))
+    assert (b.feature_dim, b.hidden_dim, b.out_dim, b.heads) == (3, 4, 2, 2)
     assert model.class_attention.heads == 2
     # it holds the same parameters as a fresh initialization under its seed
-    fresh = bb.init_backbone(3, 4, 2, seed=1, heads=(2, 1))
+    fresh = bb.init_backbone(3, 4, 2, seed=1, heads=2)
     assert all(a.data.tobytes() == f.data.tobytes()
                for a, f in zip(b.tensors(), fresh.tensors()))

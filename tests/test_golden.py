@@ -113,7 +113,7 @@ def _episode_digest(cfg, seed: int, stage: int) -> str:
         g = stream.snapshots[0]
         state = rn.ModelState(
             init_backbone(g.feature_dim, cfg.hidden_dim, cfg.embedding_dim, seed=seed,
-                          heads=(cfg.backbone_heads, 1)),
+                          heads=cfg.backbone_heads),
             init_class_attention(cfg.embedding_dim, cfg.class_attention_heads, seed=seed),
             None)
         pools = {c: stream.eval_pools[0][c] for c in stream.classes_at(0)}

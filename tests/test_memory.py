@@ -157,7 +157,7 @@ def test_stream_command_frees_each_teacher_before_its_session_trains(tmp_path, m
     assert checks == [1, 1, 2, 2, 3, 3, 4, 4] * 2
 
 
-@pytest.mark.parametrize("heads", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("heads", [1, 2], ids=["heads0", "heads1"])
 def test_inference_encode_transient_stays_under_two_and_a_half_hidden_arrays(heads):
     g = sparse_graph(2000, 1000, classes=4, labeled_per_class=30)
     p = bb.init_backbone(1000, 512, 64, seed=0, heads=heads).detached()
@@ -175,7 +175,7 @@ def test_inference_encode_transient_stays_under_two_and_a_half_hidden_arrays(hea
 
 
 @pytest.mark.parametrize("rows", [None, np.arange(0, 2000, 10)], ids=["full", "rows"])
-@pytest.mark.parametrize("heads", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("heads", [1, 2], ids=["heads0", "heads1"])
 def test_training_backward_transient_stays_at_two_hidden_arrays(heads, rows):
     # layer 0's backward frees z after its last read and its upstream
     # gradient before the weight product, so above the tape it holds at most
@@ -203,7 +203,7 @@ def test_training_backward_transient_stays_at_two_hidden_arrays(heads, rows):
 
 def test_a_second_backward_through_a_layer_raises():
     g = sparse_graph(200, 400, classes=2, labeled_per_class=10)
-    p = bb.init_backbone(400, 16, 4, seed=1, heads=(2, 1))
+    p = bb.init_backbone(400, 16, 4, seed=1, heads=2)
     loss = oracles.sum(bb.encode(p, g, rows=[3, 7, 11]))
     dm.value_and_grad(loss, p.tensors())
     with pytest.raises(dm.TapeReleasedError, match="gat_layer: layer 1"):
@@ -213,7 +213,7 @@ def test_a_second_backward_through_a_layer_raises():
 def test_value_and_grad_leaves_no_gradient_on_parameters():
     rng = np.random.default_rng(3)
     g = sparse_graph(200, 400, classes=2, labeled_per_class=10)
-    p = bb.init_backbone(400, 16, 4, seed=1, heads=(2, 1))
+    p = bb.init_backbone(400, 16, 4, seed=1, heads=2)
     emb = bb.encode(p, g, rows=[3, 7, 11])
     weights = rng.normal(size=emb.shape).astype(np.float32)
     _, grads = dm.value_and_grad(oracles.sum(dm.mul(emb, dm.constant(weights))), p.tensors())

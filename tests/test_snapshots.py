@@ -96,23 +96,29 @@ def test_snapshots_match_the_copying_oracle(name, streams):
 def test_snapshot_encode_is_bit_identical_to_the_copying_oracle(name, streams):
     g, stream = streams(name)
     _, _, _, hidden, out = _GRAPHS[name]
-    p = bb.init_backbone(g.feature_dim, hidden, out, seed=31, heads=(2, 1))
+    p = bb.init_backbone(g.feature_dim, hidden, out, seed=31, heads=2)
     first, mid = stream.snapshots[0], stream.snapshots[len(stream.snapshots) // 2]
     cases = [first, stream.snapshots[-1], induced_subgraph(mid, mid.node_ids[1::3])]
     for shared in cases:
         oracle = copying_induced_subgraph(g, shared.node_ids)
         rows = np.sort(np.random.default_rng(32).choice(shared.node_count, size=40,
                                                         replace=False))
-        for kwargs in ({}, {"rows": rows}):
-            results = []
-            for graph in (shared, oracle):
-                emb = bb.encode(p, graph, **kwargs)
-                weights = np.random.default_rng(33).normal(size=emb.shape).astype(np.float32)
-                value, grads = dm.value_and_grad(oracles.sum(dm.mul(emb, dm.constant(weights))),
-                                                 p.tensors())
-                results.append([emb.data, np.float64(value), *grads])
-            for a, b in zip(*results):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        _assert_same_encode(p, shared, oracle, rows)
+
+
+def _assert_same_encode(p, shared, oracle, rows):
+    """The full and the ``rows`` encodes of both graphs, their losses and
+    gradients agree byte for byte."""
+    for kwargs in ({}, {"rows": rows}):
+        results = []
+        for graph in (shared, oracle):
+            emb = bb.encode(p, graph, **kwargs)
+            weights = np.random.default_rng(33).normal(size=emb.shape).astype(np.float32)
+            value, grads = dm.value_and_grad(oracles.sum(dm.mul(emb, dm.constant(weights))),
+                                             p.tensors())
+            results.append([emb.data, np.float64(value), *grads])
+        for a, b in zip(*results):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_manifest_stream_equals_the_built_stream(tmp_path, streams):
@@ -215,6 +221,27 @@ def test_each_snapshot_picks_its_own_feature_path(keep, sparse_path):
     snap = induced_subgraph(g, keep)
     assert (snap.features_sparse() is not None) == sparse_path
     _assert_same_graph(snap, copying_induced_subgraph(g, keep))
+
+
+def test_sparse_snapshot_of_a_dense_base_gathers_the_base_csr():
+    # rows 0-59 dense make the base dense by the rule (density 0.3); a
+    # snapshot of rows 50-199 (density 0.07) takes the CSR path, whose CSR the
+    # dense store builds once from its array and the snapshot row-gathers
+    rng = np.random.default_rng(36)
+    n, d = 200, 5000
+    feats = np.zeros((n, d), dtype=np.float32)
+    feats[:60] = rng.uniform(0.5, 1.5, size=(60, d))
+    feats[np.arange(60, n), rng.integers(0, d, size=n - 60)] = 1.0
+    labels = np.repeat(np.arange(4), n // 4)
+    g = gs.make_graph(feats, [(i, i + 1) for i in range(n - 1)] + [(0, 100), (55, 150)], labels)
+    assert g.features_sparse() is None and g._store._csr is None
+    snap = induced_subgraph(g, range(50, n))
+    assert snap.features_sparse() is not None and g._store._csr is not None
+    oracle = copying_induced_subgraph(g, range(50, n))
+    _assert_same_graph(snap, oracle)
+    p = bb.init_backbone(d, 16, 8, seed=37, heads=2)
+    rows = np.sort(np.random.default_rng(38).choice(snap.node_count, size=30, replace=False))
+    _assert_same_encode(p, snap, oracle, rows)
 
 
 def test_snapshot_features_are_read_only():
