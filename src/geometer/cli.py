@@ -137,22 +137,32 @@ def cmd_prepare(cfg: ExperimentConfig) -> Path:
     return out
 
 
+def _run_stage(cfg: ExperimentConfig, stream, seed: int, stage) -> tuple:
+    """Train one stage, ``stage()``, then save the model it returns, evaluate
+    it on the stage's own embeddings and add its metrics record.  Returns the
+    model and its checkpoint path."""
+    started = time.perf_counter()
+    model = stage()
+    train_seconds = time.perf_counter() - started
+    path = _save_model(cfg, model, seed)
+    session = model.session_index
+    metrics = evaluate_session(model, stream, session, embeddings=model.embeddings)
+    record = metrics.to_record()
+    record["seconds"] = train_seconds + metrics.wall_time
+    record["seed"] = seed
+    record["mode"] = cfg.mode
+    _append_record(_metrics_path(cfg, seed), record)
+    log.info("seed %d session %d accuracy %.4f (%.1fs)", seed, session,
+             metrics.accuracy_mean, record["seconds"])
+    return model, path
+
+
 def cmd_pretrain(cfg: ExperimentConfig, seed_override: int | None = None) -> list:
     _, stream = _load_stream(cfg)
     paths = []
     for seed in ([seed_override] if seed_override is not None else cfg.seeds):
-        started = time.perf_counter()
-        model = pretrain(stream, cfg, seed)
-        train_seconds = time.perf_counter() - started
-        paths.append(_save_model(cfg, model, seed))
-        metrics = evaluate_session(model, stream, 0, embeddings=model.embeddings)
-        record = metrics.to_record()
-        record["seconds"] = train_seconds + metrics.wall_time
-        record["seed"] = seed
-        record["mode"] = cfg.mode
-        _append_record(_metrics_path(cfg, seed), record)
-        log.info("seed %d base accuracy %.4f (%.1fs)", seed, metrics.accuracy_mean,
-                 record["seconds"])
+        _, saved = _run_stage(cfg, stream, seed, lambda: pretrain(stream, cfg, seed))
+        paths.append(saved)
     return paths
 
 
@@ -177,22 +187,14 @@ def cmd_stream(cfg: ExperimentConfig, seed_override: int | None = None,
                 f"checkpoint is at session {model.session_index}, but the manifest "
                 f"has only {stream.num_sessions} sessions")
         for session in range(model.session_index + 1, stream.num_sessions + 1):
-            started = time.perf_counter()
             # hand the model over with no reference left here, so the session
             # frees the teacher's weights once it has cloned the student
             held = [model]
             del model
-            model = run_stream_session(held.pop(), stream, session, cfg, seed)
-            train_seconds = time.perf_counter() - started
-            paths.append(_save_model(cfg, model, seed))
-            metrics = evaluate_session(model, stream, session, embeddings=model.embeddings)
-            record = metrics.to_record()
-            record["seconds"] = train_seconds + metrics.wall_time
-            record["seed"] = seed
-            record["mode"] = cfg.mode
-            _append_record(_metrics_path(cfg, seed), record)
-            log.info("seed %d session %d accuracy %.4f", seed, session,
-                     metrics.accuracy_mean)
+            model, saved = _run_stage(
+                cfg, stream, seed,
+                lambda: run_stream_session(held.pop(), stream, session, cfg, seed))
+            paths.append(saved)
     return paths
 
 

@@ -87,14 +87,18 @@ class ExperimentConfig:
             raise ConfigError("alpha_finetune must be uniform or inverse_frequency")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if self.novel_per_session < 1:
-            raise ConfigError(f"novel_per_session must be >= 1, got {self.novel_per_session}")
-        if self.num_sessions < 0:
-            raise ConfigError(f"num_sessions must be >= 0, got {self.num_sessions}")
-        for key in ("episodes_pretrain", "episodes_finetune"):
+        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct and non-negative, got {self.seeds}")
+        if self.base_class_count < 2:
+            raise ConfigError(f"base_class_count must be >= 2, got {self.base_class_count}")
+        if len(self.base_classes) == 1:
+            raise ConfigError(f"base_classes must list at least two classes, "
+                              f"got {self.base_classes}")
+        for key in ("num_sessions", "split_seed", "episodes_pretrain", "episodes_finetune"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
-        for key in ("hidden_dim", "embedding_dim", "backbone_heads", "class_attention_heads"):
+        for key in ("novel_per_session", "k_shot", "hidden_dim", "embedding_dim",
+                    "backbone_heads", "class_attention_heads"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key, dim in (("backbone_heads", "hidden_dim"),

@@ -67,7 +67,11 @@ def test_config_rejects_bad_value_with_line(tmp_path):
                                         ("backbone_heads", 0), ("backbone_heads", 3),
                                         ("class_attention_heads", 3),
                                         ("lr_pretrain", -1.0), ("lr_pretrain", 0.0),
-                                        ("lr_finetune", -1e-4)])
+                                        ("lr_finetune", -1e-4),
+                                        ("base_class_count", 1), ("base_class_count", 0),
+                                        ("base_classes", "3"), ("seeds", -1),
+                                        ("seeds", "0,0"), ("seeds", "2,-1"),
+                                        ("split_seed", -1), ("k_shot", 0)])
 def test_config_rejects_impossible_session_counts(tmp_path, key, value):
     # each out-of-range value fails when the config is parsed, naming its key
     p = tmp_path / "bad.cfg"
@@ -309,14 +313,26 @@ def test_report_rejects_mixed_modes(workspace):
         cli.load_run_records(cfg)
 
 
+_CUT_RECORD = '{"seed": 0, "session"'     # a record line cut short
+
+
+def _json_error(text: str) -> str:
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} decodes")
+
+
 @pytest.mark.parametrize("line, problem", [
-    ('{"session": 1, "mean": 0.5}', "lacks seed"),
-    ('{"seed": 0, "mean": 0.5}', "lacks session"),
-    ('{"seed": 0, "session": 1}', "lacks mean"),
-    ('{"mean": 0.5}', "lacks seed, session"),
-    ("[1, 2]", "is not a JSON object"),
-    ("7", "is not a JSON object"),
-], ids=["no_seed", "no_session", "no_mean", "two_missing", "list", "number"])
+    ('{"session": 1, "mean": 0.5}', "metrics record lacks seed"),
+    ('{"seed": 0, "mean": 0.5}', "metrics record lacks session"),
+    ('{"seed": 0, "session": 1}', "metrics record lacks mean"),
+    ('{"mean": 0.5}', "metrics record lacks seed, session"),
+    ("[1, 2]", "metrics record is not a JSON object"),
+    ("7", "metrics record is not a JSON object"),
+    (_CUT_RECORD, f"bad metrics record ({_json_error(_CUT_RECORD)})"),
+], ids=["no_seed", "no_session", "no_mean", "two_missing", "list", "number", "undecodable"])
 def test_report_names_a_malformed_record(workspace, capsys, line, problem):
     tmp_path, _, cfg_path = workspace
     log = tmp_path / "runs" / "metrics_seed0.jsonl"
@@ -325,7 +341,7 @@ def test_report_names_a_malformed_record(workspace, capsys, line, problem):
         fh.write(line + "\n")
     assert cli.main(["report", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == (
-        f'error kind=ReportError message="{log}:2: metrics record {problem}"\n')
+        f'error kind=ReportError message="{log}:2: {problem}"\n')
 
 
 def test_failed_report_write_keeps_the_previous_report(workspace, monkeypatch):
@@ -459,6 +475,189 @@ def test_export_unknown_session(workspace):
     ckpt = tmp_path / "runs" / "seed0_session0.gfsp"
     with pytest.raises(cli.CliError):
         cli.export_embeddings(cfg, str(ckpt), 7, tmp_path / "x.tsv")
+
+
+# --- outside input: every bad file or argument ends in one named error line ------
+
+@pytest.mark.parametrize("text, message", [
+    ("# a comment\nhidden_dim 32\n", "{p}:2: expected 'key = value', got 'hidden_dim 32'"),
+    ("k_shot = 3\nk_shot = 4\n", "{p}:2: duplicate key 'k_shot'"),
+    ("carried_prototypes = maybe\n",
+     "{p}:1: bad value for 'carried_prototypes' (not a boolean: 'maybe')"),
+    ("mode = protonet\n", "mode must be geometer or pn_star, got 'protonet'"),
+    ("alpha_finetune = balanced\n", "alpha_finetune must be uniform or inverse_frequency"),
+    ("seeds =\n", "seeds must be non-empty"),
+], ids=["no_equals", "duplicate_key", "non_boolean", "mode", "alpha_finetune", "empty_seeds"])
+def test_cli_names_the_bad_config_line(tmp_path, capsys, text, message):
+    p = tmp_path / "bad.cfg"
+    p.write_text(text)
+    assert cli.main(["prepare", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        f'error kind=ConfigError message="{message.format(p=p)}"\n')
+
+
+@pytest.mark.parametrize("value, expected", [("true", True), ("Yes", True), ("1", True),
+                                             ("false", False), ("no", False), ("0", False)])
+def test_config_reads_booleans(tmp_path, value, expected):
+    p = tmp_path / "flag.cfg"
+    p.write_text(f"carried_prototypes = {value}\n")
+    assert parse_config(p).carried_prototypes is expected
+
+
+def _prepare(cfg_path):
+    assert cli.main(["prepare", "--config", str(cfg_path)]) == 0
+
+
+def _pretrain_seed0(cfg, cfg_path) -> Path:
+    _prepare(cfg_path)
+    assert cli.main(["pretrain", "--config", str(cfg_path), "--seed", "0"]) == 0
+    return Path(cfg.run_dir) / "seed0_session0.gfsp"
+
+
+def _reconfigure(cfg, cfg_path, **changes):
+    write_config(replace(cfg, **changes), cfg_path)
+
+
+def _edit_manifest(cfg, cfg_path, edit):
+    """Prepare, then rewrite the first session of the manifest through
+    ``edit(doc, novel_class, supports)``; returns the path and ``edit``'s
+    result."""
+    _prepare(cfg_path)
+    path = Path(cfg.manifest)
+    doc = json.loads(path.read_text())
+    session = doc["sessions"][0]
+    cls = session["novel_classes"][0]
+    result = edit(doc, cls, session["supports"][str(cls)])
+    path.write_text(json.dumps(doc))
+    return path, result
+
+
+def _missing_dataset(tmp, cfg, cfg_path):
+    _reconfigure(cfg, cfg_path, dataset_dir=str(tmp / "nowhere"))
+    return "prepare", "CliError", f"dataset directory not found: {tmp / 'nowhere'}"
+
+
+def _missing_manifest(tmp, cfg, cfg_path):
+    return "pretrain", "CliError", f"split manifest not found: {cfg.manifest}"
+
+
+def _missing_checkpoint(tmp, cfg, cfg_path):
+    _prepare(cfg_path)
+    return ("stream", "CliError",
+            f"checkpoint not found: {Path(cfg.run_dir) / 'seed0_session0.gfsp'}")
+
+
+def _base_without_novel(tmp, cfg, cfg_path):
+    _reconfigure(cfg, cfg_path, base_classes=(3, 2))
+    return "prepare", "CliError", "base_classes and novel_classes must be given together"
+
+
+def _wrong_novel_count(tmp, cfg, cfg_path):
+    _reconfigure(cfg, cfg_path, base_classes=(3, 2), novel_classes=(0,))
+    return "prepare", "CliError", "novel_classes lists 1 classes, expected 2 x 1 = 2"
+
+
+def _manifest_is_a_directory(tmp, cfg, cfg_path):
+    (tmp / "manifests").mkdir()
+    _reconfigure(cfg, cfg_path, manifest=str(tmp / "manifests"))
+    return "pretrain", "DatasetFileMissingError", f"missing manifest: {tmp / 'manifests'}"
+
+
+def _manifest_not_json(tmp, cfg, cfg_path):
+    _prepare(cfg_path)
+    Path(cfg.manifest).write_text("{")
+    return "pretrain", "ManifestError", f"{cfg.manifest}: invalid JSON ({_json_error('{')})"
+
+
+def _manifest_without_k_shot(tmp, cfg, cfg_path):
+    path, _ = _edit_manifest(cfg, cfg_path, lambda doc, cls, sup: doc.pop("k_shot"))
+    return "pretrain", "ManifestError", f"{path}: malformed manifest ('k_shot')"
+
+
+def _manifest_class_without_supports(tmp, cfg, cfg_path):
+    def edit(doc, cls, sup):
+        doc["sessions"][0]["supports"].clear()
+        return cls
+
+    path, cls = _edit_manifest(cfg, cfg_path, edit)
+    return ("pretrain", "ManifestError",
+            f"{path}: supports must cover exactly the novel classes [{cls}]")
+
+
+def _manifest_short_of_supports(tmp, cfg, cfg_path):
+    def edit(doc, cls, sup):
+        del sup[-1]
+        return cls
+
+    path, cls = _edit_manifest(cfg, cfg_path, edit)
+    return "pretrain", "ManifestError", f"{path}: class {cls} has 2 supports, expected 3"
+
+
+def _manifest_support_outside_the_graph(tmp, cfg, cfg_path):
+    def edit(doc, cls, sup):
+        sup[0] = 10 ** 6
+
+    _edit_manifest(cfg, cfg_path, edit)
+    return "pretrain", "NodeIdError", "unknown node id 1000000"
+
+
+def _manifest_support_of_another_class(tmp, cfg, cfg_path):
+    from geometer.graph_store import load_graph
+    labels = load_graph(cfg.dataset_dir).labels
+
+    def edit(doc, cls, sup):
+        sup[0] = int(np.flatnonzero(labels == doc["base_classes"][0])[0])
+        return cls, sup[0]
+
+    path, (cls, node) = _edit_manifest(cfg, cfg_path, edit)
+    return ("pretrain", "ManifestError", f"{path}: support node {node} is not labeled {cls}")
+
+
+def _checkpoint_without_seed(tmp, cfg, cfg_path):
+    from geometer.checkpoint import save_tensors
+    arrays = load_tensors(_pretrain_seed0(cfg, cfg_path))
+    del arrays["meta/seed"]
+    save_tensors(tmp / "unseeded.gfsp", arrays)
+    return (["stream", "--checkpoint", str(tmp / "unseeded.gfsp")], "CliError",
+            "checkpoint lacks a seed; pass --seed")
+
+
+def _checkpoint_cut_in_a_header(tmp, cfg, cfg_path):
+    import struct
+    path = tmp / "cut.gfsp"
+    path.write_bytes(b"GFSP" + struct.pack("<I", 1) + b"\x05\x00")
+    return (["export", "--checkpoint", str(path), "--out", str(tmp / "x.tsv")],
+            "CheckpointError", f"{path}: truncated header (unpack requires a buffer of 4 bytes)")
+
+
+def _export_of_another_session(tmp, cfg, cfg_path):
+    ckpt = _pretrain_seed0(cfg, cfg_path)
+    return (["export", "--checkpoint", str(ckpt), "--session", "1", "--out",
+             str(tmp / "x.tsv")], "CliError", "checkpoint is for session 0, asked for 1")
+
+
+def _report_of_an_empty_run(tmp, cfg, cfg_path):
+    Path(cfg.run_dir).mkdir()
+    return "report", "ReportError", f"no metrics records under {cfg.run_dir}"
+
+
+_BAD_INPUTS = [_missing_dataset, _missing_manifest, _missing_checkpoint, _base_without_novel,
+               _wrong_novel_count, _manifest_is_a_directory, _manifest_not_json,
+               _manifest_without_k_shot, _manifest_class_without_supports,
+               _manifest_short_of_supports, _manifest_support_outside_the_graph,
+               _manifest_support_of_another_class, _checkpoint_without_seed,
+               _checkpoint_cut_in_a_header, _export_of_another_session,
+               _report_of_an_empty_run]
+
+
+@pytest.mark.parametrize("case", _BAD_INPUTS, ids=[f.__name__[1:] for f in _BAD_INPUTS])
+def test_cli_names_the_bad_input(workspace, capsys, case):
+    tmp_path, cfg, cfg_path = workspace
+    command, kind, message = case(tmp_path, cfg, cfg_path)
+    argv = [command] if isinstance(command, str) else command
+    capsys.readouterr()
+    assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f'error kind={kind} message="{message}"\n'
 
 
 def test_cli_error_line_is_machine_parsable(tmp_path, capsys):
