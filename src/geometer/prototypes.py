@@ -40,9 +40,6 @@ from .graph_store import Graph
 
 log = logging.getLogger(__name__)
 
-ORIGIN_COMPUTED = "computed"
-ORIGIN_CARRIED = "carried"
-
 __all__ = ["ClassAttentionParams", "PrototypeSet", "EmptySupportError",
            "init_class_attention", "refine_prototype", "compute_prototypes",
            "prototypes_to_arrays", "arrays_to_prototypes"]
@@ -94,13 +91,12 @@ class PrototypeSet:
 
     class_ids: tuple
     vectors: Tensor        # [num_classes x dim]
-    origins: tuple         # per class: "computed" or "carried"
 
     def __post_init__(self):
         if list(self.class_ids) != sorted(self.class_ids):
             raise ValueError("prototype class ids must be ascending")
-        if len(self.class_ids) != self.vectors.shape[0] or len(self.origins) != len(self.class_ids):
-            raise ValueError("one vector and origin tag per class required")
+        if len(self.class_ids) != self.vectors.shape[0]:
+            raise ValueError("one vector per class required")
         if not np.all(np.isfinite(self.vectors.data)):
             raise dm.NonFiniteError("prototype vectors must be finite")
 
@@ -120,8 +116,7 @@ class PrototypeSet:
     def subset(self, class_ids: Sequence[int]) -> "PrototypeSet":
         wanted = tuple(sorted(int(c) for c in class_ids))
         idx = [self.index_of(c) for c in wanted]
-        return PrototypeSet(wanted, dm.take_rows(self.vectors, idx),
-                            tuple(self.origins[i] for i in idx))
+        return PrototypeSet(wanted, dm.take_rows(self.vectors, idx))
 
 
 def _support_weights(degrees, lens, mode: str = "attention") -> np.ndarray:
@@ -254,8 +249,7 @@ def compute_prototypes(embeddings: Tensor, supports: Mapping[int, Sequence[int]]
     vectors = dm.matmul(dm.constant(weights, dtype), support_emb)
     if mode == "attention":
         vectors = refine_prototype(params, vectors, support_emb, lens)
-    return PrototypeSet(tuple(class_ids), vectors,
-                        tuple(ORIGIN_COMPUTED for _ in class_ids))
+    return PrototypeSet(tuple(class_ids), vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +277,11 @@ def prototypes_to_arrays(protos: PrototypeSet) -> dict:
     return {
         "prototypes/classes": np.array(protos.class_ids, dtype=np.int64),
         "prototypes/vectors": protos.vectors.data,
-        "prototypes/carried": np.array(
-            [1.0 if o == ORIGIN_CARRIED else 0.0 for o in protos.origins], dtype=np.float32),
     }
 
 
 def arrays_to_prototypes(arrays: dict) -> PrototypeSet:
+    """The prototypes of checkpoint arrays; the per-class ``prototypes/carried``
+    tags that older checkpoints hold are not read."""
     class_ids = tuple(int(c) for c in arrays["prototypes/classes"])
-    origins = tuple(ORIGIN_CARRIED if c > 0.5 else ORIGIN_COMPUTED
-                    for c in arrays["prototypes/carried"])
-    return PrototypeSet(class_ids, dm.tensor(arrays["prototypes/vectors"]), origins)
+    return PrototypeSet(class_ids, dm.tensor(arrays["prototypes/vectors"]))

@@ -55,8 +55,7 @@ from .losses import (LossWeights, distillation_loss, finetune_loss,
                      inverse_frequency_alpha, pretrain_loss, proximity_loss,
                      separability_loss, softened_logits, uniformity_loss)
 from .optim import Adam
-from .prototypes import (ORIGIN_CARRIED, ORIGIN_COMPUTED, ClassAttentionParams,
-                         PrototypeSet, arrays_to_class_attention,
+from .prototypes import (ClassAttentionParams, PrototypeSet, arrays_to_class_attention,
                          arrays_to_prototypes, class_attention_to_arrays,
                          compute_prototypes, init_class_attention,
                          prototypes_to_arrays)
@@ -123,8 +122,7 @@ def clone_state(state: ModelState) -> ModelState:
     protos = None
     if state.prototypes is not None:
         protos = PrototypeSet(state.prototypes.class_ids,
-                              dm.Tensor(state.prototypes.vectors.data.copy()),
-                              state.prototypes.origins)
+                              dm.Tensor(state.prototypes.vectors.data.copy()))
     return ModelState(bb, ca, protos, state.session_index)
 
 
@@ -187,8 +185,7 @@ def _combined_prototypes(student_protos: PrototypeSet, carried: PrototypeSet):
     stacked_ids = np.array([*computed, *kept])
     order = np.argsort(stacked_ids)
     vectors = dm.take_rows(dm.concat([student_protos.vectors, block], axis=0), order)
-    origins = tuple(ORIGIN_COMPUTED if i < len(computed) else ORIGIN_CARRIED for i in order)
-    return PrototypeSet(tuple(int(c) for c in stacked_ids[order]), vectors, origins)
+    return PrototypeSet(tuple(int(c) for c in stacked_ids[order]), vectors)
 
 
 def _finetune_episode_loss(student: ModelState, teacher_emb: np.ndarray,
@@ -315,7 +312,7 @@ def _train_episodes(params, lr: float, episodes: int, seed: int, stage: int,
 
 
 def _detached_prototypes(protos: PrototypeSet) -> PrototypeSet:
-    return PrototypeSet(protos.class_ids, protos.vectors.detach(), protos.origins)
+    return PrototypeSet(protos.class_ids, protos.vectors.detach())
 
 
 def _final_session_prototypes(student: ModelState, teacher_protos: PrototypeSet,

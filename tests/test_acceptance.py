@@ -199,8 +199,7 @@ def test_criterion_5_attention_rows():
 def test_criterion_5_loss_special_cases():
     def proto_set(vs):
         vs = np.asarray(vs, dtype=np.float64)
-        return pt.PrototypeSet(tuple(range(len(vs))), dm.tensor(vs, dtype=np.float64),
-                               ("computed",) * len(vs))
+        return pt.PrototypeSet(tuple(range(len(vs))), dm.tensor(vs, dtype=np.float64))
 
     antipodal = ls.uniformity_loss(proto_set([[2.0, 0.0], [-4.0, 0.0]])).item()
     _check("uniformity antipodal = 0", abs(antipodal) < 1e-9)
@@ -298,8 +297,7 @@ def test_criterion_6_argmax_consistency():
         class_ids = tuple(sorted(rng.choice(50, size=n_classes, replace=False).tolist()))
         protos = pt.PrototypeSet(
             class_ids,
-            dm.tensor((rng.normal(size=(n_classes, dim)) * 3).astype(np.float32)),
-            ("computed",) * n_classes)
+            dm.tensor((rng.normal(size=(n_classes, dim)) * 3).astype(np.float32)))
         emb = (rng.normal(size=(100, dim)) * 3).astype(np.float32)
         tau = float(rng.uniform(0.1, 10.0))
         probs = ls.softened_logits(dm.tensor(emb), protos, tau).data

@@ -118,8 +118,7 @@ def test_unknown_tensor_kind_is_rejected(tmp_path):
 
 def _model(class_ids, session_index):
     protos = pt.PrototypeSet(tuple(class_ids),
-                             dm.tensor(np.ones((len(class_ids), 2), dtype=np.float32)),
-                             tuple(pt.ORIGIN_COMPUTED for _ in class_ids))
+                             dm.tensor(np.ones((len(class_ids), 2), dtype=np.float32)))
     return rn.ModelState(bb.init_backbone(3, 4, 2, seed=1), pt.init_class_attention(2, heads=2),
                          protos, session_index)
 
@@ -138,8 +137,8 @@ def test_checkpoint_with_float32_metadata_still_loads():
     model, seed = cli._load_model(FLOAT32_META)
     assert seed == 7 and model.session_index == 2
     assert model.prototypes.class_ids == (0, 2, 5)
-    assert model.prototypes.origins == (pt.ORIGIN_CARRIED, pt.ORIGIN_COMPUTED,
-                                        pt.ORIGIN_COMPUTED)
+    # its per-class carried tags, which checkpoints no longer hold, are not read
+    assert "prototypes/carried" in load_tensors(FLOAT32_META)
     assert model.prototypes.vectors.data.tolist() == [[0, 1], [2, 3], [4, 5]]
     b = model.backbone
     assert (b.feature_dim, b.hidden_dim, b.out_dim, b.heads) == (3, 4, 2, 2)

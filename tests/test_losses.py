@@ -25,7 +25,7 @@ def as_t(x, grad=True):
 def proto_set(vectors, class_ids=None, grad=False):
     vectors = vectors if isinstance(vectors, dm.Tensor) else t64(np.asarray(vectors, dtype=F64), grad=grad)
     ids = tuple(range(vectors.shape[0])) if class_ids is None else tuple(class_ids)
-    return pt.PrototypeSet(ids, vectors, tuple(pt.ORIGIN_COMPUTED for _ in ids))
+    return pt.PrototypeSet(ids, vectors)
 
 
 # --- proximity ---------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_uniformity_center_collapse_substitutes_random_direction(caplog):
 
 def _uniformity_and_grad(fn, vectors, dtype):
     t = dm.tensor(np.asarray(vectors, dtype=dtype), requires_grad=True, dtype=dtype)
-    out = fn(pt.PrototypeSet(tuple(range(len(vectors))), t, ("computed",) * len(vectors)))
+    out = fn(pt.PrototypeSet(tuple(range(len(vectors))), t))
     _, (grad,) = dm.value_and_grad(oracles.scale(out, 0.7), [t])
     return out.data, grad
 
@@ -570,8 +570,7 @@ def _fd_case_finetune(rng):
 
     def f(arrs):
         q, ov, nv = (as_t(a) for a in arrs)
-        protos = pt.PrototypeSet((0, 1, 2, 3), dm.concat([ov, nv], axis=0),
-                                 ("computed",) * 4)
+        protos = pt.PrototypeSet((0, 1, 2, 3), dm.concat([ov, nv], axis=0))
         lp = ls.proximity_loss(q, labels, protos)
         lu = ls.uniformity_loss(protos)
         lsx = ls.separability_loss(nv, ov)

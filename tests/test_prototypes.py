@@ -379,16 +379,17 @@ def test_multiclass_prototype_gradients_match_finite_differences():
 
 def test_prototype_set_subset_and_serialization():
     vectors = dm.tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
-    protos = pt.PrototypeSet((1, 3, 5), vectors,
-                             (pt.ORIGIN_COMPUTED, pt.ORIGIN_CARRIED, pt.ORIGIN_COMPUTED))
+    protos = pt.PrototypeSet((1, 3, 5), vectors)
     sub = protos.subset([5, 1])
     assert sub.class_ids == (1, 5)
     np.testing.assert_array_equal(sub.vectors.data, vectors.data[[0, 2]])
-    back = pt.arrays_to_prototypes(pt.prototypes_to_arrays(protos))
-    assert back.class_ids == protos.class_ids and back.origins == protos.origins
+    arrays = pt.prototypes_to_arrays(protos)
+    assert sorted(arrays) == ["prototypes/classes", "prototypes/vectors"]
+    back = pt.arrays_to_prototypes(arrays)
+    assert back.class_ids == protos.class_ids
     np.testing.assert_array_equal(back.vectors.data, protos.vectors.data)
 
 
 def test_prototype_set_requires_sorted_ids():
     with pytest.raises(ValueError):
-        pt.PrototypeSet((3, 1), dm.tensor(np.zeros((2, 2))), ("computed", "computed"))
+        pt.PrototypeSet((3, 1), dm.tensor(np.zeros((2, 2))))

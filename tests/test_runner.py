@@ -39,8 +39,7 @@ def hand_model(proto_vectors, class_ids, g, cfg=None, seed=0):
         backbone=init_backbone(g.feature_dim, cfg.hidden_dim, cfg.embedding_dim, seed=seed),
         class_attention=init_class_attention(cfg.embedding_dim, cfg.class_attention_heads, seed),
         prototypes=pt.PrototypeSet(tuple(class_ids),
-                                   dm.tensor(np.asarray(proto_vectors, dtype=np.float32)),
-                                   tuple("computed" for _ in class_ids)),
+                                   dm.tensor(np.asarray(proto_vectors, dtype=np.float32))),
         session_index=0)
     return state
 
@@ -135,9 +134,6 @@ def test_noop_finetune_extends_prototypes_and_keeps_old():
         i, j = teacher.prototypes.index_of(cls), student.prototypes.index_of(cls)
         assert (teacher.prototypes.vectors.data[i].tobytes()
                 == student.prototypes.vectors.data[j].tobytes())
-        assert student.prototypes.origins[j] == pt.ORIGIN_CARRIED
-    novel_idx = student.prototypes.index_of(2)
-    assert student.prototypes.origins[novel_idx] == pt.ORIGIN_COMPUTED
     # old-class nearest-prototype decisions agree with the teacher's on the
     # session snapshot when restricted to old classes
     g1 = stream.snapshots[1]
@@ -169,7 +165,11 @@ def test_default_session_prototypes_are_recomputed():
     cfg = tiny_config(episodes_pretrain=10, episodes_finetune=5)
     teacher = rn.pretrain(stream, cfg, seed=1)
     student = rn.run_stream_session(teacher, stream, 1, cfg, seed=1)
-    assert all(o == pt.ORIGIN_COMPUTED for o in student.prototypes.origins)
+    # no old vector is the teacher's: each went through the finetuned encoder
+    for cls in teacher.prototypes.class_ids:
+        i, j = teacher.prototypes.index_of(cls), student.prototypes.index_of(cls)
+        assert (teacher.prototypes.vectors.data[i].tobytes()
+                != student.prototypes.vectors.data[j].tobytes())
     # zero-episode session with an unchanged encoder reproduces the teacher's
     # base prototypes only up to the grown snapshot; class coverage still grows
     assert student.prototypes.class_ids == (0, 1, 2)
@@ -179,14 +179,10 @@ def test_default_session_prototypes_are_recomputed():
 
 def test_combined_prototypes_merge_in_class_order():
     student = pt.PrototypeSet((2, 5), dm.tensor(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                                                requires_grad=True),
-                              (pt.ORIGIN_COMPUTED,) * 2)
-    carried = pt.PrototypeSet((0, 2, 3), dm.tensor(np.array([[5.0, 6.0], [7.0, 8.0], [9.0, 0.5]])),
-                              (pt.ORIGIN_COMPUTED,) * 3)
+                                                requires_grad=True))
+    carried = pt.PrototypeSet((0, 2, 3), dm.tensor(np.array([[5.0, 6.0], [7.0, 8.0], [9.0, 0.5]])))
     merged = rn._combined_prototypes(student, carried)
     assert merged.class_ids == (0, 2, 3, 5)
-    assert merged.origins == (pt.ORIGIN_CARRIED, pt.ORIGIN_COMPUTED,
-                              pt.ORIGIN_CARRIED, pt.ORIGIN_COMPUTED)
     np.testing.assert_array_equal(merged.vectors.data,
                                   [[5.0, 6.0], [1.0, 2.0], [9.0, 0.5], [3.0, 4.0]])
     weights = np.arange(8.0).reshape(4, 2)
@@ -480,7 +476,7 @@ def test_full_episode_losses_match_finite_differences():
 
     teacher = make_state([a.copy() for a in arrays])
     teacher.prototypes = pt.PrototypeSet(
-        (0, 1), dm.tensor(rng0.normal(size=(2, 4)), dtype=np.float64), ("computed",) * 2)
+        (0, 1), dm.tensor(rng0.normal(size=(2, 4)), dtype=np.float64))
     teacher_emb = bb.encode(teacher.backbone, stream.snapshots[1]).data
 
     pre_ep = sample_pretrain_episode({c: stream.eval_pools[0][c] for c in (0, 1)},
@@ -525,8 +521,7 @@ def test_episode_losses_match_full_graph_encode(stage, dropout, monkeypatch):
     for t in teacher.trainable():
         t.data = t.data.astype(np.float64)
     teacher.prototypes = pt.PrototypeSet(
-        teacher.prototypes.class_ids, dm.tensor(teacher.prototypes.vectors.data, dtype=np.float64),
-        teacher.prototypes.origins)
+        teacher.prototypes.class_ids, dm.tensor(teacher.prototypes.vectors.data, dtype=np.float64))
     g1 = stream.snapshots[1]
     teacher_emb = bb.encode(teacher.backbone, g1).data
     pools = {c: stream.eval_pools[0][c] for c in (0, 1)}
