@@ -1,6 +1,6 @@
 """Golden digests: refactors must leave every trained value byte-identical.
 
-Four short pipelines (``prepare`` -> ``pretrain`` -> ``stream`` for one seed)
+Six short pipelines (``prepare`` -> ``pretrain`` -> ``stream`` for one seed)
 each run in a subprocess with one BLAS thread, since the layer-0 attention
 scores go through threaded BLAS products whose rounding follows the thread
 count.  Each run reports SHA-256 digests of its manifest, every checkpoint
@@ -51,12 +51,17 @@ _MANYCLASS_CONFIG = dict(base_class_count=20, novel_per_session=5, num_sessions=
                          k_max=10, k_qry=10, episodes_pretrain=8, episodes_finetune=4)
 _CONFIGS = {"demo": _DEMO_CONFIG, "cora": _CORA_CONFIG, "manyclass": _MANYCLASS_CONFIG}
 
-# name -> (dataset kind, seed, stage of the episode whose gradients are digested)
+# name -> (dataset kind, seed, stage of the episode whose gradients are
+# digested, config keys set on top of the kind's); the last two runs pin the
+# ablations: old prototypes carried from the teacher, and PN* (mean
+# prototypes, proximity only)
 RUNS = {
-    "demo_seed0": ("demo", 0, 0),
-    "demo_seed13": ("demo", 13, 1),
-    "cora_seed0": ("cora", 0, 1),
-    "manyclass_seed0": ("manyclass", 0, 2),
+    "demo_seed0": ("demo", 0, 0, {}),
+    "demo_seed13": ("demo", 13, 1, {}),
+    "cora_seed0": ("cora", 0, 1, {}),
+    "manyclass_seed0": ("manyclass", 0, 2, {}),
+    "demo_seed0_carried": ("demo", 0, 2, {"carried_prototypes": True}),
+    "demo_seed0_pn_star": ("demo", 0, 1, {"mode": "pn_star"}),
 }
 
 
@@ -143,10 +148,11 @@ def run_digests(name: str, work: Path) -> dict:
     import geometer.cli as cli
     from geometer.config import ExperimentConfig
 
-    kind, seed, stage = RUNS[name]
+    kind, seed, stage, overrides = RUNS[name]
     _write_dataset(kind, work / "data", seed)
     cfg = ExperimentConfig(dataset_dir=str(work / "data"), manifest=str(work / "manifest.json"),
-                           run_dir=str(work / "runs"), seeds=(seed,), **_CONFIGS[kind])
+                           run_dir=str(work / "runs"), seeds=(seed,),
+                           **{**_CONFIGS[kind], **overrides})
     cli.cmd_prepare(cfg)
     checkpoints = cli.cmd_pretrain(cfg, seed) + cli.cmd_stream(cfg, seed)
     records = []
