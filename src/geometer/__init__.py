@@ -13,8 +13,8 @@ from .episodes import (Episode, SamplerConfig, episode_rng,
                        sample_finetune_episode, sample_pretrain_episode)
 from .graph_store import (Graph, SessionStream, build_session_stream, load_graph,
                           load_session_stream, save_dataset, save_manifest)
-from .losses import (LossWeights, distillation_loss, finetune_loss, pretrain_loss,
-                     proximity_loss, separability_loss, softened_logits, uniformity_loss)
+from .losses import (LossWeights, distillation_loss, finetune_loss, proximity_loss,
+                     separability_loss, softened_logits, uniformity_loss)
 from .prototypes import (ClassAttentionParams, PrototypeSet, compute_prototypes,
                          init_class_attention, refine_prototype)
 from .runner import (ModelState, SessionMetrics, evaluate_session, predict_nodes,

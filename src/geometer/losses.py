@@ -24,7 +24,8 @@ separability and the softened logits first measure distances with the fused
   * ``distillation_loss`` keeps the student probabilities, their clipped
     values and the log-ratio to the teacher; its student is a parent twice,
     as the factor of the product and through the clip and log;
-  * ``pretrain_loss`` and ``finetune_loss`` keep only the weights.
+  * ``finetune_loss``, the weighted objective of every stage, keeps only
+    the weights.
 
 Sign note: logits are *negative* scaled distances, so the nearest prototype
 gets the largest probability, consistent with nearest-prototype prediction.
@@ -50,7 +51,7 @@ LOG_CLAMP = 1e-12
 __all__ = ["LossWeights", "MissingPrototypeError",
            "proximity_loss", "uniformity_loss",
            "separability_loss", "softened_logits", "distillation_loss",
-           "pretrain_loss", "finetune_loss", "inverse_frequency_alpha"]
+           "finetune_loss", "inverse_frequency_alpha"]
 
 
 class MissingPrototypeError(KeyError):
@@ -274,15 +275,11 @@ def _weighted_terms(pairs, dtype):
                       lambda g: tuple(g * lam for lam in lams))
 
 
-def pretrain_loss(proximity: Tensor, uniformity: Tensor | None, weights: LossWeights) -> Tensor:
-    """Base-stage objective: lambda_P * L_P + lambda_U * L_U."""
-    return _weighted_terms([(weights.lambda_p, proximity), (weights.lambda_u, uniformity)],
-                           proximity.dtype)
-
-
 def finetune_loss(proximity: Tensor, uniformity: Tensor | None, separability: Tensor | None,
                   distillation: Tensor | None, weights: LossWeights) -> Tensor:
-    """Session objective: adds separability and teacher distillation terms."""
+    """lambda_P * L_P + lambda_U * L_U + lambda_S * L_S + lambda_KD * L_KD; a
+    term with weight 0 may be None (pretraining has no separability or
+    distillation term)."""
     return _weighted_terms([
         (weights.lambda_p, proximity),
         (weights.lambda_u, uniformity),

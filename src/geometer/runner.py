@@ -1,13 +1,17 @@
 """Training and evaluation over the session stream.
 
-Pretraining runs episodic gradient steps on the base graph, then fixes base
-prototypes from each class's full labeled pool.  Every streaming session
-takes the previous model as a frozen teacher, deep-copies it into a student,
-finetunes the student with the combined geometric + distillation objective,
-and extends the prototype set with the session's novel classes.  By default
-every prototype is then recomputed through the finetuned encoder; with the
-``carried_prototypes`` switch old prototype vectors are carried from the
-teacher instead (distillation keeps them valid in the drifting metric space).
+Every stage runs one loop: episodic gradient steps on the stage's snapshot
+under one objective, then a final encode that fixes the stage's prototypes.
+Pretraining is stage 0: a fresh model and no teacher, so its objective is
+proximity plus uniformity, and its prototypes come from each base class's
+full labeled pool.  Each streaming session takes the previous model as a
+frozen teacher, deep-copies it into a student, adds separability and
+distillation to the objective, and extends the prototype set with the
+session's novel classes.  By default every prototype is then recomputed
+through the finetuned encoder; with the ``carried_prototypes`` switch old
+prototype vectors are carried from the teacher instead, inside episodes and
+in the final set (distillation keeps them valid in the drifting metric
+space).
 
 Of the teacher, a session keeps only its prototypes and its embeddings of
 the session snapshot, taken before the student is cloned; after the clone
@@ -52,8 +56,8 @@ from .config import ExperimentConfig
 from .episodes import Episode, episode_rng, sample_finetune_episode, sample_pretrain_episode
 from .graph_store import Graph, SessionStream
 from .losses import (LossWeights, distillation_loss, finetune_loss,
-                     inverse_frequency_alpha, pretrain_loss, proximity_loss,
-                     separability_loss, softened_logits, uniformity_loss)
+                     inverse_frequency_alpha, proximity_loss, separability_loss,
+                     softened_logits, uniformity_loss)
 from .optim import Adam
 from .prototypes import (ClassAttentionParams, PrototypeSet, arrays_to_class_attention,
                          arrays_to_prototypes, class_attention_to_arrays,
@@ -145,35 +149,23 @@ def arrays_to_model(arrays: dict) -> ModelState:
 
 
 # ---------------------------------------------------------------------------
-# episode losses
+# episode loss
+
+@dataclass(frozen=True)
+class _Teacher:
+    """What a session keeps of its teacher: the teacher's embeddings of the
+    session snapshot and its prototypes, with the session's old and novel
+    classes."""
+    embeddings: np.ndarray
+    prototypes: PrototypeSet
+    old_classes: tuple
+    novel_classes: tuple
+
 
 def _episode_rows(g: Graph, episode: Episode) -> np.ndarray:
     """Ascending graph rows of the episode's support and query nodes, the
     only embeddings its losses read."""
     return np.unique(g.rows_of([*episode.support_nodes(), *episode.query_nodes()]))
-
-
-def _geometric_terms(emb, rows: np.ndarray, g: Graph, episode: Episode,
-                     protos: PrototypeSet, weights: LossWeights, inverse_frequency: bool):
-    """Pretraining passes ``inverse_frequency=False``: its sampler draws k_qry
-    queries for every class, so the class weights would all be 1."""
-    q_emb = dm.take_rows(emb, np.searchsorted(rows, g.rows_of(episode.query_nodes())))
-    labels = episode.query_classes()
-    alpha = inverse_frequency_alpha(labels) if inverse_frequency else None
-    l_p = proximity_loss(q_emb, labels, protos, alpha)
-    l_u = uniformity_loss(protos) if weights.lambda_u > 0 and len(protos) >= 2 else None
-    return q_emb, labels, l_p, l_u
-
-
-def _pretrain_episode_loss(state: ModelState, g: Graph, episode: Episode,
-                           cfg: ExperimentConfig, weights: LossWeights, rng):
-    rows = _episode_rows(g, episode)
-    emb = encode(state.backbone, g, cfg.dropout, rng, rows=rows)
-    protos = compute_prototypes(emb, episode.supports, g, state.class_attention,
-                                mode=cfg.prototype_mode, rows=rows)
-    _, _, l_p, l_u = _geometric_terms(emb, rows, g, episode, protos, weights, False)
-    effective = replace(weights, lambda_u=0.0 if l_u is None else weights.lambda_u)
-    return pretrain_loss(l_p, l_u, effective)
 
 
 def _combined_prototypes(student_protos: PrototypeSet, carried: PrototypeSet):
@@ -188,40 +180,51 @@ def _combined_prototypes(student_protos: PrototypeSet, carried: PrototypeSet):
     return PrototypeSet(tuple(int(c) for c in stacked_ids[order]), vectors)
 
 
-def _finetune_episode_loss(student: ModelState, teacher_emb: np.ndarray,
-                           teacher_protos: PrototypeSet, g: Graph, episode: Episode,
-                           stream: SessionStream, session: int,
-                           cfg: ExperimentConfig, weights: LossWeights, rng):
-    novel_classes = stream.novel_at(session)
-    old_classes = stream.classes_at(session - 1)
+def _stage_prototypes(emb, supports: dict, g: Graph, state: ModelState,
+                      cfg: ExperimentConfig, teacher: _Teacher | None, rows=None):
+    """One prototype per class of ``supports``, through ``state``'s class
+    attention.  With ``carried_prototypes`` a session computes only its novel
+    classes and takes every old vector from the teacher."""
+    if teacher is not None and cfg.carried_prototypes:
+        novel = {c: supports[c] for c in teacher.novel_classes}
+        return _combined_prototypes(
+            compute_prototypes(emb, novel, g, state.class_attention,
+                               mode=cfg.prototype_mode, rows=rows),
+            teacher.prototypes)
+    return compute_prototypes(emb, supports, g, state.class_attention,
+                              mode=cfg.prototype_mode, rows=rows)
+
+
+def _episode_loss(state: ModelState, g: Graph, episode: Episode, cfg: ExperimentConfig,
+                  weights: LossWeights, rng, teacher: _Teacher | None = None):
+    """The weighted objective of one episode.  Without a teacher (pretraining)
+    separability and distillation have nothing to act on and weigh 0; there
+    the sampler draws k_qry queries for every class, so the inverse-frequency
+    class weights are all 1."""
     rows = _episode_rows(g, episode)
-    emb = encode(student.backbone, g, cfg.dropout, rng, rows=rows)
-
-    if cfg.carried_prototypes:
-        novel_supports = {c: episode.supports[c] for c in novel_classes}
-        novel_protos = compute_prototypes(emb, novel_supports, g, student.class_attention,
-                                          mode=cfg.prototype_mode, rows=rows)
-        protos = _combined_prototypes(novel_protos, teacher_protos)
-    else:
-        protos = compute_prototypes(emb, episode.supports, g, student.class_attention,
-                                    mode=cfg.prototype_mode, rows=rows)
-
-    q_emb, labels, l_p, l_u = _geometric_terms(emb, rows, g, episode, protos, weights,
-                                               cfg.alpha_finetune == "inverse_frequency")
-    l_s = None
-    if weights.lambda_s > 0:
-        novel_vecs = dm.take_rows(protos.vectors, [protos.index_of(c) for c in novel_classes])
-        old_vecs = dm.take_rows(protos.vectors, [protos.index_of(c) for c in old_classes])
-        l_s = separability_loss(novel_vecs, old_vecs)
-    l_kd = None
-    if weights.lambda_kd > 0:
-        q_rows = g.rows_of(episode.query_nodes())
-        student_logits = softened_logits(q_emb, protos.subset(old_classes), weights.tau)
+    emb = encode(state.backbone, g, cfg.dropout, rng, rows=rows)
+    protos = _stage_prototypes(emb, episode.supports, g, state, cfg, teacher, rows=rows)
+    q_rows = g.rows_of(episode.query_nodes())
+    q_emb = dm.take_rows(emb, np.searchsorted(rows, q_rows))
+    labels = episode.query_classes()
+    alpha = (inverse_frequency_alpha(labels)
+             if cfg.alpha_finetune == "inverse_frequency" else None)
+    l_p = proximity_loss(q_emb, labels, protos, alpha)
+    l_u = uniformity_loss(protos) if weights.lambda_u > 0 and len(protos) >= 2 else None
+    l_s = l_kd = None
+    if teacher is not None and weights.lambda_s > 0:
+        l_s = separability_loss(protos.subset(teacher.novel_classes).vectors,
+                                protos.subset(teacher.old_classes).vectors)
+    if teacher is not None and weights.lambda_kd > 0:
+        student_logits = softened_logits(q_emb, protos.subset(teacher.old_classes),
+                                         weights.tau)
         teacher_logits = softened_logits(
-            dm.constant(teacher_emb[q_rows], dtype=teacher_emb.dtype),
-            teacher_protos, weights.tau).data
+            dm.constant(teacher.embeddings[q_rows], dtype=teacher.embeddings.dtype),
+            teacher.prototypes, weights.tau).data
         l_kd = distillation_loss(student_logits, teacher_logits)
-    effective = replace(weights, lambda_u=0.0 if l_u is None else weights.lambda_u)
+    # a term left out weighs 0
+    effective = replace(weights, **{name: 0.0 for name, term in (
+        ("lambda_u", l_u), ("lambda_s", l_s), ("lambda_kd", l_kd)) if term is None})
     return finetune_loss(l_p, l_u, l_s, l_kd, effective)
 
 
@@ -229,10 +232,9 @@ def _finetune_episode_loss(student: ModelState, teacher_emb: np.ndarray,
 # stages
 
 def pretrain(stream: SessionStream, cfg: ExperimentConfig, seed: int) -> ModelState:
-    """Episodic base-stage training; final base prototypes use full-pool supports."""
+    """Stage 0: episodic base-stage training from a fresh model, no teacher."""
     g = stream.snapshots[0]
-    base_classes = stream.classes_at(0)
-    if len(base_classes) < 2:
+    if len(stream.classes_at(0)) < 2:
         raise ValueError("pretraining requires at least two base classes")
     state = ModelState(
         backbone=init_backbone(g.feature_dim, cfg.hidden_dim, cfg.embedding_dim,
@@ -240,19 +242,10 @@ def pretrain(stream: SessionStream, cfg: ExperimentConfig, seed: int) -> ModelSt
         class_attention=init_class_attention(cfg.embedding_dim, cfg.class_attention_heads,
                                              seed=seed),
         prototypes=None, session_index=0)
-    pools = {c: stream.eval_pools[0][c] for c in base_classes}
-    weights = cfg.loss_weights()
+    pools = {c: stream.eval_pools[0][c] for c in stream.classes_at(0)}
     sampler = cfg.sampler()
-    _train_episodes(
-        state.trainable(), cfg.lr_pretrain, cfg.episodes_pretrain, seed, 0,
-        lambda rng: sample_pretrain_episode(pools, sampler, rng),
-        lambda episode, rng: _pretrain_episode_loss(state, g, episode, cfg, weights, rng))
-    emb = encode(state.backbone.detached(), g)
-    state.prototypes = _detached_prototypes(
-        compute_prototypes(emb, pools, g, state.class_attention, mode=cfg.prototype_mode))
-    state.embeddings = emb.data
-    g.drop_caches()
-    return state
+    return _train_stage(state, stream, 0, cfg, seed,
+                        lambda rng: sample_pretrain_episode(pools, sampler, rng))
 
 
 def run_stream_session(teacher: ModelState, stream: SessionStream, session: int,
@@ -263,29 +256,42 @@ def run_stream_session(teacher: ModelState, stream: SessionStream, session: int,
             f"teacher is at session {teacher.session_index}, expected {session - 1}")
     if teacher.prototypes is None:
         raise MissingTeacherError("teacher carries no prototypes")
-    g = stream.snapshots[session]
-    teacher_emb = encode(teacher.backbone.detached(), g).data
-    teacher_protos = teacher.prototypes
+    frozen = _Teacher(encode(teacher.backbone.detached(), stream.snapshots[session]).data,
+                      teacher.prototypes, stream.classes_at(session - 1),
+                      stream.novel_at(session))
     student = clone_state(teacher)
-    # the session reads only these two from the teacher, so its weights go
+    # the session reads only ``frozen`` of the teacher, so its weights go
     # here, before training, unless the caller still holds the model
     del teacher
-
-    weights = cfg.loss_weights()
     sampler = cfg.sampler()
-    _train_episodes(
-        student.trainable(), cfg.lr_finetune, cfg.episodes_finetune, seed, session,
-        lambda rng: sample_finetune_episode(session, stream, sampler, rng),
-        lambda episode, rng: _finetune_episode_loss(student, teacher_emb, teacher_protos,
-                                                    g, episode, stream, session, cfg,
-                                                    weights, rng))
-    emb = encode(student.backbone.detached(), g)
-    student.prototypes = _final_session_prototypes(student, teacher_protos, stream, session,
-                                                   cfg, g, emb)
-    student.session_index = session
-    student.embeddings = emb.data
+    return _train_stage(student, stream, session, cfg, seed,
+                        lambda rng: sample_finetune_episode(session, stream, sampler, rng),
+                        frozen)
+
+
+def _train_stage(state: ModelState, stream: SessionStream, stage: int,
+                 cfg: ExperimentConfig, seed: int, sample,
+                 teacher: _Teacher | None = None) -> ModelState:
+    """Train ``state`` on stage ``stage``'s episodes, drawn by ``sample(rng)``,
+    then fix its prototypes through the trained encoder: a base class's from
+    its full labeled pool, a novel class's from its K-shot supports."""
+    g = stream.snapshots[stage]
+    weights = cfg.loss_weights()
+    lr, episodes = ((cfg.lr_pretrain, cfg.episodes_pretrain) if stage == 0
+                    else (cfg.lr_finetune, cfg.episodes_finetune))
+    _train_episodes(state.trainable(), lr, episodes, seed, stage, sample,
+                    lambda episode, rng: _episode_loss(state, g, episode, cfg, weights, rng,
+                                                       teacher))
+    emb = encode(state.backbone.detached(), g)
+    supports = {c: stream.eval_pools[stage][c] for c in stream.classes_at(0)}
+    for s in range(1, stage + 1):
+        supports.update(stream.supports_at(s))
+    protos = _stage_prototypes(emb, supports, g, state, cfg, teacher)
+    state.prototypes = PrototypeSet(protos.class_ids, protos.vectors.detach())
+    state.session_index = stage
+    state.embeddings = emb.data
     g.drop_caches()
-    return student
+    return state
 
 
 def _train_episodes(params, lr: float, episodes: int, seed: int, stage: int,
@@ -309,35 +315,6 @@ def _train_episodes(params, lr: float, episodes: int, seed: int, stage: int,
         del grads
         if i % 50 == 0:
             log.debug("%s episode %d: loss %.5f", label, i, value)
-
-
-def _detached_prototypes(protos: PrototypeSet) -> PrototypeSet:
-    return PrototypeSet(protos.class_ids, protos.vectors.detach())
-
-
-def _final_session_prototypes(student: ModelState, teacher_protos: PrototypeSet,
-                              stream: SessionStream, session: int,
-                              cfg: ExperimentConfig, g: Graph, emb) -> PrototypeSet:
-    """Extend the class coverage to this session.
-
-    Default: recompute every prototype through the finetuned encoder on the
-    current snapshot, base classes from their full labeled pools and each
-    novel class (this session's and earlier ones) from its fixed K-shot
-    supports, so all prototypes share one metric space.  With
-    ``carried_prototypes`` the old vectors are frozen at the teacher's values
-    and only the novel classes are computed.  ``emb`` is ``g`` encoded by the
-    finetuned backbone.
-    """
-    if cfg.carried_prototypes:
-        novel = compute_prototypes(emb, stream.supports_at(session), g,
-                                   student.class_attention, mode=cfg.prototype_mode)
-        return _detached_prototypes(_combined_prototypes(novel, teacher_protos))
-    supports = {c: stream.eval_pools[session][c] for c in stream.classes_at(0)}
-    for s in range(1, session + 1):
-        supports.update(stream.supports_at(s))
-    return _detached_prototypes(
-        compute_prototypes(emb, supports, g, student.class_attention,
-                           mode=cfg.prototype_mode))
 
 
 # ---------------------------------------------------------------------------

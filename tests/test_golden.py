@@ -123,15 +123,16 @@ def _episode_digest(cfg, seed: int, stage: int) -> str:
             None)
         pools = {c: stream.eval_pools[0][c] for c in stream.classes_at(0)}
         episode = sample_pretrain_episode(pools, sampler, rng)
-        loss = rn._pretrain_episode_loss(state, g, episode, cfg, weights, rng)
+        loss = rn._episode_loss(state, g, episode, cfg, weights, rng)
     else:
         teacher, _ = cli._load_model(cli._checkpoint_path(cfg, seed, stage - 1))
         g = stream.snapshots[stage]
         teacher_emb = encode(teacher.backbone.detached(), g).data
         state = rn.clone_state(teacher)
         episode = sample_finetune_episode(stage, stream, sampler, rng)
-        loss = rn._finetune_episode_loss(state, teacher_emb, teacher.prototypes, g, episode,
-                                         stream, stage, cfg, weights, rng)
+        frozen = rn._Teacher(teacher_emb, teacher.prototypes, stream.classes_at(stage - 1),
+                             stream.novel_at(stage))
+        loss = rn._episode_loss(state, g, episode, cfg, weights, rng, frozen)
     value, grads = dm.value_and_grad(loss, state.trainable())
     return _sha(b"".join([np.float64(value).tobytes(), *(a.tobytes() for a in grads)]))
 

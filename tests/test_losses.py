@@ -277,11 +277,12 @@ def test_distillation_shape_mismatch():
 # --- combined losses ---------------------------------------------------------
 
 def test_pretrain_loss_arithmetic():
-    w = ls.LossWeights(lambda_p=1.0, lambda_u=1.0)
-    got = ls.pretrain_loss(t64(0.3, grad=False), t64(0.5, grad=False), w)
+    # pretraining's objective: no separability or distillation term
+    w = ls.LossWeights(lambda_p=1.0, lambda_u=1.0, lambda_s=0.0, lambda_kd=0.0)
+    got = ls.finetune_loss(t64(0.3, grad=False), t64(0.5, grad=False), None, None, w)
     assert got.item() == pytest.approx(0.8)
-    w0 = ls.LossWeights(lambda_p=2.0, lambda_u=0.0)
-    got = ls.pretrain_loss(t64(0.3, grad=False), None, w0)
+    w0 = ls.LossWeights(lambda_p=2.0, lambda_u=0.0, lambda_s=0.0, lambda_kd=0.0)
+    got = ls.finetune_loss(t64(0.3, grad=False), None, None, None, w0)
     assert got.item() == pytest.approx(0.6)
 
 
@@ -448,7 +449,8 @@ def test_weighted_terms_are_byte_equal_to_the_op_chain(lambdas, dtype):
 
 def test_weighted_terms_reject_mixed_dtypes():
     with pytest.raises(dm.ShapeError):
-        ls.pretrain_loss(t64(0.3), dm.tensor(np.float32(0.5)), ls.LossWeights())
+        ls.finetune_loss(t64(0.3), dm.tensor(np.float32(0.5)), None, None,
+                         ls.LossWeights(lambda_s=0.0, lambda_kd=0.0))
 
 
 # --- finite-difference gradient checks, 100 seeds per loss --------------------
@@ -554,7 +556,8 @@ def _fd_case_pretrain(rng):
         protos = proto_set(as_t(pv))
         lp = ls.proximity_loss(as_t(q), labels, protos)
         lu = ls.uniformity_loss(protos)
-        return ls.pretrain_loss(lp, lu, ls.LossWeights(lambda_p=1.0, lambda_u=0.5))
+        return ls.finetune_loss(lp, lu, None, None, ls.LossWeights(
+            lambda_p=1.0, lambda_u=0.5, lambda_s=0.0, lambda_kd=0.0))
 
     return f, [queries, protos_v]
 

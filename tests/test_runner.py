@@ -30,6 +30,12 @@ def tiny_stream(seed=0, classes=4, per_class=24):
     return gs.build_session_stream(g, [0, 1], novel, k_shot=3, seed=seed)
 
 
+def teacher_view(teacher_emb, teacher_protos, stream, session=1):
+    """A session's frozen view of its teacher, for ``rn._episode_loss``."""
+    return rn._Teacher(teacher_emb, teacher_protos, stream.classes_at(session - 1),
+                       stream.novel_at(session))
+
+
 def hand_model(proto_vectors, class_ids, g, cfg=None, seed=0):
     """Model with trained-shape params but explicitly chosen prototypes."""
     cfg = cfg or tiny_config()
@@ -89,10 +95,10 @@ def test_pretrain_training_curve_improves_for_most_seeds():
         held_out = sample_pretrain_episode(pools, cfg.sampler(), episode_rng(seed, 99, 0))
         before = rn.pretrain(stream, replace(cfg, episodes_pretrain=0), seed)
         after = rn.pretrain(stream, cfg, seed)
-        loss_before = rn._pretrain_episode_loss(before, g, held_out, cfg, weights,
-                                                episode_rng(seed, 98, 0)).item()
-        loss_after = rn._pretrain_episode_loss(after, g, held_out, cfg, weights,
-                                               episode_rng(seed, 98, 0)).item()
+        loss_before = rn._episode_loss(before, g, held_out, cfg, weights,
+                                       episode_rng(seed, 98, 0)).item()
+        loss_after = rn._episode_loss(after, g, held_out, cfg, weights,
+                                      episode_rng(seed, 98, 0)).item()
         improved += loss_after < loss_before
     assert improved >= 9
 
@@ -484,14 +490,14 @@ def test_full_episode_losses_match_finite_differences():
     fine_ep = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(0, 1, 0))
 
     cases = {
-        "pretrain": lambda state: rn._pretrain_episode_loss(
+        "pretrain": lambda state: rn._episode_loss(
             state, stream.snapshots[0], pre_ep, cfg, weights, episode_rng(0, 9, 0)),
-        "finetune": lambda state: rn._finetune_episode_loss(
-            state, teacher_emb, teacher.prototypes, stream.snapshots[1], fine_ep,
-            stream, 1, cfg, weights, episode_rng(0, 9, 1)),
-        "finetune_carried": lambda state: rn._finetune_episode_loss(
-            state, teacher_emb, teacher.prototypes, stream.snapshots[1], fine_ep,
-            stream, 1, carried_cfg, weights, episode_rng(0, 9, 1)),
+        "finetune": lambda state: rn._episode_loss(
+            state, stream.snapshots[1], fine_ep, cfg, weights, episode_rng(0, 9, 1),
+            teacher_view(teacher_emb, teacher.prototypes, stream)),
+        "finetune_carried": lambda state: rn._episode_loss(
+            state, stream.snapshots[1], fine_ep, carried_cfg, weights,
+            episode_rng(0, 9, 1), teacher_view(teacher_emb, teacher.prototypes, stream)),
     }
     for name, build in cases.items():
         state = make_state(arrays)
@@ -532,11 +538,10 @@ def test_episode_losses_match_full_graph_encode(stage, dropout, monkeypatch):
     def loss_and_grads():
         rng = episode_rng(5, 9, 0)
         if stage == "pretrain":
-            loss = rn._pretrain_episode_loss(student, stream.snapshots[0], pre_ep, cfg,
-                                             weights, rng)
+            loss = rn._episode_loss(student, stream.snapshots[0], pre_ep, cfg, weights, rng)
         else:
-            loss = rn._finetune_episode_loss(student, teacher_emb, teacher.prototypes, g1,
-                                             fine_ep, stream, 1, cfg, weights, rng)
+            loss = rn._episode_loss(student, g1, fine_ep, cfg, weights, rng,
+                                    teacher_view(teacher_emb, teacher.prototypes, stream))
         return dm.value_and_grad(loss, student.trainable())
 
     value, grads = loss_and_grads()
@@ -572,11 +577,11 @@ def test_episode_gradients_match_the_op_chains_byte_for_byte(stage, monkeypatch)
         rng = episode_rng(1, 9, i)
         if stage == "pretrain":
             episode = sample_pretrain_episode(pools, cfg.sampler(), episode_rng(1, 0, i))
-            loss = rn._pretrain_episode_loss(student, g, episode, cfg, cfg.loss_weights(), rng)
+            loss = rn._episode_loss(student, g, episode, cfg, cfg.loss_weights(), rng)
         else:
             episode = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(1, 1, i))
-            loss = rn._finetune_episode_loss(student, teacher_emb, teacher.prototypes, g,
-                                             episode, stream, 1, cfg, cfg.loss_weights(), rng)
+            loss = rn._episode_loss(student, g, episode, cfg, cfg.loss_weights(), rng,
+                                    teacher_view(teacher_emb, teacher.prototypes, stream))
         value, grads = dm.value_and_grad(loss, student.trainable())
         return [np.float64(value).tobytes()] + [a.tobytes() for a in grads]
 
@@ -618,12 +623,12 @@ def test_episode_tape_sizes_are_pinned(monkeypatch):
         return out
 
     monkeypatch.setattr(dm, "_result", counting)
-    rn._pretrain_episode_loss(rn.clone_state(teacher), stream.snapshots[0], pre_ep, cfg,
-                              cfg.loss_weights(), episode_rng(1, 9, 0))
+    rn._episode_loss(rn.clone_state(teacher), stream.snapshots[0], pre_ep, cfg,
+                     cfg.loss_weights(), episode_rng(1, 9, 0))
     assert sum(nodes) == 15
     nodes.clear()
-    rn._finetune_episode_loss(rn.clone_state(teacher), teacher_emb, teacher.prototypes, g1,
-                              fine_ep, stream, 1, cfg, cfg.loss_weights(), episode_rng(1, 9, 1))
+    rn._episode_loss(rn.clone_state(teacher), g1, fine_ep, cfg, cfg.loss_weights(),
+                     episode_rng(1, 9, 1), teacher_view(teacher_emb, teacher.prototypes, stream))
     assert sum(nodes) == 23
 
 
@@ -658,8 +663,8 @@ def test_distillation_term_matches_the_divergence_by_hand():
     teacher_emb = encode(teacher.backbone.detached(), g).data
     student = rn.pretrain(stream, tiny_config(episodes_pretrain=3), seed=6)
     episode = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(5, 1, 0))
-    loss = rn._finetune_episode_loss(student, teacher_emb, teacher.prototypes, g, episode,
-                                     stream, 1, cfg, cfg.loss_weights(), episode_rng(5, 9, 0))
+    loss = rn._episode_loss(student, g, episode, cfg, cfg.loss_weights(), episode_rng(5, 9, 0),
+                            teacher_view(teacher_emb, teacher.prototypes, stream))
 
     emb = encode(student.backbone.detached(), g)
     old = stream.classes_at(0)
@@ -699,8 +704,8 @@ def test_alpha_finetune_weights_the_proximity_classes(alpha_mode):
                       + ((int(pools[1][2]), 1),) + tuple((v, 2) for v in novel_queries))
     teacher_emb = encode(teacher.backbone.detached(), g).data
     student = rn.clone_state(teacher)
-    loss = rn._finetune_episode_loss(student, teacher_emb, teacher.prototypes, g, episode,
-                                     stream, 1, cfg, cfg.loss_weights(), episode_rng(5, 1, 0))
+    loss = rn._episode_loss(student, g, episode, cfg, cfg.loss_weights(), episode_rng(5, 1, 0),
+                            teacher_view(teacher_emb, teacher.prototypes, stream))
 
     emb = encode(student.backbone.detached(), g)
     protos = pt.compute_prototypes(emb, episode.supports, g, student.class_attention)
