@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_tensors, save_tensors
+from .checkpoint import CheckpointError, load_tensors, save_tensors
 from .config import ExperimentConfig, parse_config
 from .fileio import replacing
 from .graph_store import (build_session_stream, load_graph, load_session_stream,
@@ -85,9 +85,13 @@ def _save_model(cfg: ExperimentConfig, model: ModelState, seed: int) -> Path:
 
 
 def _load_model(path) -> tuple:
-    arrays = load_tensors(_require(path, "checkpoint"))
+    path = _require(path, "checkpoint")
+    arrays = load_tensors(path)
     seed = int(arrays["meta/seed"][0]) if "meta/seed" in arrays else None
-    return arrays_to_model(arrays), seed
+    try:
+        return arrays_to_model(arrays), seed
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: missing tensor {exc.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +209,8 @@ class ReportError(Exception):
 def load_run_records(cfg: ExperimentConfig) -> list:
     """Every metrics record under the run directory.
 
-    A log is ambiguous, and rejected at the line that makes it so, when two
+    A record's ``seed`` and ``session`` must be non-negative JSON integers and
+    its ``mean`` a finite number in [0, 1].  A log is ambiguous, and rejected at the line that makes it so, when two
     records share a (seed, session) or the records mix modes: a resumed run
     belongs in a fresh run directory.
     """
@@ -224,6 +229,13 @@ def load_run_records(cfg: ExperimentConfig) -> list:
             missing = [k for k in ("seed", "session", "mean") if k not in rec]
             if missing:
                 raise ReportError(f"{path}:{ln}: metrics record lacks {', '.join(missing)}")
+            for name in ("seed", "session"):
+                if type(rec[name]) is not int or rec[name] < 0:
+                    raise ReportError(f"{path}:{ln}: {name} must be a non-negative integer, "
+                                      f"got {rec[name]!r}")
+            if type(rec["mean"]) not in (int, float) or not 0 <= rec["mean"] <= 1:
+                raise ReportError(f"{path}:{ln}: mean must be a number in [0, 1], "
+                                  f"got {rec['mean']!r}")
             key = (rec["seed"], rec["session"])
             if key in seen:
                 raise ReportError(f"{path}:{ln}: second record for seed {key[0]} "

@@ -134,17 +134,16 @@ def model_to_arrays(state: ModelState) -> dict:
     arrays = {"meta/session_index": np.array([state.session_index], dtype=np.int64)}
     arrays.update(backbone_to_arrays(state.backbone))
     arrays.update(class_attention_to_arrays(state.class_attention))
-    if state.prototypes is not None:
-        arrays.update(prototypes_to_arrays(state.prototypes))
+    arrays.update(prototypes_to_arrays(state.prototypes))
     return arrays
 
 
 def arrays_to_model(arrays: dict) -> ModelState:
-    protos = arrays_to_prototypes(arrays) if "prototypes/classes" in arrays else None
+    """A model from checkpoint arrays; a missing tensor raises ``KeyError``."""
     return ModelState(
         backbone=arrays_to_backbone(arrays),
         class_attention=arrays_to_class_attention(arrays),
-        prototypes=protos,
+        prototypes=arrays_to_prototypes(arrays),
         session_index=int(arrays["meta/session_index"][0]))
 
 

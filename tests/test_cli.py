@@ -332,7 +332,23 @@ def _json_error(text: str) -> str:
     ("[1, 2]", "metrics record is not a JSON object"),
     ("7", "metrics record is not a JSON object"),
     (_CUT_RECORD, f"bad metrics record ({_json_error(_CUT_RECORD)})"),
-], ids=["no_seed", "no_session", "no_mean", "two_missing", "list", "number", "undecodable"])
+    ('{"seed": 0, "session": 1, "mean": "x"}', "mean must be a number in [0, 1], got 'x'"),
+    ('{"seed": 0, "session": 1, "mean": null}', "mean must be a number in [0, 1], got None"),
+    ('{"seed": 0, "session": 1, "mean": NaN}', "mean must be a number in [0, 1], got nan"),
+    ('{"seed": 0, "session": 1, "mean": 1.5}', "mean must be a number in [0, 1], got 1.5"),
+    ('{"seed": [0], "session": 1, "mean": 0.5}',
+     "seed must be a non-negative integer, got [0]"),
+    ('{"seed": "0", "session": 1, "mean": 0.5}',
+     "seed must be a non-negative integer, got '0'"),
+    ('{"seed": true, "session": 1, "mean": 0.5}',
+     "seed must be a non-negative integer, got True"),
+    ('{"seed": 0, "session": 0.5, "mean": 0.5}',
+     "session must be a non-negative integer, got 0.5"),
+    ('{"seed": 0, "session": -1, "mean": 0.5}',
+     "session must be a non-negative integer, got -1"),
+], ids=["no_seed", "no_session", "no_mean", "two_missing", "list", "number", "undecodable",
+        "mean_string", "mean_null", "mean_nan", "mean_above_one", "seed_list", "seed_string",
+        "seed_bool", "session_fraction", "session_negative"])
 def test_report_names_a_malformed_record(workspace, capsys, line, problem):
     tmp_path, _, cfg_path = workspace
     log = tmp_path / "runs" / "metrics_seed0.jsonl"
@@ -622,6 +638,24 @@ def _checkpoint_without_seed(tmp, cfg, cfg_path):
             "checkpoint lacks a seed; pass --seed")
 
 
+def _checkpoint_without(tensor, command):
+    """A case that runs ``command`` (stream or export) on a pretrained
+    checkpoint with ``tensor`` dropped."""
+    def case(tmp, cfg, cfg_path):
+        from geometer.checkpoint import save_tensors
+        arrays = load_tensors(_pretrain_seed0(cfg, cfg_path))
+        del arrays[tensor]
+        path = tmp / "partial.gfsp"
+        save_tensors(path, arrays)
+        argv = [command, "--checkpoint", str(path)]
+        if command == "export":
+            argv += ["--out", str(tmp / "x.tsv")]
+        return argv, "CheckpointError", f"{path}: missing tensor {tensor!r}"
+
+    case.__name__ = f"_{command}_of_a_checkpoint_without_{tensor.replace('/', '_')}"
+    return case
+
+
 def _checkpoint_cut_in_a_header(tmp, cfg, cfg_path):
     import struct
     path = tmp / "cut.gfsp"
@@ -647,7 +681,11 @@ _BAD_INPUTS = [_missing_dataset, _missing_manifest, _missing_checkpoint, _base_w
                _manifest_short_of_supports, _manifest_support_outside_the_graph,
                _manifest_support_of_another_class, _checkpoint_without_seed,
                _checkpoint_cut_in_a_header, _export_of_another_session,
-               _report_of_an_empty_run]
+               _report_of_an_empty_run,
+               *(_checkpoint_without(tensor, command)
+                 for tensor in ("class_attention/wq", "meta/session_index",
+                                "prototypes/vectors", "prototypes/classes")
+                 for command in ("stream", "export"))]
 
 
 @pytest.mark.parametrize("case", _BAD_INPUTS, ids=[f.__name__[1:] for f in _BAD_INPUTS])
