@@ -1,3 +1,4 @@
+import os
 import zlib
 
 import numpy as np
@@ -326,7 +327,27 @@ def _value_and_grads(build, arrays, dtype):
 def _assert_byte_equal_to_chain(fused, chain, arrays, dtype):
     got, got_dtype = _value_and_grads(fused, arrays, dtype)
     want, _ = _value_and_grads(chain, arrays, dtype)
-    assert got_dtype == dtype and got == want
+    assert got_dtype == dtype and got == want, _byte_mismatch(got, got_dtype, want, dtype)
+
+
+def _byte_mismatch(got, got_dtype, want, dtype):
+    """What a failed byte comparison saw: which output differs (the value, or
+    gradient i), its first differing element in both, and the BLAS thread
+    settings in effect."""
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
+                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    if got_dtype != dtype:
+        return f"fused output is {got_dtype}, expected {np.dtype(dtype)}; {threads}"
+    if len(got) != len(want):
+        return f"{len(got) - 1} gradients, the chain has {len(want) - 1}; {threads}"
+    i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+    what = "the value" if i == 0 else f"gradient {i - 1}"
+    a, b = np.frombuffer(got[i], dtype), np.frombuffer(want[i], dtype)
+    if a.size != b.size:
+        return f"{what} has {a.size} elements, the chain's has {b.size}; {threads}"
+    k = int(np.flatnonzero(a.view(f"u{a.itemsize}") != b.view(f"u{b.itemsize}"))[0])
+    return (f"{what} differs first at flat index {k} of {a.size}: fused "
+            f"{float(a[k])!r}, chain {float(b[k])!r}; {threads}")
 
 
 def _proximity_build(loss, labels, alpha):
