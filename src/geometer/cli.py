@@ -210,9 +210,9 @@ def load_run_records(cfg: ExperimentConfig) -> list:
     """Every metrics record under the run directory.
 
     A record's ``seed`` and ``session`` must be non-negative JSON integers and
-    its ``mean`` a finite number in [0, 1].  A log is ambiguous, and rejected at the line that makes it so, when two
-    records share a (seed, session) or the records mix modes: a resumed run
-    belongs in a fresh run directory.
+    its ``mean`` a finite number in [0, 1].  A log is ambiguous, and rejected
+    at the line that makes it so, when two records share a (seed, session) or
+    the records mix modes: a resumed run belongs in a fresh run directory.
     """
     run_dir = _require(cfg.run_dir, "run directory")
     records, seen = [], set()

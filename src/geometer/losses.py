@@ -277,9 +277,8 @@ def _weighted_terms(pairs, dtype):
 
 def finetune_loss(proximity: Tensor, uniformity: Tensor | None, separability: Tensor | None,
                   distillation: Tensor | None, weights: LossWeights) -> Tensor:
-    """lambda_P * L_P + lambda_U * L_U + lambda_S * L_S + lambda_KD * L_KD; a
-    term with weight 0 may be None (pretraining has no separability or
-    distillation term)."""
+    """lambda_P * L_P + lambda_U * L_U + lambda_S * L_S + lambda_KD * L_KD, the
+    objective of every stage; a term with weight 0 may be None."""
     return _weighted_terms([
         (weights.lambda_p, proximity),
         (weights.lambda_u, uniformity),
