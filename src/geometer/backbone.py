@@ -62,17 +62,18 @@ import numpy as np
 from scipy import sparse
 
 from . import diffmath as dm
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, checked_ints, checked_tensor
 from .diffmath import Tensor
 from .graph_store import Graph
 
 LEAKY_SLOPE = 0.2
-# Edges per block in the attention-weight gradient: each block gathers two
-# [block x width] row copies, instead of two [edges x width] copies at once.
-# At width 512 the two copies of a 256-edge block take 1 MiB, half of a 2 MiB
-# L2, which 512-edge blocks fill: over 9,666 edges the dot products took a
-# median 3.1 ms in 256-edge blocks and 4.1 ms in 512-edge ones (timeit, Xeon)
-_EDGE_BLOCK = 256
+# Bytes per gathered row copy in the attention-weight gradient: a block of
+# edges gathers two [block x width] row copies, not two [edges x width] ones.
+# Two copies fill 1 MiB, half of a 2 MiB L2: at width 512 (256-edge blocks),
+# over 9,666 edges the dot products took a median 3.1 ms against 4.1 ms in
+# 512-edge blocks (timeit, Xeon).  A narrow layer gets longer blocks (4,096
+# edges at float32 width 32), so fewer gathers and einsum calls
+_EDGE_BLOCK_BYTES = 1 << 19
 # entries per block of the scan for subnormal gradient entries: each block's
 # magnitudes (256 KiB of float32) stay in cache for their minimum
 _FLUSH_BLOCK = 65536
@@ -186,9 +187,8 @@ def _structure(src, lens, centers, n_in: int) -> _EdgeStructure:
 
 def _edge_structure(g: Graph) -> _EdgeStructure:
     """Every node's neighborhood over the whole graph, cached on the graph."""
-    cached = getattr(g, "_op_cache", None)
-    if cached is not None and "gat_edges" in cached:
-        return cached["gat_edges"]
+    if "gat_edges" in g._op_cache:
+        return g._op_cache["gat_edges"]
     n = g.node_count
     e = g.edges
     loop = np.arange(n, dtype=np.int64)
@@ -196,8 +196,7 @@ def _edge_structure(g: Graph) -> _EdgeStructure:
     dst = np.concatenate([e[:, 1], e[:, 0], loop])
     order = np.lexsort((src, dst))
     struct = _structure(src[order], np.bincount(dst, minlength=n), loop, n)
-    if cached is not None:
-        cached["gat_edges"] = struct
+    g._op_cache["gat_edges"] = struct
     return struct
 
 
@@ -285,8 +284,9 @@ def _head_vjp(g: np.ndarray, saved: list, attn: np.ndarray, struct: _EdgeStructu
     z, att, leaky, alpha = saved.pop(0)
     out_h, dtype = z.shape[1], z.dtype
     g_alpha = np.empty(len(struct.src), dtype=np.result_type(g, z))
-    for lo in range(0, len(g_alpha), _EDGE_BLOCK):
-        block = slice(lo, lo + _EDGE_BLOCK)
+    edges = max(1, _EDGE_BLOCK_BYTES // (out_h * g_alpha.itemsize))
+    for lo in range(0, len(g_alpha), edges):
+        block = slice(lo, lo + edges)
         g_alpha[block] = np.einsum("ed,ed->e", g[struct.dst[block]], z[struct.src[block]])
     (g_scores,) = leaky._vjp(*alpha._vjp(g_alpha))
     g_attn = np.zeros_like(attn)
@@ -416,10 +416,8 @@ def encode(params: BackboneParams, g: Graph, dropout_rate: float = 0.0,
     else:
         struct1, rows1 = _receptive_field(g, np.asarray(rows, dtype=np.int64))
         struct0, rows0 = _receptive_field(g, rows1)
-    sp = g.features_sparse() if dtype == np.float32 and dropout_rate == 0.0 else None
-    if sp is not None:
-        h = sp if rows0 is None else sp[rows0]
-    else:
+    h = g.features_sparse(rows0) if dtype == np.float32 and dropout_rate == 0.0 else None
+    if h is None:
         # gathered from the feature store, checked finite when it was loaded
         h = Tensor(g.feature_rows(rows0).astype(dtype, copy=False))
         h = _dropout(h, dropout_rate, rng, g.node_count, rows0)
@@ -447,18 +445,25 @@ def backbone_to_arrays(params: BackboneParams) -> dict:
 
 
 def arrays_to_backbone(arrays: dict) -> BackboneParams:
-    meta = arrays["backbone/meta"].astype(np.int64)
-    feature_dim, hidden, out_dim, heads, out_heads = (int(v) for v in meta)
+    """Parameters from checkpoint arrays, each tensor held to the shape that
+    ``backbone/meta`` gives it."""
+    feature_dim, hidden, out_dim, heads, out_heads = checked_ints(arrays, "backbone/meta", 5)
     if out_heads != 1:
         raise CheckpointError(f"checkpoint output layer has {out_heads} heads; "
                               f"only one is supported")
+    if heads == 0 or hidden % heads:
+        raise CheckpointError(f"tensor 'backbone/meta' splits hidden dim {hidden} "
+                              f"across {heads} heads")
     layers = []
-    for li, n_heads in enumerate((heads, 1)):
+    for li, (in_dim, out_h, n_heads) in enumerate(((feature_dim, hidden // heads, heads),
+                                                   (hidden, out_dim, 1))):
         heads_p = []
         for hi in range(n_heads):
+            name = f"backbone/l{li}/h{hi}/"
             heads_p.append(HeadParams(
-                weight=_weight_tensor(arrays[f"backbone/l{li}/h{hi}/weight"]),
-                attn=dm.tensor(arrays[f"backbone/l{li}/h{hi}/attn"], requires_grad=True),
+                weight=_weight_tensor(checked_tensor(arrays, name + "weight", (out_h, in_dim))),
+                attn=dm.tensor(checked_tensor(arrays, name + "attn", (2 * out_h,)),
+                               requires_grad=True),
             ))
         layers.append(tuple(heads_p))
     return BackboneParams(tuple(layers), feature_dim, hidden, out_dim)

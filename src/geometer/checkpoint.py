@@ -8,6 +8,10 @@ Layout, all little-endian:
 
 Kind 0 is a float32 payload and kind 1 an int64 one.  Files written before
 the int64 kind existed hold only kind 0, so they read as they always have.
+
+A model reads its tensors through ``checked_tensor`` and ``checked_ints``,
+which hold each tensor to the shape the checkpoint's own metadata gives it
+and each metadata entry to a non-negative integer.
 """
 
 from __future__ import annotations
@@ -24,11 +28,31 @@ _MAGIC = b"GFSP"
 # kind code -> payload dtype
 _KINDS = {0: np.dtype("<f4"), 1: np.dtype("<i8")}
 
-__all__ = ["CheckpointError", "save_tensors", "load_tensors"]
+__all__ = ["CheckpointError", "save_tensors", "load_tensors", "checked_tensor",
+           "checked_ints"]
 
 
 class CheckpointError(Exception):
     pass
+
+
+def checked_tensor(tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    """Tensor ``name``, which must have ``shape``; ``KeyError`` when it is absent."""
+    arr = tensors[name]
+    if arr.shape != tuple(shape):
+        raise CheckpointError(f"tensor {name!r} has shape {list(arr.shape)}, "
+                              f"expected {list(shape)}")
+    return arr
+
+
+def checked_ints(tensors: dict, name: str, count: int) -> tuple:
+    """The ``count`` entries of the 1-D metadata tensor ``name`` as ints.  Each
+    must be a non-negative integer; older files hold them as float32."""
+    arr = checked_tensor(tensors, name, (count,))
+    if not (np.isfinite(arr).all() and (arr >= 0).all() and (arr == np.floor(arr)).all()):
+        raise CheckpointError(f"tensor {name!r} holds {arr.tolist()}, "
+                              f"expected non-negative integers")
+    return tuple(int(v) for v in arr)
 
 
 def save_tensors(path, tensors: dict) -> None:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_tensors, save_tensors
+from .checkpoint import CheckpointError, checked_ints, load_tensors, save_tensors
 from .config import ExperimentConfig, parse_config
 from .fileio import replacing
 from .graph_store import (build_session_stream, load_graph, load_session_stream,
@@ -87,11 +87,13 @@ def _save_model(cfg: ExperimentConfig, model: ModelState, seed: int) -> Path:
 def _load_model(path) -> tuple:
     path = _require(path, "checkpoint")
     arrays = load_tensors(path)
-    seed = int(arrays["meta/seed"][0]) if "meta/seed" in arrays else None
     try:
+        seed = checked_ints(arrays, "meta/seed", 1)[0] if "meta/seed" in arrays else None
         return arrays_to_model(arrays), seed
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing tensor {exc.args[0]!r}") from None
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

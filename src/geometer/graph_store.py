@@ -13,17 +13,17 @@ Split manifest: JSON with keys base_classes, sessions[].novel_classes,
 sessions[].supports, k_shot, seed.
 
 Feature storage follows one density rule (``_sparse_by_rule``: under a
-quarter nonzero, and more than 65,536 entries).  A base graph whose whole
-matrix is sparse by the rule holds its features only as CSR; ``load_graph``
-builds that CSR from the file in fixed blocks and never holds the dense
-matrix.  Any other base holds one dense read-only array.
+quarter nonzero, and more than 65,536 entries), decided once per dataset
+where its features enter.  A base whose whole matrix is sparse by the rule
+holds its features only as CSR; ``load_graph`` builds that CSR from the file
+in fixed blocks and never holds the dense matrix.  Any other base holds one
+dense read-only array.
 
 Snapshots share storage.  A subgraph is a sorted row subset of the graph it
 was first cut from: it keeps its own node ids, labels and edges, but reads
-feature rows from that base graph's store.  A snapshot that is sparse by the
-rule on its own rows gets ``features_sparse()`` as a row gather of the base
-CSR (built on first use over a dense base).  ``Graph.feature_rows`` gathers
-dense rows from the store on every call, and keeps no copy on the graph.
+feature rows from that base graph's store, in the store's form:
+``features_sparse(rows)`` gathers CSR rows of a CSR store (None over a dense
+one) and ``feature_rows(rows)`` dense rows, both on every call.
 
 A graph holds its node ids, labels and canonical edge array from the start;
 its id index (``rows_of``, ``row_of``) and degrees are built on first use,
@@ -138,31 +138,30 @@ def _sparse_by_rule(nnz: int, size: int) -> bool:
 class _FeatureStore:
     """One base graph's feature rows, shared by every subgraph cut from it.
 
-    It holds exactly one form: the CSR matrix when the whole base is sparse
-    by the rule, otherwise a dense read-only array.  A dense store builds its
-    per-row nonzero counts and its CSR form on first use, once for all the
-    snapshots that are sparse by the rule on their own rows.  A deferred
-    store (``_deferred``) holds only the shape and path of a checked
-    ``features.bin``, and reads it into one of the two forms on first use.
+    It holds exactly one form, decided once for the whole base where the
+    features enter: the CSR matrix when the base is sparse by the rule,
+    otherwise a dense read-only array.  Every snapshot reads its rows in that
+    form.  A deferred store (``_deferred``) holds only the shape and path of
+    a checked ``features.bin``, and reads it into one of the two forms on
+    first use.
     """
 
-    __slots__ = ("shape", "_dense", "_csr", "_row_nnz", "_path")
+    __slots__ = ("shape", "_dense", "_csr", "_path")
 
     def __init__(self, features):
         self.shape = features.shape
         self._path = None
         if sparse.issparse(features):
             self._dense, self._csr = None, features
-            self._row_nnz = np.diff(features.indptr)
         else:
             features.setflags(write=False)
-            self._dense, self._csr, self._row_nnz = features, None, None
+            self._dense, self._csr = features, None
 
     @classmethod
     def _deferred(cls, path: Path, shape: tuple) -> "_FeatureStore":
         store = cls.__new__(cls)
         store.shape, store._path = shape, path
-        store._dense = store._csr = store._row_nnz = None
+        store._dense = store._csr = None
         return store
 
     def _load(self) -> None:
@@ -170,19 +169,11 @@ class _FeatureStore:
             read = _read_features(self._path)
             if read.shape != self.shape:
                 raise DatasetFormatError(f"{self._path}: shape changed since it was checked")
-            self._dense, self._csr, self._row_nnz = read._dense, read._csr, read._row_nnz
+            self._dense, self._csr = read._dense, read._csr
             self._path = None
-
-    def row_nnz(self) -> np.ndarray:
-        self._load()
-        if self._row_nnz is None:
-            self._row_nnz = np.count_nonzero(self._dense, axis=1)
-        return self._row_nnz
 
     def csr(self):
         self._load()
-        if self._csr is None:
-            self._csr = sparse.csr_matrix(self._dense)
         return self._csr
 
     def dense_rows(self, rows) -> np.ndarray:
@@ -214,7 +205,7 @@ class Graph:
     """
 
     __slots__ = ("node_ids", "labels", "edges", "_store", "_rows",
-                 "_degrees", "_id_index", "_feat_csr", "_op_cache")
+                 "_degrees", "_id_index", "_op_cache")
 
     def __init__(self, node_ids, labels, edges, store: _FeatureStore, rows=None):
         self.node_ids = node_ids
@@ -224,7 +215,6 @@ class Graph:
         self._rows = rows
         # built on first use: a snapshot that is never queried never pays for them
         self._degrees = self._id_index = None
-        self._feat_csr = None
         self._op_cache = {}    # lazy derived structures (e.g. attention neighborhoods)
         for arr in (self.node_ids, self.labels, self.edges):
             arr.setflags(write=False)
@@ -282,30 +272,23 @@ class Graph:
         return self._degrees
 
     def drop_caches(self) -> None:
-        """Forget the feature CSR gather and the op cache (the attention
-        neighborhoods); the next read rebuilds them.  The small id index and
-        degrees stay; the graph holds no dense feature rows to forget."""
-        self._feat_csr = None
+        """Forget the op cache (the attention neighborhoods); the next read
+        rebuilds it.  The small id index and degrees stay; the graph holds no
+        feature rows to forget."""
         self._op_cache = {}
 
     def present_classes(self) -> np.ndarray:
         return np.unique(self.labels[self.labels != UNLABELED])
 
-    def features_sparse(self):
-        """CSR view of the feature matrix, built once; None if too dense to pay off.
-
-        The density rule reads this graph's own rows.  A subgraph gathers its
-        rows from the base graph's CSR, which equals converting its dense rows.
-        """
-        if self._feat_csr is None:
-            counts = self._store.row_nnz()
-            nnz = counts.sum() if self._rows is None else counts[self._rows].sum()
-            if _sparse_by_rule(nnz, self.node_count * self.feature_dim):
-                csr = self._store.csr()
-                self._feat_csr = csr if self._rows is None else csr[self._rows]
-            else:
-                self._feat_csr = False
-        return self._feat_csr if self._feat_csr is not False else None
+    def features_sparse(self, rows=None):
+        """CSR feature rows ``rows`` of this graph, gathered from a CSR store at
+        every call as ``feature_rows`` gathers dense ones; None over a dense store."""
+        csr = self._store.csr()
+        if csr is None:
+            return None
+        if self._rows is not None:
+            rows = self._rows if rows is None else self._rows[rows]
+        return csr if rows is None else csr[rows]
 
 
 def make_graph(features, edge_pairs, labels, node_ids=None) -> Graph:
@@ -815,6 +798,9 @@ def load_session_stream(g: Graph, path) -> SessionStream:
         for cls, sup in supports.items():
             if len(sup) != k_shot:
                 raise ManifestError(f"{p}: class {cls} has {len(sup)} supports, expected {k_shot}")
+            repeated = [v for v in sup if sup.count(v) > 1]
+            if repeated:
+                raise ManifestError(f"{p}: class {cls} lists support node {repeated[0]} twice")
             _, labeled = _find_sorted(members[cls], np.asarray(sup))
             if not labeled.all():                  # outside the graph, or labeled otherwise
                 v = sup[int(np.argmin(labeled))]

@@ -35,6 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import diffmath as dm
+from .checkpoint import CheckpointError, checked_ints
 from .diffmath import Tensor
 from .graph_store import Graph
 
@@ -265,7 +266,11 @@ def class_attention_to_arrays(params: ClassAttentionParams) -> dict:
 
 
 def arrays_to_class_attention(arrays: dict) -> ClassAttentionParams:
-    heads = int(arrays["class_attention/meta"][0])
+    (heads,) = checked_ints(arrays, "class_attention/meta", 1)
+    dim = arrays["class_attention/wq"].shape[-1]
+    if heads == 0 or dim % heads:
+        raise CheckpointError(f"tensor 'class_attention/meta' splits embedding dim {dim} "
+                              f"across {heads} heads")
     return ClassAttentionParams(
         wq=dm.tensor(arrays["class_attention/wq"], requires_grad=True),
         wk=dm.tensor(arrays["class_attention/wk"], requires_grad=True),
@@ -283,5 +288,8 @@ def prototypes_to_arrays(protos: PrototypeSet) -> dict:
 def arrays_to_prototypes(arrays: dict) -> PrototypeSet:
     """The prototypes of checkpoint arrays; the per-class ``prototypes/carried``
     tags that older checkpoints hold are not read."""
-    class_ids = tuple(int(c) for c in arrays["prototypes/classes"])
+    class_ids = checked_ints(arrays, "prototypes/classes", arrays["prototypes/classes"].size)
+    if any(a >= b for a, b in zip(class_ids, class_ids[1:])):
+        raise CheckpointError(f"tensor 'prototypes/classes' holds {list(class_ids)}, "
+                              f"expected distinct ascending class ids")
     return PrototypeSet(class_ids, dm.tensor(arrays["prototypes/vectors"]))

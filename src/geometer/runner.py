@@ -33,9 +33,9 @@ arrays in tensors that track no gradient, so they build no autodiff tape.
 A stage's episode loop returns, releasing its optimizer state and last
 tape, before the stage's final encode.  Each step's gradients are dropped
 once the optimizer has applied them.  A finished stage drops its snapshot's
-caches (``Graph.drop_caches``: the feature CSR gather and the attention
-neighborhoods), since no later stage encodes that snapshot, so memory held
-across a stream stays flat as sessions go by.
+caches (``Graph.drop_caches``: the attention neighborhoods), since no later
+stage encodes that snapshot, so memory held across a stream stays flat as
+sessions go by.
 
 Prediction is nearest prototype by squared Euclidean distance, ties resolved
 toward the lowest class id.
@@ -52,6 +52,7 @@ import numpy as np
 from . import diffmath as dm
 from .backbone import (BackboneParams, arrays_to_backbone, backbone_to_arrays,
                        encode, init_backbone)
+from .checkpoint import checked_ints, checked_tensor
 from .config import ExperimentConfig
 from .episodes import Episode, episode_rng, sample_finetune_episode, sample_pretrain_episode
 from .graph_store import Graph, SessionStream
@@ -139,12 +140,18 @@ def model_to_arrays(state: ModelState) -> dict:
 
 
 def arrays_to_model(arrays: dict) -> ModelState:
-    """A model from checkpoint arrays; a missing tensor raises ``KeyError``."""
-    return ModelState(
-        backbone=arrays_to_backbone(arrays),
-        class_attention=arrays_to_class_attention(arrays),
-        prototypes=arrays_to_prototypes(arrays),
-        session_index=int(arrays["meta/session_index"][0]))
+    """A model from checkpoint arrays.  Each tensor must have the shape the
+    checkpoint's own metadata gives it (the embedding width from
+    ``backbone/meta``, the class count from ``prototypes/classes``), or a
+    ``CheckpointError`` names it; a missing tensor raises ``KeyError``."""
+    backbone = arrays_to_backbone(arrays)
+    dim = backbone.out_dim
+    for name in ("class_attention/wq", "class_attention/wk", "class_attention/wv"):
+        checked_tensor(arrays, name, (dim, dim))
+    checked_tensor(arrays, "prototypes/vectors", (arrays["prototypes/classes"].size, dim))
+    (session_index,) = checked_ints(arrays, "meta/session_index", 1)
+    return ModelState(backbone, arrays_to_class_attention(arrays),
+                      arrays_to_prototypes(arrays), session_index)
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +328,12 @@ def _train_episodes(params, lr: float, episodes: int, seed: int, stage: int,
 
 def nearest_prototype(embeddings: np.ndarray, prototypes: PrototypeSet) -> list:
     """Class of the squared-Euclidean-nearest prototype per embedding row;
-    exact ties resolve to the lowest class id."""
+    exact ties resolve to the lowest class id.  The distances are those of
+    ``dm.pairwise_sq_euclidean``, clipped at 0: a round-off distance below 0
+    ties with an exact 0."""
     if prototypes is None or len(prototypes) == 0:
         raise EmptyPrototypeSetError("no prototypes to predict with")
-    protos = prototypes.vectors.data
-    dists = (np.sum(embeddings ** 2, axis=1, keepdims=True)
-             + np.sum(protos ** 2, axis=1)[None, :]
-             - 2.0 * embeddings @ protos.T)
+    dists = dm.pairwise_sq_euclidean(dm.Tensor(embeddings), prototypes.vectors.detach()).data
     picks = np.argmin(dists, axis=1)      # first minimum = lowest class id
     return [int(prototypes.class_ids[k]) for k in picks]
 

@@ -13,6 +13,7 @@ library's own private helpers.
 """
 
 import numpy as np
+from scipy import sparse
 
 import geometer.backbone as bb
 import geometer.diffmath as dm
@@ -497,9 +498,10 @@ def seed_segment_softmax(scores, starts, lens):
 
 
 def copying_induced_subgraph(g, keep):
-    """Subgraph as a stand-alone graph: its feature rows are copied out and
-    every part goes through ``make_graph`` again, which also builds its own
-    CSR from the copy."""
+    """Subgraph as a stand-alone graph: its feature rows are copied out into
+    a store of their own in ``g``'s form (a CSR built from the copy over a
+    CSR store, the dense copy over a dense one), and every other part is
+    validated again as ``make_graph`` validates it."""
     keep_ids = sorted({int(v) for v in keep})
     rows = np.array([g.row_of(v) for v in keep_ids], dtype=np.int64)
     order = np.argsort(rows)                  # preserve original row order
@@ -511,7 +513,9 @@ def copying_induced_subgraph(g, keep):
         sub_edges = remap[g.edges[mask]]
     else:
         sub_edges = np.empty((0, 2), dtype=np.int64)
-    return gs.make_graph(g.features[rows], sub_edges, g.labels[rows], g.node_ids[rows])
+    feats = g.features[rows]
+    store = gs._FeatureStore(feats if g.features_sparse() is None else sparse.csr_matrix(feats))
+    return gs._assemble_graph(store, sub_edges, g.labels[rows], g.node_ids[rows])
 
 
 class TextbookAdam:

@@ -224,8 +224,9 @@ def test_sparse_and_dense_paths_agree():
     assert g.features_sparse() is not None
     p = bb.init_backbone(3000, 8, 4, seed=9)
     emb_sparse = bb.encode(p, g).data
-    g2 = graph_from(pairs, feats)
-    g2._feat_csr = False  # force dense
+    # the same graph over a dense store, which the density rule would not pick
+    g2 = gs._assemble_graph(gs._FeatureStore(feats), pairs, [0] * 40)
+    assert g2.features_sparse() is None
     emb_dense = bb.encode(p, g2).data
     np.testing.assert_allclose(emb_sparse, emb_dense, atol=2e-5)
 
@@ -419,9 +420,13 @@ def test_edge_gradient_blocks_match_one_shot_einsum(monkeypatch):
     g, p = receptive_graph(True)
     entries = len(bb._edge_structure(g).src)
     assert entries > 3 * 7 and entries % 7 and g.node_count % 5
+    # every head of both layers is 4 float32 wide, so one byte budget gives
+    # each the same edges per block
+    (row_bytes,) = {hp.weight.shape[1] * hp.weight.dtype.itemsize
+                    for layer in p.layers for hp in layer}
 
     def grads(edge_block, row_block):
-        monkeypatch.setattr(bb, "_EDGE_BLOCK", edge_block)
+        monkeypatch.setattr(bb, "_EDGE_BLOCK_BYTES", edge_block * row_bytes)
         monkeypatch.setattr(bb, "_ROW_BLOCK", row_block)
         return _loss_and_grads(p, bb.encode(p, g))[1]
 

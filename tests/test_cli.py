@@ -629,6 +629,15 @@ def _manifest_support_of_another_class(tmp, cfg, cfg_path):
     return ("pretrain", "ManifestError", f"{path}: support node {node} is not labeled {cls}")
 
 
+def _manifest_repeats_a_support(tmp, cfg, cfg_path):
+    def edit(doc, cls, sup):
+        sup[1] = sup[0]
+        return cls, sup[0]
+
+    path, (cls, node) = _edit_manifest(cfg, cfg_path, edit)
+    return ("pretrain", "ManifestError", f"{path}: class {cls} lists support node {node} twice")
+
+
 def _checkpoint_without_seed(tmp, cfg, cfg_path):
     from geometer.checkpoint import save_tensors
     arrays = load_tensors(_pretrain_seed0(cfg, cfg_path))
@@ -638,22 +647,61 @@ def _checkpoint_without_seed(tmp, cfg, cfg_path):
             "checkpoint lacks a seed; pass --seed")
 
 
-def _checkpoint_without(tensor, command):
+def _checkpoint_case(name, command, edit, message):
     """A case that runs ``command`` (stream or export) on a pretrained
-    checkpoint with ``tensor`` dropped."""
+    checkpoint rewritten by ``edit(arrays)``; ``message(path)`` is the error
+    it must print."""
     def case(tmp, cfg, cfg_path):
         from geometer.checkpoint import save_tensors
         arrays = load_tensors(_pretrain_seed0(cfg, cfg_path))
-        del arrays[tensor]
-        path = tmp / "partial.gfsp"
+        edit(arrays)
+        path = tmp / "edited.gfsp"
         save_tensors(path, arrays)
         argv = [command, "--checkpoint", str(path)]
         if command == "export":
             argv += ["--out", str(tmp / "x.tsv")]
-        return argv, "CheckpointError", f"{path}: missing tensor {tensor!r}"
+        return argv, "CheckpointError", message(path)
 
-    case.__name__ = f"_{command}_of_a_checkpoint_without_{tensor.replace('/', '_')}"
+    case.__name__ = f"_{command}_of_a_checkpoint_{name}"
     return case
+
+
+def _checkpoint_without(tensor, command):
+    return _checkpoint_case(f"without_{tensor.replace('/', '_')}", command,
+                            lambda arrays: arrays.pop(tensor),
+                            lambda path: f"{path}: missing tensor {tensor!r}")
+
+
+# (case name, tensor, the value it is set to, what the error says of it): the
+# workspace model reads 10 features through a 12-wide hidden layer and embeds
+# in 8 dimensions, and its session-0 checkpoint holds the prototypes of 2 classes
+_BAD_TENSORS = [
+    ("with_an_empty_seed", "meta/seed", np.array([], dtype=np.int64),
+     "has shape [0], expected [1]"),
+    ("with_a_negative_seed", "meta/seed", np.array([-1]),
+     "holds [-1], expected non-negative integers"),
+    ("with_a_fractional_session", "meta/session_index", np.array([0.5]),
+     "holds [0.5], expected non-negative integers"),
+    ("with_a_short_backbone_meta", "backbone/meta", np.array([10, 12, 8]),
+     "has shape [3], expected [5]"),
+    ("with_5_backbone_heads", "backbone/meta", np.array([10, 12, 8, 5, 1]),
+     "splits hidden dim 12 across 5 heads"),
+    ("with_a_3x3_query_matrix", "class_attention/wq", np.zeros((3, 3)),
+     "has shape [3, 3], expected [8, 8]"),
+    ("with_3_attention_heads", "class_attention/meta", np.array([3]),
+     "splits embedding dim 8 across 3 heads"),
+    ("with_a_repeated_prototype_class", "prototypes/classes", np.array([0, 0]),
+     "holds [0, 0], expected distinct ascending class ids"),
+    ("with_5_wide_prototypes", "prototypes/vectors", np.zeros((2, 5)),
+     "has shape [2, 5], expected [2, 8]"),
+    ("with_one_prototype_for_two_classes", "prototypes/vectors", np.zeros((1, 8)),
+     "has shape [1, 8], expected [2, 8]"),
+]
+
+
+def _checkpoint_with(name, tensor, value, problem, command):
+    return _checkpoint_case(name, command, lambda arrays: arrays.update({tensor: value}),
+                            lambda path: f"{path}: tensor {tensor!r} {problem}")
 
 
 def _checkpoint_cut_in_a_header(tmp, cfg, cfg_path):
@@ -679,13 +727,16 @@ _BAD_INPUTS = [_missing_dataset, _missing_manifest, _missing_checkpoint, _base_w
                _wrong_novel_count, _manifest_is_a_directory, _manifest_not_json,
                _manifest_without_k_shot, _manifest_class_without_supports,
                _manifest_short_of_supports, _manifest_support_outside_the_graph,
-               _manifest_support_of_another_class, _checkpoint_without_seed,
+               _manifest_support_of_another_class, _manifest_repeats_a_support,
+               _checkpoint_without_seed,
                _checkpoint_cut_in_a_header, _export_of_another_session,
                _report_of_an_empty_run,
                *(_checkpoint_without(tensor, command)
                  for tensor in ("class_attention/wq", "meta/session_index",
                                 "prototypes/vectors", "prototypes/classes")
-                 for command in ("stream", "export"))]
+                 for command in ("stream", "export")),
+               *(_checkpoint_with(*bad, command)
+                 for bad in _BAD_TENSORS for command in ("stream", "export"))]
 
 
 @pytest.mark.parametrize("case", _BAD_INPUTS, ids=[f.__name__[1:] for f in _BAD_INPUTS])

@@ -147,7 +147,7 @@ def test_deferred_features_are_read_on_first_use(tmp_path, density):
     deferred = gs.load_graph(tmp_path, defer_features=True)
     store = deferred._store
     assert store.shape == _LOADER_SHAPE and deferred.feature_dim == _LOADER_SHAPE[1]
-    assert store._dense is None and store._csr is None and store._row_nnz is None
+    assert store._dense is None and store._csr is None
     loaded = gs.load_graph(tmp_path)
     assert graphs_equal(deferred, loaded)          # reads the file here
     assert (store._dense is None) == (loaded._store._dense is None) == (density == "sparse")

@@ -206,27 +206,29 @@ def _banded_graph():
     return gs.make_graph(feats, pairs, [0] * n)
 
 
-@pytest.mark.parametrize("keep, sparse_path", [
-    (range(200), True),          # the base itself, density 0.05
-    (range(0, 200, 2), True),    # 5 of 100 rows dense, density 0.05
-    (range(40), False),          # 10 of 40 rows dense, density just above 0.25
-    (range(10, 200), True),      # no dense row
-    (range(10, 40), True),       # no dense row; the base's nonzeros would fill a third
-    (range(10, 23), False),      # no dense row, but 13 x 5000 = 65,000 entries is too small
-    (range(13), False),          # mostly dense rows, and too small
+# the density rule reads the whole base once: every snapshot of the sparse
+# base takes its CSR path, whatever the density of its own rows
+@pytest.mark.parametrize("keep", [
+    range(200),          # the base itself, density 0.05
+    range(0, 200, 2),    # 5 of 100 rows dense, density 0.05
+    range(40),           # 10 of 40 rows dense, density just above 0.25
+    range(10, 200),      # no dense row
+    range(10, 40),       # no dense row; the base's nonzeros would fill a third
+    range(10, 23),       # no dense row, and 13 x 5000 = 65,000 entries
+    range(13),           # mostly dense rows
 ], ids=["all", "even", "dense_rows", "sparse_rows", "sparse_few", "sparse_small", "small"])
-def test_each_snapshot_picks_its_own_feature_path(keep, sparse_path):
+def test_each_snapshot_picks_its_own_feature_path(keep):
     g = _banded_graph()
     assert g.features_sparse() is not None
     snap = induced_subgraph(g, keep)
-    assert (snap.features_sparse() is not None) == sparse_path
+    assert snap.features_sparse() is not None
     _assert_same_graph(snap, copying_induced_subgraph(g, keep))
 
 
-def test_sparse_snapshot_of_a_dense_base_gathers_the_base_csr():
+def test_snapshot_of_a_dense_base_stays_dense_and_builds_no_csr():
     # rows 0-59 dense make the base dense by the rule (density 0.3); a
-    # snapshot of rows 50-199 (density 0.07) takes the CSR path, whose CSR the
-    # dense store builds once from its array and the snapshot row-gathers
+    # snapshot of rows 50-199, at density 0.07 on its own rows, reads the
+    # store's dense rows too, and nothing builds a CSR copy
     rng = np.random.default_rng(36)
     n, d = 200, 5000
     feats = np.zeros((n, d), dtype=np.float32)
@@ -234,14 +236,15 @@ def test_sparse_snapshot_of_a_dense_base_gathers_the_base_csr():
     feats[np.arange(60, n), rng.integers(0, d, size=n - 60)] = 1.0
     labels = np.repeat(np.arange(4), n // 4)
     g = gs.make_graph(feats, [(i, i + 1) for i in range(n - 1)] + [(0, 100), (55, 150)], labels)
-    assert g.features_sparse() is None and g._store._csr is None
+    assert g.features_sparse() is None
     snap = induced_subgraph(g, range(50, n))
-    assert snap.features_sparse() is not None and g._store._csr is not None
+    assert snap.features_sparse() is None and snap.features_sparse(np.arange(5)) is None
     oracle = copying_induced_subgraph(g, range(50, n))
     _assert_same_graph(snap, oracle)
     p = bb.init_backbone(d, 16, 8, seed=37, heads=2)
     rows = np.sort(np.random.default_rng(38).choice(snap.node_count, size=30, replace=False))
     _assert_same_encode(p, snap, oracle, rows)
+    assert g._store._csr is None
 
 
 def test_snapshot_features_are_read_only():
