@@ -62,7 +62,6 @@ import numpy as np
 from scipy import sparse
 
 from . import diffmath as dm
-from .checkpoint import CheckpointError, checked_ints, checked_tensor
 from .diffmath import Tensor
 from .graph_store import Graph
 
@@ -81,8 +80,7 @@ _FLUSH_BLOCK = 65536
 # [block x width] scratch instead of two [rows x width] outer products
 _ROW_BLOCK = 256
 
-__all__ = ["HeadParams", "BackboneParams", "init_backbone", "gat_layer", "encode",
-           "backbone_to_arrays", "arrays_to_backbone"]
+__all__ = ["HeadParams", "BackboneParams", "init_backbone", "gat_layer", "encode"]
 
 
 @dataclass
@@ -125,11 +123,6 @@ def _glorot(rng, shape, dtype):
     return rng.uniform(-s, s, size=shape).astype(dtype)
 
 
-def _weight_tensor(out_in: np.ndarray) -> Tensor:
-    """The held [in x out] C-order parameter for an [out x in] weight."""
-    return dm.tensor(np.ascontiguousarray(out_in.T), requires_grad=True)
-
-
 def init_backbone(feature_dim: int, hidden: int, out_dim: int, seed: int,
                   heads: int = 1, dtype=np.float32) -> BackboneParams:
     """Glorot-uniform initialization, deterministic under ``seed``; ``heads``
@@ -145,7 +138,9 @@ def init_backbone(feature_dim: int, hidden: int, out_dim: int, seed: int,
         for hi in range(n_heads):
             rng = np.random.default_rng([seed, li, hi])
             heads_p.append(HeadParams(
-                weight=_weight_tensor(_glorot(rng, (out_h, in_dim), dtype)),
+                # drawn [out x in], the layout checkpoints store, held [in x out]
+                weight=dm.tensor(np.ascontiguousarray(_glorot(rng, (out_h, in_dim), dtype).T),
+                                 requires_grad=True),
                 attn=dm.tensor(_glorot(rng, (2 * out_h,), dtype), requires_grad=True),
             ))
         layers.append(tuple(heads_p))
@@ -424,46 +419,3 @@ def encode(params: BackboneParams, g: Graph, dropout_rate: float = 0.0,
     h = gat_layer(params, g, h, 0, struct0)
     h = _dropout(h, dropout_rate, rng, g.node_count, rows1)
     return gat_layer(params, g, h, 1, struct1)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint plumbing
-
-def backbone_to_arrays(params: BackboneParams) -> dict:
-    """Checkpoint arrays; head weights in their [out x in] stored layout.  The
-    meta row ends with each layer's head count, the output layer's always 1."""
-    arrays = {
-        "backbone/meta": np.array(
-            [params.feature_dim, params.hidden_dim, params.out_dim, params.heads, 1],
-            dtype=np.int64),
-    }
-    for li, layer in enumerate(params.layers):
-        for hi, hp in enumerate(layer):
-            arrays[f"backbone/l{li}/h{hi}/weight"] = hp.weight.data.T
-            arrays[f"backbone/l{li}/h{hi}/attn"] = hp.attn.data
-    return arrays
-
-
-def arrays_to_backbone(arrays: dict) -> BackboneParams:
-    """Parameters from checkpoint arrays, each tensor held to the shape that
-    ``backbone/meta`` gives it."""
-    feature_dim, hidden, out_dim, heads, out_heads = checked_ints(arrays, "backbone/meta", 5)
-    if out_heads != 1:
-        raise CheckpointError(f"checkpoint output layer has {out_heads} heads; "
-                              f"only one is supported")
-    if heads == 0 or hidden % heads:
-        raise CheckpointError(f"tensor 'backbone/meta' splits hidden dim {hidden} "
-                              f"across {heads} heads")
-    layers = []
-    for li, (in_dim, out_h, n_heads) in enumerate(((feature_dim, hidden // heads, heads),
-                                                   (hidden, out_dim, 1))):
-        heads_p = []
-        for hi in range(n_heads):
-            name = f"backbone/l{li}/h{hi}/"
-            heads_p.append(HeadParams(
-                weight=_weight_tensor(checked_tensor(arrays, name + "weight", (out_h, in_dim))),
-                attn=dm.tensor(checked_tensor(arrays, name + "attn", (2 * out_h,)),
-                               requires_grad=True),
-            ))
-        layers.append(tuple(heads_p))
-    return BackboneParams(tuple(layers), feature_dim, hidden, out_dim)

@@ -1,6 +1,24 @@
-"""Binary container for named tensors (model checkpoints, prototypes).
+"""The checkpoint format: one model and its seed as a file of named tensors.
 
-Layout, all little-endian:
+A checkpoint holds, in this order: ``meta/session_index`` [1];
+``backbone/meta`` [5] (the feature, hidden and embedding dims, then layer 0's
+head count and the output layer's, always 1); per layer ``l`` and head ``h``,
+``backbone/l<l>/h<h>/weight`` [out x in] then ``backbone/l<l>/h<h>/attn``
+[2 * out]; ``class_attention/meta`` [1] (its head count);
+``class_attention/wq``, ``wk`` and ``wv`` [dim x dim]; ``prototypes/classes``
+[C] (distinct ascending class ids); ``prototypes/vectors`` [C x dim]; and
+``meta/seed`` [1].  A head's weight is stored [out x in], the transpose of
+the C-order [in x out] matrix that ``backbone`` trains.  Metadata and class
+ids are int64 (float32 in older files, see below); older files also hold
+per-class ``prototypes/carried`` tags, which are not read.
+
+``model_to_arrays`` and ``arrays_to_model`` are the only code that knows
+these names and layouts.  A model loads only when each tensor it needs has
+the shape the checkpoint's own metadata gives it, each metadata entry is a
+non-negative integer, each head count divides its layer's width and the
+class ids ascend; otherwise a ``CheckpointError`` names the tensor.
+
+File layout, all little-endian:
   magic b"GFSP"
   u32 tensor count
   per tensor: u32 name length, utf-8 name, u32 kind << 16 | ndim, u32 dims...,
@@ -8,10 +26,6 @@ Layout, all little-endian:
 
 Kind 0 is a float32 payload and kind 1 an int64 one.  Files written before
 the int64 kind existed hold only kind 0, so they read as they always have.
-
-A model reads its tensors through ``checked_tensor`` and ``checked_ints``,
-which hold each tensor to the shape the checkpoint's own metadata gives it
-and each metadata entry to a non-negative integer.
 """
 
 from __future__ import annotations
@@ -22,37 +36,107 @@ from pathlib import Path
 
 import numpy as np
 
+from . import diffmath as dm
+from .backbone import BackboneParams, HeadParams
 from .fileio import replacing
+from .prototypes import ClassAttentionParams, PrototypeSet
+from .runner import ModelState
 
 _MAGIC = b"GFSP"
 # kind code -> payload dtype
 _KINDS = {0: np.dtype("<f4"), 1: np.dtype("<i8")}
+_CLASS_ATTENTION = ("wq", "wk", "wv")
 
-__all__ = ["CheckpointError", "save_tensors", "load_tensors", "checked_tensor",
-           "checked_ints"]
+__all__ = ["CheckpointError", "save_tensors", "load_tensors", "model_to_arrays",
+           "arrays_to_model"]
 
 
 class CheckpointError(Exception):
     pass
 
 
-def checked_tensor(tensors: dict, name: str, shape: tuple) -> np.ndarray:
-    """Tensor ``name``, which must have ``shape``; ``KeyError`` when it is absent."""
-    arr = tensors[name]
-    if arr.shape != tuple(shape):
-        raise CheckpointError(f"tensor {name!r} has shape {list(arr.shape)}, "
-                              f"expected {list(shape)}")
-    return arr
+def model_to_arrays(model: ModelState, seed: int) -> dict:
+    """The checkpoint arrays of ``model`` trained under ``seed``, in file order."""
+    bb, ca, protos = model.backbone, model.class_attention, model.prototypes
+    arrays = {"meta/session_index": np.array([model.session_index], dtype=np.int64),
+              "backbone/meta": np.array([bb.feature_dim, bb.hidden_dim, bb.out_dim, bb.heads, 1],
+                                        dtype=np.int64)}
+    for li, layer in enumerate(bb.layers):
+        for hi, hp in enumerate(layer):
+            arrays[f"backbone/l{li}/h{hi}/weight"] = hp.weight.data.T
+            arrays[f"backbone/l{li}/h{hi}/attn"] = hp.attn.data
+    arrays["class_attention/meta"] = np.array([ca.heads], dtype=np.int64)
+    for w, t in zip(_CLASS_ATTENTION, ca.tensors()):
+        arrays[f"class_attention/{w}"] = t.data
+    arrays["prototypes/classes"] = np.array(protos.class_ids, dtype=np.int64)
+    arrays["prototypes/vectors"] = protos.vectors.data
+    arrays["meta/seed"] = np.array([seed], dtype=np.int64)
+    return arrays
 
 
-def checked_ints(tensors: dict, name: str, count: int) -> tuple:
-    """The ``count`` entries of the 1-D metadata tensor ``name`` as ints.  Each
-    must be a non-negative integer; older files hold them as float32."""
-    arr = checked_tensor(tensors, name, (count,))
-    if not (np.isfinite(arr).all() and (arr >= 0).all() and (arr == np.floor(arr)).all()):
-        raise CheckpointError(f"tensor {name!r} holds {arr.tolist()}, "
-                              f"expected non-negative integers")
-    return tuple(int(v) for v in arr)
+def arrays_to_model(arrays: dict) -> tuple:
+    """The model and seed of checkpoint arrays; the seed is None when they hold
+    none.  The weights and attention vectors track gradients; the arrays of an
+    in-memory round trip keep their dtype."""
+
+    def tensor(name: str, *shape) -> np.ndarray:
+        """Tensor ``name``, which must have ``shape``; a dim of None is its size."""
+        if name not in arrays:
+            raise CheckpointError(f"missing tensor {name!r}")
+        arr = arrays[name]
+        shape = tuple(arr.size if d is None else d for d in shape)
+        if arr.shape != shape:
+            raise CheckpointError(f"tensor {name!r} has shape {list(arr.shape)}, "
+                                  f"expected {list(shape)}")
+        return arr
+
+    def ints(name: str, count) -> tuple:
+        """The ``count`` entries (None: all) of 1-D ``name``, non-negative ints."""
+        arr = tensor(name, count)
+        if not (np.isfinite(arr).all() and (arr >= 0).all() and (arr == np.floor(arr)).all()):
+            raise CheckpointError(f"tensor {name!r} holds {arr.tolist()}, "
+                                  f"expected non-negative integers")
+        return tuple(int(v) for v in arr)
+
+    def param(arr: np.ndarray) -> dm.Tensor:
+        return dm.tensor(arr, requires_grad=True)
+
+    seed = ints("meta/seed", 1)[0] if "meta/seed" in arrays else None
+    (session_index,) = ints("meta/session_index", 1)
+
+    feature_dim, hidden, dim, heads, out_heads = ints("backbone/meta", 5)
+    if out_heads != 1:
+        raise CheckpointError(f"checkpoint output layer has {out_heads} heads; "
+                              f"only one is supported")
+    if heads == 0 or hidden % heads:
+        raise CheckpointError(f"tensor 'backbone/meta' splits hidden dim {hidden} "
+                              f"across {heads} heads")
+    layers = []
+    for li, (in_dim, out_h, n_heads) in enumerate(((feature_dim, hidden // heads, heads),
+                                                   (hidden, dim, 1))):
+        layers.append(tuple(
+            HeadParams(
+                weight=param(np.ascontiguousarray(
+                    tensor(f"backbone/l{li}/h{hi}/weight", out_h, in_dim).T)),
+                attn=param(tensor(f"backbone/l{li}/h{hi}/attn", 2 * out_h)))
+            for hi in range(n_heads)))
+    backbone = BackboneParams(tuple(layers), feature_dim, hidden, dim)
+
+    (ca_heads,) = ints("class_attention/meta", 1)
+    if ca_heads == 0 or dim % ca_heads:
+        raise CheckpointError(f"tensor 'class_attention/meta' splits embedding dim {dim} "
+                              f"across {ca_heads} heads")
+    class_attention = ClassAttentionParams(
+        *(param(tensor(f"class_attention/{w}", dim, dim)) for w in _CLASS_ATTENTION),
+        heads=ca_heads)
+
+    class_ids = ints("prototypes/classes", None)
+    if any(a >= b for a, b in zip(class_ids, class_ids[1:])):
+        raise CheckpointError(f"tensor 'prototypes/classes' holds {list(class_ids)}, "
+                              f"expected distinct ascending class ids")
+    prototypes = PrototypeSet(class_ids,
+                              dm.tensor(tensor("prototypes/vectors", len(class_ids), dim)))
+    return ModelState(backbone, class_attention, prototypes, session_index), seed
 
 
 def save_tensors(path, tensors: dict) -> None:

@@ -24,13 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, checked_ints, load_tensors, save_tensors
+from .checkpoint import (CheckpointError, arrays_to_model, load_tensors, model_to_arrays,
+                         save_tensors)
 from .config import ExperimentConfig, parse_config
 from .fileio import replacing
 from .graph_store import (build_session_stream, load_graph, load_session_stream,
                           save_manifest)
-from .runner import (ModelState, arrays_to_model, evaluate_session,
-                     model_to_arrays, pretrain, run_stream_session)
+from .runner import ModelState, evaluate_session, pretrain, run_stream_session
 
 log = logging.getLogger(__name__)
 
@@ -76,24 +76,29 @@ def _append_record(path: Path, record: dict) -> None:
 
 
 def _save_model(cfg: ExperimentConfig, model: ModelState, seed: int) -> Path:
-    arrays = model_to_arrays(model)
-    arrays["meta/seed"] = np.array([seed], dtype=np.int64)
     path = _checkpoint_path(cfg, seed, model.session_index)
     path.parent.mkdir(parents=True, exist_ok=True)
-    save_tensors(path, arrays)
+    save_tensors(path, model_to_arrays(model, seed))
     return path
 
 
 def _load_model(path) -> tuple:
+    """The model and stored seed (None if absent) of a checkpoint file."""
     path = _require(path, "checkpoint")
     arrays = load_tensors(path)
     try:
-        seed = checked_ints(arrays, "meta/seed", 1)[0] if "meta/seed" in arrays else None
-        return arrays_to_model(arrays), seed
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing tensor {exc.args[0]!r}") from None
+        return arrays_to_model(arrays)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _require_session_classes(path, model: ModelState, stream) -> None:
+    """A loaded model's prototypes must be those of its session's classes."""
+    held, expected = list(model.prototypes.class_ids), list(stream.classes_at(model.session_index))
+    if held != expected:
+        raise CheckpointError(
+            f"{path}: tensor 'prototypes/classes' holds {held}, expected the classes "
+            f"of session {model.session_index}: {expected}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +154,18 @@ def _run_stage(cfg: ExperimentConfig, stream, seed: int, stage) -> tuple:
     model and its checkpoint path."""
     started = time.perf_counter()
     model = stage()
-    train_seconds = time.perf_counter() - started
+    seconds = time.perf_counter() - started
     path = _save_model(cfg, model, seed)
     session = model.session_index
+    started = time.perf_counter()
     metrics = evaluate_session(model, stream, session, embeddings=model.embeddings)
-    record = metrics.to_record()
-    record["seconds"] = train_seconds + metrics.wall_time
-    record["seed"] = seed
-    record["mode"] = cfg.mode
-    _append_record(_metrics_path(cfg, seed), record)
+    seconds += time.perf_counter() - started
+    _append_record(_metrics_path(cfg, seed), {
+        "session": session, "mean": metrics.accuracy_mean,
+        "per_class": {str(k): v for k, v in sorted(metrics.per_class.items())},
+        "seconds": seconds, "seed": seed, "mode": cfg.mode})
     log.info("seed %d session %d accuracy %.4f (%.1fs)", seed, session,
-             metrics.accuracy_mean, record["seconds"])
+             metrics.accuracy_mean, seconds)
     return model, path
 
 
@@ -192,6 +198,7 @@ def cmd_stream(cfg: ExperimentConfig, seed_override: int | None = None,
             raise CliError(
                 f"checkpoint is at session {model.session_index}, but the manifest "
                 f"has only {stream.num_sessions} sessions")
+        _require_session_classes(path, model, stream)
         for session in range(model.session_index + 1, stream.num_sessions + 1):
             # hand the model over with no reference left here, so the session
             # frees the teacher's weights once it has cloned the student
@@ -310,6 +317,7 @@ def export_embeddings(cfg: ExperimentConfig, checkpoint: str, session: int | Non
         raise CliError(f"unknown session {session}; stream has 0..{stream.num_sessions}")
     if session != model.session_index:
         raise CliError(f"checkpoint is for session {model.session_index}, asked for {session}")
+    _require_session_classes(checkpoint, model, stream)
     g = stream.snapshots[session]
     from .backbone import encode
     emb = encode(model.backbone.detached(), g).data

@@ -35,15 +35,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import diffmath as dm
-from .checkpoint import CheckpointError, checked_ints
 from .diffmath import Tensor
 from .graph_store import Graph
 
 log = logging.getLogger(__name__)
 
 __all__ = ["ClassAttentionParams", "PrototypeSet", "EmptySupportError",
-           "init_class_attention", "refine_prototype", "compute_prototypes",
-           "prototypes_to_arrays", "arrays_to_prototypes"]
+           "init_class_attention", "refine_prototype", "compute_prototypes"]
 
 
 class EmptySupportError(ValueError):
@@ -251,45 +249,3 @@ def compute_prototypes(embeddings: Tensor, supports: Mapping[int, Sequence[int]]
     if mode == "attention":
         vectors = refine_prototype(params, vectors, support_emb, lens)
     return PrototypeSet(tuple(class_ids), vectors)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint plumbing
-
-def class_attention_to_arrays(params: ClassAttentionParams) -> dict:
-    return {
-        "class_attention/meta": np.array([params.heads], dtype=np.int64),
-        "class_attention/wq": params.wq.data,
-        "class_attention/wk": params.wk.data,
-        "class_attention/wv": params.wv.data,
-    }
-
-
-def arrays_to_class_attention(arrays: dict) -> ClassAttentionParams:
-    (heads,) = checked_ints(arrays, "class_attention/meta", 1)
-    dim = arrays["class_attention/wq"].shape[-1]
-    if heads == 0 or dim % heads:
-        raise CheckpointError(f"tensor 'class_attention/meta' splits embedding dim {dim} "
-                              f"across {heads} heads")
-    return ClassAttentionParams(
-        wq=dm.tensor(arrays["class_attention/wq"], requires_grad=True),
-        wk=dm.tensor(arrays["class_attention/wk"], requires_grad=True),
-        wv=dm.tensor(arrays["class_attention/wv"], requires_grad=True),
-        heads=heads)
-
-
-def prototypes_to_arrays(protos: PrototypeSet) -> dict:
-    return {
-        "prototypes/classes": np.array(protos.class_ids, dtype=np.int64),
-        "prototypes/vectors": protos.vectors.data,
-    }
-
-
-def arrays_to_prototypes(arrays: dict) -> PrototypeSet:
-    """The prototypes of checkpoint arrays; the per-class ``prototypes/carried``
-    tags that older checkpoints hold are not read."""
-    class_ids = checked_ints(arrays, "prototypes/classes", arrays["prototypes/classes"].size)
-    if any(a >= b for a, b in zip(class_ids, class_ids[1:])):
-        raise CheckpointError(f"tensor 'prototypes/classes' holds {list(class_ids)}, "
-                              f"expected distinct ascending class ids")
-    return PrototypeSet(class_ids, dm.tensor(arrays["prototypes/vectors"]))

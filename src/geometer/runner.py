@@ -43,16 +43,14 @@ toward the lowest class id.
 
 from __future__ import annotations
 
+import copy
 import logging
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import diffmath as dm
-from .backbone import (BackboneParams, arrays_to_backbone, backbone_to_arrays,
-                       encode, init_backbone)
-from .checkpoint import checked_ints, checked_tensor
+from .backbone import BackboneParams, encode, init_backbone
 from .config import ExperimentConfig
 from .episodes import Episode, episode_rng, sample_finetune_episode, sample_pretrain_episode
 from .graph_store import Graph, SessionStream
@@ -60,16 +58,14 @@ from .losses import (LossWeights, distillation_loss, finetune_loss,
                      inverse_frequency_alpha, proximity_loss, separability_loss,
                      softened_logits, uniformity_loss)
 from .optim import Adam
-from .prototypes import (ClassAttentionParams, PrototypeSet, arrays_to_class_attention,
-                         arrays_to_prototypes, class_attention_to_arrays,
-                         compute_prototypes, init_class_attention,
-                         prototypes_to_arrays)
+from .prototypes import (ClassAttentionParams, PrototypeSet, compute_prototypes,
+                         init_class_attention)
 
 log = logging.getLogger(__name__)
 
 __all__ = ["ModelState", "SessionMetrics", "TrainingDivergedError", "MissingTeacherError",
            "pretrain", "run_stream_session", "predict_nodes", "nearest_prototype",
-           "evaluate_session", "model_to_arrays", "arrays_to_model", "clone_state"]
+           "evaluate_session", "clone_state"]
 
 
 class TrainingDivergedError(RuntimeError):
@@ -103,55 +99,13 @@ class SessionMetrics:
     session_index: int
     accuracy_mean: float
     per_class: dict
-    wall_time: float
-
-    def to_record(self) -> dict:
-        return {"session": self.session_index, "mean": self.accuracy_mean,
-                "per_class": {str(k): v for k, v in sorted(self.per_class.items())},
-                "seconds": self.wall_time}
 
 
 def clone_state(state: ModelState) -> ModelState:
-    """Deep copy preserving dtype; the original's arrays are never aliased."""
-    from .backbone import HeadParams
-
-    def dup(t):
-        return dm.Tensor(t.data.copy(), requires_grad=True)
-
-    layers = tuple(tuple(HeadParams(dup(hp.weight), dup(hp.attn)) for hp in layer)
-                   for layer in state.backbone.layers)
-    bb = BackboneParams(layers, state.backbone.feature_dim,
-                        state.backbone.hidden_dim, state.backbone.out_dim)
-    ca = ClassAttentionParams(dup(state.class_attention.wq), dup(state.class_attention.wk),
-                              dup(state.class_attention.wv), state.class_attention.heads)
-    protos = None
-    if state.prototypes is not None:
-        protos = PrototypeSet(state.prototypes.class_ids,
-                              dm.Tensor(state.prototypes.vectors.data.copy()))
-    return ModelState(bb, ca, protos, state.session_index)
-
-
-def model_to_arrays(state: ModelState) -> dict:
-    arrays = {"meta/session_index": np.array([state.session_index], dtype=np.int64)}
-    arrays.update(backbone_to_arrays(state.backbone))
-    arrays.update(class_attention_to_arrays(state.class_attention))
-    arrays.update(prototypes_to_arrays(state.prototypes))
-    return arrays
-
-
-def arrays_to_model(arrays: dict) -> ModelState:
-    """A model from checkpoint arrays.  Each tensor must have the shape the
-    checkpoint's own metadata gives it (the embedding width from
-    ``backbone/meta``, the class count from ``prototypes/classes``), or a
-    ``CheckpointError`` names it; a missing tensor raises ``KeyError``."""
-    backbone = arrays_to_backbone(arrays)
-    dim = backbone.out_dim
-    for name in ("class_attention/wq", "class_attention/wk", "class_attention/wv"):
-        checked_tensor(arrays, name, (dim, dim))
-    checked_tensor(arrays, "prototypes/vectors", (arrays["prototypes/classes"].size, dim))
-    (session_index,) = checked_ints(arrays, "meta/session_index", 1)
-    return ModelState(backbone, arrays_to_class_attention(arrays),
-                      arrays_to_prototypes(arrays), session_index)
+    """A deep copy without the stage embeddings.  Each tensor keeps its dtype,
+    C order and ``requires_grad``, and no array is shared with ``state``; every
+    model the library builds or loads has weights that track gradients."""
+    return copy.deepcopy(replace(state, embeddings=None))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +318,6 @@ def evaluate_session(model: ModelState, stream: SessionStream, session: int,
     """
     if model.session_index != session:
         raise ValueError(f"model is at session {model.session_index}, asked for {session}")
-    started = time.perf_counter()
     pools = stream.eval_pools[session]
     classes = stream.classes_at(session)
     nodes, labels = [], []
@@ -381,8 +334,4 @@ def evaluate_session(model: ModelState, stream: SessionStream, session: int,
     for cls in classes:
         mask = labels == cls
         per_class[int(cls)] = float((predictions[mask] == cls).mean())
-    return SessionMetrics(
-        session_index=session,
-        accuracy_mean=float((predictions == labels).mean()),
-        per_class=per_class,
-        wall_time=time.perf_counter() - started)
+    return SessionMetrics(session, float((predictions == labels).mean()), per_class)

@@ -9,7 +9,8 @@ byte for byte.  The elementary autodiff ops that only those chains and the
 tests use (``add`` to ``mean`` below) live here, with the arithmetic they had
 in ``geometer.diffmath``.  So do the graph queries that only tests need
 (attention coefficients, subgraphs, graph and stream equality), built on the
-library's own private helpers.
+library's own private helpers, and a whole model around one part for the
+checkpoint tests.
 """
 
 import numpy as np
@@ -19,6 +20,8 @@ import geometer.backbone as bb
 import geometer.diffmath as dm
 import geometer.graph_store as gs
 import geometer.losses as ls
+import geometer.prototypes as pt
+from geometer.runner import ModelState
 
 
 # ---------------------------------------------------------------------------
@@ -551,3 +554,15 @@ def where_elu(a):
         return np.where(neg, g * (out + 1.0), g)
 
     return out, vjp
+
+
+# ---------------------------------------------------------------------------
+# a whole model around one part, for the checkpoint functions
+
+def model_around(backbone, prototypes=None):
+    """A model of ``backbone``, one-head class attention and ``prototypes``
+    (by default one zero prototype of class 0), all in the backbone's dtype."""
+    dim, dtype = backbone.out_dim, backbone.dtype
+    if prototypes is None:
+        prototypes = pt.PrototypeSet((0,), dm.tensor(np.zeros((1, dim), dtype=dtype)))
+    return ModelState(backbone, pt.init_class_attention(dim, heads=1, dtype=dtype), prototypes)

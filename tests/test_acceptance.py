@@ -25,7 +25,7 @@ import geometer.losses as ls
 import geometer.prototypes as pt
 import geometer.runner as rn
 from geometer.backbone import gat_layer, init_backbone
-from geometer.checkpoint import load_tensors, save_tensors
+from geometer.checkpoint import arrays_to_model, load_tensors, model_to_arrays, save_tensors
 from geometer.config import ExperimentConfig
 from geometer.synth import make_clustered_graph, write_synthetic_dataset
 from oracles import (attention_coefficients, central_differences, grad_relative_error,
@@ -270,15 +270,15 @@ def test_criterion_5_round_trips_and_determinism(tmp_path):
                            k_max=4, k_qry=4, episodes_pretrain=10, episodes_finetune=6,
                            k_shot=3)
     model = rn.pretrain(stream, cfg, seed=0)
-    save_tensors(tmp_path / "c.gfsp", rn.model_to_arrays(model))
-    back = rn.arrays_to_model(load_tensors(tmp_path / "c.gfsp"))
+    save_tensors(tmp_path / "c.gfsp", model_to_arrays(model, 0))
+    back, _ = arrays_to_model(load_tensors(tmp_path / "c.gfsp"))
     _check("checkpoint round-trip",
            all(a.data.tobytes() == b.data.tobytes()
                for a, b in zip(model.trainable(), back.trainable())))
 
-    before = {k: v.tobytes() for k, v in rn.model_to_arrays(model).items()}
+    before = {k: v.tobytes() for k, v in model_to_arrays(model, 0).items()}
     rn.run_stream_session(model, stream, 1, cfg, seed=0)
-    after = {k: v.tobytes() for k, v in rn.model_to_arrays(model).items()}
+    after = {k: v.tobytes() for k, v in model_to_arrays(model, 0).items()}
     _check("teacher bit-immutability", before == after)
 
     again = rn.pretrain(stream, cfg, seed=0)

@@ -4,7 +4,8 @@ import pytest
 import geometer.backbone as bb
 import geometer.diffmath as dm
 import geometer.graph_store as gs
-from geometer.checkpoint import CheckpointError, load_tensors, save_tensors
+from geometer.checkpoint import (CheckpointError, arrays_to_model, load_tensors,
+                                 model_to_arrays, save_tensors)
 import oracles
 from oracles import adjacency_matrix, central_differences, grad_relative_error
 
@@ -234,8 +235,8 @@ def test_sparse_and_dense_paths_agree():
 def test_checkpoint_round_trip(tmp_path):
     p = bb.init_backbone(7, 6, 4, seed=10, heads=2)
     path = tmp_path / "params.gfsp"
-    save_tensors(path, bb.backbone_to_arrays(p))
-    q = bb.arrays_to_backbone(load_tensors(path))
+    save_tensors(path, model_to_arrays(oracles.model_around(p), 0))
+    q = arrays_to_model(load_tensors(path))[0].backbone
     assert q.heads == p.heads and q.hidden_dim == p.hidden_dim
     for a, b in zip(p.tensors(), q.tensors()):
         assert a.data.tobytes() == b.data.tobytes()
@@ -438,7 +439,7 @@ def test_edge_gradient_blocks_match_one_shot_einsum(monkeypatch):
 
 def test_checkpoint_arrays_keep_the_out_by_in_layout():
     p = bb.init_backbone(7, 6, 4, seed=10, heads=2)
-    arrays = bb.backbone_to_arrays(p)
+    arrays = model_to_arrays(oracles.model_around(p), 0)
     shapes = {"backbone/l0/h0/weight": (3, 7), "backbone/l0/h1/weight": (3, 7),
               "backbone/l1/h0/weight": (4, 6)}
     for name, shape in shapes.items():
@@ -453,10 +454,10 @@ def test_checkpoint_arrays_keep_the_out_by_in_layout():
 @pytest.mark.parametrize("dtype", [np.float32, F64])
 def test_backbone_arrays_round_trip_byte_exactly(dtype, tmp_path):
     p = bb.init_backbone(7, 6, 4, seed=11, heads=2, dtype=dtype)
-    backs = [bb.arrays_to_backbone(bb.backbone_to_arrays(p))]
+    backs = [arrays_to_model(model_to_arrays(oracles.model_around(p), 0))[0].backbone]
     if dtype == np.float32:     # checkpoints store float32
-        save_tensors(tmp_path / "p.gfsp", bb.backbone_to_arrays(p))
-        backs.append(bb.arrays_to_backbone(load_tensors(tmp_path / "p.gfsp")))
+        save_tensors(tmp_path / "p.gfsp", model_to_arrays(oracles.model_around(p), 0))
+        backs.append(arrays_to_model(load_tensors(tmp_path / "p.gfsp"))[0].backbone)
     for q in backs:
         assert (q.feature_dim, q.hidden_dim, q.out_dim, q.heads) == (7, 6, 4, 2)
         for a, b in zip(p.tensors(), q.tensors()):
@@ -465,11 +466,12 @@ def test_backbone_arrays_round_trip_byte_exactly(dtype, tmp_path):
 
 
 def test_checkpoint_with_several_output_heads_is_rejected():
-    arrays = bb.backbone_to_arrays(bb.init_backbone(7, 6, 4, seed=11, heads=2))
+    p = bb.init_backbone(7, 6, 4, seed=11, heads=2)
+    arrays = model_to_arrays(oracles.model_around(p), 0)
     assert arrays["backbone/meta"].tolist() == [7, 6, 4, 2, 1]
     arrays["backbone/meta"] = np.array([7, 6, 4, 2, 3])
     with pytest.raises(CheckpointError, match="^checkpoint output layer has 3 heads; "):
-        bb.arrays_to_backbone(arrays)
+        arrays_to_model(arrays)
 
 
 @pytest.mark.parametrize("rows", [None, [17, 3, 30]], ids=["full", "rows"])

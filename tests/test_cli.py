@@ -146,6 +146,7 @@ def test_full_cli_pipeline(workspace):
         lines = (tmp_path / "runs" / f"metrics_seed{seed}.jsonl").read_text().splitlines()
         rec = json.loads(lines[0])
         assert rec["session"] == 0 and {"mean", "per_class", "seconds"} <= set(rec)
+        assert type(rec["seconds"]) is float and rec["seconds"] >= 0
         assert "std" not in rec        # the spread across seeds is the report's
     assert cli.main(["stream", "--config", str(cfg_path)]) == 0
     for seed in (0, 1):
@@ -164,8 +165,8 @@ def test_pretrain_pn_star_checkpoint_has_mean_prototypes(workspace):
     cli.cmd_prepare(pn_cfg)
     cli.cmd_pretrain(pn_cfg)
     from geometer.backbone import encode
-    from geometer.runner import arrays_to_model
-    model = arrays_to_model(load_tensors(tmp_path / "runs" / "seed0_session0.gfsp"))
+    from geometer.checkpoint import arrays_to_model
+    model, _ = arrays_to_model(load_tensors(tmp_path / "runs" / "seed0_session0.gfsp"))
     _, stream = cli._load_stream(pn_cfg)
     g0 = stream.snapshots[0]
     emb = encode(model.backbone, g0).data
@@ -443,8 +444,8 @@ def test_export_row_counts_and_round_trip(workspace):
 
     # parse-back recovers float32 vectors exactly
     from geometer.backbone import encode
-    from geometer.runner import arrays_to_model
-    model = arrays_to_model(load_tensors(ckpt))
+    from geometer.checkpoint import arrays_to_model
+    model, _ = arrays_to_model(load_tensors(ckpt))
     emb = encode(model.backbone, stream.snapshots[0]).data
     for cols in node_rows[:10]:
         node, _ = int(cols[1]), int(cols[2])
@@ -491,6 +492,25 @@ def test_export_unknown_session(workspace):
     ckpt = tmp_path / "runs" / "seed0_session0.gfsp"
     with pytest.raises(cli.CliError):
         cli.export_embeddings(cfg, str(ckpt), 7, tmp_path / "x.tsv")
+
+
+def test_checkpoints_pass_through_cli_save_and_load_tensors(workspace, monkeypatch):
+    # the benchmark's tracer times checkpoint writes and reads by wrapping
+    # ``cli.save_tensors`` and ``cli.load_tensors``
+    tmp_path, cfg, cfg_path = workspace
+    saved, loaded = [], []
+    save, load = cli.save_tensors, cli.load_tensors
+    monkeypatch.setattr(cli, "save_tensors",
+                        lambda path, arrays: saved.append(Path(path).name) or save(path, arrays))
+    monkeypatch.setattr(cli, "load_tensors",
+                        lambda path: loaded.append(Path(path).name) or load(path))
+    _prepare(cfg_path)
+    assert cli.main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert cli.main(["stream", "--config", str(cfg_path)]) == 0
+    # one save per stage, one load per started seed
+    assert saved == [f"seed{seed}_session0.gfsp" for seed in (0, 1)] + [
+        f"seed{seed}_session{session}.gfsp" for seed in (0, 1) for session in (1, 2)]
+    assert loaded == [f"seed{seed}_session0.gfsp" for seed in (0, 1)]
 
 
 # --- outside input: every bad file or argument ends in one named error line ------
@@ -704,6 +724,23 @@ def _checkpoint_with(name, tensor, value, problem, command):
                             lambda path: f"{path}: tensor {tensor!r} {problem}")
 
 
+# (case name, the class ids of the checkpoint's prototypes): the workspace
+# checkpoint is at session 0, whose classes are 0 and 1
+_FOREIGN_CLASSES = [("with_a_foreign_prototype_class", [0, 99]),
+                    ("with_an_extra_prototype_class", [0, 1, 2])]
+
+
+def _checkpoint_with_classes(name, class_ids, command):
+    def edit(arrays):
+        width = arrays["prototypes/vectors"].shape[1]
+        arrays["prototypes/classes"] = np.array(class_ids)
+        arrays["prototypes/vectors"] = np.zeros((len(class_ids), width))
+
+    return _checkpoint_case(name, command, edit, lambda path: (
+        f"{path}: tensor 'prototypes/classes' holds {class_ids}, "
+        f"expected the classes of session 0: [0, 1]"))
+
+
 def _checkpoint_cut_in_a_header(tmp, cfg, cfg_path):
     import struct
     path = tmp / "cut.gfsp"
@@ -736,7 +773,9 @@ _BAD_INPUTS = [_missing_dataset, _missing_manifest, _missing_checkpoint, _base_w
                                 "prototypes/vectors", "prototypes/classes")
                  for command in ("stream", "export")),
                *(_checkpoint_with(*bad, command)
-                 for bad in _BAD_TENSORS for command in ("stream", "export"))]
+                 for bad in _BAD_TENSORS for command in ("stream", "export")),
+               *(_checkpoint_with_classes(*bad, command)
+                 for bad in _FOREIGN_CLASSES for command in ("stream", "export"))]
 
 
 @pytest.mark.parametrize("case", _BAD_INPUTS, ids=[f.__name__[1:] for f in _BAD_INPUTS])

@@ -6,6 +6,8 @@ import pytest
 import geometer.diffmath as dm
 import geometer.graph_store as gs
 import geometer.prototypes as pt
+from geometer.backbone import init_backbone
+from geometer.checkpoint import arrays_to_model, model_to_arrays
 import oracles
 from oracles import (adjacency_matrix, central_differences, chain_refine_prototype,
                      grad_relative_error, loop_prototypes)
@@ -383,9 +385,10 @@ def test_prototype_set_subset_and_serialization():
     sub = protos.subset([5, 1])
     assert sub.class_ids == (1, 5)
     np.testing.assert_array_equal(sub.vectors.data, vectors.data[[0, 2]])
-    arrays = pt.prototypes_to_arrays(protos)
-    assert sorted(arrays) == ["prototypes/classes", "prototypes/vectors"]
-    back = pt.arrays_to_prototypes(arrays)
+    arrays = model_to_arrays(oracles.model_around(init_backbone(5, 4, 4, seed=0), protos), 0)
+    assert [n for n in arrays if n.startswith("prototypes/")] == ["prototypes/classes",
+                                                                   "prototypes/vectors"]
+    back = arrays_to_model(arrays)[0].prototypes
     assert back.class_ids == protos.class_ids
     np.testing.assert_array_equal(back.vectors.data, protos.vectors.data)
 

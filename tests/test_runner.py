@@ -8,6 +8,7 @@ import geometer.graph_store as gs
 import geometer.losses as ls
 import geometer.prototypes as pt
 import geometer.runner as rn
+from geometer.checkpoint import arrays_to_model, model_to_arrays
 from geometer.config import ExperimentConfig
 from geometer.episodes import episode_rng, sample_pretrain_episode
 from geometer.synth import make_clustered_graph
@@ -116,9 +117,9 @@ def test_teacher_parameters_bit_identical_after_session():
     stream = tiny_stream(seed=4)
     cfg = tiny_config(episodes_pretrain=10, episodes_finetune=8)
     teacher = rn.pretrain(stream, cfg, seed=2)
-    before = {k: v.tobytes() for k, v in rn.model_to_arrays(teacher).items()}
+    before = {k: v.tobytes() for k, v in model_to_arrays(teacher, 2).items()}
     rn.run_stream_session(teacher, stream, 1, cfg, seed=2)
-    after = {k: v.tobytes() for k, v in rn.model_to_arrays(teacher).items()}
+    after = {k: v.tobytes() for k, v in model_to_arrays(teacher, 2).items()}
     assert before == after
 
 
@@ -273,7 +274,6 @@ def test_evaluate_perfect_accuracy():
     metrics = rn.evaluate_session(model, stream, 0)
     assert metrics.accuracy_mean == 1.0
     assert metrics.per_class == {0: 1.0, 1: 1.0}
-    assert metrics.wall_time >= 0.0
 
 
 def test_evaluate_accuracy_matches_counting_oracle():
@@ -351,7 +351,6 @@ def test_stage_and_its_evaluation_encode_the_snapshot_once(carried, monkeypatch)
 def test_inference_encodes_build_no_tape(monkeypatch):
     # every full-graph encode of both stages and of prediction: no gradient,
     # no parents, and the bytes of the same encode through grad-tracking params
-    import geometer.backbone as bb
     stream = tiny_stream(seed=26)
     cfg = tiny_config(episodes_pretrain=3, episodes_finetune=2)
     checked = []
@@ -360,7 +359,8 @@ def test_inference_encodes_build_no_tape(monkeypatch):
     def checking(params, g, *args, rows=None, **kwargs):
         out = encode(params, g, *args, rows=rows, **kwargs)
         if rows is None:
-            tracking = bb.arrays_to_backbone(bb.backbone_to_arrays(params))
+            arrays = model_to_arrays(oracles.model_around(params), 4)
+            tracking = arrays_to_model(arrays)[0].backbone
             assert all(t.requires_grad for t in tracking.tensors())
             assert not out.requires_grad and out._parents == () and out._vjp is None
             assert out.data.tobytes() == encode(tracking, g).data.tobytes()
@@ -436,8 +436,8 @@ def test_stage_embeddings_are_neither_saved_nor_cloned():
     fresh = rn.encode(model.backbone, stream.snapshots[0]).data
     assert model.embeddings.tobytes() == fresh.tobytes()
     assert rn.clone_state(model).embeddings is None
-    assert rn.arrays_to_model(rn.model_to_arrays(model)).embeddings is None
-    assert not any("embedding" in name for name in rn.model_to_arrays(model))
+    assert arrays_to_model(model_to_arrays(model, 1))[0].embeddings is None
+    assert not any("embedding" in name for name in model_to_arrays(model, 1))
 
 
 def test_evaluate_session_rejects_embeddings_of_another_graph():
@@ -743,8 +743,8 @@ def test_two_head_backbone_trains_and_round_trips_through_a_checkpoint(tmp_path)
     assert model.backbone.layers[0][0].weight.shape == (g.feature_dim, cfg.hidden_dim // 2)
     for a, b in zip(model.backbone.tensors(), fresh.tensors()):
         assert a.data.tobytes() != b.data.tobytes()
-    save_tensors(tmp_path / "model.gfsp", rn.model_to_arrays(model))
-    back = rn.arrays_to_model(load_tensors(tmp_path / "model.gfsp"))
+    save_tensors(tmp_path / "model.gfsp", model_to_arrays(model, 6))
+    back, _ = arrays_to_model(load_tensors(tmp_path / "model.gfsp"))
     assert back.backbone.heads == 2
     for a, b in zip(model.trainable(), back.trainable()):
         assert a.data.tobytes() == b.data.tobytes()
@@ -757,9 +757,9 @@ def test_model_checkpoint_round_trip(tmp_path):
     stream = tiny_stream(seed=19)
     model = rn.pretrain(stream, tiny_config(episodes_pretrain=5), seed=7)
     path = tmp_path / "model.gfsp"
-    save_tensors(path, rn.model_to_arrays(model))
-    back = rn.arrays_to_model(load_tensors(path))
-    assert back.session_index == model.session_index
+    save_tensors(path, model_to_arrays(model, 7))
+    back, seed = arrays_to_model(load_tensors(path))
+    assert seed == 7 and back.session_index == model.session_index
     assert back.prototypes.class_ids == model.prototypes.class_ids
     for a, b in zip(model.trainable(), back.trainable()):
         assert a.data.tobytes() == b.data.tobytes()
