@@ -216,16 +216,8 @@ def _receptive_field(g: Graph, out_rows: np.ndarray):
 # ---------------------------------------------------------------------------
 # layers
 
-def _project(x, weight: np.ndarray) -> np.ndarray:
-    """z = x @ W for dense or constant CSR ``x``; C order for a C-order W."""
-    z = (x @ weight).astype(weight.dtype, copy=False)
-    if not dm._all_finite(z):
-        raise dm.NonFiniteError("gat_layer: non-finite projection")
-    return z
-
-
-def _attention(z: np.ndarray, attn: np.ndarray, struct: _EdgeStructure, track: bool):
-    """One head's per-edge attention over projected states ``z``.
+def _attention(op, z: np.ndarray, attn: np.ndarray, struct: _EdgeStructure, track: bool):
+    """One head's per-edge attention over projected states ``z``, in frame ``op``.
 
     Returns the [n_out x n_in] attention matrix (CSR, its values the weights)
     and the leaky-rectified scores and weights as ``dm`` tensors, whose vjps
@@ -234,9 +226,9 @@ def _attention(z: np.ndarray, attn: np.ndarray, struct: _EdgeStructure, track: b
     out_h = z.shape[1]
     s_center = z @ attn[:out_h]
     s_neigh = z @ attn[out_h:]
-    if not (dm._all_finite(s_center) and dm._all_finite(s_neigh)):
-        raise dm.NonFiniteError("gat_layer: non-finite attention score")
-    with dm._fpe_guard("gat_layer"):
+    op.finite(s_center, "non-finite attention score")
+    op.finite(s_neigh, "non-finite attention score")
+    with op:
         scores = s_center[struct.center] + s_neigh[struct.src]
     leaky = dm.leaky_relu(Tensor(scores, requires_grad=track), LEAKY_SLOPE)
     alpha = dm.segment_softmax(leaky, struct.starts, struct.lens)
@@ -332,9 +324,11 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
     concat = len(heads) > 1                         # only layer 0 has several heads
     out = np.empty((struct.n_out, params.hidden_dim), dtype=params.dtype) if concat else None
     saved, col = [], 0
+    op = dm.fused("gat_layer")
     for hp in heads:
-        z = _project(x, hp.weight.data)
-        att, leaky, alpha = _attention(z, hp.attn.data, struct, track)
+        z = (x @ hp.weight.data).astype(hp.weight.dtype, copy=False)
+        op.finite(z, "non-finite projection")
+        att, leaky, alpha = _attention(op, z, hp.attn.data, struct, track)
         agg = (att @ z).astype(z.dtype, copy=False)
         if track:
             saved.append((z, att, leaky, alpha))
@@ -346,10 +340,8 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
             out = agg
         del agg
     if layer == 0:
-        with dm._fpe_guard("gat_layer"):
+        with op:
             dm.elu_inplace(out)
-    if not track:
-        return Tensor(out)
 
     def vjp(g_out):
         if len(saved) != len(heads):
@@ -376,7 +368,7 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
             del g_z
         return (g_states, *grads) if grad_states else tuple(grads)
 
-    return dm._result(out, parents, vjp)
+    return dm.node(out, parents, vjp)
 
 
 def _dropout(h: Tensor, rate: float, rng, n: int, rows) -> Tensor:

@@ -12,10 +12,13 @@ Conventions:
   * Tensors are immutable once created.  Optimizers update the ``data``
     array of parameter leaves in place *between* steps, never during a
     forward pass.
-  * Non-finite values are trapped at op boundaries: numpy floating-point
-    faults (overflow, invalid, divide-by-zero) raise ``NonFiniteError``,
-    and matrix products are checked explicitly since BLAS bypasses the
-    FPU-flag machinery.
+  * Every op computes in one frame, ``with fused(name) as op:``.  A numpy
+    floating-point fault (overflow, invalid, divide-by-zero) in it raises
+    ``NonFiniteError`` naming the op.  BLAS sets no such flags, so
+    ``op.matmul`` is a product checked for NaN and Inf, and ``op.finite``
+    checks any other array; both work outside the ``with`` too.
+    ``node(data, parents, vjp)`` makes the result one tape node.  The fused
+    ops of other modules use this frame and no private name of this one.
   * A vjp returns None for an operand that tracks no gradient instead of
     computing a gradient the backward sweep would drop.
 
@@ -48,7 +51,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "ShapeError", "NonFiniteError", "TapeReleasedError",
-    "tensor", "constant",
+    "fused", "node", "tensor", "constant",
     "mul", "matmul", "concat", "take_rows",
     "leaky_relu", "elu_inplace", "elu_grad", "segment_softmax",
     "pairwise_sq_euclidean",
@@ -77,26 +80,38 @@ class TapeReleasedError(RuntimeError):
     through it released."""
 
 
-class _fpe_guard:
-    """``with _fpe_guard(op):`` raises ``NonFiniteError`` naming ``op`` where
-    numpy would overflow, divide by zero or produce an invalid value.  Almost
-    every op enters one, so it is a slotted class: entering it costs about
-    two thirds of a generator-based context manager."""
+class fused:
+    """The frame of the op ``name`` (see the module docstring).  Almost every op
+    enters one, so it is a slotted class: entering it costs about two thirds
+    of a generator-based context manager."""
 
-    __slots__ = ("op", "_state")
+    __slots__ = ("name", "_state")
 
-    def __init__(self, op: str):
-        self.op = op
+    def __init__(self, name: str):
+        self.name = name
 
     def __enter__(self):
         self._state = np.errstate(over="raise", invalid="raise", divide="raise")
         self._state.__enter__()
+        return self
 
     def __exit__(self, kind, exc, tb):
         self._state.__exit__(kind, exc, tb)
         if kind is not None and issubclass(kind, FloatingPointError):
-            raise NonFiniteError(f"{self.op}: non-finite result ({exc})") from None
+            raise NonFiniteError(f"{self.name}: non-finite result ({exc})") from None
         return False
+
+    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x @ y, checked for NaN and Inf."""
+        out = np.matmul(x, y)
+        if not _all_finite(out):
+            raise NonFiniteError(f"{self.name}: non-finite result")
+        return out
+
+    def finite(self, arr: np.ndarray, what: str) -> None:
+        """Raise ``NonFiniteError("<name>: <what>")`` if ``arr`` holds NaN or Inf."""
+        if not _all_finite(arr):
+            raise NonFiniteError(f"{self.name}: {what}")
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -107,14 +122,6 @@ def _all_finite(arr: np.ndarray) -> bool:
     if arr.size <= _FINITE_MASK_MAX:
         return bool(np.isfinite(arr).all())
     return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
-
-
-def _finite_matmul(x: np.ndarray, y: np.ndarray, op: str) -> np.ndarray:
-    """x @ y, checked for NaN and Inf (BLAS raises no floating-point flags)."""
-    out = np.matmul(x, y)
-    if not _all_finite(out):
-        raise NonFiniteError(f"{op}: non-finite result")
-    return out
 
 
 class Tensor:
@@ -155,8 +162,7 @@ def tensor(data, requires_grad=False, dtype=None) -> Tensor:
     arr = np.asarray(data, dtype=dtype if dtype is not None else None)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float32 if dtype is None else dtype)
-    if not _all_finite(arr):
-        raise NonFiniteError("tensor: input contains NaN or Inf")
+    fused("tensor").finite(arr, "input contains NaN or Inf")
     return Tensor(arr, requires_grad=requires_grad)
 
 
@@ -172,9 +178,9 @@ def _as_tensor(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.dtype))
 
 
-def _result(data, parents: tuple, vjp) -> Tensor:
-    needs = any(p.requires_grad for p in parents)
-    if needs:
+def node(data, parents: tuple, vjp) -> Tensor:
+    """An op's result: a tape node when any of ``parents`` tracks a gradient."""
+    if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp)
     return Tensor(data)
 
@@ -195,14 +201,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def mul(a, b) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=b.dtype))
     b = _as_tensor(b, a)
-    with _fpe_guard("mul"):
+    with fused("mul"):
         out = a.data * b.data
 
     def vjp(g):
         return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
                 _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
-    return _result(out, (a, b), vjp)
+    return node(out, (a, b), vjp)
 
 
 def matmul(a: Tensor, b) -> Tensor:
@@ -211,7 +217,7 @@ def matmul(a: Tensor, b) -> Tensor:
         raise ShapeError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    out = _finite_matmul(a.data, b.data, "matmul")
+    out = fused("matmul").matmul(a.data, b.data)
 
     def vjp(g):
         ad, bd = a.data, b.data
@@ -228,7 +234,7 @@ def matmul(a: Tensor, b) -> Tensor:
                 gb = ad.T @ g
         return ga, gb
 
-    return _result(out, (a, b), vjp)
+    return node(out, (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +251,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _result(out, parts, vjp)
+    return node(out, parts, vjp)
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
@@ -258,7 +264,7 @@ def take_rows(a: Tensor, idx) -> Tensor:
         np.add.at(ga, idx, g)
         return (ga,)
 
-    return _result(out, (a,), vjp)
+    return node(out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +277,7 @@ def leaky_relu(a: Tensor, negative_slope: float = 0.2) -> Tensor:
     def vjp(g):
         return (np.where(pos, g, g * negative_slope),)
 
-    return _result(out, (a,), vjp)
+    return node(out, (a,), vjp)
 
 
 def elu_inplace(x: np.ndarray) -> np.ndarray:
@@ -325,7 +331,7 @@ def segment_softmax(scores: Tensor, starts, lens) -> Tensor:
         inner = np.add.reduceat(g * out, starts)
         return (out * (g - np.repeat(inner, lens, axis=0)),)
 
-    return _result(out.astype(s.dtype, copy=False), (scores,), vjp)
+    return node(out.astype(s.dtype, copy=False), (scores,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +351,11 @@ def pairwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"pairwise_sq_euclidean: incompatible shapes {a.shape}, {b.shape}")
     b = _as_tensor(b, a)
     ad, bd = a.data, b.data
-    with _fpe_guard("pairwise_sq_euclidean"):
+    with fused("pairwise_sq_euclidean") as op:
         a2 = (ad * ad).sum(axis=1, keepdims=True)                    # [n,1]
         b2 = (bd * bd).sum(axis=1).reshape(1, bd.shape[0])           # [1,m]
         d = a2 + b2
-        d += _finite_matmul(ad, bd.T, "pairwise_sq_euclidean") * ad.dtype.type(-2.0)
+        d += op.matmul(ad, bd.T) * ad.dtype.type(-2.0)
     inside = d > 0
     out = np.clip(d, 0.0, None)
 
@@ -361,7 +367,7 @@ def pairwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
         return (ta, ta, None if ta is None else g_cross @ bd,
                 tb, tb, None if tb is None else (ad.T @ g_cross).T)
 
-    return _result(out, (a, a, a, b, b, b), vjp)
+    return node(out, (a, a, a, b, b, b), vjp)
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
@@ -411,7 +417,7 @@ def backward(output: Tensor, seed_grad=None) -> dict:
     if seed_grad is None:
         seed_grad = np.ones(output.shape, dtype=output.dtype)
     grads: dict = {id(output): np.asarray(seed_grad, dtype=output.dtype)}
-    with _fpe_guard("backward"):
+    with fused("backward"):
         for node in reversed(_topo_order(output)):
             if not node._parents or id(node) not in grads:
                 continue
@@ -434,9 +440,9 @@ def value_and_grad(output: Tensor, wrt: Iterable[Tensor]):
     wrt = list(wrt)
     if output.data.size != 1:
         raise ShapeError(f"value_and_grad expects a scalar output, got shape {output.shape}")
+    op = fused("value_and_grad")
+    op.finite(output.data, "non-finite value")
     value = float(output.data)
-    if not np.isfinite(value):
-        raise NonFiniteError("value_and_grad: non-finite value")
     grad_map = backward(output) if output.requires_grad else {}
     grads = []
     for p in wrt:
@@ -445,7 +451,6 @@ def value_and_grad(output: Tensor, wrt: Iterable[Tensor]):
             g = np.zeros(p.shape, dtype=p.dtype)
         # C order: a transposed vjp would otherwise hand the optimizer a strided array
         g = np.ascontiguousarray(g, dtype=p.dtype).reshape(p.shape)
-        if not _all_finite(g):
-            raise NonFiniteError("value_and_grad: non-finite gradient")
+        op.finite(g, "non-finite gradient")
         grads.append(g)
     return value, grads

@@ -108,18 +108,18 @@ def proximity_loss(query_embeddings: Tensor, query_classes, prototypes: Prototyp
                             for c in prototypes.class_ids])
     weights = class_alpha[col] / counts[col]
     w = weights.astype(dtype)
-    with dm._fpe_guard("proximity_loss"):
+    with dm.fused("proximity_loss") as op:
         logits = dist.data * dtype.type(-1.0)
         shifted = logits - np.max(logits, axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         own = (log_probs * onehot).sum(axis=1)
-        out = np.asarray(dm._finite_matmul(w, own, "proximity_loss")) * dtype.type(-1.0)
+        out = np.asarray(op.matmul(w, own)) * dtype.type(-1.0)
 
     def vjp(g):
         g_lp = (g * -1.0 * w)[:, None] * onehot
         return ((g_lp - np.exp(log_probs) * g_lp.sum(axis=1, keepdims=True)) * -1.0,)
 
-    return dm._result(out, (dist,), vjp)
+    return dm.node(out, (dist,), vjp)
 
 
 def uniformity_loss(prototypes: PrototypeSet) -> Tensor:
@@ -143,25 +143,23 @@ def uniformity_loss(prototypes: PrototypeSet) -> Tensor:
     v = vecs.data
     dtype = v.dtype
     inv_c = 1.0 / c
-    with dm._fpe_guard("uniformity_loss"):
+    with dm.fused("uniformity_loss") as op:
         diffs = v - (v.sum(axis=0) * dtype.type(inv_c)).reshape(1, prototypes.dim)
-    raw_norms = np.sqrt((diffs.astype(np.float64) ** 2).sum(axis=1))
-    degenerate = raw_norms < CENTER_COLLAPSE_EPS
-    keep = None
-    if degenerate.any():
-        log.warning("%d prototype(s) coincide with the center; substituting random directions",
-                    int(degenerate.sum()))
-        keep = np.where(degenerate, 0.0, 1.0).astype(dtype)[:, None]
-        subst = np.zeros(v.shape, dtype=dtype)
-        for i in np.nonzero(degenerate)[0]:
-            r = np.random.default_rng([9041, int(i)]).normal(size=prototypes.dim)
-            subst[i] = (r / np.linalg.norm(r)).astype(dtype)
-    with dm._fpe_guard("uniformity_loss"):
-        if keep is not None:
+        raw_norms = np.sqrt((diffs.astype(np.float64) ** 2).sum(axis=1))
+        degenerate = raw_norms < CENTER_COLLAPSE_EPS
+        keep = None
+        if degenerate.any():
+            log.warning("%d prototype(s) coincide with the center; substituting random directions",
+                        int(degenerate.sum()))
+            keep = np.where(degenerate, 0.0, 1.0).astype(dtype)[:, None]
+            subst = np.zeros(v.shape, dtype=dtype)
+            for i in np.nonzero(degenerate)[0]:
+                r = np.random.default_rng([9041, int(i)]).normal(size=prototypes.dim)
+                subst[i] = (r / np.linalg.norm(r)).astype(dtype)
             diffs = diffs * keep + subst
         norms = np.sqrt((diffs * diffs).sum(axis=1, keepdims=True))
         dirs = diffs / norms
-        cos = dm._finite_matmul(dirs, dirs.T, "uniformity_loss")
+        cos = op.matmul(dirs, dirs.T)
         cos += np.diag(np.full(c, -3.0)).astype(dtype)
         nearest = cos.argmax(axis=1)
         out = cos.max(axis=1).sum() * dtype.type(inv_c) + np.asarray(1.0, dtype=dtype)
@@ -178,7 +176,7 @@ def uniformity_loss(prototypes: PrototypeSet) -> Tensor:
         g_center = (-g_diffs).sum(axis=0) * inv_c
         return g_diffs, np.broadcast_to(g_center, v.shape)
 
-    return dm._result(out, (vecs, vecs), vjp)
+    return dm.node(out, (vecs, vecs), vjp)
 
 
 def separability_loss(novel_vectors: Tensor, old_vectors: Tensor) -> Tensor:
@@ -190,7 +188,7 @@ def separability_loss(novel_vectors: Tensor, old_vectors: Tensor) -> Tensor:
     dtype = d.dtype
     n = d.shape[0]
     nearest = d.argmin(axis=1)
-    with dm._fpe_guard("separability_loss"):
+    with dm.fused("separability_loss"):
         e = np.exp(-d.min(axis=1))
         out = e.sum() * dtype.type(1.0 / n)
 
@@ -199,7 +197,7 @@ def separability_loss(novel_vectors: Tensor, old_vectors: Tensor) -> Tensor:
         g_dist[np.arange(n), nearest] = np.asarray(g * (1.0 / n), dtype=dtype) * e
         return (np.negative(g_dist, out=g_dist),)
 
-    return dm._result(out, (dist,), vjp)
+    return dm.node(out, (dist,), vjp)
 
 
 def softened_logits(embeddings: Tensor, prototypes: PrototypeSet, tau: float) -> Tensor:
@@ -211,7 +209,7 @@ def softened_logits(embeddings: Tensor, prototypes: PrototypeSet, tau: float) ->
         raise ValueError("softened_logits needs at least one prototype")
     dist = dm.pairwise_sq_euclidean(embeddings, prototypes.vectors)
     s = float(-1.0 / tau)
-    with dm._fpe_guard("softened_logits"):
+    with dm.fused("softened_logits"):
         logits = dist.data * dist.dtype.type(s)
         e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
         out = e / e.sum(axis=1, keepdims=True)
@@ -220,7 +218,7 @@ def softened_logits(embeddings: Tensor, prototypes: PrototypeSet, tau: float) ->
         inner = (g * out).sum(axis=1, keepdims=True)
         return (out * (g - inner) * s,)
 
-    return dm._result(out, (dist,), vjp)
+    return dm.node(out, (dist,), vjp)
 
 
 def distillation_loss(student_logits: Tensor, teacher_logits) -> Tensor:
@@ -233,23 +231,23 @@ def distillation_loss(student_logits: Tensor, teacher_logits) -> Tensor:
     student = student_logits.data
     dtype = student.dtype
     n, c = student.shape
+    op = dm.fused("distillation_loss")
     log_t = np.log(np.clip(teacher.astype(dtype), LOG_CLAMP, None))
-    if not dm._all_finite(log_t):
-        raise dm.NonFiniteError("distillation_loss: teacher contains NaN or Inf")
+    op.finite(log_t, "teacher contains NaN or Inf")
     inside = student > LOG_CLAMP
-    with dm._fpe_guard("distillation_loss"):
+    with op:
         clipped = np.clip(student, LOG_CLAMP, None)
         diff = np.log(clipped) - log_t
         out = (student * diff).sum(axis=1).sum() * dtype.type(1.0 / n) * dtype.type(1.0 / c)
 
     def vjp(g):
         g_prod = np.asarray(g * (1.0 / c) * (1.0 / n), dtype=dtype)
-        with dm._fpe_guard("distillation_loss/backward"):
+        with dm.fused(f"{op.name}/backward"):
             g_log = g_prod * student / clipped
         # below LOG_CLAMP the clip passes no gradient to the log path
         return g_prod * diff, np.where(inside, g_log, 0)
 
-    return dm._result(out, (student_logits, student_logits), vjp)
+    return dm.node(out, (student_logits, student_logits), vjp)
 
 
 def _weighted_terms(pairs, dtype):
@@ -266,13 +264,13 @@ def _weighted_terms(pairs, dtype):
     if not kept:
         return dm.constant(0.0, dtype=dtype)
     total = None
-    with dm._fpe_guard("weighted_loss"):
+    with dm.fused("weighted_loss"):
         for lam, term in kept:
             piece = term.data * dtype.type(lam)
             total = piece if total is None else total + piece
     lams = [lam for lam, _ in kept]
-    return dm._result(total, tuple(term for _, term in kept),
-                      lambda g: tuple(g * lam for lam in lams))
+    return dm.node(total, tuple(term for _, term in kept),
+                   lambda g: tuple(g * lam for lam in lams))
 
 
 def finetune_loss(proximity: Tensor, uniformity: Tensor | None, separability: Tensor | None,

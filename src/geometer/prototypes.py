@@ -191,15 +191,14 @@ def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Te
     parents = (params.wq, params.wk, initial, initial, initial, supports, params.wv)
     track = any(p.requires_grad for p in parents)
     seq = np.concatenate([x0, supports.data], axis=0)[order]                   # [N x d]
-    op = "refine_prototype"
-    with dm._fpe_guard(op):
-        q_rows = dm._finite_matmul(x0, wq.T, op)[owner]                         # [N x d]
-        keys = dm._finite_matmul(seq, wk.T, op)                                 # [N x d]
-        values = dm._finite_matmul(seq, wv.T, op)                               # [N x d]
-        scores = dm._finite_matmul(q_rows * keys, head_of, op) * dtype.type(scale)
+    with dm.fused("refine_prototype") as op:
+        q_rows = op.matmul(x0, wq.T)[owner]                                     # [N x d]
+        keys = op.matmul(seq, wk.T)                                             # [N x d]
+        values = op.matmul(seq, wv.T)                                           # [N x d]
+        scores = op.matmul(q_rows * keys, head_of) * dtype.type(scale)
         attn = dm.segment_softmax(Tensor(scores, requires_grad=track), starts, seg_lens)
-        spread = dm._finite_matmul(attn.data, head_of.T, op)                    # [N x d]
-        refined = x0 + dm._finite_matmul(pool, spread * values, op)             # [C x d]
+        spread = op.matmul(attn.data, head_of.T)                                # [N x d]
+        refined = x0 + op.matmul(pool, spread * values)                         # [C x d]
 
     def vjp(g):
         g_weighted = pool.T @ g
@@ -214,7 +213,7 @@ def refine_prototype(params: ClassAttentionParams, initial: Tensor, supports: Te
         return ((x0.T @ g_queries).T, (seq.T @ g_keys).T,
                 g, g_queries @ wq, g_cat[:c], g_cat[c:], (seq.T @ g_values).T)
 
-    out = dm._result(refined, parents, vjp)
+    out = dm.node(refined, parents, vjp)
     if with_weights:
         return out, Tensor(attn.data.T)
     return out

@@ -30,76 +30,76 @@ from geometer.runner import ModelState
 def add(a, b):
     a = a if isinstance(a, dm.Tensor) else dm.Tensor(np.asarray(a, dtype=b.dtype))
     b = dm._as_tensor(b, a)
-    with dm._fpe_guard("add"):
+    with dm.fused("add"):
         out = a.data + b.data
 
     def vjp(g):
         return dm._unbroadcast(g, a.shape), dm._unbroadcast(g, b.shape)
 
-    return dm._result(out, (a, b), vjp)
+    return dm.node(out, (a, b), vjp)
 
 
 def sub(a, b):
     a = a if isinstance(a, dm.Tensor) else dm.Tensor(np.asarray(a, dtype=b.dtype))
     b = dm._as_tensor(b, a)
-    with dm._fpe_guard("sub"):
+    with dm.fused("sub"):
         out = a.data - b.data
 
     def vjp(g):
         return dm._unbroadcast(g, a.shape), dm._unbroadcast(-g, b.shape)
 
-    return dm._result(out, (a, b), vjp)
+    return dm.node(out, (a, b), vjp)
 
 
 def div(a, b):
     a = a if isinstance(a, dm.Tensor) else dm.Tensor(np.asarray(a, dtype=b.dtype))
     b = dm._as_tensor(b, a)
-    with dm._fpe_guard("div"):
+    with dm.fused("div"):
         out = a.data / b.data
 
     def vjp(g):
         return (dm._unbroadcast(g / b.data, a.shape),
                 dm._unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return dm._result(out, (a, b), vjp)
+    return dm.node(out, (a, b), vjp)
 
 
 def neg(a):
-    return dm._result(-a.data, (a,), lambda g: (-g,))
+    return dm.node(-a.data, (a,), lambda g: (-g,))
 
 
 def transpose(a):
     if a.ndim != 2:
         raise dm.ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    return dm._result(a.data.T, (a,), lambda g: (g.T,))
+    return dm.node(a.data.T, (a,), lambda g: (g.T,))
 
 
 def exp(a):
-    with dm._fpe_guard("exp"):
+    with dm.fused("exp"):
         out = np.exp(a.data)
-    return dm._result(out, (a,), lambda g: (g * out,))
+    return dm.node(out, (a,), lambda g: (g * out,))
 
 
 def log(a):
-    with dm._fpe_guard("log"):
+    with dm.fused("log"):
         out = np.log(a.data)
 
     def vjp(g):
-        with dm._fpe_guard("log/backward"):
+        with dm.fused("log/backward"):
             return (g / a.data,)
 
-    return dm._result(out, (a,), vjp)
+    return dm.node(out, (a,), vjp)
 
 
 def sqrt(a):
-    with dm._fpe_guard("sqrt"):
+    with dm.fused("sqrt"):
         out = np.sqrt(a.data)
 
     def vjp(g):
-        with dm._fpe_guard("sqrt/backward"):
+        with dm.fused("sqrt/backward"):
             return (g * 0.5 / out,)
 
-    return dm._result(out, (a,), vjp)
+    return dm.node(out, (a,), vjp)
 
 
 def clip(a, lo=None, hi=None):
@@ -113,19 +113,19 @@ def clip(a, lo=None, hi=None):
     def vjp(g):
         return (np.where(inside, g, 0),)
 
-    return dm._result(out, (a,), vjp)
+    return dm.node(out, (a,), vjp)
 
 
 def elu(a):
     """max(a, 0) + expm1(min(a, 0)) as one op over ``dm.elu_inplace`` and
     ``dm.elu_grad``, the arithmetic the encoder's first layer uses."""
-    with dm._fpe_guard("elu"):
+    with dm.fused("elu"):
         out = dm.elu_inplace(a.data.copy())
-    return dm._result(out, (a,), lambda g: (dm.elu_grad(out, g),))
+    return dm.node(out, (a,), lambda g: (dm.elu_grad(out, g),))
 
 
 def softmax(a, axis=-1):
-    with dm._fpe_guard("softmax"):
+    with dm.fused("softmax"):
         shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
         e = np.exp(shifted)
         out = e / e.sum(axis=axis, keepdims=True)
@@ -134,18 +134,18 @@ def softmax(a, axis=-1):
         inner = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - inner),)
 
-    return dm._result(out, (a,), vjp)
+    return dm.node(out, (a,), vjp)
 
 
 def log_softmax(a, axis=-1):
-    with dm._fpe_guard("log_softmax"):
+    with dm.fused("log_softmax"):
         shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
         out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
     def vjp(g):
         return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
-    return dm._result(out, (a,), vjp)
+    return dm.node(out, (a,), vjp)
 
 
 def amax(a, axis=None, keepdims=False):
@@ -167,7 +167,7 @@ def amax(a, axis=None, keepdims=False):
             np.put_along_axis(ga, np.expand_dims(arg, axis), np.expand_dims(g_arr, axis), axis)
         return (ga,)
 
-    return dm._result(out, (a,), vjp)
+    return dm.node(out, (a,), vjp)
 
 
 def amin(a, axis=None, keepdims=False):
@@ -176,14 +176,14 @@ def amin(a, axis=None, keepdims=False):
 
 def scale(a, s):
     s = float(s)
-    with dm._fpe_guard("scale"):
+    with dm.fused("scale"):
         out = a.data * a.dtype.type(s)
-    return dm._result(out, (a,), lambda g: (g * s,))
+    return dm.node(out, (a,), lambda g: (g * s,))
 
 
 def reshape(a, shape):
     out = a.data.reshape(shape)
-    return dm._result(out, (a,), lambda g: (g.reshape(a.shape),))
+    return dm.node(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
 def sum(a, axis=None, keepdims=False):
@@ -195,7 +195,7 @@ def sum(a, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
 
-    return dm._result(out, (a,), vjp)
+    return dm.node(out, (a,), vjp)
 
 
 def mean(a, axis=None, keepdims=False):
@@ -245,7 +245,7 @@ def stack(vectors):
     def vjp(g):
         return tuple(g[i] for i in range(len(vectors)))
 
-    return dm._result(out, vectors, vjp)
+    return dm.node(out, vectors, vjp)
 
 
 def chain_pairwise_sq_euclidean(a, b):
@@ -399,13 +399,13 @@ def loop_query_candidates(pools, class_list, taken):
 
 def attention_coefficients(params, g, states, layer, head=0):
     """One head's attention weights as {node_id: {incident node_id: alpha}},
-    self included, from the encoder's own edge structure, projection and
-    attention arithmetic."""
+    self included, from the encoder's own edge structure and attention
+    arithmetic."""
     x = states.data if isinstance(states, dm.Tensor) else np.asarray(states, dtype=params.dtype)
     struct = bb._edge_structure(g)
     hp = params.layers[layer][head]
-    _, _, alpha = bb._attention(bb._project(x, hp.weight.data), hp.attn.data, struct,
-                                track=False)
+    z = (x @ hp.weight.data).astype(params.dtype, copy=False)
+    _, _, alpha = bb._attention(dm.fused("gat_layer"), z, hp.attn.data, struct, track=False)
     result = {}
     for row in range(g.node_count):
         seg = slice(struct.starts[row], struct.starts[row] + struct.lens[row])

@@ -132,23 +132,50 @@ def test_non_finite_intermediate_raises():
         oracles.exp(big)  # overflows float32
 
 
-def test_fpe_guard_names_the_op_and_restores_the_error_state():
+def test_fused_scope_names_the_op_and_restores_the_error_state():
     before = np.geterr()
     with pytest.raises(dm.NonFiniteError,
                        match=r"^proximity_loss: non-finite result \(divide by zero "
                              r"encountered in log\)$"):
-        with dm._fpe_guard("proximity_loss"):
+        with dm.fused("proximity_loss"):
             np.log(np.zeros(2))
-    with dm._fpe_guard("outer"):
-        with dm._fpe_guard("inner"):
+    with dm.fused("outer") as op:
+        assert op.name == "outer"
+        with dm.fused("inner"):
             pass
         with pytest.raises(dm.NonFiniteError, match="^outer: "):
-            with dm._fpe_guard("outer"):
+            with dm.fused("outer"):
                 np.float32(3e38) * np.float32(10)
     with pytest.raises(KeyError):               # other errors pass through unchanged
-        with dm._fpe_guard("op"):
+        with dm.fused("op"):
             raise KeyError("x")
     assert np.geterr() == before
+
+
+def test_fused_scope_checks_products_and_arrays_by_name():
+    # BLAS sets no floating-point flags, so a product is checked whether or
+    # not the multiply raised one
+    big = np.full((2, 2), 1e30, dtype=np.float32)
+    small = np.arange(4, dtype=np.float32).reshape(2, 2)
+    op = dm.fused("refine_prototype")
+    with np.errstate(over="ignore"):
+        with pytest.raises(dm.NonFiniteError, match=r"^matmul: non-finite result$"):
+            dm.matmul(dm.tensor(big), big)
+        with pytest.raises(dm.NonFiniteError, match=r"^refine_prototype: non-finite result$"):
+            op.matmul(big, big)
+    assert op.matmul(small, small).tobytes() == (small @ small).tobytes()
+    op.finite(big, "non-finite projection")
+    with pytest.raises(dm.NonFiniteError, match=r"^refine_prototype: non-finite projection$"):
+        op.finite(np.array([1.0, np.nan]), "non-finite projection")
+
+
+def test_only_diffmath_names_its_private_attributes():
+    # the fused ops of the other modules use the public frame: ``dm.fused``
+    # and ``dm.node``, never a ``dm._`` name
+    src = Path(dm.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "diffmath.py":
+            assert not re.findall(r"\bdm\._\w+", path.read_text()), path.name
 
 
 @pytest.mark.parametrize("size", [1, 77, dm._FINITE_MASK_MAX, dm._FINITE_MASK_MAX + 1, 100000])

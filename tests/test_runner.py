@@ -615,14 +615,14 @@ def test_episode_tape_sizes_are_pinned(monkeypatch):
     pre_ep = sample_pretrain_episode(pools, cfg.sampler(), episode_rng(1, 0, 0))
     fine_ep = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(1, 1, 0))
     nodes = []
-    result = dm._result
+    result = dm.node
 
     def counting(data, parents, vjp):
         out = result(data, parents, vjp)
         nodes.append(out.requires_grad)
         return out
 
-    monkeypatch.setattr(dm, "_result", counting)
+    monkeypatch.setattr(dm, "node", counting)
     rn._episode_loss(rn.clone_state(teacher), stream.snapshots[0], pre_ep, cfg,
                      cfg.loss_weights(), episode_rng(1, 9, 0))
     assert sum(nodes) == 15
