@@ -162,6 +162,8 @@ def load_tensors(path) -> dict:
     """The {name: array} mapping of a file.  Each payload is read straight
     into its own new array; no copy of the whole file is held."""
     p = Path(path)
+    if p.is_dir():
+        raise CheckpointError(f"{p}: is a directory, not a checkpoint file")
     if not p.is_file():
         raise CheckpointError(f"missing checkpoint: {p}")
     with open(p, "rb") as fh:

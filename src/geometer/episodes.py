@@ -89,8 +89,6 @@ def sample_finetune_episode(session: int, stream: SessionStream, cfg: SamplerCon
                 for c, sup in stream.supports_at(session).items()}
     for cls in old_classes:
         pool = np.asarray(pools[cls], dtype=np.int64)
-        if len(pool) == 0:
-            raise PoolTooSmallError(f"old class {cls} has an empty labeled pool")
         take = min(cfg.k_max, len(pool))
         chosen = rng.choice(pool, size=take, replace=False)
         supports[cls] = tuple(int(v) for v in np.sort(chosen))

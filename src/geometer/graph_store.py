@@ -770,6 +770,8 @@ def save_manifest(stream: SessionStream, path) -> None:
 def load_session_stream(g: Graph, path) -> SessionStream:
     """Rebuild a stream from its manifest; snapshots and pools are rederived."""
     p = Path(path)
+    if p.is_dir():
+        raise ManifestError(f"{p}: is a directory, not a manifest file")
     if not p.is_file():
         raise DatasetFileMissingError(f"missing manifest: {p}")
     try:
@@ -798,6 +800,9 @@ def load_session_stream(g: Graph, path) -> SessionStream:
         for cls, sup in supports.items():
             if len(sup) != k_shot:
                 raise ManifestError(f"{p}: class {cls} has {len(sup)} supports, expected {k_shot}")
+            if len(members[cls]) < k_shot + 1:
+                raise ManifestError(f"{p}: class {cls} has {len(members[cls])} labeled nodes, "
+                                    f"needs >= {k_shot + 1}")
             repeated = [v for v in sup if sup.count(v) > 1]
             if repeated:
                 raise ManifestError(f"{p}: class {cls} lists support node {repeated[0]} twice")

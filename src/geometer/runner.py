@@ -323,8 +323,6 @@ def evaluate_session(model: ModelState, stream: SessionStream, session: int,
     nodes, labels = [], []
     for cls in classes:
         pool = pools[cls]
-        if len(pool) == 0:
-            raise ValueError(f"class {cls} has an empty eval pool")
         nodes.extend(int(v) for v in pool)
         labels.extend(cls for _ in pool)
     predictions = predict_nodes(model, stream.snapshots[session], nodes, embeddings)

@@ -133,6 +133,29 @@ def test_gat_layer_takes_a_tensor_or_a_sparse_matrix():
         bb.gat_layer(p, g, np.ones((2, 3), dtype=np.float32), 0)
 
 
+@pytest.mark.parametrize("shape, dtype, message", [
+    ((3, 3), np.float32, "states rows 3 != input rows 2"),
+    ((2, 5), np.float32, "states width 5 != layer 0 input 3"),
+    ((2, 3), F64, "mixed dtypes float64 vs float32"),
+], ids=["rows", "width", "dtype"])
+def test_gat_layer_names_the_bad_states(shape, dtype, message):
+    g = graph_from([(0, 1)], np.ones((2, 3)))
+    p = bb.init_backbone(3, 4, 2, seed=1)
+    with pytest.raises(dm.ShapeError, match=f"^{message}$"):
+        bb.gat_layer(p, g, dm.tensor(np.ones(shape), dtype=dtype), 0)
+
+
+def test_gat_layer_names_a_non_finite_attention_score():
+    # the projection is finite and its scores overflow: BLAS sets no flag there
+    g = graph_from([(0, 1)], np.ones((2, 3)))
+    p = bb.init_backbone(3, 4, 2, seed=1)
+    p.layers[0][0].attn.data[:] = 1e30
+    states = dm.tensor(np.full((2, 3), 1e10, dtype=np.float32))
+    with np.errstate(all="ignore"):
+        with pytest.raises(dm.NonFiniteError, match="^gat_layer: non-finite attention score$"):
+            bb.gat_layer(p, g, states, 0)
+
+
 def test_zero_weight_layer_is_zero():
     g = graph_from([(0, 1)], np.random.default_rng(1).normal(size=(2, 3)))
     params = manual_params([[(np.zeros((4, 3)), np.zeros(8))],

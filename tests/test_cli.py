@@ -596,7 +596,54 @@ def _wrong_novel_count(tmp, cfg, cfg_path):
 def _manifest_is_a_directory(tmp, cfg, cfg_path):
     (tmp / "manifests").mkdir()
     _reconfigure(cfg, cfg_path, manifest=str(tmp / "manifests"))
-    return "pretrain", "DatasetFileMissingError", f"missing manifest: {tmp / 'manifests'}"
+    return ("pretrain", "ManifestError",
+            f"{tmp / 'manifests'}: is a directory, not a manifest file")
+
+
+def _checkpoint_is_a_directory(command):
+    def case(tmp, cfg, cfg_path):
+        _prepare(cfg_path)
+        (tmp / "ckpt").mkdir()
+        argv = [command, "--checkpoint", str(tmp / "ckpt")]
+        if command == "export":
+            argv += ["--out", str(tmp / "x.tsv")]
+        return argv, "CheckpointError", f"{tmp / 'ckpt'}: is a directory, not a checkpoint file"
+
+    case.__name__ = f"_{command}_of_a_checkpoint_that_is_a_directory"
+    return case
+
+
+def _checkpoint_of_another_feature_width(command):
+    # pretrained on 10 features; the dataset is then rewritten with 12, the
+    # same labels and so the same manifest
+    def case(tmp, cfg, cfg_path):
+        ckpt = _pretrain_seed0(cfg, cfg_path)
+        write_synthetic_dataset(cfg.dataset_dir, classes=4, per_class=22, feature_dim=12,
+                                p_in=0.3, p_out=0.02, seed=1)
+        argv = [command, "--checkpoint", str(ckpt)]
+        if command == "export":
+            argv += ["--out", str(tmp / "x.tsv")]
+        return argv, "ShapeError", "graph feature dim 12 != backbone input 10"
+
+    case.__name__ = f"_{command}_of_a_checkpoint_of_another_feature_width"
+    return case
+
+
+def _manifest_class_with_only_k_labeled_nodes(tmp, cfg, cfg_path):
+    # a novel class whose labeled nodes are exactly its k supports leaves no
+    # node to evaluate or query: the manifest is rejected when it is loaded
+    _prepare(cfg_path)
+    session = json.loads(Path(cfg.manifest).read_text())["sessions"][0]
+    cls = session["novel_classes"][0]
+    sup = set(session["supports"][str(cls)])
+    labels_tsv = Path(cfg.dataset_dir) / "labels.tsv"
+    lines = []
+    for line in labels_tsv.read_text().splitlines():
+        node, label = (int(v) for v in line.split("\t"))
+        lines.append(f"{node}\t{-1 if label == cls and node not in sup else label}\n")
+    labels_tsv.write_text("".join(lines))
+    return ("pretrain", "ManifestError",
+            f"{cfg.manifest}: class {cls} has 3 labeled nodes, needs >= 4")
 
 
 def _manifest_not_json(tmp, cfg, cfg_path):
@@ -765,7 +812,7 @@ _BAD_INPUTS = [_missing_dataset, _missing_manifest, _missing_checkpoint, _base_w
                _manifest_without_k_shot, _manifest_class_without_supports,
                _manifest_short_of_supports, _manifest_support_outside_the_graph,
                _manifest_support_of_another_class, _manifest_repeats_a_support,
-               _checkpoint_without_seed,
+               _manifest_class_with_only_k_labeled_nodes, _checkpoint_without_seed,
                _checkpoint_cut_in_a_header, _export_of_another_session,
                _report_of_an_empty_run,
                *(_checkpoint_without(tensor, command)
@@ -775,7 +822,10 @@ _BAD_INPUTS = [_missing_dataset, _missing_manifest, _missing_checkpoint, _base_w
                *(_checkpoint_with(*bad, command)
                  for bad in _BAD_TENSORS for command in ("stream", "export")),
                *(_checkpoint_with_classes(*bad, command)
-                 for bad in _FOREIGN_CLASSES for command in ("stream", "export"))]
+                 for bad in _FOREIGN_CLASSES for command in ("stream", "export")),
+               *(case(command)
+                 for case in (_checkpoint_is_a_directory, _checkpoint_of_another_feature_width)
+                 for command in ("stream", "export"))]
 
 
 @pytest.mark.parametrize("case", _BAD_INPUTS, ids=[f.__name__[1:] for f in _BAD_INPUTS])

@@ -152,15 +152,20 @@ def test_fused_scope_names_the_op_and_restores_the_error_state():
     assert np.geterr() == before
 
 
-def test_fused_scope_checks_products_and_arrays_by_name():
+def test_non_finite_product_names_the_op():
     # BLAS sets no floating-point flags, so a product is checked whether or
     # not the multiply raised one
+    big = np.full((2, 2), 1e30, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        with pytest.raises(dm.NonFiniteError, match=r"^matmul: non-finite result$"):
+            dm.matmul(dm.tensor(big), big)
+
+
+def test_fused_scope_checks_products_and_arrays_by_name():
     big = np.full((2, 2), 1e30, dtype=np.float32)
     small = np.arange(4, dtype=np.float32).reshape(2, 2)
     op = dm.fused("refine_prototype")
     with np.errstate(over="ignore"):
-        with pytest.raises(dm.NonFiniteError, match=r"^matmul: non-finite result$"):
-            dm.matmul(dm.tensor(big), big)
         with pytest.raises(dm.NonFiniteError, match=r"^refine_prototype: non-finite result$"):
             op.matmul(big, big)
     assert op.matmul(small, small).tobytes() == (small @ small).tobytes()

@@ -586,6 +586,8 @@ def test_stream_determinism_and_manifest_round_trip(tmp_path):
     assert m1.read_bytes() == m2.read_bytes()
     reloaded = gs.load_session_stream(g, m1)
     assert streams_equal(s1, reloaded)
+    with pytest.raises(gs.DatasetFileMissingError, match=f"^missing manifest: {tmp_path / 'c'}$"):
+        gs.load_session_stream(g, tmp_path / "c")
 
 
 def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path):

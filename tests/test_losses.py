@@ -275,6 +275,28 @@ def test_distillation_shape_mismatch():
         ls.distillation_loss(t64(np.ones((2, 3)) / 3, grad=False), np.ones((2, 2)) / 2)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ls.proximity_loss(t64(np.ones((2, 2))), [0], proto_set(np.eye(2))),
+     dm.ShapeError, "one label per query embedding required"),
+    (lambda: ls.proximity_loss(t64(np.ones((0, 2))), [], proto_set(np.eye(2))),
+     ValueError, "proximity_loss needs at least one query"),
+    (lambda: ls.uniformity_loss(proto_set(np.ones((1, 2)))),
+     ValueError, "uniformity_loss needs at least two prototypes"),
+    (lambda: ls.separability_loss(t64(np.ones((0, 2))), t64(np.ones((1, 2)))),
+     ValueError, "separability_loss needs non-empty novel and old prototype lists"),
+    (lambda: ls.softened_logits(t64(np.ones((1, 2))), proto_set(np.eye(2)), 0.0),
+     ValueError, "temperature must be positive, got 0.0"),
+    (lambda: ls.softened_logits(t64(np.ones((1, 2))), proto_set(np.ones((0, 2))), 2.0),
+     ValueError, "softened_logits needs at least one prototype"),
+    (lambda: ls.distillation_loss(t64(np.full((1, 2), 0.5)), np.array([[np.inf, 0.5]])),
+     dm.NonFiniteError, "distillation_loss: teacher contains NaN or Inf"),
+], ids=["proximity_labels", "proximity_empty", "uniformity_one", "separability_empty",
+        "softened_tau", "softened_empty", "distillation_teacher"])
+def test_losses_name_their_bad_arguments(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 # --- combined losses ---------------------------------------------------------
 
 def test_pretrain_loss_arithmetic():
