@@ -12,7 +12,7 @@ Conventions:
   * Tensors are immutable once created.  Optimizers update the ``data``
     array of parameter leaves in place *between* steps, never during a
     forward pass.
-  * Every op computes in one frame, ``with fused(name) as op:``.  A numpy
+  * An op that can overflow computes in ``with fused(name) as op:``.  A numpy
     floating-point fault (overflow, invalid, divide-by-zero) in it raises
     ``NonFiniteError`` naming the op.  BLAS sets no such flags, so
     ``op.matmul`` is a product checked for NaN and Inf, and ``op.finite``

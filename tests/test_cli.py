@@ -600,14 +600,18 @@ def _manifest_is_a_directory(tmp, cfg, cfg_path):
             f"{tmp / 'manifests'}: is a directory, not a manifest file")
 
 
+def _checkpoint_argv(command, path, tmp):
+    """``stream`` or ``export`` (into ``tmp``) of checkpoint ``path``."""
+    argv = [command, "--checkpoint", str(path)]
+    return argv + ["--out", str(tmp / "x.tsv")] if command == "export" else argv
+
+
 def _checkpoint_is_a_directory(command):
     def case(tmp, cfg, cfg_path):
         _prepare(cfg_path)
         (tmp / "ckpt").mkdir()
-        argv = [command, "--checkpoint", str(tmp / "ckpt")]
-        if command == "export":
-            argv += ["--out", str(tmp / "x.tsv")]
-        return argv, "CheckpointError", f"{tmp / 'ckpt'}: is a directory, not a checkpoint file"
+        return (_checkpoint_argv(command, tmp / "ckpt", tmp), "CheckpointError",
+                f"{tmp / 'ckpt'}: is a directory, not a checkpoint file")
 
     case.__name__ = f"_{command}_of_a_checkpoint_that_is_a_directory"
     return case
@@ -620,10 +624,8 @@ def _checkpoint_of_another_feature_width(command):
         ckpt = _pretrain_seed0(cfg, cfg_path)
         write_synthetic_dataset(cfg.dataset_dir, classes=4, per_class=22, feature_dim=12,
                                 p_in=0.3, p_out=0.02, seed=1)
-        argv = [command, "--checkpoint", str(ckpt)]
-        if command == "export":
-            argv += ["--out", str(tmp / "x.tsv")]
-        return argv, "ShapeError", "graph feature dim 12 != backbone input 10"
+        return (_checkpoint_argv(command, ckpt, tmp), "ShapeError",
+                "graph feature dim 12 != backbone input 10")
 
     case.__name__ = f"_{command}_of_a_checkpoint_of_another_feature_width"
     return case
@@ -724,10 +726,7 @@ def _checkpoint_case(name, command, edit, message):
         edit(arrays)
         path = tmp / "edited.gfsp"
         save_tensors(path, arrays)
-        argv = [command, "--checkpoint", str(path)]
-        if command == "export":
-            argv += ["--out", str(tmp / "x.tsv")]
-        return argv, "CheckpointError", message(path)
+        return _checkpoint_argv(command, path, tmp), "CheckpointError", message(path)
 
     case.__name__ = f"_{command}_of_a_checkpoint_{name}"
     return case
