@@ -224,10 +224,8 @@ def _attention(op, z: np.ndarray, attn: np.ndarray, struct: _EdgeStructure, trac
     the layer's backward reuses when ``track`` is set.
     """
     out_h = z.shape[1]
-    s_center = z @ attn[:out_h]
-    s_neigh = z @ attn[out_h:]
-    op.finite(s_center, "non-finite attention score")
-    op.finite(s_neigh, "non-finite attention score")
+    s_center = op.matmul(z, attn[:out_h], "non-finite attention score")
+    s_neigh = op.matmul(z, attn[out_h:], "non-finite attention score")
     with op:
         scores = s_center[struct.center] + s_neigh[struct.src]
     leaky = dm.leaky_relu(Tensor(scores, requires_grad=track), LEAKY_SLOPE)

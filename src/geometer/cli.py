@@ -4,7 +4,8 @@ Subcommands: ``prepare`` (write the split manifest), ``pretrain`` (base-stage
 training per seed), ``stream`` (run all streaming sessions, chaining teacher
 to student, resumable from any session checkpoint), ``report`` (aggregate
 metrics across seeds), ``export`` (dump embeddings and prototypes for offline
-projection).
+projection).  ``prepare``, ``pretrain`` and ``stream`` first check that the
+manifest's train pools can feed the episode sampler at every stage.
 
 Every command is deterministic given the config and seed.  Failures exit
 nonzero with a single machine-parsable line on stderr:
@@ -27,6 +28,7 @@ import numpy as np
 from .checkpoint import (CheckpointError, arrays_to_model, load_tensors, model_to_arrays,
                          save_tensors)
 from .config import ExperimentConfig, parse_config
+from .episodes import PoolTooSmallError, check_pools
 from .fileio import replacing
 from .graph_store import (build_session_stream, load_graph, load_session_stream,
                           save_manifest)
@@ -56,6 +58,15 @@ def _load_stream(cfg: ExperimentConfig):
     g = load_graph(_require(cfg.dataset_dir, "dataset directory"))
     stream = load_session_stream(g, _require(cfg.manifest, "split manifest"))
     return g, stream
+
+
+def _check_pools(cfg: ExperimentConfig, stream) -> None:
+    """Refuse a stream whose train pools cannot feed its episodes, before any
+    training or write, naming the manifest."""
+    try:
+        check_pools(stream, cfg.sampler())
+    except PoolTooSmallError as exc:
+        raise PoolTooSmallError(f"{cfg.manifest}: {exc}") from None
 
 
 def _checkpoint_path(cfg: ExperimentConfig, seed: int, session: int) -> Path:
@@ -140,6 +151,7 @@ def cmd_prepare(cfg: ExperimentConfig) -> Path:
     g = load_graph(_require(cfg.dataset_dir, "dataset directory"), defer_features=True)
     base, sessions = _select_classes(g.labels, cfg)
     stream = build_session_stream(g, base, sessions, cfg.k_shot, cfg.split_seed)
+    _check_pools(cfg, stream)
     out = Path(cfg.manifest)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_manifest(stream, out)
@@ -171,6 +183,7 @@ def _run_stage(cfg: ExperimentConfig, stream, seed: int, stage) -> tuple:
 
 def cmd_pretrain(cfg: ExperimentConfig, seed_override: int | None = None) -> list:
     _, stream = _load_stream(cfg)
+    _check_pools(cfg, stream)
     paths = []
     for seed in ([seed_override] if seed_override is not None else cfg.seeds):
         _, saved = _run_stage(cfg, stream, seed, lambda: pretrain(stream, cfg, seed))
@@ -181,6 +194,7 @@ def cmd_pretrain(cfg: ExperimentConfig, seed_override: int | None = None) -> lis
 def cmd_stream(cfg: ExperimentConfig, seed_override: int | None = None,
                checkpoint: str | None = None) -> list:
     _, stream = _load_stream(cfg)
+    _check_pools(cfg, stream)
     if checkpoint is not None:
         starts = [(checkpoint, seed_override)]
     else:
@@ -303,7 +317,7 @@ def cmd_report(cfg: ExperimentConfig, out: str | None = None) -> dict:
 
 def export_embeddings(cfg: ExperimentConfig, checkpoint: str, session: int | None,
                       out_path) -> Path:
-    """Write eval-pool embeddings and prototype coordinates as TSV rows.
+    """Write test-pool embeddings and prototype coordinates as TSV rows.
 
     Row shapes: ``node <node_id> <class_id> <v0> ...`` and
     ``prototype <class_id> <v0> ...``; floats carry 9 significant digits so a
@@ -324,8 +338,7 @@ def export_embeddings(cfg: ExperimentConfig, checkpoint: str, session: int | Non
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with replacing(out) as fh:
-        for cls in stream.classes_at(session):
-            pool = stream.eval_pools[session][cls]
+        for cls, pool in stream.test_pools(session).items():
             for node, row in zip(pool, emb[g.rows_of(pool)]):
                 vec = "\t".join(f"{v:.9g}" for v in row)
                 fh.write(f"node\t{int(node)}\t{int(cls)}\t{vec}\n")

@@ -14,9 +14,10 @@ Conventions:
     forward pass.
   * An op that can overflow computes in ``with fused(name) as op:``.  A numpy
     floating-point fault (overflow, invalid, divide-by-zero) in it raises
-    ``NonFiniteError`` naming the op.  BLAS sets no such flags, so
-    ``op.matmul`` is a product checked for NaN and Inf, and ``op.finite``
-    checks any other array; both work outside the ``with`` too.
+    ``NonFiniteError`` naming the op.  Whether a product sets such flags
+    depends on the kernel that computes it, so ``op.matmul`` is a product
+    checked for NaN and Inf that reports no flag, and ``op.finite`` checks
+    any other array; both work outside the ``with`` too.
     ``node(data, parents, vjp)`` makes the result one tape node.  The fused
     ops of other modules use this frame and no private name of this one.
   * A vjp returns None for an operand that tracks no gradient instead of
@@ -101,11 +102,14 @@ class fused:
             raise NonFiniteError(f"{self.name}: non-finite result ({exc})") from None
         return False
 
-    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x @ y, checked for NaN and Inf."""
-        out = np.matmul(x, y)
-        if not _all_finite(out):
-            raise NonFiniteError(f"{self.name}: non-finite result")
+    def matmul(self, x: np.ndarray, y: np.ndarray,
+               what: str = "non-finite result") -> np.ndarray:
+        """x @ y, checked for NaN and Inf as ``finite(out, what)`` checks.  The
+        check names the fault, so the product runs with numpy's own
+        floating-point reports off, whether they would warn or raise."""
+        with np.errstate(all="ignore"):
+            out = np.matmul(x, y)
+        self.finite(out, what)
         return out
 
     def finite(self, arr: np.ndarray, what: str) -> None:

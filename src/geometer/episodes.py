@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph_store import SessionStream
 
-__all__ = ["SamplerConfig", "Episode", "PoolTooSmallError",
+__all__ = ["SamplerConfig", "Episode", "PoolTooSmallError", "check_pools",
            "episode_rng", "sample_pretrain_episode", "sample_finetune_episode"]
 
 
@@ -37,6 +37,11 @@ class SamplerConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 < self.old_query_bias < 1.0:
             raise ValueError(f"old_query_bias must lie in (0, 1), got {self.old_query_bias}")
+
+    def query_split(self) -> tuple:
+        """How many of a finetune episode's k_qry queries are old and novel."""
+        n_old = ceil(self.old_query_bias * self.k_qry)
+        return n_old, self.k_qry - n_old
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ def sample_finetune_episode(session: int, stream: SessionStream, cfg: SamplerCon
     """Fixed novel supports, resampled old supports, old-biased query split."""
     if session < 1:
         raise ValueError("finetune episodes exist only for sessions >= 1")
-    pools = stream.eval_pools[session]
+    pools = stream.train_pools(session)
     novel_classes = stream.novel_at(session)
     old_classes = stream.classes_at(session - 1)
 
@@ -93,8 +98,7 @@ def sample_finetune_episode(session: int, stream: SessionStream, cfg: SamplerCon
         chosen = rng.choice(pool, size=take, replace=False)
         supports[cls] = tuple(int(v) for v in np.sort(chosen))
 
-    n_old = ceil(cfg.old_query_bias * cfg.k_qry)
-    n_novel = cfg.k_qry - n_old
+    n_old, n_novel = cfg.query_split()
     taken = np.array([v for sup in supports.values() for v in sup], dtype=np.int64)
 
     queries = []
@@ -108,6 +112,29 @@ def sample_finetune_episode(session: int, stream: SessionStream, cfg: SamplerCon
             idx = rng.choice(len(nodes), size=want, replace=False)
             queries.extend((int(nodes[i]), int(labels[i])) for i in idx)
     return Episode(supports, tuple(queries))
+
+
+def check_pools(stream: SessionStream, cfg: SamplerConfig) -> None:
+    """Raise ``PoolTooSmallError`` naming the first stage whose train pools
+    cannot feed its episodes, from the pool sizes alone: no episode is drawn.
+
+    Pretraining draws k_max + k_qry nodes from each base pool, and a session
+    its novel queries from its novel pools.  A session's old queries need no
+    check of their own: beyond its at most k_max supports, every base pool
+    holds k_qry nodes, and the old share of the queries is at most k_qry.
+    """
+    need = cfg.k_max + cfg.k_qry
+    for cls, pool in stream.train_pools(0).items():
+        if len(pool) < need:
+            raise PoolTooSmallError(
+                f"stage 0: class {cls} pool has {len(pool)} nodes, needs >= {need}")
+    _, n_novel = cfg.query_split()
+    for session in range(1, stream.num_sessions + 1):
+        pools = stream.train_pools(session)
+        have = sum(len(pools[c]) for c in stream.novel_at(session))
+        if have < n_novel:
+            raise PoolTooSmallError(
+                f"stage {session}: novel query pool has {have} nodes, needs {n_novel}")
 
 
 def _query_candidates(pools: Mapping[int, np.ndarray], class_list, taken: np.ndarray):

@@ -36,8 +36,9 @@ every check of a full load in the same order and with the same errors: the
 labels, and the endpoint and self-loop checks.  It reads the payload through
 one reusable block and keeps none of it: the graph holds its ids, labels and
 edges over a deferred store, which reads the file again only if its features
-are used.  A ``SessionStream`` cuts its snapshots and eval pools on first
-use, so ``prepare``, which needs only the partition, cuts none.
+are used.  A ``SessionStream`` cuts its snapshots on first use, and
+reading its pools cuts none, so ``prepare``, which needs the partition and
+the pools, cuts none.
 
 ``load_graph`` parses each TSV file with numpy in one pass and checks the
 columns, duplicate edges, label ranges and coverage on the arrays.  Only a
@@ -622,28 +623,31 @@ class ClassPartition:
 class SessionStream:
     """Base stage plus streaming sessions over cumulative graph snapshots.
 
-    The snapshots and eval pools are cut from the graph on first use, so a
-    stream read only for its partition (``prepare``) cuts none of them.
+    This class alone decides which labeled nodes training may read at a
+    stage (``train_pools``) and which ones scoring reads (``test_pools``).
+    Snapshots are cut on first use; the pools, read from the labels, cut none.
     """
 
     partition: ClassPartition
     k_shot: int
     seed: int
     _graph: Graph = field(repr=False, compare=False)    # the graph every stage is cut from
+    _pools: dict = field(repr=False, compare=False)     # see ``_class_pools``
 
     @cached_property
-    def _stages(self) -> tuple:
-        return _cut_stages(self._graph, self.partition)
-
-    @property
     def snapshots(self) -> tuple:
         """Index 0 = base graph, index t = session-t graph."""
-        return self._stages[0]
+        return _cut_stages(self._graph, self.partition)
 
-    @property
-    def eval_pools(self) -> tuple:
-        """Per stage: {class id -> node id array}."""
-        return self._stages[1]
+    def train_pools(self, stage: int) -> dict:
+        """{class id -> node id array} over ``classes_at(stage)``: the labeled
+        nodes that episodes and prototypes may read at ``stage``."""
+        return {cls: self._pools[cls] for cls in self.classes_at(stage)}
+
+    def test_pools(self, stage: int) -> dict:
+        """The same map for scoring and export.  It is not yet split from
+        ``train_pools``, so an accuracy over it includes nodes training read."""
+        return {cls: self._pools[cls] for cls in self.classes_at(stage)}
 
     @property
     def num_sessions(self) -> int:
@@ -676,22 +680,23 @@ def _class_members(g: Graph) -> dict:
     return members
 
 
-def _cut_stages(g: Graph, partition: ClassPartition) -> tuple:
-    """The snapshots and the eval pools of a validated partition.
-
-    A class's pool is its labeled ids minus its held-out supports at every
-    stage it is part of, so all stages share one read-only array per class.
-    """
-    members = _class_members(g)
-    stage_of = dict.fromkeys(partition.base_classes, 0)
-    pool_of = {cls: members[cls] for cls in partition.base_classes}
-    for stage, spec in enumerate(partition.sessions, start=1):
+def _class_pools(members: dict, partition: ClassPartition) -> dict:
+    """class id -> its labeled node ids less its held-out supports: one
+    read-only array per class, shared by every stage it is part of."""
+    pools = {cls: members[cls] for cls in partition.base_classes}
+    for spec in partition.sessions:
         for cls in spec.novel_classes:
-            stage_of[cls] = stage
             labeled = members[cls]
-            pool = np.delete(labeled, np.searchsorted(labeled, spec.supports[cls]))
-            pool.setflags(write=False)
-            pool_of[cls] = pool
+            pools[cls] = np.delete(labeled, np.searchsorted(labeled, spec.supports[cls]))
+            pools[cls].setflags(write=False)
+    return pools
+
+
+def _cut_stages(g: Graph, partition: ClassPartition) -> tuple:
+    """The snapshots of a validated partition, one per stage."""
+    stage_of = dict.fromkeys(partition.base_classes, 0)
+    for stage, spec in enumerate(partition.sessions, start=1):
+        stage_of.update(dict.fromkeys(spec.novel_classes, stage))
     # the first stage each row is part of: unlabeled rows from the base on,
     # rows of classes outside the partition never
     stages = len(partition.sessions) + 1
@@ -700,22 +705,16 @@ def _cut_stages(g: Graph, partition: ClassPartition) -> tuple:
     pos, hit = _find_sorted(np.array(classes, dtype=np.int64), g.labels)
     row_stage[hit] = np.array([stage_of[c] for c in classes], dtype=np.int64)[pos[hit]]
     row_stage[g.labels == UNLABELED] = 0
-    snapshots, eval_pools = [], []
-    for stage in range(stages):
-        snapshots.append(_row_subset(g, np.flatnonzero(row_stage <= stage)))
-        eval_pools.append({cls: pool_of[cls]
-                           for cls in sorted(c for c in stage_of if stage_of[c] <= stage)})
-    return tuple(snapshots), tuple(eval_pools)
+    return tuple(_row_subset(g, np.flatnonzero(row_stage <= stage)) for stage in range(stages))
 
 
-def _validate_partition_classes(g: Graph, base_classes, session_novel_classes):
+def _validate_partition_classes(members: dict, base_classes, session_novel_classes):
     listed = list(base_classes)
     for novel in session_novel_classes:
         listed.extend(novel)
     if len(set(listed)) != len(listed):
         raise ClassOverlapError("base and session class lists must be pairwise disjoint")
-    present = set(int(c) for c in g.present_classes())
-    unknown = [c for c in listed if int(c) not in present]
+    unknown = [c for c in listed if int(c) not in members]
     if unknown:
         raise UnknownClassError(f"classes not present in graph labels: {unknown}")
 
@@ -726,13 +725,13 @@ def build_session_stream(g: Graph, base_classes: Sequence[int],
     """Construct the base-plus-sessions stream, sampling K-shot supports.
 
     Supports are drawn uniformly without replacement per novel class,
-    deterministically under ``seed``; everything else (snapshots, eval pools)
-    is derived from the partition on first use.
+    deterministically under ``seed``; the pools are derived from the
+    partition here, the snapshots on first use.
     """
     if k_shot < 1:
         raise ValueError(f"k_shot must be positive, got {k_shot}")
-    _validate_partition_classes(g, base_classes, session_novel_classes)
     members = _class_members(g)
+    _validate_partition_classes(members, base_classes, session_novel_classes)
     rng = np.random.default_rng(seed)
     sessions = []
     for novel in session_novel_classes:
@@ -746,7 +745,7 @@ def build_session_stream(g: Graph, base_classes: Sequence[int],
             supports[int(cls)] = tuple(int(v) for v in np.sort(chosen))
         sessions.append(SessionSpec(tuple(int(c) for c in novel), supports))
     partition = ClassPartition(tuple(int(c) for c in base_classes), tuple(sessions))
-    return SessionStream(partition, k_shot, seed, g)
+    return SessionStream(partition, k_shot, seed, g, _class_pools(members, partition))
 
 
 def save_manifest(stream: SessionStream, path) -> None:
@@ -791,8 +790,8 @@ def load_session_stream(g: Graph, path) -> SessionStream:
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"{p}: malformed manifest ({exc})") from None
 
-    _validate_partition_classes(g, base, [novel for novel, _ in sessions])
     members = _class_members(g)
+    _validate_partition_classes(members, base, [novel for novel, _ in sessions])
     specs = []
     for novel, supports in sessions:
         if sorted(supports) != sorted(novel):
@@ -813,4 +812,4 @@ def load_session_stream(g: Graph, path) -> SessionStream:
                 raise ManifestError(f"{p}: support node {v} is not labeled {cls}")
         specs.append(SessionSpec(tuple(novel), supports))
     partition = ClassPartition(tuple(base), tuple(specs))
-    return SessionStream(partition, k_shot, seed, g)
+    return SessionStream(partition, k_shot, seed, g, _class_pools(members, partition))

@@ -4,14 +4,14 @@ Every stage runs one loop: episodic gradient steps on the stage's snapshot
 under one objective, then a final encode that fixes the stage's prototypes.
 Pretraining is stage 0: a fresh model and no teacher, so its objective is
 proximity plus uniformity, and its prototypes come from each base class's
-full labeled pool.  Each streaming session takes the previous model as a
-frozen teacher, deep-copies it into a student, adds separability and
-distillation to the objective, and extends the prototype set with the
-session's novel classes.  By default every prototype is then recomputed
-through the finetuned encoder; with the ``carried_prototypes`` switch old
-prototype vectors are carried from the teacher instead, inside episodes and
-in the final set (distillation keeps them valid in the drifting metric
-space).
+train pool (``SessionStream.train_pools``).  Each streaming session takes
+the previous model as a frozen teacher, deep-copies it into a student, adds
+separability and distillation to the objective, and extends the prototype
+set with the session's novel classes.  By default every prototype is then
+recomputed through the finetuned encoder; with the ``carried_prototypes``
+switch old prototype vectors are carried from the teacher instead, inside
+episodes and in the final set (distillation keeps them valid in the
+drifting metric space).
 
 Of the teacher, a session keeps only its prototypes and its embeddings of
 the session snapshot, taken before the student is cloned; after the clone
@@ -202,7 +202,7 @@ def pretrain(stream: SessionStream, cfg: ExperimentConfig, seed: int) -> ModelSt
         class_attention=init_class_attention(cfg.embedding_dim, cfg.class_attention_heads,
                                              seed=seed),
         prototypes=None, session_index=0)
-    pools = {c: stream.eval_pools[0][c] for c in stream.classes_at(0)}
+    pools = stream.train_pools(0)
     sampler = cfg.sampler()
     return _train_stage(state, stream, 0, cfg, seed,
                         lambda rng: sample_pretrain_episode(pools, sampler, rng))
@@ -234,7 +234,7 @@ def _train_stage(state: ModelState, stream: SessionStream, stage: int,
                  teacher: _Teacher | None = None) -> ModelState:
     """Train ``state`` on stage ``stage``'s episodes, drawn by ``sample(rng)``,
     then fix its prototypes through the trained encoder: a base class's from
-    its full labeled pool, a novel class's from its K-shot supports."""
+    its train pool, a novel class's from its K-shot supports."""
     g = stream.snapshots[stage]
     weights = cfg.loss_weights()
     lr, episodes = ((cfg.lr_pretrain, cfg.episodes_pretrain) if stage == 0
@@ -243,7 +243,7 @@ def _train_stage(state: ModelState, stream: SessionStream, stage: int,
                     lambda episode, rng: _episode_loss(state, g, episode, cfg, weights, rng,
                                                        teacher))
     emb = encode(state.backbone.detached(), g)
-    supports = {c: stream.eval_pools[stage][c] for c in stream.classes_at(0)}
+    supports = stream.train_pools(stage)
     for s in range(1, stage + 1):
         supports.update(stream.supports_at(s))
     protos = _stage_prototypes(emb, supports, g, state, cfg, teacher)
@@ -309,7 +309,7 @@ def predict_nodes(model: ModelState, g: Graph, nodes, embeddings=None) -> list:
 
 def evaluate_session(model: ModelState, stream: SessionStream, session: int,
                      *, embeddings=None) -> SessionMetrics:
-    """Accuracy over the eval pools of every class encountered by ``session``.
+    """Accuracy over the test pools of every class encountered by ``session``.
 
     The spread across independently trained seeds is the reporting
     command's to compute.  ``embeddings`` (the session snapshot encoded by the
@@ -318,18 +318,16 @@ def evaluate_session(model: ModelState, stream: SessionStream, session: int,
     """
     if model.session_index != session:
         raise ValueError(f"model is at session {model.session_index}, asked for {session}")
-    pools = stream.eval_pools[session]
-    classes = stream.classes_at(session)
+    pools = stream.test_pools(session)
     nodes, labels = [], []
-    for cls in classes:
-        pool = pools[cls]
+    for cls, pool in pools.items():
         nodes.extend(int(v) for v in pool)
         labels.extend(cls for _ in pool)
     predictions = predict_nodes(model, stream.snapshots[session], nodes, embeddings)
     labels = np.array(labels)
     predictions = np.array(predictions)
     per_class = {}
-    for cls in classes:
+    for cls in pools:
         mask = labels == cls
         per_class[int(cls)] = float((predictions[mask] == cls).mean())
     return SessionMetrics(session, float((predictions == labels).mean()), per_class)

@@ -434,9 +434,11 @@ def streams_equal(a, b):
         return False
     if not all(graphs_equal(x, y) for x, y in zip(a.snapshots, b.snapshots)):
         return False
-    for pa, pb in zip(a.eval_pools, b.eval_pools):
-        if sorted(pa) != sorted(pb) or not all(np.array_equal(pa[c], pb[c]) for c in pa):
-            return False
+    for stage in range(a.num_sessions + 1):
+        for pa, pb in ((a.train_pools(stage), b.train_pools(stage)),
+                       (a.test_pools(stage), b.test_pools(stage))):
+            if sorted(pa) != sorted(pb) or not all(np.array_equal(pa[c], pb[c]) for c in pa):
+                return False
     return True
 
 

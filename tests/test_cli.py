@@ -171,7 +171,7 @@ def test_pretrain_pn_star_checkpoint_has_mean_prototypes(workspace):
     g0 = stream.snapshots[0]
     emb = encode(model.backbone, g0).data
     for cls in stream.classes_at(0):
-        rows = g0.rows_of(stream.eval_pools[0][cls])
+        rows = g0.rows_of(stream.train_pools(0)[cls])
         want = emb[rows].mean(axis=0)
         got = model.prototypes.vectors.data[model.prototypes.index_of(cls)]
         np.testing.assert_allclose(got, want, atol=1e-5)
@@ -438,7 +438,7 @@ def test_export_row_counts_and_round_trip(workspace):
     for line in out.read_text().splitlines():
         cols = line.split("\t")
         (node_rows if cols[0] == "node" else proto_rows).append(cols)
-    pool_size = sum(len(stream.eval_pools[0][c]) for c in stream.classes_at(0))
+    pool_size = sum(len(pool) for pool in stream.test_pools(0).values())
     assert len(node_rows) == pool_size
     assert len(proto_rows) == len(stream.classes_at(0))
 
@@ -631,21 +631,49 @@ def _checkpoint_of_another_feature_width(command):
     return case
 
 
-def _manifest_class_with_only_k_labeled_nodes(tmp, cfg, cfg_path):
-    # a novel class whose labeled nodes are exactly its k supports leaves no
-    # node to evaluate or query: the manifest is rejected when it is loaded
-    _prepare(cfg_path)
-    session = json.loads(Path(cfg.manifest).read_text())["sessions"][0]
-    cls = session["novel_classes"][0]
-    sup = set(session["supports"][str(cls)])
+def _unlabel_novel_class(cfg, session, extra):
+    """Unlabel the novel class of manifest session ``session`` down to its
+    supports and the first ``extra`` of its other nodes; returns the class."""
+    spec = json.loads(Path(cfg.manifest).read_text())["sessions"][session - 1]
+    cls = spec["novel_classes"][0]
+    sup = set(spec["supports"][str(cls)])
     labels_tsv = Path(cfg.dataset_dir) / "labels.tsv"
     lines = []
     for line in labels_tsv.read_text().splitlines():
         node, label = (int(v) for v in line.split("\t"))
-        lines.append(f"{node}\t{-1 if label == cls and node not in sup else label}\n")
+        if label == cls and node not in sup:
+            extra -= 1
+            label = label if extra >= 0 else -1
+        lines.append(f"{node}\t{label}\n")
     labels_tsv.write_text("".join(lines))
+    return cls
+
+
+def _manifest_class_with_only_k_labeled_nodes(tmp, cfg, cfg_path):
+    # a novel class whose labeled nodes are exactly its k supports leaves no
+    # node to evaluate or query: the manifest is rejected when it is loaded
+    _prepare(cfg_path)
+    cls = _unlabel_novel_class(cfg, 1, extra=0)
     return ("pretrain", "ManifestError",
             f"{cfg.manifest}: class {cls} has 3 labeled nodes, needs >= 4")
+
+
+def _prepare_short_of_a_base_pool(tmp, cfg, cfg_path):
+    # pretraining draws k_max + k_qry = 24 nodes from each base class of 22
+    _reconfigure(cfg, cfg_path, k_max=20)
+    return ("prepare", "PoolTooSmallError",
+            f"{cfg.manifest}: stage 0: class 0 pool has 22 nodes, needs >= 24")
+
+
+def _stream_short_of_novel_queries(tmp, cfg, cfg_path):
+    # session 2's novel class keeps K + 1 = 4 labeled nodes, one beyond its
+    # supports, and its episodes draw 3 novel queries (10 less 7 old ones):
+    # stream refuses before it trains session 1
+    _reconfigure(cfg, cfg_path, k_qry=10)
+    _pretrain_seed0(cfg, cfg_path)
+    _unlabel_novel_class(cfg, 2, extra=1)
+    return (["stream", "--seed", "0"], "PoolTooSmallError",
+            f"{cfg.manifest}: stage 2: novel query pool has 1 nodes, needs 3")
 
 
 def _manifest_not_json(tmp, cfg, cfg_path):
@@ -811,7 +839,8 @@ _BAD_INPUTS = [_missing_dataset, _missing_manifest, _missing_checkpoint, _base_w
                _manifest_without_k_shot, _manifest_class_without_supports,
                _manifest_short_of_supports, _manifest_support_outside_the_graph,
                _manifest_support_of_another_class, _manifest_repeats_a_support,
-               _manifest_class_with_only_k_labeled_nodes, _checkpoint_without_seed,
+               _manifest_class_with_only_k_labeled_nodes, _prepare_short_of_a_base_pool,
+               _stream_short_of_novel_queries, _checkpoint_without_seed,
                _checkpoint_cut_in_a_header, _export_of_another_session,
                _report_of_an_empty_run,
                *(_checkpoint_without(tensor, command)
@@ -835,6 +864,17 @@ def test_cli_names_the_bad_input(workspace, capsys, case):
     capsys.readouterr()
     assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
     assert capsys.readouterr().err == f'error kind={kind} message="{message}"\n'
+
+
+@pytest.mark.parametrize("case", [_prepare_short_of_a_base_pool, _stream_short_of_novel_queries],
+                         ids=lambda case: case.__name__[1:])
+def test_pools_short_of_the_sampler_fail_before_any_write(workspace, case):
+    tmp_path, cfg, cfg_path = workspace
+    command, _, _ = case(tmp_path, cfg, cfg_path)
+    argv = [command] if isinstance(command, str) else command
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_error_line_is_machine_parsable(tmp_path, capsys):

@@ -119,6 +119,49 @@ def test_finetune_determinism_and_session_guard():
         ep.sample_finetune_episode(0, stream, cfg, ep.episode_rng(0, 0, 0))
 
 
+def sized_stream(sizes, k_shot=5):
+    """Classes 0 and 1 are the base, each later class the novel class of one
+    session; class c has ``sizes[c]`` labeled nodes."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    g = gs.make_graph(np.ones((len(labels), 2), dtype=np.float32), [(0, 1)], labels)
+    return gs.build_session_stream(g, [0, 1], [[c] for c in range(2, len(sizes))],
+                                   k_shot=k_shot, seed=0)
+
+
+# k_max + k_qry = 20 nodes per base pool, and 3 novel queries (10 less 7 old ones)
+NEEDS = ep.SamplerConfig(k_max=10, k_qry=10, old_query_bias=0.7)
+
+
+def test_pools_that_just_meet_the_needs_feed_both_samplers():
+    stream = sized_stream([20, 20, 8, 9])                   # novel pools of 3 and 4
+    ep.check_pools(stream, NEEDS)
+    ep.sample_pretrain_episode(stream.train_pools(0), NEEDS, ep.episode_rng(0, 0, 0))
+    for session in (1, 2):
+        ep.sample_finetune_episode(session, stream, NEEDS, ep.episode_rng(0, session, 0))
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ([19, 20, 8], "stage 0: class 0 pool has 19 nodes, needs >= 20"),
+    ([20, 20, 8, 7], "stage 2: novel query pool has 2 nodes, needs 3"),
+], ids=["base", "novel"])
+def test_check_pools_names_the_first_short_stage(sizes, message, monkeypatch):
+    # from the pool sizes alone: no sampler runs
+    monkeypatch.setattr(ep, "sample_pretrain_episode", None)
+    monkeypatch.setattr(ep, "sample_finetune_episode", None)
+    with pytest.raises(ep.PoolTooSmallError, match=f"^{message}$"):
+        ep.check_pools(sized_stream(sizes), NEEDS)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ([12, 12, 30], "old query pool has 4 nodes, needs 7"),     # 2 x (12 - k_max)
+    ([20, 20, 7], "novel query pool has 2 nodes, needs 3"),
+], ids=["old", "novel"])
+def test_finetune_sampler_names_a_short_query_pool(sizes, message):
+    # the sampler is public, so it checks its own query pools as well
+    with pytest.raises(ep.PoolTooSmallError, match=f"^{message}$"):
+        ep.sample_finetune_episode(1, sized_stream(sizes), NEEDS, ep.episode_rng(0, 1, 0))
+
+
 def test_finetune_episodes_match_the_node_loop_candidates(monkeypatch):
     # the array candidates keep the loop's order, so every draw picks the same queries
     from oracles import loop_query_candidates

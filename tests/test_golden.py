@@ -121,7 +121,7 @@ def _episode_digest(cfg, seed: int, stage: int) -> str:
                           heads=cfg.backbone_heads),
             init_class_attention(cfg.embedding_dim, cfg.class_attention_heads, seed=seed),
             None)
-        pools = {c: stream.eval_pools[0][c] for c in stream.classes_at(0)}
+        pools = stream.train_pools(0)
         episode = sample_pretrain_episode(pools, sampler, rng)
         loss = rn._episode_loss(state, g, episode, cfg, weights, rng)
     else:

@@ -534,9 +534,9 @@ def test_build_stream_shapes_and_pools():
             assert len(sup) == 5
             for v in sup:
                 assert int(g.labels[g.row_of(v)]) == cls
-    # supports never appear in the same (or later) session's eval pool
+    # supports never appear in the same (or later) session's test pool
     for t in range(1, 4):
-        for cls, pool in stream.eval_pools[t].items():
+        for cls, pool in stream.test_pools(t).items():
             for spec in stream.partition.sessions[:t]:
                 if cls in spec.supports:
                     assert not set(spec.supports[cls]) & set(int(v) for v in pool)
@@ -565,7 +565,8 @@ def test_stream_cuts_its_stages_on_first_use(monkeypatch):
     calls = []
     monkeypatch.setattr(gs, "_cut_stages", lambda *a: calls.append(1) or cut(*a))
     assert stream.snapshots is stream.snapshots and len(stream.snapshots) == 3
-    assert sorted(stream.eval_pools[2]) == [0, 1, 2, 3, 4] and calls == [1]
+    assert sorted(stream.train_pools(2)) == sorted(stream.test_pools(2)) == [0, 1, 2, 3, 4]
+    assert calls == [1]
 
 
 def test_stream_zero_sessions():

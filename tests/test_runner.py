@@ -89,7 +89,7 @@ def test_pretrain_training_curve_improves_for_most_seeds():
     stream = tiny_stream(seed=7)
     cfg = tiny_config(episodes_pretrain=40)
     g = stream.snapshots[0]
-    pools = {c: stream.eval_pools[0][c] for c in stream.classes_at(0)}
+    pools = stream.train_pools(0)
     weights = cfg.loss_weights()
     improved = 0
     for seed in range(10):
@@ -144,7 +144,7 @@ def test_noop_finetune_extends_prototypes_and_keeps_old():
     # old-class nearest-prototype decisions agree with the teacher's on the
     # session snapshot when restricted to old classes
     g1 = stream.snapshots[1]
-    old_nodes = [int(v) for c in (0, 1) for v in stream.eval_pools[1][c]]
+    old_nodes = [int(v) for c in (0, 1) for v in stream.test_pools(1)[c]]
     teacher_for_g1 = rn.ModelState(student.backbone, student.class_attention,
                                    teacher.prototypes, session_index=1)
     restricted = rn.ModelState(student.backbone, student.class_attention,
@@ -281,7 +281,7 @@ def test_evaluate_accuracy_matches_counting_oracle():
     cfg = tiny_config(episodes_pretrain=5)
     model = rn.pretrain(stream, cfg, seed=3)
     metrics = rn.evaluate_session(model, stream, 0)
-    pools = stream.eval_pools[0]
+    pools = stream.test_pools(0)
     correct = total = 0
     for cls in stream.classes_at(0):
         nodes = [int(v) for v in pools[cls]]
@@ -485,7 +485,7 @@ def test_full_episode_losses_match_finite_differences():
         (0, 1), dm.tensor(rng0.normal(size=(2, 4)), dtype=np.float64))
     teacher_emb = bb.encode(teacher.backbone, stream.snapshots[1]).data
 
-    pre_ep = sample_pretrain_episode({c: stream.eval_pools[0][c] for c in (0, 1)},
+    pre_ep = sample_pretrain_episode({c: stream.train_pools(0)[c] for c in (0, 1)},
                                      cfg.sampler(), episode_rng(0, 0, 0))
     fine_ep = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(0, 1, 0))
 
@@ -530,7 +530,7 @@ def test_episode_losses_match_full_graph_encode(stage, dropout, monkeypatch):
         teacher.prototypes.class_ids, dm.tensor(teacher.prototypes.vectors.data, dtype=np.float64))
     g1 = stream.snapshots[1]
     teacher_emb = bb.encode(teacher.backbone, g1).data
-    pools = {c: stream.eval_pools[0][c] for c in (0, 1)}
+    pools = {c: stream.train_pools(0)[c] for c in (0, 1)}
     pre_ep = sample_pretrain_episode(pools, cfg.sampler(), episode_rng(5, 0, 0))
     fine_ep = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(5, 1, 0))
     student = rn.clone_state(teacher)
@@ -570,7 +570,7 @@ def test_episode_gradients_match_the_op_chains_byte_for_byte(stage, monkeypatch)
     teacher = rn.pretrain(stream, replace(cfg, episodes_pretrain=6), seed=1)
     g = stream.snapshots[0 if stage == "pretrain" else 1]
     teacher_emb = encode(teacher.backbone.detached(), g).data
-    pools = {c: stream.eval_pools[0][c] for c in (0, 1)}
+    pools = {c: stream.train_pools(0)[c] for c in (0, 1)}
 
     def episode_grads(i):
         student = rn.clone_state(teacher)
@@ -611,7 +611,7 @@ def test_episode_tape_sizes_are_pinned(monkeypatch):
     teacher = rn.pretrain(stream, replace(cfg, episodes_pretrain=3), seed=1)
     g1 = stream.snapshots[1]
     teacher_emb = encode(teacher.backbone.detached(), g1).data
-    pools = {c: stream.eval_pools[0][c] for c in (0, 1)}
+    pools = {c: stream.train_pools(0)[c] for c in (0, 1)}
     pre_ep = sample_pretrain_episode(pools, cfg.sampler(), episode_rng(1, 0, 0))
     fine_ep = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(1, 1, 0))
     nodes = []
@@ -695,7 +695,7 @@ def test_alpha_finetune_weights_the_proximity_classes(alpha_mode):
     stream, teacher = _episode_setup()
     cfg = tiny_config(alpha_finetune=alpha_mode, lambda_u=0.0, lambda_s=0.0, lambda_kd=0.0)
     g = stream.snapshots[1]
-    pools = stream.eval_pools[1]
+    pools = stream.train_pools(1)
     novel = stream.supports_at(1)[2]
     novel_queries = [int(v) for v in pools[2] if v not in novel][:2]
     episode = Episode(supports={0: tuple(int(v) for v in pools[0][:3]),
@@ -763,3 +763,38 @@ def test_model_checkpoint_round_trip(tmp_path):
     assert back.prototypes.class_ids == model.prototypes.class_ids
     for a, b in zip(model.trainable(), back.trainable()):
         assert a.data.tobytes() == b.data.tobytes()
+
+
+# --- the few-shot protocol -------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3b")
+def test_no_test_pool_node_reaches_training(monkeypatch):
+    # every node an episode or a prototype reads, over a pretrain and two
+    # sessions, must lie outside the test pools of every stage
+    stream = tiny_stream(seed=1)
+    cfg = tiny_config(episodes_pretrain=6, episodes_finetune=4)
+    read = set()
+
+    def sampled(sample):
+        def hooked(*args):
+            episode = sample(*args)
+            read.update(episode.support_nodes(), (int(v) for v in episode.query_nodes()))
+            return episode
+        return hooked
+
+    def computed(embeddings, supports, *args, **kwargs):
+        read.update(int(v) for sup in supports.values() for v in sup)
+        return compute(embeddings, supports, *args, **kwargs)
+
+    compute = rn.compute_prototypes
+    monkeypatch.setattr(rn, "sample_pretrain_episode", sampled(rn.sample_pretrain_episode))
+    monkeypatch.setattr(rn, "sample_finetune_episode", sampled(rn.sample_finetune_episode))
+    monkeypatch.setattr(rn, "compute_prototypes", computed)
+    model = rn.pretrain(stream, cfg, seed=0)
+    for session in (1, 2):
+        model = rn.run_stream_session(model, stream, session, cfg, seed=0)
+    tested = {int(v) for stage in range(3) for pool in stream.test_pools(stage).values()
+              for v in pool}
+    assert read and tested
+    leaked = read & tested
+    assert not leaked, f"{len(leaked)} of {len(tested)} test-pool nodes reached training"
