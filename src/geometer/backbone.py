@@ -324,8 +324,8 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
     saved, col = [], 0
     op = dm.fused("gat_layer")
     for hp in heads:
-        z = (x @ hp.weight.data).astype(hp.weight.dtype, copy=False)
-        op.finite(z, "non-finite projection")
+        z = op.matmul(x, hp.weight.data, "non-finite projection")
+        z = z.astype(hp.weight.dtype, copy=False)
         att, leaky, alpha = _attention(op, z, hp.attn.data, struct, track)
         agg = (att @ z).astype(z.dtype, copy=False)
         if track:

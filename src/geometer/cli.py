@@ -16,7 +16,6 @@ environment variable sets the log level.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -25,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import records
 from .checkpoint import (CheckpointError, arrays_to_model, load_tensors, model_to_arrays,
                          save_tensors)
 from .config import ExperimentConfig, parse_config
@@ -71,19 +71,6 @@ def _check_pools(cfg: ExperimentConfig, stream) -> None:
 
 def _checkpoint_path(cfg: ExperimentConfig, seed: int, session: int) -> Path:
     return Path(cfg.run_dir) / f"seed{seed}_session{session}.gfsp"
-
-
-def _metrics_path(cfg: ExperimentConfig, seed: int) -> Path:
-    return Path(cfg.run_dir) / f"metrics_seed{seed}.jsonl"
-
-
-def _append_record(path: Path, record: dict) -> None:
-    """Add one record line to a metrics log.  The log is rewritten whole, so a
-    failed write leaves the previous log and no partial line."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    previous = path.read_text() if path.exists() else ""
-    with replacing(path) as fh:
-        fh.write(previous + json.dumps(record, sort_keys=True) + "\n")
 
 
 def _save_model(cfg: ExperimentConfig, model: ModelState, seed: int) -> Path:
@@ -172,10 +159,7 @@ def _run_stage(cfg: ExperimentConfig, stream, seed: int, stage) -> tuple:
     started = time.perf_counter()
     metrics = evaluate_session(model, stream, session, embeddings=model.embeddings)
     seconds += time.perf_counter() - started
-    _append_record(_metrics_path(cfg, seed), {
-        "session": session, "mean": metrics.accuracy_mean,
-        "per_class": {str(k): v for k, v in sorted(metrics.per_class.items())},
-        "seconds": seconds, "seed": seed, "mode": cfg.mode})
+    records.append_record(cfg.run_dir, seed, metrics, seconds, cfg.mode)
     log.info("seed %d session %d accuracy %.4f (%.1fs)", seed, session,
              metrics.accuracy_mean, seconds)
     return model, path
@@ -225,92 +209,10 @@ def cmd_stream(cfg: ExperimentConfig, seed_override: int | None = None,
     return paths
 
 
-class ReportError(Exception):
-    pass
-
-
-def load_run_records(cfg: ExperimentConfig) -> list:
-    """Every metrics record under the run directory.
-
-    A record's ``seed`` and ``session`` must be non-negative JSON integers and
-    its ``mean`` a finite number in [0, 1].  A log is ambiguous, and rejected
-    at the line that makes it so, when two records share a (seed, session) or
-    the records mix modes: a resumed run belongs in a fresh run directory.
-    """
-    run_dir = _require(cfg.run_dir, "run directory")
-    records, seen = [], set()
-    for path in sorted(run_dir.glob("metrics_seed*.jsonl")):
-        for ln, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReportError(f"{path}:{ln}: bad metrics record ({exc})") from None
-            if not isinstance(rec, dict):
-                raise ReportError(f"{path}:{ln}: metrics record is not a JSON object")
-            missing = [k for k in ("seed", "session", "mean") if k not in rec]
-            if missing:
-                raise ReportError(f"{path}:{ln}: metrics record lacks {', '.join(missing)}")
-            for name in ("seed", "session"):
-                if type(rec[name]) is not int or rec[name] < 0:
-                    raise ReportError(f"{path}:{ln}: {name} must be a non-negative integer, "
-                                      f"got {rec[name]!r}")
-            if type(rec["mean"]) not in (int, float) or not 0 <= rec["mean"] <= 1:
-                raise ReportError(f"{path}:{ln}: mean must be a number in [0, 1], "
-                                  f"got {rec['mean']!r}")
-            key = (rec["seed"], rec["session"])
-            if key in seen:
-                raise ReportError(f"{path}:{ln}: second record for seed {key[0]} "
-                                  f"session {key[1]}")
-            if records and rec.get("mode") != records[0].get("mode"):
-                raise ReportError(f"{path}:{ln}: mode {rec.get('mode')!r} differs from "
-                                  f"mode {records[0].get('mode')!r} of the first record")
-            seen.add(key)
-            records.append(rec)
-    if not records:
-        raise ReportError(f"no metrics records under {run_dir}")
-    return records
-
-
-def summarize_records(records: list) -> dict:
-    """Per-session mean and population std of per-seed accuracies."""
-    by_seed = {}
-    for rec in records:
-        by_seed.setdefault(rec["seed"], {})[rec["session"]] = rec["mean"]
-    session_sets = {seed: tuple(sorted(sessions)) for seed, sessions in by_seed.items()}
-    distinct = set(session_sets.values())
-    if len(distinct) > 1:
-        raise ReportError(f"inconsistent session counts across seeds: {session_sets}")
-    sessions = sorted(next(iter(distinct)))
-    summary = {"seeds": sorted(by_seed), "sessions": []}
-    for session in sessions:
-        values = np.array([by_seed[seed][session] for seed in sorted(by_seed)])
-        summary["sessions"].append({
-            "session": session,
-            "mean": float(values.mean()),
-            "std": float(values.std()),
-            "n_seeds": len(values),
-        })
-    return summary
-
-
-def format_report(summary: dict) -> str:
-    lines = [f"{'session':>8}  {'accuracy':>10}  {'std':>8}  {'seeds':>6}"]
-    for row in summary["sessions"]:
-        lines.append(f"{row['session']:>8d}  {row['mean']:>10.4f}  "
-                     f"{row['std']:>8.4f}  {row['n_seeds']:>6d}")
-    return "\n".join(lines)
-
-
 def cmd_report(cfg: ExperimentConfig, out: str | None = None) -> dict:
-    summary = summarize_records(load_run_records(cfg))
-    print(format_report(summary))
-    out_path = Path(out) if out else Path(cfg.run_dir) / "report.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with replacing(out_path) as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    summary = records.summarize(records.load_records(_require(cfg.run_dir, "run directory")))
+    print(records.format_report(summary))
+    out_path = records.write_report(summary, cfg.run_dir, out)
     log.info("report written to %s", out_path)
     return summary
 

@@ -159,12 +159,7 @@ def parse_config(path) -> ExperimentConfig:
             values[key] = parser(value.strip())
         except ValueError as exc:
             raise ConfigError(f"{p}:{ln}: bad value for {key!r} ({exc})") from None
-    try:
-        return ExperimentConfig(**values)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{p}: {exc}") from None
+    return ExperimentConfig(**values)
 
 
 def write_config(cfg: ExperimentConfig, path) -> None:

@@ -104,11 +104,12 @@ class fused:
 
     def matmul(self, x: np.ndarray, y: np.ndarray,
                what: str = "non-finite result") -> np.ndarray:
-        """x @ y, checked for NaN and Inf as ``finite(out, what)`` checks.  The
-        check names the fault, so the product runs with numpy's own
-        floating-point reports off, whether they would warn or raise."""
+        """x @ y, checked for NaN and Inf as ``finite(out, what)`` checks; ``x``
+        may be a scipy sparse matrix.  The check names the fault, so the
+        product runs with numpy's own floating-point reports off, whether
+        they would warn or raise."""
         with np.errstate(all="ignore"):
-            out = np.matmul(x, y)
+            out = x @ y
         self.finite(out, what)
         return out
 

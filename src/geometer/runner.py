@@ -285,8 +285,6 @@ def nearest_prototype(embeddings: np.ndarray, prototypes: PrototypeSet) -> list:
     exact ties resolve to the lowest class id.  The distances are those of
     ``dm.pairwise_sq_euclidean``, clipped at 0: a round-off distance below 0
     ties with an exact 0."""
-    if prototypes is None or len(prototypes) == 0:
-        raise EmptyPrototypeSetError("no prototypes to predict with")
     dists = dm.pairwise_sq_euclidean(dm.Tensor(embeddings), prototypes.vectors.detach()).data
     picks = np.argmin(dists, axis=1)      # first minimum = lowest class id
     return [int(prototypes.class_ids[k]) for k in picks]

@@ -6,6 +6,7 @@ import geometer.diffmath as dm
 import geometer.graph_store as gs
 from geometer.checkpoint import (CheckpointError, arrays_to_model, load_tensors,
                                  model_to_arrays, save_tensors)
+from geometer.prototypes import init_class_attention
 import oracles
 from oracles import adjacency_matrix, central_differences, grad_relative_error
 
@@ -79,6 +80,10 @@ def test_init_respects_glorot_bounds():
 def test_init_rejects_bad_dims():
     with pytest.raises(ValueError):
         bb.init_backbone(0, 4, 2, seed=0)
+    with pytest.raises(ValueError, match="^hidden dim 6 not divisible by 4 heads$"):
+        bb.init_backbone(3, 6, 2, seed=0, heads=4)
+    with pytest.raises(ValueError, match="^embedding dim 6 not divisible by 4 heads$"):
+        init_class_attention(6, heads=4)
 
 
 def test_attention_isolated_node_is_pure_self():

@@ -147,6 +147,7 @@ def _tensor_digests(path) -> dict:
 def run_digests(name: str, work: Path) -> dict:
     """The digests of run ``name``, computed in ``work``."""
     import geometer.cli as cli
+    import geometer.records as records
     from geometer.config import ExperimentConfig
 
     kind, seed, stage, overrides = RUNS[name]
@@ -156,16 +157,15 @@ def run_digests(name: str, work: Path) -> dict:
                            **{**_CONFIGS[kind], **overrides})
     cli.cmd_prepare(cfg)
     checkpoints = cli.cmd_pretrain(cfg, seed) + cli.cmd_stream(cfg, seed)
-    records = []
-    for line in cli._metrics_path(cfg, seed).read_text().splitlines():
-        rec = json.loads(line)
+    lines = []
+    for rec in records.load_records(cfg.run_dir):
         del rec["seconds"]
-        records.append(json.dumps(rec, sort_keys=True))
+        lines.append(json.dumps(rec, sort_keys=True))
     return {
         "manifest": _sha(Path(cfg.manifest).read_bytes()),
         "checkpoints": {Path(p).name: _sha(Path(p).read_bytes()) for p in checkpoints},
         "tensors": {Path(p).name: _tensor_digests(p) for p in checkpoints},
-        "metrics": _sha("\n".join(records).encode()),
+        "metrics": _sha("\n".join(lines).encode()),
         "episode_gradients": _episode_digest(cfg, seed, stage),
     }
 

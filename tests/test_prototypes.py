@@ -281,6 +281,10 @@ def test_compute_rejects_empty_support():
     params = manual_attention(*(rng.normal(size=(4, 4)) for _ in range(3)), heads=2)
     with pytest.raises(pt.EmptySupportError):
         pt.compute_prototypes(emb, {0: []}, g, params)
+    with pytest.raises(pt.EmptySupportError, match="^no classes to build prototypes for$"):
+        pt.compute_prototypes(emb, {}, g, params)
+    with pytest.raises(ValueError, match="^unknown prototype mode 'median'$"):
+        pt.compute_prototypes(emb, {0: [0, 1]}, g, params, mode="median")
 
 
 # --- batched prototypes against the class-by-class oracle ---------------------

@@ -111,6 +111,9 @@ def test_session_requires_matching_teacher():
     model = rn.pretrain(stream, tiny_config(episodes_pretrain=5), seed=1)
     with pytest.raises(rn.MissingTeacherError):
         rn.run_stream_session(model, stream, session=2, cfg=tiny_config(), seed=1)
+    with pytest.raises(rn.MissingTeacherError, match="^teacher carries no prototypes$"):
+        rn.run_stream_session(replace(model, prototypes=None), stream, session=1,
+                              cfg=tiny_config(), seed=1)
 
 
 def test_teacher_parameters_bit_identical_after_session():
