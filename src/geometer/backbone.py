@@ -26,7 +26,8 @@ buffer, ``att.T @ g`` plus the two score terms added in row blocks through
 one small scratch array; and it drops the incoming gradient (for layer 0,
 the ELU gradient) before the weight product ``x.T @ g_z``.  Since
 ``dm.backward`` keeps no reference to the gradient it hands a vjp, layer 0's
-backward holds at most two [rows x hidden] arrays beyond the tape at once.
+backward without a workspace (below) holds at most two [rows x hidden]
+arrays beyond the tape at once.
 It sets subnormal gradient entries to 0 where they enter a layer and in each
 row block of z's gradient: a few of them (from a log-softmax whose
 log-probabilities fall below the float32 exponent range, say) make the
@@ -35,6 +36,22 @@ An op whose parameters track no gradient (an inference encode) keeps
 nothing: it frees each head's z once aggregated, so a full-graph encode
 peaks near two [nodes x hidden] arrays, and it checks finiteness through
 min and max instead of an elementwise mask.
+
+A training stage hands its encodes one ``Workspace``: two [rows x hidden]
+buffers, mapped once per stage outside the malloc heap, so each episode's
+largest arrays reuse the same pages instead of growing and trimming the
+heap.  Layer 0 writes its output into ``Workspace.out`` (with one head,
+``att @ z`` goes straight in, through the kernel ``csr_matrix @ ndarray``
+runs), and layer 1's backward writes its state gradient into
+``Workspace.grad``.  Layer 0's backward then multiplies the ELU derivative
+into that gradient in place, so beside the workspace it holds one
+[rows x hidden] array, z's gradient, and then the weight gradient it
+returns.  The aliasing rule: an encode's layer-0 output and the layer-1
+state gradient live in the workspace until the next encode through it
+overwrites them, so the caller must drop an encode's tape before the next
+one; and only layer 0 writes into its incoming gradient, only when that
+gradient is ``Workspace.grad``.  An encode without a workspace (every
+inference encode) allocates these arrays as before.
 
 Each head holds its weight as a C-order [in x out] matrix, so a layer
 projects with ``states @ W`` and the weight gradient of either product
@@ -56,10 +73,12 @@ graph.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from . import diffmath as dm
 from .diffmath import Tensor
@@ -80,7 +99,7 @@ _FLUSH_BLOCK = 65536
 # [block x width] scratch instead of two [rows x width] outer products
 _ROW_BLOCK = 256
 
-__all__ = ["HeadParams", "BackboneParams", "init_backbone", "gat_layer", "encode"]
+__all__ = ["HeadParams", "BackboneParams", "Workspace", "init_backbone", "gat_layer", "encode"]
 
 
 @dataclass
@@ -145,6 +164,40 @@ def init_backbone(feature_dim: int, hidden: int, out_dim: int, seed: int,
             ))
         layers.append(tuple(heads_p))
     return BackboneParams(tuple(layers), feature_dim, hidden, out_dim)
+
+
+class Workspace:
+    """A training stage's two [rows x width] buffers, ``out`` for layer 0's
+    output and ``grad`` for layer 1's state gradient, in one anonymous memory
+    mapping (see the module docstring).  Pages are touched, and so counted
+    resident, only as far as the encodes reach; each buffer starts on a page.
+    """
+
+    def __init__(self, rows: int, width: int, dtype=np.float32):
+        self.rows, self.width, self.dtype = rows, width, np.dtype(dtype)
+        size = rows * width
+        stride = -(-size * self.dtype.itemsize // mmap.PAGESIZE) * mmap.PAGESIZE
+        self._map = mmap.mmap(-1, max(1, 2 * stride))
+        self.out = np.frombuffer(self._map, self.dtype, size)
+        self.grad = np.frombuffer(self._map, self.dtype, size, offset=stride)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes mapped; 0 once released."""
+        return 0 if self._map.closed else len(self._map)
+
+    def view(self, buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
+        """The leading [rows x width] block of ``buffer``, C order."""
+        if width != self.width or rows > self.rows:
+            raise dm.ShapeError(f"workspace holds {self.rows} x {self.width}, "
+                                f"asked for {rows} x {width}")
+        return buffer[:rows * width].reshape(rows, width)
+
+    def release(self) -> None:
+        """Unmap the buffers.  Raises ``BufferError`` if an array still views
+        them: some tape outlived the encodes it belonged to."""
+        self.out = self.grad = None
+        self._map.close()
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +288,24 @@ def _attention(op, z: np.ndarray, attn: np.ndarray, struct: _EdgeStructure, trac
     return att, leaky, alpha
 
 
+def _csr_matmul_into(a: sparse.csr_matrix, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` written into C-order ``out``, byte for byte: the kernel and
+    the zeroed start that scipy's ``csr_matrix @ ndarray`` uses, since ``@``
+    takes no output argument.  Returns ``out``."""
+    rows, cols = a.shape
+    if (b.ndim != 2 or b.shape[0] != cols or out.shape != (rows, b.shape[1])
+            or out.dtype != np.result_type(a.dtype, b.dtype) or not out.flags.c_contiguous):
+        raise dm.ShapeError(f"cannot write {a.shape} @ {b.shape} into {out.shape} {out.dtype}")
+    out.fill(0)
+    if b.shape[1] == 1:         # scipy takes its one-vector kernel for an [n x 1] operand
+        _sparsetools.csr_matvec(rows, cols, a.indptr, a.indices, a.data, b.ravel(),
+                                out.reshape(-1))
+    else:
+        _sparsetools.csr_matvecs(rows, cols, b.shape[1], a.indptr, a.indices, a.data,
+                                 b.ravel(), out.reshape(-1))
+    return out
+
+
 def _flush_subnormals(a: np.ndarray, inplace: bool = False) -> np.ndarray:
     """``a`` with its subnormal entries set to 0 (signed zeros keep their
     sign): in place, or else in a copy made only when there is one, since
@@ -293,13 +364,16 @@ def _head_vjp(g: np.ndarray, saved: list, attn: np.ndarray, struct: _EdgeStructu
 
 
 def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
-              struct: _EdgeStructure | None = None) -> Tensor:
+              struct: _EdgeStructure | None = None, workspace: Workspace | None = None) -> Tensor:
     """One attention layer over the self-inclusive neighborhoods, as one
     autodiff op (see the module docstring).
 
     ``states``, a ``dm.Tensor`` or a constant scipy CSR matrix, has one row
     per input row of ``struct`` (default: every node of ``g``); the result
-    has one row per output row of ``struct``.
+    has one row per output row of ``struct``.  With a ``workspace``, layer 0
+    writes its output into ``workspace.out`` and layer 1's backward writes
+    the state gradient into ``workspace.grad`` (the aliasing rule is in the
+    module docstring).
     """
     struct = _edge_structure(g) if struct is None else struct
     if not (isinstance(states, Tensor) or sparse.issparse(states)):
@@ -313,6 +387,8 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
                             f"{heads[0].weight.shape[0]}")
     if isinstance(states, Tensor) and states.dtype != params.dtype:
         raise dm.ShapeError(f"mixed dtypes {states.dtype} vs {params.dtype}")
+    if workspace is not None and workspace.dtype != params.dtype:
+        raise dm.ShapeError(f"workspace dtype {workspace.dtype} vs {params.dtype}")
     x = states if sparse.issparse(states) else states.data
     parents = tuple(t for hp in heads for t in (hp.weight, hp.attn))
     grad_states = isinstance(states, Tensor) and states.requires_grad
@@ -320,23 +396,27 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
         parents = (states, *parents)
     track = any(p.requires_grad for p in parents)
     concat = len(heads) > 1                         # only layer 0 has several heads
-    out = np.empty((struct.n_out, params.hidden_dim), dtype=params.dtype) if concat else None
+    out = None
+    if layer == 0 and workspace is not None:
+        out = workspace.view(workspace.out, struct.n_out, params.hidden_dim)
+    elif concat:
+        out = np.empty((struct.n_out, params.hidden_dim), dtype=params.dtype)
     saved, col = [], 0
     op = dm.fused("gat_layer")
     for hp in heads:
         z = op.matmul(x, hp.weight.data, "non-finite projection")
         z = z.astype(hp.weight.dtype, copy=False)
         att, leaky, alpha = _attention(op, z, hp.attn.data, struct, track)
-        agg = (att @ z).astype(z.dtype, copy=False)
+        if concat:
+            out[:, col:col + z.shape[1]] = att @ z
+            col += z.shape[1]
+        elif out is not None:
+            _csr_matmul_into(att, z, out)
+        else:
+            out = (att @ z).astype(z.dtype, copy=False)
         if track:
             saved.append((z, att, leaky, alpha))
         del z
-        if concat:
-            out[:, col:col + agg.shape[1]] = agg
-            col += agg.shape[1]
-        else:
-            out = agg
-        del agg
     if layer == 0:
         with op:
             dm.elu_inplace(out)
@@ -345,9 +425,12 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
         if len(saved) != len(heads):
             raise dm.TapeReleasedError(f"gat_layer: layer {layer}'s backward already ran "
                                        "and released its saved arrays")
-        g_out = _flush_subnormals(g_out)
+        # only the workspace's own state gradient may be overwritten
+        owned = (layer == 0 and workspace is not None
+                 and np.may_share_memory(g_out, workspace.grad))
+        g_out = _flush_subnormals(g_out, inplace=owned)
         if layer == 0:
-            g_out = dm.elu_grad(out, g_out)
+            g_out = dm.elu_grad(out, g_out, inplace=owned)
         g_states, grads, col = None, [], 0
         for i, hp in enumerate(heads):
             g_h = g_out
@@ -361,7 +444,10 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
             del g_h                                 # freed before the weight product
             grads += [(x.T @ g_z).astype(g_z.dtype, copy=False), g_attn]
             if grad_states:
-                part = g_z @ hp.weight.data.T
+                into = None
+                if layer == 1 and workspace is not None and g_states is None:
+                    into = workspace.view(workspace.grad, struct.n_in, states.shape[1])
+                part = np.matmul(g_z, hp.weight.data.T, out=into)
                 g_states = part if g_states is None else np.add(g_states, part, out=g_states)
             del g_z
         return (g_states, *grads) if grad_states else tuple(grads)
@@ -382,12 +468,15 @@ def _dropout(h: Tensor, rate: float, rng, n: int, rows) -> Tensor:
 
 
 def encode(params: BackboneParams, g: Graph, dropout_rate: float = 0.0,
-           rng: np.random.Generator | None = None, *, rows=None) -> Tensor:
+           rng: np.random.Generator | None = None, *, rows=None,
+           workspace: Workspace | None = None) -> Tensor:
     """Node embeddings [node_count x out_dim]; differentiable end-to-end.
 
     With ``rows`` (graph row indices) only those rows come back, in that
     order, computed from their exact receptive field (see the module
-    docstring).
+    docstring).  With a ``workspace`` at least as tall as ``g``, layer 0's
+    output and layer 1's state gradient live in it: the result and its tape
+    are valid until the next encode through the same workspace.
     """
     if g.feature_dim != params.feature_dim:
         raise dm.ShapeError(
@@ -406,6 +495,6 @@ def encode(params: BackboneParams, g: Graph, dropout_rate: float = 0.0,
         # gathered from the feature store, checked finite when it was loaded
         h = Tensor(g.feature_rows(rows0).astype(dtype, copy=False))
         h = _dropout(h, dropout_rate, rng, g.node_count, rows0)
-    h = gat_layer(params, g, h, 0, struct0)
+    h = gat_layer(params, g, h, 0, struct0, workspace)
     h = _dropout(h, dropout_rate, rng, g.node_count, rows1)
-    return gat_layer(params, g, h, 1, struct1)
+    return gat_layer(params, g, h, 1, struct1, workspace)

@@ -22,6 +22,13 @@ Conventions:
     ops of other modules use this frame and no private name of this one.
   * A vjp returns None for an operand that tracks no gradient instead of
     computing a gradient the backward sweep would drop.
+  * A vjp may write into a gradient array only when its op owns that
+    array.  The one case: ``backbone``'s layer 0 owns a gradient that lies
+    in a training stage's ``backbone.Workspace``, which layer 1's backward
+    wrote there, and multiplies the ELU derivative into it in place
+    (``elu_grad(..., inplace=True)``).  Such a workspace also holds the
+    layer-0 output of a training encode until the next one overwrites it,
+    so the tape of one step must be dropped before the next step's forward.
 
 Fused ops.  Each tape node costs far more Python than its arithmetic on the
 small arrays of an episode, so the hot compositions are single ops with a
@@ -309,14 +316,30 @@ def elu_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def elu_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """ELU's input gradient g * (min(out, 0) + 1), from its output ``out``,
-    in one new array: the derivative is out + 1 = exp(x) below 0 and 1
-    above, which is min(out, 0) + 1 either way."""
-    d = np.minimum(out, 0)
-    d += 1
-    d *= g
-    return d
+def elu_grad(out: np.ndarray, g: np.ndarray, inplace: bool = False) -> np.ndarray:
+    """ELU's input gradient g * (min(out, 0) + 1), from its output ``out``:
+    the derivative is out + 1 = exp(x) below 0 and 1 above, which is
+    min(out, 0) + 1 either way.  Written into ``g`` itself when ``inplace``
+    (only an op that owns ``g`` may ask, see the module docstring), else
+    into a C-order copy of it, a block of ``_ELU_BLOCK`` entries at a time
+    through one small scratch buffer; returns the result.
+    """
+    if g.shape != out.shape or g.dtype != out.dtype:
+        raise ValueError(f"elu_grad: gradient {g.shape} {g.dtype} for output "
+                         f"{out.shape} {out.dtype}")
+    if not inplace:
+        g = np.array(g, order="C")
+    elif not g.flags.c_contiguous:
+        raise ValueError("elu_grad: an in-place gradient must be C-contiguous")
+    flat_out, flat_g = out.reshape(-1), g.reshape(-1)
+    d = np.empty(min(flat_g.size, _ELU_BLOCK), dtype=g.dtype)
+    for lo in range(0, flat_g.size, _ELU_BLOCK):
+        gb = flat_g[lo:lo + _ELU_BLOCK]
+        db = d[:gb.size]
+        np.minimum(flat_out[lo:lo + _ELU_BLOCK], 0, out=db)
+        db += 1
+        gb *= db
+    return g
 
 
 def segment_softmax(scores: Tensor, starts, lens) -> Tensor:

@@ -30,11 +30,17 @@ that state right after the stage needs no encode of its own.
 The full-graph encodes are inference only: the teacher's, a stage's final
 one and prediction's run through ``BackboneParams.detached()``, the same
 arrays in tensors that track no gradient, so they build no autodiff tape.
-A stage's episode loop returns, releasing its optimizer state and last
-tape, before the stage's final encode.  Each step's gradients are dropped
-once the optimizer has applied them.  A finished stage drops its snapshot's
-caches (``Graph.drop_caches``: the attention neighborhoods), since no later
-stage encodes that snapshot, so memory held across a stream stays flat as
+Each training stage maps one layer-0 workspace (``backbone.Workspace``,
+two [snapshot rows x hidden] buffers outside the malloc heap) and hands it
+to every episode's encode: a training encode's layer-0 output and the
+layer-1 state gradient live there until the next step's forward overwrites
+them.  So each step's loss, and with it the whole tape, is dropped together
+with its gradients once the optimizer has applied them; no tensor of one
+episode survives into the next one's forward.  The episode loop returns,
+releasing its optimizer state, and the stage unmaps its workspace before
+the final encode.  A finished stage drops its snapshot's caches
+(``Graph.drop_caches``: the attention neighborhoods), since no later stage
+encodes that snapshot, so memory held across a stream stays flat as
 sessions go by.
 
 Prediction is nearest prototype by squared Euclidean distance, ties resolved
@@ -50,7 +56,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diffmath as dm
-from .backbone import BackboneParams, encode, init_backbone
+from .backbone import BackboneParams, Workspace, encode, init_backbone
 from .config import ExperimentConfig
 from .episodes import Episode, episode_rng, sample_finetune_episode, sample_pretrain_episode
 from .graph_store import Graph, SessionStream
@@ -156,13 +162,15 @@ def _stage_prototypes(emb, supports: dict, g: Graph, state: ModelState,
 
 
 def _episode_loss(state: ModelState, g: Graph, episode: Episode, cfg: ExperimentConfig,
-                  weights: LossWeights, rng, teacher: _Teacher | None = None):
+                  weights: LossWeights, rng, teacher: _Teacher | None = None,
+                  workspace: Workspace | None = None):
     """The weighted objective of one episode.  Without a teacher (pretraining)
     separability and distillation have nothing to act on and weigh 0; there
     the sampler draws k_qry queries for every class, so the inverse-frequency
-    class weights are all 1."""
+    class weights are all 1.  The encode runs through ``workspace``, if
+    given, so the loss is valid until the next encode through it."""
     rows = _episode_rows(g, episode)
-    emb = encode(state.backbone, g, cfg.dropout, rng, rows=rows)
+    emb = encode(state.backbone, g, cfg.dropout, rng, rows=rows, workspace=workspace)
     protos = _stage_prototypes(emb, episode.supports, g, state, cfg, teacher, rows=rows)
     q_rows = g.rows_of(episode.query_nodes())
     q_emb = dm.take_rows(emb, np.searchsorted(rows, q_rows))
@@ -234,14 +242,17 @@ def _train_stage(state: ModelState, stream: SessionStream, stage: int,
                  teacher: _Teacher | None = None) -> ModelState:
     """Train ``state`` on stage ``stage``'s episodes, drawn by ``sample(rng)``,
     then fix its prototypes through the trained encoder: a base class's from
-    its train pool, a novel class's from its K-shot supports."""
+    its train pool, a novel class's from its K-shot supports.  The episodes
+    share one layer-0 workspace, unmapped before the final encode."""
     g = stream.snapshots[stage]
     weights = cfg.loss_weights()
     lr, episodes = ((cfg.lr_pretrain, cfg.episodes_pretrain) if stage == 0
                     else (cfg.lr_finetune, cfg.episodes_finetune))
+    workspace = Workspace(g.node_count, state.backbone.hidden_dim, state.backbone.dtype)
     _train_episodes(state.trainable(), lr, episodes, seed, stage, sample,
                     lambda episode, rng: _episode_loss(state, g, episode, cfg, weights, rng,
-                                                       teacher))
+                                                       teacher, workspace))
+    workspace.release()
     emb = encode(state.backbone.detached(), g)
     supports = stream.train_pools(stage)
     for s in range(1, stage + 1):
@@ -258,8 +269,9 @@ def _train_episodes(params, lr: float, episodes: int, seed: int, stage: int,
                     sample, episode_loss) -> None:
     """One optimizer step on ``params`` per episode of stage ``stage`` (0 is
     pretraining): ``sample(rng)`` draws the episode and ``episode_loss(episode,
-    rng)`` builds its loss.  The optimizer and the last episode's tape are
-    freed when this returns."""
+    rng)`` builds its loss.  Each step's loss and gradients are dropped once
+    the optimizer has applied them, so no tape outlives its step; the
+    optimizer is freed when this returns."""
     label = "pretrain" if stage == 0 else f"session {stage}"
     opt = Adam(params, lr)
     for i in range(episodes):
@@ -272,7 +284,7 @@ def _train_episodes(params, lr: float, episodes: int, seed: int, stage: int,
             raise TrainingDivergedError(
                 f"non-finite loss in {label} episode {i}: {exc}") from exc
         opt.step(grads)
-        del grads
+        del loss, grads
         if i % 50 == 0:
             log.debug("%s episode %d: loss %.5f", label, i, value)
 

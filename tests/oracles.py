@@ -9,8 +9,9 @@ byte for byte.  The elementary autodiff ops that only those chains and the
 tests use (``add`` to ``mean`` below) live here, with the arithmetic they had
 in ``geometer.diffmath``.  So do the graph queries that only tests need
 (attention coefficients, subgraphs, graph and stream equality), built on the
-library's own private helpers, and a whole model around one part for the
-checkpoint tests.
+library's own private helpers, a whole model around one part for the
+checkpoint tests, and a recorder of the layer-0 workspaces training maps,
+whose bytes tracemalloc cannot see.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ import geometer.diffmath as dm
 import geometer.graph_store as gs
 import geometer.losses as ls
 import geometer.prototypes as pt
+import geometer.runner as rn
 from geometer.runner import ModelState
 
 
@@ -568,3 +570,33 @@ def model_around(backbone, prototypes=None):
     if prototypes is None:
         prototypes = pt.PrototypeSet((0,), dm.tensor(np.zeros((1, dim), dtype=dtype)))
     return ModelState(backbone, pt.init_class_attention(dim, heads=1, dtype=dtype), prototypes)
+
+
+# ---------------------------------------------------------------------------
+# the layer-0 workspaces of training stages
+
+def record_workspaces(monkeypatch) -> list:
+    """Every ``backbone.Workspace`` the runner maps from now on, in order,
+    with the bytes it mapped.
+
+    A workspace is an anonymous memory mapping, which tracemalloc does not
+    trace, so a memory test that runs a training stage adds these bytes to
+    what it measures (``workspace_bytes``).
+    """
+    made = []
+
+    def mapping(*args, **kwargs):
+        workspace = bb.Workspace(*args, **kwargs)
+        made.append((workspace, workspace.nbytes))
+        return workspace
+
+    monkeypatch.setattr(rn, "Workspace", mapping)
+    return made
+
+
+def workspace_bytes(made: list, now: bool = False) -> int:
+    """The largest mapping recorded (a stage maps one, and releases it before
+    the next stage maps its own), or with ``now`` the bytes still mapped."""
+    if now:     # ``sum`` here is the autodiff op above
+        return int(np.sum([workspace.nbytes for workspace, _ in made], dtype=np.int64))
+    return max((size for _, size in made), default=0)

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 import geometer.backbone as bb
 import geometer.diffmath as dm
@@ -568,3 +571,94 @@ def test_subnormal_gradients_never_reach_the_layer_products(rows, monkeypatch):
     assert len(reached) == 3 and all(_subnormal_count(g_z) == 0 for g_z in reached)
     assert any(np.count_nonzero(g_z) for g_z in reached)
     assert injected == grads(flushed)
+
+
+# --- the stage workspace -----------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("width", [1, 3, 64])
+@pytest.mark.parametrize("shape", [(0, 5), (6, 5), (300, 400)])
+def test_csr_matmul_into_gives_the_bytes_of_the_product(shape, width, dtype):
+    rng = np.random.default_rng(shape[0] + width)
+    dense = rng.normal(size=shape).astype(dtype)
+    dense[rng.random(shape) < 0.9] = 0
+    dense[1::3] = 0                                 # empty rows
+    csr = sparse.csr_matrix(dense)
+    a = sparse.csr_matrix((csr.data, csr.indices.astype(np.int32), csr.indptr.astype(np.int32)),
+                          shape=shape, copy=False)
+    assert a.indices.dtype == a.indptr.dtype == np.int32
+    b = rng.normal(size=(shape[1], width)).astype(dtype)
+    out = np.full((shape[0], width), np.nan, dtype=dtype)
+    assert bb._csr_matmul_into(a, b, out) is out
+    assert out.tobytes() == (a @ b).tobytes()
+
+
+def test_csr_matmul_into_refuses_an_output_it_cannot_fill():
+    a = sparse.csr_matrix(np.eye(3, dtype=np.float32))
+    b = np.ones((3, 4), dtype=np.float32)
+    for out in (np.zeros((3, 5), np.float32), np.zeros((3, 4), F64),
+                np.zeros((4, 3), np.float32).T):
+        with pytest.raises(dm.ShapeError):
+            bb._csr_matmul_into(a, b, out)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("rows", [None, [17, 3, 30]], ids=["full", "rows"])
+@pytest.mark.parametrize("heads", [1, 2], ids=["one_head", "multi_head"])
+@pytest.mark.parametrize("sparse_features", [True, False], ids=["sparse", "dense"])
+def test_workspace_encode_gives_the_bytes_of_the_plain_one(sparse_features, heads, rows,
+                                                           dropout, monkeypatch):
+    g, _ = receptive_graph(sparse_features)
+    p = bb.init_backbone(g.feature_dim, 8, 4, seed=15, heads=heads)
+    workspace = bb.Workspace(g.node_count, 8)
+    in_place = []
+    elu_grad = dm.elu_grad
+    monkeypatch.setattr(dm, "elu_grad", lambda out, grad, inplace=False:
+                        in_place.append(inplace) or elu_grad(out, grad, inplace))
+
+    def run(ws):
+        emb = bb.encode(p, g, dropout, np.random.default_rng(3), rows=rows, workspace=ws)
+        layer0 = emb._parents[0].data
+        assert np.shares_memory(layer0, workspace.out) == (ws is not None and dropout == 0)
+        value, grads = _loss_and_grads(p, emb)
+        return [emb.data.tobytes(), np.float64(value).tobytes()] + [a.tobytes() for a in grads]
+
+    plain = run(None)
+    assert in_place == [False]
+    # twice through one workspace: the second encode overwrites the first's arrays
+    assert run(workspace) == plain
+    assert run(workspace) == plain
+    # behind dropout, layer 0's gradient is the mask product, not the workspace's
+    assert in_place == [False] + [dropout == 0] * 2
+    workspace.release()
+    assert workspace.nbytes == 0
+
+
+def test_releasing_a_workspace_that_a_tape_still_views_raises():
+    g, p = receptive_graph(True)
+    workspace = bb.Workspace(g.node_count, 8)
+    emb = bb.encode(p, g, rows=[3, 7], workspace=workspace)
+    assert workspace.nbytes >= 2 * g.node_count * 8 * 4
+    with pytest.raises(BufferError):
+        workspace.release()
+    del emb
+    workspace.release()
+    assert workspace.nbytes == 0
+
+
+def test_workspace_refuses_an_encode_it_cannot_hold():
+    g, p = receptive_graph(True)                    # 41 nodes, hidden width 8
+    with pytest.raises(dm.ShapeError, match="workspace holds 40 x 8, asked for 41 x 8"):
+        bb.encode(p, g, workspace=bb.Workspace(40, 8))
+    with pytest.raises(dm.ShapeError, match="workspace holds 41 x 16"):
+        bb.encode(p, g, workspace=bb.Workspace(41, 16))
+    with pytest.raises(dm.ShapeError, match="workspace dtype float64"):
+        bb.encode(p, g, workspace=bb.Workspace(41, 8, F64))
+
+
+def test_only_backbone_names_scipys_private_sparsetools():
+    # the one direct call into scipy's kernels is ``backbone._csr_matmul_into``
+    src = Path(bb.__file__).parent
+    for path in sorted(src.rglob("*.py")):
+        if path.name != "backbone.py":
+            assert "_sparsetools" not in path.read_text(), path.name

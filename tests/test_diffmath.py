@@ -184,6 +184,34 @@ def test_only_diffmath_names_its_private_attributes():
             assert not re.findall(r"\bdm\._\w+", path.read_text()), path.name
 
 
+@pytest.mark.parametrize("inplace", [False, True])
+@pytest.mark.parametrize("rows", [0, 1, 7, 100])
+def test_elu_grad_gives_the_bytes_of_the_three_pass_form(rows, inplace, monkeypatch):
+    monkeypatch.setattr(dm, "_ELU_BLOCK", 16)      # several blocks, the last one partial
+    rng = np.random.default_rng(rows)
+    out = dm.elu_inplace((3 * rng.normal(size=(rows, 3))).astype(np.float32))
+    g = rng.normal(size=out.shape).astype(np.float32)
+    want = np.minimum(out, 0)           # the arithmetic elu_grad had in one new array
+    want += 1
+    want *= g
+    kept = g.copy()
+    got = dm.elu_grad(out, g, inplace=inplace)
+    assert got.tobytes() == want.tobytes()
+    assert (got is g) == inplace
+    assert inplace or g.tobytes() == kept.tobytes()
+
+
+def test_elu_grad_rejects_a_gradient_it_cannot_use():
+    out = np.zeros((4, 4), dtype=np.float32)
+    for g in (np.zeros((4, 5), np.float32), np.zeros((4, 4), np.float64)):
+        with pytest.raises(ValueError, match="elu_grad"):
+            dm.elu_grad(out, g)
+    with pytest.raises(ValueError, match="in-place gradient must be C-contiguous"):
+        dm.elu_grad(out, np.zeros((4, 8), np.float32)[:, ::2], inplace=True)
+    strided = np.arange(32, dtype=np.float32).reshape(4, 8)[:, ::2]
+    assert dm.elu_grad(out, strided).tobytes() == np.ascontiguousarray(strided).tobytes()
+
+
 @pytest.mark.parametrize("size", [1, 77, dm._FINITE_MASK_MAX, dm._FINITE_MASK_MAX + 1, 100000])
 def test_all_finite_on_both_sides_of_the_mask_size(size):
     for dtype in (np.float32, np.float64):

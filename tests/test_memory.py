@@ -2,6 +2,9 @@
 
 Each figure is traced numpy memory (numpy reports its buffers to
 tracemalloc), so the checks do not depend on the allocator or the machine.
+A training stage's layer-0 workspace is an anonymous mapping, which
+tracemalloc does not see, so a test that runs a stage adds the bytes the
+stage mapped (``oracles.record_workspaces``).
 """
 
 import gc
@@ -47,10 +50,11 @@ def stream_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def test_memory_retained_across_a_ten_session_stream_stays_flat():
+def test_memory_retained_across_a_ten_session_stream_stays_flat(monkeypatch):
     g = sparse_graph(1500, 600, classes=12, labeled_per_class=30)
     stream = gs.build_session_stream(g, [0, 1], [[c] for c in range(2, 12)], k_shot=3, seed=0)
     cfg = stream_config()
+    workspaces = oracles.record_workspaces(monkeypatch)
     model = rn.pretrain(stream, cfg, seed=0)
     retained = []
     tracemalloc.start()
@@ -59,11 +63,13 @@ def test_memory_retained_across_a_ten_session_stream_stays_flat():
             model = rn.run_stream_session(model, stream, session, cfg, seed=0)
             rn.evaluate_session(model, stream, session, embeddings=model.embeddings)
             gc.collect()
-            retained.append(tracemalloc.get_traced_memory()[0])
+            retained.append(tracemalloc.get_traced_memory()[0]
+                            + oracles.workspace_bytes(workspaces, now=True))
     finally:
         tracemalloc.stop()
     growth = [r - retained[0] for r in retained]
     assert max(abs(d) for d in growth) < MIB, [round(d / MIB, 2) for d in growth]
+    assert len(workspaces) == stream.num_sessions + 1      # one per stage
 
 
 def test_finished_stage_drops_its_snapshot_caches():
@@ -174,22 +180,20 @@ def test_inference_encode_transient_stays_under_two_and_a_half_hidden_arrays(hea
     assert peak < 2.5 * hidden_array, peak / hidden_array
 
 
-@pytest.mark.parametrize("rows", [None, np.arange(0, 2000, 10)], ids=["full", "rows"])
-@pytest.mark.parametrize("heads", [1, 2], ids=["heads0", "heads1"])
-def test_training_backward_transient_stays_at_two_hidden_arrays(heads, rows):
-    # layer 0's backward frees z after its last read and its upstream
-    # gradient before the weight product, so above the tape it holds at most
-    # the upstream gradient and the ELU gradient, or that and z's gradient
+def _backward_peak_in_hidden_arrays(heads, rows, workspace: bool) -> float:
+    """Traced peak of one encode's backward above its tape, in layer-0
+    [input rows x 512] float32 arrays."""
     g = sparse_graph(2000, 1000, classes=4, labeled_per_class=30)
     p = bb.init_backbone(1000, 512, 64, seed=0, heads=heads)
     bb.encode(p.detached(), g)      # builds the cached neighborhoods and CSR first
     layer0_rows = g.node_count
     if rows is not None:
         layer0_rows = len(bb._receptive_field(g, bb._receptive_field(g, rows)[1])[1])
+    space = bb.Workspace(g.node_count, 512) if workspace else None
     weights = np.random.default_rng(5).normal(size=64).astype(np.float32)
     tracemalloc.start()         # the tape is traced, so what it frees counts
     try:
-        emb = bb.encode(p, g, rows=rows)
+        emb = bb.encode(p, g, rows=rows, workspace=space)
         loss = oracles.sum(dm.matmul(emb, dm.constant(weights)))
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -197,8 +201,27 @@ def test_training_backward_transient_stays_at_two_hidden_arrays(heads, rows):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    hidden_array = layer0_rows * 512 * 4
-    assert peak <= 2 * hidden_array, peak / hidden_array
+    return peak / (layer0_rows * 512 * 4)
+
+
+@pytest.mark.parametrize("rows", [None, np.arange(0, 2000, 10)], ids=["full", "rows"])
+@pytest.mark.parametrize("heads", [1, 2], ids=["heads0", "heads1"])
+def test_training_backward_transient_stays_at_two_hidden_arrays(heads, rows):
+    # layer 0's backward frees z after its last read and its upstream
+    # gradient before the weight product, so above the tape it holds at most
+    # the upstream gradient and the ELU gradient, or that and z's gradient
+    peak = _backward_peak_in_hidden_arrays(heads, rows, workspace=False)
+    assert peak <= 2, peak
+
+
+@pytest.mark.parametrize("rows", [None, np.arange(0, 2000, 10)], ids=["full", "rows"])
+@pytest.mark.parametrize("heads", [1, 2], ids=["heads0", "heads1"])
+def test_training_backward_with_a_workspace_stays_at_one_hidden_array(heads, rows):
+    # layer 1's state gradient lands in the workspace and layer 0 multiplies
+    # the ELU derivative into it in place, so beyond the workspace layer 0's
+    # backward holds z's gradient and the weight gradient, no ELU gradient
+    peak = _backward_peak_in_hidden_arrays(heads, rows, workspace=True)
+    assert peak <= 1, peak
 
 
 def test_a_second_backward_through_a_layer_raises():

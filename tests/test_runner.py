@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -433,6 +434,37 @@ def test_each_episode_draws_its_rng_right_before_it_is_sampled(monkeypatch):
         assert sampled[3] is drawn[3]           # the episode is sampled with its own rng
 
 
+def test_each_step_drops_its_tape_and_each_stage_its_workspace(monkeypatch):
+    # a training encode overwrites the stage's workspace, so no tape of one
+    # episode may outlive its step; the workspace is unmapped before the
+    # stage's final encode and gone once the stage returns
+    stream = tiny_stream(seed=30)
+    cfg = tiny_config(episodes_pretrain=3, episodes_finetune=2)
+    losses, workspaces = [], []
+    encode, value_and_grad = rn.encode, dm.value_and_grad
+
+    def encoding(params, g, *args, workspace=None, **kwargs):
+        if workspace is None:
+            assert all(ref().nbytes == 0 for ref in workspaces if ref() is not None)
+        else:
+            assert all(ref() is None for ref in losses), "an earlier episode's tape is alive"
+            if not workspaces or workspaces[-1]() is not workspace:
+                workspaces.append(weakref.ref(workspace))
+        return encode(params, g, *args, workspace=workspace, **kwargs)
+
+    def recording(output, wrt):
+        losses.append(weakref.ref(output._vjp))
+        return value_and_grad(output, wrt)
+
+    monkeypatch.setattr(rn, "encode", encoding)
+    monkeypatch.setattr(dm, "value_and_grad", recording)
+    model = rn.pretrain(stream, cfg, seed=3)
+    assert len(workspaces) == 1 and workspaces[0]() is None
+    rn.run_stream_session(model, stream, 1, cfg, seed=3)
+    assert len(workspaces) == 2 and workspaces[1]() is None
+    assert len(losses) == 5 and all(ref() is None for ref in losses)
+
+
 def test_stage_embeddings_are_neither_saved_nor_cloned():
     stream = tiny_stream(seed=24)
     model = rn.pretrain(stream, tiny_config(episodes_pretrain=2), seed=1)
@@ -548,8 +580,8 @@ def test_episode_losses_match_full_graph_encode(stage, dropout, monkeypatch):
         return dm.value_and_grad(loss, student.trainable())
 
     value, grads = loss_and_grads()
-    monkeypatch.setattr(rn, "encode", lambda params, g, rate=0.0, rng=None, *, rows:
-                        dm.take_rows(bb.encode(params, g, rate, rng), rows))
+    monkeypatch.setattr(rn, "encode", lambda params, g, rate=0.0, rng=None, *, rows,
+                        workspace=None: dm.take_rows(bb.encode(params, g, rate, rng), rows))
     full_value, full_grads = loss_and_grads()
     assert value == pytest.approx(full_value, rel=1e-12)
     for a, b in zip(grads, full_grads):

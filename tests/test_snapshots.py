@@ -174,12 +174,14 @@ def test_loading_sparse_features_allocates_a_fraction_of_the_dense_matrix(loaded
     assert peak < feats.nbytes // 4
 
 
-def test_training_on_sparse_features_allocates_no_dense_matrix(loaded):
+def test_training_on_sparse_features_allocates_no_dense_matrix(loaded, monkeypatch):
     # pretraining and one session, dropout 0: every layer-0 product reads the
-    # CSR, so nothing near the dense [N x d] matrix is ever allocated
+    # CSR, so nothing near the dense [N x d] matrix is ever allocated, the
+    # stages' layer-0 workspaces included
     import geometer.runner as rn
     from geometer.config import ExperimentConfig
     feats, directory, _ = loaded("coraml")
+    workspaces = oracles.record_workspaces(monkeypatch)
     g = gs.load_graph(directory)
     classes = [int(c) for c in g.present_classes()]
     stream = gs.build_session_stream(g, classes[:2], [[c] for c in classes[2:4]], 5, seed=0)
@@ -192,7 +194,8 @@ def test_training_on_sparse_features_allocates_no_dense_matrix(loaded):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < feats.nbytes // 4
+    assert len(workspaces) == 2
+    assert peak + oracles.workspace_bytes(workspaces) < feats.nbytes // 4
 
 
 def _banded_graph():
