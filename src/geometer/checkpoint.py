@@ -46,12 +46,6 @@ _MAGIC = b"GFSP"
 # kind code -> payload dtype
 _KINDS = {0: np.dtype("<f4"), 1: np.dtype("<i8")}
 _CLASS_ATTENTION = ("wq", "wk", "wv")
-# rows x columns of the source tiles ``_transposed`` copies at a time: for a
-# [2879 x 512] float32 layer weight it took 1.4 ms against 6.1 ms for
-# ``np.ascontiguousarray`` of the transposed view (timeit, one core).  The
-# other way, [512 x 2879] to [2879 x 512], numpy's own copy took 0.74 ms and
-# every tile shape tried 0.9 ms or more, so loads transpose with numpy's.
-_TILE = (32, 256)
 
 __all__ = ["CheckpointError", "save_tensors", "load_tensors", "model_to_arrays",
            "arrays_to_model"]
@@ -159,23 +153,9 @@ def save_tensors(path, tensors: dict) -> None:
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)) + encoded)
             fh.write(struct.pack(f"<I{arr.ndim}I", kind << 16 | arr.ndim, *arr.shape))
-            # the array's own buffer; only a non-C-order one is copied into C
-            # order first, a transposed layer weight in tiles
-            if arr.ndim == 2 and not arr.flags.c_contiguous and arr.T.flags.c_contiguous:
-                arr = _transposed(arr.T)
+            # the array's own buffer; only a non-C-order one (a transposed
+            # layer weight) is copied into C order first
             fh.write(np.ascontiguousarray(arr))
-
-
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """A new C-order array holding the transpose of C-order 2-D ``a``, the
-    bytes of ``np.ascontiguousarray(a.T)``, copied one ``_TILE`` of ``a`` at a
-    time so that each tile's rows and columns stay in cache."""
-    out = np.empty(a.shape[::-1], dtype=a.dtype)
-    rows, cols = _TILE
-    for i in range(0, a.shape[0], rows):
-        for j in range(0, a.shape[1], cols):
-            out[j:j + cols, i:i + rows] = a[i:i + rows, j:j + cols].T
-    return out
 
 
 def load_tensors(path) -> dict:

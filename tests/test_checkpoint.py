@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import geometer.backbone as bb
-import geometer.checkpoint as ck
 import geometer.cli as cli
 import geometer.diffmath as dm
 import geometer.prototypes as pt
@@ -107,22 +106,6 @@ def test_loaded_arrays_are_aligned_and_own_their_memory(tmp_path):
                      "w": np.ones((4, 5), dtype=np.float32).T, "s": np.float32(2.0)})
     for name, arr in load_tensors(p).items():
         assert arr.flags.aligned and arr.flags.owndata and arr.flags.writeable, name
-
-
-@pytest.mark.parametrize("shape", [(2879, 512), (33, 257), (1, 300), (300, 1), (0, 4), (4, 0)])
-def test_tiled_transpose_gives_numpys_bytes(shape):
-    a = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
-    t = ck._transposed(a)
-    assert t.shape == shape[::-1] and t.flags.c_contiguous
-    assert t.tobytes() == np.ascontiguousarray(a.T).tobytes()
-
-
-def test_a_transposed_weight_is_written_as_its_c_order_copy(tmp_path):
-    w = np.random.default_rng(1).standard_normal((70, 300)).astype(np.float32)
-    save_tensors(tmp_path / "view.gfsp", {"w": w.T, "f64": w.astype(np.float64).T})
-    save_tensors(tmp_path / "copy.gfsp", {"w": np.ascontiguousarray(w.T),
-                                          "f64": np.ascontiguousarray(w.T)})
-    assert (tmp_path / "view.gfsp").read_bytes() == (tmp_path / "copy.gfsp").read_bytes()
 
 
 def test_unknown_tensor_kind_is_rejected(tmp_path):
