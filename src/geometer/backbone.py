@@ -2,26 +2,26 @@
 
 Each node attends over its neighbors plus itself; attention scores are
 leaky-rectified linear forms of the transformed endpoint states, normalized
-per neighborhood.  Layer one applies an exponential-linear nonlinearity and
-concatenates heads; the output layer has one head and is linear (identity),
-so embeddings live in an unconstrained metric space.
+per neighborhood.  Each layer has one attention head.  Layer one applies an
+exponential-linear nonlinearity; the output layer is linear (identity), so
+embeddings live in an unconstrained metric space.
 
 The per-graph edge structure (neighborhoods sorted by center node) is
 computed once and cached on the graph, until ``Graph.drop_caches``.
 
-Each layer is one autodiff op, ``gat_layer``, with a hand-derived vjp: per
-head it projects z = x W, scores every edge (SDDMM), normalizes the scores
-per neighborhood (``dm.segment_softmax``) and aggregates with the sparse
+Each layer is one autodiff op, ``gat_layer``, with a hand-derived vjp: it
+projects z = x W, scores every edge (SDDMM), normalizes the scores per
+neighborhood (``dm.segment_softmax``) and aggregates with the sparse
 attention matrix (SpMM), the fusion of DGL and FeatGraph.  For its backward
-the op keeps, per head, z, the per-edge scores and weights and the attention
-matrix over them, and the layer output; layer 0's ELU runs in place on the
+the op keeps z, the per-edge scores and weights and the attention matrix
+over them, and the layer output; layer 0's ELU runs in place on the
 aggregate, so beside z it holds one [rows x hidden] array, its output.
 
 The backward releases what it saved as it goes, so it runs once: a second
-backward through the op raises ``dm.TapeReleasedError``.  Per head it first
-runs every step that reads z (the per-edge dot products, the softmax and
+backward through the op raises ``dm.TapeReleasedError``.  It first runs
+every step that reads z (the per-edge dot products, the softmax and
 leaky-ReLU vjps, the score terms of the attention vector), then drops the
-head's saved entry, freeing z.  Only then does it build z's gradient in one
+saved entry, freeing z.  Only then does it build z's gradient in one
 buffer, ``att.T @ g`` plus the two score terms added in row blocks through
 one small scratch array; and it drops the incoming gradient (for layer 0,
 the ELU gradient) before the weight product ``x.T @ g_z``.  Since
@@ -33,27 +33,27 @@ row block of z's gradient: a few of them (from a log-softmax whose
 log-probabilities fall below the float32 exponent range, say) make the
 sparse layer-0 product ``x.T @ g_z`` several times slower.
 An op whose parameters track no gradient (an inference encode) keeps
-nothing: it frees each head's z once aggregated, so a full-graph encode
-peaks near two [nodes x hidden] arrays, and it checks finiteness through
-min and max instead of an elementwise mask.
+nothing: it frees z once aggregated, so a full-graph encode peaks near two
+[nodes x hidden] arrays, and it checks finiteness through min and max
+instead of an elementwise mask.
 
 A training stage hands its encodes one ``Workspace``: two [rows x hidden]
 buffers, mapped once per stage outside the malloc heap, so each episode's
 largest arrays reuse the same pages instead of growing and trimming the
-heap.  Layer 0 writes its output into ``Workspace.out`` (with one head,
-``att @ z`` goes straight in, through the kernel ``csr_matrix @ ndarray``
-runs), and layer 1's backward writes its state gradient into
-``Workspace.grad``.  Layer 0's backward then multiplies the ELU derivative
-into that gradient in place, so beside the workspace it holds one
-[rows x hidden] array, z's gradient, and then the weight gradient it
-returns.  The aliasing rule: an encode's layer-0 output and the layer-1
-state gradient live in the workspace until the next encode through it
-overwrites them, so the caller must drop an encode's tape before the next
-one; and only layer 0 writes into its incoming gradient, only when that
-gradient is ``Workspace.grad``.  An encode without a workspace (every
-inference encode) allocates these arrays as before.
+heap.  Layer 0 writes its output ``att @ z`` straight into
+``Workspace.out``, through the kernel ``csr_matrix @ ndarray`` runs, and
+layer 1's backward writes its state gradient into ``Workspace.grad``.
+Layer 0's backward then multiplies the ELU derivative into that gradient in
+place, so beside the workspace it holds one [rows x hidden] array, z's
+gradient, and then the weight gradient it returns.  The aliasing rule: an
+encode's layer-0 output and the layer-1 state gradient live in the
+workspace until the next encode through it overwrites them, so the caller
+must drop an encode's tape before the next one; and only layer 0 writes
+into its incoming gradient, only when that gradient is ``Workspace.grad``.
+An encode without a workspace (every inference encode) allocates these
+arrays as before.
 
-Each head holds its weight as a C-order [in x out] matrix, so a layer
+Each layer holds its weight as a C-order [in x out] matrix, so a layer
 projects with ``states @ W`` and the weight gradient of either product
 (dense, or the constant sparse layer-0 features) comes back in C order with
 no transposed copy.  Checkpoints store the transpose, [out x in], as they
@@ -70,7 +70,6 @@ may order a row's sum differently when it is handed fewer rows).  A training
 episode reads a few dozen rows, so forward and backward skip most of the
 graph.
 """
-
 from __future__ import annotations
 
 import mmap
@@ -104,34 +103,28 @@ __all__ = ["HeadParams", "BackboneParams", "Workspace", "init_backbone", "gat_la
 
 @dataclass
 class HeadParams:
-    weight: Tensor   # [in x out_h], C order; checkpoints hold its transpose
-    attn: Tensor     # [2 * out_h]
+    weight: Tensor   # [in x out], C order; checkpoints hold its transpose
+    attn: Tensor     # [2 * out]
 
 
 @dataclass
 class BackboneParams:
-    layers: tuple            # two tuples of HeadParams: layer 0's heads, then one
+    layers: tuple            # two HeadParams: layer 0's, then the output layer's
     feature_dim: int
     hidden_dim: int
     out_dim: int
 
-    @property
-    def heads(self) -> int:
-        """Layer 0's head count; the output layer has one head."""
-        return len(self.layers[0])
-
     def tensors(self):
-        return [t for layer in self.layers for hp in layer for t in (hp.weight, hp.attn)]
+        return [t for hp in self.layers for t in (hp.weight, hp.attn)]
 
     @property
     def dtype(self):
-        return self.layers[0][0].weight.dtype
+        return self.layers[0].weight.dtype
 
     def detached(self) -> "BackboneParams":
         """The same weight arrays, uncopied, in tensors that track no gradient:
         an encode through them records no autodiff tape."""
-        layers = tuple(tuple(HeadParams(hp.weight.detach(), hp.attn.detach()) for hp in layer)
-                       for layer in self.layers)
+        layers = tuple(HeadParams(hp.weight.detach(), hp.attn.detach()) for hp in self.layers)
         return replace(self, layers=layers)
 
 
@@ -143,26 +136,19 @@ def _glorot(rng, shape, dtype):
 
 
 def init_backbone(feature_dim: int, hidden: int, out_dim: int, seed: int,
-                  heads: int = 1, dtype=np.float32) -> BackboneParams:
-    """Glorot-uniform initialization, deterministic under ``seed``; ``heads``
-    is layer 0's head count."""
+                  dtype=np.float32) -> BackboneParams:
+    """Glorot-uniform initialization, deterministic under ``seed``."""
     if min(feature_dim, hidden, out_dim) <= 0:
         raise ValueError("all backbone dimensions must be positive")
-    if hidden % heads != 0:
-        raise ValueError(f"hidden dim {hidden} not divisible by {heads} heads")
-    layer_specs = [(feature_dim, hidden // heads, heads), (hidden, out_dim, 1)]
     layers = []
-    for li, (in_dim, out_h, n_heads) in enumerate(layer_specs):
-        heads_p = []
-        for hi in range(n_heads):
-            rng = np.random.default_rng([seed, li, hi])
-            heads_p.append(HeadParams(
-                # drawn [out x in], the layout checkpoints store, held [in x out]
-                weight=dm.tensor(np.ascontiguousarray(_glorot(rng, (out_h, in_dim), dtype).T),
-                                 requires_grad=True),
-                attn=dm.tensor(_glorot(rng, (2 * out_h,), dtype), requires_grad=True),
-            ))
-        layers.append(tuple(heads_p))
+    for li, (in_dim, out) in enumerate(((feature_dim, hidden), (hidden, out_dim))):
+        rng = np.random.default_rng([seed, li, 0])
+        layers.append(HeadParams(
+            # drawn [out x in], the layout checkpoints store, held [in x out]
+            weight=dm.tensor(np.ascontiguousarray(_glorot(rng, (out, in_dim), dtype).T),
+                             requires_grad=True),
+            attn=dm.tensor(_glorot(rng, (2 * out,), dtype), requires_grad=True),
+        ))
     return BackboneParams(tuple(layers), feature_dim, hidden, out_dim)
 
 
@@ -270,7 +256,7 @@ def _receptive_field(g: Graph, out_rows: np.ndarray):
 # layers
 
 def _attention(op, z: np.ndarray, attn: np.ndarray, struct: _EdgeStructure, track: bool):
-    """One head's per-edge attention over projected states ``z``, in frame ``op``.
+    """The per-edge attention over projected states ``z``, in frame ``op``.
 
     Returns the [n_out x n_in] attention matrix (CSR, its values the weights)
     and the leaky-rectified scores and weights as ``dm`` tensors, whose vjps
@@ -326,9 +312,9 @@ def _flush_subnormals(a: np.ndarray, inplace: bool = False) -> np.ndarray:
 
 
 def _head_vjp(g: np.ndarray, saved: list, attn: np.ndarray, struct: _EdgeStructure):
-    """Gradients of one head's aggregate ``att @ z`` w.r.t. z and the
-    attention vector, given the aggregate's gradient ``g``; the head's
-    ``(z, att, leaky, alpha)`` entry is popped off the front of ``saved``.
+    """Gradients of the aggregate ``att @ z`` w.r.t. z and the attention
+    vector, given the aggregate's gradient ``g``; the layer's
+    ``(z, att, leaky, alpha)`` entry is popped off ``saved``.
 
     Every step that reads z runs first (the per-edge dot products, the
     softmax and leaky-ReLU vjps, the score terms of the attention vector),
@@ -337,7 +323,7 @@ def _head_vjp(g: np.ndarray, saved: list, attn: np.ndarray, struct: _EdgeStructu
     and neighbor-score terms added in that order, with the block's subnormal
     entries set to 0 while it is in cache.
     """
-    z, att, leaky, alpha = saved.pop(0)
+    z, att, leaky, alpha = saved.pop()
     out_h, dtype = z.shape[1], z.dtype
     g_alpha = np.empty(len(struct.src), dtype=np.result_type(g, z))
     edges = max(1, _EDGE_BLOCK_BYTES // (out_h * g_alpha.itemsize))
@@ -379,50 +365,38 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
     if not (isinstance(states, Tensor) or sparse.issparse(states)):
         raise TypeError(f"gat_layer: states must be a dm.Tensor or a sparse matrix, "
                         f"got {type(states).__name__}")
-    heads = params.layers[layer]
+    hp = params.layers[layer]
     if states.shape[0] != struct.n_in:
         raise dm.ShapeError(f"states rows {states.shape[0]} != input rows {struct.n_in}")
-    if states.shape[1] != heads[0].weight.shape[0]:
+    if states.shape[1] != hp.weight.shape[0]:
         raise dm.ShapeError(f"states width {states.shape[1]} != layer {layer} input "
-                            f"{heads[0].weight.shape[0]}")
+                            f"{hp.weight.shape[0]}")
     if isinstance(states, Tensor) and states.dtype != params.dtype:
         raise dm.ShapeError(f"mixed dtypes {states.dtype} vs {params.dtype}")
     if workspace is not None and workspace.dtype != params.dtype:
         raise dm.ShapeError(f"workspace dtype {workspace.dtype} vs {params.dtype}")
     x = states if sparse.issparse(states) else states.data
-    parents = tuple(t for hp in heads for t in (hp.weight, hp.attn))
+    parents = (hp.weight, hp.attn)
     grad_states = isinstance(states, Tensor) and states.requires_grad
     if grad_states:
         parents = (states, *parents)
     track = any(p.requires_grad for p in parents)
-    concat = len(heads) > 1                         # only layer 0 has several heads
-    out = None
-    if layer == 0 and workspace is not None:
-        out = workspace.view(workspace.out, struct.n_out, params.hidden_dim)
-    elif concat:
-        out = np.empty((struct.n_out, params.hidden_dim), dtype=params.dtype)
-    saved, col = [], 0
     op = dm.fused("gat_layer")
-    for hp in heads:
-        z = op.matmul(x, hp.weight.data, "non-finite projection")
-        z = z.astype(hp.weight.dtype, copy=False)
-        att, leaky, alpha = _attention(op, z, hp.attn.data, struct, track)
-        if concat:
-            out[:, col:col + z.shape[1]] = att @ z
-            col += z.shape[1]
-        elif out is not None:
-            _csr_matmul_into(att, z, out)
-        else:
-            out = (att @ z).astype(z.dtype, copy=False)
-        if track:
-            saved.append((z, att, leaky, alpha))
-        del z
+    z = op.matmul(x, hp.weight.data, "non-finite projection").astype(hp.weight.dtype, copy=False)
+    att, leaky, alpha = _attention(op, z, hp.attn.data, struct, track)
+    if layer == 0 and workspace is not None:
+        out = _csr_matmul_into(att, z, workspace.view(workspace.out, struct.n_out,
+                                                      params.hidden_dim))
+    else:
+        out = (att @ z).astype(z.dtype, copy=False)
+    saved = [(z, att, leaky, alpha)] if track else []
+    del z
     if layer == 0:
         with op:
             dm.elu_inplace(out)
 
     def vjp(g_out):
-        if len(saved) != len(heads):
+        if not saved:
             raise dm.TapeReleasedError(f"gat_layer: layer {layer}'s backward already ran "
                                        "and released its saved arrays")
         # only the workspace's own state gradient may be overwritten
@@ -431,26 +405,15 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
         g_out = _flush_subnormals(g_out, inplace=owned)
         if layer == 0:
             g_out = dm.elu_grad(out, g_out, inplace=owned)
-        g_states, grads, col = None, [], 0
-        for i, hp in enumerate(heads):
-            g_h = g_out
-            if concat:
-                width = hp.weight.shape[1]
-                g_h = g_out[:, col:col + width]
-                col += width
-            if i == len(heads) - 1:
-                del g_out                           # g_h holds its last reference
-            g_z, g_attn = _head_vjp(g_h, saved, hp.attn.data, struct)
-            del g_h                                 # freed before the weight product
-            grads += [(x.T @ g_z).astype(g_z.dtype, copy=False), g_attn]
-            if grad_states:
-                into = None
-                if layer == 1 and workspace is not None and g_states is None:
-                    into = workspace.view(workspace.grad, struct.n_in, states.shape[1])
-                part = np.matmul(g_z, hp.weight.data.T, out=into)
-                g_states = part if g_states is None else np.add(g_states, part, out=g_states)
-            del g_z
-        return (g_states, *grads) if grad_states else tuple(grads)
+        g_z, g_attn = _head_vjp(g_out, saved, hp.attn.data, struct)
+        del g_out                                   # freed before the weight product
+        grads = ((x.T @ g_z).astype(g_z.dtype, copy=False), g_attn)
+        if not grad_states:
+            return grads
+        into = None
+        if layer == 1 and workspace is not None:
+            into = workspace.view(workspace.grad, struct.n_in, states.shape[1])
+        return (np.matmul(g_z, hp.weight.data.T, out=into), *grads)
 
     return dm.node(out, parents, vjp)
 

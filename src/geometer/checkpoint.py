@@ -1,10 +1,11 @@
 """The checkpoint format: one model and its seed as a file of named tensors.
 
 A checkpoint holds, in this order: ``meta/session_index`` [1];
-``backbone/meta`` [5] (the feature, hidden and embedding dims, then layer 0's
-head count and the output layer's, always 1); per layer ``l`` and head ``h``,
-``backbone/l<l>/h<h>/weight`` [out x in] then ``backbone/l<l>/h<h>/attn``
-[2 * out]; ``class_attention/meta`` [1] (its head count);
+``backbone/meta`` [5] (the feature, hidden and embedding dims, then the head
+counts of layer 0 and of the output layer, both always 1); per layer ``l``
+its one head's ``backbone/l<l>/h0/weight`` [out x in] then
+``backbone/l<l>/h0/attn`` [2 * out]; ``class_attention/meta`` [1] (its head
+count);
 ``class_attention/wq``, ``wk`` and ``wv`` [dim x dim]; ``prototypes/classes``
 [C] (distinct ascending class ids); ``prototypes/vectors`` [C x dim]; and
 ``meta/seed`` [1].  A head's weight is stored [out x in], the transpose of
@@ -15,8 +16,9 @@ per-class ``prototypes/carried`` tags, which are not read.
 ``model_to_arrays`` and ``arrays_to_model`` are the only code that knows
 these names and layouts.  A model loads only when each tensor it needs has
 the shape the checkpoint's own metadata gives it, each metadata entry is a
-non-negative integer, each head count divides its layer's width and the
-class ids ascend; otherwise a ``CheckpointError`` names the tensor.
+non-negative integer, each backbone layer has one head, the class-attention
+head count divides the embedding dim and the class ids ascend; otherwise a
+``CheckpointError`` names the tensor.
 
 File layout, all little-endian:
   magic b"GFSP"
@@ -30,6 +32,7 @@ the int64 kind existed hold only kind 0, so they read as they always have.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -59,12 +62,11 @@ def model_to_arrays(model: ModelState, seed: int) -> dict:
     """The checkpoint arrays of ``model`` trained under ``seed``, in file order."""
     bb, ca, protos = model.backbone, model.class_attention, model.prototypes
     arrays = {"meta/session_index": np.array([model.session_index], dtype=np.int64),
-              "backbone/meta": np.array([bb.feature_dim, bb.hidden_dim, bb.out_dim, bb.heads, 1],
+              "backbone/meta": np.array([bb.feature_dim, bb.hidden_dim, bb.out_dim, 1, 1],
                                         dtype=np.int64)}
-    for li, layer in enumerate(bb.layers):
-        for hi, hp in enumerate(layer):
-            arrays[f"backbone/l{li}/h{hi}/weight"] = hp.weight.data.T
-            arrays[f"backbone/l{li}/h{hi}/attn"] = hp.attn.data
+    for li, hp in enumerate(bb.layers):
+        arrays[f"backbone/l{li}/h0/weight"] = hp.weight.data.T
+        arrays[f"backbone/l{li}/h0/attn"] = hp.attn.data
     arrays["class_attention/meta"] = np.array([ca.heads], dtype=np.int64)
     for w, t in zip(_CLASS_ATTENTION, ca.tensors()):
         arrays[f"class_attention/{w}"] = t.data
@@ -104,23 +106,16 @@ def arrays_to_model(arrays: dict) -> tuple:
     seed = ints("meta/seed", 1)[0] if "meta/seed" in arrays else None
     (session_index,) = ints("meta/session_index", 1)
 
-    feature_dim, hidden, dim, heads, out_heads = ints("backbone/meta", 5)
-    if out_heads != 1:
-        raise CheckpointError(f"checkpoint output layer has {out_heads} heads; "
-                              f"only one is supported")
-    if heads == 0 or hidden % heads:
-        raise CheckpointError(f"tensor 'backbone/meta' splits hidden dim {hidden} "
-                              f"across {heads} heads")
-    layers = []
-    for li, (in_dim, out_h, n_heads) in enumerate(((feature_dim, hidden // heads, heads),
-                                                   (hidden, dim, 1))):
-        layers.append(tuple(
-            HeadParams(
-                weight=param(np.ascontiguousarray(
-                    tensor(f"backbone/l{li}/h{hi}/weight", out_h, in_dim).T)),
-                attn=param(tensor(f"backbone/l{li}/h{hi}/attn", 2 * out_h)))
-            for hi in range(n_heads)))
-    backbone = BackboneParams(tuple(layers), feature_dim, hidden, dim)
+    feature_dim, hidden, dim, *heads = ints("backbone/meta", 5)
+    if heads != [1, 1]:
+        raise CheckpointError(f"tensor 'backbone/meta' gives the layers {heads[0]} and "
+                              f"{heads[1]} heads, expected 1 and 1")
+    layers = tuple(
+        HeadParams(weight=param(np.ascontiguousarray(
+                       tensor(f"backbone/l{li}/h0/weight", out, in_dim).T)),
+                   attn=param(tensor(f"backbone/l{li}/h0/attn", 2 * out)))
+        for li, (in_dim, out) in enumerate(((feature_dim, hidden), (hidden, dim))))
+    backbone = BackboneParams(layers, feature_dim, hidden, dim)
 
     (ca_heads,) = ints("class_attention/meta", 1)
     if ca_heads == 0 or dim % ca_heads:
@@ -180,14 +175,19 @@ def load_tensors(path) -> dict:
         try:
             for _ in range(count):
                 (name_len,) = unpack("<I")
-                name = fh.read(name_len).decode("utf-8")
+                at = fh.tell()
+                try:
+                    name = fh.read(name_len).decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CheckpointError(f"{p}: tensor name at byte {at + exc.start} "
+                                          f"is not UTF-8") from None
                 (word,) = unpack("<I")
                 kind, ndim = divmod(word, 1 << 16)
                 if kind not in _KINDS:
                     raise CheckpointError(f"{p}: unknown kind {kind} of tensor {name!r}")
                 dtype = _KINDS[kind]
                 shape = unpack(f"<{ndim}I")
-                size = int(np.prod(shape, dtype=np.int64))
+                size = math.prod(shape)         # a Python int, which cannot wrap
                 if fh.tell() + dtype.itemsize * size > total:
                     raise CheckpointError(f"{p}: truncated payload for tensor {name!r}")
                 arr = np.empty(shape, dtype)

@@ -7,8 +7,9 @@ metrics across seeds), ``export`` (dump embeddings and prototypes for offline
 projection).  ``prepare``, ``pretrain`` and ``stream`` first check that the
 manifest's train pools can feed the episode sampler at every stage.
 
-Every command is deterministic given the config and seed.  Failures exit
-nonzero with a single machine-parsable line on stderr:
+Every command is deterministic given the config and seed, on one machine's
+CPU kernels and BLAS thread count (see README).  Failures exit nonzero with
+a single machine-parsable line on stderr:
 ``error kind=<ExceptionName> message="..."``.  The ``GEOMETER_LOG``
 environment variable sets the log level.
 """

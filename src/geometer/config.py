@@ -55,7 +55,6 @@ class ExperimentConfig:
     # model
     hidden_dim: int = 512
     embedding_dim: int = 64
-    backbone_heads: int = 1
     class_attention_heads: int = 4
     dropout: float = 0.0
     # episodic sampling
@@ -98,14 +97,12 @@ class ExperimentConfig:
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         for key in ("novel_per_session", "k_shot", "hidden_dim", "embedding_dim",
-                    "backbone_heads", "class_attention_heads"):
+                    "class_attention_heads"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key, dim in (("backbone_heads", "hidden_dim"),
-                         ("class_attention_heads", "embedding_dim")):
-            if getattr(self, dim) % getattr(self, key):
-                raise ConfigError(f"{key} must divide {dim} ({getattr(self, dim)}), "
-                                  f"got {getattr(self, key)}")
+        if self.embedding_dim % self.class_attention_heads:
+            raise ConfigError(f"class_attention_heads must divide embedding_dim "
+                              f"({self.embedding_dim}), got {self.class_attention_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         for key in ("lr_pretrain", "lr_finetune"):

@@ -9,8 +9,9 @@ Dataset directory layout:
                 an error
   labels.tsv    one line per node: index TAB class-id, -1 meaning unlabeled
 
-Split manifest: JSON with keys base_classes, sessions[].novel_classes,
-sessions[].supports, k_shot, seed.
+Split manifest: a JSON object with keys base_classes (at least two class
+ids), sessions[].novel_classes (class ids), sessions[].supports (class id ->
+node ids), k_shot (positive) and seed (non-negative), all 64-bit integers.
 
 Feature storage follows one density rule (``_sparse_by_rule``: under a
 quarter nonzero, and more than 65,536 entries), decided once per dataset
@@ -766,6 +767,57 @@ def save_manifest(stream: SessionStream, path) -> None:
         fh.write("\n")
 
 
+def _manifest_fields(p: Path, doc) -> tuple:
+    """``(base classes, k_shot, seed, [(novel classes, supports)])`` of manifest
+    ``p``'s parsed ``doc``, each field typed before it is read.  A missing or
+    mistyped field is a ``ManifestError`` that names it."""
+
+    def bad(name, expected, value):
+        return ManifestError(f"{p}: {name} must be {expected}, got {json.dumps(value)}")
+
+    def get(obj, key):
+        if key not in obj:
+            raise ManifestError(f"{p}: malformed manifest ({key!r})")
+        return obj[key]
+
+    def is_int(v, least=-2 ** 63):
+        return type(v) is int and least <= v < 2 ** 63
+
+    def ints(name, value) -> list:
+        if not (isinstance(value, list) and all(map(is_int, value))):
+            raise bad(name, "a list of 64-bit integers", value)
+        return value
+
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{p}: must hold a JSON object")
+    base = ints("base_classes", get(doc, "base_classes"))
+    if len(base) < 2:
+        raise bad("base_classes", "a list of at least two classes", base)
+    k_shot, seed = get(doc, "k_shot"), get(doc, "seed")
+    if not is_int(k_shot, 1):
+        raise bad("k_shot", "a positive integer", k_shot)
+    if not is_int(seed, 0):
+        raise bad("seed", "a non-negative integer", seed)
+    if not isinstance(get(doc, "sessions"), list):
+        raise bad("sessions", "a list", doc["sessions"])
+    sessions = []
+    for i, entry in enumerate(doc["sessions"]):
+        name = f"sessions[{i}]"
+        if not isinstance(entry, dict):
+            raise bad(name, "an object", entry)
+        novel = ints(f"{name}.novel_classes", get(entry, "novel_classes"))
+        raw = get(entry, "supports")
+        if not isinstance(raw, dict):
+            raise bad(f"{name}.supports", "an object from class id to node ids", raw)
+        supports = {}
+        for key, ids in raw.items():
+            if not (key.isascii() and key.isdigit() and key == str(int(key))):
+                raise bad(f"{name}.supports", "keyed by class ids", key)
+            supports[int(key)] = tuple(ints(f"{name}.supports[{json.dumps(key)}]", ids))
+        sessions.append((novel, supports))
+    return base, k_shot, seed, sessions
+
+
 def load_session_stream(g: Graph, path) -> SessionStream:
     """Rebuild a stream from its manifest; snapshots and pools are rederived."""
     p = Path(path)
@@ -775,21 +827,9 @@ def load_session_stream(g: Graph, path) -> SessionStream:
         raise DatasetFileMissingError(f"missing manifest: {p}")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:                   # not JSON, or not UTF-8
         raise ManifestError(f"{p}: invalid JSON ({exc})") from None
-    try:
-        base = [int(c) for c in doc["base_classes"]]
-        k_shot = int(doc["k_shot"])
-        seed = int(doc["seed"])
-        sessions = []
-        for entry in doc["sessions"]:
-            novel = [int(c) for c in entry["novel_classes"]]
-            supports = {int(c): tuple(int(v) for v in ids)
-                        for c, ids in entry["supports"].items()}
-            sessions.append((novel, supports))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"{p}: malformed manifest ({exc})") from None
-
+    base, k_shot, seed, sessions = _manifest_fields(p, doc)
     members = _class_members(g)
     _validate_partition_classes(members, base, [novel for novel, _ in sessions])
     specs = []

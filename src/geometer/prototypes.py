@@ -128,8 +128,6 @@ def _support_weights(degrees, lens, mode: str = "attention") -> np.ndarray:
     """
     degrees = np.asarray(degrees, dtype=np.float64)
     lens = np.asarray(lens, dtype=np.int64)
-    if degrees.min() < 0:
-        raise ValueError("degrees must be non-negative")
     starts = np.cumsum(lens) - lens
     owner = np.repeat(np.arange(len(lens)), lens)
     if mode == "mean":

@@ -205,8 +205,7 @@ def pretrain(stream: SessionStream, cfg: ExperimentConfig, seed: int) -> ModelSt
     if len(stream.classes_at(0)) < 2:
         raise ValueError("pretraining requires at least two base classes")
     state = ModelState(
-        backbone=init_backbone(g.feature_dim, cfg.hidden_dim, cfg.embedding_dim,
-                               seed=seed, heads=cfg.backbone_heads),
+        backbone=init_backbone(g.feature_dim, cfg.hidden_dim, cfg.embedding_dim, seed=seed),
         class_attention=init_class_attention(cfg.embedding_dim, cfg.class_attention_heads,
                                              seed=seed),
         prototypes=None, session_index=0)

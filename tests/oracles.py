@@ -399,13 +399,13 @@ def loop_query_candidates(pools, class_list, taken):
     return np.array(nodes, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 
-def attention_coefficients(params, g, states, layer, head=0):
-    """One head's attention weights as {node_id: {incident node_id: alpha}},
+def attention_coefficients(params, g, states, layer):
+    """A layer's attention weights as {node_id: {incident node_id: alpha}},
     self included, from the encoder's own edge structure and attention
     arithmetic."""
     x = states.data if isinstance(states, dm.Tensor) else np.asarray(states, dtype=params.dtype)
     struct = bb._edge_structure(g)
-    hp = params.layers[layer][head]
+    hp = params.layers[layer]
     z = (x @ hp.weight.data).astype(params.dtype, copy=False)
     _, _, alpha = bb._attention(dm.fused("gat_layer"), z, hp.attn.data, struct, track=False)
     result = {}

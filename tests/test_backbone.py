@@ -23,16 +23,14 @@ def graph_from(edges, features, labels=None):
 
 
 def manual_params(weights_attns, dims, dtype=F64):
-    """BackboneParams from explicit (per-layer lists of (W, a)) arrays, W given
-    [out x in] and held transposed, as the encoder holds it."""
-    layers = []
-    for layer in weights_attns:
-        layers.append(tuple(
-            bb.HeadParams(dm.tensor(np.ascontiguousarray(np.asarray(w, dtype=dtype).T),
-                                    requires_grad=True, dtype=dtype),
-                          dm.tensor(np.asarray(a, dtype=dtype), requires_grad=True, dtype=dtype))
-            for w, a in layer))
-    return bb.BackboneParams(tuple(layers), *dims)
+    """BackboneParams from explicit per-layer (W, a) arrays, W given [out x in]
+    and held transposed, as the encoder holds it."""
+    layers = tuple(
+        bb.HeadParams(dm.tensor(np.ascontiguousarray(np.asarray(w, dtype=dtype).T),
+                                requires_grad=True, dtype=dtype),
+                      dm.tensor(np.asarray(a, dtype=dtype), requires_grad=True, dtype=dtype))
+        for w, a in weights_attns)
+    return bb.BackboneParams(layers, *dims)
 
 
 def oracle_layer(g, states, w, a, sigma):
@@ -65,16 +63,16 @@ def elu(x):
 def test_init_deterministic_and_shapes():
     p1 = bb.init_backbone(20, 512, 16, seed=4)
     p2 = bb.init_backbone(20, 512, 16, seed=4)
-    assert p1.layers[0][0].weight.shape == (20, 512)
-    assert p1.layers[1][0].weight.shape == (512, 16)
-    assert p1.layers[0][0].attn.shape == (1024,)
+    assert p1.layers[0].weight.shape == (20, 512)
+    assert p1.layers[1].weight.shape == (512, 16)
+    assert p1.layers[0].attn.shape == (1024,)
     for a, b in zip(p1.tensors(), p2.tensors()):
         assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_init_respects_glorot_bounds():
     p = bb.init_backbone(50, 256, 8, seed=0)
-    w = p.layers[0][0].weight.data
+    w = p.layers[0].weight.data
     assert w.size > 10_000
     s = np.sqrt(6.0 / (50 + 256))
     assert np.all(np.abs(w) < s)
@@ -83,8 +81,6 @@ def test_init_respects_glorot_bounds():
 def test_init_rejects_bad_dims():
     with pytest.raises(ValueError):
         bb.init_backbone(0, 4, 2, seed=0)
-    with pytest.raises(ValueError, match="^hidden dim 6 not divisible by 4 heads$"):
-        bb.init_backbone(3, 6, 2, seed=0, heads=4)
     with pytest.raises(ValueError, match="^embedding dim 6 not divisible by 4 heads$"):
         init_class_attention(6, heads=4)
 
@@ -122,7 +118,7 @@ def test_three_node_path_matches_hand_computation():
     g = graph_from([(0, 1), (1, 2)], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     w = np.array([[0.5, -0.3], [0.2, 0.7]])
     a = np.array([0.3, -0.2, 0.5, 0.1])
-    params = manual_params([[(w, a)], [(np.eye(2), np.zeros(4))]], (2, 2, 2))
+    params = manual_params([(w, a), (np.eye(2), np.zeros(4))], (2, 2, 2))
     states = g.features.astype(F64)
 
     expected_out, expected_alpha = oracle_layer(g, states, w, a, elu)
@@ -158,7 +154,7 @@ def test_gat_layer_names_a_non_finite_attention_score():
     # score, and numpy warns of nothing first
     g = graph_from([(0, 1)], np.ones((2, 3)))
     p = bb.init_backbone(3, 4, 2, seed=1)
-    p.layers[0][0].attn.data[:] = 1e30
+    p.layers[0].attn.data[:] = 1e30
     states = dm.tensor(np.full((2, 3), 1e10, dtype=np.float32))
     with pytest.raises(dm.NonFiniteError, match="^gat_layer: non-finite attention score$"):
         bb.gat_layer(p, g, states, 0)
@@ -166,8 +162,8 @@ def test_gat_layer_names_a_non_finite_attention_score():
 
 def test_zero_weight_layer_is_zero():
     g = graph_from([(0, 1)], np.random.default_rng(1).normal(size=(2, 3)))
-    params = manual_params([[(np.zeros((4, 3)), np.zeros(8))],
-                            [(np.zeros((2, 4)), np.zeros(4))]], (3, 4, 2))
+    params = manual_params([(np.zeros((4, 3)), np.zeros(8)),
+                            (np.zeros((2, 4)), np.zeros(4))], (3, 4, 2))
     out = bb.gat_layer(params, g, dm.tensor(g.features, dtype=F64), 0)
     np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
@@ -175,8 +171,8 @@ def test_zero_weight_layer_is_zero():
 def test_single_isolated_node_layer_value():
     g = graph_from([], [[1.0, 2.0]])
     w = np.array([[0.4, -0.1], [0.3, 0.3]])
-    params = manual_params([[(w, np.array([0.1, 0.2, 0.3, 0.4]))],
-                            [(np.eye(2), np.zeros(4))]], (2, 2, 2))
+    params = manual_params([(w, np.array([0.1, 0.2, 0.3, 0.4])),
+                            (np.eye(2), np.zeros(4))], (2, 2, 2))
     out = bb.gat_layer(params, g, dm.tensor(g.features, dtype=F64), 0)
     np.testing.assert_allclose(out.data[0], elu(w @ np.array([1.0, 2.0])), atol=1e-12)
 
@@ -221,7 +217,7 @@ def test_encode_gradient_matches_finite_differences():
 
     def build(arrs):
         it = iter(arrs)
-        layers = [[(next(it), next(it))], [(next(it), next(it))]]
+        layers = [(next(it), next(it)), (next(it), next(it))]
         return manual_params(layers, (3, 4, 2))
 
     def f(arrs):
@@ -234,15 +230,6 @@ def test_encode_gradient_matches_finite_differences():
     analytic = [a.T for a in analytic]      # held weights are [in x out]; 1-D attn is unchanged
     numeric = central_differences(lambda arrs: f(arrs).item(), arrays)
     assert grad_relative_error(analytic, numeric) < 1e-4
-
-
-def test_multi_head_shapes_and_combination():
-    rng = np.random.default_rng(12)
-    g = graph_from([(0, 1), (1, 2)], rng.normal(size=(3, 5)))
-    p = bb.init_backbone(5, 8, 4, seed=8, heads=2)
-    assert p.layers[0][0].weight.shape == (5, 4)  # hidden split across heads
-    emb = bb.encode(p, g)
-    assert emb.shape == (3, 4)
 
 
 def test_sparse_and_dense_paths_agree():
@@ -264,11 +251,11 @@ def test_sparse_and_dense_paths_agree():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    p = bb.init_backbone(7, 6, 4, seed=10, heads=2)
+    p = bb.init_backbone(7, 6, 4, seed=10)
     path = tmp_path / "params.gfsp"
     save_tensors(path, model_to_arrays(oracles.model_around(p), 0))
     q = arrays_to_model(load_tensors(path))[0].backbone
-    assert q.heads == p.heads and q.hidden_dim == p.hidden_dim
+    assert q.hidden_dim == p.hidden_dim
     for a, b in zip(p.tensors(), q.tensors()):
         assert a.data.tobytes() == b.data.tobytes()
 
@@ -276,16 +263,14 @@ def test_checkpoint_round_trip(tmp_path):
 # --- the fused layer op ---------------------------------------------------------
 
 @pytest.mark.parametrize("rows", [None, [7, 2, 7]], ids=["full", "rows"])
-@pytest.mark.parametrize("heads", [1, 2], ids=["one_head", "multi_head"])
 @pytest.mark.parametrize("sparse_input", [False, True], ids=["dense", "csr"])
-def test_fused_layers_match_finite_differences(sparse_input, heads, rows):
+def test_fused_layers_match_finite_differences(sparse_input, rows):
     from scipy import sparse
     rng = np.random.default_rng(41)
-    n, d, width, out = 12, 5, 3, 2
+    n, d, hidden, out = 12, 5, 3, 2
     feats = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.6)
     pairs = [(i, (i + 1) % n) for i in range(n)] + [(0, 6), (3, 9), (4, 10)]
     g = graph_from(pairs, feats)
-    hidden = heads * width
     if rows is None:
         struct0 = struct1 = None
         r0 = np.arange(n)
@@ -293,13 +278,12 @@ def test_fused_layers_match_finite_differences(sparse_input, heads, rows):
         struct1, r1 = bb._receptive_field(g, np.array(rows))
         struct0, r0 = bb._receptive_field(g, r1)
     x = sparse.csr_matrix(feats[r0]) if sparse_input else dm.tensor(feats[r0], dtype=F64)
-    shapes = [((width, d), (2 * width,))] * heads + [((out, hidden), (2 * out,))]
+    shapes = [((hidden, d), (2 * hidden,)), ((out, hidden), (2 * out,))]
     arrays = [rng.normal(size=s) * 0.7 for pair in shapes for s in pair]
     probe = rng.normal(size=(n if rows is None else len(rows), out))
 
     def loss(arrs):
-        pairs_ = list(zip(arrs[::2], arrs[1::2]))
-        params = manual_params([pairs_[:heads], pairs_[heads:]], (d, hidden, out))
+        params = manual_params(list(zip(arrs[::2], arrs[1::2])), (d, hidden, out))
         h = bb.gat_layer(params, g, x, 0, struct0)
         emb = bb.gat_layer(params, g, h, 1, struct1)
         return params, oracles.sum(dm.mul(emb, dm.constant(probe, dtype=F64)))
@@ -312,14 +296,14 @@ def test_fused_layers_match_finite_differences(sparse_input, heads, rows):
 
 
 def test_fused_layer_is_one_tape_node_per_layer():
-    # two layer-0 heads: layer 1's node reads layer 0's output and its own two
-    # parameters; layer 0's node reads only its four, its CSR input is constant
+    # layer 1's node reads layer 0's output and its own two parameters;
+    # layer 0's node reads only its two, its CSR input is constant
     g, p = receptive_graph(True)
     emb = bb.encode(p, g, rows=[3, 17])
     tensors = p.tensors()
     layer0, *own1 = emb._parents
-    assert [id(t) for t in own1] == [id(t) for t in tensors[4:]]
-    assert [id(t) for t in layer0._parents] == [id(t) for t in tensors[:4]]
+    assert [id(t) for t in own1] == [id(t) for t in tensors[2:]]
+    assert [id(t) for t in layer0._parents] == [id(t) for t in tensors[:2]]
 
 
 # --- exact receptive-field encoding -------------------------------------------
@@ -335,7 +319,7 @@ def receptive_graph(sparse_features, seed=14):
     pairs = [(i, (i + 1) % 40) for i in range(40)] + [(i, (i + 7) % 40) for i in range(0, 40, 5)]
     g = graph_from(pairs, feats)
     assert (g.features_sparse() is not None) == sparse_features
-    return g, bb.init_backbone(dim, 8, 4, seed=15, heads=2)
+    return g, bb.init_backbone(dim, 8, 4, seed=15)
 
 
 ROW_CASES = {"unsorted": [17, 3, 30, 4], "duplicates": [9, 2, 9, 40], "isolated": [40],
@@ -366,7 +350,7 @@ def test_restricted_encode_matches_full_graph_rows(sparse_features, case):
 
 def test_restricted_encode_float64_matches_to_rounding():
     g, _ = receptive_graph(False)
-    p = bb.init_backbone(6, 8, 4, seed=17, heads=2, dtype=F64)
+    p = bb.init_backbone(6, 8, 4, seed=17, dtype=F64)
     rows = np.array([5, 40, 22])
     np.testing.assert_allclose(bb.encode(p, g, rows=rows).data, bb.encode(p, g).data[rows],
                                rtol=1e-13, atol=1e-15)
@@ -427,7 +411,7 @@ def test_encode_is_bit_identical_to_the_encoder_segment_softmax(shape, monkeypat
     # so encoder outputs and gradients agree with it byte for byte
     from oracles import seed_segment_softmax
     g, hidden, out = _benchmark_graph(shape, monkeypatch)
-    p = bb.init_backbone(g.feature_dim, hidden, out, seed=26, heads=2)
+    p = bb.init_backbone(g.feature_dim, hidden, out, seed=26)
     rows = np.sort(np.random.default_rng(27).choice(g.node_count, size=40, replace=False))
 
     def run():
@@ -449,13 +433,13 @@ def test_edge_gradient_blocks_match_one_shot_einsum(monkeypatch):
     # 137 neighborhood entries in blocks of 7 (19 full blocks and a ragged
     # one), and 41 rows of score terms in blocks of 5, give the gradients of
     # one block over everything, byte for byte
-    g, p = receptive_graph(True)
+    g, _ = receptive_graph(True)
+    p = bb.init_backbone(g.feature_dim, 4, 4, seed=15)
     entries = len(bb._edge_structure(g).src)
     assert entries > 3 * 7 and entries % 7 and g.node_count % 5
-    # every head of both layers is 4 float32 wide, so one byte budget gives
-    # each the same edges per block
-    (row_bytes,) = {hp.weight.shape[1] * hp.weight.dtype.itemsize
-                    for layer in p.layers for hp in layer}
+    # both layers are 4 float32 wide, so one byte budget gives each the same
+    # edges per block
+    (row_bytes,) = {hp.weight.shape[1] * hp.weight.dtype.itemsize for hp in p.layers}
 
     def grads(edge_block, row_block):
         monkeypatch.setattr(bb, "_EDGE_BLOCK_BYTES", edge_block * row_bytes)
@@ -469,40 +453,43 @@ def test_edge_gradient_blocks_match_one_shot_einsum(monkeypatch):
 # --- weight layout ------------------------------------------------------------
 
 def test_checkpoint_arrays_keep_the_out_by_in_layout():
-    p = bb.init_backbone(7, 6, 4, seed=10, heads=2)
+    p = bb.init_backbone(7, 6, 4, seed=10)
     arrays = model_to_arrays(oracles.model_around(p), 0)
-    shapes = {"backbone/l0/h0/weight": (3, 7), "backbone/l0/h1/weight": (3, 7),
-              "backbone/l1/h0/weight": (4, 6)}
+    shapes = {"backbone/l0/h0/weight": (6, 7), "backbone/l1/h0/weight": (4, 6)}
     for name, shape in shapes.items():
         assert arrays[name].shape == shape
     # the stored array is the Glorot draw itself, so checkpoints keep their bytes
-    rng = np.random.default_rng([10, 0, 1])
-    s = np.sqrt(6.0 / (7 + 3))
-    drawn = rng.uniform(-s, s, size=(3, 7)).astype(np.float32)
-    assert np.ascontiguousarray(arrays["backbone/l0/h1/weight"]).tobytes() == drawn.tobytes()
+    rng = np.random.default_rng([10, 0, 0])
+    s = np.sqrt(6.0 / (7 + 6))
+    drawn = rng.uniform(-s, s, size=(6, 7)).astype(np.float32)
+    assert np.ascontiguousarray(arrays["backbone/l0/h0/weight"]).tobytes() == drawn.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, F64])
 def test_backbone_arrays_round_trip_byte_exactly(dtype, tmp_path):
-    p = bb.init_backbone(7, 6, 4, seed=11, heads=2, dtype=dtype)
+    p = bb.init_backbone(7, 6, 4, seed=11, dtype=dtype)
     backs = [arrays_to_model(model_to_arrays(oracles.model_around(p), 0))[0].backbone]
     if dtype == np.float32:     # checkpoints store float32
         save_tensors(tmp_path / "p.gfsp", model_to_arrays(oracles.model_around(p), 0))
         backs.append(arrays_to_model(load_tensors(tmp_path / "p.gfsp"))[0].backbone)
     for q in backs:
-        assert (q.feature_dim, q.hidden_dim, q.out_dim, q.heads) == (7, 6, 4, 2)
+        assert (q.feature_dim, q.hidden_dim, q.out_dim) == (7, 6, 4)
         for a, b in zip(p.tensors(), q.tensors()):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert b.data.flags.c_contiguous and a.data.tobytes() == b.data.tobytes()
 
 
 def test_checkpoint_with_several_output_heads_is_rejected():
-    p = bb.init_backbone(7, 6, 4, seed=11, heads=2)
+    p = bb.init_backbone(7, 6, 4, seed=11)
     arrays = model_to_arrays(oracles.model_around(p), 0)
-    assert arrays["backbone/meta"].tolist() == [7, 6, 4, 2, 1]
-    arrays["backbone/meta"] = np.array([7, 6, 4, 2, 3])
-    with pytest.raises(CheckpointError, match="^checkpoint output layer has 3 heads; "):
-        arrays_to_model(arrays)
+    assert arrays["backbone/meta"].tolist() == [7, 6, 4, 1, 1]
+    # either layer: every backbone layer has one head
+    for heads in ([1, 3], [2, 1]):
+        arrays["backbone/meta"] = np.array([7, 6, 4, *heads])
+        with pytest.raises(CheckpointError, match=(
+                f"^tensor 'backbone/meta' gives the layers {heads[0]} and {heads[1]} heads, "
+                f"expected 1 and 1$")):
+            arrays_to_model(arrays)
 
 
 @pytest.mark.parametrize("rows", [None, [17, 3, 30]], ids=["full", "rows"])
@@ -568,7 +555,7 @@ def test_subnormal_gradients_never_reach_the_layer_products(rows, monkeypatch):
         return [a.tobytes() for a in dm.value_and_grad(loss, p.tensors())[1]]
 
     injected = grads(probe)
-    assert len(reached) == 3 and all(_subnormal_count(g_z) == 0 for g_z in reached)
+    assert len(reached) == 2 and all(_subnormal_count(g_z) == 0 for g_z in reached)
     assert any(np.count_nonzero(g_z) for g_z in reached)
     assert injected == grads(flushed)
 
@@ -604,12 +591,10 @@ def test_csr_matmul_into_refuses_an_output_it_cannot_fill():
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 @pytest.mark.parametrize("rows", [None, [17, 3, 30]], ids=["full", "rows"])
-@pytest.mark.parametrize("heads", [1, 2], ids=["one_head", "multi_head"])
 @pytest.mark.parametrize("sparse_features", [True, False], ids=["sparse", "dense"])
-def test_workspace_encode_gives_the_bytes_of_the_plain_one(sparse_features, heads, rows,
-                                                           dropout, monkeypatch):
-    g, _ = receptive_graph(sparse_features)
-    p = bb.init_backbone(g.feature_dim, 8, 4, seed=15, heads=heads)
+def test_workspace_encode_gives_the_bytes_of_the_plain_one(sparse_features, rows, dropout,
+                                                           monkeypatch):
+    g, p = receptive_graph(sparse_features)
     workspace = bb.Workspace(g.node_count, 8)
     in_place = []
     elu_grad = dm.elu_grad

@@ -55,6 +55,15 @@ def test_truncated_payload(tmp_path):
         load_tensors(p)
 
 
+def test_shape_past_the_file_size_is_a_truncated_payload(tmp_path):
+    # four dims of 65,536 hold 2**64 entries, which wraps to 0 in int64
+    p = tmp_path / "t.gfsp"
+    p.write_bytes(b"GFSP" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"x"
+                  + struct.pack("<5I", 4, *[65536] * 4) + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match="truncated payload for tensor 'x'"):
+        load_tensors(p)
+
+
 def test_trailing_garbage(tmp_path):
     p = tmp_path / "t.gfsp"
     save_tensors(p, {"a": np.ones(2, dtype=np.float32)})
@@ -116,6 +125,18 @@ def test_unknown_tensor_kind_is_rejected(tmp_path):
         load_tensors(p)
 
 
+def test_tensor_name_that_is_not_utf8_is_rejected_at_its_byte(tmp_path):
+    # the second name, "ab", starts at byte 8 + (4 + 1 + 8 + 4) + 4 = 29
+    p = tmp_path / "t.gfsp"
+    save_tensors(p, {"x": np.zeros(1, dtype=np.float32), "ab": np.zeros(1, dtype=np.float32)})
+    data = bytearray(p.read_bytes())
+    assert data[29:31] == b"ab"
+    data[30] = 0xC3                 # a lead byte with no continuation byte
+    p.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match=f"^{p}: tensor name at byte 30 is not UTF-8$"):
+        load_tensors(p)
+
+
 def _model(class_ids, session_index):
     protos = pt.PrototypeSet(tuple(class_ids),
                              dm.tensor(np.ones((len(class_ids), 2), dtype=np.float32)))
@@ -130,7 +151,7 @@ def test_seed_and_class_ids_past_float32_round_trip(tmp_path):
     model, seed = cli._load_model(path)
     assert seed == big
     assert model.prototypes.class_ids == (0, big) and model.session_index == 3
-    assert model.class_attention.heads == 2 and model.backbone.heads == 1
+    assert model.class_attention.heads == 2
 
 
 def test_checkpoint_with_float32_metadata_still_loads():
@@ -141,9 +162,9 @@ def test_checkpoint_with_float32_metadata_still_loads():
     assert "prototypes/carried" in load_tensors(FLOAT32_META)
     assert model.prototypes.vectors.data.tolist() == [[0, 1], [2, 3], [4, 5]]
     b = model.backbone
-    assert (b.feature_dim, b.hidden_dim, b.out_dim, b.heads) == (3, 4, 2, 2)
+    assert (b.feature_dim, b.hidden_dim, b.out_dim) == (3, 4, 2)
     assert model.class_attention.heads == 2
     # it holds the same parameters as a fresh initialization under its seed
-    fresh = bb.init_backbone(3, 4, 2, seed=1, heads=2)
+    fresh = bb.init_backbone(3, 4, 2, seed=1)
     assert all(a.data.tobytes() == f.data.tobytes()
                for a, f in zip(b.tensors(), fresh.tensors()))

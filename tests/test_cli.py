@@ -40,9 +40,9 @@ def test_config_round_trip(workspace):
     assert parse_config(cfg_path) == cfg
 
 
-# the last five are keys of earlier configs: a config that still sets one fails
+# the last six are keys of earlier configs: a config that still sets one fails
 @pytest.mark.parametrize("key", ["not_a_key", "optimizer", "logit_sign", "freeze_backbone",
-                                 "n_way_pretrain", "alpha_pretrain"])
+                                 "n_way_pretrain", "alpha_pretrain", "backbone_heads"])
 def test_config_rejects_unknown_key(tmp_path, key):
     p = tmp_path / "bad.cfg"
     p.write_text(f"hidden_dim = 32\n{key} = 5\n")
@@ -66,7 +66,6 @@ def test_config_rejects_bad_value_with_line(tmp_path):
                                         ("tau", 0.0), ("lambda_s", -1.0),
                                         ("dropout", 1.5), ("dropout", 1.0), ("dropout", -0.1),
                                         ("hidden_dim", 0), ("embedding_dim", 0),
-                                        ("backbone_heads", 0), ("backbone_heads", 3),
                                         ("class_attention_heads", 3),
                                         ("lr_pretrain", -1.0), ("lr_pretrain", 0.0),
                                         ("lr_finetune", -1e-4),
@@ -528,7 +527,9 @@ def test_checkpoints_pass_through_cli_save_and_load_tensors(workspace, monkeypat
     ("mode = protonet\n", "mode must be geometer or pn_star, got 'protonet'"),
     ("alpha_finetune = balanced\n", "alpha_finetune must be uniform or inverse_frequency"),
     ("seeds =\n", "seeds must be non-empty"),
-], ids=["no_equals", "duplicate_key", "non_boolean", "mode", "alpha_finetune", "empty_seeds"])
+    ("hidden_dim = 32\nbackbone_heads = 1\n", "{p}:2: unknown key 'backbone_heads'"),
+], ids=["no_equals", "duplicate_key", "non_boolean", "mode", "alpha_finetune", "empty_seeds",
+        "removed_key"])
 def test_cli_names_the_bad_config_line(tmp_path, capsys, text, message):
     p = tmp_path / "bad.cfg"
     p.write_text(text)
@@ -622,6 +623,19 @@ def _checkpoint_is_a_directory(command):
     return case
 
 
+def _checkpoint_with_a_name_that_is_not_utf8(command):
+    # byte 12 is the first byte of the first tensor's name
+    def case(tmp, cfg, cfg_path):
+        data = bytearray(_pretrain_seed0(cfg, cfg_path).read_bytes())
+        data[12] = 0xFF
+        (tmp / "edited.gfsp").write_bytes(bytes(data))
+        return (_checkpoint_argv(command, tmp / "edited.gfsp", tmp), "CheckpointError",
+                f"{tmp / 'edited.gfsp'}: tensor name at byte 12 is not UTF-8")
+
+    case.__name__ = f"_{command}_of_a_checkpoint_with_a_name_that_is_not_utf8"
+    return case
+
+
 def _checkpoint_of_another_feature_width(command):
     # pretrained on 10 features; the dataset is then rewritten with 12, the
     # same labels and so the same manifest
@@ -687,6 +701,15 @@ def _manifest_not_json(tmp, cfg, cfg_path):
     return "pretrain", "ManifestError", f"{cfg.manifest}: invalid JSON ({_json_error('{')})"
 
 
+def _manifest_not_utf8(tmp, cfg, cfg_path):
+    _prepare(cfg_path)
+    text = b'{"seed": "\xff"}'
+    Path(cfg.manifest).write_bytes(text)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        text.decode("utf-8")
+    return "pretrain", "ManifestError", f"{cfg.manifest}: invalid JSON ({exc.value})"
+
+
 def _manifest_without_k_shot(tmp, cfg, cfg_path):
     path, _ = _edit_manifest(cfg, cfg_path, lambda doc, cls, sup: doc.pop("k_shot"))
     return "pretrain", "ManifestError", f"{path}: malformed manifest ('k_shot')"
@@ -740,6 +763,60 @@ def _manifest_repeats_a_support(tmp, cfg, cfg_path):
     return ("pretrain", "ManifestError", f"{path}: class {cls} lists support node {node} twice")
 
 
+def _session0(doc, **fields):
+    doc["sessions"][0].update(fields)
+    return doc
+
+
+# (case name, the manifest ``edit(doc, novel class)`` returns, what the error
+# says of it): every field is typed before it is read, and fails by name
+_BAD_MANIFEST_FIELDS = [
+    ("null_supports", lambda doc, cls: _session0(doc, supports=None),
+     "sessions[0].supports must be an object from class id to node ids, got null"),
+    ("string_supports", lambda doc, cls: _session0(doc, supports="x"),
+     "sessions[0].supports must be an object from class id to node ids, got 'x'"),
+    ("number_supports", lambda doc, cls: _session0(doc, supports=3),
+     "sessions[0].supports must be an object from class id to node ids, got 3"),
+    ("list_supports", lambda doc, cls: _session0(doc, supports=[1, 2]),
+     "sessions[0].supports must be an object from class id to node ids, got [1, 2]"),
+    ("supports_keyed_by_a_name", lambda doc, cls: _session0(doc, supports={"x": [1]}),
+     "sessions[0].supports must be keyed by class ids, got 'x'"),
+    ("a_support_count_for_ids", lambda doc, cls: _session0(doc, supports={str(cls): 3}),
+     "sessions[0].supports['{cls}'] must be a list of 64-bit integers, got 3"),
+    ("a_boolean_novel_class", lambda doc, cls: _session0(doc, novel_classes=[True]),
+     "sessions[0].novel_classes must be a list of 64-bit integers, got [true]"),
+    ("a_session_that_is_a_number", lambda doc, cls: {**doc, "sessions": [3]},
+     "sessions[0] must be an object, got 3"),
+    ("sessions_that_are_an_object", lambda doc, cls: {**doc, "sessions": {}},
+     "sessions must be a list, got {{}}"),
+    ("a_negative_seed", lambda doc, cls: {**doc, "seed": -1},
+     "seed must be a non-negative integer, got -1"),
+    ("a_fractional_seed", lambda doc, cls: {**doc, "seed": 1.5},
+     "seed must be a non-negative integer, got 1.5"),
+    ("a_seed_past_int64", lambda doc, cls: {**doc, "seed": 10 ** 20},
+     "seed must be a non-negative integer, got 100000000000000000000"),
+    ("a_string_k_shot", lambda doc, cls: {**doc, "k_shot": "3"},
+     "k_shot must be a positive integer, got '3'"),
+    ("no_base_classes", lambda doc, cls: {**doc, "base_classes": []},
+     "base_classes must be a list of at least two classes, got []"),
+    ("a_list_for_an_object", lambda doc, cls: [doc],
+     "must hold a JSON object"),
+]
+
+
+def _manifest_with(name, edit, problem):
+    def case(tmp, cfg, cfg_path):
+        _prepare(cfg_path)
+        path = Path(cfg.manifest)
+        doc = json.loads(path.read_text())
+        cls = doc["sessions"][0]["novel_classes"][0]
+        path.write_text(json.dumps(edit(doc, cls)))
+        return "pretrain", "ManifestError", f"{path}: {problem.format(cls=cls)}"
+
+    case.__name__ = f"_manifest_with_{name}"
+    return case
+
+
 def _checkpoint_without_seed(tmp, cfg, cfg_path):
     from geometer.checkpoint import save_tensors
     arrays = load_tensors(_pretrain_seed0(cfg, cfg_path))
@@ -784,7 +861,7 @@ _BAD_TENSORS = [
     ("with_a_short_backbone_meta", "backbone/meta", np.array([10, 12, 8]),
      "has shape [3], expected [5]"),
     ("with_5_backbone_heads", "backbone/meta", np.array([10, 12, 8, 5, 1]),
-     "splits hidden dim 12 across 5 heads"),
+     "gives the layers 5 and 1 heads, expected 1 and 1"),
     ("with_a_3x3_query_matrix", "class_attention/wq", np.zeros((3, 3)),
      "has shape [3, 3], expected [8, 8]"),
     ("with_3_attention_heads", "class_attention/meta", np.array([3]),
@@ -841,6 +918,7 @@ def _report_of_an_empty_run(tmp, cfg, cfg_path):
 
 _BAD_INPUTS = [_missing_dataset, _missing_manifest, _missing_checkpoint, _base_without_novel,
                _wrong_novel_count, _manifest_is_a_directory, _manifest_not_json,
+               _manifest_not_utf8,
                _manifest_without_k_shot, _manifest_class_without_supports,
                _manifest_short_of_supports, _manifest_support_outside_the_graph,
                _manifest_support_of_another_class, _manifest_repeats_a_support,
@@ -848,6 +926,7 @@ _BAD_INPUTS = [_missing_dataset, _missing_manifest, _missing_checkpoint, _base_w
                _stream_short_of_novel_queries, _checkpoint_without_seed,
                _checkpoint_cut_in_a_header, _export_of_another_session,
                _report_of_an_empty_run,
+               *(_manifest_with(*bad) for bad in _BAD_MANIFEST_FIELDS),
                *(_checkpoint_without(tensor, command)
                  for tensor in ("class_attention/wq", "meta/session_index",
                                 "prototypes/vectors", "prototypes/classes")
@@ -857,7 +936,8 @@ _BAD_INPUTS = [_missing_dataset, _missing_manifest, _missing_checkpoint, _base_w
                *(_checkpoint_with_classes(*bad, command)
                  for bad in _FOREIGN_CLASSES for command in ("stream", "export")),
                *(case(command)
-                 for case in (_checkpoint_is_a_directory, _checkpoint_of_another_feature_width)
+                 for case in (_checkpoint_is_a_directory, _checkpoint_of_another_feature_width,
+                              _checkpoint_with_a_name_that_is_not_utf8)
                  for command in ("stream", "export"))]
 
 

@@ -117,8 +117,7 @@ def _episode_digest(cfg, seed: int, stage: int) -> str:
     if stage == 0:
         g = stream.snapshots[0]
         state = rn.ModelState(
-            init_backbone(g.feature_dim, cfg.hidden_dim, cfg.embedding_dim, seed=seed,
-                          heads=cfg.backbone_heads),
+            init_backbone(g.feature_dim, cfg.hidden_dim, cfg.embedding_dim, seed=seed),
             init_class_attention(cfg.embedding_dim, cfg.class_attention_heads, seed=seed),
             None)
         pools = stream.train_pools(0)

@@ -616,6 +616,12 @@ def test_stream_errors():
         gs.build_session_stream(g, [0], [[9]], k_shot=2, seed=0)
 
 
+def test_stream_needs_a_positive_k_shot():
+    g = labeled_blob_graph(np.random.default_rng(4))
+    with pytest.raises(ValueError, match="^k_shot must be positive, got 0$"):
+        gs.build_session_stream(g, [0], [[1]], k_shot=0, seed=0)
+
+
 def test_unlabeled_nodes_ride_along_in_snapshots():
     feats = np.zeros((4, 1), dtype=np.float32)
     g = gs.make_graph(feats, [(0, 1), (1, 2), (2, 3)], [0, -1, 1, 1])

@@ -132,7 +132,7 @@ def test_stream_command_frees_each_teacher_before_its_session_trains(tmp_path, m
     weights, checks = [], []
 
     def layer0_weight(model):
-        weights.append(weakref.ref(model.backbone.layers[0][0].weight.data))
+        weights.append(weakref.ref(model.backbone.layers[0].weight.data))
 
     load_model, save_model = cli._load_model, cli._save_model
 
@@ -163,10 +163,9 @@ def test_stream_command_frees_each_teacher_before_its_session_trains(tmp_path, m
     assert checks == [1, 1, 2, 2, 3, 3, 4, 4] * 2
 
 
-@pytest.mark.parametrize("heads", [1, 2], ids=["heads0", "heads1"])
-def test_inference_encode_transient_stays_under_two_and_a_half_hidden_arrays(heads):
+def test_inference_encode_transient_stays_under_two_and_a_half_hidden_arrays():
     g = sparse_graph(2000, 1000, classes=4, labeled_per_class=30)
-    p = bb.init_backbone(1000, 512, 64, seed=0, heads=heads).detached()
+    p = bb.init_backbone(1000, 512, 64, seed=0).detached()
     bb.encode(p, g)         # builds the cached neighborhoods and CSR first
     tracemalloc.start()
     try:
@@ -180,11 +179,11 @@ def test_inference_encode_transient_stays_under_two_and_a_half_hidden_arrays(hea
     assert peak < 2.5 * hidden_array, peak / hidden_array
 
 
-def _backward_peak_in_hidden_arrays(heads, rows, workspace: bool) -> float:
+def _backward_peak_in_hidden_arrays(rows, workspace: bool) -> float:
     """Traced peak of one encode's backward above its tape, in layer-0
     [input rows x 512] float32 arrays."""
     g = sparse_graph(2000, 1000, classes=4, labeled_per_class=30)
-    p = bb.init_backbone(1000, 512, 64, seed=0, heads=heads)
+    p = bb.init_backbone(1000, 512, 64, seed=0)
     bb.encode(p.detached(), g)      # builds the cached neighborhoods and CSR first
     layer0_rows = g.node_count
     if rows is not None:
@@ -205,28 +204,26 @@ def _backward_peak_in_hidden_arrays(heads, rows, workspace: bool) -> float:
 
 
 @pytest.mark.parametrize("rows", [None, np.arange(0, 2000, 10)], ids=["full", "rows"])
-@pytest.mark.parametrize("heads", [1, 2], ids=["heads0", "heads1"])
-def test_training_backward_transient_stays_at_two_hidden_arrays(heads, rows):
+def test_training_backward_transient_stays_at_two_hidden_arrays(rows):
     # layer 0's backward frees z after its last read and its upstream
     # gradient before the weight product, so above the tape it holds at most
     # the upstream gradient and the ELU gradient, or that and z's gradient
-    peak = _backward_peak_in_hidden_arrays(heads, rows, workspace=False)
+    peak = _backward_peak_in_hidden_arrays(rows, workspace=False)
     assert peak <= 2, peak
 
 
 @pytest.mark.parametrize("rows", [None, np.arange(0, 2000, 10)], ids=["full", "rows"])
-@pytest.mark.parametrize("heads", [1, 2], ids=["heads0", "heads1"])
-def test_training_backward_with_a_workspace_stays_at_one_hidden_array(heads, rows):
+def test_training_backward_with_a_workspace_stays_at_one_hidden_array(rows):
     # layer 1's state gradient lands in the workspace and layer 0 multiplies
     # the ELU derivative into it in place, so beyond the workspace layer 0's
     # backward holds z's gradient and the weight gradient, no ELU gradient
-    peak = _backward_peak_in_hidden_arrays(heads, rows, workspace=True)
+    peak = _backward_peak_in_hidden_arrays(rows, workspace=True)
     assert peak <= 1, peak
 
 
 def test_a_second_backward_through_a_layer_raises():
     g = sparse_graph(200, 400, classes=2, labeled_per_class=10)
-    p = bb.init_backbone(400, 16, 4, seed=1, heads=2)
+    p = bb.init_backbone(400, 16, 4, seed=1)
     loss = oracles.sum(bb.encode(p, g, rows=[3, 7, 11]))
     dm.value_and_grad(loss, p.tensors())
     with pytest.raises(dm.TapeReleasedError, match="gat_layer: layer 1"):
@@ -236,7 +233,7 @@ def test_a_second_backward_through_a_layer_raises():
 def test_value_and_grad_leaves_no_gradient_on_parameters():
     rng = np.random.default_rng(3)
     g = sparse_graph(200, 400, classes=2, labeled_per_class=10)
-    p = bb.init_backbone(400, 16, 4, seed=1, heads=2)
+    p = bb.init_backbone(400, 16, 4, seed=1)
     emb = bb.encode(p, g, rows=[3, 7, 11])
     weights = rng.normal(size=emb.shape).astype(np.float32)
     _, grads = dm.value_and_grad(oracles.sum(dm.mul(emb, dm.constant(weights))), p.tensors())

@@ -94,7 +94,7 @@ def test_adam_steps_after_the_first_allocate_no_block(monkeypatch):
 
 
 def test_student_steps_leave_the_cloned_teacher_unchanged():
-    teacher = rn.ModelState(init_backbone(9, 8, 4, seed=2, heads=2),
+    teacher = rn.ModelState(init_backbone(9, 8, 4, seed=2),
                             init_class_attention(4, 2, seed=2), None, 0)
     before = [t.data.tobytes() for t in teacher.trainable()]
     student = rn.clone_state(teacher)

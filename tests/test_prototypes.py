@@ -155,6 +155,13 @@ def test_refine_dimension_mismatch():
                             t64(np.zeros((3, 4)), grad=False), [1, 1])
 
 
+def test_refine_rejects_mixed_dtypes():
+    params = manual_attention(np.eye(4), np.eye(4), np.eye(4), heads=2)
+    initial = dm.tensor(np.zeros((1, 4), dtype=np.float32))
+    with pytest.raises(dm.ShapeError, match="^mixed dtypes float32, float64 vs float64$"):
+        pt.refine_prototype(params, initial, t64(np.zeros((2, 4)), grad=False), [2])
+
+
 def test_refine_batched_weights_sum_to_one_per_class_segment():
     rng = np.random.default_rng(10)
     d, heads, lens = 8, 4, [3, 1, 5]
@@ -400,3 +407,18 @@ def test_prototype_set_subset_and_serialization():
 def test_prototype_set_requires_sorted_ids():
     with pytest.raises(ValueError):
         pt.PrototypeSet((3, 1), dm.tensor(np.zeros((2, 2))))
+
+
+def test_prototype_set_requires_one_finite_vector_per_class():
+    with pytest.raises(ValueError, match="^one vector per class required$"):
+        pt.PrototypeSet((1, 3), dm.tensor(np.zeros((3, 2))))
+    # dm.tensor would refuse the infinity itself; a bare Tensor does not check
+    with pytest.raises(dm.NonFiniteError, match="^prototype vectors must be finite$"):
+        pt.PrototypeSet((1, 3), dm.Tensor(np.array([[0.0, 1.0], [np.inf, 0.0]])))
+
+
+def test_prototype_set_names_a_missing_class():
+    protos = pt.PrototypeSet((1, 3), dm.tensor(np.zeros((2, 2))))
+    assert protos.index_of(3) == 1
+    with pytest.raises(KeyError, match="no prototype for class 2"):
+        protos.index_of(2)

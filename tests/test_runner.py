@@ -502,9 +502,9 @@ def test_full_episode_losses_match_finite_differences():
         layers = []
         for shapes in (((6, 5), (12,)), ((4, 6), (8,))):
             w, a = next(it), next(it)
-            layers.append((bb.HeadParams(
+            layers.append(bb.HeadParams(
                 dm.tensor(np.ascontiguousarray(w.T), requires_grad=True, dtype=np.float64),
-                dm.tensor(a, requires_grad=True, dtype=np.float64)),))
+                dm.tensor(a, requires_grad=True, dtype=np.float64)))
         backbone = bb.BackboneParams(tuple(layers), 5, 6, 4)
         ca = pt.ClassAttentionParams(
             *(dm.tensor(next(it), requires_grad=True, dtype=np.float64) for _ in range(3)),
@@ -764,27 +764,6 @@ def test_session_trains_the_backbone_and_the_class_attention():
     student = rn.run_stream_session(teacher, stream, 1, cfg, seed=2)
     assert not any(a.data.tobytes() == b.data.tobytes()
                    for a, b in zip(student.trainable(), teacher.trainable()))
-
-
-def test_two_head_backbone_trains_and_round_trips_through_a_checkpoint(tmp_path):
-    from geometer.backbone import encode, init_backbone
-    from geometer.checkpoint import load_tensors, save_tensors
-    stream = tiny_stream(seed=26)
-    cfg = tiny_config(backbone_heads=2, episodes_pretrain=4)
-    model = rn.pretrain(stream, cfg, seed=6)
-    g = stream.snapshots[0]
-    fresh = init_backbone(g.feature_dim, cfg.hidden_dim, cfg.embedding_dim, seed=6, heads=2)
-    assert model.backbone.heads == 2
-    assert model.backbone.layers[0][0].weight.shape == (g.feature_dim, cfg.hidden_dim // 2)
-    for a, b in zip(model.backbone.tensors(), fresh.tensors()):
-        assert a.data.tobytes() != b.data.tobytes()
-    save_tensors(tmp_path / "model.gfsp", model_to_arrays(model, 6))
-    back, _ = arrays_to_model(load_tensors(tmp_path / "model.gfsp"))
-    assert back.backbone.heads == 2
-    for a, b in zip(model.trainable(), back.trainable()):
-        assert a.data.tobytes() == b.data.tobytes()
-    assert (encode(back.backbone, g).data.tobytes()
-            == encode(model.backbone.detached(), g).data.tobytes())
 
 
 def test_model_checkpoint_round_trip(tmp_path):

@@ -96,7 +96,7 @@ def test_snapshots_match_the_copying_oracle(name, streams):
 def test_snapshot_encode_is_bit_identical_to_the_copying_oracle(name, streams):
     g, stream = streams(name)
     _, _, _, hidden, out = _GRAPHS[name]
-    p = bb.init_backbone(g.feature_dim, hidden, out, seed=31, heads=2)
+    p = bb.init_backbone(g.feature_dim, hidden, out, seed=31)
     first, mid = stream.snapshots[0], stream.snapshots[len(stream.snapshots) // 2]
     cases = [first, stream.snapshots[-1], induced_subgraph(mid, mid.node_ids[1::3])]
     for shared in cases:
@@ -244,7 +244,7 @@ def test_snapshot_of_a_dense_base_stays_dense_and_builds_no_csr():
     assert snap.features_sparse() is None and snap.features_sparse(np.arange(5)) is None
     oracle = copying_induced_subgraph(g, range(50, n))
     _assert_same_graph(snap, oracle)
-    p = bb.init_backbone(d, 16, 8, seed=37, heads=2)
+    p = bb.init_backbone(d, 16, 8, seed=37)
     rows = np.sort(np.random.default_rng(38).choice(snap.node_count, size=30, replace=False))
     _assert_same_encode(p, snap, oracle, rows)
     assert g._store._csr is None
