@@ -2,8 +2,15 @@
 session streams built from a static labeled graph.
 
 Dataset directory layout:
-  features.bin  magic b"GFSC", u32 node count N, u32 feature dim d,
-                then N*d little-endian float32 values, row-major
+  features.bin  one of two little-endian layouts, told apart by the magic:
+                dense: b"GFSC", u32 node count N, u32 feature dim d, then
+                N*d float32 values, row-major;
+                CSR: b"GFSR", u32 N, u32 d, u64 nonzero count nnz, then N+1
+                int64 row pointers, nnz int32 column indices and nnz float32
+                values.  The pointers run from 0 to nnz without decreasing,
+                the columns lie in [0, d) and rise strictly within a row,
+                and the values are finite and nonzero: the arrays
+                ``csr_matrix`` makes of the dense matrix
   edges.tsv     one edge per line, two tab-separated node indices; directed
                 duplicates (a,b)/(b,a) are merged on load, exact repeats are
                 an error
@@ -16,9 +23,11 @@ node ids), k_shot (positive) and seed (non-negative), all 64-bit integers.
 Feature storage follows one density rule (``_sparse_by_rule``: under a
 quarter nonzero, and more than 65,536 entries), decided once per dataset
 where its features enter.  A base whose whole matrix is sparse by the rule
-holds its features only as CSR; ``load_graph`` builds that CSR from the file
-in fixed blocks and never holds the dense matrix.  Any other base holds one
-dense read-only array.
+holds its features only as CSR; any other base holds one dense read-only
+array.  ``save_dataset`` writes the CSR layout exactly for a graph over a CSR
+store, from its arrays.  ``load_graph`` applies the rule to either layout: it
+reads a CSR file's three arrays whole, and builds the CSR of a sparse dense
+file in fixed blocks, so it never holds the dense matrix of a sparse base.
 
 Snapshots share storage.  A subgraph is a sorted row subset of the graph it
 was first cut from: it keeps its own node ids, labels and edges, but reads
@@ -33,21 +42,22 @@ subsets.
 
 ``load_graph(path, defer_features=True)``, the load ``prepare`` makes, runs
 every check of a full load in the same order and with the same errors: the
-``features.bin`` header, payload length and finiteness, then the edges, the
-labels, and the endpoint and self-loop checks.  It reads the payload through
-one reusable block and keeps none of it: the graph holds its ids, labels and
-edges over a deferred store, which reads the file again only if its features
-are used.  A ``SessionStream`` cuts its snapshots on first use, and
-reading its pools cuts none, so ``prepare``, which needs the partition and
-the pools, cuts none.
+``features.bin`` header, payload length and payload contents, then the
+edges, the labels, and the endpoint and self-loop checks.  It reads a CSR
+payload's arrays whole, or a dense payload through one reusable block, and
+keeps none of it: the graph holds its ids, labels and edges over a deferred
+store, which reads the file again only if its features are used.  A
+``SessionStream`` cuts its snapshots on first use, and reading its pools cuts
+none, so ``prepare``, which needs the partition and the pools, cuts none.
 
 ``load_graph`` parses each TSV file with numpy in one pass and checks the
 columns, duplicate edges, label ranges and coverage on the arrays.  Only a
 file that the array parse or a check rejects, or one holding a byte outside
 ASCII digits, signs, spaces, tabs and newlines, is read again line by line
-with ``int()``: that scan raises the error naming the offending line, or
-reads the rare valid lines numpy refuses (whitespace-only lines, digit
-underscores).
+with ``int()``: that scan raises the error naming the file and the offending
+line (a byte that is not UTF-8, a class id past int64 and a self-loop
+included), or reads the rare valid lines numpy refuses (whitespace-only
+lines, digit underscores).
 """
 
 from __future__ import annotations
@@ -66,8 +76,10 @@ from scipy import sparse
 from .fileio import replacing
 
 UNLABELED = -1
-_FEATURES_MAGIC = b"GFSC"
-_HEADER_BYTES = 12
+_DENSE_MAGIC = b"GFSC"
+_CSR_MAGIC = b"GFSR"
+# the header fields after each layout's magic: N and d, then nnz for CSR
+_HEADER_FIELDS = {_DENSE_MAGIC: "<II", _CSR_MAGIC: "<IIQ"}
 # rows per block of make_graph's finiteness check: it holds one block's bool
 # mask at a time, not a mask of the whole matrix
 _FINITE_CHECK_ROWS = 1024
@@ -399,8 +411,11 @@ def _parse_columns(path: Path):
 
 
 def _distinct_in_range(pairs: np.ndarray, n: int) -> bool:
-    """Whether every endpoint is a row below ``n`` and no pair repeats."""
+    """Whether every pair joins two distinct rows below ``n`` and no pair
+    repeats."""
     if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+        return False
+    if (pairs[:, 0] == pairs[:, 1]).any():
         return False
     keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
     return not (keys[1:] == keys[:-1]).any()
@@ -421,17 +436,31 @@ def _labels_of(columns: np.ndarray, n: int):
     return labels
 
 
+def _scan_lines(path: Path):
+    """``(line number, fields)`` of each non-blank line of a two-column TSV
+    file, lines cut as ``str.splitlines`` cuts them; raises at the first line
+    that is not UTF-8 or does not hold two tab-separated fields."""
+    text = path.read_bytes().decode("utf-8", errors="surrogateescape")
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if not line.isascii():
+            try:
+                line.encode("utf-8")            # an undecodable byte is an escaped surrogate
+            except UnicodeEncodeError:
+                raise DatasetFormatError(f"{path}:{ln}: not UTF-8 text") from None
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise DatasetFormatError(f"{path}:{ln}: expected two columns, got {len(cols)}")
+        yield ln, cols
+
+
 def _scan_edges(path: Path) -> list:
     """The pairs of ``edges.tsv`` read line by line, as Python ints; raises at
     the first malformed line or repeated pair."""
     pairs = []
     seen = set()
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise DatasetFormatError(f"{path}:{ln}: expected two columns, got {len(cols)}")
+    for ln, cols in _scan_lines(path):
         try:
             a, b = int(cols[0]), int(cols[1])
         except ValueError:
@@ -444,13 +473,19 @@ def _scan_edges(path: Path) -> list:
 
 
 def _check_endpoints(path: Path, pairs: list, n: int) -> None:
-    """Raise ``NodeIdError`` at the line of the first scanned pair with an
-    endpoint outside rows 0..n-1, an index past int64 included."""
+    """Raise at the line of the first scanned pair with an endpoint outside
+    rows 0..n-1 (``NodeIdError``; an index past int64 included), then at the
+    line of the first self-loop (``SelfLoopError``)."""
+
+    def line(k: int) -> int:
+        return [ln for ln, _ in _scan_lines(path)][k]
+
     for k, (a, b) in enumerate(pairs):
         if not (0 <= a < n and 0 <= b < n):
-            lines = [ln for ln, line in enumerate(path.read_text().splitlines(), start=1)
-                     if line.strip()]
-            raise NodeIdError(f"{path}:{lines[k]}: edge endpoint out of range: ({a}, {b})")
+            raise NodeIdError(f"{path}:{line(k)}: edge endpoint out of range: ({a}, {b})")
+    for k, (a, b) in enumerate(pairs):
+        if a == b:
+            raise SelfLoopError(f"{path}:{line(k)}: self-loop on node {a}")
 
 
 def _scan_labels(path: Path, n: int) -> np.ndarray:
@@ -458,12 +493,7 @@ def _scan_labels(path: Path, n: int) -> np.ndarray:
     malformed line, or for the first node without a label line."""
     labels = np.full(n, UNLABELED, dtype=np.int64)
     filled = np.zeros(n, dtype=bool)
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise DatasetFormatError(f"{path}:{ln}: expected two columns, got {len(cols)}")
+    for ln, cols in _scan_lines(path):
         try:
             idx, cls = int(cols[0]), int(cols[1])
         except ValueError:
@@ -472,7 +502,7 @@ def _scan_labels(path: Path, n: int) -> np.ndarray:
             raise NodeIdError(f"{path}:{ln}: node index {idx} out of range")
         if filled[idx]:
             raise DatasetFormatError(f"{path}:{ln}: node {idx} labeled twice")
-        if cls < UNLABELED:
+        if not UNLABELED <= cls < 2 ** 63:
             raise DatasetFormatError(f"{path}:{ln}: bad class id {cls}")
         filled[idx] = True
         labels[idx] = cls
@@ -488,50 +518,116 @@ def _read_into(fh, buffer: np.ndarray, path: Path) -> None:
 
 
 def _read_header(fh, path: Path) -> tuple:
-    """The (rows, width) of an open ``features.bin``, after checking its
-    magic, a positive width and the payload length."""
-    header = fh.read(_HEADER_BYTES)
-    if len(header) < _HEADER_BYTES or header[:4] != _FEATURES_MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic, expected {_FEATURES_MAGIC!r}")
-    n, d = struct.unpack_from("<II", header, 4)
+    """The (rows, width, nonzeros) of an open ``features.bin``, nonzeros None
+    in the dense layout, after checking its magic, a whole header, a positive
+    width and the file length the header implies."""
+    magic = fh.read(4)
+    if magic not in _HEADER_FIELDS:
+        raise DatasetFormatError(
+            f"{path}: bad magic, expected {_DENSE_MAGIC!r} or {_CSR_MAGIC!r}")
+    fields = _HEADER_FIELDS[magic]
+    header = fh.read(struct.calcsize(fields))
+    if len(header) != struct.calcsize(fields):
+        raise DatasetFormatError(f"{path}: header ended early")
+    n, d, *nnz = struct.unpack(fields, header)
+    nnz = nnz[0] if nnz else None
     if d == 0:
         raise DatasetFormatError(f"{path}: feature dim must be positive")
-    expected = _HEADER_BYTES + 4 * n * d
+    if nnz is None:
+        payload, what = 4 * n * d, f"{n} x {d} floats"
+    else:
+        payload, what = 8 * (n + 1 + nnz), f"{n} x {d}, {nnz} nonzeros"
+    expected = fh.tell() + payload
     length = os.fstat(fh.fileno()).st_size
     if length != expected:
         raise DatasetFormatError(
             f"{path}: payload length {length} does not match header "
-            f"({n} x {d} floats -> {expected} bytes)")
-    return n, d
+            f"({what} -> {expected} bytes)")
+    return n, d, nnz
+
+
+def _read_csr(fh, path: Path, n: int, d: int, nnz: int) -> tuple:
+    """The (data, indices, indptr) of a CSR-layout payload, read whole, after
+    checking that they are what ``csr_matrix`` makes of a dense matrix: row
+    pointers that run from 0 to nnz without decreasing, columns in [0, d)
+    that rise strictly within a row, and finite nonzero values."""
+    indptr = np.empty(n + 1, dtype="<i8")
+    indices = np.empty(nnz, dtype="<i4")
+    data = np.empty(nnz, dtype="<f4")
+    for part in (indptr, indices, data):
+        _read_into(fh, part, path)
+    if indptr[0] != 0:
+        raise DatasetFormatError(f"{path}: row pointers start at {indptr[0]}, expected 0")
+    drops = np.flatnonzero(indptr[1:] < indptr[:-1])
+    if len(drops):
+        r = drops[0]
+        raise DatasetFormatError(f"{path}: row pointers decrease after row {r} "
+                                 f"({indptr[r]} then {indptr[r + 1]})")
+    if indptr[-1] != nnz:
+        raise DatasetFormatError(f"{path}: row pointers end at {indptr[-1]}, expected {nnz}")
+
+    def row_of(k) -> int:
+        return int(np.searchsorted(indptr, k, side="right")) - 1
+
+    outside = np.flatnonzero((indices < 0) | (indices >= d))
+    if len(outside):
+        k = outside[0]
+        raise DatasetFormatError(f"{path}: column index {indices[k]} of row {row_of(k)} "
+                                 f"is outside [0, {d})")
+    # entry k+1 must lie right of entry k unless a row starts at k+1
+    unsorted = indices[1:] <= indices[:-1]
+    starts = indptr[1:-1]
+    unsorted[starts[(starts > 0) & (starts < nnz)] - 1] = False
+    if unsorted.any():
+        k = int(np.argmax(unsorted)) + 1
+        raise DatasetFormatError(f"{path}: columns of row {row_of(k)} do not rise strictly "
+                                 f"({indices[k - 1]} then {indices[k]})")
+    if not np.isfinite(data).all():
+        raise DatasetFormatError(f"{path}: features contain NaN or Inf")
+    zeros = np.flatnonzero(data == 0)
+    if len(zeros):
+        raise DatasetFormatError(f"{path}: row {row_of(zeros[0])} stores a zero value")
+    return (data.astype(np.float32, copy=False), indices.astype(np.int32, copy=False),
+            indptr.astype(np.int64, copy=False))
 
 
 def _check_features(path: Path) -> _FeatureStore:
     """A deferred store of ``features.bin`` after the checks ``_read_features``
-    makes: the payload is read through one reusable block, and a block's
-    minimum and maximum are finite exactly when all its values are."""
+    makes.  A CSR payload is read whole and dropped; a dense one is read
+    through one reusable block, and a block's minimum and maximum are finite
+    exactly when all its values are."""
     with open(path, "rb") as fh:
-        n, d = _read_header(fh, path)
-        rows_per_block = max(1, _READ_BLOCK // d)
-        buffer = np.empty(rows_per_block * d, dtype="<f4")
-        for lo in range(0, n, rows_per_block):
-            block = buffer[:min(rows_per_block, n - lo) * d]
-            _read_into(fh, block, path)
-            if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-                raise DatasetFormatError(f"{path}: features contain NaN or Inf")
+        n, d, nnz = _read_header(fh, path)
+        if nnz is not None:
+            _read_csr(fh, path, n, d, nnz)
+        else:
+            rows_per_block = max(1, _READ_BLOCK // d)
+            buffer = np.empty(rows_per_block * d, dtype="<f4")
+            for lo in range(0, n, rows_per_block):
+                block = buffer[:min(rows_per_block, n - lo) * d]
+                _read_into(fh, block, path)
+                if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                    raise DatasetFormatError(f"{path}: features contain NaN or Inf")
     return _FeatureStore._deferred(path, (n, d))
 
 
 def _read_features(path: Path) -> _FeatureStore:
-    """The feature store of ``features.bin``: CSR when the file is sparse by
-    the rule, built block by block, otherwise the dense matrix."""
+    """The feature store of ``features.bin``, CSR when the matrix is sparse by
+    the rule and dense otherwise, whichever layout the file has.  A CSR file
+    gives its arrays to the store; a dense one is read in blocks, into CSR
+    block by block while it stays sparse by the rule."""
     with open(path, "rb") as fh:
-        n, d = _read_header(fh, path)
+        n, d, nnz = _read_header(fh, path)
+        if nnz is not None:
+            csr = sparse.csr_matrix(_read_csr(fh, path, n, d, nnz), shape=(n, d), copy=False)
+            return _FeatureStore(csr if _sparse_by_rule(nnz, n * d) else csr.toarray())
         rows_per_block = max(1, _READ_BLOCK // d)
         if _sparse_by_rule(0, n * d):       # large enough to be sparse by the rule
+            payload = fh.tell()
             csr = _read_sparse_features(fh, n, d, rows_per_block, path)
             if csr is not None:
                 return _FeatureStore(csr)
-            fh.seek(_HEADER_BYTES)
+            fh.seek(payload)
         dense = np.empty((n, d), dtype="<f4")
         for lo in range(0, n, rows_per_block):
             block = dense[lo:lo + rows_per_block]
@@ -542,7 +638,7 @@ def _read_features(path: Path) -> _FeatureStore:
 
 
 def _read_sparse_features(fh, n: int, d: int, rows_per_block: int, path: Path):
-    """CSR of the payload read through one reusable block, equal to
+    """CSR of a dense-layout payload read through one reusable block, equal to
     ``csr_matrix`` of the dense matrix (-0.0 counts as zero); None, after a
     partial read, as soon as the nonzeros make the matrix dense by the rule."""
     buffer = np.empty(rows_per_block * d, dtype="<f4")
@@ -571,18 +667,26 @@ def _read_sparse_features(fh, n: int, d: int, rows_per_block: int, path: Path):
 def save_dataset(g: Graph, directory_path) -> None:
     """Reference writer for the canonical format (one line per undirected edge).
 
-    Feature rows go out in blocks of the reader's size, so the writer never
-    holds the dense matrix; each file replaces its old version only once whole.
+    A graph over a CSR store writes the CSR layout from its arrays; any other
+    writes the dense layout in blocks of the reader's size.  Neither holds the
+    dense matrix of a CSR store, and each file replaces its old version only
+    once whole.
     """
     directory = Path(directory_path)
     directory.mkdir(parents=True, exist_ok=True)
     n, d = g.node_count, g.feature_dim
-    rows_per_block = max(1, _READ_BLOCK // d)
+    csr = g.features_sparse()
     with replacing(directory / "features.bin", "wb") as fh:
-        fh.write(_FEATURES_MAGIC + struct.pack("<II", n, d))
-        for lo in range(0, n, rows_per_block):
-            rows = slice(lo, lo + rows_per_block)
-            fh.write(np.ascontiguousarray(g.feature_rows(rows), dtype="<f4"))
+        if csr is not None:
+            fh.write(_CSR_MAGIC + struct.pack(_HEADER_FIELDS[_CSR_MAGIC], n, d, csr.nnz))
+            for part, dtype in ((csr.indptr, "<i8"), (csr.indices, "<i4"), (csr.data, "<f4")):
+                fh.write(np.ascontiguousarray(part, dtype=dtype))
+        else:
+            fh.write(_DENSE_MAGIC + struct.pack(_HEADER_FIELDS[_DENSE_MAGIC], n, d))
+            rows_per_block = max(1, _READ_BLOCK // d)
+            for lo in range(0, n, rows_per_block):
+                rows = slice(lo, lo + rows_per_block)
+                fh.write(np.ascontiguousarray(g.feature_rows(rows), dtype="<f4"))
     with replacing(directory / "edges.tsv") as fh:
         for a, b in g.edges:
             fh.write(f"{a}\t{b}\n")

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -46,13 +47,37 @@ def load_error(directory) -> gs.GraphStoreError:
     return loaded
 
 
-def write_dataset_by_hand(directory, features, edge_lines, label_lines):
+def dense_file_bytes(features) -> bytes:
     n, d = features.shape
-    payload = gs._FEATURES_MAGIC + struct.pack("<II", n, d)
-    payload += np.ascontiguousarray(features, dtype="<f4").tobytes()
-    (directory / "features.bin").write_bytes(payload)
-    (directory / "edges.tsv").write_text(edge_lines)
-    (directory / "labels.tsv").write_text(label_lines)
+    return (gs._DENSE_MAGIC + struct.pack("<II", n, d)
+            + np.ascontiguousarray(features, dtype="<f4").tobytes())
+
+
+def csr_file_bytes(shape, indptr, indices, data, nnz=None) -> bytes:
+    """The CSR layout of the given arrays, written field by field; ``nnz``
+    overrides the header's nonzero count."""
+    header = struct.pack("<IIQ", *shape, len(data) if nnz is None else nnz)
+    return (gs._CSR_MAGIC + header + np.asarray(indptr, dtype="<i8").tobytes()
+            + np.asarray(indices, dtype="<i4").tobytes() + np.asarray(data, dtype="<f4").tobytes())
+
+
+def csr_file_of(features) -> bytes:
+    """The CSR layout of a dense matrix: the arrays ``csr_matrix`` makes of it."""
+    from scipy import sparse
+    csr = sparse.csr_matrix(np.asarray(features, dtype=np.float32))
+    return csr_file_bytes(csr.shape, csr.indptr, csr.indices, csr.data)
+
+
+def write_dataset_by_hand(directory, features, edge_lines, label_lines, layout="dense"):
+    """A dataset of ``features`` in the given layout; a TSV file's content is
+    text, or bytes written as they are."""
+    write = {"dense": dense_file_bytes, "csr": csr_file_of}[layout]
+    (directory / "features.bin").write_bytes(write(features))
+    for name, content in (("edges.tsv", edge_lines), ("labels.tsv", label_lines)):
+        if isinstance(content, bytes):
+            (directory / name).write_bytes(content)
+        else:
+            (directory / name).write_text(content)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -194,11 +219,11 @@ def test_load_three_node_path_round_trip(tmp_path):
 
 
 def write_dataset_whole(g, directory):
-    """The writer as it was before it streamed: one dense copy of the matrix."""
+    """The writer as it was before it streamed, from one dense copy of the
+    matrix: the dense layout, or the CSR layout of a graph over a CSR store."""
     directory.mkdir()
-    header = gs._FEATURES_MAGIC + struct.pack("<II", g.node_count, g.feature_dim)
-    payload = np.ascontiguousarray(g.features, dtype="<f4").tobytes()
-    (directory / "features.bin").write_bytes(header + payload)
+    whole = csr_file_of if g.features_sparse() is not None else dense_file_bytes
+    (directory / "features.bin").write_bytes(whole(g.features))
     (directory / "edges.tsv").write_text("".join(f"{a}\t{b}\n" for a, b in g.edges))
     (directory / "labels.tsv").write_text("".join(f"{i}\t{c}\n" for i, c in enumerate(g.labels)))
 
@@ -240,6 +265,153 @@ def test_save_dataset_never_holds_the_dense_matrix(tmp_path):
     assert peak < 2048 * 1024 * 4 // 4
 
 
+# --- the CSR layout ---------------------------------------------------------
+
+def _cora_like(shape_name, monkeypatch):
+    from pathlib import Path
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import graphgen
+    return gs.make_graph(*graphgen.make_cora_like(getattr(graphgen, shape_name), seed=0))
+
+
+@pytest.mark.parametrize("shape, part", [("CORA_ML", "base"), ("MANYCLASS", "base"),
+                                         ("CORA_ML", "snapshot")])
+def test_the_two_layouts_load_byte_equal_csr(tmp_path, monkeypatch, shape, part):
+    g = _cora_like(shape, monkeypatch)
+    if part == "snapshot":
+        stream = gs.build_session_stream(g, [0, 1], [[2], [3]], k_shot=5, seed=0)
+        g = stream.snapshots[1]
+    gs.save_dataset(g, tmp_path / "csr")
+    assert (tmp_path / "csr" / "features.bin").read_bytes()[:4] == b"GFSR"
+    (tmp_path / "dense").mkdir()
+    (tmp_path / "dense" / "features.bin").write_bytes(dense_file_bytes(g.features))
+    for name in ("edges.tsv", "labels.tsv"):
+        (tmp_path / "dense" / name).write_bytes((tmp_path / "csr" / name).read_bytes())
+    expected = g.features_sparse()
+    for layout in ("csr", "dense"):
+        loaded = gs.load_graph(tmp_path / layout)     # rows renumbered from 0
+        assert np.array_equal(loaded.labels, g.labels) and np.array_equal(loaded.edges, g.edges)
+        csr = loaded.features_sparse()
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(csr, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_a_csr_file_loads_without_the_dense_matrix(tmp_path, monkeypatch):
+    import tracemalloc
+    g = _cora_like("CORA_ML", monkeypatch)
+    gs.save_dataset(g, tmp_path)
+    dense_bytes = g.node_count * g.feature_dim * 4              # 34.5 MB
+    assert (tmp_path / "features.bin").stat().st_size < dense_bytes // 20
+    for defer in (False, True):
+        tracemalloc.start()
+        try:
+            gs.load_graph(tmp_path, defer_features=defer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes // 8
+
+
+@pytest.mark.parametrize("density", ["sparse", "dense"])
+def test_a_csr_file_takes_the_store_the_rule_gives(tmp_path, density):
+    feats = _loader_features(density)
+    write_dataset_by_hand(tmp_path, feats, "", "".join(f"{i}\t0\n" for i in range(10)), "csr")
+    g = gs.load_graph(tmp_path)
+    assert (g._store._dense is None) == (density == "sparse")
+    assert np.array_equal(g.features, feats)
+    small = np.array([[0.0, 1.5], [0.0, 0.0]], dtype=np.float32)   # under the rule's size
+    write_dataset_by_hand(tmp_path, small, "", "0\t0\n1\t0\n", "csr")
+    g = gs.load_graph(tmp_path)
+    assert g.features is g.features and g.features.tobytes() == small.tobytes()
+
+
+def test_deferred_csr_features_are_read_on_first_use(tmp_path):
+    write_dataset_by_hand(tmp_path, _loader_features("sparse"), "0\t1\n3\t2\n",
+                          "".join(f"{i}\t{i % 3}\n" for i in range(10)), "csr")
+    deferred = gs.load_graph(tmp_path, defer_features=True)
+    store = deferred._store
+    assert store.shape == _LOADER_SHAPE and store._dense is None and store._csr is None
+    assert graphs_equal(deferred, gs.load_graph(tmp_path))
+    assert store._csr is not None and store._dense is None
+
+
+# a 3 x 4 matrix: row 0 holds columns 1 and 3, row 1 nothing, row 2 column 0
+_CSR = dict(shape=(3, 4), indptr=[0, 2, 2, 3], indices=[1, 3, 0], data=[1.0, 2.0, 3.0])
+
+
+def _csr_with(**fields) -> bytes:
+    return csr_file_bytes(**dict(_CSR, **fields))
+
+
+# (features.bin bytes, message after the file path)
+_MALFORMED_CSR = {
+    "short_header": (gs._CSR_MAGIC + bytes(12), "header ended early"),
+    "zero_width": (_csr_with(shape=(3, 0)), "feature dim must be positive"),
+    "length_mismatch": (_csr_with()[:-4], "payload length 72 does not match header "
+                                          "(3 x 4, 3 nonzeros -> 76 bytes)"),
+    "nnz_past_the_payload": (_csr_with(nnz=4), "payload length 76 does not match header "
+                                               "(3 x 4, 4 nonzeros -> 84 bytes)"),
+    "pointers_start_past_0": (_csr_with(indptr=[1, 2, 2, 3]),
+                              "row pointers start at 1, expected 0"),
+    "pointers_decrease": (_csr_with(indptr=[0, 2, 1, 3]),
+                          "row pointers decrease after row 1 (2 then 1)"),
+    "pointers_end_short": (_csr_with(indptr=[0, 2, 2, 2]), "row pointers end at 2, expected 3"),
+    "column_past_width": (_csr_with(indices=[1, 4, 0]), "column index 4 of row 0 is outside [0, 4)"),
+    "negative_column": (_csr_with(indices=[1, 3, -1]),
+                        "column index -1 of row 2 is outside [0, 4)"),
+    "repeated_column": (_csr_with(indices=[3, 3, 0]),
+                        "columns of row 0 do not rise strictly (3 then 3)"),
+    "unsorted_columns": (_csr_with(indices=[3, 1, 0]),
+                         "columns of row 0 do not rise strictly (3 then 1)"),
+    "nan": (_csr_with(data=[1.0, np.nan, 3.0]), "features contain NaN or Inf"),
+    "inf": (_csr_with(data=[np.inf, 2.0, 3.0]), "features contain NaN or Inf"),
+    "negative_inf": (_csr_with(data=[1.0, 2.0, -np.inf]), "features contain NaN or Inf"),
+    "stored_zero": (_csr_with(data=[1.0, 0.0, 3.0]), "row 0 stores a zero value"),
+    "stored_negative_zero": (_csr_with(data=[1.0, 2.0, -0.0]), "row 2 stores a zero value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CSR))
+def test_malformed_csr_file_is_named(tmp_path, case):
+    payload, message = _MALFORMED_CSR[case]
+    write_dataset_by_hand(tmp_path, np.zeros((3, 1), dtype=np.float32), "", _LABELS3)
+    (tmp_path / "features.bin").write_bytes(payload)
+    error = load_error(tmp_path)
+    assert type(error) is gs.DatasetFormatError
+    assert str(error) == f"{tmp_path / 'features.bin'}: {message}"
+
+
+def test_csr_rows_may_start_below_the_last_column_of_the_row_before(tmp_path):
+    # rows 0 and 2 end on columns 3 and 2, rows 1 and 3 start on column 0
+    feats = np.zeros((5, 4), dtype=np.float32)
+    feats[0, [1, 3]] = feats[1, 0] = feats[2, [0, 2]] = feats[3, [0, 1, 2, 3]] = 1.0
+    write_dataset_by_hand(tmp_path, feats, "", "".join(f"{i}\t0\n" for i in range(5)), "csr")
+    assert gs.load_graph(tmp_path).features.tobytes() == feats.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["dense", "csr"])
+def test_a_file_that_shrinks_after_its_length_check_ends_early(tmp_path, monkeypatch, layout):
+    import os
+    # a file past the reader's buffer, so that the payload is read after the cut
+    write_dataset_by_hand(tmp_path, _loader_features("dense"), "",
+                          "".join(f"{i}\t0\n" for i in range(10)), layout)
+    original = (tmp_path / "features.bin").read_bytes()
+    read_header = gs._read_header
+
+    def shrinking(fh, path):
+        header = read_header(fh, path)
+        os.truncate(path, len(original) - 4)
+        return header
+
+    monkeypatch.setattr(gs, "_read_header", shrinking)
+    for defer in (False, True):
+        (tmp_path / "features.bin").write_bytes(original)
+        with pytest.raises(gs.DatasetFormatError) as info:
+            gs.load_graph(tmp_path, defer_features=defer)
+        assert str(info.value) == f"{tmp_path / 'features.bin'}: payload ended early"
+
+
 def test_load_merges_directed_duplicates(tmp_path):
     feats = np.zeros((2, 1), dtype=np.float32)
     write_dataset_by_hand(tmp_path, feats, "0\t1\n1\t0\n", "0\t0\n1\t0\n")
@@ -258,7 +430,7 @@ def test_load_error_bad_magic(tmp_path):
     (tmp_path / "features.bin").write_bytes(bytes(raw))
     error = load_error(tmp_path)
     assert type(error) is gs.DatasetFormatError
-    assert str(error) == f"{tmp_path / 'features.bin'}: bad magic, expected b'GFSC'"
+    assert str(error) == f"{tmp_path / 'features.bin'}: bad magic, expected b'GFSC' or b'GFSR'"
 
 
 def test_load_error_zero_width(tmp_path):
@@ -351,6 +523,16 @@ _MALFORMED = {
                            "{l}: node 1 has no label line"),
     "label_error_before_edge_range": ("0\t9\n", "0\t0\n", gs.DatasetFormatError,
                                       "{l}: node 1 has no label line"),
+    "edge_not_utf8": (b"0\t1\n2\t\xff1\n", _LABELS3, gs.DatasetFormatError,
+                      "{e}:2: not UTF-8 text"),
+    "edge_bad_line_before_a_bad_byte": (b"0\t1\t2\n\xff\n", _LABELS3, gs.DatasetFormatError,
+                                        "{e}:1: expected two columns, got 3"),
+    "label_not_utf8": ("", b"0\t0\n1\t1\xc3\n2\t-1\n", gs.DatasetFormatError,
+                       "{l}:2: not UTF-8 text"),
+    "label_not_utf8_after_a_carriage_return": ("", b"0\t0\r\xfe1\t1\n2\t-1\n",
+                                               gs.DatasetFormatError, "{l}:2: not UTF-8 text"),
+    "label_class_past_int64": ("", "0\t0\n1\t9223372036854775808\n2\t-1\n",
+                               gs.DatasetFormatError, "{l}:2: bad class id 9223372036854775808"),
 }
 
 
@@ -365,8 +547,11 @@ def test_loader_error_kind_and_message(tmp_path, case):
 
 @pytest.mark.parametrize("edges, labels, kind, message", [
     ("1\t2\n\n0\t5\n", _LABELS3, gs.NodeIdError, "{e}:3: edge endpoint out of range: (0, 5)"),
-    ("1\t0\n2\t2\n", _LABELS3, gs.SelfLoopError, "self-loop on node 2"),
-], ids=["endpoint_out_of_range", "self_loop"])
+    ("1\t0\n2\t2\n", _LABELS3, gs.SelfLoopError, "{e}:2: self-loop on node 2"),
+    ("0\t1\n\n \n2\t2\n", _LABELS3, gs.SelfLoopError, "{e}:4: self-loop on node 2"),
+    ("1\t1\n0\t5\n", _LABELS3, gs.NodeIdError, "{e}:2: edge endpoint out of range: (0, 5)"),
+], ids=["endpoint_out_of_range", "self_loop", "self_loop_after_blank_lines",
+        "endpoint_before_self_loop"])
 def test_loader_graph_errors(tmp_path, edges, labels, kind, message):
     write_dataset_by_hand(tmp_path, np.zeros((3, 1), dtype=np.float32), edges, labels)
     error = load_error(tmp_path)
@@ -408,6 +593,101 @@ def test_loader_reads_what_int_reads(tmp_path, edges, labels):
     assert g.labels.tolist() == [0, 1, -1]
     assert g.edges.tolist() == ([[0, 1], [1, 2]] if edges else [])
     assert g.edges.dtype == np.int64 and g.edges.shape == (g.edge_count, 2)
+
+
+def test_a_class_id_of_int64_max_loads(tmp_path):
+    write_dataset_by_hand(tmp_path, np.zeros((2, 1), dtype=np.float32), "",
+                          "0\t9223372036854775807\n1\t-1\n")
+    assert gs.load_graph(tmp_path).labels.tolist() == [2 ** 63 - 1, -1]
+
+
+def _prepare_config(directory):
+    from geometer.config import write_config
+    path = directory / "exp.cfg"
+    write_config(ExperimentConfig(dataset_dir=str(directory / "data"),
+                                  manifest=str(directory / "manifest.json"),
+                                  base_classes=(0, 1), novel_classes=(2,), num_sessions=1,
+                                  novel_per_session=1, k_shot=1, k_max=2, k_qry=2), path)
+    return path
+
+
+@pytest.mark.parametrize("name, content, kind, message", [
+    ("edges.tsv", b"0\t1\n1\t\xff2\n", "DatasetFormatError", "{path}:2: not UTF-8 text"),
+    ("labels.tsv", b"0\t0\n1\t\x80\n2\t-1\n", "DatasetFormatError", "{path}:2: not UTF-8 text"),
+    ("labels.tsv", b"0\t0\n1\t18446744073709551616\n2\t-1\n", "DatasetFormatError",
+     "{path}:2: bad class id 18446744073709551616"),
+    ("edges.tsv", b"0\t1\n\n2\t2\n", "SelfLoopError", "{path}:3: self-loop on node 2"),
+], ids=["edge_not_utf8", "label_not_utf8", "class_past_int64", "self_loop"])
+def test_cli_names_the_file_and_line_of_a_bad_dataset_line(tmp_path, capsys, name, content,
+                                                           kind, message):
+    (tmp_path / "data").mkdir()
+    write_dataset_by_hand(tmp_path / "data", np.zeros((3, 1), dtype=np.float32), "0\t1\n",
+                          _LABELS3)
+    (tmp_path / "data" / name).write_bytes(content)
+    capsys.readouterr()
+    assert cli.main(["prepare", "--config", str(_prepare_config(tmp_path))]) == 1
+    message = message.format(path=tmp_path / "data" / name)
+    assert capsys.readouterr().err == f'error kind={kind} message="{message}"\n'
+
+
+# bytes a mutation inserts into a file or puts in place of a TSV field
+_TOKENS = [b"\t", b"\n", b"\r", b" ", b"-", b"+", b"x", b"_", b"0", b"-1", b"7", b"1.5", b"\x00",
+           b"\xff", b"\xc3", b"\xe2\x80\xa8", b"9223372036854775808", b"18446744073709551616",
+           b"-9223372036854775809"]
+# 4-byte words a mutation writes over an aligned word of features.bin
+_WORDS = [struct.pack("<i", v) for v in (0, 1, -1, 2 ** 31 - 1)] + [
+    struct.pack("<f", v) for v in (np.nan, np.inf, -np.inf, -0.0, 3e38)]
+_NAMED_ERRORS = {name for name in gs.__all__
+                 if isinstance(getattr(gs, name), type) and issubclass(getattr(gs, name),
+                                                                      gs.GraphStoreError)}
+
+
+def _mutate(raw: bytes, binary: bool, rng) -> bytes:
+    """``raw`` with one byte flip, truncation, inserted token or replaced
+    field (an overwritten word, in a binary file)."""
+    kind = rng.integers(4)
+    pos = int(rng.integers(len(raw)))
+    if kind == 0:
+        return raw[:pos] + bytes([raw[pos] ^ int(rng.integers(1, 256))]) + raw[pos + 1:]
+    if kind == 1:
+        return raw[:pos]
+    if kind == 2:
+        return raw[:pos] + _TOKENS[rng.integers(len(_TOKENS))] + raw[pos:]
+    if binary:
+        pos -= pos % 4
+        return raw[:pos] + _WORDS[rng.integers(len(_WORDS))] + raw[pos + 4:]
+    lines = raw.split(b"\n")
+    k = int(rng.integers(len(lines)))
+    fields = lines[k].split(b"\t")
+    fields[rng.integers(len(fields))] = _TOKENS[rng.integers(len(_TOKENS))]
+    lines[k] = b"\t".join(fields)
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("layout", ["dense", "csr"])
+def test_mutated_dataset_files_pass_or_fail_by_name(tmp_path, capsys, layout):
+    from geometer.synth import make_clustered_graph
+    g = make_clustered_graph(classes=3, per_class=12, feature_dim=8, seed=0)
+    rng = np.random.default_rng([7, layout == "csr"])
+    feats = np.where(rng.random(g.features.shape) < 0.3, g.features, 0)
+    data = tmp_path / "data"
+    gs.save_dataset(g, data)
+    write_dataset_by_hand(data, feats, (data / "edges.tsv").read_bytes(),
+                          (data / "labels.tsv").read_bytes(), layout)
+    cfg_path = _prepare_config(tmp_path)
+    originals = {p: p.read_bytes() for p in data.iterdir()}
+    failures = 0
+    for _ in range(200):
+        path = sorted(originals)[rng.integers(3)]
+        path.write_bytes(_mutate(originals[path], path.suffix == ".bin", rng))
+        capsys.readouterr()
+        if cli.main(["prepare", "--config", str(cfg_path)]) != 0:
+            failures += 1
+            kind, message = re.fullmatch(r'error kind=(\w+) message="(.*)"\n',
+                                         capsys.readouterr().err).groups()
+            assert kind in _NAMED_ERRORS and str(path) in message, (path.name, kind, message)
+        path.write_bytes(originals[path])
+    assert 50 < failures < 190      # the mutations reach both outcomes
 
 
 # --- degree / neighbors -----------------------------------------------------
@@ -638,3 +918,21 @@ def test_make_graph_errors_show_plain_ints():
     with pytest.raises(gs.SelfLoopError) as info:
         gs.make_graph(np.zeros((3, 1)), np.array([(2, 2)]), [0, 0, 0])
     assert str(info.value) == "self-loop on node 2"
+
+
+@pytest.mark.parametrize("features, labels, node_ids, kind, message", [
+    (np.zeros(3), [0, 0, 0], None, gs.DatasetFormatError, "features must be 2-D, got shape (3,)"),
+    (np.zeros((3, 1)), [0, 0], None, gs.DatasetFormatError,
+     "labels length (2,) does not match 3 nodes"),
+    (np.zeros((3, 1)), [0, -2, 0], None, gs.DatasetFormatError,
+     "labels must be >= 0 or the unlabeled sentinel -1"),
+    (np.zeros((3, 1)), [0, 0, 0], [4, 5, 4], gs.NodeIdError,
+     "node_ids must be unique and one per node"),
+    (np.zeros((3, 1)), [0, 0, 0], [4, 5], gs.NodeIdError,
+     "node_ids must be unique and one per node"),
+], ids=["features_not_2d", "label_count", "label_below_unlabeled", "repeated_node_id",
+        "node_id_count"])
+def test_make_graph_rejects_bad_parts(features, labels, node_ids, kind, message):
+    with pytest.raises(kind) as info:
+        gs.make_graph(features, [], labels, node_ids=node_ids)
+    assert type(info.value) is kind and str(info.value) == message
