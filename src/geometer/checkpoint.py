@@ -181,10 +181,12 @@ def load_tensors(path) -> dict:
                 except UnicodeDecodeError as exc:
                     raise CheckpointError(f"{p}: tensor name at byte {at + exc.start} "
                                           f"is not UTF-8") from None
+                at = fh.tell()
                 (word,) = unpack("<I")
                 kind, ndim = divmod(word, 1 << 16)
                 if kind not in _KINDS:
-                    raise CheckpointError(f"{p}: unknown kind {kind} of tensor {name!r}")
+                    raise CheckpointError(f"{p}: unknown kind {kind} of tensor {name!r} "
+                                          f"at byte {at}")
                 dtype = _KINDS[kind]
                 shape = unpack(f"<{ndim}I")
                 size = math.prod(shape)         # a Python int, which cannot wrap

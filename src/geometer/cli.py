@@ -4,8 +4,10 @@ Subcommands: ``prepare`` (write the split manifest), ``pretrain`` (base-stage
 training per seed), ``stream`` (run all streaming sessions, chaining teacher
 to student, resumable from any session checkpoint), ``report`` (aggregate
 metrics across seeds), ``export`` (dump embeddings and prototypes for offline
-projection).  ``prepare``, ``pretrain`` and ``stream`` first check that the
-manifest's train pools can feed the episode sampler at every stage.
+projection).  Every command that reads the dataset loads it whole, through
+the same ``load_graph`` call.  ``prepare``, ``pretrain`` and ``stream`` first
+check that the manifest's train pools can feed the episode sampler at every
+stage.
 
 Every command is deterministic given the config and seed, on one machine's
 CPU kernels and BLAS thread count (see README).  Failures exit nonzero with
@@ -134,9 +136,7 @@ def _select_classes(labels: np.ndarray, cfg: ExperimentConfig):
 
 
 def cmd_prepare(cfg: ExperimentConfig) -> Path:
-    # the manifest depends only on the labels: the features are checked but
-    # not kept, and the stream cuts no snapshot
-    g = load_graph(_require(cfg.dataset_dir, "dataset directory"), defer_features=True)
+    g = load_graph(_require(cfg.dataset_dir, "dataset directory"))
     base, sessions = _select_classes(g.labels, cfg)
     stream = build_session_stream(g, base, sessions, cfg.k_shot, cfg.split_seed)
     _check_pools(cfg, stream)

@@ -198,9 +198,10 @@ def node(data, parents: tuple, vjp) -> Tensor:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcasted gradient back down to ``shape``."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+    """Sum a gradient back down to ``shape``, that of an operand of the same
+    rank that broadcast along its size-1 axes.  No library caller broadcasts
+    across ranks: ``pairwise_sq_euclidean`` takes 2-D operands only, and
+    ``dropout``'s mask has its input's shape."""
     for axis, dim in enumerate(shape):
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -254,8 +255,6 @@ def matmul(a: Tensor, b) -> Tensor:
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = tuple(parts)
-    if not parts:
-        raise ShapeError("concat: empty input")
     out = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
@@ -434,14 +433,13 @@ def _topo_order(root: Tensor) -> list:
 
 
 def backward(output: Tensor, seed_grad=None) -> dict:
-    """Reverse-mode sweep from ``output``; returns {id(tensor): grad array}
-    for the leaves (tensors without parents) it reaches.  No tensor keeps a
-    reference to its gradient, and the sweep hands each vjp its output's
-    gradient without keeping a reference, so a vjp that drops the only
-    other one frees it.  An op may release its saved arrays in its vjp; a
+    """Reverse-mode sweep from ``output``, which tracks a gradient (its
+    library caller ``value_and_grad`` checks); returns {id(tensor): grad
+    array} for the leaves (tensors without parents) it reaches.  No tensor
+    keeps a reference to its gradient, and the sweep hands each vjp its
+    output's gradient without keeping a reference, so a vjp that drops the
+    only other one frees it.  An op may release its saved arrays in its vjp; a
     second sweep through it then raises ``TapeReleasedError``."""
-    if not output.requires_grad:
-        return {}
     if seed_grad is None:
         seed_grad = np.ones(output.shape, dtype=output.dtype)
     grads: dict = {id(output): np.asarray(seed_grad, dtype=output.dtype)}
@@ -466,8 +464,6 @@ def value_and_grad(output: Tensor, wrt: Iterable[Tensor]):
     Parameters not reachable from the expression get zero gradients.
     """
     wrt = list(wrt)
-    if output.data.size != 1:
-        raise ShapeError(f"value_and_grad expects a scalar output, got shape {output.shape}")
     op = fused("value_and_grad")
     op.finite(output.data, "non-finite value")
     value = float(output.data)

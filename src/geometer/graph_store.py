@@ -40,15 +40,8 @@ its id index (``rows_of``, ``row_of``) and degrees are built on first use,
 so the snapshots of a session stream that nobody queries cost only their row
 subsets.
 
-``load_graph(path, defer_features=True)``, the load ``prepare`` makes, runs
-every check of a full load in the same order and with the same errors: the
-``features.bin`` header, payload length and payload contents, then the
-edges, the labels, and the endpoint and self-loop checks.  It reads a CSR
-payload's arrays whole, or a dense payload through one reusable block, and
-keeps none of it: the graph holds its ids, labels and edges over a deferred
-store, which reads the file again only if its features are used.  A
-``SessionStream`` cuts its snapshots on first use, and reading its pools cuts
-none, so ``prepare``, which needs the partition and the pools, cuts none.
+A ``SessionStream`` cuts its snapshots on first use, and reading its pools
+cuts none, so ``prepare``, which needs the partition and the pools, cuts none.
 
 ``load_graph`` parses each TSV file with numpy in one pass and checks the
 columns, duplicate edges, label ranges and coverage on the arrays.  Only a
@@ -155,46 +148,26 @@ class _FeatureStore:
     It holds exactly one form, decided once for the whole base where the
     features enter: the CSR matrix when the base is sparse by the rule,
     otherwise a dense read-only array.  Every snapshot reads its rows in that
-    form.  A deferred store (``_deferred``) holds only the shape and path of
-    a checked ``features.bin``, and reads it into one of the two forms on
-    first use.
+    form.
     """
 
-    __slots__ = ("shape", "_dense", "_csr", "_path")
+    __slots__ = ("shape", "_dense", "_csr")
 
     def __init__(self, features):
         self.shape = features.shape
-        self._path = None
         if sparse.issparse(features):
             self._dense, self._csr = None, features
         else:
             features.setflags(write=False)
             self._dense, self._csr = features, None
 
-    @classmethod
-    def _deferred(cls, path: Path, shape: tuple) -> "_FeatureStore":
-        store = cls.__new__(cls)
-        store.shape, store._path = shape, path
-        store._dense = store._csr = None
-        return store
-
-    def _load(self) -> None:
-        if self._path is not None:
-            read = _read_features(self._path)
-            if read.shape != self.shape:
-                raise DatasetFormatError(f"{self._path}: shape changed since it was checked")
-            self._dense, self._csr = read._dense, read._csr
-            self._path = None
-
     def csr(self):
-        self._load()
         return self._csr
 
     def dense_rows(self, rows) -> np.ndarray:
         """Dense float32 rows ``rows`` (an index array or a slice; None: all);
         the stored array or a view of it for all rows or a slice of a dense
         store, otherwise a fresh copy."""
-        self._load()
         if self._dense is None:
             return (self._csr if rows is None else self._csr[rows]).toarray()
         return self._dense if rows is None else self._dense[rows]
@@ -364,13 +337,8 @@ def _assemble_graph(store: _FeatureStore, edge_pairs, labels, node_ids=None) -> 
 # ---------------------------------------------------------------------------
 # on-disk format
 
-def load_graph(directory_path, defer_features: bool = False) -> Graph:
-    """Read the canonical three-file dataset directory.
-
-    With ``defer_features`` the feature file gets every check (the same
-    errors, in the same order) but none of its values are kept: the graph
-    reads the file again on the first use of its features.
-    """
+def load_graph(directory_path) -> Graph:
+    """Read the canonical three-file dataset directory."""
     directory = Path(directory_path)
     feat_path = directory / "features.bin"
     edge_path = directory / "edges.tsv"
@@ -379,7 +347,7 @@ def load_graph(directory_path, defer_features: bool = False) -> Graph:
         if not p.is_file():
             raise DatasetFileMissingError(f"missing dataset file: {p}")
 
-    store = _check_features(feat_path) if defer_features else _read_features(feat_path)
+    store = _read_features(feat_path)
     n = store.shape[0]
     pairs = _parse_columns(edge_path)
     scanned = pairs is None or not _distinct_in_range(pairs, n)
@@ -589,26 +557,6 @@ def _read_csr(fh, path: Path, n: int, d: int, nnz: int) -> tuple:
         raise DatasetFormatError(f"{path}: row {row_of(zeros[0])} stores a zero value")
     return (data.astype(np.float32, copy=False), indices.astype(np.int32, copy=False),
             indptr.astype(np.int64, copy=False))
-
-
-def _check_features(path: Path) -> _FeatureStore:
-    """A deferred store of ``features.bin`` after the checks ``_read_features``
-    makes.  A CSR payload is read whole and dropped; a dense one is read
-    through one reusable block, and a block's minimum and maximum are finite
-    exactly when all its values are."""
-    with open(path, "rb") as fh:
-        n, d, nnz = _read_header(fh, path)
-        if nnz is not None:
-            _read_csr(fh, path, n, d, nnz)
-        else:
-            rows_per_block = max(1, _READ_BLOCK // d)
-            buffer = np.empty(rows_per_block * d, dtype="<f4")
-            for lo in range(0, n, rows_per_block):
-                block = buffer[:min(rows_per_block, n - lo) * d]
-                _read_into(fh, block, path)
-                if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-                    raise DatasetFormatError(f"{path}: features contain NaN or Inf")
-    return _FeatureStore._deferred(path, (n, d))
 
 
 def _read_features(path: Path) -> _FeatureStore:

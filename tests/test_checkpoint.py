@@ -9,7 +9,7 @@ import geometer.cli as cli
 import geometer.diffmath as dm
 import geometer.prototypes as pt
 import geometer.runner as rn
-from geometer.checkpoint import CheckpointError, load_tensors, save_tensors
+from geometer.checkpoint import CheckpointError, load_tensors, model_to_arrays, save_tensors
 from geometer.config import ExperimentConfig
 
 # a checkpoint written before the int64 kind: every tensor float32, the
@@ -121,7 +121,8 @@ def test_unknown_tensor_kind_is_rejected(tmp_path):
     p = tmp_path / "t.gfsp"
     p.write_bytes(b"GFSP" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"x"
                   + struct.pack("<II", 2 << 16 | 1, 1) + b"\x00" * 8)
-    with pytest.raises(CheckpointError, match="unknown kind 2 of tensor 'x'"):
+    # the kind word follows the 8-byte header, the name length and the name "x"
+    with pytest.raises(CheckpointError, match=f"^{p}: unknown kind 2 of tensor 'x' at byte 13$"):
         load_tensors(p)
 
 
@@ -152,6 +153,16 @@ def test_seed_and_class_ids_past_float32_round_trip(tmp_path):
     assert seed == big
     assert model.prototypes.class_ids == (0, big) and model.session_index == 3
     assert model.class_attention.heads == 2
+
+
+def test_integer_weights_in_a_checkpoint_load_as_float32(tmp_path):
+    # a hand-written checkpoint may store a weight with the int64 kind
+    arrays = model_to_arrays(_model((0, 1), 0), seed=1)
+    arrays["class_attention/wq"] = np.array([[1, -2], [3, 4]], dtype=np.int64)
+    save_tensors(tmp_path / "t.gfsp", arrays)
+    model, _ = cli._load_model(tmp_path / "t.gfsp")
+    wq = model.class_attention.wq.data
+    assert wq.dtype == np.float32 and wq.tolist() == [[1, -2], [3, 4]]
 
 
 def test_checkpoint_with_float32_metadata_still_loads():

@@ -105,15 +105,14 @@ def test_prepare_idempotent_and_shape(workspace):
             assert len(sup) == 3
 
 
-def test_prepare_reads_labels_only_and_writes_the_full_load_manifest(workspace, monkeypatch):
+def test_prepare_cuts_no_snapshot_and_writes_the_full_load_manifest(workspace, monkeypatch):
     import geometer.graph_store as gs
     tmp, cfg, _ = workspace
     g = gs.load_graph(cfg.dataset_dir)
     base, sessions = cli._select_classes(g.labels, cfg)
     gs.save_manifest(gs.build_session_stream(g, base, sessions, cfg.k_shot, cfg.split_seed),
                      tmp / "full.json")
-    # no feature store is filled and no snapshot is cut
-    monkeypatch.setattr(gs, "_read_features", None)
+    # no snapshot is cut
     monkeypatch.setattr(gs, "_cut_stages", None)
     assert cli.cmd_prepare(cfg).read_bytes() == (tmp / "full.json").read_bytes()
 

@@ -227,8 +227,16 @@ def test_all_finite_on_both_sides_of_the_mask_size(size):
 def test_shape_mismatch_raises():
     with pytest.raises(dm.ShapeError):
         dm.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
+    with pytest.raises(dm.ShapeError, match="1-D/2-D operands"):
+        dm.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3, 4))))
     with pytest.raises(dm.ShapeError):
         dm.pairwise_sq_euclidean(t64([[1.0]]), t64([[1.0, 2.0]]))
+
+
+def test_tensor_repr_names_shape_dtype_and_gradient():
+    # the parameter dataclasses print their tensors this way
+    assert repr(dm.tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)) == (
+        "Tensor(shape=(2, 3), dtype=float32, requires_grad=True)")
 
 
 def test_determinism_bit_identical():

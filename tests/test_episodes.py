@@ -162,6 +162,19 @@ def test_finetune_sampler_names_a_short_query_pool(sizes, message):
         ep.sample_finetune_episode(1, sized_stream(sizes), NEEDS, ep.episode_rng(0, 1, 0))
 
 
+def test_a_session_without_novel_classes_draws_old_queries_only():
+    # a public caller may build a session with no novel class: its novel
+    # candidates are empty, which suffices only when no query is novel
+    labels = np.repeat([0, 1], 30)
+    g = gs.make_graph(np.ones((60, 2), dtype=np.float32), [(0, 1)], labels)
+    stream = gs.build_session_stream(g, [0, 1], [[]], k_shot=5, seed=0)
+    all_old = ep.SamplerConfig(k_max=5, k_qry=10, old_query_bias=0.95)   # ceil(9.5): 10 old
+    episode = ep.sample_finetune_episode(1, stream, all_old, ep.episode_rng(0, 1, 0))
+    assert len(episode.queries) == 10 and set(episode.query_classes()) <= {0, 1}
+    with pytest.raises(ep.PoolTooSmallError, match="^novel query pool has 0 nodes, needs 3$"):
+        ep.sample_finetune_episode(1, stream, NEEDS, ep.episode_rng(0, 1, 0))
+
+
 def test_finetune_episodes_match_the_node_loop_candidates(monkeypatch):
     # the array candidates keep the loop's order, so every draw picks the same queries
     from oracles import loop_query_candidates

@@ -11,6 +11,13 @@ change to the file format alone moves file digests and no weight.  ``tests/fixtu
 expected digests together with the numpy, scipy and BLAS versions that
 produced them; on other versions the test fails and names both.
 
+The bytes hold on one set of CPU kernels only: numpy's SIMD loops and
+OpenBLAS's kernels may each round differently on another CPU.  So the
+fixture also names the kernels that wrote it (``kernels``): numpy's
+dispatched SIMD targets that the CPU supports, and the core that numpy's
+bundled OpenBLAS picked.  The kernels alone never fail the test; when a
+digest changes on other kernels, the message names both kernel sets.
+
 Regenerate the fixture (and say in the change log which digests moved and
 why) with::
 
@@ -78,6 +85,27 @@ def versions() -> dict:
     except (TypeError, KeyError):
         blas_name = "unknown"
     return {"numpy": numpy.__version__, "scipy": scipy.__version__, "blas": blas_name}
+
+
+def kernels() -> dict:
+    """numpy's dispatched SIMD targets that this CPU supports, and the core
+    name of numpy's bundled OpenBLAS ("unknown" where it exports none)."""
+    import ctypes
+
+    import numpy
+    from numpy._core import _multiarray_umath as umath
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    core = "unknown"
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+        break
+    return {"numpy_simd": simd, "openblas_core": core}
 
 
 def _write_dataset(kind: str, directory: Path, seed: int) -> None:
@@ -206,8 +234,13 @@ def test_golden_digests():
         f"the results on the old versions")
     got = compute_all()
     changed = {name: differences(expected["runs"][name], got[name]) for name in RUNS}
-    assert not any(changed.values()), "golden digests changed:\n" + "\n".join(
-        f"{name}: {line}" for name, lines in changed.items() for line in lines)
+    report = "\n".join(f"{name}: {line}" for name, lines in changed.items() for line in lines)
+    if report:
+        written, here = expected["kernels"], kernels()
+        cause = "" if written == here else (
+            f"the fixture was written on CPU kernels {written}, this machine runs {here}: "
+            f"the kernels differ, and they alone can move these digests\n")
+        raise AssertionError(f"golden digests changed:\n{cause}{report}")
 
 
 def differences(expected: dict, got: dict) -> list:
@@ -237,7 +270,7 @@ def main(argv) -> int:
         print(json.dumps(run_digests(argv[1], work)))
         return 0
     if argv == ["--write"]:
-        doc = {"versions": versions(), "runs": compute_all()}
+        doc = {"versions": versions(), "kernels": kernels(), "runs": compute_all()}
         FIXTURE.parent.mkdir(parents=True, exist_ok=True)
         FIXTURE.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {FIXTURE}")

@@ -40,8 +40,8 @@ def _prepare(directory):
 
 def load_error(directory) -> gs.GraphStoreError:
     """The error ``load_graph`` raises on ``directory``, after checking that
-    ``prepare``, which checks the features without keeping them, raises one
-    of the same type with the same message."""
+    ``prepare``, which loads the dataset through it, raises one of the same
+    type with the same message."""
     loaded, prepared = _raised(gs.load_graph, directory), _raised(_prepare, directory)
     assert (type(prepared), str(prepared)) == (type(loaded), str(loaded))
     return loaded
@@ -165,29 +165,6 @@ def test_loader_reads_negative_zero_as_zero(tmp_path, monkeypatch):
     assert not np.signbit(g.features).any()
 
 
-@pytest.mark.parametrize("density", ["sparse", "dense"])
-def test_deferred_features_are_read_on_first_use(tmp_path, density):
-    write_dataset_by_hand(tmp_path, _loader_features(density), "0\t1\n3\t2\n",
-                          "".join(f"{i}\t{i % 3}\n" for i in range(10)))
-    deferred = gs.load_graph(tmp_path, defer_features=True)
-    store = deferred._store
-    assert store.shape == _LOADER_SHAPE and deferred.feature_dim == _LOADER_SHAPE[1]
-    assert store._dense is None and store._csr is None
-    loaded = gs.load_graph(tmp_path)
-    assert graphs_equal(deferred, loaded)          # reads the file here
-    assert (store._dense is None) == (loaded._store._dense is None) == (density == "sparse")
-    snapshot = induced_subgraph(gs.load_graph(tmp_path, defer_features=True), [1, 2, 3])
-    assert np.array_equal(snapshot.features, loaded.features[1:4])
-
-
-def test_deferred_features_fail_if_the_file_changed(tmp_path):
-    write_dataset_by_hand(tmp_path, np.ones((2, 3), dtype=np.float32), "", "0\t0\n1\t0\n")
-    g = gs.load_graph(tmp_path, defer_features=True)
-    write_dataset_by_hand(tmp_path, np.ones((2, 4), dtype=np.float32), "", "0\t0\n1\t0\n")
-    with pytest.raises(gs.DatasetFormatError, match="shape changed since it was checked"):
-        g.features
-
-
 def test_make_graph_stores_sparse_features_as_csr_only():
     feats = _loader_features("sparse")
     g = gs.make_graph(feats, [], [0] * 10)
@@ -295,6 +272,10 @@ def test_the_two_layouts_load_byte_equal_csr(tmp_path, monkeypatch, shape, part)
         for name in ("indptr", "indices", "data"):
             got, want = getattr(csr, name), getattr(expected, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the one-line rewrite of a dense-layout sparse dataset into the CSR layout
+    gs.save_dataset(gs.load_graph(tmp_path / "dense"), tmp_path / "rewritten")
+    assert ((tmp_path / "rewritten" / "features.bin").read_bytes()
+            == (tmp_path / "csr" / "features.bin").read_bytes())
 
 
 def test_a_csr_file_loads_without_the_dense_matrix(tmp_path, monkeypatch):
@@ -303,14 +284,13 @@ def test_a_csr_file_loads_without_the_dense_matrix(tmp_path, monkeypatch):
     gs.save_dataset(g, tmp_path)
     dense_bytes = g.node_count * g.feature_dim * 4              # 34.5 MB
     assert (tmp_path / "features.bin").stat().st_size < dense_bytes // 20
-    for defer in (False, True):
-        tracemalloc.start()
-        try:
-            gs.load_graph(tmp_path, defer_features=defer)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < dense_bytes // 8
+    tracemalloc.start()
+    try:
+        gs.load_graph(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes // 8
 
 
 @pytest.mark.parametrize("density", ["sparse", "dense"])
@@ -324,16 +304,6 @@ def test_a_csr_file_takes_the_store_the_rule_gives(tmp_path, density):
     write_dataset_by_hand(tmp_path, small, "", "0\t0\n1\t0\n", "csr")
     g = gs.load_graph(tmp_path)
     assert g.features is g.features and g.features.tobytes() == small.tobytes()
-
-
-def test_deferred_csr_features_are_read_on_first_use(tmp_path):
-    write_dataset_by_hand(tmp_path, _loader_features("sparse"), "0\t1\n3\t2\n",
-                          "".join(f"{i}\t{i % 3}\n" for i in range(10)), "csr")
-    deferred = gs.load_graph(tmp_path, defer_features=True)
-    store = deferred._store
-    assert store.shape == _LOADER_SHAPE and store._dense is None and store._csr is None
-    assert graphs_equal(deferred, gs.load_graph(tmp_path))
-    assert store._csr is not None and store._dense is None
 
 
 # a 3 x 4 matrix: row 0 holds columns 1 and 3, row 1 nothing, row 2 column 0
@@ -405,11 +375,9 @@ def test_a_file_that_shrinks_after_its_length_check_ends_early(tmp_path, monkeyp
         return header
 
     monkeypatch.setattr(gs, "_read_header", shrinking)
-    for defer in (False, True):
-        (tmp_path / "features.bin").write_bytes(original)
-        with pytest.raises(gs.DatasetFormatError) as info:
-            gs.load_graph(tmp_path, defer_features=defer)
-        assert str(info.value) == f"{tmp_path / 'features.bin'}: payload ended early"
+    with pytest.raises(gs.DatasetFormatError) as info:
+        gs.load_graph(tmp_path)
+    assert str(info.value) == f"{tmp_path / 'features.bin'}: payload ended early"
 
 
 def test_load_merges_directed_duplicates(tmp_path):

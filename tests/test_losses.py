@@ -77,6 +77,13 @@ def test_proximity_missing_prototype():
         ls.proximity_loss(t64([[0.0, 0.0]], grad=False), [7], proto_set([[1.0, 0.0]]))
 
 
+def test_proximity_rejects_mixed_dtypes():
+    # float32 queries against float64 prototypes are refused, not promoted
+    q = dm.tensor(np.zeros((1, 2), dtype=np.float32))
+    with pytest.raises(dm.ShapeError, match="^mixed dtypes float64 vs float32$"):
+        ls.proximity_loss(q, [0], proto_set([[1.0, 0.0]]))
+
+
 def test_proximity_nonnegative_random():
     rng = np.random.default_rng(1)
     for _ in range(20):
