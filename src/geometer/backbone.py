@@ -44,14 +44,22 @@ heap.  Layer 0 writes its output ``att @ z`` straight into
 ``Workspace.out``, through the kernel ``csr_matrix @ ndarray`` runs, and
 layer 1's backward writes its state gradient into ``Workspace.grad``.
 Layer 0's backward then multiplies the ELU derivative into that gradient in
-place, so beside the workspace it holds one [rows x hidden] array, z's
-gradient, and then the weight gradient it returns.  The aliasing rule: an
-encode's layer-0 output and the layer-1 state gradient live in the
-workspace until the next encode through it overwrites them, so the caller
-must drop an encode's tape before the next one; and only layer 0 writes
-into its incoming gradient, only when that gradient is ``Workspace.grad``.
-An encode without a workspace (every inference encode) allocates these
-arrays as before.
+place.  Over CSR input rows x (bag-of-words features, thousands wide) it
+leaves its weight gradient ``x.T @ g_z`` unformed, a ``dm.DeferredGrad``
+over z's gradient and x transposed (one CSR row per feature), which
+``optim.Adam.step`` forms a block of rows at a time into its own scratch;
+each row sums its feature's nonzeros over ascending input rows, as scipy's
+``x.T @ g_z`` does, so the bytes are the same.  So beside the workspace the
+backward and the step hold one [rows x hidden] array, z's gradient, and no
+[features x hidden] one.  The aliasing rule: an encode's layer-0 output and
+the layer-1 state gradient live in the workspace until the next encode
+through it overwrites them, so the caller must drop an encode's tape before
+the next one; and only layer 0 writes into its incoming gradient, only when
+that gradient is ``Workspace.grad``.  The deferred weight gradient borrows
+z's gradient and the feature rows until the step forms it, so the step runs
+before the next encode.  An encode without a workspace (every inference
+encode), or over dense input, allocates these arrays, and returns the
+weight gradient formed, as before.
 
 Each layer holds its weight as a C-order [in x out] matrix, so a layer
 projects with ``states @ W`` and the weight gradient of either product
@@ -72,6 +80,7 @@ graph.
 """
 from __future__ import annotations
 
+import functools
 import mmap
 from dataclasses import dataclass, replace
 
@@ -274,22 +283,38 @@ def _attention(op, z: np.ndarray, attn: np.ndarray, struct: _EdgeStructure, trac
     return att, leaky, alpha
 
 
-def _csr_matmul_into(a: sparse.csr_matrix, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a @ b`` written into C-order ``out``, byte for byte: the kernel and
-    the zeroed start that scipy's ``csr_matrix @ ndarray`` uses, since ``@``
-    takes no output argument.  Returns ``out``."""
+def _csr_matmul_into(a: sparse.csr_matrix, b: np.ndarray, out: np.ndarray,
+                     lo: int = 0) -> np.ndarray:
+    """Rows ``lo`` to ``lo + len(out)`` of ``a @ b`` written into C-order
+    ``out``, byte for byte: the kernel and the zeroed start that scipy's
+    ``csr_matrix @ ndarray`` uses, since ``@`` takes no output argument, run
+    over those rows only.  Returns ``out``."""
     rows, cols = a.shape
-    if (b.ndim != 2 or b.shape[0] != cols or out.shape != (rows, b.shape[1])
+    if (b.ndim != 2 or b.shape[0] != cols or out.ndim != 2 or out.shape[1] != b.shape[1]
+            or not 0 <= lo <= lo + out.shape[0] <= rows
             or out.dtype != np.result_type(a.dtype, b.dtype) or not out.flags.c_contiguous):
-        raise dm.ShapeError(f"cannot write {a.shape} @ {b.shape} into {out.shape} {out.dtype}")
+        raise dm.ShapeError(f"cannot write {a.shape} @ {b.shape} from row {lo} "
+                            f"into {out.shape} {out.dtype}")
+    n = out.shape[0]
+    indptr = a.indptr[lo:lo + n + 1]    # offsets into the whole of indices and data
     out.fill(0)
     if b.shape[1] == 1:         # scipy takes its one-vector kernel for an [n x 1] operand
-        _sparsetools.csr_matvec(rows, cols, a.indptr, a.indices, a.data, b.ravel(),
+        _sparsetools.csr_matvec(n, cols, indptr, a.indices, a.data, b.ravel(),
                                 out.reshape(-1))
     else:
-        _sparsetools.csr_matvecs(rows, cols, b.shape[1], a.indptr, a.indices, a.data,
+        _sparsetools.csr_matvecs(n, cols, b.shape[1], indptr, a.indices, a.data,
                                  b.ravel(), out.reshape(-1))
     return out
+
+
+def _sparse_weight_grad(x: sparse.spmatrix, g_z: np.ndarray) -> dm.DeferredGrad:
+    """The weight gradient ``x.T @ g_z`` of CSR input rows ``x``, unformed:
+    its ``rows_into`` runs ``_csr_matmul_into`` on x transposed, whose row
+    of each feature lists that feature's nonzeros over ascending input rows,
+    the order in which scipy's ``x.T @ g_z`` adds them, so any block of rows
+    has the bytes of the whole product's."""
+    return dm.DeferredGrad((x.shape[1], g_z.shape[1]), g_z.dtype,
+                           functools.partial(_csr_matmul_into, x.T.tocsr(), g_z))
 
 
 def _flush_subnormals(a: np.ndarray, inplace: bool = False) -> np.ndarray:
@@ -359,7 +384,8 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
     has one row per output row of ``struct``.  With a ``workspace``, layer 0
     writes its output into ``workspace.out`` and layer 1's backward writes
     the state gradient into ``workspace.grad`` (the aliasing rule is in the
-    module docstring).
+    module docstring); over CSR ``states`` of the weight's dtype its backward
+    then returns the weight gradient as a ``dm.DeferredGrad``.
     """
     struct = _edge_structure(g) if struct is None else struct
     if not (isinstance(states, Tensor) or sparse.issparse(states)):
@@ -376,6 +402,8 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
     if workspace is not None and workspace.dtype != params.dtype:
         raise dm.ShapeError(f"workspace dtype {workspace.dtype} vs {params.dtype}")
     x = states if sparse.issparse(states) else states.data
+    # the optimizer forms this weight gradient by row blocks (module docstring)
+    defer = workspace is not None and sparse.issparse(x) and x.dtype == hp.weight.dtype
     parents = (hp.weight, hp.attn)
     grad_states = isinstance(states, Tensor) and states.requires_grad
     if grad_states:
@@ -407,7 +435,10 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
             g_out = dm.elu_grad(out, g_out, inplace=owned)
         g_z, g_attn = _head_vjp(g_out, saved, hp.attn.data, struct)
         del g_out                                   # freed before the weight product
-        grads = ((x.T @ g_z).astype(g_z.dtype, copy=False), g_attn)
+        if defer:
+            grads = (_sparse_weight_grad(x, g_z), g_attn)
+        else:
+            grads = ((x.T @ g_z).astype(g_z.dtype, copy=False), g_attn)
         if not grad_states:
             return grads
         into = None

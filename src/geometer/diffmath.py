@@ -29,6 +29,14 @@ Conventions:
     (``elu_grad(..., inplace=True)``).  Such a workspace also holds the
     layer-0 output of a training encode until the next one overwrites it,
     so the tape of one step must be dropped before the next step's forward.
+  * A vjp may leave a leaf's gradient unformed, as a ``DeferredGrad`` that
+    computes its rows on demand.  The one case: ``backbone``'s layer 0,
+    through a workspace, over CSR input rows, leaves its weight gradient
+    ``x.T @ g_z`` for ``optim.Adam.step`` to form a row block at a time
+    (no [features x hidden] array).  ``value_and_grad`` hands it on as is,
+    so its consumer checks it finite block by block; it must be its leaf's
+    only gradient term (the backward sweep cannot add it to another), and
+    it keeps its operands alive until it is consumed.
 
 Fused ops.  Each tape node costs far more Python than its arithmetic on the
 small arrays of an episode, so the hot compositions are single ops with a
@@ -58,7 +66,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Tensor", "ShapeError", "NonFiniteError", "TapeReleasedError",
+    "Tensor", "DeferredGrad", "ShapeError", "NonFiniteError", "TapeReleasedError",
     "fused", "node", "tensor", "constant",
     "mul", "matmul", "concat", "take_rows",
     "leaky_relu", "elu_inplace", "elu_grad", "segment_softmax",
@@ -86,6 +94,18 @@ class NonFiniteError(ArithmeticError):
 class TapeReleasedError(RuntimeError):
     """A backward pass reached an op whose saved arrays an earlier backward
     through it released."""
+
+
+class DeferredGrad:
+    """A leaf gradient left unformed (see the module docstring): ``shape`` and
+    ``dtype`` are the gradient's, and ``rows_into(out, lo)`` writes its rows
+    ``lo`` to ``lo + len(out)`` into the C-order array ``out`` and returns
+    ``out``, unchecked for NaN and Inf."""
+
+    __slots__ = ("shape", "dtype", "rows_into")
+
+    def __init__(self, shape, dtype, rows_into):
+        self.shape, self.dtype, self.rows_into = tuple(shape), np.dtype(dtype), rows_into
 
 
 class fused:
@@ -461,7 +481,9 @@ def backward(output: Tensor, seed_grad=None) -> dict:
 def value_and_grad(output: Tensor, wrt: Iterable[Tensor]):
     """Evaluate a scalar expression and the gradients w.r.t. ``wrt``.
 
-    Parameters not reachable from the expression get zero gradients.
+    Parameters not reachable from the expression get zero gradients.  Each
+    gradient is a C-order array checked finite, or a ``DeferredGrad`` that
+    a vjp left unformed, handed on unchecked for its consumer to form.
     """
     wrt = list(wrt)
     op = fused("value_and_grad")
@@ -473,8 +495,9 @@ def value_and_grad(output: Tensor, wrt: Iterable[Tensor]):
         g = grad_map.get(id(p))
         if g is None:
             g = np.zeros(p.shape, dtype=p.dtype)
-        # C order: a transposed vjp would otherwise hand the optimizer a strided array
-        g = np.ascontiguousarray(g, dtype=p.dtype).reshape(p.shape)
-        op.finite(g, "non-finite gradient")
+        if not isinstance(g, DeferredGrad):
+            # C order: a transposed vjp would otherwise hand the optimizer a strided array
+            g = np.ascontiguousarray(g, dtype=p.dtype).reshape(p.shape)
+            op.finite(g, "non-finite gradient")
         grads.append(g)
     return value, grads

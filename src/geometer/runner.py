@@ -34,14 +34,17 @@ Each training stage maps one layer-0 workspace (``backbone.Workspace``,
 two [snapshot rows x hidden] buffers outside the malloc heap) and hands it
 to every episode's encode: a training encode's layer-0 output and the
 layer-1 state gradient live there until the next step's forward overwrites
-them.  So each step's loss, and with it the whole tape, is dropped together
-with its gradients once the optimizer has applied them; no tensor of one
-episode survives into the next one's forward.  The episode loop returns,
-releasing its optimizer state, and the stage unmaps its workspace before
-the final encode.  A finished stage drops its snapshot's caches
-(``Graph.drop_caches``: the attention neighborhoods), since no later stage
-encodes that snapshot, so memory held across a stream stays flat as
-sessions go by.
+them.  Over CSR features the layer-0 weight gradient reaches the optimizer
+unformed (``diffmath.DeferredGrad``), and ``Adam.step`` forms it by row
+blocks from z's gradient and the episode's feature rows, which it borrows
+until then.  So each step runs before the next encode, and its loss, and
+with it the whole tape, is dropped together with its gradients once the
+optimizer has applied them; no tensor of one episode survives into the next
+one's forward.  The episode loop returns, releasing its optimizer state,
+and the stage unmaps its workspace before the final encode.  A finished
+stage drops its snapshot's caches (``Graph.drop_caches``: the attention
+neighborhoods), since no later stage encodes that snapshot, so memory held
+across a stream stays flat as sessions go by.
 
 Prediction is nearest prototype by squared Euclidean distance, ties resolved
 toward the lowest class id.
@@ -270,7 +273,10 @@ def _train_episodes(params, lr: float, episodes: int, seed: int, stage: int,
     pretraining): ``sample(rng)`` draws the episode and ``episode_loss(episode,
     rng)`` builds its loss.  Each step's loss and gradients are dropped once
     the optimizer has applied them, so no tape outlives its step; the
-    optimizer is freed when this returns."""
+    optimizer is freed when this returns.  A non-finite loss or gradient,
+    found by the backward or by the step as it forms a deferred gradient,
+    raises ``TrainingDivergedError``; the step may then have updated part of
+    ``params``, which belong to a model the stage never returns."""
     label = "pretrain" if stage == 0 else f"session {stage}"
     opt = Adam(params, lr)
     for i in range(episodes):
@@ -279,10 +285,10 @@ def _train_episodes(params, lr: float, episodes: int, seed: int, stage: int,
         try:
             loss = episode_loss(episode, rng)
             value, grads = dm.value_and_grad(loss, params)
+            opt.step(grads)
         except dm.NonFiniteError as exc:
             raise TrainingDivergedError(
                 f"non-finite loss in {label} episode {i}: {exc}") from exc
-        opt.step(grads)
         del loss, grads
         if i % 50 == 0:
             log.debug("%s episode %d: loss %.5f", label, i, value)

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy import sparse
 
 import geometer.backbone as bb
@@ -583,10 +584,12 @@ def test_csr_matmul_into_gives_the_bytes_of_the_product(shape, width, dtype):
 def test_csr_matmul_into_refuses_an_output_it_cannot_fill():
     a = sparse.csr_matrix(np.eye(3, dtype=np.float32))
     b = np.ones((3, 4), dtype=np.float32)
-    for out in (np.zeros((3, 5), np.float32), np.zeros((3, 4), F64),
-                np.zeros((4, 3), np.float32).T):
-        with pytest.raises(dm.ShapeError):
-            bb._csr_matmul_into(a, b, out)
+    # the last two run past the product's rows, from row 2 and from row -1
+    for out, lo in ((np.zeros((3, 5), np.float32), 0), (np.zeros((3, 4), F64), 0),
+                    (np.zeros((4, 3), np.float32).T, 0), (np.zeros((2, 4), np.float32), 2),
+                    (np.zeros((1, 4), np.float32), -1)):
+        with pytest.raises(dm.ShapeError, match=f"from row {lo} into"):
+            bb._csr_matmul_into(a, b, out, lo)
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
@@ -606,6 +609,12 @@ def test_workspace_encode_gives_the_bytes_of_the_plain_one(sparse_features, rows
         layer0 = emb._parents[0].data
         assert np.shares_memory(layer0, workspace.out) == (ws is not None and dropout == 0)
         value, grads = _loss_and_grads(p, emb)
+        # over CSR features (no dropout) the layer-0 weight gradient comes unformed
+        deferred = [isinstance(a, dm.DeferredGrad) for a in grads]
+        assert deferred == [ws is not None and sparse_features and dropout == 0,
+                            False, False, False]
+        if deferred[0]:
+            grads[0] = grads[0].rows_into(np.empty(grads[0].shape, grads[0].dtype), 0)
         return [emb.data.tobytes(), np.float64(value).tobytes()] + [a.tobytes() for a in grads]
 
     plain = run(None)
@@ -639,6 +648,44 @@ def test_workspace_refuses_an_encode_it_cannot_hold():
         bb.encode(p, g, workspace=bb.Workspace(41, 16))
     with pytest.raises(dm.ShapeError, match="workspace dtype float64"):
         bb.encode(p, g, workspace=bb.Workspace(41, 8, F64))
+
+
+@pytest.mark.parametrize("width", [1, 512])
+def test_scipy_kernels_give_the_bytes_of_the_public_products(width):
+    # ``_csr_matmul_into`` and the row blocks of ``_sparse_weight_grad`` call
+    # scipy's private sparsetools kernels; pyproject allows any scipy from
+    # 1.10, so on the installed one they must still give the public products
+    rng = np.random.default_rng(width)
+    dense = np.where(rng.random((300, 700)) < 0.03, rng.normal(size=(300, 700)), 0)
+    dense[::4] = 0                                  # empty input rows
+    dense[:, 100:160] = 0                           # features no row has: empty rows of x.T
+    x = sparse.csr_matrix(dense.astype(np.float32))
+    b = rng.normal(size=(700, width)).astype(np.float32)
+    g = rng.normal(size=(300, width)).astype(np.float32)
+    where = f"scipy {scipy.__version__}"
+    out = np.full((300, width), np.nan, dtype=np.float32)
+    assert bb._csr_matmul_into(x, b, out).tobytes() == (x @ b).tobytes(), (
+        f"{where}: _csr_matmul_into differs from the public a @ b")
+    grad = bb._sparse_weight_grad(x, g)
+    assert grad.shape == (700, width) and grad.dtype == np.float32
+    want = x.T @ g
+    for rows in (1, 64, 700):
+        got = np.concatenate([grad.rows_into(np.full((min(rows, 700 - lo), width), np.nan,
+                                                     dtype=np.float32), lo)
+                              for lo in range(0, 700, rows)])
+        assert got.tobytes() == want.tobytes(), (
+            f"{where}: the row blocks of _sparse_weight_grad ({rows} rows) differ "
+            f"from the public x.T @ g")
+
+
+@pytest.mark.parametrize("rows", [None, [17, 3, 30]], ids=["full", "rows"])
+@pytest.mark.parametrize("sparse_features", [True, False], ids=["sparse", "dense"])
+def test_value_and_grad_without_a_workspace_returns_c_order_arrays(sparse_features, rows):
+    g, p = receptive_graph(sparse_features)
+    _, grads = _loss_and_grads(p, bb.encode(p, g, rows=rows))
+    for t, grad in zip(p.tensors(), grads):
+        assert type(grad) is np.ndarray and grad.flags.c_contiguous
+        assert grad.shape == t.shape and grad.dtype == t.dtype
 
 
 def test_only_backbone_names_scipys_private_sparsetools():

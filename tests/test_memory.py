@@ -19,6 +19,7 @@ import geometer.backbone as bb
 import geometer.cli as cli
 import geometer.diffmath as dm
 import geometer.graph_store as gs
+import geometer.optim as optim
 import geometer.runner as rn
 from geometer.config import ExperimentConfig
 
@@ -216,9 +217,36 @@ def test_training_backward_transient_stays_at_two_hidden_arrays(rows):
 def test_training_backward_with_a_workspace_stays_at_one_hidden_array(rows):
     # layer 1's state gradient lands in the workspace and layer 0 multiplies
     # the ELU derivative into it in place, so beyond the workspace layer 0's
-    # backward holds z's gradient and the weight gradient, no ELU gradient
+    # backward holds z's gradient, no ELU gradient, and leaves the weight
+    # gradient unformed
     peak = _backward_peak_in_hidden_arrays(rows, workspace=True)
     assert peak <= 1, peak
+
+
+def test_workspace_training_step_never_holds_a_second_layer0_weight_sized_array():
+    # over wide CSR features the layer-0 weight [features x hidden] dwarfs
+    # every [rows x hidden] array of an episode; its gradient is formed by
+    # the step in blocks, so beside the weight and its two moments no array
+    # of that size exists in the backward or the step
+    g = sparse_graph(300, 20000, classes=2, labeled_per_class=20)
+    p = bb.init_backbone(20000, 64, 16, seed=0)
+    weight_bytes = p.layers[0].weight.data.nbytes             # 4.9 MiB
+    space = bb.Workspace(g.node_count, 64)
+    opt = optim.Adam(p.tensors(), lr=0.01)
+    weights = np.random.default_rng(5).normal(size=16).astype(np.float32)
+    for _ in range(2):          # the second step has warm caches
+        emb = bb.encode(p, g, rows=np.arange(0, 300, 30), workspace=space)
+        loss = oracles.sum(dm.matmul(emb, dm.constant(weights)))
+        tracemalloc.start()
+        try:
+            _, grads = dm.value_and_grad(loss, p.tensors())
+            opt.step(grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del emb, loss, grads
+    assert g.node_count * 64 * 4 < weight_bytes / 50
+    assert peak < weight_bytes / 4, peak / weight_bytes
 
 
 def test_a_second_backward_through_a_layer_raises():

@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+import geometer.backbone as bb
 import geometer.diffmath as dm
 import geometer.optim as optim
 import geometer.runner as rn
@@ -104,3 +106,81 @@ def test_student_steps_leave_the_cloned_teacher_unchanged():
         opt.step([rng.normal(size=t.shape).astype(t.dtype) for t in student.trainable()])
     assert [t.data.tobytes() for t in teacher.trainable()] == before
     assert all(s.data.tobytes() != b for s, b in zip(student.trainable(), before))
+
+
+# --- gradients formed by the step ---------------------------------------------------
+
+def _episode_product(features, width, rows=60, untouched=(), seed=0):
+    """CSR feature rows (float32, about 2% nonzero) with no entry in the
+    ``untouched`` columns, and a z gradient for them."""
+    rng = np.random.default_rng([seed, features, width])
+    dense = np.where(rng.random((rows, features)) < 0.02,
+                     rng.normal(size=(rows, features)), 0).astype(np.float32)
+    dense[:, list(untouched)] = 0
+    g_z = rng.normal(size=(rows, width)).astype(np.float32)
+    return sparse.csr_matrix(dense), g_z
+
+
+# width 48 does not divide the default block, so its blocks of 1,365 rows end
+# ragged; under a block of 40 a row of 48 is wider than a block, one row each
+@pytest.mark.parametrize("block, features, width, untouched", [
+    (None, 3000, 48, ()),
+    (40, 30, 48, ()),
+    (None, 3000, 48, (0, 1364, 1365, 2999)),
+    (None, 500, 1, (7,)),
+], ids=["ragged_rows", "row_wider_than_block", "untouched_columns", "one_column"])
+def test_adam_forming_a_deferred_gradient_gives_the_bytes_of_the_formed_one(
+        block, features, width, untouched, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(optim, "_BLOCK", block)
+    rng = np.random.default_rng(4)
+    weight = rng.normal(size=(features, width)).astype(np.float32)
+    attn = rng.normal(size=2 * width).astype(np.float32)
+    runs = []
+    for deferred in (True, False):
+        params = [dm.tensor(weight.copy(), requires_grad=True),
+                  dm.tensor(attn.copy(), requires_grad=True)]
+        opt = optim.Adam(params, lr=0.01)
+        for step in range(3):
+            x, g_z = _episode_product(features, width, untouched=untouched, seed=step)
+            grad = bb._sparse_weight_grad(x, g_z) if deferred else x.T @ g_z
+            opt.step([grad, np.full(attn.shape, 0.1 * step, dtype=np.float32)])
+        runs.append([a.tobytes() for a in (*opt.m, *opt.v, *(p.data for p in params))])
+        if not deferred:
+            formed = x.T @ g_z
+            assert not formed[list(untouched)].any()
+    assert runs[0] == runs[1]
+
+
+def test_adam_rejects_a_non_finite_block_of_a_deferred_gradient(monkeypatch):
+    monkeypatch.setattr(optim, "_BLOCK", 64)
+    x, g_z = _episode_product(200, 8)
+    good = bb._sparse_weight_grad(x, g_z)
+
+    def rows_into(out, lo):
+        good.rows_into(out, lo)
+        if lo >= 40:                    # blocks of 8 rows: the sixth one
+            out[0, 0] = np.nan
+        return out
+
+    p = dm.tensor(np.ones((200, 8), dtype=np.float32), requires_grad=True)
+    opt = optim.Adam([p], lr=0.1)
+    with pytest.raises(dm.NonFiniteError, match="^Adam.step: non-finite gradient$"):
+        opt.step([dm.DeferredGrad(good.shape, good.dtype, rows_into)])
+    # the blocks before it were applied, and nothing from it on
+    touched = np.flatnonzero((p.data != 1).any(axis=1))
+    assert touched.max() < 40 and len(touched) > 0
+
+
+def test_adam_forms_a_deferred_gradient_without_allocating_it():
+    x, g_z = _episode_product(20000, 64, rows=40)
+    p = dm.tensor(np.zeros((20000, 64), dtype=np.float32), requires_grad=True)
+    opt = optim.Adam([p], lr=0.01)
+    grad = bb._sparse_weight_grad(x, g_z)
+    tracemalloc.start()
+    try:
+        opt.step([grad])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < optim._BLOCK * 4      # one float32 block; the weight is 5 MiB

@@ -7,6 +7,7 @@ import pytest
 import geometer.diffmath as dm
 import geometer.graph_store as gs
 import geometer.losses as ls
+import geometer.optim as optim
 import geometer.prototypes as pt
 import geometer.runner as rn
 from geometer.checkpoint import arrays_to_model, model_to_arrays
@@ -125,6 +126,48 @@ def test_teacher_parameters_bit_identical_after_session():
     rn.run_stream_session(teacher, stream, 1, cfg, seed=2)
     after = {k: v.tobytes() for k, v in model_to_arrays(teacher, 2).items()}
     assert before == after
+
+
+def test_a_non_finite_gradient_block_diverges_and_leaves_the_teacher_unchanged(monkeypatch):
+    # over CSR features the step forms the layer-0 weight gradient by row
+    # blocks and checks each; a non-finite block stops the step part way,
+    # which touches only the student, a model the session never returns
+    g = make_clustered_graph(classes=4, per_class=24, feature_dim=12, p_in=0.25,
+                             p_out=0.02, seed=5)
+    wide = np.zeros((g.node_count, 800), dtype=np.float32)
+    wide[:, ::80] = np.asarray(g.features)[:, :10]
+    g = gs.make_graph(wide, g.edges, g.labels)
+    assert g.features_sparse() is not None
+    stream = gs.build_session_stream(g, [0, 1], [[2], [3]], k_shot=3, seed=5)
+    cfg = tiny_config(episodes_pretrain=3, episodes_finetune=3)
+    teacher = rn.pretrain(stream, cfg, seed=1)
+    before = {k: v.tobytes() for k, v in model_to_arrays(teacher, 1).items()}
+    monkeypatch.setattr(optim, "_BLOCK", 1600)      # 100 rows of the [800 x 16] weight
+    value_and_grad, students = dm.value_and_grad, []
+
+    def poisoned(output, wrt):
+        value, grads = value_and_grad(output, wrt)
+        weight, deferred = wrt[0], grads[0]
+        assert isinstance(deferred, dm.DeferredGrad)
+        students.append((weight, weight.data.copy()))
+
+        def rows_into(out, lo):
+            deferred.rows_into(out, lo)
+            if lo == 200:
+                out[-1, -1] = np.inf
+            return out
+
+        return value, [dm.DeferredGrad(deferred.shape, deferred.dtype, rows_into), *grads[1:]]
+
+    monkeypatch.setattr(dm, "value_and_grad", poisoned)
+    with pytest.raises(rn.TrainingDivergedError,
+                       match="^non-finite loss in session 1 episode 0: "
+                             "Adam.step: non-finite gradient$"):
+        rn.run_stream_session(teacher, stream, 1, cfg, seed=1)
+    (weight, start), = students
+    changed = np.flatnonzero((weight.data != start).any(axis=1))
+    assert 0 < len(changed) and changed.max() < 200          # the step ran part way
+    assert {k: v.tobytes() for k, v in model_to_arrays(teacher, 1).items()} == before
 
 
 def test_noop_finetune_extends_prototypes_and_keeps_old():
