@@ -449,23 +449,11 @@ def gat_layer(params: BackboneParams, g: Graph, states, layer: int,
     return dm.node(out, parents, vjp)
 
 
-def _dropout(h: Tensor, rate: float, rng, n: int, rows) -> Tensor:
-    """Inverted dropout of ``h``, which holds graph rows ``rows`` (None: all ``n``).
-
-    The mask is drawn for all ``n`` rows and then sliced, so the random
-    stream and the kept entries match those of the full-graph encode.
-    """
-    if rows is None or rate <= 0.0:
-        return dm.dropout(h, rate, rng)
-    keep = dm.dropout_mask((n, *h.shape[1:]), rate, rng, h.dtype)
-    return dm.mul(h, dm.Tensor(keep[rows]))
-
-
-def encode(params: BackboneParams, g: Graph, dropout_rate: float = 0.0,
-           rng: np.random.Generator | None = None, *, rows=None,
+def encode(params: BackboneParams, g: Graph, rows=None,
            workspace: Workspace | None = None) -> Tensor:
     """Node embeddings [node_count x out_dim]; differentiable end-to-end.
 
+    Layer 0 reads CSR feature rows at float32 and dense rows otherwise.
     With ``rows`` (graph row indices) only those rows come back, in that
     order, computed from their exact receptive field (see the module
     docstring).  With a ``workspace`` at least as tall as ``g``, layer 0's
@@ -484,11 +472,9 @@ def encode(params: BackboneParams, g: Graph, dropout_rate: float = 0.0,
     else:
         struct1, rows1 = _receptive_field(g, np.asarray(rows, dtype=np.int64))
         struct0, rows0 = _receptive_field(g, rows1)
-    h = g.features_sparse(rows0) if dtype == np.float32 and dropout_rate == 0.0 else None
+    h = g.features_sparse(rows0) if dtype == np.float32 else None
     if h is None:
         # gathered from the feature store, checked finite when it was loaded
         h = Tensor(g.feature_rows(rows0).astype(dtype, copy=False))
-        h = _dropout(h, dropout_rate, rng, g.node_count, rows0)
     h = gat_layer(params, g, h, 0, struct0, workspace)
-    h = _dropout(h, dropout_rate, rng, g.node_count, rows1)
     return gat_layer(params, g, h, 1, struct1, workspace)

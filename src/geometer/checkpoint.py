@@ -188,11 +188,20 @@ def load_tensors(path) -> dict:
                     raise CheckpointError(f"{p}: unknown kind {kind} of tensor {name!r} "
                                           f"at byte {at}")
                 dtype = _KINDS[kind]
+                dims_at = fh.tell()
                 shape = unpack(f"<{ndim}I")
-                size = math.prod(shape)         # a Python int, which cannot wrap
-                if fh.tell() + dtype.itemsize * size > total:
-                    raise CheckpointError(f"{p}: truncated payload for tensor {name!r}")
-                arr = np.empty(shape, dtype)
+                nbytes = dtype.itemsize * math.prod(shape)  # a Python int, which cannot wrap
+                if fh.tell() + nbytes > total:
+                    raise CheckpointError(
+                        f"{p}: truncated payload for tensor {name!r}: shape {shape}, from the "
+                        f"dimension words at byte {dims_at}, needs {nbytes} bytes, "
+                        f"{total - fh.tell()} remain")
+                try:
+                    arr = np.empty(shape, dtype)
+                except ValueError:
+                    raise CheckpointError(f"{p}: tensor {name!r} has {ndim} dimensions, more "
+                                          f"than numpy supports, in its kind word at byte "
+                                          f"{at}") from None
                 fh.readinto(arr.reshape(-1).view(np.uint8))
                 tensors[name] = arr
         except struct.error as exc:

@@ -7,6 +7,7 @@ prototype network: mean prototypes, proximity loss only, no distillation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -56,7 +57,6 @@ class ExperimentConfig:
     hidden_dim: int = 512
     embedding_dim: int = 64
     class_attention_heads: int = 4
-    dropout: float = 0.0
     # episodic sampling
     k_max: int = 10
     k_qry: int = 10
@@ -80,6 +80,10 @@ class ExperimentConfig:
     seeds: tuple = (0,)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.mode not in ("geometer", "pn_star"):
             raise ConfigError(f"mode must be geometer or pn_star, got {self.mode!r}")
         if self.alpha_finetune not in ("uniform", "inverse_frequency"):
@@ -103,8 +107,6 @@ class ExperimentConfig:
         if self.embedding_dim % self.class_attention_heads:
             raise ConfigError(f"class_attention_heads must divide embedding_dim "
                               f"({self.embedding_dim}), got {self.class_attention_heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         for key in ("lr_pretrain", "lr_finetune"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")

@@ -52,11 +52,11 @@ when the input collects gradient from outside the op, so gradients stay
 byte-identical.
 
 The elementary ops here are the ones the library builds its tapes from.
-Those that only the op chains and the tests use (``add``, ``exp``, ``sum``,
-``mean``, ``scale``, ``reshape`` and the like) live with the chains in the
-tests.  ``matmul`` keeps its 1-D branches, which no library caller takes,
-because the chains call it on vectors, and a second copy of it in the tests
-would duplicate it.
+Those that only the op chains and the tests use (``add``, ``mul``, ``exp``,
+``sum``, ``mean``, ``scale``, ``reshape`` and the like) live with the chains
+in the tests.  ``matmul`` keeps its 1-D branches, which no library caller
+takes, because the chains call it on vectors, and a second copy of it in the
+tests would duplicate it.
 """
 
 from __future__ import annotations
@@ -68,10 +68,9 @@ import numpy as np
 __all__ = [
     "Tensor", "DeferredGrad", "ShapeError", "NonFiniteError", "TapeReleasedError",
     "fused", "node", "tensor", "constant",
-    "mul", "matmul", "concat", "take_rows",
+    "matmul", "concat", "take_rows",
     "leaky_relu", "elu_inplace", "elu_grad", "segment_softmax",
     "pairwise_sq_euclidean",
-    "dropout", "dropout_mask",
     "backward", "value_and_grad",
 ]
 
@@ -220,8 +219,7 @@ def node(data, parents: tuple, vjp) -> Tensor:
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient back down to ``shape``, that of an operand of the same
     rank that broadcast along its size-1 axes.  No library caller broadcasts
-    across ranks: ``pairwise_sq_euclidean`` takes 2-D operands only, and
-    ``dropout``'s mask has its input's shape."""
+    across ranks: ``pairwise_sq_euclidean`` takes 2-D operands only."""
     for axis, dim in enumerate(shape):
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -230,19 +228,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # arithmetic
-
-def mul(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=b.dtype))
-    b = _as_tensor(b, a)
-    with fused("mul"):
-        out = a.data * b.data
-
-    def vjp(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
-
-    return node(out, (a, b), vjp)
-
 
 def matmul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
@@ -415,21 +400,6 @@ def pairwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
                 tb, tb, None if tb is None else (ad.T @ g_cross).T)
 
     return node(out, (a, a, a, b, b, b), vjp)
-
-
-def dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Inverted-dropout factors: 0 where dropped, 1 / (1 - rate) where kept."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    dtype = np.dtype(dtype)
-    return (rng.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate)
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate == 0."""
-    if rate <= 0.0:
-        return a
-    return mul(a, Tensor(dropout_mask(a.shape, rate, rng, a.dtype)))
 
 
 # ---------------------------------------------------------------------------

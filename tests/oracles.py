@@ -6,12 +6,12 @@ prototype oracle builds on the autodiff ops so that its gradients can be
 compared too, and the ``chain_*`` functions are the op chains that the fused
 distance, refinement and loss ops replaced: the fused ops must match them
 byte for byte.  The elementary autodiff ops that only those chains and the
-tests use (``add`` to ``mean`` below) live here, with the arithmetic they had
-in ``geometer.diffmath``.  So do the graph queries that only tests need
-(attention coefficients, subgraphs, graph and stream equality), built on the
-library's own private helpers, a whole model around one part for the
-checkpoint tests, and a recorder of the layer-0 workspaces training maps,
-whose bytes tracemalloc cannot see.
+tests use (``add``, ``sub``, ``mul``, ``div`` and the rest down to ``mean``
+below) live here, with the arithmetic they had in ``geometer.diffmath``.  So
+do the graph queries that only tests need (attention coefficients, subgraphs,
+graph and stream equality), built on the library's own private helpers, a
+whole model around one part for the checkpoint tests, and a recorder of the
+layer-0 workspaces training maps, whose bytes tracemalloc cannot see.
 """
 
 import numpy as np
@@ -49,6 +49,19 @@ def sub(a, b):
 
     def vjp(g):
         return dm._unbroadcast(g, a.shape), dm._unbroadcast(-g, b.shape)
+
+    return dm.node(out, (a, b), vjp)
+
+
+def mul(a, b):
+    a = a if isinstance(a, dm.Tensor) else dm.Tensor(np.asarray(a, dtype=b.dtype))
+    b = dm._as_tensor(b, a)
+    with dm.fused("mul"):
+        out = a.data * b.data
+
+    def vjp(g):
+        return (dm._unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                dm._unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return dm.node(out, (a, b), vjp)
 
@@ -252,8 +265,8 @@ def stack(vectors):
 
 def chain_pairwise_sq_euclidean(a, b):
     """Squared Euclidean distances between all row pairs, one op per step."""
-    a2 = sum(dm.mul(a, a), axis=1, keepdims=True)                # [n,1]
-    b2 = reshape(sum(dm.mul(b, b), axis=1), (1, b.shape[0]))     # [1,m]
+    a2 = sum(mul(a, a), axis=1, keepdims=True)                   # [n,1]
+    b2 = reshape(sum(mul(b, b), axis=1), (1, b.shape[0]))        # [1,m]
     cross = dm.matmul(a, transpose(b))                           # [n,m]
     d = add(add(a2, b2), scale(cross, -2.0))
     return clip(d, 0.0, None)
@@ -277,9 +290,9 @@ def chain_uniformity_loss(prototypes):
         for i in np.nonzero(degenerate)[0]:
             v = np.random.default_rng([9041, int(i)]).normal(size=prototypes.dim)
             subst[i] = (v / np.linalg.norm(v)).astype(vecs.dtype)
-        diffs = add(dm.mul(diffs, dm.constant(keep[:, None], dtype=vecs.dtype)),
+        diffs = add(mul(diffs, dm.constant(keep[:, None], dtype=vecs.dtype)),
                        dm.constant(subst, dtype=vecs.dtype))
-    norms = sqrt(sum(dm.mul(diffs, diffs), axis=1, keepdims=True))
+    norms = sqrt(sum(mul(diffs, diffs), axis=1, keepdims=True))
     dirs = div(diffs, norms)
     cos = dm.matmul(dirs, transpose(dirs))
     mask = dm.constant(np.diag(np.full(c, -3.0)).astype(vecs.dtype), dtype=vecs.dtype)
@@ -296,7 +309,7 @@ def chain_proximity_loss(query_embeddings, query_classes, prototypes, alpha=None
     log_probs = log_softmax(logits, axis=1)
     onehot = np.zeros((len(labels), len(prototypes)), dtype=query_embeddings.dtype)
     onehot[np.arange(len(labels)), col] = 1.0
-    own = sum(dm.mul(log_probs, dm.constant(onehot, dtype=query_embeddings.dtype)), axis=1)
+    own = sum(mul(log_probs, dm.constant(onehot, dtype=query_embeddings.dtype)), axis=1)
 
     counts = np.bincount(col, minlength=len(prototypes)).astype(np.float64)
     weights = np.zeros(len(labels))
@@ -329,9 +342,9 @@ def chain_distillation_loss(student_logits, teacher_logits):
     n_classes = student_logits.shape[1]
     log_s = log(clip(student_logits, ls.LOG_CLAMP, None))
     log_t = np.log(np.clip(teacher.astype(student_logits.dtype), ls.LOG_CLAMP, None))
-    per_query = sum(dm.mul(student_logits,
-                              sub(log_s, dm.constant(log_t, dtype=student_logits.dtype))),
-                       axis=1)
+    per_query = sum(mul(student_logits,
+                        sub(log_s, dm.constant(log_t, dtype=student_logits.dtype))),
+                    axis=1)
     return scale(mean(per_query), 1.0 / n_classes)
 
 
@@ -376,10 +389,10 @@ def chain_refine_prototype(params, initial, supports, lens, with_weights=False):
     queries = dm.matmul(initial, transpose(params.wq))                      # [C x d]
     keys = dm.matmul(seq, transpose(params.wk))                             # [N x d]
     values = dm.matmul(seq, transpose(params.wv))                           # [N x d]
-    products = dm.mul(dm.take_rows(queries, owner), keys)
+    products = mul(dm.take_rows(queries, owner), keys)
     scores = scale(dm.matmul(products, dm.constant(head_of, dtype)), 1.0 / np.sqrt(d_k))
     attn = dm.segment_softmax(scores, starts, seg_lens)                         # [N x H]
-    weighted = dm.mul(dm.matmul(attn, dm.constant(head_of.T, dtype)), values)  # [N x d]
+    weighted = mul(dm.matmul(attn, dm.constant(head_of.T, dtype)), values)     # [N x d]
     refined = add(initial, dm.matmul(dm.constant(pool, dtype), weighted))
     if with_weights:
         return refined, transpose(attn)

@@ -287,7 +287,7 @@ def test_fused_layers_match_finite_differences(sparse_input, rows):
         params = manual_params(list(zip(arrs[::2], arrs[1::2])), (d, hidden, out))
         h = bb.gat_layer(params, g, x, 0, struct0)
         emb = bb.gat_layer(params, g, h, 1, struct1)
-        return params, oracles.sum(dm.mul(emb, dm.constant(probe, dtype=F64)))
+        return params, oracles.sum(oracles.mul(emb, dm.constant(probe, dtype=F64)))
 
     params, value = loss(arrays)
     _, analytic = dm.value_and_grad(value, params.tensors())
@@ -329,7 +329,7 @@ ROW_CASES = {"unsorted": [17, 3, 30, 4], "duplicates": [9, 2, 9, 40], "isolated"
 
 def _loss_and_grads(p, emb):
     weights = np.random.default_rng(16).normal(size=emb.shape).astype(np.float32)
-    loss = oracles.sum(dm.mul(emb, dm.constant(weights)))
+    loss = oracles.sum(oracles.mul(emb, dm.constant(weights)))
     return dm.value_and_grad(loss, p.tensors())
 
 
@@ -372,24 +372,6 @@ def test_receptive_field_is_the_one_and_two_hop_closure():
         assert (struct1.n_out, struct1.n_in) == (len(rows), len(one_hop))
         assert (struct0.n_out, struct0.n_in) == (len(one_hop), len(two_hop))
         assert len(struct1.src) == hood[rows].sum()
-
-
-def test_restricted_encode_under_dropout_matches_full_graph():
-    # masks are drawn for the whole graph and sliced, so equal seeds give
-    # equal rows and leave the generator in the same state
-    g, p = receptive_graph(False)
-    rows = np.array([3, 17, 40])
-    rng_full, rng_rows = np.random.default_rng(18), np.random.default_rng(18)
-    full = bb.encode(p, g, 0.5, rng_full)
-    restricted = bb.encode(p, g, 0.5, rng_rows, rows=rows)
-    np.testing.assert_allclose(restricted.data, full.data[rows], rtol=1e-6, atol=1e-7)
-    assert rng_full.random() == rng_rows.random()
-    _, g_full = _loss_and_grads(p, dm.take_rows(full, rows))
-    _, g_rows = _loss_and_grads(p, restricted)
-    for a, b in zip(g_rows, g_full):
-        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max())
-    dropped = bb.encode(p, g, 0.5, np.random.default_rng(19), rows=rows).data
-    assert not np.allclose(dropped, restricted.data)
 
 
 # --- shared segment softmax ---------------------------------------------------
@@ -500,7 +482,7 @@ def test_backbone_gradients_arrive_in_c_order(sparse_features, rows):
     g, p = receptive_graph(sparse_features)
     emb = bb.encode(p, g, rows=rows)
     weights = np.random.default_rng(29).normal(size=emb.shape).astype(np.float32)
-    grads = dm.backward(oracles.sum(dm.mul(emb, dm.constant(weights))))
+    grads = dm.backward(oracles.sum(oracles.mul(emb, dm.constant(weights))))
     for t in p.tensors():
         grad = grads[id(t)]
         assert grad.shape == t.shape and grad.dtype == t.dtype
@@ -552,7 +534,7 @@ def test_subnormal_gradients_never_reach_the_layer_products(rows, monkeypatch):
     monkeypatch.setattr(bb, "_head_vjp", spy)
 
     def grads(weights):
-        loss = oracles.sum(dm.mul(bb.encode(p, g, rows=rows), dm.constant(weights)))
+        loss = oracles.sum(oracles.mul(bb.encode(p, g, rows=rows), dm.constant(weights)))
         return [a.tobytes() for a in dm.value_and_grad(loss, p.tensors())[1]]
 
     injected = grads(probe)
@@ -592,11 +574,9 @@ def test_csr_matmul_into_refuses_an_output_it_cannot_fill():
             bb._csr_matmul_into(a, b, out, lo)
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.5])
 @pytest.mark.parametrize("rows", [None, [17, 3, 30]], ids=["full", "rows"])
 @pytest.mark.parametrize("sparse_features", [True, False], ids=["sparse", "dense"])
-def test_workspace_encode_gives_the_bytes_of_the_plain_one(sparse_features, rows, dropout,
-                                                           monkeypatch):
+def test_workspace_encode_gives_the_bytes_of_the_plain_one(sparse_features, rows, monkeypatch):
     g, p = receptive_graph(sparse_features)
     workspace = bb.Workspace(g.node_count, 8)
     in_place = []
@@ -605,14 +585,13 @@ def test_workspace_encode_gives_the_bytes_of_the_plain_one(sparse_features, rows
                         in_place.append(inplace) or elu_grad(out, grad, inplace))
 
     def run(ws):
-        emb = bb.encode(p, g, dropout, np.random.default_rng(3), rows=rows, workspace=ws)
+        emb = bb.encode(p, g, rows, ws)
         layer0 = emb._parents[0].data
-        assert np.shares_memory(layer0, workspace.out) == (ws is not None and dropout == 0)
+        assert np.shares_memory(layer0, workspace.out) == (ws is not None)
         value, grads = _loss_and_grads(p, emb)
-        # over CSR features (no dropout) the layer-0 weight gradient comes unformed
+        # over CSR features the layer-0 weight gradient comes unformed
         deferred = [isinstance(a, dm.DeferredGrad) for a in grads]
-        assert deferred == [ws is not None and sparse_features and dropout == 0,
-                            False, False, False]
+        assert deferred == [ws is not None and sparse_features, False, False, False]
         if deferred[0]:
             grads[0] = grads[0].rows_into(np.empty(grads[0].shape, grads[0].dtype), 0)
         return [emb.data.tobytes(), np.float64(value).tobytes()] + [a.tobytes() for a in grads]
@@ -622,8 +601,7 @@ def test_workspace_encode_gives_the_bytes_of_the_plain_one(sparse_features, rows
     # twice through one workspace: the second encode overwrites the first's arrays
     assert run(workspace) == plain
     assert run(workspace) == plain
-    # behind dropout, layer 0's gradient is the mask product, not the workspace's
-    assert in_place == [False] + [dropout == 0] * 2
+    assert in_place == [False, True, True]
     workspace.release()
     assert workspace.nbytes == 0
 

@@ -1,3 +1,4 @@
+import re
 import struct
 from pathlib import Path
 
@@ -60,7 +61,21 @@ def test_shape_past_the_file_size_is_a_truncated_payload(tmp_path):
     p = tmp_path / "t.gfsp"
     p.write_bytes(b"GFSP" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"x"
                   + struct.pack("<5I", 4, *[65536] * 4) + b"\x00" * 8)
-    with pytest.raises(CheckpointError, match="truncated payload for tensor 'x'"):
+    # the dimension words follow the kind word at byte 13
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{p}: truncated payload for tensor 'x': shape (65536, 65536, 65536, 65536), "
+            f"from the dimension words at byte 17, needs {4 * 2 ** 64} bytes, 8 remain")):
+        load_tensors(p)
+
+
+def test_more_dimensions_than_numpy_supports_name_the_kind_word(tmp_path):
+    # 65 dimensions of 1 hold one entry, but numpy supports at most 64 (32 before 2.0)
+    p = tmp_path / "t.gfsp"
+    p.write_bytes(b"GFSP" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"x"
+                  + struct.pack("<66I", 65, *[1] * 65) + b"\x00" * 4)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{p}: tensor 'x' has 65 dimensions, more than numpy supports, "
+            f"in its kind word at byte 13")):
         load_tensors(p)
 
 

@@ -64,7 +64,9 @@ def test_config_rejects_bad_value_with_line(tmp_path):
                                         ("episodes_finetune", -1), ("k_max", 0), ("k_qry", 0),
                                         ("old_query_bias", 1.5), ("old_query_bias", 0.0),
                                         ("tau", 0.0), ("lambda_s", -1.0),
-                                        ("dropout", 1.5), ("dropout", 1.0), ("dropout", -0.1),
+                                        ("tau", "nan"), ("lambda_kd", "nan"),
+                                        ("lambda_p", "inf"), ("lambda_u", "-inf"),
+                                        ("lr_pretrain", "inf"), ("lr_finetune", "nan"),
                                         ("hidden_dim", 0), ("embedding_dim", 0),
                                         ("class_attention_heads", 3),
                                         ("lr_pretrain", -1.0), ("lr_pretrain", 0.0),
@@ -78,6 +80,18 @@ def test_config_rejects_impossible_session_counts(tmp_path, key, value):
     p = tmp_path / "bad.cfg"
     p.write_text(f"{key} = {value}\n")
     with pytest.raises(ConfigError, match=f"^{key} must "):
+        parse_config(p)
+
+
+def test_config_with_the_removed_dropout_key_fails_at_its_line(workspace):
+    # an older write_config listed dropout = 0.0 after class_attention_heads
+    tmp_path, _, cfg_path = workspace
+    lines = cfg_path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("class_attention_heads")) + 1
+    lines.insert(at, "dropout = 0.0")
+    p = tmp_path / "old.cfg"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{p}:{at + 1}: unknown key 'dropout'")):
         parse_config(p)
 
 
@@ -206,9 +220,9 @@ def test_commands_evaluate_on_the_stage_encode(workspace, monkeypatch):
     full = []
     encode = rn.encode
 
-    def counting(params, g, *args, rows=None, **kwargs):
+    def counting(params, g, rows=None, workspace=None):
         full.append(rows is None)
-        return encode(params, g, *args, rows=rows, **kwargs)
+        return encode(params, g, rows, workspace)
 
     monkeypatch.setattr(rn, "encode", counting)
     cli.cmd_pretrain(one_seed)

@@ -150,7 +150,7 @@ def _episode_digest(cfg, seed: int, stage: int) -> str:
             None)
         pools = stream.train_pools(0)
         episode = sample_pretrain_episode(pools, sampler, rng)
-        loss = rn._episode_loss(state, g, episode, cfg, weights, rng)
+        loss = rn._episode_loss(state, g, episode, cfg, weights)
     else:
         teacher, _ = cli._load_model(cli._checkpoint_path(cfg, seed, stage - 1))
         g = stream.snapshots[stage]
@@ -159,7 +159,7 @@ def _episode_digest(cfg, seed: int, stage: int) -> str:
         episode = sample_finetune_episode(stage, stream, sampler, rng)
         frozen = rn._Teacher(teacher_emb, teacher.prototypes, stream.classes_at(stage - 1),
                              stream.novel_at(stage))
-        loss = rn._episode_loss(state, g, episode, cfg, weights, rng, frozen)
+        loss = rn._episode_loss(state, g, episode, cfg, weights, frozen)
     value, grads = dm.value_and_grad(loss, state.trainable())
     return _sha(b"".join([np.float64(value).tobytes(), *(a.tobytes() for a in grads)]))
 

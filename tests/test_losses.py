@@ -348,7 +348,7 @@ def _value_and_grads(build, arrays, dtype):
     ts = [dm.tensor(np.asarray(a, dtype=dtype), requires_grad=True, dtype=dtype) for a in arrays]
     out = build(ts)
     probe = np.random.default_rng(38).normal(size=out.shape).astype(dtype)
-    loss = oracles.sum(dm.mul(out, dm.constant(probe, dtype=dtype)))
+    loss = oracles.sum(oracles.mul(out, dm.constant(probe, dtype=dtype)))
     _, grads = dm.value_and_grad(loss, ts)
     return [out.data.tobytes()] + [g.tobytes() for g in grads], out.data.dtype
 

@@ -264,7 +264,7 @@ def test_value_and_grad_leaves_no_gradient_on_parameters():
     p = bb.init_backbone(400, 16, 4, seed=1)
     emb = bb.encode(p, g, rows=[3, 7, 11])
     weights = rng.normal(size=emb.shape).astype(np.float32)
-    _, grads = dm.value_and_grad(oracles.sum(dm.mul(emb, dm.constant(weights))), p.tensors())
+    _, grads = dm.value_and_grad(oracles.sum(oracles.mul(emb, dm.constant(weights))), p.tensors())
     held = {id(a) for grad in grads for a in (grad, grad.base) if a is not None}
     for t in p.tensors():
         assert getattr(t, "grad", None) is None

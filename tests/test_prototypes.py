@@ -134,7 +134,7 @@ def test_refine_gradients_match_finite_differences():
                 ts = [t64(a) for a in arrs]
                 refined = pt.refine_prototype(pt.ClassAttentionParams(*ts[:3], heads=2),
                                               ts[3], ts[4], lens)
-                return oracles.sum(dm.mul(refined, dm.constant(probe, dtype=F64))), ts
+                return oracles.sum(oracles.mul(refined, dm.constant(probe, dtype=F64))), ts
 
             _, analytic = dm.value_and_grad(*loss(arrays))
             numeric = central_differences(lambda arrs: loss(arrs)[0].item(), arrays)
@@ -190,7 +190,7 @@ def _refinement_and_grads(fn, arrays, heads, lens, dtype):
     params = pt.ClassAttentionParams(wq, wk, wv, heads)
     refined, weights = fn(params, initial, supports, lens, with_weights=True)
     probe = np.random.default_rng(38).normal(size=refined.shape).astype(dtype)
-    loss = oracles.sum(dm.mul(refined, dm.constant(probe, dtype=dtype)))
+    loss = oracles.sum(oracles.mul(refined, dm.constant(probe, dtype=dtype)))
     _, grads = dm.value_and_grad(loss, [wq, wk, wv, initial, supports])
     return refined.data, grads, weights.data
 
@@ -334,7 +334,7 @@ def _prototypes_and_grads(fn, emb_data, supports, g, params, dtype, **kwargs):
     out = fn(emb, supports, g, params, **kwargs)
     vectors = getattr(out, "vectors", out)
     probe = np.random.default_rng(22).normal(size=vectors.shape).astype(dtype)
-    loss = oracles.sum(dm.mul(vectors, dm.constant(probe, dtype=dtype)))
+    loss = oracles.sum(oracles.mul(vectors, dm.constant(probe, dtype=dtype)))
     _, grads = dm.value_and_grad(loss, [emb, *params.tensors()])
     return vectors.data, grads
 
@@ -382,7 +382,7 @@ def test_multiclass_prototype_gradients_match_finite_differences():
         emb = t64(arrs[0], grad=grad)
         params = manual_attention(*arrs[1:], heads=2)
         protos = pt.compute_prototypes(emb, supports, g, params, rows=rows)
-        return oracles.sum(dm.mul(protos.vectors, dm.constant(probe, dtype=F64))), [emb, *params.tensors()]
+        return oracles.sum(oracles.mul(protos.vectors, dm.constant(probe, dtype=F64))), [emb, *params.tensors()]
 
     out, wrt = loss(arrays, True)
     _, analytic = dm.value_and_grad(out, wrt)

@@ -98,10 +98,8 @@ def test_pretrain_training_curve_improves_for_most_seeds():
         held_out = sample_pretrain_episode(pools, cfg.sampler(), episode_rng(seed, 99, 0))
         before = rn.pretrain(stream, replace(cfg, episodes_pretrain=0), seed)
         after = rn.pretrain(stream, cfg, seed)
-        loss_before = rn._episode_loss(before, g, held_out, cfg, weights,
-                                       episode_rng(seed, 98, 0)).item()
-        loss_after = rn._episode_loss(after, g, held_out, cfg, weights,
-                                      episode_rng(seed, 98, 0)).item()
+        loss_before = rn._episode_loss(before, g, held_out, cfg, weights).item()
+        loss_after = rn._episode_loss(after, g, held_out, cfg, weights).item()
         improved += loss_after < loss_before
     assert improved >= 9
 
@@ -240,7 +238,7 @@ def test_combined_prototypes_merge_in_class_order():
     np.testing.assert_array_equal(merged.vectors.data,
                                   [[5.0, 6.0], [1.0, 2.0], [9.0, 0.5], [3.0, 4.0]])
     weights = np.arange(8.0).reshape(4, 2)
-    _, (grad,) = dm.value_and_grad(oracles.sum(dm.mul(merged.vectors, dm.constant(weights,
+    _, (grad,) = dm.value_and_grad(oracles.sum(oracles.mul(merged.vectors, dm.constant(weights,
                                                                             dtype=np.float64))),
                                    [student.vectors])
     np.testing.assert_array_equal(grad, weights[[1, 3]])
@@ -350,10 +348,10 @@ def _count_full_encodes(monkeypatch):
     calls = []
     encode = rn.encode
 
-    def counting(params, g, *args, rows=None, **kwargs):
+    def counting(params, g, rows=None, workspace=None):
         if rows is None:
             calls.append((params, g))
-        return encode(params, g, *args, rows=rows, **kwargs)
+        return encode(params, g, rows, workspace)
 
     monkeypatch.setattr(rn, "encode", counting)
     return calls
@@ -403,8 +401,8 @@ def test_inference_encodes_build_no_tape(monkeypatch):
     checked = []
     encode = rn.encode
 
-    def checking(params, g, *args, rows=None, **kwargs):
-        out = encode(params, g, *args, rows=rows, **kwargs)
+    def checking(params, g, rows=None, workspace=None):
+        out = encode(params, g, rows, workspace)
         if rows is None:
             arrays = model_to_arrays(oracles.model_around(params), 4)
             tracking = arrays_to_model(arrays)[0].backbone
@@ -486,14 +484,14 @@ def test_each_step_drops_its_tape_and_each_stage_its_workspace(monkeypatch):
     losses, workspaces = [], []
     encode, value_and_grad = rn.encode, dm.value_and_grad
 
-    def encoding(params, g, *args, workspace=None, **kwargs):
+    def encoding(params, g, rows=None, workspace=None):
         if workspace is None:
             assert all(ref().nbytes == 0 for ref in workspaces if ref() is not None)
         else:
             assert all(ref() is None for ref in losses), "an earlier episode's tape is alive"
             if not workspaces or workspaces[-1]() is not workspace:
                 workspaces.append(weakref.ref(workspace))
-        return encode(params, g, *args, workspace=workspace, **kwargs)
+        return encode(params, g, rows, workspace)
 
     def recording(output, wrt):
         losses.append(weakref.ref(output._vjp))
@@ -569,13 +567,13 @@ def test_full_episode_losses_match_finite_differences():
 
     cases = {
         "pretrain": lambda state: rn._episode_loss(
-            state, stream.snapshots[0], pre_ep, cfg, weights, episode_rng(0, 9, 0)),
+            state, stream.snapshots[0], pre_ep, cfg, weights),
         "finetune": lambda state: rn._episode_loss(
-            state, stream.snapshots[1], fine_ep, cfg, weights, episode_rng(0, 9, 1),
+            state, stream.snapshots[1], fine_ep, cfg, weights,
             teacher_view(teacher_emb, teacher.prototypes, stream)),
         "finetune_carried": lambda state: rn._episode_loss(
             state, stream.snapshots[1], fine_ep, carried_cfg, weights,
-            episode_rng(0, 9, 1), teacher_view(teacher_emb, teacher.prototypes, stream)),
+            teacher_view(teacher_emb, teacher.prototypes, stream)),
     }
     for name, build in cases.items():
         state = make_state(arrays)
@@ -589,9 +587,8 @@ def test_full_episode_losses_match_finite_differences():
         assert err < 1e-4, f"{name}: rel err {err}"
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.3])
 @pytest.mark.parametrize("stage", ["pretrain", "finetune", "finetune_carried"])
-def test_episode_losses_match_full_graph_encode(stage, dropout, monkeypatch):
+def test_episode_losses_match_full_graph_encode(stage, monkeypatch):
     # a training episode encodes only its rows' receptive field; its loss and
     # gradients must equal those computed from the full-graph embeddings
     # (float64, so float32 rounding in the class-attention gradients stays out)
@@ -599,7 +596,7 @@ def test_episode_losses_match_full_graph_encode(stage, dropout, monkeypatch):
     from geometer.episodes import sample_finetune_episode
 
     stream = tiny_stream(seed=22)
-    cfg = tiny_config(dropout=dropout, carried_prototypes=stage == "finetune_carried")
+    cfg = tiny_config(carried_prototypes=stage == "finetune_carried")
     weights = cfg.loss_weights()
     teacher = rn.clone_state(rn.pretrain(stream, tiny_config(episodes_pretrain=3), seed=5))
     for t in teacher.trainable():
@@ -614,17 +611,16 @@ def test_episode_losses_match_full_graph_encode(stage, dropout, monkeypatch):
     student = rn.clone_state(teacher)
 
     def loss_and_grads():
-        rng = episode_rng(5, 9, 0)
         if stage == "pretrain":
-            loss = rn._episode_loss(student, stream.snapshots[0], pre_ep, cfg, weights, rng)
+            loss = rn._episode_loss(student, stream.snapshots[0], pre_ep, cfg, weights)
         else:
-            loss = rn._episode_loss(student, g1, fine_ep, cfg, weights, rng,
+            loss = rn._episode_loss(student, g1, fine_ep, cfg, weights,
                                     teacher_view(teacher_emb, teacher.prototypes, stream))
         return dm.value_and_grad(loss, student.trainable())
 
     value, grads = loss_and_grads()
-    monkeypatch.setattr(rn, "encode", lambda params, g, rate=0.0, rng=None, *, rows,
-                        workspace=None: dm.take_rows(bb.encode(params, g, rate, rng), rows))
+    monkeypatch.setattr(rn, "encode", lambda params, g, rows, workspace=None:
+                        dm.take_rows(bb.encode(params, g), rows))
     full_value, full_grads = loss_and_grads()
     assert value == pytest.approx(full_value, rel=1e-12)
     for a, b in zip(grads, full_grads):
@@ -652,13 +648,12 @@ def test_episode_gradients_match_the_op_chains_byte_for_byte(stage, monkeypatch)
 
     def episode_grads(i):
         student = rn.clone_state(teacher)
-        rng = episode_rng(1, 9, i)
         if stage == "pretrain":
             episode = sample_pretrain_episode(pools, cfg.sampler(), episode_rng(1, 0, i))
-            loss = rn._episode_loss(student, g, episode, cfg, cfg.loss_weights(), rng)
+            loss = rn._episode_loss(student, g, episode, cfg, cfg.loss_weights())
         else:
             episode = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(1, 1, i))
-            loss = rn._episode_loss(student, g, episode, cfg, cfg.loss_weights(), rng,
+            loss = rn._episode_loss(student, g, episode, cfg, cfg.loss_weights(),
                                     teacher_view(teacher_emb, teacher.prototypes, stream))
         value, grads = dm.value_and_grad(loss, student.trainable())
         return [np.float64(value).tobytes()] + [a.tobytes() for a in grads]
@@ -702,11 +697,11 @@ def test_episode_tape_sizes_are_pinned(monkeypatch):
 
     monkeypatch.setattr(dm, "node", counting)
     rn._episode_loss(rn.clone_state(teacher), stream.snapshots[0], pre_ep, cfg,
-                     cfg.loss_weights(), episode_rng(1, 9, 0))
+                     cfg.loss_weights())
     assert sum(nodes) == 15
     nodes.clear()
     rn._episode_loss(rn.clone_state(teacher), g1, fine_ep, cfg, cfg.loss_weights(),
-                     episode_rng(1, 9, 1), teacher_view(teacher_emb, teacher.prototypes, stream))
+                     teacher_view(teacher_emb, teacher.prototypes, stream))
     assert sum(nodes) == 23
 
 
@@ -741,7 +736,7 @@ def test_distillation_term_matches_the_divergence_by_hand():
     teacher_emb = encode(teacher.backbone.detached(), g).data
     student = rn.pretrain(stream, tiny_config(episodes_pretrain=3), seed=6)
     episode = sample_finetune_episode(1, stream, cfg.sampler(), episode_rng(5, 1, 0))
-    loss = rn._episode_loss(student, g, episode, cfg, cfg.loss_weights(), episode_rng(5, 9, 0),
+    loss = rn._episode_loss(student, g, episode, cfg, cfg.loss_weights(),
                             teacher_view(teacher_emb, teacher.prototypes, stream))
 
     emb = encode(student.backbone.detached(), g)
@@ -782,7 +777,7 @@ def test_alpha_finetune_weights_the_proximity_classes(alpha_mode):
                       + ((int(pools[1][2]), 1),) + tuple((v, 2) for v in novel_queries))
     teacher_emb = encode(teacher.backbone.detached(), g).data
     student = rn.clone_state(teacher)
-    loss = rn._episode_loss(student, g, episode, cfg, cfg.loss_weights(), episode_rng(5, 1, 0),
+    loss = rn._episode_loss(student, g, episode, cfg, cfg.loss_weights(),
                             teacher_view(teacher_emb, teacher.prototypes, stream))
 
     emb = encode(student.backbone.detached(), g)

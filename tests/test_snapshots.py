@@ -114,7 +114,7 @@ def _assert_same_encode(p, shared, oracle, rows):
         for graph in (shared, oracle):
             emb = bb.encode(p, graph, **kwargs)
             weights = np.random.default_rng(33).normal(size=emb.shape).astype(np.float32)
-            value, grads = dm.value_and_grad(oracles.sum(dm.mul(emb, dm.constant(weights))),
+            value, grads = dm.value_and_grad(oracles.sum(oracles.mul(emb, dm.constant(weights))),
                                              p.tensors())
             results.append([emb.data, np.float64(value), *grads])
         for a, b in zip(*results):
@@ -175,9 +175,9 @@ def test_loading_sparse_features_allocates_a_fraction_of_the_dense_matrix(loaded
 
 
 def test_training_on_sparse_features_allocates_no_dense_matrix(loaded, monkeypatch):
-    # pretraining and one session, dropout 0: every layer-0 product reads the
-    # CSR, so nothing near the dense [N x d] matrix is ever allocated, the
-    # stages' layer-0 workspaces included
+    # pretraining and one session: every layer-0 product reads the CSR, so
+    # nothing near the dense [N x d] matrix is ever allocated, the stages'
+    # layer-0 workspaces included
     import geometer.runner as rn
     from geometer.config import ExperimentConfig
     feats, directory, _ = loaded("coraml")
